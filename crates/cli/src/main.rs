@@ -21,16 +21,45 @@ use bulk_tls::TlsMachine;
 use bulk_tm::TmMachine;
 use bulk_trace::{io, profiles};
 
+/// Puts `SIGPIPE` back to its default disposition. The Rust runtime
+/// ignores it before `main`, which turns a reader that went away (`bulk
+/// list | head -1`) into an `EPIPE` that every `println!` here would panic
+/// on; with the default, the process ends quietly like any Unix filter.
+/// `signal` is declared by hand: `std` already links libc, and the
+/// repository builds with no registry crates.
+#[cfg(unix)]
+fn restore_default_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` with `SIG_DFL` installs no handler code, so nothing
+    // of this program runs in signal context; it is called once, before
+    // any other thread exists.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match parse(&argv) {
-        Ok(cmd) => match run(cmd) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
+        Ok(cmd) => {
+            // The daemon keeps the runtime's setting: a client that hangs
+            // up must stay a write error on its connection.
+            #[cfg(unix)]
+            if !matches!(cmd, Command::Bulkd(_)) {
+                restore_default_sigpipe();
             }
-        },
+            match run(cmd) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    ExitCode::FAILURE
+                }
+            }
+        }
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             ExitCode::FAILURE

@@ -9,8 +9,9 @@
 //! * a set-associative write-back data cache ([`Cache`]) deliberately kept
 //!   free of any speculative metadata — exactly the property Bulk exploits,
 //! * coherence/bandwidth accounting ([`MsgClass`], [`BandwidthStats`])
-//!   matching the breakdown of the paper's Figure 13, and
-//! * the per-thread memory overflow area of §6.2.2 ([`OverflowArea`]).
+//!   matching the breakdown of the paper's Figure 13,
+//! * the per-thread memory overflow area of §6.2.2 ([`OverflowArea`]), and
+//! * the cheaply hashed set the exact oracle sets are kept in ([`AddrSet`]).
 //!
 //! # Example
 //!
@@ -29,12 +30,14 @@
 #![warn(missing_docs)]
 
 mod addr;
+mod addr_set;
 mod cache;
 mod geometry;
 mod msg;
 mod overflow;
 
 pub use addr::{Addr, LineAddr, WordAddr};
+pub use addr_set::{AddrHasher, AddrSet};
 pub use cache::{Cache, CacheLine, EvictedLine, LineState, StoreOutcome};
 pub use geometry::CacheGeometry;
 pub use msg::{BandwidthStats, MsgClass, MsgSizes};

@@ -8,17 +8,15 @@
 //! paper's Table 7 "Overflow Accesses Bulk/Lazy" column measures exactly
 //! this difference, so the model counts accesses.
 
-use std::collections::HashSet;
-
 use bulk_obs::OverflowObs;
 
-use crate::LineAddr;
+use crate::{AddrSet, LineAddr};
 
 /// A per-thread overflow area holding speculative dirty lines evicted from
 /// the cache, with access counting.
 #[derive(Debug, Clone, Default)]
 pub struct OverflowArea {
-    lines: HashSet<LineAddr>,
+    lines: AddrSet<LineAddr>,
     accesses: u64,
     obs: Option<OverflowObs>,
 }
@@ -84,7 +82,7 @@ impl OverflowArea {
         if let Some(obs) = &self.obs {
             obs.walked_entries.add(self.lines.len() as u64);
         }
-        let probe: HashSet<&LineAddr> = probe.into_iter().collect();
+        let probe: AddrSet<&LineAddr> = probe.into_iter().collect();
         self.lines
             .iter()
             .filter(|l| probe.contains(l))

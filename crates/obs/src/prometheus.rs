@@ -217,6 +217,9 @@ pub fn encode(scopes: &[Scope<'_>]) -> String {
         }
         for (name, h) in scope.registry.histograms() {
             let fam = format!("{NAMESPACE}{}", sanitize_metric_name(&name));
+            // Other threads may be observing: each bucket is read once
+            // and `+Inf` and both `_count`s are derived from those reads,
+            // so a mid-run scrape is cumulative and self-consistent.
             let mut cum = 0u64;
             let mut lines = Vec::new();
             for (edge, n) in h.edges().iter().zip(h.bucket_counts()) {
@@ -226,13 +229,13 @@ pub fn encode(scopes: &[Scope<'_>]) -> String {
                     label_block(base_labels, Some(("le", edge.to_string())))
                 ));
             }
+            let count = cum + h.overflow_count();
             lines.push(format!(
-                "{fam}_bucket{} {}",
-                label_block(base_labels, Some(("le", "+Inf".to_string()))),
-                h.count()
+                "{fam}_bucket{} {count}",
+                label_block(base_labels, Some(("le", "+Inf".to_string())))
             ));
             lines.push(format!("{fam}_sum{} {}", label_block(base_labels, None), h.sum()));
-            lines.push(format!("{fam}_count{} {}", label_block(base_labels, None), h.count()));
+            lines.push(format!("{fam}_count{} {count}", label_block(base_labels, None)));
             for line in lines {
                 push_line(&mut families, &fam, "histogram", line);
             }
@@ -250,8 +253,7 @@ pub fn encode(scopes: &[Scope<'_>]) -> String {
             }
             let sum_line = format!("{sfam}_sum{} {}", label_block(base_labels, None), h.sum());
             push_line(&mut families, &sfam, "summary", sum_line);
-            let count_line =
-                format!("{sfam}_count{} {}", label_block(base_labels, None), h.count());
+            let count_line = format!("{sfam}_count{} {count}", label_block(base_labels, None));
             push_line(&mut families, &sfam, "summary", count_line);
         }
     }
@@ -680,6 +682,39 @@ mod tests {
             encode(&[Scope::labelled(&[("job", "x"), ("machine", "tm")], &reg)])
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// A scrape taken while another thread observes must still be a
+    /// valid exposition: cumulative buckets, `+Inf` equal to `_count`.
+    #[test]
+    fn a_scrape_during_observation_is_self_consistent() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let reg = Registry::new();
+        let h = reg.histogram("h", &Histogram::pow2_edges(6));
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut v = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    h.observe(v % 200);
+                    v += 1;
+                }
+            });
+            // The observer is running once its first observation shows.
+            while h.count() == 0 {
+                std::thread::yield_now();
+            }
+            let before = h.count();
+            for _ in 0..1000 {
+                let text = encode(&[Scope::labelled(&[("job", "live")], &reg)]);
+                if let Err(e) = validate(&text) {
+                    stop.store(true, Ordering::Relaxed);
+                    panic!("mid-run scrape is not a valid exposition: {e}");
+                }
+            }
+            assert!(h.count() > before, "nothing was observed while scraping");
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]

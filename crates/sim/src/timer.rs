@@ -16,8 +16,6 @@ pub enum FillSource {
 /// The timing outcome of one memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessTiming {
-    /// Cycles the access took (round trip).
-    pub cycles: u64,
     /// Whether it hit in the local L1.
     pub hit: bool,
     /// Dirty victim that must be written back, if any.
@@ -88,7 +86,7 @@ impl CoreTimer {
                 }
             }
         }
-        AccessTiming { cycles: 0, hit, writeback }
+        AccessTiming { hit, writeback }
     }
 
     /// Performs a store to `line` against `cache`, charging latency and
@@ -104,12 +102,12 @@ impl CoreTimer {
         match cache.store(line) {
             StoreOutcome::HitDirty => {
                 self.clock += cfg.l1_hit;
-                AccessTiming { cycles: 0, hit: true, writeback: None }
+                AccessTiming { hit: true, writeback: None }
             }
             StoreOutcome::HitUpgrade => {
                 self.clock += cfg.l1_hit;
                 bw.record(MsgClass::Coh, cfg.msg_sizes.addr_msg);
-                AccessTiming { cycles: 0, hit: true, writeback: None }
+                AccessTiming { hit: true, writeback: None }
             }
             StoreOutcome::Miss(evicted) => {
                 let src_rt = if in_neighbor { cfg.neighbor_rt } else { cfg.mem_rt };
@@ -124,7 +122,7 @@ impl CoreTimer {
                         writeback = Some(v.addr);
                     }
                 }
-                AccessTiming { cycles: 0, hit: false, writeback }
+                AccessTiming { hit: false, writeback }
             }
         }
     }

@@ -12,14 +12,14 @@
 //! As in the TM runtime, exact word-level sets are tracked as an oracle to
 //! classify aliasing artifacts; Bulk's decisions use signatures only.
 
-use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 use bulk_chaos::{Auditor, FaultPlan, InvariantKind, MachineError};
 use bulk_core::{check_speculative_store, flows, Bdm, CommitEvent, CommitMsg, StoreCheck, VersionId};
 use bulk_live::{LivenessConfig, LivenessEngine};
 use bulk_obs::{Obs, RuntimeObs, SpanId, SpanKind, SpanOutcome};
-use bulk_mem::{Addr, Cache, LineAddr, MsgClass, WordAddr};
+use bulk_mem::{Addr, AddrSet, Cache, LineAddr, MsgClass, WordAddr};
 use bulk_sig::{Signature, SignatureArena, SignatureConfig};
 use bulk_sim::{Bus, CoreTimer, SimConfig};
 use bulk_trace::{TlsOp, TlsWorkload};
@@ -47,10 +47,10 @@ struct Task {
     status: Status,
     proc: Option<usize>,
     version: Option<VersionId>,
-    r_words: HashSet<WordAddr>,
-    w_words: HashSet<WordAddr>,
+    r_words: AddrSet<WordAddr>,
+    w_words: AddrSet<WordAddr>,
     /// Exact snapshot of `w_words` at the spawn point (Partial Overlap).
-    w_prespawn: HashSet<WordAddr>,
+    w_prespawn: AddrSet<WordAddr>,
     ready_at: Option<u64>,
     finish_time: u64,
     /// Spawn-time invalidation payload for this task's processor (§6.3):
@@ -97,6 +97,10 @@ pub struct TlsMachine {
     procs: Vec<Proc>,
     tasks: Vec<Task>,
     oldest_uncommitted: usize,
+    /// The next task to start for the first time. With
+    /// `oldest_uncommitted` it bounds the in-flight window (see
+    /// [`TlsMachine::window`]).
+    next_unstarted: usize,
     last_commit_finish: u64,
     bus: Bus,
     stats: TlsStats,
@@ -232,9 +236,9 @@ impl TlsMachine {
                 status: Status::NotStarted,
                 proc: None,
                 version: None,
-                r_words: HashSet::new(),
-                w_words: HashSet::new(),
-                w_prespawn: HashSet::new(),
+                r_words: AddrSet::default(),
+                w_words: AddrSet::default(),
+                w_prespawn: AddrSet::default(),
                 ready_at: None,
                 finish_time: 0,
                 spawn_inval_sig: None,
@@ -252,6 +256,7 @@ impl TlsMachine {
             procs,
             tasks,
             oldest_uncommitted: 0,
+            next_unstarted: 0,
             last_commit_finish: 0,
             bus: Bus::new(),
             stats: TlsStats::default(),
@@ -365,6 +370,7 @@ impl TlsMachine {
                 continue;
             };
             self.step(p);
+            debug_assert!(self.window_holds(), "in-flight window invariant broken after a step");
             if let Some(live) = &mut self.live {
                 live.on_tick(self.procs[p].timer.now());
             }
@@ -437,14 +443,42 @@ impl TlsMachine {
             .map(|(i, _)| i)
     }
 
+    /// The in-flight window: the index range holding every `Ready`,
+    /// `Running` and `WaitingCommit` task. Tasks start in index order and
+    /// commit in index order, a squash leaves its victim `Ready` (never
+    /// `NotStarted`) and a cascade stops at the first `NotStarted` task,
+    /// so everything below the window is `Committed` and everything from
+    /// its end on is `NotStarted` (DESIGN.md §15). The version budget
+    /// bounds its length by `procs × VERSIONS_PER_PROC`, plus the head
+    /// task while it commits. Scans that used to walk `self.tasks` walk
+    /// this; debug builds assert each one against the full scan.
+    fn window(&self) -> Range<usize> {
+        self.oldest_uncommitted..self.next_unstarted
+    }
+
+    /// The window invariant and its length bound, checked over the whole
+    /// task vector (debug builds only).
+    fn window_holds(&self) -> bool {
+        let committed = &self.tasks[..self.oldest_uncommitted];
+        let unstarted = &self.tasks[self.next_unstarted..];
+        committed.iter().all(|t| t.status == Status::Committed)
+            && unstarted.iter().all(|t| t.status == Status::NotStarted)
+            && self.window().len() <= self.procs.len() * VERSIONS_PER_PROC + 1
+    }
+
     fn tasks_on_proc(&self, p: usize) -> usize {
-        self.tasks
-            .iter()
-            .filter(|t| {
-                t.proc == Some(p)
-                    && matches!(t.status, Status::Ready | Status::Running | Status::WaitingCommit)
-            })
-            .count()
+        let count_in = |range: Range<usize>| {
+            self.tasks[range]
+                .iter()
+                .filter(|t| {
+                    t.proc == Some(p)
+                        && matches!(t.status, Status::Ready | Status::Running | Status::WaitingCommit)
+                })
+                .count()
+        };
+        let n = count_in(self.window());
+        debug_assert_eq!(n, count_in(0..self.tasks.len()), "tasks_on_proc: window vs full scan");
+        n
     }
 
     fn assign_tasks(&mut self) {
@@ -453,19 +487,18 @@ impl TlsMachine {
             if self.procs[p].running.is_some() {
                 continue;
             }
-            let ready = self
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|(i, t)| {
+            let ready_in = |mut range: Range<usize>| {
+                range.find(|&i| {
+                    let t = &self.tasks[i];
                     t.status == Status::Ready
                         && t.proc == Some(p)
                         // An escalated task waits for the head: once it is
                         // the oldest uncommitted task nothing can squash it.
-                        && (!t.escalated || *i == self.oldest_uncommitted)
+                        && (!t.escalated || i == self.oldest_uncommitted)
                 })
-                .map(|(i, _)| i)
-                .min();
+            };
+            let ready = ready_in(self.window());
+            debug_assert_eq!(ready, ready_in(0..self.tasks.len()), "ready search: window vs full scan");
             if let Some(i) = ready {
                 self.start_on(p, i, false);
             }
@@ -473,14 +506,15 @@ impl TlsMachine {
         // 2. Start new tasks in order on free processors (lowest clock
         // first), respecting the per-processor version budget.
         loop {
-            let Some(i) = self
-                .tasks
-                .iter()
-                .position(|t| t.status == Status::NotStarted)
-                .filter(|&i| self.tasks[i].ready_at.is_some())
-            else {
+            let i = self.next_unstarted;
+            debug_assert_eq!(
+                (i < self.tasks.len()).then_some(i),
+                self.tasks.iter().position(|t| t.status == Status::NotStarted),
+                "next_unstarted vs full scan"
+            );
+            if self.tasks.get(i).is_none_or(|t| t.ready_at.is_none()) {
                 return;
-            };
+            }
             let Some(p) = self
                 .procs
                 .iter()
@@ -493,6 +527,7 @@ impl TlsMachine {
             };
             self.tasks[i].proc = Some(p);
             self.start_on(p, i, true);
+            self.next_unstarted += 1;
         }
     }
 
@@ -621,7 +656,7 @@ impl TlsMachine {
                 .w_prespawn
                 .iter()
                 .map(|w| w.line(self.cfg.geom.line_bytes()))
-                .collect::<HashSet<_>>()
+                .collect::<AddrSet<_>>()
                 .into_iter()
                 .collect();
             if let Some(child) = self.tasks.get_mut(i + 1) {
@@ -641,14 +676,7 @@ impl TlsMachine {
 
     fn op_read(&mut self, p: usize, i: usize, a: Addr) {
         let line = a.line(self.cfg.geom.line_bytes());
-        let in_neighbor = self.neighbor_has(p, line);
-        let mut bw = std::mem::take(&mut self.stats.bw);
-        let proc = &mut self.procs[p];
-        let acc = proc.timer.load(&mut proc.cache, line, in_neighbor, &self.cfg, &mut bw);
-        self.stats.bw = bw;
-        if acc.writeback.is_some() {
-            self.stats.bw.record(MsgClass::Wb, self.cfg.msg_sizes.line_msg);
-        }
+        self.timed_access(p, line, false);
         self.tasks[i].r_words.insert(a.word());
         if self.scheme.uses_signatures() {
             let v = self.tasks[i].version.expect("in flight");
@@ -663,8 +691,15 @@ impl TlsMachine {
         // Eager disambiguation: squash more-speculative tasks that already
         // touched this word.
         if self.scheme.is_eager() {
-            let victim = (i + 1..self.tasks.len())
-                .find(|&j| self.tasks[j].in_flight() && self.tasks[j].reads_or_writes(word));
+            let victim_in = |mut range: Range<usize>| {
+                range.find(|&j| self.tasks[j].in_flight() && self.tasks[j].reads_or_writes(word))
+            };
+            let victim = victim_in(i + 1..self.next_unstarted);
+            debug_assert_eq!(
+                victim,
+                victim_in(i + 1..self.tasks.len()),
+                "eager victim search: window vs full scan"
+            );
             if let Some(j) = victim {
                 let now = self.procs[p].timer.now();
                 let dep = 1;
@@ -695,14 +730,7 @@ impl TlsMachine {
                 }
             }
         }
-        let in_neighbor = self.neighbor_has(p, line);
-        let mut bw = std::mem::take(&mut self.stats.bw);
-        let proc = &mut self.procs[p];
-        let acc = proc.timer.store(&mut proc.cache, line, in_neighbor, &self.cfg, &mut bw);
-        self.stats.bw = bw;
-        if acc.writeback.is_some() {
-            self.stats.bw.record(MsgClass::Wb, self.cfg.msg_sizes.line_msg);
-        }
+        self.timed_access(p, line, true);
         if self.scheme.is_eager() {
             // Eager schemes propagate the update (invalidation) right away.
             self.stats.bw.record(MsgClass::Inv, self.cfg.msg_sizes.addr_msg);
@@ -763,9 +791,10 @@ impl TlsMachine {
 
     fn commit_task(&mut self, i: usize) -> Result<(), MachineError> {
         let p = self.tasks[i].proc.expect("committed task had a processor");
-        let exact_w_words = self.tasks[i].w_words.clone();
-        let exact_prespawn = self.tasks[i].w_prespawn.clone();
-        let exact_lines: HashSet<LineAddr> = exact_w_words
+        // A committed task's write sets are read nowhere else again.
+        let exact_w_words = std::mem::take(&mut self.tasks[i].w_words);
+        let exact_prespawn = std::mem::take(&mut self.tasks[i].w_prespawn);
+        let exact_lines: AddrSet<LineAddr> = exact_w_words
             .iter()
             .map(|w| w.line(self.cfg.geom.line_bytes()))
             .collect();
@@ -929,16 +958,12 @@ impl TlsMachine {
             self.stats.serialized_commits += 1;
         }
         self.stats.rd_set_words += self.tasks[i].r_words.len() as u64;
-        self.stats.wr_set_words += self.tasks[i].w_words.len() as u64;
-
+        self.stats.wr_set_words += exact_w_words.len() as u64;
 
         // Disambiguate against more-speculative in-flight tasks, in order.
         let mut squash_from: Option<(usize, bool, u64)> = None;
-        for j in i + 1..self.tasks.len() {
+        for j in i + 1..self.next_unstarted {
             if !self.tasks[j].in_flight() {
-                if self.tasks[j].status == Status::NotStarted {
-                    break;
-                }
                 continue;
             }
             let first_child = j == i + 1;
@@ -1026,7 +1051,6 @@ impl TlsMachine {
         // simply absent).
         let rounds = if duplicate { 2 } else { 1 } + replay_rounds;
         let exp = self.obs.as_ref().map(|o| o.expansion.clone());
-        let skip_proc_of_squashed = squash_from.map(|(j, _, _)| j);
         for round in 0..rounds {
             // Receiver-side dedup: only the first delivery of this commit's
             // ticket is applied; chaos duplicates and failover replays are
@@ -1046,10 +1070,9 @@ impl TlsMachine {
                 // Squashed tasks' caches get cleaned by the squash itself;
                 // the commit invalidation still applies to lines of *other*
                 // tasks on that processor, so we apply it everywhere.
-                let _ = skip_proc_of_squashed;
                 match self.scheme {
                     TlsScheme::Eager | TlsScheme::Lazy => {
-                        self.exact_apply_commit(q, &exact_lines, &exact_w_words);
+                        self.exact_apply_commit(q, &exact_lines);
                     }
                     TlsScheme::Bulk | TlsScheme::BulkNoOverlap => {
                         let w = &delivered.as_ref().expect("bulk commit delivers signatures").w;
@@ -1130,7 +1153,7 @@ impl TlsMachine {
             // should have been squashed — except under Eager, where the
             // violation was already resolved at store time.
             if self.scheme != TlsScheme::Eager {
-                for j in i + 1..self.tasks.len() {
+                for j in i + 1..self.next_unstarted {
                     let t = &self.tasks[j];
                     if !t.in_flight() {
                         continue;
@@ -1162,6 +1185,7 @@ impl TlsMachine {
         if !self.auditor.enabled() {
             return;
         }
+        debug_assert!(self.window_holds(), "in-flight window invariant broken at an audit");
         for q in 0..self.procs.len() {
             let proc = &self.procs[q];
             self.auditor.audit_set_restriction(q, cycle, &proc.bdm, &proc.cache);
@@ -1169,7 +1193,7 @@ impl TlsMachine {
         if !self.scheme.uses_signatures() {
             return;
         }
-        for k in 0..self.tasks.len() {
+        for k in self.window() {
             let t = &self.tasks[k];
             if !t.in_flight() {
                 continue;
@@ -1196,20 +1220,21 @@ impl TlsMachine {
     /// Exact-scheme commit application: invalidate committed lines in
     /// cache `q`, except lines partially written by a local in-flight task
     /// (those merge word-wise, as per-word access bits would allow).
-    fn exact_apply_commit(
-        &mut self,
-        q: usize,
-        lines: &HashSet<LineAddr>,
-        words: &HashSet<WordAddr>,
-    ) {
+    fn exact_apply_commit(&mut self, q: usize, lines: &AddrSet<LineAddr>) {
         let line_bytes = self.cfg.geom.line_bytes();
-        let local_written: HashSet<LineAddr> = self
-            .tasks
-            .iter()
-            .filter(|t| t.proc == Some(q) && t.in_flight())
-            .flat_map(|t| t.w_words.iter().map(|w| w.line(line_bytes)))
-            .collect();
-        let _ = words;
+        let local_written_in = |range: Range<usize>| -> AddrSet<LineAddr> {
+            self.tasks[range]
+                .iter()
+                .filter(|t| t.proc == Some(q) && t.in_flight())
+                .flat_map(|t| t.w_words.iter().map(|w| w.line(line_bytes)))
+                .collect()
+        };
+        let local_written = local_written_in(self.window());
+        debug_assert_eq!(
+            local_written,
+            local_written_in(0..self.tasks.len()),
+            "local written lines: window vs full scan"
+        );
         for &l in lines {
             if local_written.contains(&l) {
                 continue; // word-merged in place
@@ -1351,6 +1376,26 @@ impl TlsMachine {
             .iter()
             .enumerate()
             .any(|(q, proc)| q != p && proc.cache.contains(line))
+    }
+
+    /// One timed L1 load or store by processor `p`. The other caches are
+    /// probed only when the line misses locally: `CoreTimer` reads
+    /// `in_neighbor` on no other path and `neighbor_has` is pure, so
+    /// skipping the probe on a hit cannot change a result.
+    fn timed_access(&mut self, p: usize, line: LineAddr, store: bool) {
+        let miss = !self.procs[p].cache.contains(line);
+        let in_neighbor = miss && self.neighbor_has(p, line);
+        let proc = &mut self.procs[p];
+        let bw = &mut self.stats.bw;
+        let acc = if store {
+            proc.timer.store(&mut proc.cache, line, in_neighbor, &self.cfg, bw)
+        } else {
+            proc.timer.load(&mut proc.cache, line, in_neighbor, &self.cfg, bw)
+        };
+        debug_assert!(miss || acc.hit, "a skipped neighbour probe fed a miss");
+        if acc.writeback.is_some() {
+            self.stats.bw.record(MsgClass::Wb, self.cfg.msg_sizes.line_msg);
+        }
     }
 }
 

@@ -8,7 +8,6 @@
 //! sets are additionally tracked as an **oracle** to classify signature
 //! false positives and validate correctness, never to make Bulk decisions.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use bulk_chaos::{Auditor, FaultPlan, InvariantKind, MachineError};
@@ -17,10 +16,10 @@ use bulk_core::{
     SectionStack, StoreCheck, VersionId,
 };
 use bulk_live::{Checkpoint, LivenessConfig, LivenessEngine};
-use bulk_mem::{Addr, Cache, LineAddr, MsgClass, OverflowArea};
+use bulk_mem::{Addr, AddrSet, Cache, LineAddr, MsgClass, OverflowArea};
 use bulk_obs::{Obs, RuntimeObs, SpanId, SpanKind, SpanOutcome};
 use bulk_sig::{Signature, SignatureArena, SignatureConfig};
-use bulk_sim::{Bus, CoreTimer, SimConfig};
+use bulk_sim::{AccessTiming, Bus, CoreTimer, SimConfig};
 use bulk_trace::{TmOp, TmWorkload};
 
 use crate::{Scheme, TmStats};
@@ -46,15 +45,15 @@ struct Thread {
     // Commits retired so far; the ordinal of the next CommitEvent.
     commit_ordinal: u64,
     // Exact oracle sets for the current outer transaction (line grain).
-    read_set: HashSet<LineAddr>,
-    write_set: HashSet<LineAddr>,
+    read_set: AddrSet<LineAddr>,
+    write_set: AddrSet<LineAddr>,
     // --- Bulk state ---
     bdm: Bdm,
     version: Option<VersionId>,
     // --- Bulk-Partial state ---
     sections: SectionStack,
     section_starts: Vec<usize>,
-    exact_sections: Vec<(HashSet<LineAddr>, HashSet<LineAddr>)>,
+    exact_sections: Vec<(AddrSet<LineAddr>, AddrSet<LineAddr>)>,
     // --- overflow ---
     overflow: OverflowArea,
     // --- eager stall (forward-progress fix) ---
@@ -229,8 +228,8 @@ impl TmMachine {
                 tx_start_cycle: 0,
                 tx_serial: 0,
                 commit_ordinal: 0,
-                read_set: HashSet::new(),
-                write_set: HashSet::new(),
+                read_set: AddrSet::default(),
+                write_set: AddrSet::default(),
                 bdm: Bdm::new_shared(sig_config.clone(), cfg.geom, 2),
                 version: None,
                 sections: SectionStack::new(sig_config.clone()),
@@ -761,37 +760,22 @@ impl TmMachine {
             // no signature, no conflict checks — the serial token already
             // guarantees atomicity. Speculative dirty copies elsewhere are
             // nacked by `neighbor_has`, so it reads committed state.
-            let in_neighbor = self.neighbor_has(tid, line);
-            let mut bw = std::mem::take(&mut self.stats.bw);
-            let t = &mut self.threads[tid];
-            let acc = t.timer.load(&mut t.cache, line, in_neighbor, &self.cfg, &mut bw);
-            self.stats.bw = bw;
-            if let Some(victim) = acc.writeback {
-                self.handle_dirty_victim(tid, victim);
-            }
+            self.timed_access(tid, line, false);
             self.threads[tid].pc += 1;
             return Ok(());
         }
         // Eager RAW conflict: reading a line speculatively written elsewhere.
         if self.scheme.is_eager() {
             let conflicting: Vec<usize> = self
-                .other_tx_threads(tid)
-                .into_iter()
-                .filter(|&j| self.threads[j].write_set.contains(&line))
+                .others(tid)
+                .filter(|&j| self.threads[j].in_tx() && self.threads[j].write_set.contains(&line))
                 .collect();
             if !self.resolve_eager_conflicts(tid, &conflicting, line) {
                 return Ok(()); // stalled; retry this op later
             }
         }
         let in_tx = self.threads[tid].in_tx();
-        let in_neighbor = self.neighbor_has(tid, line);
-        let mut bw = std::mem::take(&mut self.stats.bw);
-        let t = &mut self.threads[tid];
-        let acc = t.timer.load(&mut t.cache, line, in_neighbor, &self.cfg, &mut bw);
-        self.stats.bw = bw;
-        if let Some(victim) = acc.writeback {
-            self.handle_dirty_victim(tid, victim);
-        }
+        let acc = self.timed_access(tid, line, false);
         if in_tx {
             let v = if self.scheme.uses_signatures() {
                 Some(self.version_of(tid, "transactional load")?)
@@ -828,9 +812,8 @@ impl TmMachine {
         // Eager conflict: writing a line another in-flight tx read/wrote.
         if self.scheme.is_eager() {
             let conflicting: Vec<usize> = self
-                .other_tx_threads(tid)
-                .into_iter()
-                .filter(|&j| self.threads[j].exact_union_contains(line))
+                .others(tid)
+                .filter(|&j| self.threads[j].in_tx() && self.threads[j].exact_union_contains(line))
                 .collect();
             if !self.resolve_eager_conflicts(tid, &conflicting, line) {
                 return Ok(()); // stalled
@@ -862,14 +845,7 @@ impl TmMachine {
                 }
             }
         }
-        let in_neighbor = self.neighbor_has(tid, line);
-        let mut bw = std::mem::take(&mut self.stats.bw);
-        let t = &mut self.threads[tid];
-        let acc = t.timer.store(&mut t.cache, line, in_neighbor, &self.cfg, &mut bw);
-        self.stats.bw = bw;
-        if let Some(victim) = acc.writeback {
-            self.handle_dirty_victim(tid, victim);
-        }
+        self.timed_access(tid, line, true);
         let v = if self.scheme.uses_signatures() {
             Some(self.version_of(tid, "speculative store")?)
         } else {
@@ -904,11 +880,12 @@ impl TmMachine {
             None
         };
         let victims: Vec<usize> = self
-            .other_tx_threads(tid)
-            .into_iter()
+            .others(tid)
             .filter(|&j| {
                 let o = &self.threads[j];
-                if self.scheme.uses_signatures() {
+                if !o.in_tx() {
+                    false
+                } else if self.scheme.uses_signatures() {
                     match &probe {
                         Some(p) => o.sections.disambiguate(p).is_some(),
                         None => match o.version {
@@ -940,14 +917,7 @@ impl TmMachine {
         }
         self.commit_cause = SpanId::DROPPED;
         self.invalidate_in_others(tid, line);
-        let in_neighbor = self.neighbor_has(tid, line);
-        let mut bw = std::mem::take(&mut self.stats.bw);
-        let t = &mut self.threads[tid];
-        let acc = t.timer.store(&mut t.cache, line, in_neighbor, &self.cfg, &mut bw);
-        self.stats.bw = bw;
-        if let Some(victim) = acc.writeback {
-            self.handle_dirty_victim(tid, victim);
-        }
+        self.timed_access(tid, line, true);
         self.threads[tid].pc += 1;
     }
 
@@ -956,7 +926,10 @@ impl TmMachine {
     // ------------------------------------------------------------------
 
     fn commit(&mut self, tid: usize) -> Result<(), MachineError> {
-        let exact_w: HashSet<LineAddr> = self.threads[tid].write_set.clone();
+        // Cloned, not taken: the committer stays speculative until its
+        // cleanup below, and the audit a squash triggers mid-delivery still
+        // checks this write set against the W signature.
+        let exact_w = self.threads[tid].write_set.clone();
         let scheme = self.scheme;
         // The speculative section ends here; everything from this point
         // to bus-finish (denied-retry backoff included) is commit time.
@@ -1133,7 +1106,7 @@ impl TmMachine {
                     continue;
                 }
             }
-            for j in self.other_indices(tid) {
+            for j in self.others(tid) {
                 self.receive_commit(j, tid, &exact_w, delivered.as_ref(), finish)?;
             }
             if let (Some(live), Some(tk)) = (self.live.as_mut(), ticket) {
@@ -1183,7 +1156,7 @@ impl TmMachine {
             // Serializability: every surviving speculative transaction must
             // be conflict-free with the committed write set — anything else
             // should have been squashed or rolled back above.
-            for j in self.other_indices(tid) {
+            for j in self.others(tid) {
                 let o = &self.threads[j];
                 if !o.speculative() {
                     continue;
@@ -1208,7 +1181,7 @@ impl TmMachine {
         &mut self,
         j: usize,
         committer: usize,
-        exact_w: &HashSet<LineAddr>,
+        exact_w: &AddrSet<LineAddr>,
         delivered: Option<&DeliveredSignatures>,
         finish: u64,
     ) -> Result<(), MachineError> {
@@ -1354,7 +1327,7 @@ impl TmMachine {
         j: usize,
         _committer: usize,
         w: &Signature,
-        exact_w: &HashSet<LineAddr>,
+        exact_w: &AddrSet<LineAddr>,
         finish: u64,
     ) {
         let exp = self.obs.as_ref().map(|o| o.expansion.clone());
@@ -1553,8 +1526,10 @@ impl TmMachine {
     // Helpers
     // ------------------------------------------------------------------
 
-    fn other_indices(&self, tid: usize) -> Vec<usize> {
-        (0..self.threads.len()).filter(|&j| j != tid).collect()
+    /// Every thread index but `tid`, ascending. Borrows nothing, so a
+    /// loop over it may mutate the machine.
+    fn others(&self, tid: usize) -> impl Iterator<Item = usize> {
+        (0..self.threads.len()).filter(move |&j| j != tid)
     }
 
     /// Age rank of thread `j` among in-flight speculative transactions,
@@ -1571,13 +1546,6 @@ impl TmMachine {
             .count()
     }
 
-    fn other_tx_threads(&self, tid: usize) -> Vec<usize> {
-        self.other_indices(tid)
-            .into_iter()
-            .filter(|&j| self.threads[j].in_tx())
-            .collect()
-    }
-
     /// Whether some other processor can *supply* `line`. A holder whose
     /// copy is speculatively dirty nacks the request (the paper's §4.5:
     /// the BDM checks its `δ(W)` bitmasks and refuses to leak speculative
@@ -1586,7 +1554,7 @@ impl TmMachine {
     /// normally.
     fn neighbor_has(&self, tid: usize, line: LineAddr) -> bool {
         let set = self.cfg.geom.set_of_line(line);
-        self.other_indices(tid).into_iter().any(|j| {
+        self.others(tid).any(|j| {
             let t = &self.threads[j];
             match t.cache.state_of(line) {
                 None => false,
@@ -1603,20 +1571,42 @@ impl TmMachine {
         })
     }
 
+    /// One timed L1 load or store by thread `tid`, its dirty victim
+    /// handled. The other caches are probed only when the line misses
+    /// locally: `CoreTimer` reads `in_neighbor` on no other path and
+    /// `neighbor_has` is pure, so skipping the probe on a hit cannot
+    /// change a result.
+    fn timed_access(&mut self, tid: usize, line: LineAddr, store: bool) -> AccessTiming {
+        let miss = !self.threads[tid].cache.contains(line);
+        let in_neighbor = miss && self.neighbor_has(tid, line);
+        let t = &mut self.threads[tid];
+        let bw = &mut self.stats.bw;
+        let acc = if store {
+            t.timer.store(&mut t.cache, line, in_neighbor, &self.cfg, bw)
+        } else {
+            t.timer.load(&mut t.cache, line, in_neighbor, &self.cfg, bw)
+        };
+        debug_assert!(miss || acc.hit, "a skipped neighbour probe fed a miss");
+        if let Some(victim) = acc.writeback {
+            self.handle_dirty_victim(tid, victim);
+        }
+        acc
+    }
+
     fn invalidate_in_others(&mut self, tid: usize, line: LineAddr) {
-        for j in self.other_indices(tid) {
+        for j in self.others(tid) {
             self.threads[j].cache.invalidate(line);
         }
     }
 
-    fn invalidate_lines_exact(&mut self, j: usize, lines: &HashSet<LineAddr>) {
+    fn invalidate_lines_exact(&mut self, j: usize, lines: &AddrSet<LineAddr>) {
         let t = &mut self.threads[j];
         for &l in lines {
             t.cache.invalidate(l);
         }
     }
 
-    fn exact_dep_size(&self, j: usize, exact_w: &HashSet<LineAddr>) -> u64 {
+    fn exact_dep_size(&self, j: usize, exact_w: &AddrSet<LineAddr>) -> u64 {
         let o = &self.threads[j];
         exact_w
             .iter()

@@ -47,6 +47,15 @@ for seed in 1 2 3; do
 done
 echo "chaos smoke: OK"
 
+# Linearity guard: the sim's host time must stay linear in trace length.
+# 12,800 crafty tasks take under a second while every per-op scan stays
+# inside the in-flight window (DESIGN.md §15) and about 30 s when one
+# walks all tasks again — the timeout sits 10x above the one and 3x below
+# the other, so it separates the two regimes rather than timing the host.
+echo "== sim linearity guard (12800 TLS tasks under a 10 s timeout)"
+timeout 10 "$BULK" tls --app crafty --tasks 12800 --scheme bulk --seed 42 > /dev/null
+echo "linearity guard: OK"
+
 # Parallel-runtime crash smoke: --chaos under --runtime par arms the
 # real-thread fault preset (seeded worker kills at commit-protocol
 # points, injected stalls, delayed publishes). The supervisor must
