@@ -343,56 +343,46 @@ impl JobTable {
 /// Runs the spec to completion, recording into `obs`. Returns
 /// `(commits, squashes)` or a `(kind, detail)` failure.
 fn execute(spec: &JobSpec, obs: &Arc<Obs>) -> Result<(u64, u64), (String, String)> {
-    match (spec.machine, spec.runtime) {
-        (Machine::Tm, JobRuntime::Sim) => {
-            let mut p = profiles::tm_profile(&spec.app)
-                .ok_or_else(|| ("invalid-workload".to_string(), format!("app `{}`", spec.app)))?;
+    let unknown_app = || ("invalid-workload".to_string(), format!("app `{}`", spec.app));
+    let par = || ParRuntime::new(ParConfig { seed: spec.seed, ..ParConfig::default() });
+    match spec.machine {
+        Machine::Tm => {
+            let mut p = profiles::tm_profile(&spec.app).ok_or_else(unknown_app)?;
             if let Some(txs) = spec.txs {
                 p.txs_per_thread = txs as usize;
             }
             let scheme = spec.scheme.parse().map_err(bad_scheme)?;
-            let wl = p.generate(spec.seed);
-            let stats =
-                bulk_tm::run_tm_observed(&wl, scheme, &SimConfig::tm_default(), Arc::clone(obs));
-            check_sim(&stats.violations, &stats.liveness_violations)?;
-            Ok((stats.commits, stats.squashes))
+            let (wl, cfg) = (p.generate(spec.seed), SimConfig::tm_default());
+            match spec.runtime {
+                JobRuntime::Sim => {
+                    let stats = bulk_tm::run_tm_observed(&wl, scheme, &cfg, Arc::clone(obs));
+                    check_sim(&stats.violations, &stats.liveness_violations)?;
+                    Ok((stats.commits, stats.squashes))
+                }
+                JobRuntime::Par => {
+                    let r = par().run_tm(&wl, scheme, &cfg).map_err(par_error)?;
+                    finish_par(obs.registry(), &r)
+                }
+            }
         }
-        (Machine::Tls, JobRuntime::Sim) => {
-            let mut p = profiles::tls_profile(&spec.app)
-                .ok_or_else(|| ("invalid-workload".to_string(), format!("app `{}`", spec.app)))?;
+        Machine::Tls => {
+            let mut p = profiles::tls_profile(&spec.app).ok_or_else(unknown_app)?;
             if let Some(tasks) = spec.tasks {
                 p.tasks = tasks as usize;
             }
             let scheme = spec.scheme.parse().map_err(bad_scheme)?;
-            let wl = p.generate(spec.seed);
-            let stats =
-                bulk_tls::run_tls_observed(&wl, scheme, &SimConfig::tls_default(), Arc::clone(obs));
-            check_sim(&stats.violations, &stats.liveness_violations)?;
-            Ok((stats.commits, stats.squashes))
-        }
-        (Machine::Tm, JobRuntime::Par) => {
-            let mut p = profiles::tm_profile(&spec.app)
-                .ok_or_else(|| ("invalid-workload".to_string(), format!("app `{}`", spec.app)))?;
-            if let Some(txs) = spec.txs {
-                p.txs_per_thread = txs as usize;
+            let (wl, cfg) = (p.generate(spec.seed), SimConfig::tls_default());
+            match spec.runtime {
+                JobRuntime::Sim => {
+                    let stats = bulk_tls::run_tls_observed(&wl, scheme, &cfg, Arc::clone(obs));
+                    check_sim(&stats.violations, &stats.liveness_violations)?;
+                    Ok((stats.commits, stats.squashes))
+                }
+                JobRuntime::Par => {
+                    let r = par().run_tls(&wl, scheme, &cfg).map_err(par_error)?;
+                    finish_par(obs.registry(), &r)
+                }
             }
-            let scheme = spec.scheme.parse().map_err(bad_scheme)?;
-            let wl = p.generate(spec.seed);
-            let rt = ParRuntime::new(ParConfig { seed: spec.seed, ..ParConfig::default() });
-            let r = rt.run_tm(&wl, scheme, &SimConfig::tm_default()).map_err(par_error)?;
-            finish_par(obs.registry(), &r)
-        }
-        (Machine::Tls, JobRuntime::Par) => {
-            let mut p = profiles::tls_profile(&spec.app)
-                .ok_or_else(|| ("invalid-workload".to_string(), format!("app `{}`", spec.app)))?;
-            if let Some(tasks) = spec.tasks {
-                p.tasks = tasks as usize;
-            }
-            let scheme = spec.scheme.parse().map_err(bad_scheme)?;
-            let wl = p.generate(spec.seed);
-            let rt = ParRuntime::new(ParConfig { seed: spec.seed, ..ParConfig::default() });
-            let r = rt.run_tls(&wl, scheme, &SimConfig::tls_default()).map_err(par_error)?;
-            finish_par(obs.registry(), &r)
         }
     }
 }

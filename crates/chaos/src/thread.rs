@@ -122,6 +122,17 @@ impl ThreadChaos {
         WorkerChaos { shared: Arc::clone(self), proc, rng: SmallRng::seed_from_u64(mix) }
     }
 
+    /// Whether `proc` still has an unconsumed explicit [`CrashPoint::Apply`]
+    /// kill. A worker that reaches the end of its trace with one pending
+    /// keeps applying records until it fires: the worker's own publishes
+    /// never count as applications, so a worker that outruns its peers
+    /// would otherwise finish before the scheduled kill is reachable.
+    pub fn apply_kill_pending(&self, proc: usize) -> bool {
+        self.kills.iter().zip(&self.consumed).any(|(k, consumed)| {
+            k.proc == proc && k.point == CrashPoint::Apply && !consumed.load(Ordering::Acquire)
+        })
+    }
+
     fn take_kill_budget(&self) -> bool {
         self.kill_budget
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| b.checked_sub(1))
@@ -185,6 +196,11 @@ impl WorkerChaos {
             && self.shared.take_kill_budget()
     }
 
+    /// [`ThreadChaos::apply_kill_pending`] for this worker's processor.
+    pub fn apply_kill_pending(&self) -> bool {
+        self.shared.apply_kill_pending(self.proc)
+    }
+
     /// Consulted at poll sites: `Some(d)` stalls the worker for `d`
     /// (simulating a descheduled/hung peer the watchdog must tolerate
     /// below its bound and report above it).
@@ -238,7 +254,10 @@ mod tests {
         let mut w = chaos.worker(0, 0);
         assert_eq!(w.on_claim(), None, "claim events must not consume an Apply spec");
         assert!(!w.on_apply()); // apply 0
+        assert!(w.apply_kill_pending(), "armed until it fires");
+        assert!(!chaos.apply_kill_pending(1), "no spec names proc 1");
         assert!(w.on_apply()); // apply 1
+        assert!(!w.apply_kill_pending(), "consumed");
         assert!(!w.on_apply(), "consumed");
     }
 

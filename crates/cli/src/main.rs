@@ -16,7 +16,7 @@ use bulk_live::{BackoffConfig, LivenessConfig, WatchdogConfig};
 use bulk_obs::Obs;
 use bulk_par::{ParConfig, ParRuntime, Runtime};
 use bulk_sig::{table8, table8_spec, BitPermutation, Granularity, SignatureConfig};
-use bulk_sim::SimConfig;
+use bulk_sim::{SimConfig, SimHarness};
 use bulk_tls::TlsMachine;
 use bulk_tm::TmMachine;
 use bulk_trace::{io, profiles};
@@ -264,7 +264,7 @@ fn run_tm(a: TmArgs) -> Result<(), String> {
     let cfg = SimConfig::tm_default();
     let mut m =
         TmMachine::try_with_signature(&wl, a.scheme, &cfg, sig).map_err(|e| e.to_string())?;
-    let seed = configure_tm(&mut m, &a)?;
+    let seed = configure(m.harness_mut(), a.audit, a.chaos, a.seed, a.watchdog_ticks)?;
     let obs = make_obs(a.metrics, &a.events_out, &a.metrics_out, &a.trace_out);
     if let Some(o) = &obs {
         m.attach_obs(Arc::clone(o));
@@ -415,23 +415,6 @@ fn finish_obs(
     Ok(())
 }
 
-fn configure_tm(m: &mut TmMachine, a: &TmArgs) -> Result<Option<u64>, String> {
-    if a.audit {
-        m.enable_audit();
-    }
-    let mut seed = None;
-    if a.chaos {
-        let s = chaos_seed(a.seed)?;
-        println!("chaos: fault seed {s} (replay with BULK_CHAOS_SEED={s})");
-        m.set_chaos(FaultPlan::seeded(s));
-        seed = Some(s);
-    }
-    if let Some(ticks) = a.watchdog_ticks {
-        m.enable_liveness(watchdog_only(ticks));
-    }
-    Ok(seed)
-}
-
 fn run_tls(a: TlsArgs) -> Result<(), String> {
     let mut p = profiles::tls_profile(&a.app)
         .ok_or_else(|| format!("unknown TLS app `{}` (try `bulk list`)", a.app))?;
@@ -455,7 +438,7 @@ fn run_tls(a: TlsArgs) -> Result<(), String> {
     }
     let seq = bulk_tls::run_tls_sequential(&wl, &cfg);
     let mut m = TlsMachine::try_new(&wl, a.scheme, &cfg).map_err(|e| e.to_string())?;
-    let seed = configure_tls(&mut m, &a)?;
+    let seed = configure(m.harness_mut(), a.audit, a.chaos, a.seed, a.watchdog_ticks)?;
     let obs = make_obs(a.metrics, &a.events_out, &a.metrics_out, &a.trace_out);
     if let Some(o) = &obs {
         m.attach_obs(Arc::clone(o));
@@ -476,21 +459,30 @@ fn run_tls(a: TlsArgs) -> Result<(), String> {
     check_liveness(&stats.liveness_violations)
 }
 
-fn configure_tls(m: &mut TlsMachine, a: &TlsArgs) -> Result<Option<u64>, String> {
-    if a.audit {
-        m.enable_audit();
+/// Arms a sim machine's instruments the way the flags ask: the auditor,
+/// the chaos plan (returning its fault seed for the replay hint), the
+/// detection-only watchdog.
+fn configure(
+    h: &mut SimHarness,
+    audit: bool,
+    chaos: bool,
+    seed: u64,
+    watchdog_ticks: Option<u64>,
+) -> Result<Option<u64>, String> {
+    if audit {
+        h.enable_audit();
     }
-    let mut seed = None;
-    if a.chaos {
-        let s = chaos_seed(a.seed)?;
+    let mut fault_seed = None;
+    if chaos {
+        let s = chaos_seed(seed)?;
         println!("chaos: fault seed {s} (replay with BULK_CHAOS_SEED={s})");
-        m.set_chaos(FaultPlan::seeded(s));
-        seed = Some(s);
+        h.set_chaos(FaultPlan::seeded(s));
+        fault_seed = Some(s);
     }
-    if let Some(ticks) = a.watchdog_ticks {
-        m.enable_liveness(watchdog_only(ticks));
+    if let Some(ticks) = watchdog_ticks {
+        h.enable_liveness(watchdog_only(ticks));
     }
-    Ok(seed)
+    Ok(fault_seed)
 }
 
 fn replay(a: ReplayArgs) -> Result<(), String> {

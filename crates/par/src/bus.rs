@@ -73,6 +73,29 @@ pub struct BusRecord {
     pub validated_to: usize,
 }
 
+impl BusRecord {
+    /// A record of `kind` by `thread` for `slot` with empty sets (all a
+    /// fence carries); a publisher fills in its signature and exact sets.
+    pub(crate) fn bare(
+        ticket: CommitTicket,
+        thread: usize,
+        ordinal: u64,
+        kind: RecordKind,
+        slot: usize,
+    ) -> Self {
+        BusRecord {
+            ticket,
+            thread: thread as u32,
+            ordinal,
+            kind,
+            w_sig: None,
+            exact_w: Vec::new(),
+            exact_r: Vec::new(),
+            validated_to: slot,
+        }
+    }
+}
+
 /// A publish hit an already-written slot (the slot index). Indicates a
 /// double publish — either a protocol bug or a fence racing a claimer
 /// that turned out to be alive.

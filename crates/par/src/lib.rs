@@ -35,6 +35,7 @@
 
 pub mod bus;
 mod config;
+mod receiver;
 mod recover;
 mod runtime;
 mod stats;

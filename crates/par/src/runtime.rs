@@ -26,8 +26,8 @@ use crate::tm::run_par_tm;
 use bulk_chaos::InvariantViolation;
 use bulk_core::CommitEvent;
 use bulk_sim::SimConfig;
-use bulk_tls::{run_tls, TlsScheme, TlsStats};
-use bulk_tm::{run_tm, Scheme, TmStats};
+use bulk_tls::{TlsMachine, TlsScheme, TlsStats};
+use bulk_tm::{Scheme, TmMachine, TmStats};
 use bulk_trace::{TlsWorkload, TmWorkload};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -123,6 +123,17 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Lifts a substrate's statistics into the cross-substrate summary.
+    fn new(runtime: &'static str, wall_ns: u64, detail: RunDetail) -> Self {
+        let (commits, squashes, history, violations) = match &detail {
+            RunDetail::Tm(s) => (s.commits, s.squashes, &s.history, &s.violations),
+            RunDetail::Tls(s) => (s.commits, s.squashes, &s.history, &s.violations),
+            RunDetail::Par(s) => (s.commits, s.squashes, &s.history, &s.violations),
+        };
+        let (history, violations) = (history.clone(), violations.clone());
+        RunReport { runtime, commits, squashes, history, violations, wall_ns, detail }
+    }
+
     /// The committed-order class identity: the set of `(thread, ordinal)`
     /// pairs. Within one thread ordinals are contiguous, so equality of
     /// these sets means "same transactions committed, each thread's in
@@ -184,7 +195,10 @@ pub trait Runtime {
 
 /// The deterministic discrete-event simulator, behind the trait. Its
 /// semantics are exactly `bulk_tm::run_tm` / `bulk_tls::run_tls` — this
-/// adapter only repackages the stats into a [`RunReport`].
+/// adapter only repackages the stats into a [`RunReport`] and the
+/// machines' typed errors into [`RuntimeError`]s: a workload the machine
+/// refuses is [`RuntimeError::InvalidWorkload`], a run it cannot finish a
+/// [`RuntimeError::ProtocolBug`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimRuntime;
 
@@ -200,16 +214,11 @@ impl Runtime for SimRuntime {
         cfg: &SimConfig,
     ) -> Result<RunReport, RuntimeError> {
         let start = Instant::now();
-        let stats = run_tm(workload, scheme, cfg);
-        Ok(RunReport {
-            runtime: self.name(),
-            commits: stats.commits,
-            squashes: stats.squashes,
-            history: stats.history.clone(),
-            violations: stats.violations.clone(),
-            wall_ns: start.elapsed().as_nanos() as u64,
-            detail: RunDetail::Tm(stats),
-        })
+        let stats = TmMachine::try_new(workload, scheme, cfg)
+            .map_err(|e| RuntimeError::InvalidWorkload(e.to_string()))?
+            .try_run()
+            .map_err(|e| RuntimeError::ProtocolBug(e.to_string()))?;
+        Ok(RunReport::new(self.name(), start.elapsed().as_nanos() as u64, RunDetail::Tm(stats)))
     }
 
     fn run_tls(
@@ -219,16 +228,11 @@ impl Runtime for SimRuntime {
         cfg: &SimConfig,
     ) -> Result<RunReport, RuntimeError> {
         let start = Instant::now();
-        let stats = run_tls(workload, scheme, cfg);
-        Ok(RunReport {
-            runtime: self.name(),
-            commits: stats.commits,
-            squashes: stats.squashes,
-            history: stats.history.clone(),
-            violations: stats.violations.clone(),
-            wall_ns: start.elapsed().as_nanos() as u64,
-            detail: RunDetail::Tls(stats),
-        })
+        let stats = TlsMachine::try_new(workload, scheme, cfg)
+            .map_err(|e| RuntimeError::InvalidWorkload(e.to_string()))?
+            .try_run()
+            .map_err(|e| RuntimeError::ProtocolBug(e.to_string()))?;
+        Ok(RunReport::new(self.name(), start.elapsed().as_nanos() as u64, RunDetail::Tls(stats)))
     }
 }
 
@@ -260,15 +264,7 @@ impl Runtime for ParRuntime {
         _cfg: &SimConfig,
     ) -> Result<RunReport, RuntimeError> {
         let stats = run_par_tm(workload, scheme, &self.cfg)?;
-        Ok(RunReport {
-            runtime: self.name(),
-            commits: stats.commits,
-            squashes: stats.squashes,
-            history: stats.history.clone(),
-            violations: stats.violations.clone(),
-            wall_ns: stats.wall_ns,
-            detail: RunDetail::Par(stats),
-        })
+        Ok(RunReport::new(self.name(), stats.wall_ns, RunDetail::Par(stats)))
     }
 
     fn run_tls(
@@ -278,15 +274,7 @@ impl Runtime for ParRuntime {
         _cfg: &SimConfig,
     ) -> Result<RunReport, RuntimeError> {
         let stats = run_par_tls(workload, scheme, &self.cfg)?;
-        Ok(RunReport {
-            runtime: self.name(),
-            commits: stats.commits,
-            squashes: stats.squashes,
-            history: stats.history.clone(),
-            violations: stats.violations.clone(),
-            wall_ns: stats.wall_ns,
-            detail: RunDetail::Par(stats),
-        })
+        Ok(RunReport::new(self.name(), stats.wall_ns, RunDetail::Par(stats)))
     }
 }
 
@@ -332,6 +320,16 @@ mod tests {
         b.history.pop();
         let err = same_commit_class(&a, &b).unwrap_err();
         assert!(err.contains("committed-order classes differ"), "{err}");
+    }
+
+    #[test]
+    fn sim_runtime_refuses_an_empty_workload_with_a_typed_error() {
+        let tm = TmWorkload { name: "empty".into(), threads: Vec::new() };
+        let err = SimRuntime.run_tm(&tm, Scheme::Bulk, &SimConfig::tm_default()).unwrap_err();
+        assert!(matches!(err, RuntimeError::InvalidWorkload(_)), "{err}");
+        let tls = TlsWorkload { name: "empty".into(), tasks: Vec::new() };
+        let err = SimRuntime.run_tls(&tls, TlsScheme::Bulk, &SimConfig::tls_default()).unwrap_err();
+        assert!(matches!(err, RuntimeError::InvalidWorkload(_)), "{err}");
     }
 
     #[test]

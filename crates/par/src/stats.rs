@@ -1,6 +1,7 @@
 //! Counters and post-run auditing of the parallel runtime.
 
 use crate::bus::{BusLog, RecordKind};
+use crate::recover::RunControl;
 use bulk_chaos::{Auditor, InvariantKind, InvariantViolation};
 use bulk_core::CommitEvent;
 
@@ -87,7 +88,7 @@ pub struct ParStats {
 /// ticket-uniqueness checks like any record — a fenced log is still
 /// dense and exactly-once — but carry no ordinal or write set, so the
 /// program-order and containment checks skip them.
-pub(crate) fn audit_log(log: &BusLog, auditor: &mut Auditor, checks: &mut u64) {
+fn audit_log(log: &BusLog, auditor: &mut Auditor, checks: &mut u64) {
     let tail = log.tail();
     let mut last_ordinal: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
     let mut seen_tickets = std::collections::HashSet::new();
@@ -159,7 +160,7 @@ pub(crate) fn audit_log(log: &BusLog, auditor: &mut Auditor, checks: &mut u64) {
 }
 
 /// Extracts the committed history (commit records only, in log order).
-pub(crate) fn history_of(log: &BusLog) -> Vec<CommitEvent> {
+fn history_of(log: &BusLog) -> Vec<CommitEvent> {
     let mut history = Vec::new();
     for i in 0..log.tail() {
         if let Some(rec) = log.get(i) {
@@ -189,6 +190,28 @@ pub(crate) struct WorkerStats {
 }
 
 impl ParStats {
+    /// Closes a finished run: reads epoch, record count and committed
+    /// history off the log, then audits it ([`audit_log`], plus the
+    /// `expected` record count the workload implies).
+    pub(crate) fn seal(&mut self, log: &BusLog, ctl: &RunControl, actors: usize, expected: u64) {
+        self.epoch = log.epoch();
+        self.records = log.tail() as u64;
+        self.history = history_of(log);
+        let mut auditor = Auditor::new(ctl.scheme.clone(), actors, Some(ctl.seed));
+        let mut checks = 1;
+        audit_log(log, &mut auditor, &mut checks);
+        if self.records != expected {
+            auditor.record(
+                InvariantKind::TokenProtocol,
+                0,
+                self.records,
+                format!("bus log has {} records, workload implies {expected}", self.records),
+            );
+        }
+        self.audit_checks += checks;
+        self.violations.extend(auditor.take_violations());
+    }
+
     pub(crate) fn fold(&mut self, w: WorkerStats) {
         self.commits += w.commits;
         self.squashes += w.squashes;

@@ -32,35 +32,15 @@
 
 use crate::bus::{BusLog, BusRecord, RecordKind};
 use crate::config::ParConfig;
-use crate::recover::{panic_msg, Halt, RunControl};
+use crate::receiver::{Receiver, Resume, SpecSets};
+use crate::recover::{supervise, Halt, RunControl};
 use crate::runtime::RuntimeError;
-use crate::stats::{audit_log, history_of, ParStats, WorkerStats};
-use bulk_chaos::{Auditor, CrashPoint, InvariantKind, ThreadChaos, WorkerChaos};
-use bulk_live::{CommitTicket, DedupFilter};
-use bulk_mem::LineAddr;
-use bulk_rng::{Rng, SeedableRng, SmallRng};
-use bulk_sig::{Signature, SignatureConfig};
+use crate::stats::ParStats;
+use bulk_chaos::InvariantKind;
+use bulk_sig::SignatureConfig;
 use bulk_tls::TlsScheme;
 use bulk_trace::{TlsOp, TlsWorkload};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::Instant;
-
-const DWELL_FLUSH_NS: u64 = 50_000;
-/// Supervisor wake-up period while waiting for worker events.
-const SUPERVISE_TICK_MS: u64 = 50;
-
-/// What a finished (or dead) pool worker reports to the supervisor.
-struct TlsEvent {
-    worker: usize,
-    outcome: Result<(), Halt>,
-    /// The task slot held claimed-but-unpublished at death, if any; the
-    /// respawned incarnation adopts it.
-    claimed: Option<usize>,
-    stats: WorkerStats,
-}
 
 /// Runs `workload` under the parallel runtime. `Bulk`, `BulkNoOverlap`
 /// (identical here: Partial Overlap is a cache-warmup optimization with
@@ -88,533 +68,152 @@ pub fn run_par_tls(
     }
 
     let sig_config = SignatureConfig::s14_tm().into_shared();
-    let line_bytes = sig_config.line_bytes();
-    let tasks_n = workload.tasks.len();
-    let workers = cfg.tls_workers.max(1).min(tasks_n.max(1));
-    let chaos = ThreadChaos::new(workers, cfg.chaos.clone(), cfg.kills.clone());
-    let log = BusLog::new(tasks_n.max(1));
+    let tasks = &workload.tasks;
+    let workers = cfg.tls_workers.max(1).min(tasks.len().max(1));
+    let log = BusLog::new(tasks.len().max(1));
     let next_commit = AtomicUsize::new(0);
-    let ctl = RunControl::new(format!("par/tls/{scheme:?}"), cfg.seed, cfg.stall_timeout_ms);
+    let ctl = RunControl::new(format!("par/tls/{scheme:?}"), workers, cfg);
 
     let mut stats = ParStats { per_thread_commits: vec![0; workers], ..ParStats::default() };
-    let mut fatal: Option<RuntimeError> = None;
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<TlsEvent>();
-        let spawn_worker = |w: usize, incarnation: u32, resume: usize, adopt: Option<usize>| {
-            let tx = tx.clone();
-            let sig_config = sig_config.clone();
-            let wchaos = chaos.worker(w, incarnation);
-            let tasks = &workload.tasks;
-            let (log, next_commit, ctl) = (&log, &next_commit, &ctl);
-            s.spawn(move || {
-                let mut worker = TlsWorker::new(
-                    w, workers, use_sigs, scheme, sig_config, line_bytes, cfg, wchaos, adopt,
-                );
-                let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    worker.run(tasks, resume, log, next_commit, ctl)
-                })) {
-                    Ok(r) => r,
-                    Err(p) => Err(Halt::Panicked(panic_msg(p))),
-                };
-                worker.stats.dedup_drops = worker.dedup.drops();
-                worker.stats.duplicate_applications = worker.dedup.duplicate_applications();
-                let _ = tx.send(TlsEvent {
-                    worker: w,
-                    outcome,
-                    claimed: worker.claimed_unpublished,
-                    stats: std::mem::take(&mut worker.stats),
-                });
-            });
-        };
-        for w in 0..workers {
-            spawn_worker(w, 0, w, None);
-        }
-
-        let mut live = workers;
-        let mut budget = cfg.respawn_budget;
-        let mut incarnations = vec![0u32; workers];
-        while live > 0 {
-            let ev = match rx.recv_timeout(std::time::Duration::from_millis(SUPERVISE_TICK_MS)) {
-                Ok(ev) => ev,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if fatal.is_none() {
-                        if let Some(v) = ctl.check_stall(None) {
-                            fatal = Some(RuntimeError::Liveness(v));
-                            ctl.abort();
-                        }
-                    }
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            };
-            live -= 1;
-            stats.per_thread_commits[ev.worker] += ev.stats.commits;
-            stats.fold(ev.stats);
-            match ev.outcome {
-                Ok(()) | Err(Halt::Aborted) => {}
-                Err(Halt::Stalled(v)) => {
-                    if fatal.is_none() {
-                        fatal = Some(RuntimeError::Liveness(v));
-                        ctl.abort();
-                    }
-                }
-                Err(Halt::Bug(m)) => {
-                    if fatal.is_none() {
-                        fatal = Some(RuntimeError::ProtocolBug(m));
-                        ctl.abort();
-                    }
-                }
-                Err(halt) => {
-                    // Killed or Panicked: repair the token, respawn with
-                    // adoption of any orphaned claim.
-                    debug_assert!(halt.is_crash());
-                    stats.worker_crashes += 1;
-                    let t0 = Instant::now();
-                    log.bump_epoch();
-                    // A worker can die between publishing task T and
-                    // storing the token; re-derive the token from the
-                    // published prefix so T+1's owner is not stranded.
-                    let mut nc = next_commit.load(Ordering::Acquire);
-                    while nc < tasks_n && log.get(nc).is_some() {
-                        nc += 1;
-                    }
-                    next_commit.fetch_max(nc, Ordering::AcqRel);
-                    if fatal.is_some() {
-                        continue;
-                    }
-                    if budget == 0 {
-                        fatal = Some(RuntimeError::WorkerDied {
-                            proc: ev.worker,
-                            slot: ev.claimed,
-                            detail: format!("{}; respawn budget exhausted", halt.describe()),
-                        });
-                        ctl.abort();
-                        continue;
-                    }
-                    budget -= 1;
-                    // First unpublished task in the dead worker's stride
-                    // is where the respawn resumes.
-                    let mut resume = ev.worker;
-                    while resume < tasks_n && log.get(resume).is_some() {
-                        resume += workers;
-                    }
-                    let adopt = match ev.claimed {
-                        Some(slot) if slot == resume => {
-                            stats.adopted_slots += 1;
-                            Some(slot)
-                        }
-                        Some(slot) => {
-                            fatal = Some(RuntimeError::ProtocolBug(format!(
-                                "dead worker {} claimed slot {slot} but its first \
-                                 unpublished task is {resume}",
-                                ev.worker
-                            )));
-                            ctl.abort();
-                            continue;
-                        }
-                        None => None,
-                    };
-                    incarnations[ev.worker] += 1;
-                    spawn_worker(ev.worker, incarnations[ev.worker], resume, adopt);
-                    live += 1;
-                    stats.respawns += 1;
-                    stats.recovery_ns += t0.elapsed().as_nanos() as u64;
-                }
+    supervise(
+        workers,
+        cfg,
+        &ctl,
+        &mut stats,
+        // Worker `w` runs the stride of tasks w, w + workers, ….
+        |w| w,
+        |rx, task| {
+            let mut sets = SpecSets::new(use_sigs, sig_config.clone());
+            while *task < tasks.len() {
+                run_task(rx, &mut sets, *task, &tasks[*task].ops, &log, &next_commit, &ctl)?;
+                *task += workers;
             }
-        }
-    });
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    if let Some(err) = fatal {
-        return Err(err);
-    }
-
-    stats.wall_ns = wall_ns;
-    stats.epoch = log.epoch();
-    stats.records = log.tail() as u64;
-    stats.history = history_of(&log);
-
-    let mut auditor = Auditor::new(format!("par/tls/{scheme:?}"), workers, Some(cfg.seed));
-    let mut checks = 0;
-    audit_log(&log, &mut auditor, &mut checks);
-    for i in 0..log.tail() {
-        checks += 1;
-        if let Some(rec) = log.get(i) {
-            if rec.thread as usize != i {
-                auditor.record(
-                    InvariantKind::Serializability,
-                    rec.thread as usize,
-                    i as u64,
-                    format!("task {} committed at log position {i}: in-order commit broken",
-                        rec.thread),
-                );
+            rx.drain_for_apply_kill(&log, &ctl, tasks.len())
+        },
+        // Killed or panicked: repair the token, respawn with adoption of
+        // any orphaned claim.
+        |stats, dead, _| {
+            log.bump_epoch();
+            // A worker can die between publishing task T and storing the
+            // token; re-derive the token from the published prefix so
+            // T+1's owner is not stranded.
+            let mut nc = next_commit.load(Ordering::Acquire);
+            while nc < tasks.len() && log.get(nc).is_some() {
+                nc += 1;
             }
+            next_commit.fetch_max(nc, Ordering::AcqRel);
+            // The respawn resumes at the first unpublished task of the
+            // dead worker's stride.
+            let mut resume = dead.proc;
+            while resume < tasks.len() && log.get(resume).is_some() {
+                resume += workers;
+            }
+            match dead.claimed_unpublished {
+                Some(slot) if slot != resume => {
+                    return Err(RuntimeError::ProtocolBug(format!(
+                        "dead worker {} claimed slot {slot} but its first \
+                         unpublished task is {resume}",
+                        dead.proc
+                    )))
+                }
+                Some(_) => stats.adopted_slots += 1,
+                None => {}
+            }
+            Ok((resume, Resume { serial: 0, adopt: dead.claimed_unpublished }))
+        },
+    )?;
+
+    stats.seal(&log, &ctl, workers, tasks.len() as u64);
+    for (i, ev) in stats.history.iter().enumerate() {
+        stats.per_thread_commits[ev.thread as usize % workers] += 1;
+        stats.audit_checks += 1;
+        if ev.thread as usize != i {
+            let (kind, task) = (InvariantKind::Serializability, ev.thread as usize);
+            let detail = format!("task {task} committed at log position {i}: order broken");
+            stats.violations.push(ctl.violation(kind, task, i as u64, &detail));
         }
     }
-    checks += 1;
-    if log.tail() != tasks_n {
-        auditor.record(
-            InvariantKind::TokenProtocol,
-            0,
-            log.tail() as u64,
-            format!("{} of {tasks_n} tasks committed", log.tail()),
-        );
-    }
-    stats.audit_checks += checks;
-    stats.violations.extend(auditor.take_violations());
     Ok(stats)
 }
 
-struct TlsWorker {
-    worker: usize,
-    /// Pool size: the stride between this worker's tasks.
-    stride: usize,
-    use_sigs: bool,
-    scheme: TlsScheme,
-    sig_config: Arc<SignatureConfig>,
-    line_bytes: u32,
-    compute_ns_per_kcycle: u64,
-    stress: Option<crate::config::StressConfig>,
-    rng: SmallRng,
-    chaos: WorkerChaos,
-
-    r_sig: Signature,
-    w_sig: Signature,
-    exact_r: HashSet<LineAddr>,
-    exact_w: HashSet<LineAddr>,
-    cursor: usize,
-    dedup: DedupFilter,
-    restart_streak: u32,
-    pending_dwell_ns: u64,
-
-    /// Task slot claimed (or adopted) whose record is unpublished.
-    claimed_unpublished: Option<usize>,
-    /// A slot the dead predecessor incarnation already claimed; this
-    /// incarnation publishes into it without re-claiming.
-    adopt: Option<usize>,
-
-    stats: WorkerStats,
-}
-
-impl TlsWorker {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        worker: usize,
-        stride: usize,
-        use_sigs: bool,
-        scheme: TlsScheme,
-        sig_config: Arc<SignatureConfig>,
-        line_bytes: u32,
-        cfg: &ParConfig,
-        chaos: WorkerChaos,
-        adopt: Option<usize>,
-    ) -> Self {
-        TlsWorker {
-            worker,
-            stride,
-            use_sigs,
-            scheme,
-            r_sig: Signature::with_shared(sig_config.clone()),
-            w_sig: Signature::with_shared(sig_config.clone()),
-            sig_config,
-            line_bytes,
-            compute_ns_per_kcycle: cfg.compute_ns_per_kcycle,
-            stress: cfg.stress,
-            rng: SmallRng::seed_from_u64(cfg.seed ^ (0xd1b5_4a32_d192_ed03u64 ^ worker as u64)),
-            chaos,
-            exact_r: HashSet::new(),
-            exact_w: HashSet::new(),
-            cursor: 0,
-            dedup: DedupFilter::new(),
-            restart_streak: 0,
-            pending_dwell_ns: 0,
-            claimed_unpublished: None,
-            adopt,
-            stats: WorkerStats::default(),
+/// Runs `task` to its in-order commit: speculative execution, restarted
+/// whenever a predecessor's commit hits its read set.
+fn run_task(
+    rx: &mut Receiver,
+    sets: &mut SpecSets,
+    task: usize,
+    ops: &[TlsOp],
+    log: &BusLog,
+    next_commit: &AtomicUsize,
+    ctl: &RunControl,
+) -> Result<(), Halt> {
+    // Applies predecessor commits; `true` when one of them hit the running
+    // task's read set (RAW dependence — restart).
+    let poll = |rx: &mut Receiver, sets: &SpecSets| -> Result<bool, Halt> {
+        let restart = rx.poll(log, ctl, |rec| Some(sets.verdict(rec, false)))?;
+        if restart {
+            rx.backoff();
         }
-    }
-
-    /// Runs this worker's stride of tasks, starting at `start` (the
-    /// first task for a fresh spawn; the first unpublished task for a
-    /// respawned incarnation).
-    fn run(
-        &mut self,
-        tasks: &[bulk_trace::TaskTrace],
-        start: usize,
-        log: &BusLog,
-        next_commit: &AtomicUsize,
-        ctl: &RunControl,
-    ) -> Result<(), Halt> {
-        let mut i = start;
-        while i < tasks.len() {
-            self.run_task(i, &tasks[i].ops, log, next_commit, ctl)?;
-            i += self.stride;
-        }
-        Ok(())
-    }
-
-    fn run_task(
-        &mut self,
-        task: usize,
-        ops: &[TlsOp],
-        log: &BusLog,
-        next_commit: &AtomicUsize,
-        ctl: &RunControl,
-    ) -> Result<(), Halt> {
-        'attempt: loop {
-            self.clear_speculative_state();
-            for op in ops {
-                if self.poll(log, ctl)? {
-                    self.restart(task);
-                    continue 'attempt;
-                }
-                match *op {
-                    TlsOp::Read(a) => {
-                        let line = a.line(self.line_bytes);
-                        self.exact_r.insert(line);
-                        if self.use_sigs {
-                            self.r_sig.insert_line(line);
-                        }
-                    }
-                    TlsOp::Write(a) => {
-                        let line = a.line(self.line_bytes);
-                        self.exact_w.insert(line);
-                        if self.use_sigs {
-                            self.w_sig.insert_line(line);
-                        }
-                    }
-                    TlsOp::Compute(n) => self.dwell(n),
-                    TlsOp::Spawn => {}
-                }
-            }
-            self.flush_dwell();
-            // Wait for the in-order commit token, still vulnerable to
-            // predecessor commits while waiting.
-            loop {
-                if self.poll(log, ctl)? {
-                    self.restart(task);
-                    continue 'attempt;
-                }
-                if next_commit.load(Ordering::Acquire) == task {
-                    break;
-                }
-                if ctl.aborted() {
-                    return Err(Halt::Aborted);
-                }
-                if let Some(v) = ctl.check_stall(Some(self.worker)) {
-                    return Err(Halt::Stalled(v));
-                }
-                std::hint::spin_loop();
-                std::thread::yield_now();
-            }
-            // Drain anything committed between the token check and now:
-            // the token is ours, so after this poll the log is exactly
-            // our `task` predecessors and can no longer grow under us.
-            if self.poll(log, ctl)? {
-                self.restart(task);
+        Ok(restart)
+    };
+    'attempt: loop {
+        sets.clear();
+        for op in ops {
+            if poll(rx, sets)? {
                 continue 'attempt;
             }
-            if self.cursor != task {
-                return Err(Halt::Bug(format!(
-                    "commit token granted out of order: validated {} records for task {task}",
-                    self.cursor
-                )));
-            }
-            if self.adopt == Some(task) {
-                // The dead incarnation already won this claim; publish
-                // into the orphaned slot instead of re-claiming.
-                self.adopt = None;
-            } else if !log.try_claim(task) {
-                return Err(Halt::Bug(format!("task {task} lost an uncontended claim")));
-            }
-            self.claimed_unpublished = Some(task);
-            match self.chaos.on_claim() {
-                Some(CrashPoint::Publish) => {
-                    let _ = self.stamp_ticket(log);
-                    return Err(Halt::Killed { point: CrashPoint::Publish });
-                }
-                Some(point) => return Err(Halt::Killed { point }),
-                None => {}
-            }
-            if let Some(d) = self.chaos.publish_delay() {
-                self.stats.delayed_publishes += 1;
-                std::thread::sleep(d);
-            }
-            let ticket = self.stamp_ticket(log);
-            let mut exact_w: Vec<LineAddr> = self.exact_w.iter().copied().collect();
-            exact_w.sort_unstable();
-            let mut exact_r: Vec<LineAddr> = self.exact_r.iter().copied().collect();
-            exact_r.sort_unstable();
-            let w_sig = self.use_sigs.then(|| {
-                let mut s = Signature::with_shared(self.sig_config.clone());
-                std::mem::swap(&mut s, &mut self.w_sig);
-                s
-            });
-            log.publish(
-                task,
-                BusRecord {
-                    ticket,
-                    thread: task as u32,
-                    ordinal: 0,
-                    kind: RecordKind::Commit,
-                    w_sig,
-                    exact_w,
-                    exact_r,
-                    validated_to: task,
-                },
-            )
-            .map_err(|e| Halt::Bug(e.to_string()))?;
-            self.claimed_unpublished = None;
-            ctl.progress();
-            self.dedup.admit(ticket);
-            self.dedup.record_application(ticket);
-            self.cursor = task + 1;
-            next_commit.store(task + 1, Ordering::Release);
-            self.stats.commits += 1;
-            self.restart_streak = 0;
-            self.clear_speculative_state();
-            return Ok(());
-        }
-    }
-
-    /// Applies predecessor commits; returns `Ok(true)` when one of them
-    /// hit the running task's read set (RAW dependence — restart).
-    fn poll(&mut self, log: &BusLog, ctl: &RunControl) -> Result<bool, Halt> {
-        if let Some(d) = self.chaos.maybe_stall() {
-            self.stats.injected_stalls += 1;
-            std::thread::sleep(d);
-        }
-        let mut restarted = false;
-        let tail = log.tail();
-        while self.cursor < tail {
-            if self.adopt == Some(self.cursor) {
-                // Our own adopted (still unpublished) slot: nothing to
-                // apply, and waiting on it would deadlock.
-                break;
-            }
-            let rec = loop {
-                if let Some(r) = log.get(self.cursor) {
-                    break r;
-                }
-                if ctl.aborted() {
-                    return Err(Halt::Aborted);
-                }
-                if let Some(v) = ctl.check_stall(Some(self.worker)) {
-                    return Err(Halt::Stalled(v));
-                }
-                std::hint::spin_loop();
-                std::thread::yield_now();
-            };
-            self.apply(rec, &mut restarted);
-            self.cursor += 1;
-            if self.chaos.on_apply() {
-                return Err(Halt::Killed { point: CrashPoint::Apply });
+            match *op {
+                TlsOp::Read(a) => sets.read(a),
+                TlsOp::Write(a) => sets.write(a),
+                TlsOp::Compute(n) => rx.dwell(n),
+                TlsOp::Spawn => {}
             }
         }
-        Ok(restarted)
-    }
-
-    fn apply(&mut self, rec: &BusRecord, restarted: &mut bool) {
-        if !self.dedup.admit(rec.ticket) {
-            return;
-        }
-        self.dedup.record_application(rec.ticket);
-        if !*restarted {
-            let exact_hit = rec.exact_w.iter().any(|l| self.exact_r.contains(l));
-            let hit = match &rec.w_sig {
-                Some(w) => {
-                    let sig_hit = w.intersects(&self.r_sig);
-                    self.stats.audit_checks += 1;
-                    if exact_hit && !sig_hit {
-                        self.stats.violations.push(bulk_chaos::InvariantViolation {
-                            kind: InvariantKind::SignatureContainment,
-                            scheme: format!("par/tls/{:?}", self.scheme),
-                            thread: self.worker,
-                            cycle: rec.ticket.serial,
-                            seed: None,
-                            detail: "broadcast W_C missed an exact RAW dependence".into(),
-                        });
-                        true
-                    } else {
-                        sig_hit
-                    }
-                }
-                None => exact_hit,
-            };
-            if hit {
-                self.stats.squashes += 1;
-                if !exact_hit {
-                    self.stats.false_squashes += 1;
-                }
-                *restarted = true;
+        rx.flush_dwell();
+        // Wait for the in-order commit token, still vulnerable to
+        // predecessor commits while waiting.
+        while next_commit.load(Ordering::Acquire) != task {
+            if poll(rx, sets)? {
+                continue 'attempt;
             }
-        }
-        self.maybe_redeliver(rec.ticket);
-    }
-
-    fn maybe_redeliver(&mut self, ticket: CommitTicket) {
-        let Some(stress) = self.stress else { return };
-        if self.rng.random_range(0..100u32) < stress.redeliver_percent as u32 {
-            self.stats.stress_redeliveries += 1;
-            if self.dedup.admit(ticket) {
-                self.dedup.record_application(ticket);
-            }
-        }
-    }
-
-    fn restart(&mut self, _task: usize) {
-        self.restart_streak += 1;
-        let yields = (1u32 << self.restart_streak.min(6)) + self.rng.random_range(0..4u32);
-        for _ in 0..yields {
+            ctl.check_spin(rx.proc)?;
+            std::hint::spin_loop();
             std::thread::yield_now();
         }
-    }
-
-    fn clear_speculative_state(&mut self) {
-        self.exact_r.clear();
-        self.exact_w.clear();
-        if self.use_sigs {
-            self.r_sig.clear();
-            self.w_sig.clear();
+        // Drain anything committed between the token check and now:
+        // the token is ours, so after this poll the log is exactly
+        // our `task` predecessors and can no longer grow under us.
+        if poll(rx, sets)? {
+            continue 'attempt;
         }
-        self.pending_dwell_ns = 0;
-    }
-
-    fn stamp_ticket(&mut self, log: &BusLog) -> CommitTicket {
-        if let Some(stress) = self.stress {
-            if self.rng.random_range(0..100u32) < stress.epoch_bump_percent as u32 {
-                log.bump_epoch();
-                self.stats.stress_epoch_bumps += 1;
-            }
+        if rx.cursor != task {
+            return Err(Halt::Bug(format!(
+                "commit token granted out of order: validated {} records for task {task}",
+                rx.cursor
+            )));
         }
         // `(committer, serial)` must be globally unique: the worker index
         // plus the task index (a task commits exactly once, even across
         // incarnations — an adopted slot's ticket was never published).
-        CommitTicket { epoch: log.epoch(), committer: self.worker, serial: self.cursor as u64 }
-    }
-
-    fn dwell(&mut self, cycles: u32) {
-        if self.compute_ns_per_kcycle == 0 {
-            return;
+        rx.serial = task as u64;
+        let published = rx.claim_and_publish(log, ctl, task, |ticket| {
+            let (w_sig, exact_w, exact_r) = sets.commit_payload();
+            let bare = BusRecord::bare(ticket, task, 0, RecordKind::Commit, task);
+            BusRecord { w_sig, exact_w, exact_r, ..bare }
+        })?;
+        if !published {
+            return Err(Halt::Bug(format!("task {task} lost an uncontended claim")));
         }
-        self.pending_dwell_ns += cycles as u64 * self.compute_ns_per_kcycle / 1000;
-        if self.pending_dwell_ns >= DWELL_FLUSH_NS {
-            self.flush_dwell();
-        }
-    }
-
-    fn flush_dwell(&mut self) {
-        if self.pending_dwell_ns > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(self.pending_dwell_ns));
-            self.pending_dwell_ns = 0;
-        }
+        next_commit.store(task + 1, Ordering::Release);
+        rx.stats.commits += 1;
+        return Ok(());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bulk_chaos::KillSpec;
+    use bulk_chaos::{CrashPoint, KillSpec};
     use bulk_mem::Addr;
     use bulk_trace::TaskTrace;
 

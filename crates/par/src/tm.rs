@@ -32,7 +32,8 @@
 //!
 //! Workers die — injected kills from the chaos schedule, or genuine
 //! panics caught at the thread boundary. Death never aborts the run:
-//! each worker reports a typed [`Halt`] to a supervisor, which
+//! each worker reports a typed [`Halt`] to the supervisor
+//! ([`supervise`], shared with the TLS engine), which
 //!
 //! 1. *fences* the dead worker's claimed-but-unpublished bus slot with
 //!    a [`RecordKind::Fence`] tombstone (epoch-bumped, fresh ticket),
@@ -40,7 +41,7 @@
 //! 2. *verifies* the worker's last boundary checkpoint (the
 //!    `crates/live` crash-consistency proof) against the published log;
 //! 3. *respawns* the processor from that boundary, with a fresh
-//!    [`DedupFilter`] that replays the whole log — exactly-once `W_C`
+//!    [`Receiver`] whose empty dedup filter replays the whole log — exactly-once `W_C`
 //!    application holds across the crash because replayed records are
 //!    admitted once per filter and the worker's own old records never
 //!    squash it.
@@ -51,44 +52,19 @@
 
 use crate::bus::{BusLog, BusRecord, RecordKind};
 use crate::config::ParConfig;
-use crate::recover::{panic_msg, Halt, RunControl};
+use crate::receiver::{Receiver, Resume, SpecSets};
+use crate::recover::{supervise, Halt, RunControl};
 use crate::runtime::RuntimeError;
-use crate::stats::{audit_log, history_of, ParStats, WorkerStats};
-use bulk_chaos::{Auditor, CrashPoint, InvariantKind, ThreadChaos, WorkerChaos};
+use crate::stats::ParStats;
 use bulk_core::SpilledVersion;
-use bulk_live::{Checkpoint, CommitTicket, DedupFilter};
+use bulk_live::{Checkpoint, CommitTicket};
 use bulk_mem::LineAddr;
-use bulk_rng::{Rng, SeedableRng, SmallRng};
-use bulk_sig::{Signature, SignatureConfig};
+use bulk_sig::SignatureConfig;
 use bulk_tm::Scheme;
 use bulk_trace::{TmOp, TmWorkload};
-use std::collections::HashSet;
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Nesting bound shared with the sim machine's trace validation.
 const MAX_DEPTH: usize = 8;
-/// Accumulated compute dwell is slept in chunks no smaller than this, so
-/// fine-grained `Compute` ops don't turn into sub-microsecond sleeps.
-const DWELL_FLUSH_NS: u64 = 50_000;
-/// Supervisor wake-up period while waiting for worker events, so the
-/// wall-clock watchdog is checked even when every worker is spinning.
-const SUPERVISE_TICK_MS: u64 = 50;
-
-/// What a finished (or dead) worker incarnation reports to the
-/// supervisor.
-struct TmEvent {
-    proc: usize,
-    outcome: Result<(), Halt>,
-    /// The bus slot held claimed-but-unpublished at death, if any.
-    claimed: Option<usize>,
-    /// Next unconsumed ticket serial (a `Publish`-point death consumed
-    /// `serial - 1` without publishing it).
-    serial: u64,
-    boundary: Boundary,
-    stats: WorkerStats,
-}
 
 /// A worker's last recovery point: the pc just past its most recent
 /// publish, the ordinals counted up to it, and the crash-consistency
@@ -129,189 +105,63 @@ pub fn run_par_tm(
 
     let n = workload.threads.len();
     let sig_config = SignatureConfig::s14_tm().into_shared();
-    let line_bytes = sig_config.line_bytes();
+    let sets = || SpecSets::new(scheme.uses_signatures(), sig_config.clone());
     let capacity: usize = workload.threads.iter().map(|t| broadcasts_of(&t.ops)).sum();
-    let chaos = ThreadChaos::new(n, cfg.chaos.clone(), cfg.kills.clone());
+    let ctl = RunControl::new(format!("par/tm/{scheme}"), n, cfg);
     // Every crash can orphan at most one claimed slot, which the
     // supervisor fences; the log needs slack for those extra records.
-    let log = BusLog::new((capacity + chaos.crash_bound()).max(1));
-    let ctl = RunControl::new(format!("par/tm/{scheme}"), cfg.seed, cfg.stall_timeout_ms);
+    let log = BusLog::new((capacity + ctl.chaos.crash_bound()).max(1));
 
+    // Every worker starts — and every boundary must again be — clean.
+    let clean = sets().spilled();
+    let checkpoint = sets().checkpoint();
+    let start = Boundary { pc: 0, commit_ordinal: 0, non_tx_ordinal: 0, checkpoint };
     let mut stats = ParStats { per_thread_commits: vec![0; n], ..ParStats::default() };
-    let mut fatal: Option<RuntimeError> = None;
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<TmEvent>();
-        let spawn_worker = |proc: usize, incarnation: u32, resume: Option<(Boundary, u64)>| {
-            let tx = tx.clone();
-            let sig_config = sig_config.clone();
-            let wchaos = chaos.worker(proc, incarnation);
-            let ops = &workload.threads[proc].ops;
-            let (log, ctl) = (&log, &ctl);
-            s.spawn(move || {
-                let mut w = TmWorker::new(proc, scheme, sig_config, line_bytes, cfg, wchaos);
-                if let Some((b, serial)) = resume {
-                    w.restore(b, serial);
-                }
-                let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    w.run(ops, log, ctl)
-                })) {
-                    Ok(r) => r,
-                    Err(p) => Err(Halt::Panicked(panic_msg(p))),
-                };
-                w.stats.dedup_drops = w.dedup.drops();
-                w.stats.duplicate_applications = w.dedup.duplicate_applications();
-                let _ = tx.send(TmEvent {
-                    proc,
-                    outcome,
-                    claimed: w.claimed_unpublished,
-                    serial: w.serial,
-                    boundary: w.boundary.clone(),
-                    stats: std::mem::take(&mut w.stats),
-                });
-            });
-        };
-        for tid in 0..n {
-            spawn_worker(tid, 0, None);
-        }
-
-        let mut live = n;
-        let mut budget = cfg.respawn_budget;
-        let mut incarnations = vec![0u32; n];
-        while live > 0 {
-            let ev = match rx.recv_timeout(std::time::Duration::from_millis(SUPERVISE_TICK_MS)) {
-                Ok(ev) => ev,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if fatal.is_none() {
-                        if let Some(v) = ctl.check_stall(None) {
-                            fatal = Some(RuntimeError::Liveness(v));
-                            ctl.abort();
-                        }
-                    }
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            };
-            live -= 1;
-            stats.fold(ev.stats);
-            match ev.outcome {
-                Ok(()) | Err(Halt::Aborted) => {}
-                Err(Halt::Stalled(v)) => {
-                    if fatal.is_none() {
-                        fatal = Some(RuntimeError::Liveness(v));
-                        ctl.abort();
-                    }
-                }
-                Err(Halt::Bug(m)) => {
-                    if fatal.is_none() {
-                        fatal = Some(RuntimeError::ProtocolBug(m));
-                        ctl.abort();
-                    }
-                }
-                Err(halt) => {
-                    // Killed or Panicked: fence, verify, respawn.
-                    debug_assert!(halt.is_crash());
-                    stats.worker_crashes += 1;
-                    let t0 = Instant::now();
-                    if let Some(slot) = ev.claimed {
-                        // The orphaned slot would hang every survivor's
-                        // wait_for; fence it *before* any budget check so
-                        // the log stays dense even when recovery stops.
-                        log.bump_epoch();
-                        let fence = BusRecord {
-                            ticket: CommitTicket {
-                                epoch: log.epoch(),
-                                committer: ev.proc,
-                                serial: ev.serial,
-                            },
-                            thread: ev.proc as u32,
-                            ordinal: 0,
-                            kind: RecordKind::Fence,
-                            w_sig: None,
-                            exact_w: Vec::new(),
-                            exact_r: Vec::new(),
-                            validated_to: slot,
-                        };
-                        if log.publish(slot, fence).is_err() {
-                            if fatal.is_none() {
-                                fatal = Some(RuntimeError::ProtocolBug(format!(
-                                    "fence for dead worker {} hit occupied slot {slot}",
-                                    ev.proc
-                                )));
-                                ctl.abort();
-                            }
-                        } else {
-                            stats.fences += 1;
-                            ctl.progress();
-                        }
-                    }
-                    if fatal.is_some() {
-                        continue;
-                    }
-                    if budget == 0 {
-                        fatal = Some(RuntimeError::WorkerDied {
-                            proc: ev.proc,
-                            slot: ev.claimed,
-                            detail: format!("{}; respawn budget exhausted", halt.describe()),
-                        });
-                        ctl.abort();
-                        continue;
-                    }
-                    budget -= 1;
-                    match verify_tm_resume(&log, ev.proc, &ev.boundary, &sig_config) {
-                        Ok(()) => {
-                            // The fence consumed `ev.serial`; the respawn
-                            // starts past it.
-                            let serial =
-                                if ev.claimed.is_some() { ev.serial + 1 } else { ev.serial };
-                            incarnations[ev.proc] += 1;
-                            spawn_worker(ev.proc, incarnations[ev.proc], Some((ev.boundary, serial)));
-                            live += 1;
-                            stats.respawns += 1;
-                        }
-                        Err(e) => {
-                            fatal = Some(e);
-                            ctl.abort();
-                        }
-                    }
-                    stats.recovery_ns += t0.elapsed().as_nanos() as u64;
-                }
+    supervise(
+        n,
+        cfg,
+        &ctl,
+        &mut stats,
+        |_| start.clone(),
+        |rx, boundary| {
+            let ops = &workload.threads[rx.proc].ops;
+            TmWorker::resume(sets(), boundary).run(rx, ops, &log, &ctl)?;
+            rx.drain_for_apply_kill(&log, &ctl, capacity)
+        },
+        // Killed or panicked: fence, verify, respawn from the boundary.
+        |stats, dead, boundary| {
+            let mut serial = dead.serial;
+            if let Some(slot) = dead.claimed_unpublished {
+                // The orphaned slot would hang every survivor's poll; the
+                // fence tombstone keeps the log dense. It consumes
+                // `serial`, so the respawn starts past it.
+                log.bump_epoch();
+                let ticket = CommitTicket { epoch: log.epoch(), committer: dead.proc, serial };
+                let fence = BusRecord::bare(ticket, dead.proc, 0, RecordKind::Fence, slot);
+                log.publish(slot, fence).map_err(|_| {
+                    RuntimeError::ProtocolBug(format!(
+                        "fence for dead worker {} hit occupied slot {slot}",
+                        dead.proc
+                    ))
+                })?;
+                stats.fences += 1;
+                ctl.progress();
+                serial += 1;
             }
-        }
-    });
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    if let Some(err) = fatal {
-        return Err(err);
-    }
+            verify_tm_resume(&log, dead.proc, &boundary, &clean)?;
+            Ok((boundary, Resume { serial, adopt: None }))
+        },
+    )?;
 
-    stats.wall_ns = wall_ns;
-    stats.epoch = log.epoch();
-    stats.records = log.tail() as u64;
-    stats.history = history_of(&log);
+    stats.seal(&log, &ctl, n, capacity as u64 + stats.fences);
     for ev in &stats.history {
         stats.per_thread_commits[ev.thread as usize] += 1;
     }
-
-    let mut auditor = Auditor::new(format!("par/tm/{scheme}"), n, Some(cfg.seed));
-    let mut checks = 0;
-    audit_log(&log, &mut auditor, &mut checks);
-    checks += 1;
-    let expected = capacity as u64 + stats.fences;
-    if log.tail() as u64 != expected {
-        auditor.record(
-            InvariantKind::TokenProtocol,
-            0,
-            log.tail() as u64,
-            format!("bus log has {} records, workload implies {expected}", log.tail()),
-        );
-    }
-    stats.audit_checks += checks;
-    stats.violations.extend(auditor.take_violations());
     Ok(stats)
 }
 
 /// Pre-respawn verification: the dead worker's boundary checkpoint must
-/// prove a clean speculative state (the `crates/live` crash-consistency
+/// prove a `clean` speculative state (the `crates/live` crash-consistency
 /// proof), and its ordinals must match what the worker actually
 /// published — the log is the ground truth a lying checkpoint can't
 /// survive.
@@ -319,15 +169,9 @@ fn verify_tm_resume(
     log: &BusLog,
     proc: usize,
     boundary: &Boundary,
-    sig_config: &Arc<SignatureConfig>,
+    clean: &SpilledVersion,
 ) -> Result<(), RuntimeError> {
-    let clean = SpilledVersion {
-        r: Signature::with_shared(sig_config.clone()),
-        w: Signature::with_shared(sig_config.clone()),
-        w_sh: None,
-        overflowed: false,
-    };
-    boundary.checkpoint.verify(&clean, &[]).map_err(|e| RuntimeError::WorkerDied {
+    boundary.checkpoint.verify(clean, &[]).map_err(|e| RuntimeError::WorkerDied {
         proc,
         slot: None,
         detail: format!("checkpoint failed verification: {e}"),
@@ -376,114 +220,37 @@ fn broadcasts_of(ops: &[TmOp]) -> usize {
     n
 }
 
-struct TmWorker {
-    tid: usize,
-    scheme: Scheme,
-    sig_config: Arc<SignatureConfig>,
-    line_bytes: u32,
-    compute_ns_per_kcycle: u64,
-    stress: Option<crate::config::StressConfig>,
-    rng: SmallRng,
-    chaos: WorkerChaos,
-
+/// One incarnation's execution state; its bus state is the [`Receiver`].
+struct TmWorker<'a> {
+    sets: SpecSets,
     pc: usize,
     depth: usize,
     tx_start_pc: usize,
-    r_sig: Signature,
-    w_sig: Signature,
-    exact_r: HashSet<LineAddr>,
-    exact_w: HashSet<LineAddr>,
-
-    cursor: usize,
-    dedup: DedupFilter,
-    serial: u64,
-    commit_ordinal: u64,
-    non_tx_ordinal: u64,
-    squash_streak: u32,
-    pending_dwell_ns: u64,
-
-    /// Slot claimed via `try_claim` whose record is not yet published.
-    /// If the worker dies inside that window the supervisor fences it.
-    claimed_unpublished: Option<usize>,
-    boundary: Boundary,
-
-    stats: WorkerStats,
+    /// The recovery point, advanced past every publish. It lives outside
+    /// the incarnation so that a panic cannot take it down too.
+    boundary: &'a mut Boundary,
 }
 
-impl TmWorker {
-    fn new(
-        tid: usize,
-        scheme: Scheme,
-        sig_config: Arc<SignatureConfig>,
-        line_bytes: u32,
-        cfg: &ParConfig,
-        chaos: WorkerChaos,
-    ) -> Self {
-        let r_sig = Signature::with_shared(sig_config.clone());
-        let w_sig = Signature::with_shared(sig_config.clone());
-        let boundary = Boundary {
-            pc: 0,
-            commit_ordinal: 0,
-            non_tx_ordinal: 0,
-            checkpoint: Checkpoint::capture(
-                SpilledVersion {
-                    r: r_sig.clone(),
-                    w: w_sig.clone(),
-                    w_sh: None,
-                    overflowed: false,
-                },
-                Vec::new(),
-            ),
-        };
-        TmWorker {
-            tid,
-            scheme,
-            r_sig,
-            w_sig,
-            sig_config,
-            line_bytes,
-            compute_ns_per_kcycle: cfg.compute_ns_per_kcycle,
-            stress: cfg.stress,
-            rng: SmallRng::seed_from_u64(cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64 ^ tid as u64)),
-            chaos,
-            pc: 0,
-            depth: 0,
-            tx_start_pc: 0,
-            exact_r: HashSet::new(),
-            exact_w: HashSet::new(),
-            cursor: 0,
-            dedup: DedupFilter::new(),
-            serial: 0,
-            commit_ordinal: 0,
-            non_tx_ordinal: 0,
-            squash_streak: 0,
-            pending_dwell_ns: 0,
-            claimed_unpublished: None,
-            boundary,
-            stats: WorkerStats::default(),
-        }
+impl<'a> TmWorker<'a> {
+    /// An incarnation starting at `boundary`: pc 0 for the first, the dead
+    /// worker's last publish for a respawn, which re-executes from there
+    /// after its fresh receiver has replayed the log.
+    fn resume(sets: SpecSets, boundary: &'a mut Boundary) -> Self {
+        TmWorker { sets, pc: boundary.pc, depth: 0, tx_start_pc: boundary.pc, boundary }
     }
 
-    /// Resumes a respawned incarnation from the dead worker's boundary.
-    /// The cursor stays 0 and the dedup filter is fresh: the new
-    /// incarnation replays the entire log, admitting each record exactly
-    /// once, before re-executing from the boundary pc.
-    fn restore(&mut self, b: Boundary, serial: u64) {
-        self.pc = b.pc;
-        self.tx_start_pc = b.pc;
-        self.commit_ordinal = b.commit_ordinal;
-        self.non_tx_ordinal = b.non_tx_ordinal;
-        self.serial = serial;
-        self.boundary = b;
-    }
-
-    fn run(&mut self, ops: &[TmOp], log: &BusLog, ctl: &RunControl) -> Result<(), Halt> {
+    fn run(
+        &mut self,
+        rx: &mut Receiver,
+        ops: &[TmOp],
+        log: &BusLog,
+        ctl: &RunControl,
+    ) -> Result<(), Halt> {
         while self.pc < ops.len() {
             if ctl.aborted() {
                 return Err(Halt::Aborted);
             }
-            if self.poll(log, ctl)? {
-                self.backoff();
+            if self.poll(rx, log, ctl)? {
                 continue; // pc was reset to the transaction start
             }
             match ops[self.pc] {
@@ -492,348 +259,107 @@ impl TmWorker {
                         self.tx_start_pc = self.pc;
                     }
                     self.depth += 1;
-                    self.pc += 1;
                 }
+                // Closed nesting is flat here, as in sim Bulk: inner
+                // commits make nothing visible.
+                TmOp::End if self.depth > 1 => self.depth -= 1,
                 TmOp::End => {
-                    if self.depth > 1 {
-                        // Closed nesting is flat here, as in sim Bulk:
-                        // inner commits make nothing visible.
-                        self.depth -= 1;
-                        self.pc += 1;
-                    } else {
-                        self.flush_dwell();
-                        if self.commit(log, ctl)? {
-                            self.pc += 1;
-                            self.note_boundary();
-                        } else {
-                            self.backoff(); // squashed at the commit point
-                        }
-                    }
+                    rx.flush_dwell();
+                    self.commit(rx, log, ctl)?;
+                    continue; // pc is past the commit, or back at its `Begin`
                 }
-                TmOp::Read(a) => {
-                    let line = a.line(self.line_bytes);
-                    if self.depth > 0 {
-                        self.exact_r.insert(line);
-                        if self.scheme.uses_signatures() {
-                            self.r_sig.insert_line(line);
-                        }
-                    }
-                    self.pc += 1;
-                }
+                TmOp::Read(a) if self.depth > 0 => self.sets.read(a),
+                TmOp::Read(_) => {}
+                TmOp::Write(a) if self.depth > 0 => self.sets.write(a),
                 TmOp::Write(a) => {
-                    let line = a.line(self.line_bytes);
-                    if self.depth > 0 {
-                        self.exact_w.insert(line);
-                        if self.scheme.uses_signatures() {
-                            self.w_sig.insert_line(line);
-                        }
-                        self.pc += 1;
-                    } else {
-                        self.publish_non_tx_store(log, ctl, line)?;
-                        self.pc += 1;
-                        self.note_boundary();
-                    }
+                    self.publish_non_tx_store(rx, log, ctl, self.sets.line(a))?;
+                    continue;
                 }
-                TmOp::Compute(n) => {
-                    self.dwell(n);
-                    self.pc += 1;
-                }
+                TmOp::Compute(n) => rx.dwell(n),
             }
+            self.pc += 1;
         }
-        self.flush_dwell();
+        rx.flush_dwell();
         Ok(())
     }
 
-    /// Snapshots the recovery point just past a publish: speculative
-    /// state is clean here, and the checkpoint proves it.
-    fn note_boundary(&mut self) {
-        self.boundary = Boundary {
-            pc: self.pc,
-            commit_ordinal: self.commit_ordinal,
-            non_tx_ordinal: self.non_tx_ordinal,
-            checkpoint: Checkpoint::capture(
-                SpilledVersion {
-                    r: self.r_sig.clone(),
-                    w: self.w_sig.clone(),
-                    w_sh: None,
-                    overflowed: false,
-                },
-                Vec::new(),
-            ),
-        };
+    /// Steps past a published op of `kind` and moves the recovery point
+    /// there: speculative state is clean, and the checkpoint proves it. The
+    /// point moves in one step, after everything that can panic.
+    fn published(&mut self, kind: RecordKind) {
+        self.pc += 1;
+        let checkpoint = self.sets.checkpoint();
+        let b = &mut *self.boundary;
+        match kind {
+            RecordKind::Commit => b.commit_ordinal += 1,
+            _ => b.non_tx_ordinal += 1,
+        }
+        (b.pc, b.checkpoint) = (self.pc, checkpoint);
     }
 
-    /// Applies every record published since the last poll. Returns
-    /// `Ok(true)` if one of them squashed the running transaction (the
-    /// worker's pc is then already reset to the transaction start).
-    ///
-    /// Waiting on a claimed-but-unpublished slot checks the abort flag
-    /// and the wall-clock watchdog, so a dead or hung peer halts the
-    /// worker with a typed cause instead of hanging it.
-    fn poll(&mut self, log: &BusLog, ctl: &RunControl) -> Result<bool, Halt> {
-        if let Some(d) = self.chaos.maybe_stall() {
-            self.stats.injected_stalls += 1;
-            std::thread::sleep(d);
-        }
-        let mut squashed = false;
-        let tail = log.tail();
-        while self.cursor < tail {
-            let rec = loop {
-                if let Some(r) = log.get(self.cursor) {
-                    break r;
-                }
-                if ctl.aborted() {
-                    return Err(Halt::Aborted);
-                }
-                if let Some(v) = ctl.check_stall(Some(self.tid)) {
-                    return Err(Halt::Stalled(v));
-                }
-                std::hint::spin_loop();
-                std::thread::yield_now();
-            };
-            self.apply(rec, &mut squashed);
-            self.cursor += 1;
-            if self.chaos.on_apply() {
-                return Err(Halt::Killed { point: CrashPoint::Apply });
-            }
+    /// Polls the bus; a peer's record whose `W_C` hits this transaction's
+    /// `R ∪ W` squashes it: cleared sets, restart from `Begin`, backoff.
+    /// Returns whether that happened.
+    fn poll(&mut self, rx: &mut Receiver, log: &BusLog, ctl: &RunControl) -> Result<bool, Halt> {
+        let (me, depth, sets) = (rx.proc, self.depth, &self.sets);
+        let squashed = rx.poll(log, ctl, |rec| {
+            (rec.thread as usize != me && depth > 0).then(|| sets.verdict(rec, true))
+        })?;
+        if squashed {
+            self.depth = 0;
+            self.sets.clear();
+            self.pc = self.tx_start_pc;
+            rx.backoff();
         }
         Ok(squashed)
     }
 
-    fn apply(&mut self, rec: &BusRecord, squashed: &mut bool) {
-        if !self.dedup.admit(rec.ticket) {
-            return; // duplicate delivery: dropped, never applied
-        }
-        self.dedup.record_application(rec.ticket);
-        if rec.thread as usize != self.tid && self.depth > 0 && !*squashed {
-            let exact_hit =
-                rec.exact_w.iter().any(|l| self.exact_r.contains(l) || self.exact_w.contains(l));
-            let hit = match &rec.w_sig {
-                Some(w) => {
-                    let sig_hit = w.intersects(&self.r_sig) || w.intersects(&self.w_sig);
-                    self.stats.audit_checks += 1;
-                    if exact_hit && !sig_hit {
-                        // A real conflict the signatures missed: the
-                        // one-sided-error guarantee is broken. Record it
-                        // and squash anyway so execution stays safe.
-                        self.stats.violations.push(bulk_chaos::InvariantViolation {
-                            kind: InvariantKind::SignatureContainment,
-                            scheme: format!("par/tm/{}", self.scheme),
-                            thread: self.tid,
-                            cycle: rec.ticket.serial,
-                            seed: None,
-                            detail: "broadcast W_C missed an exact conflict".into(),
-                        });
-                        true
-                    } else {
-                        sig_hit
-                    }
-                }
-                None => exact_hit,
-            };
-            if hit {
-                self.squash(exact_hit);
-                *squashed = true;
+    /// Validate-then-claim commit: returns with the transaction published
+    /// — or squashed instead, by a record a winner of the claim published.
+    fn commit(&mut self, rx: &mut Receiver, log: &BusLog, ctl: &RunControl) -> Result<(), Halt> {
+        while !self.poll(rx, log, ctl)? {
+            let (me, slot, sets) = (rx.proc, rx.cursor, &mut self.sets);
+            let ordinal = self.boundary.commit_ordinal;
+            let published = rx.claim_and_publish(log, ctl, slot, |ticket| {
+                let (w_sig, exact_w, exact_r) = sets.commit_payload();
+                let bare = BusRecord::bare(ticket, me, ordinal, RecordKind::Commit, slot);
+                BusRecord { w_sig, exact_w, exact_r, ..bare }
+            })?;
+            if published {
+                rx.stats.commits += 1;
+                self.depth = 0;
+                self.sets.clear();
+                self.published(RecordKind::Commit);
+                break;
             }
         }
-        self.maybe_redeliver(rec.ticket);
-    }
-
-    /// Stress mode: deliver the record to this receiver again. The dedup
-    /// filter must drop it; an admitted re-delivery is recorded as an
-    /// application so `duplicate_applications` exposes the bug.
-    fn maybe_redeliver(&mut self, ticket: CommitTicket) {
-        let Some(stress) = self.stress else { return };
-        if self.rng.random_range(0..100u32) < stress.redeliver_percent as u32 {
-            self.stats.stress_redeliveries += 1;
-            if self.dedup.admit(ticket) {
-                self.dedup.record_application(ticket);
-            }
-        }
-    }
-
-    fn squash(&mut self, truly: bool) {
-        self.stats.squashes += 1;
-        if !truly {
-            self.stats.false_squashes += 1;
-        }
-        self.clear_speculative_state();
-        self.pc = self.tx_start_pc;
-        self.squash_streak += 1;
-    }
-
-    fn clear_speculative_state(&mut self) {
-        self.depth = 0;
-        self.exact_r.clear();
-        self.exact_w.clear();
-        if self.scheme.uses_signatures() {
-            self.r_sig.clear();
-            self.w_sig.clear();
-        }
-        self.pending_dwell_ns = 0;
-    }
-
-    /// Jittered exponential yield after a squash; on an oversubscribed
-    /// host this is also what hands the winner its timeslice.
-    fn backoff(&mut self) {
-        let yields = (1u32 << self.squash_streak.min(6)) + self.rng.random_range(0..4u32);
-        for _ in 0..yields {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Validate-then-claim commit. Returns `Ok(false)` if a record
-    /// published by a winner squashed this transaction instead.
-    fn commit(&mut self, log: &BusLog, ctl: &RunControl) -> Result<bool, Halt> {
-        loop {
-            if self.poll(log, ctl)? {
-                return Ok(false);
-            }
-            let seen = self.cursor;
-            if !log.try_claim(seen) {
-                self.stats.claim_retries += 1;
-                continue;
-            }
-            self.claimed_unpublished = Some(seen);
-            match self.chaos.on_claim() {
-                Some(CrashPoint::Publish) => {
-                    // The nastiest window: a serial is consumed but its
-                    // record never reaches the log.
-                    let _ = self.stamp_ticket(log);
-                    return Err(Halt::Killed { point: CrashPoint::Publish });
-                }
-                Some(point) => return Err(Halt::Killed { point }),
-                None => {}
-            }
-            if let Some(d) = self.chaos.publish_delay() {
-                self.stats.delayed_publishes += 1;
-                std::thread::sleep(d);
-            }
-            let ticket = self.stamp_ticket(log);
-            let mut exact_w: Vec<LineAddr> = self.exact_w.iter().copied().collect();
-            exact_w.sort_unstable();
-            let mut exact_r: Vec<LineAddr> = self.exact_r.iter().copied().collect();
-            exact_r.sort_unstable();
-            let w_sig = self.scheme.uses_signatures().then(|| {
-                let mut s = Signature::with_shared(self.sig_config.clone());
-                std::mem::swap(&mut s, &mut self.w_sig);
-                s
-            });
-            log.publish(
-                seen,
-                BusRecord {
-                    ticket,
-                    thread: self.tid as u32,
-                    ordinal: self.commit_ordinal,
-                    kind: RecordKind::Commit,
-                    w_sig,
-                    exact_w,
-                    exact_r,
-                    validated_to: seen,
-                },
-            )
-            .map_err(|e| Halt::Bug(e.to_string()))?;
-            self.claimed_unpublished = None;
-            ctl.progress();
-            // Account the own broadcast in the dedup filter so every
-            // receiver (including self) tracks every record uniformly.
-            self.dedup.admit(ticket);
-            self.dedup.record_application(ticket);
-            self.cursor = seen + 1;
-            self.commit_ordinal += 1;
-            self.stats.commits += 1;
-            self.squash_streak = 0;
-            self.clear_speculative_state();
-            return Ok(true);
-        }
+        Ok(())
     }
 
     /// A non-transactional store: ordered on the log like a commit (so
     /// speculative readers squash on it), but never squashable itself.
     fn publish_non_tx_store(
         &mut self,
+        rx: &mut Receiver,
         log: &BusLog,
         ctl: &RunControl,
         line: LineAddr,
     ) -> Result<(), Halt> {
         loop {
             // Not in a transaction, so poll can't squash us.
-            self.poll(log, ctl)?;
-            let seen = self.cursor;
-            if !log.try_claim(seen) {
-                self.stats.claim_retries += 1;
-                continue;
+            self.poll(rx, log, ctl)?;
+            let (me, slot, sets) = (rx.proc, rx.cursor, &self.sets);
+            let ordinal = self.boundary.non_tx_ordinal;
+            let published = rx.claim_and_publish(log, ctl, slot, |ticket| BusRecord {
+                w_sig: sets.signature_of(line),
+                exact_w: vec![line],
+                ..BusRecord::bare(ticket, me, ordinal, RecordKind::NonTxStore, slot)
+            })?;
+            if published {
+                rx.stats.non_tx_stores += 1;
+                self.published(RecordKind::NonTxStore);
+                return Ok(());
             }
-            self.claimed_unpublished = Some(seen);
-            match self.chaos.on_claim() {
-                Some(CrashPoint::Publish) => {
-                    let _ = self.stamp_ticket(log);
-                    return Err(Halt::Killed { point: CrashPoint::Publish });
-                }
-                Some(point) => return Err(Halt::Killed { point }),
-                None => {}
-            }
-            if let Some(d) = self.chaos.publish_delay() {
-                self.stats.delayed_publishes += 1;
-                std::thread::sleep(d);
-            }
-            let ticket = self.stamp_ticket(log);
-            let w_sig = self.scheme.uses_signatures().then(|| {
-                let mut s = Signature::with_shared(self.sig_config.clone());
-                s.insert_line(line);
-                s
-            });
-            log.publish(
-                seen,
-                BusRecord {
-                    ticket,
-                    thread: self.tid as u32,
-                    ordinal: self.non_tx_ordinal,
-                    kind: RecordKind::NonTxStore,
-                    w_sig,
-                    exact_w: vec![line],
-                    exact_r: Vec::new(),
-                    validated_to: seen,
-                },
-            )
-            .map_err(|e| Halt::Bug(e.to_string()))?;
-            self.claimed_unpublished = None;
-            ctl.progress();
-            self.dedup.admit(ticket);
-            self.dedup.record_application(ticket);
-            self.cursor = seen + 1;
-            self.non_tx_ordinal += 1;
-            self.stats.non_tx_stores += 1;
-            return Ok(());
-        }
-    }
-
-    fn stamp_ticket(&mut self, log: &BusLog) -> CommitTicket {
-        if let Some(stress) = self.stress {
-            if self.rng.random_range(0..100u32) < stress.epoch_bump_percent as u32 {
-                log.bump_epoch();
-                self.stats.stress_epoch_bumps += 1;
-            }
-        }
-        let t = CommitTicket { epoch: log.epoch(), committer: self.tid, serial: self.serial };
-        self.serial += 1;
-        t
-    }
-
-    fn dwell(&mut self, cycles: u32) {
-        if self.compute_ns_per_kcycle == 0 {
-            return;
-        }
-        self.pending_dwell_ns += cycles as u64 * self.compute_ns_per_kcycle / 1000;
-        if self.pending_dwell_ns >= DWELL_FLUSH_NS {
-            self.flush_dwell();
-        }
-    }
-
-    fn flush_dwell(&mut self) {
-        if self.pending_dwell_ns > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(self.pending_dwell_ns));
-            self.pending_dwell_ns = 0;
         }
     }
 }
@@ -841,7 +367,7 @@ impl TmWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bulk_chaos::KillSpec;
+    use bulk_chaos::{CrashPoint, KillSpec};
     use bulk_mem::Addr;
     use bulk_trace::ThreadTrace;
 

@@ -1,11 +1,13 @@
 //! Discrete-event timing substrate for the Bulk reproduction: the Table 5
 //! machine configurations, per-processor cycle/traffic accounting, a
-//! serializing commit bus and a deterministic event queue.
+//! serializing commit bus, a deterministic event queue, and the
+//! [`SimHarness`] — the commit-pipeline stages and instruments both sim
+//! machines share.
 //!
 //! The TM ([`bulk_tm`](../bulk_tm/index.html)) and TLS
 //! ([`bulk_tls`](../bulk_tls/index.html)) runtimes drive their protocol
-//! state machines over these pieces; this crate knows nothing about
-//! speculation itself.
+//! state machines over these pieces; what speculation *means* (who
+//! conflicts with whom, what a squash undoes) stays in those crates.
 //!
 //! ```
 //! use bulk_sim::{CoreTimer, SimConfig};
@@ -20,9 +22,11 @@
 //! ```
 
 mod config;
+mod harness;
 mod queue;
 mod timer;
 
 pub use config::SimConfig;
+pub use harness::{Broadcast, CommitRequest, RunTail, SimHarness};
 pub use queue::{min_index, EventQueue};
 pub use timer::{AccessTiming, Bus, CoreTimer, FillSource};

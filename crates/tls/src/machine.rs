@@ -13,15 +13,14 @@
 //! classify aliasing artifacts; Bulk's decisions use signatures only.
 
 use std::ops::Range;
-use std::sync::Arc;
 
-use bulk_chaos::{Auditor, FaultPlan, InvariantKind, MachineError};
+use bulk_chaos::{FaultPlan, InvariantKind, MachineError};
 use bulk_core::{check_speculative_store, flows, Bdm, CommitEvent, CommitMsg, StoreCheck, VersionId};
-use bulk_live::{LivenessConfig, LivenessEngine};
-use bulk_obs::{Obs, RuntimeObs, SpanId, SpanKind, SpanOutcome};
+use bulk_live::LivenessConfig;
+use bulk_obs::{Obs, SpanId, SpanKind, SpanOutcome};
 use bulk_mem::{Addr, AddrSet, Cache, LineAddr, MsgClass, WordAddr};
 use bulk_sig::{Signature, SignatureArena, SignatureConfig};
-use bulk_sim::{Bus, CoreTimer, SimConfig};
+use bulk_sim::{CommitRequest, CoreTimer, SimConfig, SimHarness};
 use bulk_trace::{TlsOp, TlsWorkload};
 
 use crate::{TlsScheme, TlsStats};
@@ -89,7 +88,6 @@ struct Proc {
 pub struct TlsMachine {
     cfg: SimConfig,
     scheme: TlsScheme,
-    sig_config: Arc<SignatureConfig>,
     /// Recycling pool for per-broadcast signature buffers (commit copies
     /// and wire-delivered signatures) so the commit path stays off the
     /// allocator.
@@ -102,25 +100,13 @@ pub struct TlsMachine {
     /// [`TlsMachine::window`]).
     next_unstarted: usize,
     last_commit_finish: u64,
-    bus: Bus,
+    /// Commit bus and instruments (chaos, auditor, obs, liveness), with
+    /// the pipeline stages shared with the TM machine.
+    h: SimHarness,
     stats: TlsStats,
     /// Restarts before a task escalates to head-serialized execution
     /// (`None` disables the fallback).
     escalation: Option<u32>,
-    /// Optional deterministic fault injector.
-    chaos: Option<FaultPlan>,
-    /// Whether the invariant auditor is armed.
-    audit: bool,
-    auditor: Auditor,
-    obs: Option<RuntimeObs>,
-    /// Trace span of the commit broadcast currently being delivered;
-    /// squash and invalidation spans it triggers link back to it.
-    /// [`SpanId::DROPPED`] outside the delivery/disambiguation window.
-    commit_cause: SpanId,
-    /// Optional liveness engine, armed via [`TlsMachine::enable_liveness`].
-    /// `None` leaves every existing run bit-identical: no fault-stream
-    /// draws, no timing changes.
-    live: Option<LivenessEngine>,
 }
 
 /// Runs `workload` under `scheme` and returns the collected statistics.
@@ -135,7 +121,7 @@ pub fn run_tls_observed(
     workload: &TlsWorkload,
     scheme: TlsScheme,
     cfg: &SimConfig,
-    obs: std::sync::Arc<bulk_obs::Obs>,
+    obs: std::sync::Arc<Obs>,
 ) -> TlsStats {
     let mut m = TlsMachine::new(workload, scheme, cfg);
     m.attach_obs(obs);
@@ -251,22 +237,16 @@ impl TlsMachine {
         let mut m = TlsMachine {
             cfg: cfg.clone(),
             scheme,
-            sig_arena: SignatureArena::new(sig_config.clone()),
-            sig_config,
+            sig_arena: SignatureArena::new(sig_config),
+            // The auditor watches processors; liveness watches tasks.
+            h: SimHarness::new("tls.", scheme.to_string(), cfg.num_procs, tasks.len()),
             procs,
             tasks,
             oldest_uncommitted: 0,
             next_unstarted: 0,
             last_commit_finish: 0,
-            bus: Bus::new(),
             stats: TlsStats::default(),
             escalation: Some(DEFAULT_ESCALATION_THRESHOLD),
-            chaos: None,
-            audit: false,
-            auditor: Auditor::off(),
-            obs: None,
-            commit_cause: SpanId::DROPPED,
-            live: None,
         };
         m.tasks[0].ready_at = Some(0);
         Ok(m)
@@ -282,16 +262,19 @@ impl TlsMachine {
     /// into metrics under the `tls.` prefix and into the shared event log,
     /// and every squash is attributed against the exact oracle.
     pub fn attach_obs(&mut self, obs: std::sync::Arc<Obs>) {
-        self.obs = Some(RuntimeObs::attach(obs, "tls."));
+        self.h.attach_obs(obs);
+    }
+
+    /// The machine's bus and instruments, for callers that arm chaos,
+    /// audit and liveness the same way on either machine.
+    pub fn harness_mut(&mut self) -> &mut SimHarness {
+        &mut self.h
     }
 
     /// Arms the chaos fault injector for this run. The run then becomes a
     /// pure function of (workload, scheme, config, `plan.seed()`).
     pub fn set_chaos(&mut self, plan: FaultPlan) {
-        self.chaos = Some(plan);
-        if self.audit {
-            self.rebuild_auditor();
-        }
+        self.h.set_chaos(plan);
     }
 
     /// Arms the liveness engine: squash-triggered backoff arbitration, the
@@ -300,29 +283,14 @@ impl TlsMachine {
     /// *after* [`TlsMachine::set_chaos`] so the backoff jitter inherits the
     /// chaos seed; with `cfg.seed == 0` and chaos armed, the chaos seed is
     /// used.
-    pub fn enable_liveness(&mut self, mut cfg: LivenessConfig) {
-        let chaos_seed = self.chaos.as_ref().map(|p| p.seed());
-        if cfg.seed == 0 {
-            cfg.seed = chaos_seed.unwrap_or(0);
-        }
-        self.live = Some(LivenessEngine::new(
-            self.scheme.to_string(),
-            self.tasks.len(),
-            cfg,
-            chaos_seed,
-        ));
+    pub fn enable_liveness(&mut self, cfg: LivenessConfig) {
+        self.h.enable_liveness(cfg);
     }
 
     /// Enables the runtime invariant auditor; violations are collected in
     /// [`TlsStats::violations`] instead of panicking.
     pub fn enable_audit(&mut self) {
-        self.audit = true;
-        self.rebuild_auditor();
-    }
-
-    fn rebuild_auditor(&mut self) {
-        let seed = self.chaos.as_ref().map(|p| p.seed());
-        self.auditor = Auditor::new(self.scheme.to_string(), self.procs.len(), seed);
+        self.h.enable_audit();
     }
 
     /// Runs the machine to completion and returns the statistics.
@@ -349,7 +317,7 @@ impl TlsMachine {
                     context: "TLS scheduling budget exhausted",
                 });
             }
-            if self.live.as_ref().is_some_and(|l| l.tripped()) {
+            if self.h.live.as_ref().is_some_and(|l| l.tripped()) {
                 // The watchdog tripped: the run cannot make progress, so it
                 // aborts with a diagnosis instead of burning the budget.
                 break;
@@ -371,7 +339,7 @@ impl TlsMachine {
             };
             self.step(p);
             debug_assert!(self.window_holds(), "in-flight window invariant broken after a step");
-            if let Some(live) = &mut self.live {
+            if let Some(live) = &mut self.h.live {
                 live.on_tick(self.procs[p].timer.now());
             }
         }
@@ -382,56 +350,16 @@ impl TlsMachine {
             .max()
             .unwrap_or(0)
             .max(self.last_commit_finish);
-        if let Some(plan) = &mut self.chaos {
-            self.stats.chaos = plan.take_stats();
-        }
-        if let Some(obs) = &self.obs {
-            // Fold the trace into Fig. 13 cycle categories per processor;
-            // the bus lane (actor == num_procs) carries commit broadcasts
-            // and is accounted separately from the per-processor timelines.
-            let totals: Vec<u64> = self.procs.iter().map(|p| p.timer.now()).collect();
-            let breakdown = obs.finish_cycle_accounting(&totals);
-            if self.auditor.enabled() {
-                for v in &breakdown.violations {
-                    self.auditor.record(
-                        InvariantKind::CycleConservation,
-                        if v.actor == u32::MAX { 0 } else { v.actor as usize },
-                        v.cycle,
-                        v.detail.clone(),
-                    );
-                }
-            }
-        }
-        self.stats.audit_checks = self.auditor.checks();
-        self.stats.violations = self.auditor.take_violations();
-        if let Some(live) = &mut self.live {
-            self.stats.liveness = live.stats();
-            self.stats.liveness_violations = live.take_violations();
-            if let Some(obs) = &self.obs {
-                for v in &self.stats.liveness_violations {
-                    obs.on_watchdog_trip(
-                        v.thread.unwrap_or(0) as u32,
-                        v.cycle,
-                        v.kind.as_str(),
-                    );
-                }
-            }
-        }
+        // The bus lane (actor == num_procs) carries commit broadcasts and
+        // is accounted separately from the per-processor timelines.
+        let totals: Vec<u64> = self.procs.iter().map(|p| p.timer.now()).collect();
+        let tail = self.h.drain(&totals);
+        self.stats.chaos = tail.chaos;
+        self.stats.audit_checks = tail.audit_checks;
+        self.stats.violations = tail.violations;
+        self.stats.liveness = tail.liveness;
+        self.stats.liveness_violations = tail.liveness_violations;
         Ok(self.stats)
-    }
-
-    /// Token-protocol invariant check: under audit a breach becomes a
-    /// recorded [`InvariantKind::TokenProtocol`] violation; without the
-    /// auditor it remains a debug assertion, as before.
-    fn check_token_protocol(&mut self, ok: bool, proc: usize, cycle: u64, detail: &str) {
-        if ok {
-            return;
-        }
-        if self.auditor.enabled() {
-            self.auditor.record(InvariantKind::TokenProtocol, proc, cycle, detail.to_string());
-        } else {
-            debug_assert!(false, "{detail}");
-        }
     }
 
     fn pick_proc(&self) -> Option<usize> {
@@ -537,7 +465,7 @@ impl TlsMachine {
         // head-serialized fallback.
         let at_head = !self.tasks[i].escalated || i == self.oldest_uncommitted;
         let now = self.procs[p].timer.now();
-        self.check_token_protocol(at_head, p, now, "escalated task started off the head");
+        self.h.check_token_protocol(at_head, p, now, "escalated task started off the head");
         let t = &mut self.tasks[i];
         t.status = Status::Running;
         t.pc = 0;
@@ -569,7 +497,7 @@ impl TlsMachine {
             let v = self.tasks[i].version.expect("version allocated");
             self.procs[p].bdm.set_running(Some(v));
         }
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.h.obs {
             self.tasks[i].section_span =
                 obs.span_begin(p as u32, SpanKind::Section, self.procs[p].timer.now(), i as u64);
         }
@@ -577,10 +505,12 @@ impl TlsMachine {
 
     fn step(&mut self, p: usize) {
         let i = self.procs[p].running.expect("running task");
-        self.chaos_perturb(p);
+        if self.h.chaos.is_some() {
+            self.chaos_perturb(p);
+        }
         if self.tasks[i].pc >= self.tasks[i].ops.len() {
             self.finish_task(p, i);
-            self.auditor.observe_clock(p, self.procs[p].timer.now());
+            self.h.auditor.observe_clock(p, self.procs[p].timer.now());
             return;
         }
         let op = self.tasks[i].ops[self.tasks[i].pc];
@@ -602,7 +532,7 @@ impl TlsMachine {
         if self.procs[p].running == Some(i) && self.tasks[i].pc >= self.tasks[i].ops.len() {
             self.finish_task(p, i);
         }
-        self.auditor.observe_clock(p, self.procs[p].timer.now());
+        self.h.auditor.observe_clock(p, self.procs[p].timer.now());
     }
 
     /// Chaos hook, consulted once per scheduled operation: forced context
@@ -610,33 +540,9 @@ impl TlsMachine {
     /// resident line (stale-copy pressure — a speculative dirty line never
     /// silently leaves the cache).
     fn chaos_perturb(&mut self, p: usize) {
-        let Some(plan) = &mut self.chaos else { return };
-        if plan.force_context_switch() {
-            let cycles = plan.config().ctx_switch_cycles;
-            let pre = self.procs[p].timer.now();
-            self.procs[p].timer.advance(cycles);
-            if let Some(obs) = &self.obs {
-                obs.on_ctx_switch(p as u32, self.procs[p].timer.now());
-                obs.span_complete(p as u32, SpanKind::CtxSwitch, pre, self.procs[p].timer.now(), 0);
-            }
-        }
-        let Some(plan) = &mut self.chaos else { return };
-        if plan.force_eviction() {
-            let mut clean: Vec<LineAddr> = self.procs[p]
-                .cache
-                .iter()
-                .filter(|l| !l.is_dirty())
-                .map(|l| l.addr())
-                .collect();
-            // Sort so the pick is a function of the cache *contents*, not of
-            // the sets' internal order (which depends on the hash-ordered
-            // invalidation history and differs run to run).
-            clean.sort_unstable();
-            if !clean.is_empty() {
-                let plan = self.chaos.as_mut().expect("plan present");
-                let victim = clean[plan.pick(clean.len())];
-                self.procs[p].cache.invalidate(victim);
-            }
+        self.h.forced_ctx_switch(p, &mut self.procs[p].timer);
+        if let Some((victim, _)) = self.h.forced_eviction(&self.procs[p].cache, true) {
+            self.procs[p].cache.invalidate(victim);
         }
     }
 
@@ -752,7 +658,7 @@ impl TlsMachine {
         }
         self.tasks[i].status = Status::WaitingCommit;
         self.tasks[i].finish_time = self.procs[p].timer.now();
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.h.obs {
             // The attempt's processor occupancy ends here; the outcome
             // (Useful/Squashed) is resolved at commit or squash time.
             obs.span_end(self.tasks[i].section_span, self.tasks[i].finish_time);
@@ -800,11 +706,12 @@ impl TlsMachine {
             .collect();
 
         // Broadcast.
-        let (payload, mut msg) = match self.scheme {
-            TlsScheme::Eager => (0u64, CommitMsg::AddressList),
-            TlsScheme::Lazy => {
-                (exact_w_words.len() as u64 * self.cfg.msg_sizes.addr_msg, CommitMsg::AddressList)
-            }
+        let (payload, msg) = match self.scheme {
+            TlsScheme::Eager => (None, CommitMsg::AddressList),
+            TlsScheme::Lazy => (
+                Some(exact_w_words.len() as u64 * self.cfg.msg_sizes.addr_msg),
+                CommitMsg::AddressList,
+            ),
             TlsScheme::Bulk | TlsScheme::BulkNoOverlap => {
                 let v = self.tasks[i].version.ok_or(MachineError::MissingVersion {
                     thread: i,
@@ -820,7 +727,7 @@ impl TlsMachine {
                     Some(sh) => CommitMsg::signatures_with_shadow(sigs.w, sh),
                     None => CommitMsg::signatures(sigs.w),
                 };
-                (payload, msg)
+                (Some(payload), msg)
             }
         };
         // The commit point: the slot was cleared (clear-a-register commit,
@@ -831,129 +738,33 @@ impl TlsMachine {
         let head_ok = i == self.oldest_uncommitted;
         let slot_ok = self.tasks[i].status == Status::WaitingCommit;
         let at = self.tasks[i].finish_time;
-        self.check_token_protocol(head_ok, p, at, "commit slot cleared for a non-head task");
-        self.check_token_protocol(slot_ok, p, at, "commit slot cleared while not awaiting commit");
+        self.h.check_token_protocol(head_ok, p, at, "commit slot cleared for a non-head task");
+        self.h.check_token_protocol(slot_ok, p, at, "commit slot cleared while not awaiting commit");
         self.tasks[i].status = Status::Committed;
 
-        // Chaos: arbitration denials with bounded backoff delay the commit
-        // request; in-flight corruption, broadcast delay and duplication
-        // perturb the delivery.
-        let mut request = self.tasks[i].finish_time.max(self.last_commit_finish);
-        // The commit span starts when the task first asks for the bus:
-        // denial backoff and arbitration queueing are all commit time.
-        let req0 = request;
-        let mut attempt = 0u32;
-        loop {
-            let Some(plan) = self.chaos.as_mut() else { break };
-            let Some(backoff) = plan.deny_commit(attempt) else { break };
-            self.stats.commit_retries += 1;
-            request += backoff;
-            attempt += 1;
-        }
-        let (delay, duplicate) = match self.chaos.as_mut() {
-            Some(plan) => {
-                plan.maybe_corrupt(&mut msg);
-                (plan.broadcast_delay(), plan.duplicate_broadcast())
-            }
-            None => (0, false),
+        // The committer's processor has moved on to its next task, so a
+        // denied arbitration delays only the request, never a processor
+        // clock. Commit broadcasts serialize on the bus, so their spans
+        // live on a dedicated bus lane (one past the processors).
+        let request = CommitRequest {
+            committer: i,
+            serial: u64::from(self.tasks[i].restarts),
+            actor: p,
+            lane: self.procs.len() as u32,
+            at: self.tasks[i].finish_time.max(self.last_commit_finish),
+            payload,
+            writes: exact_w_words.len() as u64,
+            msg,
+            section: std::mem::replace(&mut self.tasks[i].section_span, SpanId::DROPPED),
         };
-
-        let duration = self.cfg.commit_arb
-            + if self.scheme.is_eager() { 0 } else { self.cfg.broadcast_cycles(payload) }
-            + delay;
-        let start = self.bus.acquire(request, duration);
-        let mut finish = start + duration;
-        if !self.scheme.is_eager() {
-            self.stats.bw.record_commit(payload, &self.cfg.msg_sizes);
-        }
-
-        // Delivery: receivers CRC-check signature payloads; a detected
-        // corruption is nacked and retransmitted from the pristine copy.
-        let delivered = msg.deliver();
-        if let Some(d) = &delivered {
-            if d.corruption_detected {
-                let retransmit = self
-                    .chaos
-                    .as_ref()
-                    .map_or(0, |pl| pl.config().retransmit_cycles);
-                let restart = self.bus.acquire(finish, retransmit);
-                finish = restart + retransmit;
-                self.stats.bw.record_commit(payload, &self.cfg.msg_sizes);
-            }
-            if let Some(plan) = self.chaos.as_mut() {
-                plan.note_delivery(d.corruption_detected, d.silent_corruption);
-            }
-            if d.silent_corruption {
-                self.auditor.record(
-                    InvariantKind::UndetectedCorruption,
-                    p,
-                    finish,
-                    "corrupted commit signature passed its CRC".to_string(),
-                );
-            }
-        }
-        // Arbiter failover: an armed chaos plan may crash the commit
-        // arbiter mid-broadcast. The new epoch's leader replays the
-        // in-flight commit; receivers dedup on the (committer, serial)
-        // ticket so the W_C is applied exactly once. Re-election occupies
-        // the bus (no broadcast can proceed while the arbiter lease times
-        // out), keeping commit order total.
-        let ticket = self
-            .live
-            .as_ref()
-            .map(|l| l.ticket(i, u64::from(self.tasks[i].restarts)));
-        let mut replay_rounds = 0u32;
-        if self.live.is_some() {
-            // Crash-during-replay: each crash re-elects and adds one more
-            // replay round, bounded per broadcast so recovery terminates.
-            let crash_cap = self
-                .chaos
-                .as_ref()
-                .map_or(0, |plan| plan.config().max_crashes_per_broadcast);
-            while replay_rounds < crash_cap
-                && self.chaos.as_mut().is_some_and(|plan| plan.arbiter_crash())
-            {
-                let live = self.live.as_mut().expect("liveness armed");
-                let reelect = live.arbiter_crash();
-                let restart = self.bus.acquire(finish, reelect);
-                finish = restart + reelect;
-                replay_rounds += 1;
-                if let Some(obs) = &self.obs {
-                    obs.on_arbiter_failover(i as u32, finish, live.epoch());
-                }
-            }
-        }
+        let b = self.h.broadcast(&self.cfg, &mut self.stats.bw, request);
+        let (finish, delivered, ticket) = (b.finish, b.delivered, b.ticket);
+        self.stats.commit_retries += u64::from(b.retries);
         self.last_commit_finish = finish;
         self.stats.commits += 1;
         // TLS tasks commit exactly once and in task order, so the task
         // index is the history identity and the ordinal is always 0.
         self.stats.history.push(CommitEvent { thread: i as u32, ordinal: 0, at: finish });
-        if let Some(obs) = &self.obs {
-            // Latency: bus request to broadcast completion on the bus lane.
-            obs.on_commit(
-                i as u32,
-                finish,
-                payload,
-                exact_w_words.len() as u64,
-                finish.saturating_sub(req0),
-            );
-            let sec = self.tasks[i].section_span;
-            obs.span_outcome(sec, SpanOutcome::Useful);
-            // Commit broadcasts serialize on the bus, so they live on a
-            // dedicated bus lane (actor index one past the processors).
-            let c = obs.span_child(
-                self.procs.len() as u32,
-                SpanKind::Commit,
-                req0,
-                exact_w_words.len() as u64,
-                sec,
-            );
-            obs.span_end(c, finish);
-            self.tasks[i].section_span = SpanId::DROPPED;
-            // Squashes and bulk invalidations this broadcast triggers link
-            // back to its commit span.
-            self.commit_cause = c;
-        }
         if self.tasks[i].escalated {
             self.stats.serialized_commits += 1;
         }
@@ -1008,26 +819,15 @@ impl TlsMachine {
                             payload: "mismatched-signature-config",
                         })?
                         .squash();
-                    if let Some(obs) = &self.obs {
+                    if let Some(obs) = &self.h.obs {
                         obs.verdicts.record(squash, exact_conflict);
                     }
-                    // A signature may alias but must never miss a real
-                    // conflict (false negative).
-                    if exact_conflict && !squash {
-                        if self.auditor.enabled() {
-                            self.auditor.record(
-                                InvariantKind::SignatureContainment,
-                                q,
-                                finish,
-                                format!(
-                                    "commit of task {i} conflicts with task {j}'s \
-                                     exact sets but the signature missed it"
-                                ),
-                            );
-                        } else {
-                            debug_assert!(false, "signature false negative");
-                        }
-                    }
+                    self.h.check_no_false_negative(exact_conflict, squash, q, finish, || {
+                        format!(
+                            "commit of task {i} conflicts with task {j}'s \
+                             exact sets but the signature missed it"
+                        )
+                    });
                     squash
                 }
             };
@@ -1045,23 +845,11 @@ impl TlsMachine {
             }
         }
 
-        // Apply commit invalidations to every other processor's cache. A
-        // chaos-duplicated broadcast applies them a second time; the
-        // second pass must be idempotent (already-invalidated lines are
-        // simply absent).
-        let rounds = if duplicate { 2 } else { 1 } + replay_rounds;
-        let exp = self.obs.as_ref().map(|o| o.expansion.clone());
-        for round in 0..rounds {
-            // Receiver-side dedup: only the first delivery of this commit's
-            // ticket is applied; chaos duplicates and failover replays are
-            // dropped here (and counted).
-            if let (Some(live), Some(tk)) = (self.live.as_mut(), ticket) {
-                if !live.admit(tk) {
-                    if let Some(obs) = &self.obs {
-                        obs.on_dedup_drop();
-                    }
-                    continue;
-                }
+        // Apply commit invalidations to every other processor's cache,
+        // once per admitted delivery round.
+        for round in 0..b.rounds {
+            if !self.h.admit(ticket) {
+                continue;
             }
             for q in 0..self.procs.len() {
                 if q == p {
@@ -1076,36 +864,15 @@ impl TlsMachine {
                     }
                     TlsScheme::Bulk | TlsScheme::BulkNoOverlap => {
                         let w = &delivered.as_ref().expect("bulk commit delivers signatures").w;
-                        let proc = &mut self.procs[q];
-                        let app = flows::apply_remote_commit_observed(
-                            &proc.bdm,
-                            w,
-                            &mut proc.cache,
-                            exp.as_ref(),
-                        );
+                        let Proc { bdm, cache, .. } = &mut self.procs[q];
+                        let (app, false_inv) =
+                            self.h.bulk_apply(q, bdm, cache, w, &exact_lines, finish);
                         if round > 0 {
-                            continue; // duplicate delivery: no new stats
+                            // Duplicate delivery: every clean match is gone
+                            // already, and a merged line is not refetched.
+                            continue;
                         }
-                        let false_inv = app
-                            .invalidated
-                            .iter()
-                            .filter(|l| !exact_lines.contains(l))
-                            .count() as u64;
                         self.stats.false_invalidations += false_inv;
-                        if let Some(obs) = &self.obs {
-                            let lines = app.invalidated.len() as u64;
-                            obs.on_bulk_invalidate(q as u32, finish, lines, lines - false_inv);
-                            if lines > 0 {
-                                let inv = obs.span_complete(
-                                    q as u32,
-                                    SpanKind::BulkInvalidate,
-                                    finish,
-                                    finish,
-                                    lines,
-                                );
-                                obs.span_link(self.commit_cause, inv);
-                            }
-                        }
                         self.stats.line_merges += app.merged.len() as u64;
                         // Merged lines are refetched from the network (Fig. 6).
                         self.stats.bw.record(
@@ -1115,15 +882,13 @@ impl TlsMachine {
                     }
                 }
             }
-            if let (Some(live), Some(tk)) = (self.live.as_mut(), ticket) {
-                live.record_application(tk);
-            }
+            self.h.applied(ticket);
         }
 
         if let Some((j, truly, dep)) = squash_from {
             self.squash_cascade(j, finish, truly, dep, Some(i));
         }
-        self.commit_cause = SpanId::DROPPED;
+        self.h.commit_cause = SpanId::DROPPED;
 
         // The delivered (wire) signatures are dead now — recycle their
         // buffers for the next broadcast.
@@ -1141,13 +906,13 @@ impl TlsMachine {
             }
         }
 
-        self.auditor.observe_commit(p, finish);
-        if let Some(live) = &mut self.live {
+        self.h.auditor.observe_commit(p, finish);
+        if let Some(live) = &mut self.h.live {
             live.on_commit(i, finish);
             // A TLS task commits exactly once; it can no longer starve.
             live.on_done(i);
         }
-        if self.auditor.enabled() {
+        if self.h.auditor.enabled() {
             // Serializability: any surviving in-flight task whose exact
             // sets overlap the committed (non-overlap-covered) writes
             // should have been squashed — except under Eager, where the
@@ -1169,7 +934,7 @@ impl TlsMachine {
                             "task {j} survived the commit of task {i} despite an \
                              exact-set overlap at word {w:?}"
                         );
-                        self.auditor.record(InvariantKind::Serializability, q, finish, detail);
+                        self.h.auditor.record(InvariantKind::Serializability, q, finish, detail);
                     }
                 }
             }
@@ -1182,13 +947,13 @@ impl TlsMachine {
     /// every processor's cache/BDM pair, and signature-vs-oracle
     /// containment for every in-flight task.
     fn audit_state(&mut self, cycle: u64) {
-        if !self.auditor.enabled() {
+        if !self.h.auditor.enabled() {
             return;
         }
         debug_assert!(self.window_holds(), "in-flight window invariant broken at an audit");
         for q in 0..self.procs.len() {
             let proc = &self.procs[q];
-            self.auditor.audit_set_restriction(q, cycle, &proc.bdm, &proc.cache);
+            self.h.auditor.audit_set_restriction(q, cycle, &proc.bdm, &proc.cache);
         }
         if !self.scheme.uses_signatures() {
             return;
@@ -1213,7 +978,7 @@ impl TlsMachine {
                         .find(|word| !w.contains_word(**word))
                         .map(|word| format!("task {k}: written word {word:?} not in the W signature"))
                 });
-            self.auditor.audit_containment(q, cycle, missing);
+            self.h.auditor.audit_containment(q, cycle, missing);
         }
     }
 
@@ -1270,12 +1035,12 @@ impl TlsMachine {
         let unsquashable =
             by.is_some() && self.tasks[k].escalated && k == self.oldest_uncommitted;
         let proc_of_k = self.tasks[k].proc.unwrap_or(0);
-        self.check_token_protocol(!unsquashable, proc_of_k, at, "escalated head task squashed");
+        self.h.check_token_protocol(!unsquashable, proc_of_k, at, "escalated head task squashed");
         self.stats.squashes += 1;
         if !truly {
             self.stats.false_squashes += 1;
         }
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.h.obs {
             obs.on_squash(k as u32, at, truly, dep);
         }
         let was_running = self.tasks[k].status == Status::Running;
@@ -1284,7 +1049,7 @@ impl TlsMachine {
         if self.scheme.uses_signatures() {
             let v = self.tasks[k].version.expect("in-flight task has version");
             // TLS squash also invalidates lines the task read (§6.3).
-            let exp = self.obs.as_ref().map(|o| o.expansion.clone());
+            let exp = self.h.obs.as_ref().map(|o| o.expansion.clone());
             let proc = &mut self.procs[p];
             flows::squash_observed(&mut proc.bdm, v, &mut proc.cache, true, exp.as_ref());
         } else {
@@ -1328,14 +1093,14 @@ impl TlsMachine {
             if !t.escalated && t.restarts >= threshold {
                 t.escalated = true;
                 self.stats.escalations += 1;
-                if let Some(obs) = &self.obs {
+                if let Some(obs) = &self.h.obs {
                     obs.on_escalation(k as u32, at);
                 }
             }
         }
         self.procs[p].timer.wait_until(at);
         self.procs[p].timer.advance(self.cfg.squash_overhead);
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.h.obs {
             let sec = self.tasks[k].section_span;
             if was_running {
                 // A running victim's attempt ends where the squash begins;
@@ -1346,17 +1111,17 @@ impl TlsMachine {
             self.tasks[k].section_span = SpanId::DROPPED;
             let post = self.procs[p].timer.now();
             let sq = obs.span_complete(p as u32, SpanKind::Squash, pre, post, dep);
-            obs.span_link(self.commit_cause, sq);
+            obs.span_link(self.h.commit_cause, sq);
         }
-        if self.live.is_some() {
+        if self.h.live.is_some() {
             // Age-based backoff: the victim's processor sits out a bounded,
             // jittered wait before the task is eligible to restart.
             let age_rank = k.saturating_sub(self.oldest_uncommitted);
-            let live = self.live.as_mut().expect("liveness armed");
+            let live = self.h.live.as_mut().expect("liveness armed");
             let wait = live.on_squash(by, k, !truly, age_rank, at);
             let b0 = self.procs[p].timer.now();
             self.procs[p].timer.advance(wait);
-            if let Some(obs) = &self.obs {
+            if let Some(obs) = &self.h.obs {
                 obs.on_backoff(k as u32, at, wait);
                 if wait > 0 {
                     obs.span_complete(p as u32, SpanKind::Backoff, b0, b0 + wait, 0);
@@ -1364,11 +1129,6 @@ impl TlsMachine {
             }
         }
         self.audit_state(at);
-    }
-
-    /// The shared signature configuration of this machine.
-    pub fn signature_config(&self) -> &Arc<SignatureConfig> {
-        &self.sig_config
     }
 
     fn neighbor_has(&self, p: usize, line: LineAddr) -> bool {
@@ -1785,7 +1545,7 @@ mod tests {
         m.tasks[1].escalated = true;
         m.tasks[1].proc = Some(0);
         m.start_on(0, 1, false);
-        let violations = m.auditor.take_violations();
+        let violations = m.h.auditor.take_violations();
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].kind, InvariantKind::TokenProtocol);
         assert!(violations[0].detail.contains("off the head"), "{violations:?}");

@@ -10,16 +10,16 @@
 
 use std::sync::Arc;
 
-use bulk_chaos::{Auditor, FaultPlan, InvariantKind, MachineError};
+use bulk_chaos::{FaultPlan, InvariantKind, MachineError};
 use bulk_core::{
     check_speculative_store, flows, Bdm, CommitEvent, CommitMsg, DeliveredSignatures,
     SectionStack, StoreCheck, VersionId,
 };
-use bulk_live::{Checkpoint, LivenessConfig, LivenessEngine};
+use bulk_live::{Checkpoint, LivenessConfig};
 use bulk_mem::{Addr, AddrSet, Cache, LineAddr, MsgClass, OverflowArea};
-use bulk_obs::{Obs, RuntimeObs, SpanId, SpanKind, SpanOutcome};
+use bulk_obs::{Obs, SpanId, SpanKind, SpanOutcome};
 use bulk_sig::{Signature, SignatureArena, SignatureConfig};
-use bulk_sim::{AccessTiming, Bus, CoreTimer, SimConfig};
+use bulk_sim::{AccessTiming, CommitRequest, CoreTimer, SimConfig, SimHarness};
 use bulk_trace::{TmOp, TmWorkload};
 
 use crate::{Scheme, TmStats};
@@ -97,13 +97,14 @@ impl Thread {
 pub struct TmMachine {
     cfg: SimConfig,
     scheme: Scheme,
-    sig_config: Arc<SignatureConfig>,
     /// Recycling pool for per-broadcast signature buffers (commit copies,
     /// section unions, membership probes) so the commit path stays off the
     /// allocator.
     sig_arena: SignatureArena,
     threads: Vec<Thread>,
-    bus: Bus,
+    /// Commit bus and instruments (chaos, auditor, obs, liveness), with
+    /// the pipeline stages shared with the TLS machine.
+    h: SimHarness,
     stats: TmStats,
     squash_cap: u64,
     /// Per-transaction squash count at which a thread escalates to the
@@ -114,18 +115,6 @@ pub struct TmMachine {
     /// While held, only the holder is scheduled: the serial region is a
     /// global exclusion, which is what makes the fallback trivially safe.
     serial_token: Option<usize>,
-    chaos: Option<FaultPlan>,
-    audit: bool,
-    auditor: Auditor,
-    obs: Option<RuntimeObs>,
-    /// Trace span of the commit broadcast currently being delivered, so
-    /// receiver-side squash/invalidate spans can be causally linked to
-    /// it. [`SpanId::DROPPED`] outside the delivery loop.
-    commit_cause: SpanId,
-    /// Liveness engine (watchdog + backoff + failable arbiter), armed by
-    /// [`TmMachine::enable_liveness`]. `None` leaves every existing run
-    /// bit-identical: no fault-stream draws, no timing changes.
-    live: Option<LivenessEngine>,
 }
 
 /// Runs `workload` under `scheme` on the given machine configuration and
@@ -247,10 +236,9 @@ impl TmMachine {
         Ok(TmMachine {
             cfg: cfg.clone(),
             scheme,
-            sig_arena: SignatureArena::new(sig_config.clone()),
-            sig_config,
+            sig_arena: SignatureArena::new(sig_config),
+            h: SimHarness::new("tm.", scheme.to_string(), threads.len(), threads.len()),
             threads,
-            bus: Bus::new(),
             stats: TmStats::default(),
             squash_cap: DEFAULT_SQUASH_CAP,
             // The naive-eager baseline exists to demonstrate the Fig. 12(a)
@@ -261,18 +249,7 @@ impl TmMachine {
                 Some(DEFAULT_ESCALATION_THRESHOLD)
             },
             serial_token: None,
-            chaos: None,
-            audit: false,
-            auditor: Auditor::off(),
-            obs: None,
-            commit_cause: SpanId::DROPPED,
-            live: None,
         })
-    }
-
-    /// The shared signature configuration of this machine.
-    pub fn signature_config(&self) -> &Arc<SignatureConfig> {
-        &self.sig_config
     }
 
     /// Overrides the livelock safety cap (total squashes before the run is
@@ -291,20 +268,22 @@ impl TmMachine {
     /// into metrics under the `tm.` prefix and into the shared event log,
     /// and every squash is attributed against the exact oracle.
     pub fn attach_obs(&mut self, obs: Arc<Obs>) {
-        let robs = RuntimeObs::attach(obs, "tm.");
+        let robs = self.h.attach_obs(obs);
         for t in &mut self.threads {
             t.overflow.attach_obs(robs.overflow.clone());
         }
-        self.obs = Some(robs);
+    }
+
+    /// The machine's bus and instruments, for callers that arm chaos,
+    /// audit and liveness the same way on either machine.
+    pub fn harness_mut(&mut self) -> &mut SimHarness {
+        &mut self.h
     }
 
     /// Arms the chaos fault injector for this run. The run then becomes a
     /// pure function of (workload, scheme, config, `plan.seed()`).
     pub fn set_chaos(&mut self, plan: FaultPlan) {
-        self.chaos = Some(plan);
-        if self.audit {
-            self.rebuild_auditor();
-        }
+        self.h.set_chaos(plan);
     }
 
     /// Arms the liveness engine: squash-triggered backoff arbitration, the
@@ -313,29 +292,14 @@ impl TmMachine {
     /// verification at chaos context switches. Call *after*
     /// [`TmMachine::set_chaos`] so the backoff jitter inherits the chaos
     /// seed; with `cfg.seed == 0` and chaos armed, the chaos seed is used.
-    pub fn enable_liveness(&mut self, mut cfg: LivenessConfig) {
-        let chaos_seed = self.chaos.as_ref().map(|p| p.seed());
-        if cfg.seed == 0 {
-            cfg.seed = chaos_seed.unwrap_or(0);
-        }
-        self.live = Some(LivenessEngine::new(
-            self.scheme.to_string(),
-            self.threads.len(),
-            cfg,
-            chaos_seed,
-        ));
+    pub fn enable_liveness(&mut self, cfg: LivenessConfig) {
+        self.h.enable_liveness(cfg);
     }
 
     /// Enables the runtime invariant auditor; violations are collected in
     /// [`TmStats::violations`] instead of panicking.
     pub fn enable_audit(&mut self) {
-        self.audit = true;
-        self.rebuild_auditor();
-    }
-
-    fn rebuild_auditor(&mut self) {
-        let seed = self.chaos.as_ref().map(|p| p.seed());
-        self.auditor = Auditor::new(self.scheme.to_string(), self.threads.len(), seed);
+        self.h.enable_audit();
     }
 
     /// Runs the machine to completion and returns the statistics.
@@ -356,7 +320,7 @@ impl TmMachine {
                 self.stats.livelocked = true;
                 break;
             }
-            if self.live.as_ref().is_some_and(|l| l.tripped()) {
+            if self.h.live.as_ref().is_some_and(|l| l.tripped()) {
                 // The watchdog tripped: the run cannot make progress, so it
                 // aborts with a diagnosis instead of burning the squash cap.
                 self.stats.livelocked = true;
@@ -366,7 +330,7 @@ impl TmMachine {
                 break;
             };
             self.step(tid)?;
-            if let Some(live) = &mut self.live {
+            if let Some(live) = &mut self.h.live {
                 live.on_tick(self.threads[tid].timer.now());
                 if self.threads[tid].done {
                     live.on_done(tid);
@@ -376,57 +340,14 @@ impl TmMachine {
         self.stats.cycles = self.threads.iter().map(|t| t.timer.now()).max().unwrap_or(0);
         self.stats.overflow_accesses =
             self.threads.iter().map(|t| t.overflow.accesses()).sum();
-        if let Some(plan) = &mut self.chaos {
-            self.stats.chaos = plan.take_stats();
-        }
-        // Fold the trace into the Fig. 13 cycle breakdown; conservation
-        // failures become audited invariant violations (they must land
-        // before the auditor is drained below).
-        if let Some(obs) = &self.obs {
-            let totals: Vec<u64> = self.threads.iter().map(|t| t.timer.now()).collect();
-            let breakdown = obs.finish_cycle_accounting(&totals);
-            if self.auditor.enabled() {
-                for v in &breakdown.violations {
-                    self.auditor.record(
-                        InvariantKind::CycleConservation,
-                        if v.actor == u32::MAX { 0 } else { v.actor as usize },
-                        v.cycle,
-                        v.detail.clone(),
-                    );
-                }
-            }
-        }
-        self.stats.audit_checks = self.auditor.checks();
-        self.stats.violations = self.auditor.take_violations();
-        if let Some(live) = &mut self.live {
-            self.stats.liveness = live.stats();
-            self.stats.liveness_violations = live.take_violations();
-            if let Some(obs) = &self.obs {
-                for v in &self.stats.liveness_violations {
-                    obs.on_watchdog_trip(
-                        v.thread.unwrap_or(0) as u32,
-                        v.cycle,
-                        v.kind.as_str(),
-                    );
-                }
-            }
-        }
+        let totals: Vec<u64> = self.threads.iter().map(|t| t.timer.now()).collect();
+        let tail = self.h.drain(&totals);
+        self.stats.chaos = tail.chaos;
+        self.stats.audit_checks = tail.audit_checks;
+        self.stats.violations = tail.violations;
+        self.stats.liveness = tail.liveness;
+        self.stats.liveness_violations = tail.liveness_violations;
         Ok(self.stats)
-    }
-
-    /// Token-protocol invariant check: under audit a breach becomes a
-    /// structured [`InvariantKind::TokenProtocol`] report (so release-mode
-    /// chaos soaks catch it); otherwise it stays the `debug_assert!` it
-    /// used to be.
-    fn check_token_protocol(&mut self, ok: bool, thread: usize, cycle: u64, detail: &str) {
-        if ok {
-            return;
-        }
-        if self.auditor.enabled() {
-            self.auditor.record(InvariantKind::TokenProtocol, thread, cycle, detail.to_string());
-        } else {
-            debug_assert!(false, "{detail}");
-        }
     }
 
     fn pick_runnable(&mut self) -> Result<Option<usize>, MachineError> {
@@ -435,7 +356,7 @@ impl TmMachine {
         if let Some(k) = self.serial_token {
             if self.threads[k].done {
                 let cycle = self.threads[k].timer.now();
-                self.check_token_protocol(
+                self.h.check_token_protocol(
                     false,
                     k,
                     cycle,
@@ -482,12 +403,12 @@ impl TmMachine {
             let pre = t.timer.now();
             t.timer.wait_until(release);
             if release > pre {
-                if let Some(obs) = &self.obs {
+                if let Some(obs) = &self.h.obs {
                     obs.span_complete(tid as u32, SpanKind::Stall, pre, release, blocker as u64);
                 }
             }
         }
-        if self.chaos.is_some() {
+        if self.h.chaos.is_some() {
             self.chaos_perturb(tid);
         }
         let op = self.threads[tid].ops[self.threads[tid].pc];
@@ -501,7 +422,7 @@ impl TmMachine {
             TmOp::Read(a) => self.op_read(tid, a)?,
             TmOp::Write(a) => self.op_write(tid, a)?,
         }
-        self.auditor.observe_clock(tid, self.threads[tid].timer.now());
+        self.h.auditor.observe_clock(tid, self.threads[tid].timer.now());
         if self.threads[tid].pc >= self.threads[tid].ops.len() {
             self.threads[tid].done = true;
             debug_assert!(!self.threads[tid].in_tx(), "trace ended inside a transaction");
@@ -513,21 +434,13 @@ impl TmMachine {
     /// switches (spill + reload of the running version's signatures,
     /// §6.2.2) and forced cache evictions (overflow pressure).
     fn chaos_perturb(&mut self, tid: usize) {
-        let Some(plan) = &mut self.chaos else { return };
-        if plan.force_context_switch() {
-            let cycles = plan.config().ctx_switch_cycles;
+        if self.h.forced_ctx_switch(tid, &mut self.threads[tid].timer) {
             let t = &mut self.threads[tid];
-            let pre = t.timer.now();
-            t.timer.advance(cycles);
-            if let Some(obs) = &self.obs {
-                obs.on_ctx_switch(tid as u32, t.timer.now());
-                obs.span_complete(tid as u32, SpanKind::CtxSwitch, pre, t.timer.now(), 0);
-            }
             if let Some(v) = t.version.take() {
                 // The OS preempts mid-transaction: signatures spill to
                 // memory and reload when the thread is rescheduled.
                 let spilled = t.bdm.spill_version(v);
-                if self.live.is_some() {
+                if self.h.live.is_some() {
                     // Crash-consistent restore: checkpoint the spilled state
                     // (+ overflow area), reload, re-spill, and prove the
                     // round trip bit-faithful before the thread resumes — a
@@ -539,7 +452,7 @@ impl TmMachine {
                         Ok(v3) => {
                             t.bdm.set_running(Some(v3));
                             t.version = Some(v3);
-                            if let Some(live) = &mut self.live {
+                            if let Some(live) = &mut self.h.live {
                                 live.note_checkpoint(true);
                             }
                         }
@@ -552,12 +465,12 @@ impl TmMachine {
                             // yields a typed MissingVersion error instead
                             // of this site panicking.
                             let now = t.timer.now();
-                            if let Some(live) = &mut self.live {
+                            if let Some(live) = &mut self.h.live {
                                 live.report_checkpoint_failure(tid, now, e.to_string());
                             }
                         }
                     }
-                    if let Some(obs) = &self.obs {
+                    if let Some(obs) = &self.h.obs {
                         obs.on_checkpoint();
                         let now = t.timer.now();
                         obs.span_complete(tid as u32, SpanKind::Checkpoint, now, now, 0);
@@ -577,22 +490,10 @@ impl TmMachine {
                 }
             }
         }
-        let Some(plan) = &mut self.chaos else { return };
-        if plan.force_eviction() {
-            let t = &self.threads[tid];
-            let mut resident: Vec<(LineAddr, bool)> =
-                t.cache.iter().map(|l| (l.addr(), l.is_dirty())).collect();
-            // Sort so the pick is a function of the cache *contents*, not of
-            // the sets' internal order (which depends on the hash-ordered
-            // invalidation history and differs run to run).
-            resident.sort_unstable();
-            if !resident.is_empty() {
-                let plan = self.chaos.as_mut().expect("plan present");
-                let (victim, dirty) = resident[plan.pick(resident.len())];
-                self.threads[tid].cache.invalidate(victim);
-                if dirty {
-                    self.handle_dirty_victim(tid, victim);
-                }
+        if let Some((victim, dirty)) = self.h.forced_eviction(&self.threads[tid].cache, false) {
+            self.threads[tid].cache.invalidate(victim);
+            if dirty {
+                self.handle_dirty_victim(tid, victim);
             }
         }
     }
@@ -619,14 +520,14 @@ impl TmMachine {
             // no longer be squashed, so it is guaranteed to finish.
             let ok = self.serial_token.is_none();
             let now = self.threads[tid].timer.now();
-            self.check_token_protocol(ok, tid, now, "serial token double-granted at Begin");
+            self.h.check_token_protocol(ok, tid, now, "serial token double-granted at Begin");
             self.serial_token = Some(tid);
             let t = &mut self.threads[tid];
             t.serialized = true;
             t.tx_serial += 1;
             t.tx_start_pc = t.pc;
             t.tx_start_cycle = t.timer.now();
-            if let Some(obs) = &self.obs {
+            if let Some(obs) = &self.h.obs {
                 t.section_span =
                     obs.span_begin(tid as u32, SpanKind::Section, t.tx_start_cycle, t.tx_serial);
             }
@@ -655,7 +556,7 @@ impl TmMachine {
             t.tx_serial += 1;
             t.tx_start_pc = t.pc;
             t.tx_start_cycle = t.timer.now();
-            if let Some(obs) = &self.obs {
+            if let Some(obs) = &self.h.obs {
                 t.section_span =
                     obs.span_begin(tid as u32, SpanKind::Section, t.tx_start_cycle, t.tx_serial);
             }
@@ -723,10 +624,10 @@ impl TmMachine {
     /// the serial token.
     fn serialized_commit(&mut self, tid: usize) {
         let now = self.threads[tid].timer.now();
-        let start = self.bus.acquire(now, self.cfg.commit_arb);
+        let start = self.h.bus.acquire(now, self.cfg.commit_arb);
         let finish = start + self.cfg.commit_arb;
         self.threads[tid].timer.wait_until(finish);
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.h.obs {
             let sec = self.threads[tid].section_span;
             obs.span_end(sec, now);
             obs.span_outcome(sec, SpanOutcome::Useful);
@@ -737,7 +638,7 @@ impl TmMachine {
         self.stats.commits += 1;
         self.stats.serialized_commits += 1;
         self.push_commit_event(tid, finish);
-        self.auditor.observe_commit(tid, finish);
+        self.h.auditor.observe_commit(tid, finish);
         let t = &mut self.threads[tid];
         t.serialized = false;
         t.escalated = false;
@@ -745,9 +646,9 @@ impl TmMachine {
         t.tx_serial += 1; // releases threads stalled on this transaction
         t.overflow.discard();
         let ok = self.serial_token == Some(tid);
-        self.check_token_protocol(ok, tid, finish, "serialized commit without the serial token");
+        self.h.check_token_protocol(ok, tid, finish, "serialized commit without the serial token");
         self.serial_token = None;
-        if let Some(live) = &mut self.live {
+        if let Some(live) = &mut self.h.live {
             live.on_commit(tid, finish);
         }
         self.audit_state(finish);
@@ -770,7 +671,7 @@ impl TmMachine {
                 .others(tid)
                 .filter(|&j| self.threads[j].in_tx() && self.threads[j].write_set.contains(&line))
                 .collect();
-            if !self.resolve_eager_conflicts(tid, &conflicting, line) {
+            if !self.resolve_eager_conflicts(tid, &conflicting) {
                 return Ok(()); // stalled; retry this op later
             }
         }
@@ -815,7 +716,7 @@ impl TmMachine {
                 .others(tid)
                 .filter(|&j| self.threads[j].in_tx() && self.threads[j].exact_union_contains(line))
                 .collect();
-            if !self.resolve_eager_conflicts(tid, &conflicting, line) {
+            if !self.resolve_eager_conflicts(tid, &conflicting) {
                 return Ok(()); // stalled
             }
             // The eager store itself propagates an invalidation.
@@ -902,20 +803,20 @@ impl TmMachine {
             self.sig_arena.give(p);
         }
         let now = self.threads[tid].timer.now();
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.h.obs {
             if !victims.is_empty() {
                 // A non-speculative store squashes via an individual
                 // invalidation rather than a commit broadcast; its span
                 // is the cause the victims' squash spans link back to.
                 let inv = obs.span_complete(tid as u32, SpanKind::Invalidate, now, now, 1);
-                self.commit_cause = inv;
+                self.h.commit_cause = inv;
             }
         }
         for j in victims {
             let truly = self.threads[j].exact_union_contains(line);
             self.squash_thread(j, now, truly, if truly { 1 } else { 0 }, Some(tid));
         }
-        self.commit_cause = SpanId::DROPPED;
+        self.h.commit_cause = SpanId::DROPPED;
         self.invalidate_in_others(tid, line);
         self.timed_access(tid, line, true);
         self.threads[tid].pc += 1;
@@ -935,139 +836,47 @@ impl TmMachine {
         // to bus-finish (denied-retry backoff included) is commit time.
         let sec_end = self.threads[tid].timer.now();
 
-        // Chaos: the arbiter may deny the commit request a bounded number
-        // of times; the committer retries with exponential backoff.
-        let mut attempt = 0u32;
-        loop {
-            let Some(plan) = self.chaos.as_mut() else { break };
-            let Some(backoff) = plan.deny_commit(attempt) else { break };
-            self.stats.commit_retries += 1;
-            self.threads[tid].timer.advance(backoff);
-            attempt += 1;
-        }
-
-        // Broadcast payload and bus occupancy.
-        let (payload_bytes, mut msg) = match scheme {
-            Scheme::EagerNaive | Scheme::Eager => (0u64, CommitMsg::AddressList),
+        // Broadcast payload.
+        let (payload, msg) = match scheme {
+            Scheme::EagerNaive | Scheme::Eager => (None, CommitMsg::AddressList),
             Scheme::Lazy => {
-                (exact_w.len() as u64 * self.cfg.msg_sizes.addr_msg, CommitMsg::AddressList)
+                (Some(exact_w.len() as u64 * self.cfg.msg_sizes.addr_msg), CommitMsg::AddressList)
             }
             Scheme::Bulk => {
                 let v = self.version_of(tid, "bulk commit")?;
                 let w = self.sig_arena.clone_of(self.threads[tid].bdm.write_signature(v));
-                (w.compressed_size_bits().div_ceil(8), CommitMsg::signatures(w))
+                (Some(w.compressed_size_bits().div_ceil(8)), CommitMsg::signatures(w))
             }
             Scheme::BulkPartial => {
                 let w = self.threads[tid].sections.commit_union_with(&mut self.sig_arena);
-                (w.compressed_size_bits().div_ceil(8), CommitMsg::signatures(w))
+                (Some(w.compressed_size_bits().div_ceil(8)), CommitMsg::signatures(w))
             }
         };
 
-        // Chaos: in-flight bit flips, broadcast delay, duplication.
-        let (delay, duplicate) = match self.chaos.as_mut() {
-            Some(plan) => {
-                plan.maybe_corrupt(&mut msg);
-                (plan.broadcast_delay(), plan.duplicate_broadcast())
-            }
-            None => (0, false),
+        // The committing processor is blocked from the request to
+        // bus-finish, so a denied arbitration's backoff lands on its timer.
+        let section = std::mem::replace(&mut self.threads[tid].section_span, SpanId::DROPPED);
+        if let Some(obs) = &self.h.obs {
+            obs.span_end(section, sec_end);
+        }
+        let request = CommitRequest {
+            committer: tid,
+            serial: self.threads[tid].tx_serial,
+            actor: tid,
+            lane: tid as u32,
+            at: sec_end,
+            payload,
+            writes: exact_w.len() as u64,
+            msg,
+            section,
         };
-
-        let now = self.threads[tid].timer.now();
-        let duration = self.cfg.commit_arb
-            + if scheme.is_eager() { 0 } else { self.cfg.broadcast_cycles(payload_bytes) }
-            + delay;
-        let start = self.bus.acquire(now, duration);
-        let mut finish = start + duration;
-        if !scheme.is_eager() {
-            self.stats.bw.record_commit(payload_bytes, &self.cfg.msg_sizes);
-        }
-
-        // Delivery: receivers CRC-check signature payloads. A detected
-        // corruption is nacked and retransmitted from the committer's
-        // pristine copy — costing bus time, never correctness.
-        let delivered = msg.deliver();
-        if let Some(d) = &delivered {
-            if d.corruption_detected {
-                let retransmit = self
-                    .chaos
-                    .as_ref()
-                    .map_or(0, |p| p.config().retransmit_cycles);
-                let restart = self.bus.acquire(finish, retransmit);
-                finish = restart + retransmit;
-                self.stats.bw.record_commit(payload_bytes, &self.cfg.msg_sizes);
-            }
-            if let Some(plan) = self.chaos.as_mut() {
-                plan.note_delivery(d.corruption_detected, d.silent_corruption);
-            }
-            if d.silent_corruption {
-                self.auditor.record(
-                    InvariantKind::UndetectedCorruption,
-                    tid,
-                    finish,
-                    "corrupted commit signature passed its CRC".to_string(),
-                );
-            }
-        }
-
-        // Liveness: the commit arbiter itself can crash mid-broadcast
-        // (chaos `arbiter_crash` fault, consulted only when a liveness
-        // engine is armed). The new epoch's arbiter replays the in-flight
-        // broadcast; receivers dedup it by (committer, serial) ticket so a
-        // committed-but-unacked W_C is never applied twice.
-        let ticket = self
-            .live
-            .as_ref()
-            .map(|l| l.ticket(tid, self.threads[tid].tx_serial));
-        let mut replay_rounds = 0u32;
-        if self.live.is_some() {
-            // The replay itself can be hit by another crash
-            // (crash-during-replay): keep consulting the fault plan, one
-            // re-election and one extra replay round per crash, up to the
-            // plan's per-broadcast bound so recovery always terminates.
-            let crash_cap = self
-                .chaos
-                .as_ref()
-                .map_or(0, |plan| plan.config().max_crashes_per_broadcast);
-            while replay_rounds < crash_cap
-                && self.chaos.as_mut().is_some_and(|plan| plan.arbiter_crash())
-            {
-                let live = self.live.as_mut().expect("liveness armed");
-                let reelect = live.arbiter_crash();
-                // Re-election occupies the bus (no broadcast can proceed while
-                // the arbiter lease times out), keeping commit order total.
-                let restart = self.bus.acquire(finish, reelect);
-                finish = restart + reelect;
-                replay_rounds += 1;
-                if let Some(obs) = &self.obs {
-                    obs.on_arbiter_failover(tid as u32, finish, live.epoch());
-                }
-            }
-        }
+        let b = self.h.broadcast(&self.cfg, &mut self.stats.bw, request);
+        let (finish, delivered, ticket) = (b.finish, b.delivered, b.ticket);
+        self.stats.commit_retries += u64::from(b.retries);
         self.threads[tid].timer.wait_until(finish);
 
         self.stats.commits += 1;
         self.push_commit_event(tid, finish);
-        if let Some(obs) = &self.obs {
-            // Latency: end of the speculative section to broadcast
-            // completion — arbitration, failover replays and bus occupancy
-            // all included.
-            obs.on_commit(
-                tid as u32,
-                finish,
-                payload_bytes,
-                exact_w.len() as u64,
-                finish.saturating_sub(sec_end),
-            );
-            let sec = self.threads[tid].section_span;
-            obs.span_end(sec, sec_end);
-            obs.span_outcome(sec, SpanOutcome::Useful);
-            let c = obs.span_child(tid as u32, SpanKind::Commit, sec_end, exact_w.len() as u64, sec);
-            obs.span_end(c, finish);
-            self.threads[tid].section_span = SpanId::DROPPED;
-            // Receiver-side squashes and bulk invalidations triggered by
-            // this broadcast link back to its commit span.
-            self.commit_cause = c;
-        }
         self.stats.rd_set_lines += self.threads[tid].read_set.len() as u64;
         self.stats.wr_set_lines += self.threads[tid].write_set.len() as u64;
 
@@ -1090,30 +899,17 @@ impl TmMachine {
             self.stats.bw.record(MsgClass::Wb, n * self.cfg.msg_sizes.line_msg);
         }
 
-        // Receivers. A chaos-duplicated broadcast is delivered twice, and a
-        // post-failover arbiter replays the in-flight broadcast once more.
-        // Without a liveness engine the second delivery relies on being
-        // idempotent (squashed receivers are no longer in a transaction,
-        // invalidations are idempotent); with one, receivers dedup by
-        // ticket and drop every delivery after the first.
-        let rounds = if duplicate { 2 } else { 1 } + replay_rounds;
-        for _ in 0..rounds {
-            if let (Some(live), Some(tk)) = (self.live.as_mut(), ticket) {
-                if !live.admit(tk) {
-                    if let Some(obs) = &self.obs {
-                        obs.on_dedup_drop();
-                    }
-                    continue;
-                }
+        // Receivers, once per admitted delivery round.
+        for _ in 0..b.rounds {
+            if !self.h.admit(ticket) {
+                continue;
             }
             for j in self.others(tid) {
                 self.receive_commit(j, tid, &exact_w, delivered.as_ref(), finish)?;
             }
-            if let (Some(live), Some(tk)) = (self.live.as_mut(), ticket) {
-                live.record_application(tk);
-            }
+            self.h.applied(ticket);
         }
-        self.commit_cause = SpanId::DROPPED;
+        self.h.commit_cause = SpanId::DROPPED;
 
         // The delivered (wire) signatures are dead now — recycle their
         // buffers for the next broadcast.
@@ -1148,11 +944,11 @@ impl TmMachine {
             _ => t.overflow.discard(),
         }
 
-        self.auditor.observe_commit(tid, finish);
-        if let Some(live) = &mut self.live {
+        self.h.auditor.observe_commit(tid, finish);
+        if let Some(live) = &mut self.h.live {
             live.on_commit(tid, finish);
         }
-        if self.auditor.enabled() {
+        if self.h.auditor.enabled() {
             // Serializability: every surviving speculative transaction must
             // be conflict-free with the committed write set — anything else
             // should have been squashed or rolled back above.
@@ -1169,7 +965,7 @@ impl TmMachine {
                         "thread {j} survived a commit by thread {tid} that overlaps \
                          its exact sets at line {l}"
                     );
-                    self.auditor.record(InvariantKind::Serializability, j, finish, detail);
+                    self.h.auditor.record(InvariantKind::Serializability, j, finish, detail);
                 }
             }
             self.audit_state(finish);
@@ -1248,7 +1044,7 @@ impl TmMachine {
                 };
                 self.check_no_false_negative(j, exact_conflict, sig_conflict, finish);
                 if in_tx {
-                    if let Some(obs) = &self.obs {
+                    if let Some(obs) = &self.h.obs {
                         obs.verdicts.record(sig_conflict, exact_conflict);
                     }
                 }
@@ -1256,7 +1052,7 @@ impl TmMachine {
                     let dep = self.exact_dep_size(j, exact_w);
                     self.squash_thread(j, finish, exact_conflict, dep, Some(committer));
                 } else {
-                    self.bulk_apply_commit(j, committer, w, exact_w, finish);
+                    self.bulk_apply_commit(j, w, exact_w, finish);
                 }
             }
             Scheme::BulkPartial => {
@@ -1279,7 +1075,7 @@ impl TmMachine {
                 };
                 self.check_no_false_negative(j, exact_conflict, violated.is_some(), finish);
                 if in_tx {
-                    if let Some(obs) = &self.obs {
+                    if let Some(obs) = &self.h.obs {
                         obs.verdicts.record(violated.is_some(), exact_conflict);
                     }
                 }
@@ -1293,7 +1089,7 @@ impl TmMachine {
                         self.partial_rollback(j, sec, finish, exact_conflict);
                     }
                     None => {
-                        self.bulk_apply_commit(j, committer, w, exact_w, finish);
+                        self.bulk_apply_commit(j, w, exact_w, finish);
                     }
                 }
             }
@@ -1301,52 +1097,16 @@ impl TmMachine {
         Ok(())
     }
 
-    /// A signature disambiguation that misses a real (exact-set) conflict
-    /// is a false negative — the one failure signatures must never have
-    /// (§3). Under audit it becomes a structured report; otherwise it is
-    /// a debug assertion, as before.
     fn check_no_false_negative(&mut self, j: usize, exact: bool, sig: bool, cycle: u64) {
-        if exact && !sig {
-            if self.auditor.enabled() {
-                self.auditor.record(
-                    InvariantKind::SignatureContainment,
-                    j,
-                    cycle,
-                    "signature disambiguation missed an exact-set conflict \
-                     (false negative)"
-                        .to_string(),
-                );
-            } else {
-                debug_assert!(false, "signature false negative");
-            }
-        }
+        self.h.check_no_false_negative(exact, sig, j, cycle, || {
+            "signature disambiguation missed an exact-set conflict (false negative)".to_string()
+        });
     }
 
-    fn bulk_apply_commit(
-        &mut self,
-        j: usize,
-        _committer: usize,
-        w: &Signature,
-        exact_w: &AddrSet<LineAddr>,
-        finish: u64,
-    ) {
-        let exp = self.obs.as_ref().map(|o| o.expansion.clone());
+    fn bulk_apply_commit(&mut self, j: usize, w: &Signature, exact_w: &AddrSet<LineAddr>, at: u64) {
         let t = &mut self.threads[j];
-        let app = flows::apply_remote_commit_observed(&t.bdm, w, &mut t.cache, exp.as_ref());
-        let false_inv = app
-            .invalidated
-            .iter()
-            .filter(|l| !exact_w.contains(l))
-            .count() as u64;
+        let (app, false_inv) = self.h.bulk_apply(j, &t.bdm, &mut t.cache, w, exact_w, at);
         self.stats.false_invalidations += false_inv;
-        if let Some(obs) = &self.obs {
-            let lines = app.invalidated.len() as u64;
-            obs.on_bulk_invalidate(j as u32, finish, lines, lines - false_inv);
-            if lines > 0 {
-                let inv = obs.span_complete(j as u32, SpanKind::BulkInvalidate, finish, finish, lines);
-                obs.span_link(self.commit_cause, inv);
-            }
-        }
         debug_assert!(app.merged.is_empty(), "line-grain TM signatures never merge");
     }
 
@@ -1387,12 +1147,12 @@ impl TmMachine {
         t.depth = depth_at(&t.ops, t.pc, t.tx_start_pc);
         t.timer.wait_until(at);
         t.timer.advance(self.cfg.squash_overhead);
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.h.obs {
             // The section span stays open: the transaction is still live,
             // only its tail sections re-execute.
             let post = self.threads[j].timer.now();
             let sq = obs.span_complete(j as u32, SpanKind::Squash, pre, post, sec as u64);
-            obs.span_link(self.commit_cause, sq);
+            obs.span_link(self.h.commit_cause, sq);
         }
         self.audit_state(at);
     }
@@ -1408,12 +1168,12 @@ impl TmMachine {
         } else {
             self.stats.false_squashes += 1;
         }
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.h.obs {
             obs.on_squash(j as u32, at, truly, dep);
         }
         let pre = self.threads[j].timer.now();
         let scheme = self.scheme;
-        let exp = self.obs.as_ref().map(|o| o.expansion.clone());
+        let exp = self.h.obs.as_ref().map(|o| o.expansion.clone());
         let t = &mut self.threads[j];
         if scheme.uses_signatures() {
             if let Some(v) = t.version {
@@ -1452,24 +1212,24 @@ impl TmMachine {
         // Escalation: too many squashes of the same transaction trigger the
         // serialized fallback on its next restart.
         t.tx_squashes += 1;
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.h.obs {
             let sec = self.threads[j].section_span;
             obs.span_end(sec, pre);
             obs.span_outcome(sec, SpanOutcome::Squashed);
             self.threads[j].section_span = SpanId::DROPPED;
             let post = self.threads[j].timer.now();
             let sq = obs.span_complete(j as u32, SpanKind::Squash, pre, post, dep);
-            obs.span_link(self.commit_cause, sq);
+            obs.span_link(self.h.commit_cause, sq);
         }
         // Liveness: record the squash with the watchdog and apply the
         // age-weighted randomized backoff before the victim retries.
-        if self.live.is_some() {
+        if self.h.live.is_some() {
             let age_rank = self.age_rank(j);
-            let live = self.live.as_mut().expect("liveness armed");
+            let live = self.h.live.as_mut().expect("liveness armed");
             let wait = live.on_squash(by, j, !truly, age_rank, at);
             let b0 = self.threads[j].timer.now();
             self.threads[j].timer.advance(wait);
-            if let Some(obs) = &self.obs {
+            if let Some(obs) = &self.h.obs {
                 obs.on_backoff(j as u32, at, wait);
                 if wait > 0 {
                     obs.span_complete(j as u32, SpanKind::Backoff, b0, b0 + wait, 0);
@@ -1481,7 +1241,7 @@ impl TmMachine {
             if !t.escalated && t.tx_squashes >= threshold {
                 t.escalated = true;
                 self.stats.escalations += 1;
-                if let Some(obs) = &self.obs {
+                if let Some(obs) = &self.h.obs {
                     obs.on_escalation(j as u32, at);
                 }
             }
@@ -1495,7 +1255,7 @@ impl TmMachine {
 
     /// Resolves eager conflicts between `tid` and `conflicting` threads.
     /// Returns `false` if `tid` must stall and retry the op.
-    fn resolve_eager_conflicts(&mut self, tid: usize, conflicting: &[usize], line: LineAddr) -> bool {
+    fn resolve_eager_conflicts(&mut self, tid: usize, conflicting: &[usize]) -> bool {
         if conflicting.is_empty() {
             return true;
         }
@@ -1516,7 +1276,6 @@ impl TmMachine {
         let now = self.threads[tid].timer.now();
         for &j in conflicting {
             let dep = 1; // the conflicting line
-            let _ = line;
             self.squash_thread(j, now, true, dep, Some(tid));
         }
         true
@@ -1621,7 +1380,7 @@ impl TmMachine {
             // §6.2.2: speculative dirty evictions go to the overflow area.
             self.threads[tid].overflow.spill(victim);
             self.stats.overflow_spills += 1;
-            if let Some(obs) = &self.obs {
+            if let Some(obs) = &self.h.obs {
                 let t = &self.threads[tid];
                 let now = t.timer.now();
                 obs.on_overflow_spill(tid as u32, now, t.overflow.len() as u64);
@@ -1645,12 +1404,12 @@ impl TmMachine {
     /// exact read/write set missing from the signature is a false-negative
     /// hazard).
     fn audit_state(&mut self, cycle: u64) {
-        if !self.auditor.enabled() {
+        if !self.h.auditor.enabled() {
             return;
         }
         for j in 0..self.threads.len() {
             let t = &self.threads[j];
-            self.auditor.audit_set_restriction(j, cycle, &t.bdm, &t.cache);
+            self.h.auditor.audit_set_restriction(j, cycle, &t.bdm, &t.cache);
             if !t.speculative() {
                 continue;
             }
@@ -1668,7 +1427,7 @@ impl TmMachine {
                         .find(|l| !w.contains_line(**l))
                         .map(|l| format!("write-set line {l} is not in the W signature"))
                 });
-            self.auditor.audit_containment(j, cycle, missing);
+            self.h.auditor.audit_containment(j, cycle, missing);
         }
     }
 
@@ -2187,7 +1946,7 @@ mod tests {
         let picked = m.pick_runnable().expect("not a deadlock");
         assert_eq!(m.serial_token, None, "orphaned token must be released");
         assert_eq!(picked, Some(1));
-        let v = &m.auditor.violations()[0];
+        let v = &m.h.auditor.violations()[0];
         assert_eq!(v.kind, InvariantKind::TokenProtocol);
         assert!(v.detail.contains("finished thread"), "{}", v.detail);
     }
@@ -2203,7 +1962,7 @@ mod tests {
         m.serial_token = Some(1);
         m.threads[0].escalated = true;
         m.op_begin(0);
-        let v = &m.auditor.violations()[0];
+        let v = &m.h.auditor.violations()[0];
         assert_eq!(v.kind, InvariantKind::TokenProtocol);
         assert!(v.detail.contains("double-granted"), "{}", v.detail);
     }

@@ -10,12 +10,24 @@
 //! the two runs (the whole engine is a pure function of the seed). The
 //! arbiter-crash profile must actually crash the arbiter at least once per
 //! sweep, or it would be vacuous.
+//!
+//! `tests/golden/liveness_digests.txt` pins the `sig::crc64` of every
+//! configuration's metrics JSON: the failover half of the commit pipeline
+//! (re-election, replay, dedup rounds) that no `sim_digests` row arms. A
+//! PR that means to change a simulated result regenerates the file and
+//! says why in CHANGES.md:
+//!
+//! ```text
+//! cargo test --test liveness_soak -- --ignored regenerate
+//! ```
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use bulk_repro::chaos::{ChaosConfig, FaultPlan};
 use bulk_repro::live::{BackoffConfig, LivenessConfig, LivenessKind};
 use bulk_repro::obs::Obs;
+use bulk_repro::sig::crc64;
 use bulk_repro::sim::SimConfig;
 use bulk_repro::tls::{TlsMachine, TlsScheme};
 use bulk_repro::tm::{Scheme, TmMachine};
@@ -111,8 +123,30 @@ fn check(a: &RunOutcome, b: &RunOutcome, expected_commits: u64, ctx: &str) {
     );
 }
 
-#[test]
-fn tm_liveness_soak_commits_everything_exactly_once() {
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/liveness_digests.txt")
+}
+
+/// Asserts that `digests` (one machine's sweep) are exactly that
+/// machine's rows of the golden file.
+fn assert_golden(machine: &str, digests: &[String]) {
+    let golden = std::fs::read_to_string(golden_path()).expect("tests/golden/liveness_digests.txt");
+    let want: Vec<&str> =
+        golden.lines().filter(|l| l.split(' ').nth(1) == Some(machine)).collect();
+    let moved: Vec<&String> =
+        digests.iter().filter(|d| !want.contains(&d.as_str())).collect();
+    assert!(
+        moved.is_empty() && digests.len() == want.len(),
+        "{} of {} {machine} liveness digests differ from tests/golden/liveness_digests.txt \
+         (see this file's header to regenerate): {moved:?}",
+        moved.len(),
+        want.len(),
+    );
+}
+
+/// The TM sweep: checks every configuration and returns its golden rows.
+fn tm_sweep() -> Vec<String> {
+    let mut digests = Vec::new();
     let mut crashes = 0u64;
     for app in ["mc", "cb"] {
         for scheme in [Scheme::EagerNaive, Scheme::Bulk] {
@@ -123,6 +157,7 @@ fn tm_liveness_soak_commits_everything_exactly_once() {
                     let b = tm_run(app, scheme, &cfg, seed);
                     let profile = profiles::tm_profile(app).expect("known app");
                     check(&a, &b, (profile.threads * 5) as u64, &ctx);
+                    digests.push(format!("{:016x} {ctx}", crc64(a.metrics_json.as_bytes())));
                     if name == "arbiter-crash" {
                         crashes += a.arbiter_crashes;
                     } else {
@@ -133,10 +168,12 @@ fn tm_liveness_soak_commits_everything_exactly_once() {
         }
     }
     assert!(crashes > 0, "the arbiter-crash profile never crashed the arbiter");
+    digests
 }
 
-#[test]
-fn tls_liveness_soak_commits_everything_exactly_once() {
+/// The TLS sweep: checks every configuration and returns its golden rows.
+fn tls_sweep() -> Vec<String> {
+    let mut digests = Vec::new();
     let mut crashes = 0u64;
     for app in ["gzip", "vpr"] {
         for scheme in [TlsScheme::Eager, TlsScheme::Bulk] {
@@ -146,6 +183,7 @@ fn tls_liveness_soak_commits_everything_exactly_once() {
                     let a = tls_run(app, scheme, &cfg, seed);
                     let b = tls_run(app, scheme, &cfg, seed);
                     check(&a, &b, 40, &ctx);
+                    digests.push(format!("{:016x} {ctx}", crc64(a.metrics_json.as_bytes())));
                     if name == "arbiter-crash" {
                         crashes += a.arbiter_crashes;
                     } else {
@@ -156,6 +194,24 @@ fn tls_liveness_soak_commits_everything_exactly_once() {
         }
     }
     assert!(crashes > 0, "the arbiter-crash profile never crashed the arbiter");
+    digests
+}
+
+#[test]
+fn tm_liveness_soak_commits_everything_exactly_once() {
+    assert_golden("tm", &tm_sweep());
+}
+
+#[test]
+fn tls_liveness_soak_commits_everything_exactly_once() {
+    assert_golden("tls", &tls_sweep());
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/liveness_digests.txt"]
+fn regenerate() {
+    let rows: Vec<String> = tm_sweep().into_iter().chain(tls_sweep()).collect();
+    std::fs::write(golden_path(), rows.join("\n") + "\n").expect("write golden digests");
 }
 
 /// Regenerates the EXPERIMENTS.md "Liveness policies" table: the
@@ -163,7 +219,7 @@ fn tls_liveness_soak_commits_everything_exactly_once() {
 /// backoff-only | escalation-only | combined) forward-progress policies.
 ///
 /// Run with:
-/// `cargo test --release --test liveness_soak -- --ignored --nocapture`
+/// `cargo test --release --test liveness_soak -- --ignored liveness_policy_comparison --nocapture`
 #[test]
 #[ignore = "prints the EXPERIMENTS.md liveness comparison table"]
 fn liveness_policy_comparison() {
