@@ -8,6 +8,11 @@
 //! currently executing, and `OR(δ(W_pre))` for all preempted versions —
 //! used to identify speculative dirty lines and to enforce the Set
 //! Restriction without touching the cache (§4.5).
+//!
+//! δ is a register here as in the hardware: every slot keeps `δ(W_v)` next
+//! to `W_v` and moves it with each store, so nothing downstream — the two
+//! registers above, squash expansion, the receiver's owner lookup, the
+//! auditor — decodes a write signature again (DESIGN.md §17).
 
 use std::sync::Arc;
 
@@ -48,6 +53,9 @@ struct Slot {
     w: Signature,
     /// Shadow write signature, accumulated from first-child spawn (§6.3).
     w_sh: Option<Signature>,
+    /// `δ(w)`, kept equal to a fresh decode of `w` by every method that
+    /// changes `w`.
+    delta_w: SetBitmask,
     overflowed: bool,
     in_use: bool,
 }
@@ -57,7 +65,13 @@ impl Slot {
         self.r.clear();
         self.w.clear();
         self.w_sh = None;
+        self.delta_w.clear();
         self.overflowed = false;
+    }
+
+    /// The invariant on `delta_w`, for debug builds to check.
+    fn delta_is_current(&self, geom: &CacheGeometry) -> bool {
+        self.delta_w == self.w.decode_sets(geom)
     }
 }
 
@@ -81,6 +95,11 @@ pub struct Bdm {
     running: Option<VersionId>,
     delta_w_run: SetBitmask,
     or_delta_w_pre: SetBitmask,
+    /// Whether one C-field holds the whole set index, so that a store adds
+    /// exactly its own set to `δ(W)`
+    /// ([`SignatureConfig::decodes_by_projection`]). The paper's
+    /// configurations do; for the others a store re-decodes the slot.
+    delta_by_projection: bool,
 }
 
 impl Bdm {
@@ -128,11 +147,13 @@ impl Bdm {
                 r: Signature::with_shared(config.clone()),
                 w: Signature::with_shared(config.clone()),
                 w_sh: None,
+                delta_w: SetBitmask::new(geom.num_sets()),
                 overflowed: false,
                 in_use: false,
             })
             .collect();
         Bdm {
+            delta_by_projection: config.decodes_by_projection(&geom),
             config,
             geom,
             slots,
@@ -220,11 +241,11 @@ impl Bdm {
             if !s.in_use {
                 continue;
             }
-            let mask = s.w.decode_sets(&self.geom);
+            debug_assert!(s.delta_is_current(&self.geom), "slot {i}: stale δ(W)");
             if Some(VersionId(i)) == self.running {
-                self.delta_w_run.or_assign(&mask);
+                self.delta_w_run.or_assign(&s.delta_w);
             } else {
-                self.or_delta_w_pre.or_assign(&mask);
+                self.or_delta_w_pre.or_assign(&s.delta_w);
             }
         }
     }
@@ -235,15 +256,21 @@ impl Bdm {
     }
 
     /// Records a speculative store into `v`'s write signature (and the
-    /// shadow signature if one is active), updating `δ(W_run)` when `v` is
-    /// the running version.
+    /// shadow signature if one is active), updating `δ(W_v)`, and `δ(W_run)`
+    /// when `v` is the running version.
     pub fn record_store(&mut self, v: VersionId, addr: Addr) {
         let set = self.set_of(addr);
+        let (geom, by_projection) = (self.geom, self.delta_by_projection);
         {
             let slot = self.slot_mut(v);
             slot.w.insert_addr(addr);
             if let Some(sh) = &mut slot.w_sh {
                 sh.insert_addr(addr);
+            }
+            if by_projection {
+                slot.delta_w.set(set);
+            } else {
+                slot.w.decode_sets_into(&geom, &mut slot.delta_w);
             }
         }
         if self.running == Some(v) {
@@ -416,10 +443,12 @@ impl Bdm {
     pub fn reload_version(&mut self, spilled: SpilledVersion) -> Result<VersionId, SpilledVersion> {
         match self.alloc_version() {
             Some(v) => {
+                let geom = self.geom;
                 let slot = self.slot_mut(v);
                 slot.r = spilled.r;
                 slot.w = spilled.w;
                 slot.w_sh = spilled.w_sh;
+                slot.w.decode_sets_into(&geom, &mut slot.delta_w);
                 slot.overflowed = spilled.overflowed;
                 self.rebuild_registers();
                 Ok(v)
@@ -428,9 +457,16 @@ impl Bdm {
         }
     }
 
-    /// Decoded cache-set bitmask of `v`'s write signature (`δ(W_v)`).
-    pub fn decode_write_sets(&self, v: VersionId) -> SetBitmask {
-        self.slot(v).w.decode_sets(&self.geom)
+    /// `δ(W_v)`: the cache sets `v` has written, as the slot's register
+    /// holds it.
+    pub fn delta_w(&self, v: VersionId) -> &SetBitmask {
+        &self.slot(v).delta_w
+    }
+
+    /// The speculative version whose `δ(W)` holds cache set `set` — the
+    /// owner of the set's dirty lines, unique by the Set Restriction.
+    pub fn speculative_owner_of_set(&self, set: u32) -> Option<VersionId> {
+        self.versions_in_use().find(|&v| self.delta_w(v).get(set))
     }
 }
 

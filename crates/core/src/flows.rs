@@ -3,7 +3,7 @@
 
 use bulk_mem::{Cache, LineAddr, LineState};
 use bulk_obs::ExpansionObs;
-use bulk_sig::{Granularity, Signature};
+use bulk_sig::{Granularity, SetBitmask, Signature};
 
 use crate::{Bdm, VersionId};
 
@@ -39,11 +39,14 @@ pub fn squash_observed(
     obs: Option<&ExpansionObs>,
 ) -> SquashInvalidation {
     let mut out = SquashInvalidation::default();
-    for e in bdm.write_signature(v).expand_observed(cache, obs) {
+    // The slot already holds δ(W_v): expansion starts at the tag walk.
+    bdm.write_signature(v).expand_sets(bdm.delta_w(v), cache, obs, |e| {
         if e.state == LineState::Dirty {
-            cache.invalidate(e.addr);
             out.dirty_invalidated.push(e.addr);
         }
+    });
+    for &line in &out.dirty_invalidated {
+        cache.invalidate(line);
     }
     if invalidate_read_lines {
         for e in bdm.read_signature(v).expand_observed(cache, obs) {
@@ -81,56 +84,50 @@ pub struct CommitApplication {
 /// None of the BDM's versions may have been squashed *by this commit* —
 /// callers decide squashes first via [`Bdm::disambiguate`]. The set's
 /// speculative owner (unique, by the Set Restriction) is found through the
-/// versions' decoded write-set bitmasks, exactly as the hardware would use
-/// its `δ(W)` registers.
+/// versions' `δ(W)` registers, as in the hardware.
 pub fn apply_remote_commit(
     bdm: &Bdm,
     w_c: &Signature,
     cache: &mut Cache,
 ) -> CommitApplication {
-    apply_remote_commit_observed(bdm, w_c, cache, None)
+    apply_remote_commit_observed(bdm, w_c, &w_c.decode_sets(&bdm.geometry()), cache, None)
 }
 
-/// [`apply_remote_commit`] with optional instrumentation of the `W_C`
-/// expansion.
+/// [`apply_remote_commit`] for one of the many receivers of a broadcast:
+/// `delta_w_c` is `δ(W_C)`, decoded once by whoever delivers `w_c`; `obs`
+/// optionally instruments the expansion.
 pub fn apply_remote_commit_observed(
     bdm: &Bdm,
     w_c: &Signature,
+    delta_w_c: &SetBitmask,
     cache: &mut Cache,
     obs: Option<&ExpansionObs>,
 ) -> CommitApplication {
     let mut out = CommitApplication::default();
     let fine_grain = bdm.config().granularity() == Granularity::Word;
-    let owner_masks: Vec<(crate::VersionId, bulk_sig::SetBitmask)> = bdm
-        .versions_in_use()
-        .map(|v| (v, bdm.decode_write_sets(v)))
-        .collect();
-    for e in w_c.expand_observed(cache, obs) {
-        match e.state {
-            LineState::Clean => {
-                cache.invalidate(e.addr);
-                out.invalidated.push(e.addr);
-            }
-            LineState::Dirty => {
-                let set = bdm.geometry().set_of_line(e.addr);
-                let owner = owner_masks.iter().find(|(_, m)| m.get(set)).map(|(v, _)| *v);
-                match owner {
-                    Some(v) if fine_grain => {
-                        // Both the committer and the local version updated
-                        // this line: merge. The conservative local word
-                        // mask comes from the Updated Word Bitmask unit on
-                        // the owner's W; the runtime models the line
-                        // refetch (Fill) and keeps the merged line dirty.
-                        let mask = bdm.write_signature(v).updated_word_bitmask(e.addr);
-                        out.merged.push((e.addr, mask));
-                    }
-                    _ => {
-                        // Dirty non-speculative alias: no action (§4.3).
-                        out.skipped_dirty.push(e.addr);
-                    }
+    w_c.expand_sets(delta_w_c, cache, obs, |e| match e.state {
+        LineState::Clean => out.invalidated.push(e.addr),
+        LineState::Dirty => {
+            let set = bdm.geometry().set_of_line(e.addr);
+            match bdm.speculative_owner_of_set(set) {
+                Some(v) if fine_grain => {
+                    // Both the committer and the local version updated
+                    // this line: merge. The conservative local word
+                    // mask comes from the Updated Word Bitmask unit on
+                    // the owner's W; the runtime models the line
+                    // refetch (Fill) and keeps the merged line dirty.
+                    let mask = bdm.write_signature(v).updated_word_bitmask(e.addr);
+                    out.merged.push((e.addr, mask));
+                }
+                _ => {
+                    // Dirty non-speculative alias: no action (§4.3).
+                    out.skipped_dirty.push(e.addr);
                 }
             }
         }
+    });
+    for &line in &out.invalidated {
+        cache.invalidate(line);
     }
     out
 }

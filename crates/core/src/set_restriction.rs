@@ -4,6 +4,7 @@
 //! invalidation of dirty lines safe despite aliased signatures.
 
 use bulk_mem::{Addr, Cache, LineAddr};
+use bulk_sig::SetBitmask;
 
 use crate::{Bdm, VersionId};
 
@@ -67,22 +68,26 @@ pub fn check_speculative_store(bdm: &Bdm, v: VersionId, addr: Addr, cache: &Cach
 /// version, and dirty lines in speculative-owned sets pass that owner's
 /// write-signature membership test.
 pub fn verify_set_restriction(bdm: &Bdm, cache: &Cache) -> Result<(), String> {
-    let geom = bdm.geometry();
-    for set in 0..geom.num_sets() {
-        let owners: Vec<VersionId> = bdm
-            .versions_in_use()
-            .filter(|&v| bdm.decode_write_sets(v).get(set))
-            .collect();
-        if owners.len() > 1 && cache.set_has_dirty(set) {
-            return Err(format!("set {set} dirty with {} speculative owners", owners.len()));
+    // Only a set in some version's δ(W) has an owner to check.
+    let mut owned = SetBitmask::new(bdm.geometry().num_sets());
+    for v in bdm.versions_in_use() {
+        owned.or_assign(bdm.delta_w(v));
+    }
+    for set in owned.iter_ones() {
+        let mut owners = bdm.versions_in_use().filter(|&v| bdm.delta_w(v).get(set));
+        let Some(owner) = owners.next() else { continue };
+        let others = owners.count();
+        if others > 0 {
+            if cache.set_has_dirty(set) {
+                return Err(format!("set {set} dirty with {} speculative owners", others + 1));
+            }
+            continue;
         }
-        if let [owner] = owners[..] {
-            for line in cache.dirty_lines_in_set(set) {
-                if !bdm.write_signature(owner).contains_any_word_of_line(line) {
-                    return Err(format!(
-                        "dirty line {line} in speculative set {set} fails owner membership"
-                    ));
-                }
+        for line in cache.dirty_lines_in_set(set) {
+            if !bdm.write_signature(owner).contains_any_word_of_line(line) {
+                return Err(format!(
+                    "dirty line {line} in speculative set {set} fails owner membership"
+                ));
             }
         }
     }
@@ -166,5 +171,51 @@ mod tests {
         // Sneak an unrelated dirty line into the owned set.
         cache.fill_dirty(Addr::new(0x4040).line(64));
         assert!(verify_set_restriction(&bdm, &cache).is_err());
+    }
+
+    #[test]
+    fn verifier_flags_two_speculative_owners_of_a_dirty_set() {
+        let (mut bdm, mut cache) = setup();
+        let v0 = bdm.alloc_version().unwrap();
+        let v1 = bdm.alloc_version().unwrap();
+        // Both versions wrote set 1 (0x2040 is 0x40 one way over).
+        bdm.record_store(v0, Addr::new(0x40));
+        bdm.record_store(v1, Addr::new(0x2040));
+        assert_eq!(verify_set_restriction(&bdm, &cache), Ok(()), "no dirty line yet");
+        cache.fill_dirty(Addr::new(0x40).line(64));
+        assert_eq!(
+            verify_set_restriction(&bdm, &cache),
+            Err("set 1 dirty with 2 speculative owners".to_string())
+        );
+    }
+
+    #[test]
+    fn verifier_checks_sets_in_the_second_mask_word() {
+        let (mut bdm, mut cache) = setup();
+        let v = bdm.alloc_version().unwrap();
+        let owned = Addr::new(100 * 64);
+        assert_eq!(bdm.set_of(owned), 100);
+        bdm.record_store(v, owned);
+        cache.fill_dirty(owned.line(64));
+        assert_eq!(verify_set_restriction(&bdm, &cache), Ok(()));
+        let alien = Addr::new(100 * 64 + 0x2000).line(64);
+        cache.fill_dirty(alien);
+        assert_eq!(
+            verify_set_restriction(&bdm, &cache),
+            Err(format!("dirty line {alien} in speculative set 100 fails owner membership"))
+        );
+    }
+
+    #[test]
+    fn verifier_passes_nonspeculative_dirty_lines_in_unowned_sets() {
+        let (mut bdm, mut cache) = setup();
+        let v = bdm.alloc_version().unwrap();
+        bdm.record_store(v, Addr::new(0x40));
+        cache.fill_dirty(Addr::new(0x40).line(64));
+        // Sets 5 and 70 have no speculative owner: their dirty lines are
+        // non-speculative and nobody's signature need contain them.
+        cache.fill_dirty(Addr::new(5 * 64).line(64));
+        cache.fill_dirty(Addr::new(70 * 64).line(64));
+        assert_eq!(verify_set_restriction(&bdm, &cache), Ok(()));
     }
 }

@@ -92,7 +92,6 @@ struct HistInner {
     /// `edges.len() + 1` buckets; the last one counts values above the
     /// largest edge.
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -101,7 +100,9 @@ struct HistInner {
 /// one extra bucket counts everything above the last edge.
 ///
 /// Cloning shares the underlying buckets. Recording is a binary search
-/// over the edge array plus three relaxed atomic adds — no allocation.
+/// over the edge array plus two relaxed atomic adds — no allocation. The
+/// observation count is the sum of the buckets and nothing else, so a
+/// reader racing with `observe` sees a count that matches its buckets.
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistInner>);
 
@@ -122,7 +123,6 @@ impl Histogram {
         Histogram(Arc::new(HistInner {
             edges: edges.to_vec(),
             buckets,
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }))
     }
@@ -138,7 +138,6 @@ impl Histogram {
     pub fn observe(&self, v: u64) {
         let idx = self.0.edges.partition_point(|&e| e < v);
         self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
         let mut cur = self.0.sum.load(Ordering::Relaxed);
         loop {
             let next = cur.saturating_add(v);
@@ -153,9 +152,14 @@ impl Histogram {
         }
     }
 
+    /// Every bucket, overflow bucket last, each read once.
+    fn snapshot(&self) -> Vec<u64> {
+        self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all observed values (saturating).
@@ -190,39 +194,38 @@ impl Histogram {
     /// falls in the overflow bucket (rendered `+Inf` by the Prometheus
     /// encoder). `q` is clamped to `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let count = self.count();
+        // The rank is taken from the same reads it is looked up in, so it
+        // cannot fall past the last bucket while other threads observe.
+        let buckets = self.snapshot();
+        let count: u64 = buckets.iter().sum();
         if count == 0 {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut cum = 0u64;
-        for (i, b) in self.0.buckets.iter().enumerate() {
-            cum += b.load(Ordering::Relaxed);
-            if cum >= rank {
-                return Some(match self.0.edges.get(i) {
-                    Some(&edge) => edge as f64,
-                    None => f64::INFINITY,
-                });
-            }
-        }
-        Some(f64::INFINITY)
+        let i = buckets.iter().position(|n| {
+            cum += n;
+            cum >= rank
+        })?;
+        Some(self.0.edges.get(i).map_or(f64::INFINITY, |&edge| edge as f64))
     }
 
     fn to_json(&self) -> String {
+        let snapshot = self.snapshot();
+        let (gt, finite) = snapshot.split_last().expect("the overflow bucket exists");
         let buckets: Vec<String> = self
             .0
             .edges
             .iter()
-            .zip(self.bucket_counts())
+            .zip(finite)
             .map(|(e, n)| format!("{{\"le\": {e}, \"n\": {n}}}"))
             .collect();
         format!(
-            "{{\"count\": {}, \"sum\": {}, \"buckets\": [{}], \"gt\": {}}}",
-            self.count(),
+            "{{\"count\": {}, \"sum\": {}, \"buckets\": [{}], \"gt\": {gt}}}",
+            snapshot.iter().sum::<u64>(),
             self.sum(),
             buckets.join(", "),
-            self.overflow_count()
         )
     }
 }
@@ -547,6 +550,57 @@ mod tests {
         let last = a.find("z.last").unwrap();
         assert!(first < last, "counters must appear in name order");
         assert!(a.contains("\"h\": {\"count\": 1, \"sum\": 2"));
+    }
+
+    #[test]
+    fn a_snapshot_during_observation_is_self_consistent() {
+        use std::sync::atomic::AtomicBool;
+        let h = Histogram::with_edges(&Histogram::pow2_edges(6));
+        let stop = AtomicBool::new(false);
+        let field = |json: &str, key: &str| -> Vec<u64> {
+            json.split(key)
+                .skip(1)
+                .map(|rest| {
+                    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+                    digits.parse().expect("a number follows the key")
+                })
+                .collect()
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut v = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    h.observe(v % 64); // never past the last edge
+                    v += 1;
+                }
+            });
+            // The observer is running once its first observation shows.
+            while h.count() == 0 {
+                std::thread::yield_now();
+            }
+            let before = h.count();
+            let mut torn = None;
+            for _ in 0..2000 {
+                let json = h.to_json();
+                let count = field(&json, "\"count\": ")[0];
+                let in_buckets: u64 = field(&json, "\"n\": ").iter().sum();
+                let gt = field(&json, "\"gt\": ")[0];
+                if count != in_buckets + gt {
+                    torn = Some(json);
+                    break;
+                }
+                // No value is in the overflow bucket, so no rank is.
+                let p100 = h.quantile(1.0);
+                if !p100.is_some_and(f64::is_finite) {
+                    torn = Some(format!("p100 = {p100:?}"));
+                    break;
+                }
+            }
+            let observed = h.count() > before;
+            stop.store(true, Ordering::Relaxed);
+            assert_eq!(torn, None, "snapshot disagrees with itself");
+            assert!(observed, "nothing was observed while snapshotting");
+        });
     }
 
     #[test]

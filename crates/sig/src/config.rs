@@ -1,10 +1,11 @@
 //! Signature configurations: the C-field layout, permutation and encoding
 //! granularity — plus the full catalog of the paper's Table 8.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bulk_mem::{Addr, CacheGeometry, LineAddr, WordAddr};
 
+use crate::decode::DecodePlan;
 use crate::BitPermutation;
 
 /// Words per SIMD lane group of the flat signature buffer. Every V-field's
@@ -123,7 +124,7 @@ pub(crate) struct FieldMeta {
 /// constructors which already return shared configs are not needed —
 /// [`crate::Signature::new`] accepts the config by value and shares
 /// internally.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SignatureConfig {
     chunks: Vec<u32>,
     /// Cumulative V-field offsets in bits, one per chunk, plus the total.
@@ -146,7 +147,24 @@ pub struct SignatureConfig {
     permutation: BitPermutation,
     granularity: Granularity,
     line_bytes: u32,
+    /// The δ decode plan for the first cache geometry this config is
+    /// decoded against — in a run, the only one. Derived state, like the
+    /// vectors above, but it needs the geometry and so is made on demand.
+    decode_plan: OnceLock<DecodePlan>,
 }
+
+/// Two configurations are equal when they define the same encoding; every
+/// other field is derived from these four.
+impl PartialEq for SignatureConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.chunks == other.chunks
+            && self.permutation == other.permutation
+            && self.granularity == other.granularity
+            && self.line_bytes == other.line_bytes
+    }
+}
+
+impl Eq for SignatureConfig {}
 
 impl SignatureConfig {
     /// Creates a configuration.
@@ -205,6 +223,7 @@ impl SignatureConfig {
             permutation,
             granularity,
             line_bytes,
+            decode_plan: OnceLock::new(),
         }
     }
 
@@ -376,6 +395,35 @@ impl SignatureConfig {
             Granularity::Line => geom.line_index_bit_range(),
             Granularity::Word => geom.word_index_bit_range(),
         }
+    }
+
+    /// Runs `f` with the δ decode plan for `geom`: the cached one, or a
+    /// throwaway plan when this config already serves another geometry.
+    pub(crate) fn with_decode_plan<R>(
+        &self,
+        geom: &CacheGeometry,
+        f: impl FnOnce(&DecodePlan) -> R,
+    ) -> R {
+        let cached = self.decode_plan.get_or_init(|| DecodePlan::new(self, geom));
+        if cached.geom == *geom {
+            f(cached)
+        } else {
+            f(&DecodePlan::new(self, geom))
+        }
+    }
+
+    /// Whether the cache-set index for `geom` is a projection of a single
+    /// C-field. δ then distributes over insertion —
+    /// `δ(W ∪ {a}) = δ(W) ∪ {set(a)}` — so a register holding `δ(W)` can
+    /// follow `W` one store at a time. With the index bits spread over
+    /// several fields δ is the cross product of the fields' partial
+    /// indices, and one more address can add more sets than its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config's line size differs from the cache's.
+    pub fn decodes_by_projection(&self, geom: &CacheGeometry) -> bool {
+        self.with_decode_plan(geom, DecodePlan::is_projection)
     }
 
     /// Whether δ-decoding signatures of this config yields the **exact**

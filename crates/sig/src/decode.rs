@@ -13,6 +13,7 @@ use std::fmt;
 
 use bulk_mem::CacheGeometry;
 
+use crate::signature::BitIter;
 use crate::{Signature, SignatureConfig};
 
 /// A bitmask over the sets of a cache, as produced by δ and stored in the
@@ -84,21 +85,13 @@ impl SetBitmask {
     /// Iterates over the set indices whose bit is set, ascending. This is
     /// the FSM of the paper's Fig. 4 walking the selected sets.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
-        self.bits.iter().enumerate().flat_map(|(wi, &w)| {
-            let base = wi as u32 * 64;
-            std::iter::successors(
-                if w == 0 { None } else { Some((w, base + w.trailing_zeros())) },
-                move |&(w, _)| {
-                    let w = w & (w - 1);
-                    if w == 0 {
-                        None
-                    } else {
-                        Some((w, base + w.trailing_zeros()))
-                    }
-                },
-            )
-            .map(|(_, idx)| idx)
-        })
+        (0..self.bits.len()).flat_map(|wi| self.ones_of_word(wi))
+    }
+
+    /// The set indices of word `wi` of the mask, ascending. The word is
+    /// read once, so the mask may change while the result is walked.
+    fn ones_of_word(&self, wi: usize) -> impl Iterator<Item = u32> {
+        BitIter { word: self.bits[wi], base: wi as u64 * 64 }.map(|p| p as u32)
     }
 }
 
@@ -108,111 +101,183 @@ impl fmt::Display for SetBitmask {
     }
 }
 
-/// How each cache-index bit of the raw key is recovered from the signature.
-#[derive(Debug, Clone, Copy)]
-enum IndexBitSource {
-    /// Bit `pos` of C-field `field`.
-    Field { field: usize, pos: u32 },
-    /// Not covered by any C-field: both values are possible.
-    Unknown,
+/// A run of cache-index bits that sit next to each other, in order, inside
+/// one C-field: `((v >> pos) & mask) << out` moves them into place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BitRun {
+    pos: u32,
+    mask: u32,
+    out: u32,
+}
+
+/// The index bits one C-field holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FieldGather {
+    field: usize,
+    /// The index bits this field supplies, as a mask over set indices.
+    out_mask: u32,
+    runs: Vec<BitRun>,
+}
+
+impl FieldGather {
+    /// The partial set index encoded in C-field value `v`.
+    #[inline]
+    fn gather(&self, v: u32) -> u32 {
+        self.runs.iter().fold(0, |acc, r| acc | ((v >> r.pos) & r.mask) << r.out)
+    }
+}
+
+/// Where δ finds each cache-index bit inside a signature. A function of
+/// the configuration and the cache geometry only, so it is computed once
+/// (see `SignatureConfig::with_decode_plan`) and every decode is one pass
+/// over the set bits of the fields that hold index bits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct DecodePlan {
+    /// The geometry the plan was made for.
+    pub(crate) geom: CacheGeometry,
+    /// `geom.num_sets()`, which is a division.
+    num_sets: u32,
+    /// The C-fields holding index bits, by their lowest index bit.
+    fields: Vec<FieldGather>,
+    /// Index bits no C-field covers (both values are possible), as a mask
+    /// over set indices.
+    unknown: u32,
+}
+
+impl DecodePlan {
+    /// # Panics
+    ///
+    /// Panics if the config's line size differs from the cache's.
+    pub(crate) fn new(config: &SignatureConfig, geom: &CacheGeometry) -> Self {
+        assert_eq!(
+            config.line_bytes(),
+            geom.line_bytes(),
+            "signature and cache disagree on line size"
+        );
+        let mut fields: Vec<FieldGather> = Vec::new();
+        let mut unknown = 0u32;
+        for (out, b) in config.index_bit_range(geom).enumerate() {
+            let out = out as u32;
+            let dest = u32::from(config.permutation().destination_of(b as u8));
+            let home = config.chunks().iter().enumerate().find_map(|(i, &c)| {
+                let start = config.chunk_start(i);
+                (start..start + c).contains(&dest).then_some((i, dest - start))
+            });
+            let Some((field, pos)) = home else {
+                unknown |= 1 << out;
+                continue;
+            };
+            let at = fields.iter().position(|f| f.field == field).unwrap_or_else(|| {
+                fields.push(FieldGather { field, out_mask: 0, runs: Vec::new() });
+                fields.len() - 1
+            });
+            let f = &mut fields[at];
+            f.out_mask |= 1 << out;
+            match f.runs.last_mut() {
+                Some(r) if r.pos + r.mask.count_ones() == pos && r.out + r.mask.count_ones() == out => {
+                    r.mask = r.mask << 1 | 1;
+                }
+                _ => f.runs.push(BitRun { pos, mask: 1, out }),
+            }
+        }
+        DecodePlan { geom: *geom, num_sets: geom.num_sets(), fields, unknown }
+    }
+
+    /// See [`SignatureConfig::decodes_by_projection`].
+    pub(crate) fn is_projection(&self) -> bool {
+        self.unknown == 0 && self.fields.len() == 1
+    }
+
+    /// δ of `sig` into `out`, without allocating.
+    pub(crate) fn decode_into(&self, sig: &Signature, out: &mut SetBitmask) {
+        assert_eq!(out.num_sets, self.num_sets, "bitmask size mismatch");
+        out.clear();
+        if sig.is_empty() {
+            return;
+        }
+        // The first field's partial indices seed the mask; every further
+        // field, and every uncovered bit, multiplies it out.
+        match self.fields.split_first() {
+            Some((first, rest)) => {
+                for v in sig.field_values(first.field) {
+                    out.set(first.gather(v));
+                }
+                for f in rest {
+                    out.cross(f.out_mask, sig.field_values(f.field).map(|v| f.gather(v)));
+                }
+            }
+            None => out.set(0),
+        }
+        let mut left = self.unknown;
+        while left != 0 {
+            let bit = left & left.wrapping_neg();
+            out.cross(bit, [0, bit].into_iter());
+            left &= left - 1;
+        }
+    }
+}
+
+impl SetBitmask {
+    /// Replaces the mask, whose indices are all zero in the bits of
+    /// `field`, by its cross product with `contribs` (values inside
+    /// `field`): `{p | c}`. Repeated contributions cost one probe each.
+    fn cross(&mut self, field: u32, contribs: impl Iterator<Item = u32>) {
+        let Some(lowest) = self.iter_ones().next() else { return };
+        // The mask as it was on entry: what is added below has `field`
+        // bits and is never mistaken for it.
+        let old = |mask: &SetBitmask, wi: usize| {
+            mask.ones_of_word(wi).filter(move |p| p & field == 0)
+        };
+        let mut keep_zero = false;
+        for c in contribs {
+            if c == 0 {
+                keep_zero = true;
+            } else if !self.get(lowest | c) {
+                for wi in 0..self.bits.len() {
+                    for p in old(self, wi) {
+                        self.set(p | c);
+                    }
+                }
+            }
+        }
+        if !keep_zero {
+            for wi in 0..self.bits.len() {
+                for p in old(self, wi) {
+                    self.bits[wi] &= !(1 << (p % 64));
+                }
+            }
+        }
+    }
 }
 
 impl Signature {
     /// The δ operation: the cache-set bitmask of this signature for `geom`.
     ///
     /// Exact when [`SignatureConfig::is_exactly_decodable`] holds for this
-    /// config and geometry; otherwise a conservative superset.
+    /// config and geometry and one C-field holds the whole set index;
+    /// otherwise a conservative superset.
     ///
     /// # Panics
     ///
     /// Panics if the config's line size differs from the cache's.
     pub fn decode_sets(&self, geom: &CacheGeometry) -> SetBitmask {
-        let config = self.config();
-        assert_eq!(
-            config.line_bytes(),
-            geom.line_bytes(),
-            "signature and cache disagree on line size"
-        );
-        let mut mask = SetBitmask::new(geom.num_sets());
-        if self.is_empty() {
-            return mask;
-        }
-
-        let index_range = config.index_bit_range(geom);
-        let sources: Vec<IndexBitSource> = index_range
-            .clone()
-            .map(|b| locate_bit(config, b))
-            .collect();
-
-        // Per involved field, the distinct partial index values its set
-        // C-values contribute; unknown bits contribute both values.
-        let mut partials: Vec<u32> = vec![0];
-        let mut fields_done: Vec<usize> = Vec::new();
-        for (out_bit, src) in sources.iter().enumerate() {
-            match *src {
-                IndexBitSource::Unknown => {
-                    let mut next = Vec::with_capacity(partials.len() * 2);
-                    for &p in &partials {
-                        next.push(p);
-                        next.push(p | 1 << out_bit);
-                    }
-                    partials = next;
-                }
-                IndexBitSource::Field { field, .. } => {
-                    if fields_done.contains(&field) {
-                        continue; // whole field handled at first encounter
-                    }
-                    fields_done.push(field);
-                    // All index bits this field contributes.
-                    let bits: Vec<(usize, u32)> = sources
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(ob, s)| match *s {
-                            IndexBitSource::Field { field: f, pos } if f == field => {
-                                Some((ob, pos))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    let mut contribs: Vec<u32> = self
-                        .field_values(field)
-                        .map(|v| {
-                            bits.iter()
-                                .fold(0u32, |acc, &(ob, pos)| acc | ((v >> pos) & 1) << ob)
-                        })
-                        .collect();
-                    contribs.sort_unstable();
-                    contribs.dedup();
-                    let mut next = Vec::with_capacity(partials.len() * contribs.len());
-                    for &p in &partials {
-                        for &c in &contribs {
-                            next.push(p | c);
-                        }
-                    }
-                    partials = next;
-                    partials.sort_unstable();
-                    partials.dedup();
-                }
-            }
-        }
-        for p in partials {
-            mask.set(p);
-        }
-        mask
+        self.config().with_decode_plan(geom, |plan| {
+            let mut mask = SetBitmask::new(plan.num_sets);
+            plan.decode_into(self, &mut mask);
+            mask
+        })
     }
-}
 
-/// Finds where raw-key bit `b` lands after permutation, and which C-field
-/// covers it.
-fn locate_bit(config: &SignatureConfig, b: u32) -> IndexBitSource {
-    let dest = u32::from(config.permutation().destination_of(b as u8));
-    for (i, &c) in config.chunks().iter().enumerate() {
-        let start = config.chunk_start(i);
-        if (start..start + c).contains(&dest) {
-            return IndexBitSource::Field { field: i, pos: dest - start };
-        }
+    /// [`Signature::decode_sets`] into a mask the caller keeps — how a
+    /// register holding δ is (re)loaded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config's line size differs from the cache's, or if
+    /// `out` does not cover `geom`'s sets.
+    pub fn decode_sets_into(&self, geom: &CacheGeometry, out: &mut SetBitmask) {
+        self.config().with_decode_plan(geom, |plan| plan.decode_into(self, out));
     }
-    IndexBitSource::Unknown
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use bulk_mem::{Cache, LineAddr, LineState};
 use bulk_obs::ExpansionObs;
 
-use crate::Signature;
+use crate::{SetBitmask, Signature};
 
 /// A cache line selected by signature expansion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,27 +37,40 @@ impl Signature {
     /// given, the expansion records how many cache sets δ selected, how
     /// many tags it read, and how many lines it matched.
     pub fn expand_observed(&self, cache: &Cache, obs: Option<&ExpansionObs>) -> Vec<ExpandedLine> {
-        let geom = cache.geometry();
-        let mask = self.decode_sets(&geom);
         let mut out = Vec::new();
-        let mut sets = 0u64;
-        let mut tags = 0u64;
-        for set in mask.iter_ones() {
-            sets += 1;
+        self.expand_sets(&self.decode_sets(&cache.geometry()), cache, obs, |e| out.push(e));
+        out
+    }
+
+    /// The expansion FSM proper (Fig. 4), fed an already decoded
+    /// `sets = δ(self)`: walks the selected sets of `cache` in ascending
+    /// order and hands every line passing the membership test to `visit`.
+    /// A holder of δ — a BDM slot, the receivers of one broadcast — expands
+    /// without decoding again.
+    pub fn expand_sets(
+        &self,
+        sets: &SetBitmask,
+        cache: &Cache,
+        obs: Option<&ExpansionObs>,
+        mut visit: impl FnMut(ExpandedLine),
+    ) {
+        let (mut candidate_sets, mut tags, mut matched) = (0u64, 0u64, 0u64);
+        for set in sets.iter_ones() {
+            candidate_sets += 1;
             for line in cache.lines_in_set(set) {
                 tags += 1;
                 if self.contains_any_word_of_line(line.addr()) {
-                    out.push(ExpandedLine { addr: line.addr(), state: line.state() });
+                    matched += 1;
+                    visit(ExpandedLine { addr: line.addr(), state: line.state() });
                 }
             }
         }
         if let Some(obs) = obs {
             obs.calls.inc();
-            obs.candidate_sets.add(sets);
+            obs.candidate_sets.add(candidate_sets);
             obs.tag_reads.add(tags);
-            obs.matched_lines.add(out.len() as u64);
+            obs.matched_lines.add(matched);
         }
-        out
     }
 
     /// Number of cache tags signature expansion reads for this cache —

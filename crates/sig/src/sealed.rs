@@ -14,21 +14,67 @@ use crate::Signature;
 /// CRC-64/ECMA-182 generator polynomial (normal form).
 const CRC64_POLY: u64 = 0x42F0_E1EB_A9EA_3693;
 
-/// Bitwise CRC-64/ECMA-182 over a byte stream. Table-less: the sealed
-/// payloads are a few hundred bytes and sealing is off the hot path.
-pub fn crc64(bytes: &[u8]) -> u64 {
-    let mut crc: u64 = 0;
-    for &b in bytes {
-        crc ^= u64::from(b) << 56;
-        for _ in 0..8 {
+/// `CRC64_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes:
+/// table 0 is the classic byte-at-a-time table, and the eight together
+/// advance the CRC by a whole signature word per step (slicing-by-8).
+const CRC64_TABLES: [[u64; 256]; 8] = {
+    let mut t = [[0u64; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = (b as u64) << 56;
+        let mut i = 0;
+        while i < 8 {
             crc = if crc & (1 << 63) != 0 { (crc << 1) ^ CRC64_POLY } else { crc << 1 };
+            i += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = t[0][(prev >> 56) as usize] ^ (prev << 8);
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Advances `crc` over eight message bytes at once.
+#[inline]
+fn crc64_step8(crc: u64, chunk: [u8; 8]) -> u64 {
+    let x = (crc ^ u64::from_be_bytes(chunk)).to_be_bytes();
+    let mut out = 0;
+    for (i, &b) in x.iter().enumerate() {
+        out ^= CRC64_TABLES[7 - i][b as usize];
+    }
+    out
+}
+
+/// CRC-64/ECMA-182 (zero initial value, no reflection, no final XOR) over
+/// a byte stream. Every sealed broadcast is checksummed twice — at the
+/// committer and at the receiver — so the CRC is table-driven.
+pub fn crc64(bytes: &[u8]) -> u64 {
+    let mut chunks = bytes.chunks_exact(8);
+    let mut crc = 0u64;
+    for c in &mut chunks {
+        crc = crc64_step8(crc, c.try_into().expect("chunks_exact(8) yields 8 bytes"));
+    }
+    for &b in chunks.remainder() {
+        crc = CRC64_TABLES[0][((crc >> 56) as u8 ^ b) as usize] ^ (crc << 8);
     }
     crc
 }
 
-fn signature_bytes(sig: &Signature) -> Vec<u8> {
-    sig.flat_bits().iter().flat_map(|w| w.to_le_bytes()).collect()
+/// The CRC of a signature's canonical flat bits, words in little-endian
+/// byte order.
+fn signature_crc(sig: &Signature) -> u64 {
+    let mut crc = 0;
+    sig.for_each_flat_word(|w| crc = crc64_step8(crc, w.to_le_bytes()));
+    crc
 }
 
 /// A commit-broadcast signature framed with its CRC-64 checksum.
@@ -64,7 +110,7 @@ pub struct Delivery {
 impl SealedSignature {
     /// Frames `sig` with its checksum, as the committer's bus interface does.
     pub fn seal(sig: Signature) -> Self {
-        let crc = crc64(&signature_bytes(&sig));
+        let crc = signature_crc(&sig);
         SealedSignature { payload: sig, crc, pristine: None }
     }
 
@@ -97,7 +143,7 @@ impl SealedSignature {
 
     /// Receiver-side CRC check of the in-flight payload.
     pub fn verify(&self) -> bool {
-        crc64(&signature_bytes(&self.payload)) == self.crc
+        signature_crc(&self.payload) == self.crc
     }
 
     /// Opens the frame at the receiver: verifies the CRC, repairs via the
@@ -174,6 +220,42 @@ mod tests {
             assert!(!d.silent_corruption);
             assert_eq!(d.signature, sig, "repair after flip of bit {bit}");
         }
+    }
+
+    /// The bit-serial definition the tables are built from.
+    fn crc64_bitwise(bytes: &[u8]) -> u64 {
+        let mut crc: u64 = 0;
+        for &b in bytes {
+            crc ^= u64::from(b) << 56;
+            for _ in 0..8 {
+                crc = if crc & (1 << 63) != 0 { (crc << 1) ^ CRC64_POLY } else { crc << 1 };
+            }
+        }
+        crc
+    }
+
+    #[test]
+    fn table_crc_equals_the_bit_serial_reference() {
+        assert_eq!(crc64(b"123456789"), 0x6C40_DF5F_0B49_7347, "ECMA-182 check value");
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let noise: Vec<u8> = (0..4096)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for len in [0, 1, 7, 8, 9, 255, 4096] {
+            assert_eq!(crc64(&noise[..len]), crc64_bitwise(&noise[..len]), "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn sealing_checksums_the_flat_bits_as_le_bytes() {
+        let sig = sample();
+        let bytes: Vec<u8> = sig.flat_bits().iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(SealedSignature::seal(sig).crc, crc64_bitwise(&bytes));
     }
 
     #[test]

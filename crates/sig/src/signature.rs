@@ -591,33 +591,36 @@ impl Signature {
 
     /// The signature's bits as one flat, LSB-first vector (fields
     /// concatenated in order). Canonical form used by the RLE codec and the
-    /// sealed wire framing. Word-level: each field's words are funnel-
-    /// shifted into place rather than copied bit by bit.
+    /// sealed wire framing.
     pub fn flat_bits(&self) -> Vec<u64> {
-        let total = self.cfg().size_bits();
-        let mut out = vec![0u64; total.div_ceil(64) as usize];
-        for i in 0..self.cfg().num_fields() {
-            let start = self.cfg().field_range(i).start;
-            let sh = (start % 64) as u32;
-            let base = (start / 64) as usize;
-            let w0 = self.cfg().field_word_start(i);
-            for j in 0..self.cfg().field_words(i) {
-                let w = self.word(w0 + j);
-                if w == 0 {
-                    continue;
-                }
-                out[base + j] |= w << sh;
-                if sh > 0 {
-                    let hi = w >> (64 - sh);
-                    // Any spilled bit is still inside this field's range,
-                    // so the next output word exists.
-                    if hi != 0 {
-                        out[base + j + 1] |= hi;
-                    }
+        let mut out = Vec::with_capacity(self.cfg().size_bits().div_ceil(64) as usize);
+        self.for_each_flat_word(|w| out.push(w));
+        out
+    }
+
+    /// The words of [`Signature::flat_bits`], in order, without the vector:
+    /// each field's words are funnelled through a 128-bit window, so a
+    /// field that ends inside a word is followed at once by the next one.
+    pub(crate) fn for_each_flat_word(&self, mut f: impl FnMut(u64)) {
+        let cfg = self.cfg();
+        let (mut window, mut held) = (0u128, 0u32);
+        for i in 0..cfg.num_fields() {
+            let field_bits = cfg.field_range(i).end - cfg.field_range(i).start;
+            let w0 = cfg.field_word_start(i);
+            for j in 0..cfg.field_words(i) {
+                // Bits past the field's width are invariantly zero.
+                window |= u128::from(self.word(w0 + j)) << held;
+                held += (field_bits - j as u64 * 64).min(64) as u32;
+                if held >= 64 {
+                    f(window as u64);
+                    window >>= 64;
+                    held -= 64;
                 }
             }
         }
-        out
+        if held > 0 {
+            f(window as u64);
+        }
     }
 
     /// Rebuilds a signature from its flat bit vector, word-by-word.
@@ -694,9 +697,10 @@ impl Signature {
     }
 }
 
-struct BitIter {
-    word: u64,
-    base: u64,
+/// `base` plus each set bit position of `word`, ascending.
+pub(crate) struct BitIter {
+    pub(crate) word: u64,
+    pub(crate) base: u64,
 }
 
 impl Iterator for BitIter {

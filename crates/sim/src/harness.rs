@@ -12,7 +12,7 @@ use bulk_core::{flows, Bdm, CommitApplication, CommitMsg, DeliveredSignatures};
 use bulk_live::{CommitTicket, LiveStats, LivenessConfig, LivenessEngine, LivenessViolation};
 use bulk_mem::{AddrSet, BandwidthStats, Cache, LineAddr};
 use bulk_obs::{Obs, RuntimeObs, SpanId, SpanKind, SpanOutcome};
-use bulk_sig::Signature;
+use bulk_sig::{SetBitmask, Signature};
 
 use crate::{Bus, CoreTimer, SimConfig};
 
@@ -47,6 +47,9 @@ pub struct Broadcast {
     pub finish: u64,
     /// The signatures as the receivers got them (`None` for address lists).
     pub delivered: Option<DeliveredSignatures>,
+    /// `δ(W_C)` of the delivered write signature: decoded once here, not
+    /// once per receiver (the expansion FSM's input, Fig. 4).
+    delta_w_c: Option<SetBitmask>,
     /// Deliveries every receiver sees: one, plus one for a chaos duplicate,
     /// plus one replay per arbiter failover. Each is gated by
     /// [`SimHarness::admit`].
@@ -56,6 +59,14 @@ pub struct Broadcast {
     /// The commit's dedup ticket, for [`SimHarness::admit`]; `None`
     /// without a liveness engine (deliveries then rely on idempotence).
     pub ticket: Option<CommitTicket>,
+}
+
+impl Broadcast {
+    /// The delivered `W_C` with its `δ(W_C)`, as [`SimHarness::bulk_apply`]
+    /// takes them; `None` for address lists.
+    pub fn w_c(&self) -> Option<(&Signature, &SetBitmask)> {
+        Some((&self.delivered.as_ref()?.w, self.delta_w_c.as_ref()?))
+    }
 }
 
 /// What a run leaves in the instruments, drained by [`SimHarness::drain`]
@@ -268,6 +279,7 @@ impl SimHarness {
         // corruption is nacked and retransmitted from the committer's
         // pristine copy — costing bus time, never correctness.
         let delivered = msg.deliver();
+        let delta_w_c = delivered.as_ref().map(|d| d.w.decode_sets(&cfg.geom));
         if let Some(d) = &delivered {
             if d.corruption_detected {
                 let retransmit = self.chaos.as_ref().map_or(0, |p| p.config().retransmit_cycles);
@@ -326,7 +338,7 @@ impl SimHarness {
             self.commit_cause = c;
         }
         let rounds = 1 + u32::from(duplicate) + replays;
-        Broadcast { finish, delivered, rounds, retries, ticket }
+        Broadcast { finish, delivered, delta_w_c, rounds, retries, ticket }
     }
 
     /// Gate of one delivery round: with a liveness engine only the first
@@ -353,20 +365,20 @@ impl SimHarness {
     }
 
     /// A Bulk receiver that was not squashed applies the commit: bulk
-    /// invalidation of `cache` against `w_c`, accounted against the exact
-    /// committed lines. Returns the application (the caller accounts
-    /// word merges) and the number of false invalidations.
+    /// invalidation of `cache` against [`Broadcast::w_c`], accounted
+    /// against the exact committed lines. Returns the application (the
+    /// caller accounts word merges) and the number of false invalidations.
     pub fn bulk_apply(
         &self,
         actor: usize,
         bdm: &Bdm,
         cache: &mut Cache,
-        w_c: &Signature,
+        (w_c, delta_w_c): (&Signature, &SetBitmask),
         exact_lines: &AddrSet<LineAddr>,
         at: u64,
     ) -> (CommitApplication, u64) {
         let exp = self.obs.as_ref().map(|o| &o.expansion);
-        let app = flows::apply_remote_commit_observed(bdm, w_c, cache, exp);
+        let app = flows::apply_remote_commit_observed(bdm, w_c, delta_w_c, cache, exp);
         let lines = app.invalidated.len() as u64;
         let false_inv = app.invalidated.iter().filter(|l| !exact_lines.contains(l)).count() as u64;
         if let Some(obs) = &self.obs {

@@ -758,7 +758,7 @@ impl TlsMachine {
             section: std::mem::replace(&mut self.tasks[i].section_span, SpanId::DROPPED),
         };
         let b = self.h.broadcast(&self.cfg, &mut self.stats.bw, request);
-        let (finish, delivered, ticket) = (b.finish, b.delivered, b.ticket);
+        let (finish, ticket) = (b.finish, b.ticket);
         self.stats.commit_retries += u64::from(b.retries);
         self.last_commit_finish = finish;
         self.stats.commits += 1;
@@ -793,7 +793,7 @@ impl TlsMachine {
                 TlsScheme::Eager => false,
                 TlsScheme::Lazy => exact_conflict,
                 TlsScheme::Bulk | TlsScheme::BulkNoOverlap => {
-                    let Some(d) = delivered.as_ref() else {
+                    let Some(d) = b.delivered.as_ref() else {
                         return Err(MachineError::MalformedCommit {
                             scheme: "TLS-Bulk",
                             payload: "address-list",
@@ -863,10 +863,10 @@ impl TlsMachine {
                         self.exact_apply_commit(q, &exact_lines);
                     }
                     TlsScheme::Bulk | TlsScheme::BulkNoOverlap => {
-                        let w = &delivered.as_ref().expect("bulk commit delivers signatures").w;
+                        let w_c = b.w_c().expect("bulk commit delivers signatures");
                         let Proc { bdm, cache, .. } = &mut self.procs[q];
                         let (app, false_inv) =
-                            self.h.bulk_apply(q, bdm, cache, w, &exact_lines, finish);
+                            self.h.bulk_apply(q, bdm, cache, w_c, &exact_lines, finish);
                         if round > 0 {
                             // Duplicate delivery: every clean match is gone
                             // already, and a merged line is not refetched.
@@ -892,7 +892,7 @@ impl TlsMachine {
 
         // The delivered (wire) signatures are dead now — recycle their
         // buffers for the next broadcast.
-        if let Some(d) = delivered {
+        if let Some(d) = b.delivered {
             self.sig_arena.give(d.w);
             if let Some(sh) = d.w_sh {
                 self.sig_arena.give(sh);

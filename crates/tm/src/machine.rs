@@ -12,14 +12,14 @@ use std::sync::Arc;
 
 use bulk_chaos::{FaultPlan, InvariantKind, MachineError};
 use bulk_core::{
-    check_speculative_store, flows, Bdm, CommitEvent, CommitMsg, DeliveredSignatures,
+    check_speculative_store, flows, Bdm, CommitEvent, CommitMsg,
     SectionStack, StoreCheck, VersionId,
 };
 use bulk_live::{Checkpoint, LivenessConfig};
 use bulk_mem::{Addr, AddrSet, Cache, LineAddr, MsgClass, OverflowArea};
 use bulk_obs::{Obs, SpanId, SpanKind, SpanOutcome};
-use bulk_sig::{Signature, SignatureArena, SignatureConfig};
-use bulk_sim::{AccessTiming, CommitRequest, CoreTimer, SimConfig, SimHarness};
+use bulk_sig::{SetBitmask, Signature, SignatureArena, SignatureConfig};
+use bulk_sim::{AccessTiming, Broadcast, CommitRequest, CoreTimer, SimConfig, SimHarness};
 use bulk_trace::{TmOp, TmWorkload};
 
 use crate::{Scheme, TmStats};
@@ -871,7 +871,7 @@ impl TmMachine {
             section,
         };
         let b = self.h.broadcast(&self.cfg, &mut self.stats.bw, request);
-        let (finish, delivered, ticket) = (b.finish, b.delivered, b.ticket);
+        let (finish, ticket) = (b.finish, b.ticket);
         self.stats.commit_retries += u64::from(b.retries);
         self.threads[tid].timer.wait_until(finish);
 
@@ -905,7 +905,7 @@ impl TmMachine {
                 continue;
             }
             for j in self.others(tid) {
-                self.receive_commit(j, tid, &exact_w, delivered.as_ref(), finish)?;
+                self.receive_commit(j, tid, &exact_w, &b)?;
             }
             self.h.applied(ticket);
         }
@@ -913,7 +913,7 @@ impl TmMachine {
 
         // The delivered (wire) signatures are dead now — recycle their
         // buffers for the next broadcast.
-        if let Some(d) = delivered {
+        if let Some(d) = b.delivered {
             self.sig_arena.give(d.w);
             if let Some(sh) = d.w_sh {
                 self.sig_arena.give(sh);
@@ -978,9 +978,9 @@ impl TmMachine {
         j: usize,
         committer: usize,
         exact_w: &AddrSet<LineAddr>,
-        delivered: Option<&DeliveredSignatures>,
-        finish: u64,
+        b: &Broadcast,
     ) -> Result<(), MachineError> {
+        let finish = b.finish;
         let in_tx = self.threads[j].in_tx();
         let exact_conflict = in_tx && {
             let o = &self.threads[j];
@@ -1017,13 +1017,13 @@ impl TmMachine {
                 }
             }
             Scheme::Bulk => {
-                let Some(d) = delivered else {
+                let Some(w_c) = b.w_c() else {
                     return Err(MachineError::MalformedCommit {
                         scheme: "Bulk",
                         payload: "address-list",
                     });
                 };
-                let w = &d.w;
+                let w = w_c.0;
                 // The signature came off the wire: a config mismatch is a
                 // malformed commit, not a machine panic.
                 let sig_conflict = if in_tx {
@@ -1052,17 +1052,17 @@ impl TmMachine {
                     let dep = self.exact_dep_size(j, exact_w);
                     self.squash_thread(j, finish, exact_conflict, dep, Some(committer));
                 } else {
-                    self.bulk_apply_commit(j, w, exact_w, finish);
+                    self.bulk_apply_commit(j, w_c, exact_w, finish);
                 }
             }
             Scheme::BulkPartial => {
-                let Some(d) = delivered else {
+                let Some(w_c) = b.w_c() else {
                     return Err(MachineError::MalformedCommit {
                         scheme: "Bulk-Partial",
                         payload: "address-list",
                     });
                 };
-                let w = &d.w;
+                let w = w_c.0;
                 let violated = if in_tx {
                     self.threads[j].sections.try_disambiguate(w).map_err(|_| {
                         MachineError::MalformedCommit {
@@ -1089,7 +1089,7 @@ impl TmMachine {
                         self.partial_rollback(j, sec, finish, exact_conflict);
                     }
                     None => {
-                        self.bulk_apply_commit(j, w, exact_w, finish);
+                        self.bulk_apply_commit(j, w_c, exact_w, finish);
                     }
                 }
             }
@@ -1103,9 +1103,15 @@ impl TmMachine {
         });
     }
 
-    fn bulk_apply_commit(&mut self, j: usize, w: &Signature, exact_w: &AddrSet<LineAddr>, at: u64) {
+    fn bulk_apply_commit(
+        &mut self,
+        j: usize,
+        w_c: (&Signature, &SetBitmask),
+        exact_w: &AddrSet<LineAddr>,
+        at: u64,
+    ) {
         let t = &mut self.threads[j];
-        let (app, false_inv) = self.h.bulk_apply(j, &t.bdm, &mut t.cache, w, exact_w, at);
+        let (app, false_inv) = self.h.bulk_apply(j, &t.bdm, &mut t.cache, w_c, exact_w, at);
         self.stats.false_invalidations += false_inv;
         debug_assert!(app.merged.is_empty(), "line-grain TM signatures never merge");
     }

@@ -39,7 +39,7 @@ fn main() {
     println!(
         "checkpoint 1 buffered {} speculative lines (sets {:?})",
         6,
-        bdm.decode_write_sets(ck1).iter_ones().collect::<Vec<_>>()
+        bdm.delta_w(ck1).iter_ones().collect::<Vec<_>>()
     );
 
     // --- Checkpoint 2 on top (nested speculation), e.g. a second branch. ---

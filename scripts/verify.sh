@@ -67,6 +67,14 @@ echo "== sim linearity guard (12800 TLS tasks under a 10 s timeout)"
 timeout 10 "$BULK" tls --app crafty --tasks 12800 --scheme bulk --seed 42 > /dev/null
 echo "linearity guard: OK"
 
+# Audit-cost guard: the auditor reads δ(W) from the BDM slots (DESIGN.md
+# §17). 2,400 audited sjbb2k transactions take about 0.6 s that way and
+# about 7 s when δ is decoded again inside the verifier's per-set loop —
+# as above, the timeout separates two regimes rather than timing the host.
+echo "== audit-cost guard (2400 audited TM transactions under a 2 s timeout)"
+timeout 2 "$BULK" tm --app sjbb2k --txs 2400 --scheme bulk --seed 42 --audit > /dev/null
+echo "audit-cost guard: OK"
+
 # Parallel-runtime crash smoke: --chaos under --runtime par arms the
 # real-thread fault preset (seeded worker kills at commit-protocol
 # points, injected stalls, delayed publishes). The supervisor must
