@@ -414,6 +414,7 @@ fn finish_par(reg: &Registry, r: &RunReport) -> Result<(u64, u64), (String, Stri
     if let RunDetail::Par(s) = &r.detail {
         reg.counter("par.false_squashes").add(s.false_squashes);
         reg.counter("par.claim_retries").add(s.claim_retries);
+        reg.counter("par.slot_wait_spins").add(s.slot_wait_spins);
         reg.counter("par.records").add(s.records);
         reg.counter("par.dedup_drops").add(s.dedup_drops);
         reg.counter("par.worker_crashes").add(s.worker_crashes);

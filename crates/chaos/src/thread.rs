@@ -81,10 +81,20 @@ pub struct ThreadChaos {
     consumed: Vec<AtomicBool>,
     /// Remaining probabilistic kills (explicit specs are not budgeted).
     kill_budget: AtomicU32,
-    /// Cumulative successful slot claims per processor.
-    claims: Vec<AtomicU64>,
-    /// Cumulative record applications per processor.
-    applies: Vec<AtomicU64>,
+    events: Vec<ProcEvents>,
+}
+
+/// One processor's cumulative event counts. Only that processor's current
+/// incarnation writes them, once per claim or applied record, so each
+/// processor gets a cache line of its own: packed side by side, every
+/// worker's increment would take the line from every other worker.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct ProcEvents {
+    /// Successful slot claims.
+    claims: AtomicU64,
+    /// Record applications.
+    applies: AtomicU64,
 }
 
 impl ThreadChaos {
@@ -99,8 +109,7 @@ impl ThreadChaos {
             kills,
             cfg,
             kill_budget: AtomicU32::new(budget),
-            claims: (0..procs).map(|_| AtomicU64::new(0)).collect(),
-            applies: (0..procs).map(|_| AtomicU64::new(0)).collect(),
+            events: (0..procs).map(|_| ProcEvents::default()).collect(),
         })
     }
 
@@ -169,7 +178,7 @@ impl WorkerChaos {
     /// ([`CrashPoint::Claim`] or [`CrashPoint::Publish`], never
     /// [`CrashPoint::Apply`]).
     pub fn on_claim(&mut self) -> Option<CrashPoint> {
-        let n = self.shared.claims[self.proc].fetch_add(1, Ordering::Relaxed);
+        let n = self.shared.events[self.proc].claims.fetch_add(1, Ordering::Relaxed);
         if let Some(p) = self.shared.explicit_kill(self.proc, n, false) {
             return Some(p);
         }
@@ -186,7 +195,7 @@ impl WorkerChaos {
     /// Consulted after every record application. `true` means the worker
     /// dies here ([`CrashPoint::Apply`] — no bus slot is held).
     pub fn on_apply(&mut self) -> bool {
-        let n = self.shared.applies[self.proc].fetch_add(1, Ordering::Relaxed);
+        let n = self.shared.events[self.proc].applies.fetch_add(1, Ordering::Relaxed);
         if self.shared.explicit_kill(self.proc, n, true).is_some() {
             return true;
         }
@@ -204,6 +213,7 @@ impl WorkerChaos {
     /// Consulted at poll sites: `Some(d)` stalls the worker for `d`
     /// (simulating a descheduled/hung peer the watchdog must tolerate
     /// below its bound and report above it).
+    #[inline]
     pub fn maybe_stall(&mut self) -> Option<Duration> {
         let cfg = self.shared.cfg.as_ref()?;
         (cfg.thread_stall_prob > 0.0 && self.rng.random::<f64>() < cfg.thread_stall_prob)
@@ -259,6 +269,21 @@ mod tests {
         assert!(w.on_apply()); // apply 1
         assert!(!w.apply_kill_pending(), "consumed");
         assert!(!w.on_apply(), "consumed");
+    }
+
+    #[test]
+    fn processors_count_on_separate_cache_lines_and_across_respawns() {
+        let chaos =
+            ThreadChaos::new(3, None, vec![KillSpec { proc: 2, point: CrashPoint::Apply, at: 3 }]);
+        let line_of = |e: &ProcEvents| e as *const ProcEvents as usize / 64;
+        assert_ne!(line_of(&chaos.events[0]), line_of(&chaos.events[1]));
+        assert_ne!(line_of(&chaos.events[1]), line_of(&chaos.events[2]));
+        // `at` counts the processor's applications, not the incarnation's.
+        let mut first = chaos.worker(2, 0);
+        assert!(!first.on_apply() && !first.on_apply());
+        let mut second = chaos.worker(2, 1);
+        assert!(!second.on_apply()); // apply 2
+        assert!(second.on_apply()); // apply 3
     }
 
     #[test]

@@ -121,8 +121,9 @@ pub fn print_par(machine: &str, app: &str, scheme: &str, r: &RunReport) {
         if s.squashes > 0 { 100.0 * s.false_squashes as f64 / s.squashes as f64 } else { 0.0 }
     );
     println!(
-        "  bus log            {} records ({} non-tx stores), {} claim retries",
-        s.records, s.non_tx_stores, s.claim_retries
+        "  bus log            {} records ({} non-tx stores), {} claim retries, \
+         {} slot-wait spins",
+        s.records, s.non_tx_stores, s.claim_retries, s.slot_wait_spins
     );
     println!(
         "  exactly-once       {} dedup drops, {} duplicate applications, epoch {}",
@@ -161,6 +162,7 @@ pub fn par_metrics_json(r: &RunReport, seed: u64) -> String {
         ("squashes", s.squashes),
         ("false_squashes", s.false_squashes),
         ("claim_retries", s.claim_retries),
+        ("slot_wait_spins", s.slot_wait_spins),
         ("non_tx_stores", s.non_tx_stores),
         ("records", s.records),
         ("dedup_drops", s.dedup_drops),
@@ -433,6 +435,7 @@ mod tests {
         assert!(json.contains("\"seed\": 7"), "{json}");
         assert!(json.contains("\"commits\": 4"), "{json}");
         assert!(json.contains("\"duplicate_applications\": 0"), "{json}");
+        assert!(json.contains("\"slot_wait_spins\": "), "{json}");
         assert!(json.contains("\"per_thread_commits\": [2, 2]"), "{json}");
     }
 

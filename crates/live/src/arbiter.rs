@@ -18,7 +18,9 @@
 //!   never applied twice no matter how many times crash or chaos
 //!   duplication re-delivers it.
 
-use std::collections::BTreeSet;
+use bulk_mem::AddrHasher;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Identity of one commit broadcast: arbiter epoch at grant time, the
 /// committing processor, and that processor's transaction serial number.
@@ -104,13 +106,23 @@ impl Arbiter {
 /// soak can assert the end-to-end property directly: however many times
 /// chaos duplicates a broadcast or a failover replays it, the number of
 /// duplicate applications stays zero.
+///
+/// One hash-table entry per distinct ticket holds both facts as flag
+/// bits: a delivery is one constant-time probe whatever the serials look
+/// like, and the footprint is the distinct tickets, never the largest
+/// serial. The keys are tickets this process stamped, not outside input,
+/// so the fixed hasher of the exact address sets serves here too.
 #[derive(Debug, Default)]
 pub struct DedupFilter {
-    admitted: BTreeSet<(usize, u64)>,
-    applied: BTreeSet<(usize, u64)>,
+    /// `(committer, serial)` → [`ADMITTED`] | [`APPLIED`].
+    seen: HashMap<(u64, u64), u8, BuildHasherDefault<AddrHasher>>,
+    applications: u64,
     drops: u64,
     duplicate_applications: u64,
 }
+
+const ADMITTED: u8 = 1;
+const APPLIED: u8 = 2;
 
 impl DedupFilter {
     /// Creates an empty filter.
@@ -118,28 +130,34 @@ impl DedupFilter {
         DedupFilter::default()
     }
 
+    /// Sets `flag` on `ticket`'s entry; `true` if it was not set before.
+    #[inline]
+    fn mark(&mut self, ticket: CommitTicket, flag: u8) -> bool {
+        let flags = self.seen.entry((ticket.committer as u64, ticket.serial)).or_insert(0);
+        let fresh = *flags & flag == 0;
+        *flags |= flag;
+        fresh
+    }
+
     /// Admits a delivery of `ticket` if its `(committer, serial)` has not
     /// been seen before. A rejected (duplicate) delivery is counted and
     /// must not be applied by the caller.
+    #[inline]
     pub fn admit(&mut self, ticket: CommitTicket) -> bool {
-        if self.admitted.insert((ticket.committer, ticket.serial)) {
-            true
-        } else {
-            self.drops += 1;
-            false
-        }
+        let fresh = self.mark(ticket, ADMITTED);
+        self.drops += u64::from(!fresh);
+        fresh
     }
 
     /// Records that the caller actually applied `ticket`'s W_C. Returns
     /// `true` if this was a *duplicate* application — a correctness bug
     /// the soaks assert never happens.
+    #[inline]
     pub fn record_application(&mut self, ticket: CommitTicket) -> bool {
-        if self.applied.insert((ticket.committer, ticket.serial)) {
-            false
-        } else {
-            self.duplicate_applications += 1;
-            true
-        }
+        let fresh = self.mark(ticket, APPLIED);
+        self.applications += u64::from(fresh);
+        self.duplicate_applications += u64::from(!fresh);
+        !fresh
     }
 
     /// Deliveries rejected as duplicates.
@@ -149,7 +167,7 @@ impl DedupFilter {
 
     /// Distinct commits applied.
     pub fn applications(&self) -> u64 {
-        self.applied.len() as u64
+        self.applications
     }
 
     /// Times the same commit was applied more than once (must stay 0).
@@ -163,7 +181,7 @@ impl DedupFilter {
     /// duplicated and replayed deliveries are dropped without growing the
     /// filter. The property suite asserts this bound directly.
     pub fn tracked(&self) -> usize {
-        self.admitted.union(&self.applied).count()
+        self.seen.len()
     }
 }
 

@@ -12,10 +12,18 @@
 //! * **Memory boundedness** — the filter's footprint is bounded by the
 //!   number of distinct tickets, never by the delivery count: an
 //!   adversary replaying the same commit a thousand times cannot grow it.
+//!
+//! And the one the parallel runtime's constant-size commit leans on:
+//!
+//! * **Representation independence** — the hashed filter answers every
+//!   call exactly as two ordered sets of `(committer, serial)` would, for
+//!   dense, strided and sparse serials up to `u64::MAX`, with a footprint
+//!   that never depends on how large a serial is.
 
 use bulk_live::{Arbiter, CommitTicket, DedupFilter};
 use bulk_rng::check::{run, Gen};
 use bulk_rng::{prop_assert, prop_assert_eq};
+use std::collections::BTreeSet;
 
 /// A seeded delivery stream: distinct tickets, duplicated (possibly under
 /// re-stamped epochs, as failover replays are) and then reordered.
@@ -119,4 +127,106 @@ fn replay_storm_on_one_ticket_never_grows_the_filter() {
         prop_assert_eq!(filter.duplicate_applications(), 0);
         Ok(())
     });
+}
+
+/// The filter as it was first written: one ordered set per fact.
+#[derive(Default)]
+struct ReferenceFilter {
+    admitted: BTreeSet<(usize, u64)>,
+    applied: BTreeSet<(usize, u64)>,
+    drops: u64,
+    duplicate_applications: u64,
+}
+
+impl ReferenceFilter {
+    fn admit(&mut self, t: CommitTicket) -> bool {
+        let fresh = self.admitted.insert((t.committer, t.serial));
+        self.drops += u64::from(!fresh);
+        fresh
+    }
+
+    fn record_application(&mut self, t: CommitTicket) -> bool {
+        let duplicate = !self.applied.insert((t.committer, t.serial));
+        self.duplicate_applications += u64::from(duplicate);
+        duplicate
+    }
+
+    fn tracked(&self) -> usize {
+        self.admitted.union(&self.applied).count()
+    }
+}
+
+/// The serials one committer stamps, in the shapes the runtimes produce:
+/// a TM worker counts up from 0, TLS worker `c` of `W` commits tasks `c`,
+/// `c + W`, …, and nothing stops a serial from being any `u64`.
+fn serials(g: &mut Gen, committer: usize, committers: usize) -> Vec<u64> {
+    let n = g.in_range(1u64..40);
+    match g.in_range(0u32..3) {
+        0 => (0..n).collect(),
+        1 => (0..n).map(|i| committer as u64 + i * committers as u64).collect(),
+        _ => {
+            let mut sparse: Vec<u64> = (0..n).map(|_| g.u64()).collect();
+            sparse.extend([0, u64::MAX, u64::MAX - committer as u64]);
+            sparse
+        }
+    }
+}
+
+#[test]
+fn hashed_filter_answers_like_the_ordered_set_model() {
+    run("dedup_matches_reference", 128, |g| {
+        let committers = g.in_range(1usize..6);
+        let mut arbiter = Arbiter::new(committers, 120);
+        let mut stream = Vec::new();
+        for c in 0..committers {
+            for s in serials(g, c, committers) {
+                // 1..4 deliveries each, some re-stamped by a failover.
+                for _ in 0..g.in_range(1usize..4) {
+                    if g.bool() {
+                        arbiter.fail_over();
+                    }
+                    stream.push(arbiter.ticket(c, s));
+                }
+            }
+        }
+        for i in (1..stream.len()).rev() {
+            let j = g.in_range(0usize..i + 1);
+            stream.swap(i, j);
+        }
+
+        let (mut filter, mut model) = (DedupFilter::new(), ReferenceFilter::default());
+        for &t in &stream {
+            let admitted = filter.admit(t);
+            prop_assert_eq!(admitted, model.admit(t), "admit({t:?})");
+            // Apply what was admitted — and, now and then, what was not:
+            // the bug `duplicate_applications` exists to expose.
+            if admitted || g.in_range(0u32..8) == 0 {
+                prop_assert_eq!(
+                    filter.record_application(t),
+                    model.record_application(t),
+                    "record_application({t:?})"
+                );
+            }
+            prop_assert_eq!(filter.tracked(), model.tracked());
+        }
+        prop_assert_eq!(filter.drops(), model.drops);
+        prop_assert_eq!(filter.applications(), model.applied.len() as u64);
+        prop_assert_eq!(filter.duplicate_applications(), model.duplicate_applications);
+        // The footprint is the distinct tickets — `u64::MAX` was among the
+        // serials of every sparse committer, and cost one entry.
+        prop_assert!(filter.tracked() <= stream.len());
+        Ok(())
+    });
+}
+
+#[test]
+fn an_application_without_admission_is_tracked_once() {
+    let t = |serial| CommitTicket { epoch: 0, committer: 3, serial };
+    let mut f = DedupFilter::new();
+    assert!(!f.record_application(t(u64::MAX)));
+    assert_eq!((f.tracked(), f.applications()), (1, 1));
+    assert!(f.admit(t(u64::MAX)), "never admitted before");
+    assert_eq!((f.tracked(), f.drops()), (1, 0));
+    assert!(f.admit(t(0)));
+    assert_eq!((f.tracked(), f.applications()), (2, 1));
 }

@@ -41,8 +41,7 @@ pub enum RecordKind {
     /// A tombstone published by the supervisor into a dead worker's
     /// claimed-but-unpublished slot. Carries empty sets and a fresh
     /// ticket so receivers admit-and-skip it exactly once; keeps the log
-    /// dense so survivors stop spinning in
-    /// [`wait_for`](BusLog::wait_for).
+    /// dense so survivors stop waiting on the orphaned slot.
     Fence,
 }
 
@@ -176,20 +175,9 @@ impl BusLog {
         self.slots[slot].set(record).map_err(|_| SlotOccupied(slot))
     }
 
-    /// Returns slot `i`, spinning (with `yield_now`) through the short
-    /// claim-to-publish window if the writer hasn't stored it yet.
-    /// Callers must only ask for `i < tail()`.
-    pub fn wait_for(&self, i: usize) -> &BusRecord {
-        loop {
-            if let Some(r) = self.slots[i].get() {
-                return r;
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-    }
-
-    /// Returns slot `i` if it is already published.
+    /// Returns slot `i` if it is already published. A claimed slot stays
+    /// `None` through its claim-to-publish window; a receiver waits there
+    /// with its abort and watchdog checks (`Receiver::apply_next`).
     pub fn get(&self, i: usize) -> Option<&BusRecord> {
         self.slots[i].get()
     }
@@ -222,8 +210,8 @@ mod tests {
         assert!(log.try_claim(1));
         log.publish(1, record(1, 0, 1)).unwrap();
         assert_eq!(log.tail(), 2);
-        assert_eq!(log.wait_for(0).thread, 0);
-        assert_eq!(log.wait_for(1).thread, 1);
+        assert_eq!(log.get(0).map(|r| r.thread), Some(0));
+        assert_eq!(log.get(1).map(|r| r.thread), Some(1));
     }
 
     #[test]
@@ -240,12 +228,13 @@ mod tests {
     fn a_fence_unblocks_waiters_on_an_orphaned_slot() {
         let log = BusLog::new(1);
         assert!(log.try_claim(0));
-        // The claimer died; a reader spinning in wait_for(0) would hang
+        // The claimer died; a reader waiting on slot 0 would see `None`
         // forever. The supervisor fences the slot and the reader sees a
         // skippable tombstone.
+        assert!(log.get(0).is_none());
         let fence = BusRecord { kind: RecordKind::Fence, ..record(0, 1, 0) };
         log.publish(0, fence).unwrap();
-        assert_eq!(log.wait_for(0).kind, RecordKind::Fence);
+        assert_eq!(log.get(0).map(|r| r.kind), Some(RecordKind::Fence));
     }
 
     #[test]
@@ -269,7 +258,9 @@ mod tests {
                             // Writers may be mid-publish; wait so the
                             // validated prefix is fully visible.
                             for i in 0..seen {
-                                let _ = log.wait_for(i);
+                                while log.get(i).is_none() {
+                                    std::thread::yield_now();
+                                }
                             }
                             if log.try_claim(seen) {
                                 log.publish(seen, record(t, n, seen)).unwrap();

@@ -15,10 +15,9 @@ use crate::stats::WorkerStats;
 use bulk_chaos::{CrashPoint, InvariantKind, WorkerChaos};
 use bulk_core::SpilledVersion;
 use bulk_live::{Checkpoint, CommitTicket, DedupFilter};
-use bulk_mem::{Addr, LineAddr};
+use bulk_mem::{Addr, AddrSet, LineAddr};
 use bulk_rng::{Rng, SeedableRng, SmallRng};
 use bulk_sig::{Signature, SignatureConfig};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Accumulated compute dwell is slept in chunks no smaller than this, so
@@ -39,8 +38,8 @@ pub(crate) struct SpecSets {
     sig_config: Arc<SignatureConfig>,
     r_sig: Signature,
     w_sig: Signature,
-    exact_r: HashSet<LineAddr>,
-    exact_w: HashSet<LineAddr>,
+    exact_r: AddrSet<LineAddr>,
+    exact_w: AddrSet<LineAddr>,
 }
 
 impl SpecSets {
@@ -50,8 +49,8 @@ impl SpecSets {
             r_sig: Signature::with_shared(sig_config.clone()),
             w_sig: Signature::with_shared(sig_config.clone()),
             sig_config,
-            exact_r: HashSet::new(),
-            exact_w: HashSet::new(),
+            exact_r: AddrSet::default(),
+            exact_w: AddrSet::default(),
         }
     }
 
@@ -107,16 +106,16 @@ impl SpecSets {
         })
     }
 
-    /// The commit payload — `W` moved out, the exact sets sorted — as
-    /// `(w_sig, exact_w, exact_r)`.
-    pub(crate) fn commit_payload(&mut self) -> (Option<Signature>, Vec<LineAddr>, Vec<LineAddr>) {
-        let sorted = |set: &HashSet<LineAddr>| {
+    /// What a commit broadcasts — a copy of `W`, the exact sets sorted —
+    /// as `(w_sig, exact_w, exact_r)`. It changes nothing, so a publisher
+    /// builds it before it claims a slot (DESIGN.md §18).
+    pub(crate) fn commit_payload(&self) -> (Option<Signature>, Vec<LineAddr>, Vec<LineAddr>) {
+        let sorted = |set: &AddrSet<LineAddr>| {
             let mut v: Vec<LineAddr> = set.iter().copied().collect();
             v.sort_unstable();
             v
         };
-        let fresh = || Signature::with_shared(self.sig_config.clone());
-        let w_sig = self.use_sigs.then(|| std::mem::replace(&mut self.w_sig, fresh()));
+        let w_sig = self.use_sigs.then(|| self.w_sig.clone());
         (w_sig, sorted(&self.exact_w), sorted(&self.exact_r))
     }
 
@@ -134,6 +133,13 @@ impl SpecSets {
     /// Crash-consistency checkpoint of [`SpecSets::spilled`].
     pub(crate) fn checkpoint(&self) -> Checkpoint {
         Checkpoint::capture(self.spilled(), Vec::new())
+    }
+
+    /// Makes `ckpt` — an earlier [`SpecSets::checkpoint`] of these sets —
+    /// equal to a fresh one by copying the signature bits over in place.
+    pub(crate) fn refresh_checkpoint(&self, ckpt: &mut Checkpoint) {
+        ckpt.spilled.r.copy_from(&self.r_sig);
+        ckpt.spilled.w.copy_from(&self.w_sig);
     }
 }
 
@@ -196,21 +202,41 @@ impl Receiver {
     /// now). Returns `Ok(true)` if a record squashed the running attempt;
     /// the engine then rewinds.
     ///
-    /// Waiting on a claimed-but-unpublished slot checks the abort flag
-    /// and the wall-clock watchdog, so a dead or hung peer halts the
-    /// worker with a typed cause instead of hanging it.
+    /// Engines poll before every trace op and almost always find nothing
+    /// new; that case is inlined into their loops — the armed-stall check,
+    /// one load of the tail, one compare.
+    #[inline]
     pub(crate) fn poll(
         &mut self,
         log: &BusLog,
         ctl: &RunControl,
-        mut check: impl FnMut(&BusRecord) -> Option<Verdict>,
+        check: impl FnMut(&BusRecord) -> Option<Verdict>,
     ) -> Result<bool, Halt> {
         if let Some(d) = self.chaos.maybe_stall() {
             self.stats.injected_stalls += 1;
             std::thread::sleep(d);
         }
-        let mut squashed = false;
         let tail = log.tail();
+        if self.cursor >= tail {
+            return Ok(false);
+        }
+        self.apply_up_to(tail, log, ctl, check)
+    }
+
+    /// The rest of [`Receiver::poll`]: applies records up to `tail`.
+    ///
+    /// Waiting on a claimed-but-unpublished slot checks the abort flag
+    /// and the wall-clock watchdog, so a dead or hung peer halts the
+    /// worker with a typed cause instead of hanging it.
+    #[inline(never)]
+    fn apply_up_to(
+        &mut self,
+        tail: usize,
+        log: &BusLog,
+        ctl: &RunControl,
+        mut check: impl FnMut(&BusRecord) -> Option<Verdict>,
+    ) -> Result<bool, Halt> {
+        let mut squashed = false;
         // An adopted (still unpublished) slot is the worker's own: there
         // is nothing to apply, and waiting on it would deadlock.
         while self.cursor < tail && self.adopt != Some(self.cursor) {
@@ -247,6 +273,7 @@ impl Receiver {
             if let Some(r) = log.get(self.cursor) {
                 break r;
             }
+            self.stats.slot_wait_spins += 1;
             ctl.check_spin(self.proc)?;
             std::hint::spin_loop();
             std::thread::yield_now();
@@ -307,21 +334,16 @@ impl Receiver {
         }
     }
 
-    /// Claims `slot` and publishes `record(ticket)` into it. `Ok(false)`
-    /// means the claim lost the tail race (someone else published; the
-    /// caller re-validates against the winner). The caller must have
-    /// polled the log up to `slot`.
+    /// Claims `slot`; the caller must have polled the log up to it, and
+    /// must [`publish`](Receiver::publish) into it next. `Ok(false)` means
+    /// the claim lost the tail race (someone else published; the caller
+    /// re-validates against the winner).
     ///
-    /// The window between claim and publish is where a worker death
-    /// orphans a slot, so it is where the chaos schedule's `Claim` and
-    /// `Publish` kills and its publish delay land.
-    pub(crate) fn claim_and_publish(
-        &mut self,
-        log: &BusLog,
-        ctl: &RunControl,
-        slot: usize,
-        record: impl FnOnce(CommitTicket) -> BusRecord,
-    ) -> Result<bool, Halt> {
+    /// From a won claim until the publish every other worker's poll waits
+    /// on this slot, and a worker death orphans it — so the chaos
+    /// schedule's `Claim` and `Publish` kills and its publish delay land
+    /// here, and nothing else may: the record is ready beforehand.
+    pub(crate) fn claim(&mut self, log: &BusLog, slot: usize) -> Result<bool, Halt> {
         if self.adopt == Some(slot) {
             // The dead incarnation already won this claim; publish into
             // the orphaned slot instead of re-claiming.
@@ -345,6 +367,19 @@ impl Receiver {
             self.stats.delayed_publishes += 1;
             std::thread::sleep(d);
         }
+        Ok(true)
+    }
+
+    /// Stamps the next ticket and publishes `record(ticket)` into the
+    /// `slot` just [claimed](Receiver::claim).
+    pub(crate) fn publish(
+        &mut self,
+        log: &BusLog,
+        ctl: &RunControl,
+        slot: usize,
+        record: impl FnOnce(CommitTicket) -> BusRecord,
+    ) -> Result<(), Halt> {
+        debug_assert_eq!(self.claimed_unpublished, Some(slot), "publish without a claim");
         let ticket = self.stamp_ticket(log);
         log.publish(slot, record(ticket)).map_err(|e| Halt::Bug(e.to_string()))?;
         self.claimed_unpublished = None;
@@ -355,7 +390,7 @@ impl Receiver {
         self.dedup.record_application(ticket);
         self.cursor = slot + 1;
         self.squash_streak = 0;
-        Ok(true)
+        Ok(())
     }
 
     fn stamp_ticket(&mut self, log: &BusLog) -> CommitTicket {
@@ -392,5 +427,108 @@ impl Receiver {
         self.stats.dedup_drops = self.dedup.drops();
         self.stats.duplicate_applications = self.dedup.duplicate_applications();
         std::mem::take(&mut self.stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bus::RecordKind;
+
+    fn sets_after(reads: &[u32], writes: &[u32]) -> SpecSets {
+        let mut sets = SpecSets::new(true, SignatureConfig::s14_tm().into_shared());
+        reads.iter().for_each(|&a| sets.read(Addr::new(a)));
+        writes.iter().for_each(|&a| sets.write(Addr::new(a)));
+        sets
+    }
+
+    /// A peer's commit of `writes`, as the bus would carry it.
+    fn peer_record(writes: &[u32]) -> BusRecord {
+        let (w_sig, exact_w, exact_r) = sets_after(&[], writes).commit_payload();
+        let ticket = CommitTicket { epoch: 0, committer: 1, serial: 0 };
+        let bare = BusRecord::bare(ticket, 1, 0, RecordKind::Commit, 0);
+        BusRecord { w_sig, exact_w, exact_r, ..bare }
+    }
+
+    #[test]
+    fn an_unpublished_payload_leaves_every_verdict_as_it_was() {
+        let sets = sets_after(&[0x1000, 0x1040, 0x9000], &[0x2000, 0x2040]);
+        let records: Vec<BusRecord> =
+            [&[0x1000][..], &[0x2040], &[0x7000, 0x7040], &[0x9000, 0x2000], &[]]
+                .map(peer_record)
+                .into();
+        let verdicts = |sets: &SpecSets| -> Vec<(bool, Option<bool>, bool, Option<bool>)> {
+            records
+                .iter()
+                .map(|rec| {
+                    let (tls, tm) = (sets.verdict(rec, false), sets.verdict(rec, true));
+                    (tls.exact, tls.sig, tm.exact, tm.sig)
+                })
+                .collect()
+        };
+        let before = verdicts(&sets);
+        assert_eq!(before[0], (true, Some(true), true, Some(true)), "hits R");
+        assert_eq!((before[1].0, before[1].2), (false, true), "hits W only");
+        assert_eq!((before[2].0, before[2].2), (false, false), "disjoint");
+
+        // A commit attempt that lost its claim: the payload was built and
+        // dropped. The sets must still answer as if it never was.
+        let (w_sig, exact_w, exact_r) = sets.commit_payload();
+        let line = |a| Addr::new(a).line(64);
+        assert_eq!(exact_w, vec![line(0x2000), line(0x2040)]);
+        assert_eq!(exact_r, vec![line(0x1000), line(0x1040), line(0x9000)]);
+        let w_sig = w_sig.expect("Bulk broadcasts W");
+        assert!(exact_w.iter().all(|&l| w_sig.contains_line(l)), "containment");
+        drop(w_sig);
+        assert_eq!(verdicts(&sets), before);
+        // The retry's payload is the same broadcast.
+        let (again, exact_w2, exact_r2) = sets.commit_payload();
+        assert_eq!((exact_w2, exact_r2), (exact_w, exact_r));
+        assert_eq!(again, Some(sets.spilled().w));
+    }
+
+    #[test]
+    fn poll_does_not_wait_on_an_adopted_slot() {
+        // The dead incarnation claimed slot 1 and never published; this one
+        // adopts it. Its polls see `cursor < tail`, so they leave the fast
+        // path — and must still come back without waiting on their own slot
+        // (a wait would end in the 50 ms watchdog's `Stalled`).
+        let cfg = ParConfig { stall_timeout_ms: 50, ..ParConfig::default() };
+        let ctl = RunControl::new("par/tls/Bulk".into(), 2, &cfg);
+        let log = BusLog::new(2);
+        assert!(log.try_claim(0));
+        log.publish(0, peer_record(&[0x1000])).unwrap();
+        assert!(log.try_claim(1));
+        let resume = Resume { serial: 0, adopt: Some(1) };
+        let mut rx = Receiver::new(0, &cfg, ctl.chaos.worker(0, 1), resume);
+        let mut seen = 0;
+        for _ in 0..3 {
+            let squashed = rx.poll(&log, &ctl, |_| {
+                seen += 1;
+                None
+            });
+            assert!(matches!(squashed, Ok(false)));
+            assert_eq!(rx.cursor, 1, "stopped at the adopted slot");
+        }
+        assert_eq!((seen, rx.stats.slot_wait_spins), (1, 0), "record 0 applied once");
+        // Publishing into the adopted slot skips the claim and moves on.
+        assert!(matches!(rx.claim(&log, 1), Ok(true)));
+        let published =
+            rx.publish(&log, &ctl, 1, |ticket| BusRecord::bare(ticket, 0, 0, RecordKind::Commit, 1));
+        assert!(published.is_ok());
+        assert_eq!((rx.cursor, log.tail()), (2, 2));
+        assert!(matches!(rx.poll(&log, &ctl, |_| None), Ok(false)), "fast path again");
+    }
+
+    #[test]
+    fn a_refreshed_checkpoint_equals_a_fresh_one() {
+        let mut sets = sets_after(&[0x1000], &[0x2000]);
+        let mut ckpt = sets.checkpoint();
+        sets.clear();
+        assert!(ckpt.verify(&sets.spilled(), &[]).is_err(), "stale until refreshed");
+        sets.refresh_checkpoint(&mut ckpt);
+        let fresh = sets.checkpoint();
+        assert_eq!(ckpt.verify(&fresh.spilled, &fresh.overflow_lines), Ok(()));
+        assert_eq!(fresh.verify(&ckpt.spilled, &ckpt.overflow_lines), Ok(()));
     }
 }

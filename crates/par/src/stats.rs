@@ -18,6 +18,9 @@ pub struct ParStats {
     pub false_squashes: u64,
     /// Commit-claim CAS attempts that lost the tail race and revalidated.
     pub claim_retries: u64,
+    /// Iterations receivers spent waiting on a claimed-but-unpublished
+    /// slot: one worker's claim-to-publish window in another's way.
+    pub slot_wait_spins: u64,
     /// Non-transactional stores broadcast as individual records.
     pub non_tx_stores: u64,
     /// Records published on the bus log.
@@ -178,6 +181,7 @@ pub(crate) struct WorkerStats {
     pub squashes: u64,
     pub false_squashes: u64,
     pub claim_retries: u64,
+    pub slot_wait_spins: u64,
     pub non_tx_stores: u64,
     pub dedup_drops: u64,
     pub duplicate_applications: u64,
@@ -217,6 +221,7 @@ impl ParStats {
         self.squashes += w.squashes;
         self.false_squashes += w.false_squashes;
         self.claim_retries += w.claim_retries;
+        self.slot_wait_spins += w.slot_wait_spins;
         self.non_tx_stores += w.non_tx_stores;
         self.dedup_drops += w.dedup_drops;
         self.duplicate_applications += w.duplicate_applications;

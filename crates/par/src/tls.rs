@@ -136,6 +136,17 @@ pub fn run_par_tls(
     Ok(stats)
 }
 
+/// Applies predecessor commits; `true` when one of them hit the running
+/// task's read set (RAW dependence — restart).
+#[inline]
+fn poll(rx: &mut Receiver, sets: &SpecSets, log: &BusLog, ctl: &RunControl) -> Result<bool, Halt> {
+    let restart = rx.poll(log, ctl, |rec| Some(sets.verdict(rec, false)))?;
+    if restart {
+        rx.backoff();
+    }
+    Ok(restart)
+}
+
 /// Runs `task` to its in-order commit: speculative execution, restarted
 /// whenever a predecessor's commit hits its read set.
 fn run_task(
@@ -147,19 +158,10 @@ fn run_task(
     next_commit: &AtomicUsize,
     ctl: &RunControl,
 ) -> Result<(), Halt> {
-    // Applies predecessor commits; `true` when one of them hit the running
-    // task's read set (RAW dependence — restart).
-    let poll = |rx: &mut Receiver, sets: &SpecSets| -> Result<bool, Halt> {
-        let restart = rx.poll(log, ctl, |rec| Some(sets.verdict(rec, false)))?;
-        if restart {
-            rx.backoff();
-        }
-        Ok(restart)
-    };
     'attempt: loop {
         sets.clear();
         for op in ops {
-            if poll(rx, sets)? {
+            if poll(rx, sets, log, ctl)? {
                 continue 'attempt;
             }
             match *op {
@@ -170,44 +172,65 @@ fn run_task(
             }
         }
         rx.flush_dwell();
-        // Wait for the in-order commit token, still vulnerable to
-        // predecessor commits while waiting.
-        while next_commit.load(Ordering::Acquire) != task {
-            if poll(rx, sets)? {
-                continue 'attempt;
-            }
-            ctl.check_spin(rx.proc)?;
-            std::hint::spin_loop();
-            std::thread::yield_now();
+        if commit_in_order(rx, sets, task, log, next_commit, ctl)? {
+            return Ok(());
         }
-        // Drain anything committed between the token check and now:
-        // the token is ours, so after this poll the log is exactly
-        // our `task` predecessors and can no longer grow under us.
-        if poll(rx, sets)? {
-            continue 'attempt;
-        }
-        if rx.cursor != task {
-            return Err(Halt::Bug(format!(
-                "commit token granted out of order: validated {} records for task {task}",
-                rx.cursor
-            )));
-        }
-        // `(committer, serial)` must be globally unique: the worker index
-        // plus the task index (a task commits exactly once, even across
-        // incarnations — an adopted slot's ticket was never published).
-        rx.serial = task as u64;
-        let published = rx.claim_and_publish(log, ctl, task, |ticket| {
-            let (w_sig, exact_w, exact_r) = sets.commit_payload();
-            let bare = BusRecord::bare(ticket, task, 0, RecordKind::Commit, task);
-            BusRecord { w_sig, exact_w, exact_r, ..bare }
-        })?;
-        if !published {
-            return Err(Halt::Bug(format!("task {task} lost an uncontended claim")));
-        }
-        next_commit.store(task + 1, Ordering::Release);
-        rx.stats.commits += 1;
-        return Ok(());
     }
+}
+
+/// Commits an executed `task` when the in-order token reaches it.
+/// `Ok(false)`: a predecessor's commit squashed the attempt first and
+/// nothing was published.
+///
+/// `W_C` is prepared before the wait, while the predecessors are still
+/// committing. Nothing can change it afterwards: the task has finished
+/// executing, waiting verdicts only read `R`, and a squash abandons the
+/// attempt and its payload together (DESIGN.md §18).
+fn commit_in_order(
+    rx: &mut Receiver,
+    sets: &SpecSets,
+    task: usize,
+    log: &BusLog,
+    next_commit: &AtomicUsize,
+    ctl: &RunControl,
+) -> Result<bool, Halt> {
+    let (w_sig, exact_w, exact_r) = sets.commit_payload();
+    // Wait for the in-order commit token, still vulnerable to
+    // predecessor commits while waiting.
+    while next_commit.load(Ordering::Acquire) != task {
+        if poll(rx, sets, log, ctl)? {
+            return Ok(false);
+        }
+        ctl.check_spin(rx.proc)?;
+        std::hint::spin_loop();
+        std::thread::yield_now();
+    }
+    // Drain anything committed between the token check and now:
+    // the token is ours, so after this poll the log is exactly
+    // our `task` predecessors and can no longer grow under us.
+    if poll(rx, sets, log, ctl)? {
+        return Ok(false);
+    }
+    if rx.cursor != task {
+        return Err(Halt::Bug(format!(
+            "commit token granted out of order: validated {} records for task {task}",
+            rx.cursor
+        )));
+    }
+    // `(committer, serial)` must be globally unique: the worker index
+    // plus the task index (a task commits exactly once, even across
+    // incarnations — an adopted slot's ticket was never published).
+    rx.serial = task as u64;
+    if !rx.claim(log, task)? {
+        return Err(Halt::Bug(format!("task {task} lost an uncontended claim")));
+    }
+    rx.publish(log, ctl, task, |ticket| {
+        let bare = BusRecord::bare(ticket, task, 0, RecordKind::Commit, task);
+        BusRecord { w_sig, exact_w, exact_r, ..bare }
+    })?;
+    next_commit.store(task + 1, Ordering::Release);
+    rx.stats.commits += 1;
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -310,5 +333,57 @@ mod tests {
         assert!(s.violations.is_empty(), "{:?}", s.violations);
         let order: Vec<u32> = s.history.iter().map(|e| e.thread).collect();
         assert_eq!(order, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_task_squashed_while_waiting_for_the_token_publishes_its_re_execution() {
+        let cfg = ParConfig::default();
+        let ctl = RunControl::new("par/tls/Bulk".into(), 2, &cfg);
+        let (log, next_commit) = (BusLog::new(2), AtomicUsize::new(0));
+        let sig_config = SignatureConfig::s14_tm().into_shared();
+        let receiver = |w| Receiver::new(w, &cfg, ctl.chaos.worker(w, 0), Resume::default());
+        let (x, y, z) = (Addr::new(0x4000), Addr::new(0x5000), Addr::new(0x6000));
+
+        // Task 1 ran ahead: it read x before task 0 committed its store to
+        // x, and now waits for the token with its W_C already prepared.
+        let (mut rx1, mut sets1) = (receiver(1), SpecSets::new(true, sig_config.clone()));
+        sets1.read(x);
+        sets1.write(y);
+        // Task 0 publishes {x}; the token has not been handed on yet.
+        let (mut rx0, mut sets0) = (receiver(0), SpecSets::new(true, sig_config));
+        sets0.write(x);
+        let (w_sig, exact_w, exact_r) = sets0.commit_payload();
+        assert!(matches!(rx0.claim(&log, 0), Ok(true)));
+        let published = rx0.publish(&log, &ctl, 0, |ticket| {
+            let bare = BusRecord::bare(ticket, 0, 0, RecordKind::Commit, 0);
+            BusRecord { w_sig, exact_w, exact_r, ..bare }
+        });
+        assert!(published.is_ok());
+
+        // The waiting poll applies task 0's record: RAW on x. The attempt
+        // ends there, and the prepared payload goes with it.
+        let committed = commit_in_order(&mut rx1, &sets1, 1, &log, &next_commit, &ctl);
+        assert!(matches!(committed, Ok(false)));
+        assert_eq!((rx1.stats.squashes, rx1.cursor, log.tail()), (1, 1, 1));
+        assert!(log.get(1).is_none(), "nothing of the squashed attempt reached the bus");
+
+        // Re-execution sees task 0's x and takes another path: it writes z.
+        next_commit.store(1, Ordering::Release);
+        sets1.clear();
+        sets1.read(x);
+        sets1.write(z);
+        let committed = commit_in_order(&mut rx1, &sets1, 1, &log, &next_commit, &ctl);
+        assert!(matches!(committed, Ok(true)));
+        assert_eq!(next_commit.load(Ordering::Acquire), 2);
+        let rec = log.get(1).expect("task 1 published");
+        assert_eq!((&rec.exact_w, &rec.exact_r), (&vec![z.line(64)], &vec![x.line(64)]));
+        assert_eq!(rec.ticket.serial, 1, "serial = task");
+
+        // Containment, density, claim == validated prefix, ticket uniqueness.
+        let mut stats = ParStats::default();
+        stats.seal(&log, &ctl, 2, 2);
+        assert!(stats.violations.is_empty(), "{:?}", stats.violations);
+        let order: Vec<u32> = stats.history.iter().map(|e| e.thread).collect();
+        assert_eq!(order, vec![0, 1]);
     }
 }

@@ -288,18 +288,19 @@ impl<'a> TmWorker<'a> {
     /// point moves in one step, after everything that can panic.
     fn published(&mut self, kind: RecordKind) {
         self.pc += 1;
-        let checkpoint = self.sets.checkpoint();
         let b = &mut *self.boundary;
+        self.sets.refresh_checkpoint(&mut b.checkpoint);
         match kind {
             RecordKind::Commit => b.commit_ordinal += 1,
             _ => b.non_tx_ordinal += 1,
         }
-        (b.pc, b.checkpoint) = (self.pc, checkpoint);
+        b.pc = self.pc;
     }
 
     /// Polls the bus; a peer's record whose `W_C` hits this transaction's
     /// `R ∪ W` squashes it: cleared sets, restart from `Begin`, backoff.
     /// Returns whether that happened.
+    #[inline]
     fn poll(&mut self, rx: &mut Receiver, log: &BusLog, ctl: &RunControl) -> Result<bool, Halt> {
         let (me, depth, sets) = (rx.proc, self.depth, &self.sets);
         let squashed = rx.poll(log, ctl, |rec| {
@@ -316,16 +317,21 @@ impl<'a> TmWorker<'a> {
 
     /// Validate-then-claim commit: returns with the transaction published
     /// — or squashed instead, by a record a winner of the claim published.
+    ///
+    /// `W_C` is built first, outside the validate→claim→publish sequence
+    /// (DESIGN.md §18); a claim that loses the tail race retries with the
+    /// same payload — only a squash changes the sets, and it ends the
+    /// attempt.
     fn commit(&mut self, rx: &mut Receiver, log: &BusLog, ctl: &RunControl) -> Result<(), Halt> {
+        let (me, ordinal) = (rx.proc, self.boundary.commit_ordinal);
+        let (w_sig, exact_w, exact_r) = self.sets.commit_payload();
         while !self.poll(rx, log, ctl)? {
-            let (me, slot, sets) = (rx.proc, rx.cursor, &mut self.sets);
-            let ordinal = self.boundary.commit_ordinal;
-            let published = rx.claim_and_publish(log, ctl, slot, |ticket| {
-                let (w_sig, exact_w, exact_r) = sets.commit_payload();
-                let bare = BusRecord::bare(ticket, me, ordinal, RecordKind::Commit, slot);
-                BusRecord { w_sig, exact_w, exact_r, ..bare }
-            })?;
-            if published {
+            let slot = rx.cursor;
+            if rx.claim(log, slot)? {
+                rx.publish(log, ctl, slot, |ticket| {
+                    let bare = BusRecord::bare(ticket, me, ordinal, RecordKind::Commit, slot);
+                    BusRecord { w_sig, exact_w, exact_r, ..bare }
+                })?;
                 rx.stats.commits += 1;
                 self.depth = 0;
                 self.sets.clear();
@@ -345,17 +351,18 @@ impl<'a> TmWorker<'a> {
         ctl: &RunControl,
         line: LineAddr,
     ) -> Result<(), Halt> {
+        let (me, ordinal) = (rx.proc, self.boundary.non_tx_ordinal);
+        let (w_sig, exact_w) = (self.sets.signature_of(line), vec![line]);
         loop {
             // Not in a transaction, so poll can't squash us.
             self.poll(rx, log, ctl)?;
-            let (me, slot, sets) = (rx.proc, rx.cursor, &self.sets);
-            let ordinal = self.boundary.non_tx_ordinal;
-            let published = rx.claim_and_publish(log, ctl, slot, |ticket| BusRecord {
-                w_sig: sets.signature_of(line),
-                exact_w: vec![line],
-                ..BusRecord::bare(ticket, me, ordinal, RecordKind::NonTxStore, slot)
-            })?;
-            if published {
+            let slot = rx.cursor;
+            if rx.claim(log, slot)? {
+                rx.publish(log, ctl, slot, |ticket| BusRecord {
+                    w_sig,
+                    exact_w,
+                    ..BusRecord::bare(ticket, me, ordinal, RecordKind::NonTxStore, slot)
+                })?;
                 rx.stats.non_tx_stores += 1;
                 self.published(RecordKind::NonTxStore);
                 return Ok(());
