@@ -20,6 +20,7 @@
 //! `group/id`, mirroring `cargo bench <filter>`; `--…` flags that cargo
 //! forwards (e.g. `--bench`) are ignored.
 
+use bulk_obs::json_escape;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -194,7 +195,7 @@ impl BenchSuite {
         out.push_str("{\n");
         out.push_str(&format!("  \"suite\": \"{}\",\n", self.name));
         if let Some(m) = &self.metrics {
-            out.push_str(&format!("  \"runtime\": \"{}\",\n", escape(&m.runtime)));
+            out.push_str(&format!("  \"runtime\": \"{}\",\n", json_escape(&m.runtime)));
             out.push_str(&format!("  \"seed\": {},\n", m.seed));
         }
         out.push_str(&format!("  \"samples_per_bench\": {SAMPLES},\n"));
@@ -203,8 +204,8 @@ impl BenchSuite {
             out.push_str(&format!(
                 "    {{\"group\": \"{}\", \"bench\": \"{}\", \"iters\": {}, \
                  \"median_ns\": {:.2}, \"min_ns\": {:.2}, \"max_ns\": {:.2}}}{}\n",
-                escape(&r.group),
-                escape(&r.id),
+                json_escape(&r.group),
+                json_escape(&r.id),
                 r.iters,
                 r.median_ns,
                 r.min_ns,
@@ -253,10 +254,6 @@ fn fmt_ns(ns: f64) -> String {
     } else {
         format!("{:.2} ms", ns / 1_000_000.0)
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -308,9 +305,21 @@ mod tests {
         assert_eq!(suite.results()[0].id, "keep_this");
     }
 
+    /// A bench name is free text: quotes, backslashes and control
+    /// characters must all leave `BENCH_*.json` parseable.
     #[test]
-    fn json_escapes_quotes() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+    fn json_escapes_bench_names() {
+        let mut suite = BenchSuite {
+            name: "escape",
+            filters: Vec::new(),
+            results: Vec::new(),
+            metrics: None,
+        };
+        suite.bench("a\"b\\c", "line\nbreak\u{1}", || black_box(1));
+        let json = suite.to_json();
+        assert!(json.contains(r#""group": "a\"b\\c""#), "{json}");
+        assert!(json.contains(r#""bench": "line\nbreak\u0001""#), "{json}");
+        assert!(!json.contains("line\nbreak"), "a raw newline inside a JSON string: {json}");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use bulk_obs::Registry;
+use bulk_obs::{json_escape, Registry};
 use bulk_trace::jobspec::{FlatValue, JobSpec};
 
 use crate::job::{JobState, JobTable};
@@ -226,23 +226,6 @@ pub fn spawn(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
     Ok(handle)
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One ingest connection: reads JSON lines, answers each in order.
 fn handle_ingest(stream: TcpStream, shared: &Arc<Shared>) {
     shared.registry.counter("bulkd.connections").add(1);
@@ -327,6 +310,7 @@ fn handle_line(line: &str, writer: &mut TcpStream, shared: &Arc<Shared>) -> bool
     if shared.shutting_down() {
         return write_line(writer, "{\"error\": \"daemon is shutting down\"}");
     }
+    let echo = spec.to_json_line();
     let id = match shared.table.submit(spec) {
         Ok(id) => id,
         Err(e) => {
@@ -334,13 +318,6 @@ fn handle_line(line: &str, writer: &mut TcpStream, shared: &Arc<Shared>) -> bool
         }
     };
     shared.registry.counter("bulkd.jobs_submitted").add(1);
-    let echo = shared
-        .table
-        .snapshot()
-        .into_iter()
-        .find(|s| s.id == id)
-        .map(|s| s.spec.to_json_line())
-        .unwrap_or_else(|| "{}".to_string());
     if write_line(
         writer,
         &format!("{{\"accepted\": true, \"job\": \"{}\", \"spec\": {}}}", json_escape(&id), echo),
@@ -362,7 +339,8 @@ fn handle_line(line: &str, writer: &mut TcpStream, shared: &Arc<Shared>) -> bool
 /// Streams a job's event JSONL until it reaches a terminal state, then
 /// writes the trailer and done lines. Returns `true` on write failure.
 fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
-    let Some(obs) = shared.table.job_obs(id) else { return true };
+    let Some(job) = shared.table.get(id) else { return true };
+    let (obs, runtime) = (&job.obs, job.spec.runtime.as_str());
     let mut next_seq = 0u64;
     let mut streamed = 0u64;
     let flush_events = |writer: &mut TcpStream, next_seq: &mut u64, streamed: &mut u64| -> bool {
@@ -398,12 +376,8 @@ fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
     ) {
         return true;
     }
-    let Some(snap) = shared.table.snapshot().into_iter().find(|s| s.id == id) else {
-        return true;
-    };
-    let runtime = snap.spec.runtime.as_str();
-    let done_line = match &snap.state {
-        JobState::Done { commits, .. } => {
+    let done_line = match shared.table.state(id) {
+        Some(JobState::Done { commits, .. }) => {
             // The done line carries only deterministic fields (par-runtime
             // squash counts vary between runs; commit counts do not), so
             // identical spec+seed submissions stream byte-identically.
@@ -413,13 +387,13 @@ fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
                 json_escape(id)
             )
         }
-        JobState::Failed { kind, detail } => {
+        Some(JobState::Failed { kind, detail }) => {
             shared.registry.counter("bulkd.jobs_failed").add(1);
             format!(
                 "{{\"done\": true, \"job\": \"{}\", \"status\": \"error\", \"runtime\": \"{runtime}\", \"kind\": \"{}\", \"detail\": \"{}\"}}",
                 json_escape(id),
-                json_escape(kind),
-                json_escape(detail)
+                json_escape(&kind),
+                json_escape(&detail)
             )
         }
         _ => return true,
@@ -433,22 +407,7 @@ fn handle_control(cmd: &str, writer: &mut TcpStream, shared: &Arc<Shared>) -> bo
     match cmd {
         "ping" => write_line(writer, "{\"ok\": true}"),
         "status" => {
-            let snaps = shared.table.snapshot();
-            let jobs: Vec<String> = snaps
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"job\": \"{}\", \"state\": \"{}\", \"machine\": \"{}\", \"scheme\": \"{}\", \"runtime\": \"{}\", \"seed\": {}}}",
-                        json_escape(&s.id),
-                        s.state.as_str(),
-                        s.spec.machine.as_str(),
-                        json_escape(&s.spec.scheme),
-                        s.spec.runtime.as_str(),
-                        s.spec.seed
-                    )
-                })
-                .collect();
-            write_line(writer, &format!("{{\"jobs\": [{}]}}", jobs.join(", ")))
+            write_line(writer, &format!("{{\"jobs\": [{}]}}", shared.table.list_json()))
         }
         "shutdown" => {
             let _ = write_line(writer, "{\"ok\": true, \"shutting_down\": true}");

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bulk_obs::prometheus::{encode, Scope};
 
-use crate::daemon::{json_escape, Shared};
+use crate::daemon::Shared;
 
 /// Handles one HTTP connection: parse the request, route, respond,
 /// close.
@@ -56,7 +56,8 @@ pub(crate) fn handle(stream: TcpStream, shared: &Arc<Shared>) {
         }
         "/healthz" => respond(&mut writer, 200, "text/plain; charset=utf-8", "ok\n"),
         "/jobs" => {
-            let body = render_jobs(shared);
+            // The job table as a JSON array, one object per job.
+            let body = format!("[{}]\n", shared.table.list_json());
             respond(&mut writer, 200, "application/json; charset=utf-8", &body);
         }
         _ => respond(&mut writer, 404, "text/plain; charset=utf-8", "not found\n"),
@@ -90,26 +91,6 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
         ));
     }
     encode(&scopes)
-}
-
-/// The job table as a JSON array, one object per job.
-fn render_jobs(shared: &Shared) -> String {
-    let snaps = shared.table.snapshot();
-    let jobs: Vec<String> = snaps
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"job\": \"{}\", \"state\": \"{}\", \"machine\": \"{}\", \"scheme\": \"{}\", \"runtime\": \"{}\", \"seed\": {}}}",
-                json_escape(&s.id),
-                s.state.as_str(),
-                s.spec.machine.as_str(),
-                json_escape(&s.spec.scheme),
-                s.spec.runtime.as_str(),
-                s.spec.seed
-            )
-        })
-        .collect();
-    format!("[{}]\n", jobs.join(", "))
 }
 
 /// Writes a complete HTTP/1.1 response and flushes.

@@ -4,7 +4,7 @@
 //! Every job owns its own [`Obs`] bundle, so concurrent runs never share
 //! counters and a scrape can label each job's metrics independently. A
 //! worker thread executes the run; the connection handler streams the
-//! job's event JSONL by polling [`JobTable::job_obs`]; the daemon's
+//! job's event JSONL from the bundle [`JobTable::get`] hands it; the daemon's
 //! supervisor calls [`JobTable::reap_stalled`] so a hung run becomes a
 //! typed `job-timeout` failure instead of a wedged daemon.
 
@@ -14,11 +14,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use bulk_live::{LivenessKind, LivenessViolation, WallClockWatchdog};
-use bulk_obs::{Obs, Registry};
-use bulk_par::{ParConfig, ParRuntime, RunDetail, RunReport, Runtime, RuntimeError};
-use bulk_sim::SimConfig;
-use bulk_trace::jobspec::{JobRuntime, JobSpec, Machine};
-use bulk_trace::profiles;
+use bulk_obs::{json_escape, Obs};
+use bulk_par::{runtime_for, JobPlan, RunOptions};
+use bulk_trace::jobspec::JobSpec;
 
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,6 +71,17 @@ pub struct JobSnapshot {
     pub obs: Arc<Obs>,
 }
 
+impl JobSnapshot {
+    fn of((id, e): (&String, &JobEntry)) -> JobSnapshot {
+        JobSnapshot {
+            id: id.clone(),
+            spec: e.spec.clone(),
+            state: e.state.clone(),
+            obs: Arc::clone(&e.obs),
+        }
+    }
+}
+
 struct JobEntry {
     spec: JobSpec,
     state: JobState,
@@ -112,26 +121,15 @@ impl JobTable {
         }
     }
 
-    /// Validates and registers a spec, returning the job id. The
-    /// app/scheme pair is checked here so a bad submission fails at the
-    /// socket, not minutes later on a worker.
+    /// Validates and registers a spec, returning the job id. The spec is
+    /// resolved here exactly as the worker will resolve it, so a bad
+    /// submission fails at the socket, not minutes later on a worker.
     ///
     /// # Errors
     ///
     /// Returns a message on unknown app, unknown scheme or duplicate id.
     pub fn submit(&self, spec: JobSpec) -> Result<String, String> {
-        match spec.machine {
-            Machine::Tm => {
-                profiles::tm_profile(&spec.app)
-                    .ok_or_else(|| format!("unknown TM app `{}`", spec.app))?;
-                spec.scheme.parse::<bulk_tm::Scheme>()?;
-            }
-            Machine::Tls => {
-                profiles::tls_profile(&spec.app)
-                    .ok_or_else(|| format!("unknown TLS app `{}`", spec.app))?;
-                spec.scheme.parse::<bulk_tls::TlsScheme>()?;
-            }
-        }
+        JobPlan::resolve(&spec).map_err(|e| e.to_string())?;
         let id = match &spec.id {
             Some(id) if !id.is_empty() => id.clone(),
             _ => format!("job-{}", self.next_id.fetch_add(1, Ordering::Relaxed)),
@@ -299,29 +297,45 @@ impl JobTable {
         }
     }
 
-    /// The job's observability bundle, if the job exists.
-    pub fn job_obs(&self, id: &str) -> Option<Arc<Obs>> {
-        let jobs = self.jobs.lock().expect("job table poisoned");
-        jobs.get(id).map(|e| Arc::clone(&e.obs))
-    }
-
     /// The job's current state, if the job exists.
     pub fn state(&self, id: &str) -> Option<JobState> {
         let jobs = self.jobs.lock().expect("job table poisoned");
         jobs.get(id).map(|e| e.state.clone())
     }
 
+    /// A snapshot of job `id` alone, if it exists: what the connection
+    /// handler needs for the one job it is serving, without cloning the
+    /// whole table under the lock.
+    pub fn get(&self, id: &str) -> Option<JobSnapshot> {
+        let jobs = self.jobs.lock().expect("job table poisoned");
+        jobs.get_key_value(id).map(JobSnapshot::of)
+    }
+
+    /// Every job as a JSON object, comma-separated in id order: the one
+    /// listing `status` and `GET /jobs` both wrap.
+    pub fn list_json(&self) -> String {
+        let jobs = self.jobs.lock().expect("job table poisoned");
+        let each: Vec<String> = jobs
+            .iter()
+            .map(|(id, e)| {
+                format!(
+                    "{{\"job\": \"{}\", \"state\": \"{}\", \"machine\": \"{}\", \"scheme\": \"{}\", \"runtime\": \"{}\", \"seed\": {}}}",
+                    json_escape(id),
+                    e.state.as_str(),
+                    e.spec.machine.as_str(),
+                    json_escape(&e.spec.scheme),
+                    e.spec.runtime.as_str(),
+                    e.spec.seed
+                )
+            })
+            .collect();
+        each.join(", ")
+    }
+
     /// Snapshots of every job, in id order.
     pub fn snapshot(&self) -> Vec<JobSnapshot> {
         let jobs = self.jobs.lock().expect("job table poisoned");
-        jobs.iter()
-            .map(|(id, e)| JobSnapshot {
-                id: id.clone(),
-                spec: e.spec.clone(),
-                state: e.state.clone(),
-                obs: Arc::clone(&e.obs),
-            })
-            .collect()
+        jobs.iter().map(JobSnapshot::of).collect()
     }
 
     /// Counts of (queued, running, done, failed) jobs.
@@ -340,100 +354,45 @@ impl JobTable {
     }
 }
 
-/// Runs the spec to completion, recording into `obs`. Returns
-/// `(commits, squashes)` or a `(kind, detail)` failure.
+/// Runs the spec to completion through the front door, recording into
+/// `obs`. Returns `(commits, squashes)` or a `(kind, detail)` failure —
+/// classified here once, so a `done` line's `"kind"` cannot differ by
+/// substrate for the same failure.
 fn execute(spec: &JobSpec, obs: &Arc<Obs>) -> Result<(u64, u64), (String, String)> {
-    let unknown_app = || ("invalid-workload".to_string(), format!("app `{}`", spec.app));
-    let par = || ParRuntime::new(ParConfig { seed: spec.seed, ..ParConfig::default() });
-    match spec.machine {
-        Machine::Tm => {
-            let mut p = profiles::tm_profile(&spec.app).ok_or_else(unknown_app)?;
-            if let Some(txs) = spec.txs {
-                p.txs_per_thread = txs as usize;
-            }
-            let scheme = spec.scheme.parse().map_err(bad_scheme)?;
-            let (wl, cfg) = (p.generate(spec.seed), SimConfig::tm_default());
-            match spec.runtime {
-                JobRuntime::Sim => {
-                    let stats = bulk_tm::run_tm_observed(&wl, scheme, &cfg, Arc::clone(obs));
-                    check_sim(&stats.violations, &stats.liveness_violations)?;
-                    Ok((stats.commits, stats.squashes))
-                }
-                JobRuntime::Par => {
-                    let r = par().run_tm(&wl, scheme, &cfg).map_err(par_error)?;
-                    finish_par(obs.registry(), &r)
-                }
-            }
-        }
-        Machine::Tls => {
-            let mut p = profiles::tls_profile(&spec.app).ok_or_else(unknown_app)?;
-            if let Some(tasks) = spec.tasks {
-                p.tasks = tasks as usize;
-            }
-            let scheme = spec.scheme.parse().map_err(bad_scheme)?;
-            let (wl, cfg) = (p.generate(spec.seed), SimConfig::tls_default());
-            match spec.runtime {
-                JobRuntime::Sim => {
-                    let stats = bulk_tls::run_tls_observed(&wl, scheme, &cfg, Arc::clone(obs));
-                    check_sim(&stats.violations, &stats.liveness_violations)?;
-                    Ok((stats.commits, stats.squashes))
-                }
-                JobRuntime::Par => {
-                    let r = par().run_tls(&wl, scheme, &cfg).map_err(par_error)?;
-                    finish_par(obs.registry(), &r)
-                }
-            }
-        }
-    }
-}
-
-fn bad_scheme(e: String) -> (String, String) {
-    ("invalid-workload".to_string(), e)
-}
-
-fn check_sim(
-    violations: &[bulk_chaos::InvariantViolation],
-    liveness: &[LivenessViolation],
-) -> Result<(), (String, String)> {
-    if let Some(v) = violations.first() {
-        return Err(("invariant".to_string(), v.to_string()));
-    }
-    if let Some(v) = liveness.first() {
-        return Err(("liveness".to_string(), v.to_string()));
-    }
-    Ok(())
-}
-
-/// Publishes a parallel run's counters into the job registry under
-/// `par.*` (the par runtime has no simulated clock, so it reports stats
-/// instead of streaming events) and checks its auditor verdict.
-fn finish_par(reg: &Registry, r: &RunReport) -> Result<(u64, u64), (String, String)> {
-    reg.counter("par.commits").add(r.commits);
-    reg.counter("par.squashes").add(r.squashes);
-    reg.gauge("par.wall_ns").set(r.wall_ns);
-    if let RunDetail::Par(s) = &r.detail {
-        reg.counter("par.false_squashes").add(s.false_squashes);
-        reg.counter("par.claim_retries").add(s.claim_retries);
-        reg.counter("par.slot_wait_spins").add(s.slot_wait_spins);
-        reg.counter("par.records").add(s.records);
-        reg.counter("par.dedup_drops").add(s.dedup_drops);
-        reg.counter("par.worker_crashes").add(s.worker_crashes);
-        reg.counter("par.respawns").add(s.respawns);
-        reg.counter("par.fences").add(s.fences);
-    }
+    let opts = RunOptions { obs: Some(Arc::clone(obs)), ..RunOptions::default() };
+    let r = JobPlan::resolve(spec)
+        .and_then(|plan| runtime_for(spec).run(&plan.generate(spec.seed), &opts))
+        .map_err(|e| (e.kind().to_string(), e.to_string()))?;
     if let Some(v) = r.violations.first() {
         return Err(("invariant".to_string(), v.to_string()));
+    }
+    if let Some(v) = r.liveness_violations.first() {
+        return Err(("liveness".to_string(), v.to_string()));
     }
     Ok((r.commits, r.squashes))
 }
 
-fn par_error(e: RuntimeError) -> (String, String) {
-    let kind = match &e {
-        RuntimeError::UnsupportedScheme { .. } => "unsupported-scheme",
-        RuntimeError::InvalidWorkload(_) => "invalid-workload",
-        RuntimeError::WorkerDied { .. } => "worker-died",
-        RuntimeError::Liveness(_) => "liveness",
-        RuntimeError::ProtocolBug(_) => "protocol-bug",
-    };
-    (kind.to_string(), e.to_string())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn get_finds_the_one_job_and_the_listing_keeps_its_bytes() {
+        let table = JobTable::new(1, 0, 16);
+        let spec = r#"{"id": "a\"b", "machine": "tm", "app": "cb", "scheme": "lazy", "seed": 7, "runtime": "par"}"#;
+        let id = table.submit(JobSpec::parse(spec).unwrap()).unwrap();
+        table
+            .submit(JobSpec::parse(r#"{"id": "z", "machine": "tls", "app": "gzip", "scheme": "bulk"}"#).unwrap())
+            .unwrap();
+        let snap = table.get(&id).expect("just submitted");
+        assert_eq!((snap.id.as_str(), snap.spec.seed, &snap.state), ("a\"b", 7, &JobState::Queued));
+        assert!(table.get("never-submitted").is_none());
+        assert_eq!(
+            table.list_json(),
+            concat!(
+                r#"{"job": "a\"b", "state": "queued", "machine": "tm", "scheme": "lazy", "runtime": "par", "seed": 7}, "#,
+                r#"{"job": "z", "state": "queued", "machine": "tls", "scheme": "bulk", "runtime": "sim", "seed": 42}"#
+            )
+        );
+    }
 }

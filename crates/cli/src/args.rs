@@ -2,18 +2,15 @@
 //! dependency-free; every failure produces a message pointing at the
 //! offending flag.
 
-use bulk_tls::TlsScheme;
-use bulk_tm::Scheme;
+use bulk_trace::jobspec::{JobRuntime, JobSpec, Machine};
 
 /// A parsed `bulk` invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// `bulk list` — show applications, schemes and the signature catalog.
     List,
-    /// `bulk tm ...` — run one TM simulation.
-    Tm(TmArgs),
-    /// `bulk tls ...` — run one TLS simulation.
-    Tls(TlsArgs),
+    /// `bulk tm ...` / `bulk tls ...` — run one job.
+    Run(RunArgs),
     /// `bulk replay --file F --scheme S` — run a serialized trace.
     Replay(ReplayArgs),
     /// `bulk sweep-sig --app A` — signature-size ablation on one app.
@@ -68,29 +65,23 @@ pub struct BulkdArgs {
     pub addr_file: Option<String>,
 }
 
-/// Options of `bulk tm`.
+/// Options of `bulk tm` and `bulk tls`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TmArgs {
-    /// Application profile name (Table 4).
-    pub app: String,
-    /// Execution substrate: `"sim"` (deterministic discrete-event
-    /// simulator) or `"par"` (real OS threads over the lock-free
-    /// broadcast log).
-    pub runtime: String,
-    /// Conflict-detection scheme.
-    pub scheme: Scheme,
-    /// Workload seed.
-    pub seed: u64,
-    /// Override transactions per thread.
-    pub txs: Option<usize>,
-    /// Signature configuration id (`S1`..`S23`).
-    pub sig: String,
-    /// Write the generated trace to this path.
-    pub dump_trace: Option<String>,
+pub struct RunArgs {
+    /// What to run, in the daemon's wire type: machine, application
+    /// profile, scheme name (checked at parse time), workload seed,
+    /// substrate (`--runtime`) and the `--txs` / `--tasks` override.
+    pub spec: JobSpec,
+    /// Signature configuration id (`S1`..`S23`; `bulk tm` only). `None`
+    /// runs the paper's S14.
+    pub sig: Option<String>,
     /// Inject deterministic faults (implies `--audit`).
     pub chaos: bool,
     /// Check runtime invariants after every commit and squash.
     pub audit: bool,
+    /// Arm the detection-only forward-progress watchdog with this
+    /// global-stall bound in cycles; a trip exits nonzero with a diagnosis.
+    pub watchdog_ticks: Option<u64>,
     /// Print the metrics registry (squash attribution, invalidation
     /// overshoot, counters/gauges/histograms) after the run.
     pub metrics: bool,
@@ -100,44 +91,8 @@ pub struct TmArgs {
     pub metrics_out: Option<String>,
     /// Write the causal span trace as Chrome trace-event JSON to this path.
     pub trace_out: Option<String>,
-    /// Arm the detection-only forward-progress watchdog with this
-    /// global-stall bound in cycles; a trip exits nonzero with a diagnosis.
-    pub watchdog_ticks: Option<u64>,
-}
-
-/// Options of `bulk tls`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TlsArgs {
-    /// Application profile name (SPECint stand-in).
-    pub app: String,
-    /// Execution substrate: `"sim"` (deterministic discrete-event
-    /// simulator) or `"par"` (real OS threads over the lock-free
-    /// broadcast log).
-    pub runtime: String,
-    /// Conflict-detection scheme.
-    pub scheme: TlsScheme,
-    /// Workload seed.
-    pub seed: u64,
-    /// Override task count.
-    pub tasks: Option<usize>,
     /// Write the generated trace to this path.
     pub dump_trace: Option<String>,
-    /// Inject deterministic faults (implies `--audit`).
-    pub chaos: bool,
-    /// Check runtime invariants after every commit and squash.
-    pub audit: bool,
-    /// Print the metrics registry (squash attribution, invalidation
-    /// overshoot, counters/gauges/histograms) after the run.
-    pub metrics: bool,
-    /// Write the structured event log as JSONL to this path.
-    pub events_out: Option<String>,
-    /// Write the metrics registry as JSON to this path.
-    pub metrics_out: Option<String>,
-    /// Write the causal span trace as Chrome trace-event JSON to this path.
-    pub trace_out: Option<String>,
-    /// Arm the detection-only forward-progress watchdog with this
-    /// global-stall bound in cycles; a trip exits nonzero with a diagnosis.
-    pub watchdog_ticks: Option<u64>,
 }
 
 /// Options of `bulk replay`.
@@ -199,9 +154,10 @@ RUNTIMES:
   the schemes whose disambiguation is timing-independent (TM: bulk,
   lazy; TLS: bulk, bulk-no-overlap, lazy), audits its committed history
   after every run, and reports wall time instead of simulated cycles.
-  The simulator-only timing flags (--watchdog-ticks, --events-out,
-  --trace-out) are rejected under --runtime par; --chaos composes with
-  it and switches to the real-thread fault preset described below.
+  The simulator-only flags (--sig, --watchdog-ticks, --events-out,
+  --trace-out) are rejected under --runtime par; --metrics and
+  --metrics-out report its `par.*` counters; --chaos composes with it
+  and switches to the real-thread fault preset described below.
 
 CHAOS:
   --chaos injects deterministic faults (commit denials, delayed/duplicated
@@ -248,25 +204,6 @@ LIVENESS:
   (including the detected squash cycle) and exits nonzero; try
   `bulk tm --app mc --scheme eager-naive --watchdog-ticks 1000000`.
 ";
-
-/// Parses a `--runtime` value (defaulting to the simulator).
-pub fn parse_runtime(v: Option<String>) -> Result<String, String> {
-    let name = v.unwrap_or_else(|| "sim".into());
-    match name.as_str() {
-        "sim" | "par" => Ok(name),
-        other => Err(format!("unknown runtime `{other}` (expected sim|par)")),
-    }
-}
-
-/// Parses a TM scheme name.
-pub fn parse_tm_scheme(s: &str) -> Result<Scheme, String> {
-    s.parse()
-}
-
-/// Parses a TLS scheme name.
-pub fn parse_tls_scheme(s: &str) -> Result<TlsScheme, String> {
-    s.parse()
-}
 
 struct Flags {
     pairs: Vec<(String, String)>,
@@ -326,82 +263,45 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "list" => Ok(Command::List),
-        "tm" => {
+        "tm" | "tls" => {
+            let machine = if cmd == "tm" { Machine::Tm } else { Machine::Tls };
             let mut f = Flags::parse(rest)?;
-            let app = f.take("app").ok_or("tm: --app is required")?;
-            let runtime = parse_runtime(f.take("runtime"))?;
-            let scheme = parse_tm_scheme(&f.take("scheme").unwrap_or_else(|| "bulk".into()))?;
-            let seed = parse_num(f.take("seed"), 42, "--seed")?;
-            let txs = match f.take("txs") {
-                Some(v) => {
-                    Some(v.parse().map_err(|_| format!("--txs: bad number `{v}`"))?)
-                }
-                None => None,
+            let app = f.take("app").ok_or_else(|| format!("{cmd}: --app is required"))?;
+            let runtime = match f.take("runtime").as_deref() {
+                None | Some("sim") => JobRuntime::Sim,
+                Some("par") => JobRuntime::Par,
+                Some(other) => return Err(format!("unknown runtime `{other}` (expected sim|par)")),
             };
-            let sig = f.take("sig").unwrap_or_else(|| "S14".into());
-            let dump_trace = f.take("dump-trace");
+            let scheme = f.take("scheme").unwrap_or_else(|| "bulk".into());
+            // The per-command flags: a flag of the other machine stays
+            // behind in `f` and fails `finish` as unknown.
+            let (txs, tasks, sig) = match machine {
+                Machine::Tm => {
+                    scheme.parse::<bulk_tm::Scheme>()?;
+                    (parse_opt_num(f.take("txs"), "--txs")?, None, f.take("sig"))
+                }
+                Machine::Tls => {
+                    scheme.parse::<bulk_tls::TlsScheme>()?;
+                    (None, parse_opt_num(f.take("tasks"), "--tasks")?, None)
+                }
+            };
+            let seed = parse_num(f.take("seed"), 42, "--seed")?;
+            let spec = JobSpec { seed, runtime, txs, tasks, ..JobSpec::new(machine, &app, &scheme) };
             let chaos = f.take_bool("chaos");
-            let audit = f.take_bool("audit") || chaos;
-            let metrics = f.take_bool("metrics");
-            let events_out = f.take("events-out");
-            let metrics_out = f.take("metrics-out");
-            let trace_out = f.take("trace-out");
-            let watchdog_ticks = parse_opt_num(f.take("watchdog-ticks"), "--watchdog-ticks")?;
-            f.finish()?;
-            Ok(Command::Tm(TmArgs {
-                app,
-                runtime,
-                scheme,
-                seed,
-                txs,
+            let args = RunArgs {
+                spec,
                 sig,
-                dump_trace,
                 chaos,
-                audit,
-                metrics,
-                events_out,
-                metrics_out,
-                trace_out,
-                watchdog_ticks,
-            }))
-        }
-        "tls" => {
-            let mut f = Flags::parse(rest)?;
-            let app = f.take("app").ok_or("tls: --app is required")?;
-            let runtime = parse_runtime(f.take("runtime"))?;
-            let scheme =
-                parse_tls_scheme(&f.take("scheme").unwrap_or_else(|| "bulk".into()))?;
-            let seed = parse_num(f.take("seed"), 42, "--seed")?;
-            let tasks = match f.take("tasks") {
-                Some(v) => {
-                    Some(v.parse().map_err(|_| format!("--tasks: bad number `{v}`"))?)
-                }
-                None => None,
+                audit: f.take_bool("audit") || chaos,
+                watchdog_ticks: parse_opt_num(f.take("watchdog-ticks"), "--watchdog-ticks")?,
+                metrics: f.take_bool("metrics"),
+                events_out: f.take("events-out"),
+                metrics_out: f.take("metrics-out"),
+                trace_out: f.take("trace-out"),
+                dump_trace: f.take("dump-trace"),
             };
-            let dump_trace = f.take("dump-trace");
-            let chaos = f.take_bool("chaos");
-            let audit = f.take_bool("audit") || chaos;
-            let metrics = f.take_bool("metrics");
-            let events_out = f.take("events-out");
-            let metrics_out = f.take("metrics-out");
-            let trace_out = f.take("trace-out");
-            let watchdog_ticks = parse_opt_num(f.take("watchdog-ticks"), "--watchdog-ticks")?;
             f.finish()?;
-            Ok(Command::Tls(TlsArgs {
-                app,
-                runtime,
-                scheme,
-                seed,
-                tasks,
-                dump_trace,
-                chaos,
-                audit,
-                metrics,
-                events_out,
-                metrics_out,
-                trace_out,
-                watchdog_ticks,
-            }))
+            Ok(Command::Run(args))
         }
         "replay" => {
             let mut f = Flags::parse(rest)?;
@@ -500,140 +400,106 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn run_args(s: &str) -> RunArgs {
+        match parse(&args(s)).unwrap() {
+            Command::Run(a) => a,
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn parses_tm_with_defaults() {
-        let c = parse(&args("tm --app mc")).unwrap();
         assert_eq!(
-            c,
-            Command::Tm(TmArgs {
-                app: "mc".into(),
-                runtime: "sim".into(),
-                scheme: Scheme::Bulk,
-                seed: 42,
-                txs: None,
-                sig: "S14".into(),
-                dump_trace: None,
+            run_args("tm --app mc"),
+            RunArgs {
+                spec: JobSpec::parse(r#"{"machine": "tm", "app": "mc", "scheme": "bulk"}"#)
+                    .unwrap(),
+                sig: None,
                 chaos: false,
                 audit: false,
+                watchdog_ticks: None,
                 metrics: false,
                 events_out: None,
                 metrics_out: None,
                 trace_out: None,
-                watchdog_ticks: None,
-            })
+                dump_trace: None,
+            }
         );
+    }
+
+    /// The CLI's flags and the daemon's wire line describe a run with the
+    /// same value.
+    #[test]
+    fn flags_and_wire_line_yield_the_same_job_spec() {
+        let a = run_args("tm --app cb --scheme lazy --seed 7 --txs 30 --runtime par");
+        let wire = r#"{"machine": "tm", "app": "cb", "scheme": "lazy", "seed": 7, "txs": 30, "runtime": "par"}"#;
+        assert_eq!(a.spec, JobSpec::parse(wire).unwrap());
+        let a = run_args("tls --app gzip --scheme bulk-no-overlap --seed 3 --tasks 50");
+        let wire = r#"{"machine": "tls", "app": "gzip", "scheme": "bulk-no-overlap", "seed": 3, "tasks": 50}"#;
+        assert_eq!(a.spec, JobSpec::parse(wire).unwrap());
     }
 
     #[test]
     fn parses_runtime() {
-        match parse(&args("tm --app mc --runtime par")).unwrap() {
-            Command::Tm(a) => assert_eq!(a.runtime, "par"),
-            other => panic!("{other:?}"),
-        }
-        match parse(&args("tls --app gzip --runtime par --seed 3")).unwrap() {
-            Command::Tls(a) => {
-                assert_eq!(a.runtime, "par");
-                assert_eq!(a.seed, 3);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&args("tls --app gzip")).unwrap() {
-            Command::Tls(a) => assert_eq!(a.runtime, "sim", "sim is the default"),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(run_args("tm --app mc --runtime par").spec.runtime, JobRuntime::Par);
+        let a = run_args("tls --app gzip --runtime par --seed 3");
+        assert_eq!((a.spec.runtime, a.spec.seed), (JobRuntime::Par, 3));
+        assert_eq!(run_args("tls --app gzip").spec.runtime, JobRuntime::Sim, "the default");
         assert!(parse(&args("tm --app mc --runtime hw")).is_err());
         assert!(parse(&args("tm --app mc --runtime")).is_err());
     }
 
     #[test]
     fn parses_trace_out() {
-        match parse(&args("tm --app mc --trace-out /tmp/t.json")).unwrap() {
-            Command::Tm(a) => assert_eq!(a.trace_out.as_deref(), Some("/tmp/t.json")),
-            other => panic!("{other:?}"),
-        }
-        match parse(&args("tls --app gzip --trace-out t.json")).unwrap() {
-            Command::Tls(a) => assert_eq!(a.trace_out.as_deref(), Some("t.json")),
-            other => panic!("{other:?}"),
-        }
+        let a = run_args("tm --app mc --trace-out /tmp/t.json");
+        assert_eq!(a.trace_out.as_deref(), Some("/tmp/t.json"));
+        assert_eq!(run_args("tls --app gzip --trace-out t.json").trace_out.as_deref(), Some("t.json"));
     }
 
     #[test]
     fn parses_metrics_out() {
-        match parse(&args("tm --app mc --metrics-out /tmp/m.json")).unwrap() {
-            Command::Tm(a) => assert_eq!(a.metrics_out.as_deref(), Some("/tmp/m.json")),
-            other => panic!("{other:?}"),
-        }
-        match parse(&args("tls --app gzip --metrics-out m.json")).unwrap() {
-            Command::Tls(a) => assert_eq!(a.metrics_out.as_deref(), Some("m.json")),
-            other => panic!("{other:?}"),
-        }
+        let a = run_args("tm --app mc --metrics-out /tmp/m.json");
+        assert_eq!(a.metrics_out.as_deref(), Some("/tmp/m.json"));
+        assert_eq!(run_args("tls --app gzip --metrics-out m.json").metrics_out.as_deref(), Some("m.json"));
     }
 
     #[test]
     fn parses_watchdog_ticks() {
-        match parse(&args("tm --app mc --scheme eager-naive --watchdog-ticks 500000")).unwrap() {
-            Command::Tm(a) => assert_eq!(a.watchdog_ticks, Some(500_000)),
-            other => panic!("{other:?}"),
-        }
-        match parse(&args("tls --app gzip --watchdog-ticks 9")).unwrap() {
-            Command::Tls(a) => assert_eq!(a.watchdog_ticks, Some(9)),
-            other => panic!("{other:?}"),
-        }
+        let a = run_args("tm --app mc --scheme eager-naive --watchdog-ticks 500000");
+        assert_eq!(a.watchdog_ticks, Some(500_000));
+        assert_eq!(run_args("tls --app gzip --watchdog-ticks 9").watchdog_ticks, Some(9));
         assert!(parse(&args("tm --app mc --watchdog-ticks nope")).is_err());
         assert!(parse(&args("tm --app mc --watchdog-ticks")).is_err());
     }
 
     #[test]
     fn parses_chaos_and_audit_flags() {
-        match parse(&args("tm --app mc --chaos")).unwrap() {
-            Command::Tm(a) => {
-                assert!(a.chaos);
-                assert!(a.audit, "--chaos implies --audit");
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&args("tls --app gzip --audit --seed 9")).unwrap() {
-            Command::Tls(a) => {
-                assert!(!a.chaos);
-                assert!(a.audit);
-                assert_eq!(a.seed, 9);
-            }
-            other => panic!("{other:?}"),
-        }
+        let a = run_args("tm --app mc --chaos");
+        assert!(a.chaos);
+        assert!(a.audit, "--chaos implies --audit");
+        let a = run_args("tls --app gzip --audit --seed 9");
+        assert_eq!((a.chaos, a.audit, a.spec.seed), (false, true, 9));
         // Boolean flags consume no value: the next token is still a flag.
-        match parse(&args("tls --app gzip --chaos --tasks 5")).unwrap() {
-            Command::Tls(a) => {
-                assert!(a.chaos);
-                assert_eq!(a.tasks, Some(5));
-            }
-            other => panic!("{other:?}"),
-        }
+        let a = run_args("tls --app gzip --chaos --tasks 5");
+        assert!(a.chaos);
+        assert_eq!(a.spec.tasks, Some(5));
     }
 
     #[test]
     fn parses_full_tm() {
-        let c = parse(&args(
-            "tm --app lu --scheme lazy --seed 7 --txs 20 --sig S4 --dump-trace /tmp/t",
-        ))
-        .unwrap();
-        match c {
-            Command::Tm(a) => {
-                assert_eq!(a.scheme, Scheme::Lazy);
-                assert_eq!(a.seed, 7);
-                assert_eq!(a.txs, Some(20));
-                assert_eq!(a.sig, "S4");
-                assert_eq!(a.dump_trace.as_deref(), Some("/tmp/t"));
-            }
-            other => panic!("{other:?}"),
-        }
+        let a = run_args("tm --app lu --scheme lazy --seed 7 --txs 20 --sig S4 --dump-trace /tmp/t");
+        assert_eq!(a.spec.machine, Machine::Tm);
+        assert_eq!(a.spec.scheme, "lazy");
+        assert_eq!(a.spec.seed, 7);
+        assert_eq!(a.spec.txs, Some(20));
+        assert_eq!(a.sig.as_deref(), Some("S4"));
+        assert_eq!(a.dump_trace.as_deref(), Some("/tmp/t"));
     }
 
     #[test]
     fn parses_tls_and_replay_and_sweep() {
-        assert!(matches!(
-            parse(&args("tls --app gzip --scheme bulk-no-overlap")).unwrap(),
-            Command::Tls(a) if a.scheme == TlsScheme::BulkNoOverlap
-        ));
+        let a = run_args("tls --app gzip --scheme bulk-no-overlap");
+        assert_eq!((a.spec.machine, a.spec.scheme.as_str()), (Machine::Tls, "bulk-no-overlap"));
         assert!(matches!(
             parse(&args("replay --file t.trace --scheme bulk")).unwrap(),
             Command::Replay(_)
@@ -646,22 +512,13 @@ mod tests {
 
     #[test]
     fn parses_metrics_and_events_out() {
-        match parse(&args("tm --app mc --metrics --events-out /tmp/e.jsonl")).unwrap() {
-            Command::Tm(a) => {
-                assert!(a.metrics);
-                assert_eq!(a.events_out.as_deref(), Some("/tmp/e.jsonl"));
-            }
-            other => panic!("{other:?}"),
-        }
+        let a = run_args("tm --app mc --metrics --events-out /tmp/e.jsonl");
+        assert!(a.metrics);
+        assert_eq!(a.events_out.as_deref(), Some("/tmp/e.jsonl"));
         // --metrics is boolean: the next token is still parsed as a flag.
-        match parse(&args("tls --app gzip --metrics --seed 5")).unwrap() {
-            Command::Tls(a) => {
-                assert!(a.metrics);
-                assert!(a.events_out.is_none());
-                assert_eq!(a.seed, 5);
-            }
-            other => panic!("{other:?}"),
-        }
+        let a = run_args("tls --app gzip --metrics --seed 5");
+        assert!(a.metrics && a.events_out.is_none());
+        assert_eq!(a.spec.seed, 5);
     }
 
     #[test]
@@ -726,6 +583,11 @@ mod tests {
         assert!(parse(&args("tm")).is_err());
         assert!(parse(&args("tm --app")).is_err());
         assert!(parse(&args("tm --app mc --seed nope")).is_err());
+        // The per-command flag sets did not merge with the structs.
+        assert_eq!(parse(&args("tls --app gzip --sig S4")).unwrap_err(), "unknown flag --sig");
+        assert_eq!(parse(&args("tls --app gzip --txs 5")).unwrap_err(), "unknown flag --txs");
+        assert_eq!(parse(&args("tm --app mc --tasks 5")).unwrap_err(), "unknown flag --tasks");
+        assert!(parse(&args("tls --app gzip --scheme bulk-partial")).is_err(), "a TM scheme");
     }
 
     #[test]

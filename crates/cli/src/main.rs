@@ -7,18 +7,17 @@
 mod args;
 mod report;
 
+use std::borrow::Cow;
+use std::fmt::Display;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use args::{parse, BulkdArgs, Command, ReplayArgs, TlsArgs, TmArgs, USAGE};
-use bulk_chaos::FaultPlan;
-use bulk_live::{BackoffConfig, LivenessConfig, WatchdogConfig};
+use args::{parse, BulkdArgs, Command, ReplayArgs, RunArgs, USAGE};
 use bulk_obs::Obs;
-use bulk_par::{ParConfig, ParRuntime, Runtime};
+use bulk_par::{runtime_for, Job, JobPlan, RunDetail, RunOptions, Runtime, SimRuntime};
 use bulk_sig::{table8, table8_spec, BitPermutation, Granularity, SignatureConfig};
-use bulk_sim::{SimConfig, SimHarness};
-use bulk_tls::TlsMachine;
-use bulk_tm::TmMachine;
+use bulk_sim::SimConfig;
+use bulk_trace::jobspec::{JobRuntime, JobSpec, Machine};
 use bulk_trace::{io, profiles};
 
 /// Puts `SIGPIPE` back to its default disposition. The Rust runtime
@@ -77,8 +76,7 @@ fn run(cmd: Command) -> Result<(), String> {
             list();
             Ok(())
         }
-        Command::Tm(a) => run_tm(a),
-        Command::Tls(a) => run_tls(a),
+        Command::Run(a) => run_job(a),
         Command::Replay(a) => replay(a),
         Command::SweepSig { app, seed } => sweep_sig(&app, seed),
         Command::Bulkd(a) => run_bulkd(a),
@@ -190,181 +188,84 @@ fn chaos_seed(default: u64) -> Result<u64, String> {
     }
 }
 
-/// Fails the run (nonzero exit) if the auditor observed violations.
-fn check_violations(
-    violations: &[bulk_chaos::InvariantViolation],
-    chaos: Option<u64>,
-) -> Result<(), String> {
+/// Fails the run (nonzero exit) if it finished with violations of
+/// `what` kind — the auditor's invariants, or the watchdog's diagnosis
+/// (which carries the detected squash cycle for livelocks). A chaos run
+/// names the fault seed that replays it.
+fn check<V: Display>(what: &str, violations: &[V], chaos: Option<u64>) -> Result<(), String> {
     if violations.is_empty() {
         return Ok(());
     }
     for v in violations {
         eprintln!("{v}");
     }
-    let replay = match chaos {
-        Some(seed) => format!("; replay with BULK_CHAOS_SEED={seed}"),
-        None => String::new(),
-    };
-    Err(format!("{} invariant violation(s){replay}", violations.len()))
+    Err(format!("{} {what} violation(s){}", violations.len(), replay_hint(chaos)))
 }
 
-/// Fails the run (nonzero exit) if the liveness watchdog tripped. The
-/// printed diagnosis carries the detected squash cycle for livelocks.
-fn check_liveness(violations: &[bulk_live::LivenessViolation]) -> Result<(), String> {
-    if violations.is_empty() {
-        return Ok(());
-    }
-    for v in violations {
-        eprintln!("{v}");
-    }
-    Err(format!("{} liveness violation(s)", violations.len()))
+/// The chaos replay hint: a violation, an unrecoverable worker death or
+/// a tripped watchdog is only useful if it can be replayed.
+fn replay_hint(chaos: Option<u64>) -> String {
+    chaos.map_or(String::new(), |seed| format!("; replay with BULK_CHAOS_SEED={seed}"))
 }
 
-/// The `--watchdog-ticks` configuration: pure detection. A zero backoff
-/// ladder means arming the watchdog never perturbs the schedule, so a
-/// watched run stays cycle-identical to an unwatched one.
-fn watchdog_only(stall_ticks: u64) -> LivenessConfig {
-    LivenessConfig {
-        watchdog: WatchdogConfig {
-            stall_ticks,
-            ..WatchdogConfig::default()
-        },
-        backoff: BackoffConfig {
-            base: 0,
-            cap: 0,
-            ..BackoffConfig::default()
-        },
-        ..LivenessConfig::default()
+/// `bulk tm` / `bulk tls`: resolves the spec, generates (and dumps) the
+/// trace, runs it on the substrate the spec names, prints and writes.
+/// What the flags arm is [`RunOptions`]' business, not this function's.
+fn run_job(a: RunArgs) -> Result<(), String> {
+    let spec = &a.spec;
+    if spec.runtime == JobRuntime::Par {
+        reject_sim_only_flags(&a)?;
     }
-}
-
-fn run_tm(a: TmArgs) -> Result<(), String> {
-    let mut p = profiles::tm_profile(&a.app)
-        .ok_or_else(|| format!("unknown TM app `{}` (try `bulk list`)", a.app))?;
-    if let Some(txs) = a.txs {
-        p.txs_per_thread = txs;
-    }
-    let wl = p.generate(a.seed);
+    let job = JobPlan::resolve(spec).map_err(|e| e.to_string())?.generate(spec.seed);
     if let Some(path) = &a.dump_trace {
-        std::fs::write(path, io::tm_to_string(&wl)).map_err(|e| e.to_string())?;
+        let text = match &job {
+            Job::Tm { workload, .. } => io::tm_to_string(workload),
+            Job::Tls { workload, .. } => io::tls_to_string(workload),
+        };
+        std::fs::write(path, text).map_err(|e| e.to_string())?;
         println!("trace written to {path}");
     }
-    if a.runtime == "par" {
-        reject_sim_only_flags("tm", a.watchdog_ticks, &a.events_out, &a.trace_out)?;
-        let (cfg, chaos) = par_config(a.seed, a.chaos)?;
-        let rt = ParRuntime::new(cfg);
-        let r = rt
-            .run_tm(&wl, a.scheme, &SimConfig::tm_default())
-            .map_err(|e| par_error(e, chaos))?;
-        report::print_par("TM", &a.app, &a.scheme.to_string(), &r);
-        write_par_metrics(&a.metrics_out, &r, a.seed)?;
-        return check_violations(&r.violations, chaos);
+    let sig = a.sig.as_deref().map(signature).transpose()?;
+    let chaos = if a.chaos { Some(chaos_seed(spec.seed)?) } else { None };
+    if let Some(s) = chaos {
+        println!("chaos: fault seed {s} (replay with BULK_CHAOS_SEED={s})");
     }
-    let sig = signature(&a.sig)?;
-    let cfg = SimConfig::tm_default();
-    let mut m =
-        TmMachine::try_with_signature(&wl, a.scheme, &cfg, sig).map_err(|e| e.to_string())?;
-    let seed = configure(m.harness_mut(), a.audit, a.chaos, a.seed, a.watchdog_ticks)?;
-    let obs = make_obs(a.metrics, &a.events_out, &a.metrics_out, &a.trace_out);
-    if let Some(o) = &obs {
-        m.attach_obs(Arc::clone(o));
+    // One bundle when any of the four observability flags asked for one.
+    let obs = (a.metrics || a.events_out.is_some() || a.metrics_out.is_some() || a.trace_out.is_some())
+        .then(|| Arc::new(Obs::new()));
+    let opts = RunOptions { sig, audit: a.audit, chaos, watchdog_ticks: a.watchdog_ticks, obs };
+    let r = runtime_for(spec)
+        .run(&job, &opts)
+        .map_err(|e| format!("{e}{}", replay_hint(chaos)))?;
+    report::print_run(&spec.app, &job, &r, a.chaos);
+    if let Some(obs) = &opts.obs {
+        finish_obs(obs, &a)?;
     }
-    let stats = m.try_run().map_err(|e| e.to_string())?;
-    report::print_tm(&a.app, a.scheme, &stats, a.chaos);
-    finish_obs(
-        &obs,
-        "tm.",
-        &a.runtime,
-        a.seed,
-        a.metrics,
-        &a.events_out,
-        &a.metrics_out,
-        &a.trace_out,
-    )?;
-    check_violations(&stats.violations, seed)?;
-    check_liveness(&stats.liveness_violations)
+    check("invariant", &r.violations, chaos)?;
+    check("liveness", &r.liveness_violations, None)
 }
 
-/// The parallel runtime's configuration for a CLI run: the workload seed
-/// doubles as the backoff-jitter seed, everything else stays at the
-/// defaults (`--runtime par` is about substrate semantics, not tuning).
-/// `--chaos` arms the real-thread fault preset — seeded worker kills at
-/// commit-protocol points, injected stalls, widened claim-to-publish
-/// windows — and returns the fault seed for the replay hint.
-fn par_config(seed: u64, chaos: bool) -> Result<(ParConfig, Option<u64>), String> {
-    let mut cfg = ParConfig { seed, ..ParConfig::default() };
-    if !chaos {
-        return Ok((cfg, None));
-    }
-    let s = chaos_seed(seed)?;
-    println!("chaos: fault seed {s} (replay with BULK_CHAOS_SEED={s})");
-    cfg.chaos = Some(bulk_chaos::ChaosConfig::worker_crash(s));
-    Ok((cfg, Some(s)))
-}
-
-/// Renders a parallel-runtime error, appending the chaos replay hint
-/// when a fault preset was armed: an unrecoverable worker death or a
-/// tripped wall-clock watchdog is only useful if it can be replayed.
-fn par_error(e: bulk_par::RuntimeError, chaos: Option<u64>) -> String {
-    match chaos {
-        Some(seed) => format!("{e}; replay with BULK_CHAOS_SEED={seed}"),
-        None => e.to_string(),
-    }
-}
-
-/// Rejects the simulator-only flags under `--runtime par`: watchdog
-/// ticks and the event/span pipelines all hook the simulated clock,
-/// which real threads do not have. Failing loudly beats silently
-/// dropping what the user asked for. (`--chaos` is *not* sim-only: under
-/// par it arms the real-thread worker-fault preset instead.)
-fn reject_sim_only_flags(
-    cmd: &str,
-    watchdog_ticks: Option<u64>,
-    events_out: &Option<String>,
-    trace_out: &Option<String>,
-) -> Result<(), String> {
-    let offending = if watchdog_ticks.is_some() {
-        Some("--watchdog-ticks")
-    } else if events_out.is_some() {
-        Some("--events-out")
-    } else if trace_out.is_some() {
-        Some("--trace-out")
-    } else {
-        None
-    };
-    match offending {
-        Some(flag) => Err(format!(
-            "{cmd}: {flag} needs the simulated clock and is sim-only; \
-             drop it or use --runtime sim"
+/// Rejects the simulator-only flags under `--runtime par`: the
+/// signature sweep is the sim's (par hard-codes S14), and watchdog ticks
+/// and the event/span pipelines all hook the simulated clock, which real
+/// threads do not have. Failing loudly beats silently dropping what the
+/// user asked for. (`--chaos` is *not* sim-only: under par it arms the
+/// real-thread worker-fault preset instead.)
+fn reject_sim_only_flags(a: &RunArgs) -> Result<(), String> {
+    let set = [
+        ("--sig", a.sig.is_some()),
+        ("--watchdog-ticks", a.watchdog_ticks.is_some()),
+        ("--events-out", a.events_out.is_some()),
+        ("--trace-out", a.trace_out.is_some()),
+    ];
+    match set.iter().find(|(_, given)| *given) {
+        Some((flag, _)) => Err(format!(
+            "{}: {flag} hooks the simulated machine and is sim-only; \
+             drop it or use --runtime sim",
+            a.spec.machine.as_str()
         )),
         None => Ok(()),
     }
-}
-
-/// Writes the parallel runtime's self-describing metrics JSON when
-/// `--metrics-out` asked for one.
-fn write_par_metrics(
-    path: &Option<String>,
-    r: &bulk_par::RunReport,
-    seed: u64,
-) -> Result<(), String> {
-    if let Some(path) = path {
-        std::fs::write(path, report::par_metrics_json(r, seed)).map_err(|e| e.to_string())?;
-        println!("metrics written to {path}");
-    }
-    Ok(())
-}
-
-/// Builds the shared observability bundle when `--metrics`,
-/// `--events-out`, `--metrics-out` or `--trace-out` asked for one.
-fn make_obs(
-    metrics: bool,
-    events_out: &Option<String>,
-    metrics_out: &Option<String>,
-    trace_out: &Option<String>,
-) -> Option<Arc<Obs>> {
-    (metrics || events_out.is_some() || metrics_out.is_some() || trace_out.is_some())
-        .then(|| Arc::new(Obs::new()))
 }
 
 /// Prints the metrics section and/or writes the event JSONL, the
@@ -372,23 +273,19 @@ fn make_obs(
 /// registry JSON is wrapped as `{"runtime": ..., "seed": ..., "metrics":
 /// {...}}` so every metrics artifact names the substrate and workload
 /// seed that produced it.
-fn finish_obs(
-    obs: &Option<Arc<Obs>>,
-    prefix: &str,
-    runtime: &str,
-    seed: u64,
-    metrics: bool,
-    events_out: &Option<String>,
-    metrics_out: &Option<String>,
-    trace_out: &Option<String>,
-) -> Result<(), String> {
-    let Some(o) = obs else { return Ok(()) };
-    if metrics {
+fn finish_obs(o: &Obs, a: &RunArgs) -> Result<(), String> {
+    let runtime = a.spec.runtime.as_str();
+    let prefix = match (a.spec.runtime, a.spec.machine) {
+        (JobRuntime::Par, _) => "par.",
+        (JobRuntime::Sim, Machine::Tm) => "tm.",
+        (JobRuntime::Sim, Machine::Tls) => "tls.",
+    };
+    if a.metrics {
         report::print_metrics(o.registry(), prefix, runtime);
         report::print_cycle_breakdown(o.registry(), prefix);
         report::print_event_drops(o.events());
     }
-    if let Some(path) = events_out {
+    if let Some(path) = &a.events_out {
         std::fs::write(path, o.events().to_jsonl()).map_err(|e| e.to_string())?;
         println!(
             "events written to {path} ({} events, {} dropped)",
@@ -396,15 +293,16 @@ fn finish_obs(
             o.events().dropped()
         );
     }
-    if let Some(path) = metrics_out {
+    if let Some(path) = &a.metrics_out {
         let wrapped = format!(
-            "{{\n  \"runtime\": \"{runtime}\",\n  \"seed\": {seed},\n  \"metrics\": {}\n}}\n",
+            "{{\n  \"runtime\": \"{runtime}\",\n  \"seed\": {},\n  \"metrics\": {}\n}}\n",
+            a.spec.seed,
             o.registry().to_json_indented("  ")
         );
         std::fs::write(path, wrapped).map_err(|e| e.to_string())?;
         println!("metrics written to {path}");
     }
-    if let Some(path) = trace_out {
+    if let Some(path) = &a.trace_out {
         std::fs::write(path, o.trace().to_chrome_json()).map_err(|e| e.to_string())?;
         println!(
             "trace written to {path} ({} spans, {} dropped)",
@@ -415,105 +313,39 @@ fn finish_obs(
     Ok(())
 }
 
-fn run_tls(a: TlsArgs) -> Result<(), String> {
-    let mut p = profiles::tls_profile(&a.app)
-        .ok_or_else(|| format!("unknown TLS app `{}` (try `bulk list`)", a.app))?;
-    if let Some(tasks) = a.tasks {
-        p.tasks = tasks;
-    }
-    let wl = p.generate(a.seed);
-    if let Some(path) = &a.dump_trace {
-        std::fs::write(path, io::tls_to_string(&wl)).map_err(|e| e.to_string())?;
-        println!("trace written to {path}");
-    }
-    let cfg = SimConfig::tls_default();
-    if a.runtime == "par" {
-        reject_sim_only_flags("tls", a.watchdog_ticks, &a.events_out, &a.trace_out)?;
-        let (pcfg, chaos) = par_config(a.seed, a.chaos)?;
-        let rt = ParRuntime::new(pcfg);
-        let r = rt.run_tls(&wl, a.scheme, &cfg).map_err(|e| par_error(e, chaos))?;
-        report::print_par("TLS", &a.app, &a.scheme.to_string(), &r);
-        write_par_metrics(&a.metrics_out, &r, a.seed)?;
-        return check_violations(&r.violations, chaos);
-    }
-    let seq = bulk_tls::run_tls_sequential(&wl, &cfg);
-    let mut m = TlsMachine::try_new(&wl, a.scheme, &cfg).map_err(|e| e.to_string())?;
-    let seed = configure(m.harness_mut(), a.audit, a.chaos, a.seed, a.watchdog_ticks)?;
-    let obs = make_obs(a.metrics, &a.events_out, &a.metrics_out, &a.trace_out);
-    if let Some(o) = &obs {
-        m.attach_obs(Arc::clone(o));
-    }
-    let stats = m.try_run().map_err(|e| e.to_string())?;
-    report::print_tls(&a.app, a.scheme, seq, &stats, a.chaos);
-    finish_obs(
-        &obs,
-        "tls.",
-        &a.runtime,
-        a.seed,
-        a.metrics,
-        &a.events_out,
-        &a.metrics_out,
-        &a.trace_out,
-    )?;
-    check_violations(&stats.violations, seed)?;
-    check_liveness(&stats.liveness_violations)
-}
-
-/// Arms a sim machine's instruments the way the flags ask: the auditor,
-/// the chaos plan (returning its fault seed for the replay hint), the
-/// detection-only watchdog.
-fn configure(
-    h: &mut SimHarness,
-    audit: bool,
-    chaos: bool,
-    seed: u64,
-    watchdog_ticks: Option<u64>,
-) -> Result<Option<u64>, String> {
-    if audit {
-        h.enable_audit();
-    }
-    let mut fault_seed = None;
-    if chaos {
-        let s = chaos_seed(seed)?;
-        println!("chaos: fault seed {s} (replay with BULK_CHAOS_SEED={s})");
-        h.set_chaos(FaultPlan::seeded(s));
-        fault_seed = Some(s);
-    }
-    if let Some(ticks) = watchdog_ticks {
-        h.enable_liveness(watchdog_only(ticks));
-    }
-    Ok(fault_seed)
-}
-
+/// `bulk replay`: the job is a parsed trace file instead of a generated
+/// profile; nothing is armed.
 fn replay(a: ReplayArgs) -> Result<(), String> {
     let text = std::fs::read_to_string(&a.file).map_err(|e| e.to_string())?;
-    if text.starts_with("TM ") {
-        let wl = io::tm_from_str(&text).map_err(|e| e.to_string())?;
-        let scheme = args::parse_tm_scheme(&a.scheme)?;
-        let m = TmMachine::try_new(&wl, scheme, &SimConfig::tm_default())
-            .map_err(|e| e.to_string())?;
-        let stats = m.try_run().map_err(|e| e.to_string())?;
-        report::print_tm(&wl.name.clone(), scheme, &stats, false);
-        Ok(())
+    let job = if text.starts_with("TM ") {
+        Job::Tm {
+            workload: Cow::Owned(io::tm_from_str(&text).map_err(|e| e.to_string())?),
+            scheme: a.scheme.parse()?,
+            cfg: SimConfig::tm_default(),
+        }
     } else if text.starts_with("TLS ") {
-        let wl = io::tls_from_str(&text).map_err(|e| e.to_string())?;
-        let scheme = args::parse_tls_scheme(&a.scheme)?;
-        let cfg = SimConfig::tls_default();
-        let seq = bulk_tls::run_tls_sequential(&wl, &cfg);
-        let m = TlsMachine::try_new(&wl, scheme, &cfg).map_err(|e| e.to_string())?;
-        let stats = m.try_run().map_err(|e| e.to_string())?;
-        report::print_tls(&wl.name.clone(), scheme, seq, &stats, false);
-        Ok(())
+        Job::Tls {
+            workload: Cow::Owned(io::tls_from_str(&text).map_err(|e| e.to_string())?),
+            scheme: a.scheme.parse()?,
+            cfg: SimConfig::tls_default(),
+        }
     } else {
-        Err("unrecognized trace header (expected `TM <name>` or `TLS <name>`)".into())
-    }
+        return Err("unrecognized trace header (expected `TM <name>` or `TLS <name>`)".into());
+    };
+    let name = match &job {
+        Job::Tm { workload, .. } => &workload.name,
+        Job::Tls { workload, .. } => &workload.name,
+    };
+    let r = SimRuntime.run(&job, &RunOptions::default()).map_err(|e| e.to_string())?;
+    report::print_run(name, &job, &r, false);
+    Ok(())
 }
 
+/// `bulk sweep-sig`: one generated trace, run under Bulk once per
+/// signature configuration.
 fn sweep_sig(app: &str, seed: u64) -> Result<(), String> {
-    let p = profiles::tm_profile(app)
-        .ok_or_else(|| format!("unknown TM app `{app}` (try `bulk list`)"))?;
-    let wl = p.generate(seed);
-    let cfg = SimConfig::tm_default();
+    let spec = JobSpec { seed, ..JobSpec::new(Machine::Tm, app, "bulk") };
+    let job = JobPlan::resolve(&spec).map_err(|e| e.to_string())?.generate(seed);
     println!(
         "{:<6} {:>7} {:>9} {:>7} {:>9} {:>9}",
         "config", "bits", "squashes", "false", "false%", "cycles"
@@ -521,7 +353,9 @@ fn sweep_sig(app: &str, seed: u64) -> Result<(), String> {
     for id in ["S1", "S4", "S9", "S12", "S14", "S17", "S19", "S23"] {
         let sig = signature(id)?;
         let bits = sig.size_bits();
-        let stats = TmMachine::with_signature(&wl, bulk_tm::Scheme::Bulk, &cfg, sig).run();
+        let opts = RunOptions { sig: Some(sig), ..RunOptions::default() };
+        let r = SimRuntime.run(&job, &opts).map_err(|e| e.to_string())?;
+        let RunDetail::Tm(stats) = &r.detail else { unreachable!("the sim ran a TM job") };
         println!(
             "{:<6} {:>7} {:>9} {:>7} {:>8.1} {:>9}",
             id,

@@ -3,13 +3,29 @@
 use bulk_chaos::FaultStats;
 use bulk_live::LiveStats;
 use bulk_mem::MsgClass;
-use bulk_par::{RunDetail, RunReport};
+use bulk_par::{Job, ParStats, RunDetail, RunReport};
 use bulk_tls::{TlsScheme, TlsStats};
 use bulk_tm::{Scheme, TmStats};
 
-/// Prints a TM run summary. `chaos_active` tells whether a fault plan was
-/// armed; the resilience section is omitted otherwise.
-pub fn print_tm(app: &str, scheme: Scheme, s: &TmStats, chaos_active: bool) {
+/// Prints the summary that fits the report's substrate and machine.
+/// `chaos_active` tells whether a fault plan was armed; the sim's
+/// resilience section is omitted otherwise.
+pub fn print_run(app: &str, job: &Job<'_>, r: &RunReport, chaos_active: bool) {
+    match (job, &r.detail) {
+        (Job::Tm { scheme, .. }, RunDetail::Tm(s)) => print_tm(app, *scheme, s, chaos_active),
+        (Job::Tm { scheme, .. }, RunDetail::Par(s)) => print_par("TM", app, &scheme.to_string(), s),
+        (Job::Tls { workload, scheme, cfg }, RunDetail::Tls(s)) => {
+            let seq = bulk_tls::run_tls_sequential(workload, cfg);
+            print_tls(app, *scheme, seq, s, chaos_active);
+        }
+        (Job::Tls { scheme, .. }, RunDetail::Par(s)) => {
+            print_par("TLS", app, &scheme.to_string(), s)
+        }
+        _ => unreachable!("a run reports the stats of its own machine"),
+    }
+}
+
+fn print_tm(app: &str, scheme: Scheme, s: &TmStats, chaos_active: bool) {
     println!("TM run: app={app} scheme={scheme} runtime=sim");
     println!("  commits            {}", s.commits);
     println!(
@@ -58,9 +74,7 @@ pub fn print_tm(app: &str, scheme: Scheme, s: &TmStats, chaos_active: bool) {
     print_liveness(&s.liveness, s.liveness_violations.len());
 }
 
-/// Prints a TLS run summary. `chaos_active` tells whether a fault plan was
-/// armed; the resilience section is omitted otherwise.
-pub fn print_tls(app: &str, scheme: TlsScheme, seq_cycles: u64, s: &TlsStats, chaos_active: bool) {
+fn print_tls(app: &str, scheme: TlsScheme, seq_cycles: u64, s: &TlsStats, chaos_active: bool) {
     println!("TLS run: app={app} scheme={scheme} runtime=sim");
     println!("  commits            {}", s.commits);
     println!(
@@ -99,20 +113,15 @@ pub fn print_tls(app: &str, scheme: TlsScheme, seq_cycles: u64, s: &TlsStats, ch
     print_liveness(&s.liveness, s.liveness_violations.len());
 }
 
-/// Prints a parallel-runtime run summary for either machine
-/// (`machine` is `"TM"` or `"TLS"`). Wall time replaces simulated
-/// cycles; the exactly-once line shows the `crates/live` dedup machinery
-/// at work (drops are nonzero only under stress injection, duplicate
-/// applications must always be zero). A resilience section appears
-/// whenever the supervisor survived worker deaths — crashes, respawns,
-/// fence tombstones (TM), adopted slots (TLS) and the recovery latency.
-pub fn print_par(machine: &str, app: &str, scheme: &str, r: &RunReport) {
-    println!("{machine} run: app={app} scheme={scheme} runtime={}", r.runtime);
-    let RunDetail::Par(s) = &r.detail else {
-        println!("  commits            {}", r.commits);
-        println!("  squashes           {}", r.squashes);
-        return;
-    };
+/// A parallel-runtime summary for either machine (`TM` / `TLS`). Wall
+/// time replaces simulated cycles; the exactly-once line shows the
+/// `crates/live` dedup machinery at work (drops are nonzero only under
+/// stress injection, duplicate applications must always be zero). A
+/// resilience section appears whenever the supervisor survived worker
+/// deaths — crashes, respawns, fence tombstones (TM), adopted slots
+/// (TLS) and the recovery latency.
+fn print_par(machine: &str, app: &str, scheme: &str, s: &ParStats) {
+    println!("{machine} run: app={app} scheme={scheme} runtime=par");
     println!("  commits            {}", s.commits);
     println!(
         "  squashes           {} ({} from aliasing, {:.1}%)",
@@ -147,52 +156,6 @@ pub fn print_par(machine: &str, app: &str, scheme: &str, r: &RunReport) {
     }
     println!("  wall time          {:.3} ms", s.wall_ns as f64 / 1e6);
     println!("  audit              {} checks, {} violations", s.audit_checks, s.violations.len());
-}
-
-/// Serializes a parallel-runtime report as a self-describing metrics
-/// JSON: the `runtime` and `seed` fields tell artifact consumers which
-/// substrate produced the numbers under which workload seed, mirroring
-/// the wrapped registry JSON the sim path writes.
-pub fn par_metrics_json(r: &RunReport, seed: u64) -> String {
-    let RunDetail::Par(s) = &r.detail else {
-        return format!("{{\n  \"runtime\": \"{}\",\n  \"seed\": {seed}\n}}\n", r.runtime);
-    };
-    let counters = [
-        ("commits", s.commits),
-        ("squashes", s.squashes),
-        ("false_squashes", s.false_squashes),
-        ("claim_retries", s.claim_retries),
-        ("slot_wait_spins", s.slot_wait_spins),
-        ("non_tx_stores", s.non_tx_stores),
-        ("records", s.records),
-        ("dedup_drops", s.dedup_drops),
-        ("duplicate_applications", s.duplicate_applications),
-        ("worker_crashes", s.worker_crashes),
-        ("respawns", s.respawns),
-        ("fences", s.fences),
-        ("adopted_slots", s.adopted_slots),
-        ("recovery_ns", s.recovery_ns),
-        ("injected_stalls", s.injected_stalls),
-        ("delayed_publishes", s.delayed_publishes),
-        ("epoch", s.epoch),
-        ("audit_checks", s.audit_checks),
-        ("violations", s.violations.len() as u64),
-        ("wall_ns", s.wall_ns),
-    ];
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"runtime\": \"{}\",\n", r.runtime));
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str("  \"metrics\": {\n    \"counters\": {\n");
-    for (i, (k, v)) in counters.iter().enumerate() {
-        let sep = if i + 1 == counters.len() { "" } else { "," };
-        out.push_str(&format!("      \"{k}\": {v}{sep}\n"));
-    }
-    out.push_str("    },\n");
-    let per: Vec<String> = s.per_thread_commits.iter().map(u64::to_string).collect();
-    out.push_str(&format!("    \"per_thread_commits\": [{}]\n", per.join(", ")));
-    out.push_str("  }\n}\n");
-    out
 }
 
 /// Liveness-engine section: printed only when the engine recorded
@@ -289,8 +252,9 @@ fn human_bytes(b: u64) -> String {
 
 /// Prints the `--metrics` section: squash attribution, invalidation
 /// overshoot and the full registry contents, for the machine under
-/// `prefix` (`"tm."` or `"tls."`). `runtime` names the substrate that
-/// produced the block, so mixed-runtime transcripts stay unambiguous.
+/// `prefix` (`"tm."`, `"tls."`, or `"par."` for either machine on real
+/// threads). `runtime` names the substrate that produced the block, so
+/// mixed-runtime transcripts stay unambiguous.
 pub fn print_metrics(reg: &bulk_obs::Registry, prefix: &str, runtime: &str) {
     let c = |name: &str| reg.counter_value(&format!("{prefix}{name}"));
     let total = c("squashes");
@@ -421,22 +385,15 @@ mod tests {
     }
 
     #[test]
-    fn par_report_prints_and_serializes() {
+    fn par_report_prints() {
         use bulk_par::{conflict_light_tm, ParRuntime, Runtime};
         use bulk_sim::SimConfig;
 
         let wl = conflict_light_tm(2, 4, 1, 0);
-        let r = ParRuntime::default()
-            .run_tm(&wl, Scheme::Bulk, &SimConfig::tm_default())
-            .unwrap();
-        print_par("TM", "conflict_light", "bulk", &r);
-        let json = par_metrics_json(&r, 7);
-        assert!(json.contains("\"runtime\": \"par\""), "{json}");
-        assert!(json.contains("\"seed\": 7"), "{json}");
-        assert!(json.contains("\"commits\": 4"), "{json}");
-        assert!(json.contains("\"duplicate_applications\": 0"), "{json}");
-        assert!(json.contains("\"slot_wait_spins\": "), "{json}");
-        assert!(json.contains("\"per_thread_commits\": [2, 2]"), "{json}");
+        let cfg = SimConfig::tm_default();
+        let r = ParRuntime::default().run_tm(&wl, Scheme::Bulk, &cfg).unwrap();
+        let job = Job::Tm { workload: std::borrow::Cow::Borrowed(&wl), scheme: Scheme::Bulk, cfg };
+        print_run("conflict_light", &job, &r, false);
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! the deterministic-sim adapter, and a parallel runtime that runs the
 //! paper's commit/squash protocol on real OS threads.
 //!
+//! It is also the front door (DESIGN.md §19): a run is a `JobSpec`
+//! resolved by [`JobPlan`] into a [`Job`], armed by [`RunOptions`], and
+//! [`Runtime::run`] is the only way the CLI and `bulkd` execute one.
+//!
 //! The paper's own claim (§3) is that signatures decouple
 //! disambiguation from caches and timing: nothing in the protocol needs
 //! simulated cycles. This crate takes that literally. [`ParRuntime`]
@@ -47,8 +51,8 @@ pub use bulk_chaos::{CrashPoint, KillSpec};
 pub use bus::SlotOccupied;
 pub use config::{ParConfig, StressConfig};
 pub use runtime::{
-    runtime_by_name, same_commit_class, ParRuntime, RunDetail, RunReport, Runtime, RuntimeError,
-    SimRuntime,
+    runtime_for, same_commit_class, Job, JobPlan, ParRuntime, RunDetail, RunOptions, RunReport,
+    Runtime, RuntimeError, SimRuntime,
 };
 pub use stats::ParStats;
 pub use tls::run_par_tls;

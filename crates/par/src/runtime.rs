@@ -1,14 +1,15 @@
-//! The [`Runtime`] trait — the execution-substrate abstraction — and its
-//! two implementations.
+//! The front door: what a run is ([`Job`] + [`RunOptions`]), the one way
+//! to execute it ([`Runtime::run`]), and the two substrates behind it.
 //!
-//! A `Runtime` takes a workload trace, a conflict-detection scheme and
-//! the Table 5 machine configuration, and returns a [`RunReport`]: the
-//! committed history plus scheme-level counters. Two substrates
+//! A [`JobSpec`] — the CLI's flags or a `bulkd` wire line — resolves to
+//! a [`JobPlan`] (catalog profile + typed scheme), which generates a
+//! [`Job`]; `bulk replay` enters with a parsed trace instead. A
+//! `Runtime` takes the job and the options and returns a [`RunReport`]:
+//! the committed history plus scheme-level counters. Two substrates
 //! implement it:
 //!
-//! * [`SimRuntime`] — the deterministic discrete-event simulator the
-//!   repo has always had, unchanged, behind the trait. Same trace + same
-//!   seed ⇒ byte-identical results; it is the *oracle*.
+//! * [`SimRuntime`] — the deterministic discrete-event simulator. Same
+//!   trace + same seed ⇒ byte-identical results; it is the *oracle*.
 //! * [`ParRuntime`] — real OS threads over the lock-free broadcast log
 //!   of [`crate::bus`]. Nondeterministic interleavings, genuinely
 //!   concurrent signature disambiguation.
@@ -23,15 +24,129 @@ use crate::config::ParConfig;
 use crate::stats::ParStats;
 use crate::tls::run_par_tls;
 use crate::tm::run_par_tm;
-use bulk_chaos::InvariantViolation;
+use bulk_chaos::{ChaosConfig, FaultPlan, InvariantViolation, MachineError};
 use bulk_core::CommitEvent;
-use bulk_sim::SimConfig;
+use bulk_live::{BackoffConfig, LivenessConfig, LivenessViolation, WatchdogConfig};
+use bulk_obs::Obs;
+use bulk_sig::SignatureConfig;
+use bulk_sim::{SimConfig, SimHarness};
 use bulk_tls::{TlsMachine, TlsScheme, TlsStats};
 use bulk_tm::{Scheme, TmMachine, TmStats};
-use bulk_trace::{TlsWorkload, TmWorkload};
+use bulk_trace::jobspec::{JobRuntime, JobSpec, Machine};
+use bulk_trace::{profiles, TlsProfile, TlsWorkload, TmProfile, TmWorkload};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
+
+/// The instruments a run is armed with — exactly the CLI's flags. A new
+/// option is one field here plus one arm in each substrate's `run`.
+#[derive(Clone, Default)]
+pub struct RunOptions {
+    /// Signature configuration (`--sig`; sim only — the parallel runtime
+    /// hard-codes S14). `None` is the machine's paper default.
+    pub sig: Option<SignatureConfig>,
+    /// Check runtime invariants after every commit and squash (`--audit`;
+    /// the parallel runtime always audits).
+    pub audit: bool,
+    /// Inject faults from this seed (`--chaos`): the deterministic
+    /// `FaultPlan` on the sim, the worker-crash preset on real threads.
+    pub chaos: Option<u64>,
+    /// Arm the detection-only forward-progress watchdog with this
+    /// global-stall bound in cycles (`--watchdog-ticks`; sim only).
+    pub watchdog_ticks: Option<u64>,
+    /// Where the run records itself: the sim mirrors every protocol step
+    /// under `tm.`/`tls.`, the parallel runtime publishes its counters
+    /// under `par.` when it ends.
+    pub obs: Option<Arc<Obs>>,
+}
+
+/// One run's work: a trace, its typed scheme and the Table 5 machine.
+/// The workload is borrowed by callers that already hold one
+/// ([`Runtime::run_tm`]) and owned when generated from a [`JobPlan`] or
+/// parsed from a trace file.
+#[derive(Debug, Clone)]
+pub enum Job<'a> {
+    /// A transactional-memory run.
+    Tm {
+        /// The per-thread traces.
+        workload: Cow<'a, TmWorkload>,
+        /// Conflict-detection scheme.
+        scheme: Scheme,
+        /// Simulated machine (ignored by the parallel runtime: real
+        /// threads have no simulated clock).
+        cfg: SimConfig,
+    },
+    /// A thread-level-speculation run.
+    Tls {
+        /// The task traces.
+        workload: Cow<'a, TlsWorkload>,
+        /// Conflict-detection scheme.
+        scheme: TlsScheme,
+        /// Simulated machine (ignored by the parallel runtime).
+        cfg: SimConfig,
+    },
+}
+
+/// A [`JobSpec`] checked against the catalogs: the application profile
+/// with the spec's size override applied, and the scheme typed. Nothing
+/// is generated yet, so `bulkd` resolves once at the socket to refuse a
+/// bad submission and again on the worker to run it — the same function,
+/// hence the same message.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JobPlan {
+    /// A TM application under a TM scheme.
+    Tm(TmProfile, Scheme),
+    /// A TLS application under a TLS scheme.
+    Tls(TlsProfile, TlsScheme),
+}
+
+impl JobPlan {
+    /// Looks up the spec's application and parses its scheme.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::InvalidWorkload`] naming the unknown app or scheme.
+    pub fn resolve(spec: &JobSpec) -> Result<JobPlan, RuntimeError> {
+        let unknown = |family: &str| {
+            let app = &spec.app;
+            RuntimeError::InvalidWorkload(format!("unknown {family} app `{app}` (try `bulk list`)"))
+        };
+        match spec.machine {
+            Machine::Tm => {
+                let mut p = profiles::tm_profile(&spec.app).ok_or_else(|| unknown("TM"))?;
+                if let Some(txs) = spec.txs {
+                    p.txs_per_thread = txs as usize;
+                }
+                Ok(JobPlan::Tm(p, spec.scheme.parse().map_err(RuntimeError::InvalidWorkload)?))
+            }
+            Machine::Tls => {
+                let mut p = profiles::tls_profile(&spec.app).ok_or_else(|| unknown("TLS"))?;
+                if let Some(tasks) = spec.tasks {
+                    p.tasks = tasks as usize;
+                }
+                Ok(JobPlan::Tls(p, spec.scheme.parse().map_err(RuntimeError::InvalidWorkload)?))
+            }
+        }
+    }
+
+    /// Generates the workload from `seed`, on the paper's Table 5 machine.
+    pub fn generate(&self, seed: u64) -> Job<'static> {
+        match self {
+            JobPlan::Tm(p, scheme) => Job::Tm {
+                workload: Cow::Owned(p.generate(seed)),
+                scheme: *scheme,
+                cfg: SimConfig::tm_default(),
+            },
+            JobPlan::Tls(p, scheme) => Job::Tls {
+                workload: Cow::Owned(p.generate(seed)),
+                scheme: *scheme,
+                cfg: SimConfig::tls_default(),
+            },
+        }
+    }
+}
 
 /// Why a runtime refused to execute a workload, or why an execution
 /// could not run to completion.
@@ -69,6 +184,20 @@ pub enum RuntimeError {
     ProtocolBug(String),
 }
 
+impl RuntimeError {
+    /// Stable kebab-case error class: what `bulkd` puts in a `done`
+    /// line's `"kind"`, the same on either substrate.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            RuntimeError::UnsupportedScheme { .. } => "unsupported-scheme",
+            RuntimeError::InvalidWorkload(_) => "invalid-workload",
+            RuntimeError::WorkerDied { .. } => "worker-died",
+            RuntimeError::Liveness(_) => "liveness",
+            RuntimeError::ProtocolBug(_) => "protocol-bug",
+        }
+    }
+}
+
 impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -84,7 +213,7 @@ impl fmt::Display for RuntimeError {
                 None => write!(f, "worker {proc} died and could not be recovered: {detail}"),
             },
             RuntimeError::Liveness(v) => write!(f, "liveness violation: {v}"),
-            RuntimeError::ProtocolBug(e) => write!(f, "parallel-runtime protocol bug: {e}"),
+            RuntimeError::ProtocolBug(e) => write!(f, "protocol bug: {e}"),
         }
     }
 }
@@ -116,6 +245,9 @@ pub struct RunReport {
     pub history: Vec<CommitEvent>,
     /// Invariant violations observed (empty on a healthy run).
     pub violations: Vec<InvariantViolation>,
+    /// Watchdog trips of a sim run that finished with a diagnosis (the
+    /// parallel runtime reports a stall as [`RuntimeError::Liveness`]).
+    pub liveness_violations: Vec<LivenessViolation>,
     /// Wall-clock nanoseconds the run took on the host.
     pub wall_ns: u64,
     /// The substrate's full statistics.
@@ -131,7 +263,21 @@ impl RunReport {
             RunDetail::Par(s) => (s.commits, s.squashes, &s.history, &s.violations),
         };
         let (history, violations) = (history.clone(), violations.clone());
-        RunReport { runtime, commits, squashes, history, violations, wall_ns, detail }
+        let liveness_violations = match &detail {
+            RunDetail::Tm(s) => s.liveness_violations.clone(),
+            RunDetail::Tls(s) => s.liveness_violations.clone(),
+            RunDetail::Par(_) => Vec::new(),
+        };
+        RunReport {
+            runtime,
+            commits,
+            squashes,
+            history,
+            violations,
+            liveness_violations,
+            wall_ns,
+            detail,
+        }
     }
 
     /// The committed-order class identity: the set of `(thread, ordinal)`
@@ -173,72 +319,110 @@ pub fn same_commit_class(a: &RunReport, b: &RunReport) -> Result<(), String> {
 
 /// An execution substrate for the TM and TLS machines.
 pub trait Runtime {
-    /// The substrate's name, embedded in reports and metrics artifacts.
-    fn name(&self) -> &'static str;
+    /// Runs `job` armed as `opts` asks — the only way to execute one.
+    fn run(&self, job: &Job<'_>, opts: &RunOptions) -> Result<RunReport, RuntimeError>;
 
-    /// Runs a TM workload under `scheme`.
+    /// [`Runtime::run`] on a TM workload the caller holds, nothing armed
+    /// (the shape the conformance tests and the ledger call).
     fn run_tm(
         &self,
         workload: &TmWorkload,
         scheme: Scheme,
         cfg: &SimConfig,
-    ) -> Result<RunReport, RuntimeError>;
+    ) -> Result<RunReport, RuntimeError> {
+        let job = Job::Tm { workload: Cow::Borrowed(workload), scheme, cfg: cfg.clone() };
+        self.run(&job, &RunOptions::default())
+    }
 
-    /// Runs a TLS workload under `scheme`.
+    /// [`Runtime::run`] on a TLS workload the caller holds, nothing armed.
     fn run_tls(
         &self,
         workload: &TlsWorkload,
         scheme: TlsScheme,
         cfg: &SimConfig,
-    ) -> Result<RunReport, RuntimeError>;
+    ) -> Result<RunReport, RuntimeError> {
+        let job = Job::Tls { workload: Cow::Borrowed(workload), scheme, cfg: cfg.clone() };
+        self.run(&job, &RunOptions::default())
+    }
 }
 
-/// The deterministic discrete-event simulator, behind the trait. Its
-/// semantics are exactly `bulk_tm::run_tm` / `bulk_tls::run_tls` — this
-/// adapter only repackages the stats into a [`RunReport`] and the
-/// machines' typed errors into [`RuntimeError`]s: a workload the machine
-/// refuses is [`RuntimeError::InvalidWorkload`], a run it cannot finish a
+/// The substrate a spec names. The workload seed doubles as the parallel
+/// runtime's backoff-jitter seed; everything else stays at the defaults
+/// (`--runtime par` is about substrate semantics, not tuning).
+pub fn runtime_for(spec: &JobSpec) -> Box<dyn Runtime> {
+    match spec.runtime {
+        JobRuntime::Sim => Box::new(SimRuntime),
+        JobRuntime::Par => {
+            Box::new(ParRuntime::new(ParConfig { seed: spec.seed, ..ParConfig::default() }))
+        }
+    }
+}
+
+/// The deterministic discrete-event simulator — the only code outside
+/// tests, benches and examples that builds a machine and arms its
+/// harness. With default options its semantics are exactly
+/// `bulk_tm::run_tm` / `bulk_tls::run_tls`; the machines' typed errors
+/// become [`RuntimeError`]s: a workload the machine refuses is
+/// [`RuntimeError::InvalidWorkload`], a run it cannot finish a
 /// [`RuntimeError::ProtocolBug`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimRuntime;
 
-impl Runtime for SimRuntime {
-    fn name(&self) -> &'static str {
-        "sim"
+/// Arms a sim machine's instruments. The order matters: the auditor is
+/// rebuilt around the chaos plan's replay seed, and the liveness engine
+/// inherits that seed for its jitter.
+fn arm(h: &mut SimHarness, opts: &RunOptions) {
+    if opts.audit {
+        h.enable_audit();
     }
-
-    fn run_tm(
-        &self,
-        workload: &TmWorkload,
-        scheme: Scheme,
-        cfg: &SimConfig,
-    ) -> Result<RunReport, RuntimeError> {
-        let start = Instant::now();
-        let stats = TmMachine::try_new(workload, scheme, cfg)
-            .map_err(|e| RuntimeError::InvalidWorkload(e.to_string()))?
-            .try_run()
-            .map_err(|e| RuntimeError::ProtocolBug(e.to_string()))?;
-        Ok(RunReport::new(self.name(), start.elapsed().as_nanos() as u64, RunDetail::Tm(stats)))
+    if let Some(seed) = opts.chaos {
+        h.set_chaos(FaultPlan::seeded(seed));
     }
-
-    fn run_tls(
-        &self,
-        workload: &TlsWorkload,
-        scheme: TlsScheme,
-        cfg: &SimConfig,
-    ) -> Result<RunReport, RuntimeError> {
-        let start = Instant::now();
-        let stats = TlsMachine::try_new(workload, scheme, cfg)
-            .map_err(|e| RuntimeError::InvalidWorkload(e.to_string()))?
-            .try_run()
-            .map_err(|e| RuntimeError::ProtocolBug(e.to_string()))?;
-        Ok(RunReport::new(self.name(), start.elapsed().as_nanos() as u64, RunDetail::Tls(stats)))
+    if let Some(stall_ticks) = opts.watchdog_ticks {
+        // Pure detection: a zero backoff ladder means arming the watchdog
+        // never perturbs the schedule, so a watched run stays
+        // cycle-identical to an unwatched one.
+        h.enable_liveness(LivenessConfig {
+            watchdog: WatchdogConfig { stall_ticks, ..WatchdogConfig::default() },
+            backoff: BackoffConfig { base: 0, cap: 0, ..BackoffConfig::default() },
+            ..LivenessConfig::default()
+        });
     }
 }
 
-/// The OS-thread parallel runtime. The [`SimConfig`] parameter is
-/// accepted for trait parity but ignored: real threads have no
-/// simulated clock; timing knobs live in [`ParConfig`].
+impl Runtime for SimRuntime {
+    fn run(&self, job: &Job<'_>, opts: &RunOptions) -> Result<RunReport, RuntimeError> {
+        let start = Instant::now();
+        let refused = |e: MachineError| RuntimeError::InvalidWorkload(e.to_string());
+        let broke = |e: MachineError| RuntimeError::ProtocolBug(e.to_string());
+        let detail = match job {
+            Job::Tm { workload, scheme, cfg } => {
+                let sig = opts.sig.clone().unwrap_or_else(SignatureConfig::s14_tm);
+                let mut m =
+                    TmMachine::try_with_signature(workload, *scheme, cfg, sig).map_err(refused)?;
+                arm(m.harness_mut(), opts);
+                if let Some(o) = &opts.obs {
+                    m.attach_obs(Arc::clone(o));
+                }
+                RunDetail::Tm(m.try_run().map_err(broke)?)
+            }
+            Job::Tls { workload, scheme, cfg } => {
+                let sig = opts.sig.clone().unwrap_or_else(SignatureConfig::s14_tls);
+                let mut m =
+                    TlsMachine::try_with_signature(workload, *scheme, cfg, sig).map_err(refused)?;
+                arm(m.harness_mut(), opts);
+                if let Some(o) = &opts.obs {
+                    m.attach_obs(Arc::clone(o));
+                }
+                RunDetail::Tls(m.try_run().map_err(broke)?)
+            }
+        };
+        Ok(RunReport::new("sim", start.elapsed().as_nanos() as u64, detail))
+    }
+}
+
+/// The OS-thread parallel runtime; its timing knobs live in
+/// [`ParConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct ParRuntime {
     /// The runtime's tuning knobs.
@@ -253,37 +437,22 @@ impl ParRuntime {
 }
 
 impl Runtime for ParRuntime {
-    fn name(&self) -> &'static str {
-        "par"
-    }
-
-    fn run_tm(
-        &self,
-        workload: &TmWorkload,
-        scheme: Scheme,
-        _cfg: &SimConfig,
-    ) -> Result<RunReport, RuntimeError> {
-        let stats = run_par_tm(workload, scheme, &self.cfg)?;
-        Ok(RunReport::new(self.name(), stats.wall_ns, RunDetail::Par(stats)))
-    }
-
-    fn run_tls(
-        &self,
-        workload: &TlsWorkload,
-        scheme: TlsScheme,
-        _cfg: &SimConfig,
-    ) -> Result<RunReport, RuntimeError> {
-        let stats = run_par_tls(workload, scheme, &self.cfg)?;
-        Ok(RunReport::new(self.name(), stats.wall_ns, RunDetail::Par(stats)))
-    }
-}
-
-/// Resolves a runtime by its CLI name.
-pub fn runtime_by_name(name: &str, par_cfg: ParConfig) -> Option<Box<dyn Runtime>> {
-    match name {
-        "sim" => Some(Box::new(SimRuntime)),
-        "par" => Some(Box::new(ParRuntime::new(par_cfg))),
-        _ => None,
+    fn run(&self, job: &Job<'_>, opts: &RunOptions) -> Result<RunReport, RuntimeError> {
+        let mut cfg = self.cfg.clone();
+        if let Some(seed) = opts.chaos {
+            // The real-thread fault preset: seeded worker kills at
+            // commit-protocol points, injected stalls, widened
+            // claim-to-publish windows.
+            cfg.chaos = Some(ChaosConfig::worker_crash(seed));
+        }
+        let stats = match job {
+            Job::Tm { workload, scheme, .. } => run_par_tm(workload, *scheme, &cfg)?,
+            Job::Tls { workload, scheme, .. } => run_par_tls(workload, *scheme, &cfg)?,
+        };
+        if let Some(o) = &opts.obs {
+            stats.publish(o.registry());
+        }
+        Ok(RunReport::new("par", stats.wall_ns, RunDetail::Par(stats)))
     }
 }
 
@@ -330,12 +499,5 @@ mod tests {
         let tls = TlsWorkload { name: "empty".into(), tasks: Vec::new() };
         let err = SimRuntime.run_tls(&tls, TlsScheme::Bulk, &SimConfig::tls_default()).unwrap_err();
         assert!(matches!(err, RuntimeError::InvalidWorkload(_)), "{err}");
-    }
-
-    #[test]
-    fn runtime_lookup() {
-        assert!(runtime_by_name("sim", ParConfig::default()).is_some());
-        assert!(runtime_by_name("par", ParConfig::default()).is_some());
-        assert!(runtime_by_name("hw", ParConfig::default()).is_none());
     }
 }

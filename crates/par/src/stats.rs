@@ -4,6 +4,7 @@ use crate::bus::{BusLog, RecordKind};
 use crate::recover::RunControl;
 use bulk_chaos::{Auditor, InvariantKind, InvariantViolation};
 use bulk_core::CommitEvent;
+use bulk_obs::Registry;
 
 /// Aggregate statistics of one parallel-runtime run, folded from the
 /// per-thread workers after join.
@@ -194,6 +195,39 @@ pub(crate) struct WorkerStats {
 }
 
 impl ParStats {
+    /// Publishes the run's counters under `par.*` — the one list every
+    /// surface reads (`--metrics`, `--metrics-out`, a `bulkd` scrape).
+    /// Squash attribution uses the sim's names, so the same report code
+    /// splits true conflicts from aliasing on either substrate.
+    pub fn publish(&self, reg: &Registry) {
+        let counters = [
+            ("commits", self.commits),
+            ("squashes", self.squashes),
+            ("squash.true_conflict", self.squashes - self.false_squashes),
+            ("squash.aliasing", self.false_squashes),
+            ("claim_retries", self.claim_retries),
+            ("slot_wait_spins", self.slot_wait_spins),
+            ("non_tx_stores", self.non_tx_stores),
+            ("records", self.records),
+            ("dedup_drops", self.dedup_drops),
+            ("duplicate_applications", self.duplicate_applications),
+            ("worker_crashes", self.worker_crashes),
+            ("respawns", self.respawns),
+            ("fences", self.fences),
+            ("adopted_slots", self.adopted_slots),
+            ("recovery_ns", self.recovery_ns),
+            ("injected_stalls", self.injected_stalls),
+            ("delayed_publishes", self.delayed_publishes),
+            ("epoch", self.epoch),
+            ("audit_checks", self.audit_checks),
+            ("violations", self.violations.len() as u64),
+        ];
+        for (name, value) in counters {
+            reg.counter(&format!("par.{name}")).add(value);
+        }
+        reg.gauge("par.wall_ns").set(self.wall_ns);
+    }
+
     /// Closes a finished run: reads epoch, record count and committed
     /// history off the log, then audits it ([`audit_log`], plus the
     /// `expected` record count the workload implies).

@@ -327,6 +327,23 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
+    /// A spec with the defaults every front door shares: seed 42, the
+    /// simulator, no overrides.
+    pub fn new(machine: Machine, app: &str, scheme: &str) -> JobSpec {
+        JobSpec {
+            id: None,
+            machine,
+            app: app.to_string(),
+            scheme: scheme.to_string(),
+            seed: 42,
+            runtime: JobRuntime::Sim,
+            txs: None,
+            tasks: None,
+            timeout_ms: None,
+            hang_ms: None,
+        }
+    }
+
     /// Parses one line-delimited JSON job spec.
     ///
     /// # Errors
@@ -334,18 +351,7 @@ impl JobSpec {
     /// Returns a typed [`JobSpecError`]; unknown keys are rejected.
     pub fn parse(line: &str) -> Result<JobSpec, JobSpecError> {
         let pairs = parse_flat_object(line)?;
-        let mut spec = JobSpec {
-            id: None,
-            machine: Machine::Tm,
-            app: String::new(),
-            scheme: String::new(),
-            seed: 42,
-            runtime: JobRuntime::Sim,
-            txs: None,
-            tasks: None,
-            timeout_ms: None,
-            hang_ms: None,
-        };
+        let mut spec = JobSpec::new(Machine::Tm, "", "");
         let (mut saw_machine, mut saw_app, mut saw_scheme) = (false, false, false);
         for (key, value) in pairs {
             match key.as_str() {

@@ -15,8 +15,32 @@ export RUSTFLAGS="${RUSTFLAGS:--D warnings}"
 echo "== cargo build --release --offline --locked --workspace --all-targets"
 cargo build --release --offline --locked --workspace --all-targets
 
+# Front-door guard (DESIGN.md §19): a run is a JobSpec + RunOptions and
+# bulk_par::Runtime::run executes it. Neither caller may build a machine,
+# call an engine entry point or an `_observed` shortcut behind its back.
+echo "== front-door guard (no second path to a machine in cli/ or bulkd/)"
+if grep -rnE 'T(m|ls)Machine::|run_par_t(m|ls)|run_t(m|ls)_observed' crates/cli/src crates/bulkd/src; then
+  echo "front-door guard: crates/cli and crates/bulkd must go through Runtime::run"
+  exit 1
+fi
+echo "front-door guard: OK"
+
 echo "== cargo test -q --offline --locked --workspace"
 cargo test -q --offline --locked --workspace "$@"
+
+# The ledger is a package of its own and compiles against the workspace's
+# public API (Runtime::run_tm, TmMachine::try_new, JobSpec::parse, ...):
+# build it so a source-incompatible change fails here, not in the driver.
+# It builds unlocked and rewrites its Cargo.lock when a workspace crate's
+# dependency list moved; nothing under benchmark/ may change, so the lock
+# file is put back.
+echo "== cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+LEDGER_LOCK=$(mktemp)
+cp benchmark/Cargo.lock "$LEDGER_LOCK"
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+  || { mv "$LEDGER_LOCK" benchmark/Cargo.lock; exit 1; }
+mv "$LEDGER_LOCK" benchmark/Cargo.lock
 
 # The crash-recovery matrix used to fail about one run in three on a
 # 2-core host (a scheduled apply-point kill the target worker could

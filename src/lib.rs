@@ -31,7 +31,8 @@
 //! * [`par`] — execution substrates: the [`par::Runtime`] trait over the
 //!   deterministic sim and a parallel runtime that runs the commit/squash
 //!   protocol on real OS threads over a lock-free broadcast log, with the
-//!   sim as conformance oracle (DESIGN.md §13),
+//!   sim as conformance oracle (DESIGN.md §13) — and the one front door
+//!   to both: `JobSpec` + [`par::RunOptions`] → [`par::Runtime::run`] (§19),
 //! * [`bulkd`] — live telemetry daemon: streaming job ingest over TCP,
 //!   multiplexed TM/TLS runs on either substrate, per-job event JSONL
 //!   and a Prometheus `/metrics` endpoint (DESIGN.md §14).
