@@ -16,7 +16,7 @@
 //! Jobs from different connections run concurrently (bounded by the
 //! worker-slot pool); one connection processes its lines in order.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -156,56 +156,12 @@ pub fn spawn(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
         threads: Mutex::new(Vec::new()),
     };
 
-    // Ingest accept loop: one handler thread per connection.
-    {
-        let shared = Arc::clone(&shared);
-        let h = thread::Builder::new().name("bulkd-ingest".into()).spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            for stream in ingest.incoming() {
-                if shared.shutting_down() {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let shared = Arc::clone(&shared);
-                if let Ok(h) = thread::Builder::new()
-                    .name("bulkd-conn".into())
-                    .spawn(move || handle_ingest(stream, &shared))
-                {
-                    conns.push(h);
-                }
-            }
-            for c in conns {
-                let _ = c.join();
-            }
-        })?;
-        track(&handle, h);
-    }
-
-    // HTTP accept loop: scrapes are short-lived, handled inline per
-    // connection thread.
-    {
-        let shared = Arc::clone(&shared);
-        let h = thread::Builder::new().name("bulkd-http".into()).spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            for stream in http.incoming() {
-                if shared.shutting_down() {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let shared = Arc::clone(&shared);
-                if let Ok(h) = thread::Builder::new()
-                    .name("bulkd-scrape".into())
-                    .spawn(move || crate::http::handle(stream, &shared))
-                {
-                    conns.push(h);
-                }
-            }
-            for c in conns {
-                let _ = c.join();
-            }
-        })?;
-        track(&handle, h);
-    }
+    // One handler thread per connection on either socket; scrapes are
+    // short-lived, ingest connections live as long as their client.
+    let ingest = accept_loop(ingest, "bulkd-ingest", "bulkd-conn", &shared, handle_ingest)?;
+    track(&handle, ingest);
+    let http = accept_loop(http, "bulkd-http", "bulkd-scrape", &shared, crate::http::handle)?;
+    track(&handle, http);
 
     // Supervisor: turns hung runs into typed `job-timeout` failures so
     // one wedged worker can never wedge the daemon.
@@ -226,25 +182,55 @@ pub fn spawn(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
     Ok(handle)
 }
 
+/// Accepts connections on `listener` until shutdown, one `handler` thread
+/// each, then joins the handlers still running. Finished handlers are
+/// dropped as new connections arrive, so the list tracks open connections,
+/// not every connection ever made.
+fn accept_loop(
+    listener: TcpListener,
+    name: &'static str,
+    conn_name: &'static str,
+    shared: &Arc<Shared>,
+    handler: fn(TcpStream, &Arc<Shared>),
+) -> io::Result<JoinHandle<()>> {
+    let shared = Arc::clone(shared);
+    thread::Builder::new().name(name.into()).spawn(move || {
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
+        for stream in listener.incoming() {
+            if shared.shutting_down() {
+                break;
+            }
+            conns.retain(|c| !c.is_finished());
+            let Ok(stream) = stream else { continue };
+            let shared = Arc::clone(&shared);
+            let conn = thread::Builder::new().name(conn_name.into());
+            conns.extend(conn.spawn(move || handler(stream, &shared)));
+        }
+        for c in conns {
+            let _ = c.join();
+        }
+    })
+}
+
 /// One ingest connection: reads JSON lines, answers each in order.
 fn handle_ingest(stream: TcpStream, shared: &Arc<Shared>) {
     shared.registry.counter("bulkd.connections").add(1);
-    // A short read timeout lets the handler notice shutdown even while
-    // the client is idle, so `wait()` never hangs on an open connection.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let mut line = String::new();
+    let Some((mut reader, mut writer)) = split(stream) else { return };
+    let mut line = Vec::new();
     loop {
         line.clear();
         match read_line_interruptible(&mut reader, &mut line, shared) {
             ReadOutcome::Line => {}
+            ReadOutcome::TooLong => {
+                let _ = write_line(&mut writer, &format!("{{\"error\": \"{}\"}}", line_too_long()));
+                break;
+            }
             ReadOutcome::Eof | ReadOutcome::Shutdown => break,
         }
-        let trimmed = line.trim();
+        // Bytes that are not UTF-8 fail the parse below like any other
+        // malformed line.
+        let text = String::from_utf8_lossy(&line);
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -255,29 +241,47 @@ fn handle_ingest(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-enum ReadOutcome {
+/// A connection as a line reader plus a writer. The short read timeout
+/// lets [`read_line_interruptible`] notice shutdown while the client is
+/// idle, so `wait()` never hangs on an open connection.
+pub(crate) fn split(stream: TcpStream) -> Option<(BufReader<TcpStream>, TcpStream)> {
+    stream.set_read_timeout(Some(Duration::from_millis(100))).ok()?;
+    Some((BufReader::new(stream.try_clone().ok()?), stream))
+}
+
+/// Longest line either socket accepts, newline included.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// What a client that sends a longer one is told before it is dropped.
+pub(crate) fn line_too_long() -> String {
+    format!("line exceeds {MAX_LINE_BYTES} bytes")
+}
+
+pub(crate) enum ReadOutcome {
     Line,
+    /// [`MAX_LINE_BYTES`] arrived without a newline; the connection
+    /// cannot be resynchronised and must be closed.
+    TooLong,
     Eof,
     Shutdown,
 }
 
-/// `read_line` that returns [`ReadOutcome::Shutdown`] instead of
-/// blocking forever once the daemon is stopping.
-fn read_line_interruptible(
+/// Reads one line of at most [`MAX_LINE_BYTES`] into `line`, returning
+/// [`ReadOutcome::Shutdown`] instead of blocking forever once the daemon
+/// is stopping. The one reader of both sockets.
+pub(crate) fn read_line_interruptible(
     reader: &mut BufReader<TcpStream>,
-    line: &mut String,
+    line: &mut Vec<u8>,
     shared: &Shared,
 ) -> ReadOutcome {
     loop {
-        match reader.read_line(line) {
-            Ok(0) => return ReadOutcome::Eof,
-            Ok(_) if line.ends_with('\n') => return ReadOutcome::Line,
-            Ok(_) => {
-                // Partial line (timeout mid-line); keep accumulating.
-                if shared.shutting_down() {
-                    return ReadOutcome::Shutdown;
-                }
-            }
+        let room = (MAX_LINE_BYTES - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', line) {
+            Ok(_) if line.ends_with(b"\n") => return ReadOutcome::Line,
+            Ok(_) if line.len() >= MAX_LINE_BYTES => return ReadOutcome::TooLong,
+            // End of stream; a partial last line is dropped.
+            Ok(_) => return ReadOutcome::Eof,
+            // Read timeout (possibly mid-line: `line` keeps what arrived).
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut =>

@@ -5,37 +5,38 @@
 //! humans. Each response closes the connection (`Connection: close`), so
 //! no keep-alive state machine is required.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 
 use bulk_obs::prometheus::{encode, Scope};
 
-use crate::daemon::Shared;
+use crate::daemon::{line_too_long, read_line_interruptible, split, ReadOutcome, Shared};
 
 /// Handles one HTTP connection: parse the request, route, respond,
 /// close.
 pub(crate) fn handle(stream: TcpStream, shared: &Arc<Shared>) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
+    let Some((mut reader, mut writer)) = split(stream) else { return };
+    // Both are read like ingest lines, so a client that connects and goes
+    // quiet cannot hold shutdown hostage.
+    let mut request_line = Vec::new();
+    let mut outcome = read_line_interruptible(&mut reader, &mut request_line, shared);
     // Drain headers up to the blank line; we need none of them.
-    let mut header = String::new();
-    loop {
+    let mut header = Vec::new();
+    while matches!(outcome, ReadOutcome::Line) && header != b"\r\n" && header != b"\n" {
         header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
-            Ok(_) => {}
-            Err(_) => return,
-        }
+        outcome = read_line_interruptible(&mut reader, &mut header, shared);
     }
+    match outcome {
+        ReadOutcome::TooLong => {
+            let body = format!("{}\n", line_too_long());
+            return respond(&mut writer, 400, "text/plain; charset=utf-8", &body);
+        }
+        ReadOutcome::Shutdown => return,
+        ReadOutcome::Eof if request_line.is_empty() => return,
+        ReadOutcome::Eof | ReadOutcome::Line => {}
+    }
+    let request_line = String::from_utf8_lossy(&request_line);
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
@@ -97,6 +98,7 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
 fn respond(writer: &mut TcpStream, status: u16, content_type: &str, body: &str) {
     let reason = match status {
         200 => "OK",
+        400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
         _ => "Error",

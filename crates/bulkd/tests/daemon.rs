@@ -1,7 +1,9 @@
 //! End-to-end daemon tests: concurrent mixed-runtime jobs, streaming
-//! determinism, a parse-checked Prometheus scrape under load, and the
-//! hung-job watchdog.
+//! determinism, a parse-checked Prometheus scrape under load, the
+//! hung-job watchdog, and clients that send nothing or never stop.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -221,5 +223,53 @@ fn shutdown_command_fails_queued_jobs_and_stops_the_daemon() {
     assert!(resp.contains("\"shutting_down\": true"), "got: {resp}");
     // The control command alone must stop the daemon: wait() joins every
     // thread, so a stuck accept loop hangs the test harness here.
+    handle.wait();
+}
+
+#[test]
+fn an_idle_http_connection_does_not_hold_shutdown_hostage() {
+    let handle = start(1, 30_000);
+    // Connect to the scrape port and send nothing — a half-open scraper,
+    // a port scanner, a browser's speculative connection.
+    let idle = TcpStream::connect(handle.http_addr()).expect("connect");
+    // Make sure the daemon has accepted it before asking it to stop.
+    client::scrape(&handle.http_addr().to_string()).expect("scrape");
+    let resp = client::control(&handle.ingest_addr().to_string(), "shutdown").unwrap();
+    assert!(resp.contains("\"shutting_down\": true"), "got: {resp}");
+    let asked = Instant::now();
+    handle.wait();
+    assert!(asked.elapsed() < Duration::from_secs(2), "waited {:?}", asked.elapsed());
+    drop(idle);
+}
+
+#[test]
+fn an_over_long_line_is_refused_on_both_sockets_and_the_daemon_keeps_serving() {
+    let handle = start(1, 30_000);
+    let (ingest, http) = (handle.ingest_addr().to_string(), handle.http_addr().to_string());
+    // Exactly the cap with no newline in sight: the daemon stops reading,
+    // says why, and closes — it does not buffer a line without end.
+    let too_long = vec![b'x'; 64 * 1024];
+    let reply_to = |addr: &str| {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.write_all(&too_long).expect("send");
+        let mut reply = String::new();
+        s.read_to_string(&mut reply).expect("the daemon answers, then closes");
+        reply
+    };
+    assert_eq!(reply_to(&ingest), "{\"error\": \"line exceeds 65536 bytes\"}\n");
+    let reply = reply_to(&http);
+    assert!(reply.starts_with("HTTP/1.1 400 Bad Request\r\n"), "got: {reply}");
+    assert!(reply.ends_with("line exceeds 65536 bytes\n"), "got: {reply}");
+    // A client that keeps pouring bytes in is dropped all the same (it may
+    // see a reset instead of the reply; either way the daemon moves on).
+    for addr in [&ingest, &http] {
+        let mut s = TcpStream::connect(addr.as_str()).expect("connect");
+        let _ = (0..32).try_for_each(|_| s.write_all(&too_long));
+    }
+    assert_eq!(client::control(&ingest, "ping").unwrap(), "{\"ok\": true}");
+    let ok = submit(&handle, r#"{"machine": "tm", "app": "cb", "scheme": "eager"}"#);
+    assert!(ok.ok(), "got: {}", ok.last());
+    bulk_obs::prometheus::validate(&client::scrape(&http).expect("scrape")).expect("parses");
+    handle.shutdown();
     handle.wait();
 }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use bulk_mem::{Addr, CacheGeometry};
-use bulk_sig::{ConfigMismatch, SetBitmask, Signature, SignatureArena, SignatureConfig};
+use bulk_sig::{ConfigMismatch, SetBitmask, Signature, SignatureConfig};
 
 /// Identifies one of the BDM's version slots (one speculative thread or
 /// checkpoint whose state lives in this processor).
@@ -118,12 +118,11 @@ impl Bdm {
 
     /// [`Bdm::new`] over an already-shared configuration handle.
     ///
-    /// The machines pass the same `Arc` they hand to their signature
-    /// arenas and section stacks, so every signature in the system shares
-    /// one pointer-identical config — binary ops stay on the
-    /// pointer-equality compatibility fast path and drop/recreate cycles
-    /// stay inside the signature pool, instead of deep-comparing layouts
-    /// and re-allocating per operation.
+    /// The machines pass the same `Arc` they hand to their section stacks,
+    /// so every signature in the system shares one pointer-identical
+    /// config — binary ops stay on the pointer-equality compatibility fast
+    /// path and drop/recreate cycles stay inside the signature pool,
+    /// instead of deep-comparing layouts and re-allocating per operation.
     ///
     /// # Panics
     ///
@@ -394,30 +393,9 @@ impl Bdm {
         CommitSignatures { w, w_sh }
     }
 
-    /// [`Bdm::commit`] with the broadcast copies drawn from `arena` instead
-    /// of the allocator — the commit fast path runs once per broadcast, so
-    /// the machines recycle these buffers through their arenas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arena` was built for a different configuration.
-    pub fn commit_with(&mut self, v: VersionId, arena: &mut SignatureArena) -> CommitSignatures {
-        let slot = self.slot_mut(v);
-        let mut w = arena.take();
-        w.copy_from(&slot.w);
-        let w_sh = slot.w_sh.as_ref().map(|sh| {
-            let mut s = arena.take();
-            s.copy_from(sh);
-            s
-        });
-        slot.clear();
-        self.rebuild_registers();
-        CommitSignatures { w, w_sh }
-    }
-
     /// Clears `v`'s signatures without copying them out — the commit
-    /// cleanup when the broadcast copy was already taken (e.g. through a
-    /// [`SignatureArena`]), sparing the clone [`Bdm::commit`] would make.
+    /// cleanup when the broadcast copy was already taken (a clone of
+    /// [`Bdm::write_signature`]), sparing the one [`Bdm::commit`] would make.
     pub fn clear_version(&mut self, v: VersionId) {
         self.slot_mut(v).clear();
         self.rebuild_registers();

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use bulk_mem::Addr;
-use bulk_sig::{ConfigMismatch, Signature, SignatureArena, SignatureConfig};
+use bulk_sig::{ConfigMismatch, Signature, SignatureConfig};
 
 /// One code section of a nested transaction, with its signature pair.
 #[derive(Debug, Clone)]
@@ -141,22 +141,7 @@ impl SectionStack {
     /// The union of all sections' write signatures — what the outer
     /// transaction broadcasts at commit.
     pub fn commit_union(&self) -> Signature {
-        let mut w = Signature::with_shared(self.config.clone());
-        for s in &self.sections {
-            w.union_assign(&s.w);
-        }
-        w
-    }
-
-    /// [`SectionStack::commit_union`] with the result buffer drawn from
-    /// `arena` — the outer-commit path runs once per broadcast, so the
-    /// machines recycle the union buffer instead of allocating it.
-    pub fn commit_union_with(&self, arena: &mut SignatureArena) -> Signature {
-        let mut w = arena.take();
-        for s in &self.sections {
-            w.union_assign(&s.w);
-        }
-        w
+        self.write_union(&self.sections)
     }
 
     /// The union of the write signatures of sections `from..` — the bulk
@@ -167,36 +152,15 @@ impl SectionStack {
     /// Panics if `from >= depth()`.
     pub fn write_union_from(&self, from: usize) -> Signature {
         assert!(from < self.sections.len(), "section index past stack depth");
+        self.write_union(&self.sections[from..])
+    }
+
+    fn write_union(&self, sections: &[Section]) -> Signature {
         let mut w = Signature::with_shared(self.config.clone());
-        for s in &self.sections[from..] {
+        for s in sections {
             w.union_assign(&s.w);
         }
         w
-    }
-
-    /// [`SectionStack::write_union_from`] with the result buffer drawn from
-    /// `arena` (partial rollbacks happen on the squash hot path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from >= depth()`.
-    pub fn write_union_from_with(&self, from: usize, arena: &mut SignatureArena) -> Signature {
-        assert!(from < self.sections.len(), "section index past stack depth");
-        let mut w = arena.take();
-        for s in &self.sections[from..] {
-            w.union_assign(&s.w);
-        }
-        w
-    }
-
-    /// The union of all sections' read signatures (used for individual
-    /// invalidation checks while nested).
-    pub fn read_union(&self) -> Signature {
-        let mut r = Signature::with_shared(self.config.clone());
-        for s in &self.sections {
-            r.union_assign(&s.r);
-        }
-        r
     }
 
     /// Clears all sections (outer commit or full squash).
@@ -269,19 +233,6 @@ mod tests {
         assert_eq!(tx.rollback_to(0), 2);
         assert_eq!(tx.depth(), 1);
         assert!(tx.commit_union().is_empty());
-    }
-
-    #[test]
-    fn read_union_covers_all_sections() {
-        let c = cfg();
-        let mut tx = SectionStack::new(c);
-        tx.begin_section();
-        tx.record_load(Addr::new(0x40));
-        tx.begin_section();
-        tx.record_load(Addr::new(0x80));
-        let r = tx.read_union();
-        assert!(r.contains_addr(Addr::new(0x40)));
-        assert!(r.contains_addr(Addr::new(0x80)));
     }
 
     #[test]

@@ -25,13 +25,6 @@ pub enum StoreCheck {
     ConflictWithPreempted,
 }
 
-impl StoreCheck {
-    /// Whether the store may proceed.
-    pub fn may_proceed(&self) -> bool {
-        matches!(self, StoreCheck::Proceed { .. })
-    }
-}
-
 /// Checks a speculative store by the *running* version `v` against the Set
 /// Restriction, using only the BDM's two bitmask registers and the cache
 /// set's dirty lines — never any per-line speculative metadata.

@@ -33,6 +33,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// Classifies a signature decision against the oracle's.
+    #[inline]
     pub fn classify(signature_conflict: bool, oracle_conflict: bool) -> Self {
         match (signature_conflict, oracle_conflict) {
             (true, true) => Verdict::TruePositive,

@@ -294,11 +294,6 @@ pub struct Exposition {
 }
 
 impl Exposition {
-    /// All samples named `name` (exact match).
-    pub fn samples_named(&self, name: &str) -> Vec<&ParsedSample> {
-        self.samples.iter().filter(|s| s.name == name).collect()
-    }
-
     /// The value of the unique sample with `name` and exactly the given
     /// label pairs (order-insensitive), if present.
     pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {

@@ -2,8 +2,8 @@
 
 use bulk_chaos::{ChaosConfig, KillSpec};
 
-/// Fault-injection plan for the stress smoke (`--cfg bulk_stress` runs
-/// arm it; ordinary runs leave it off). Both knobs are percentages in
+/// Fault-injection plan for the stress smoke (`crates/par/tests/stress.rs`
+/// arms it; ordinary runs leave it off). Both knobs are percentages in
 /// `0..=100`, drawn from a deterministic per-thread RNG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StressConfig {

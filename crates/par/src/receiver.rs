@@ -16,6 +16,7 @@ use bulk_chaos::{CrashPoint, InvariantKind, WorkerChaos};
 use bulk_core::SpilledVersion;
 use bulk_live::{Checkpoint, CommitTicket, DedupFilter};
 use bulk_mem::{Addr, AddrSet, LineAddr};
+use bulk_obs::Verdict as Class;
 use bulk_rng::{Rng, SeedableRng, SmallRng};
 use bulk_sig::{Signature, SignatureConfig};
 use std::sync::Arc;
@@ -25,7 +26,8 @@ use std::sync::Arc;
 const DWELL_FLUSH_NS: u64 = 50_000;
 
 /// A receiver's verdict on one record: the exact oracle's, and the
-/// signatures' when the record carries one.
+/// signatures' when the record carries one — the two halves
+/// [`bulk_obs::Verdict::classify`] attributes.
 pub(crate) struct Verdict {
     pub exact: bool,
     pub sig: Option<bool>,
@@ -283,7 +285,10 @@ impl Receiver {
             let verdict = if *squashed { None } else { check(rec) };
             if let Some(v) = verdict {
                 self.stats.audit_checks += u64::from(v.sig.is_some());
-                if v.exact && v.sig == Some(false) {
+                // A record without a signature (exact-set schemes) is
+                // decided by the oracle itself.
+                let class = Class::classify(v.sig.unwrap_or(v.exact), v.exact);
+                if class == Class::FalseNegative {
                     // A real conflict the signatures missed: the
                     // one-sided-error guarantee is broken. Record it
                     // and squash anyway so execution stays safe.
@@ -294,9 +299,9 @@ impl Receiver {
                         "broadcast W_C missed an exact conflict",
                     ));
                 }
-                if v.exact || v.sig == Some(true) {
+                if class != Class::TrueNegative {
                     self.stats.squashes += 1;
-                    self.stats.false_squashes += u64::from(!v.exact);
+                    self.stats.false_squashes += u64::from(class == Class::FalsePositive);
                     *squashed = true;
                 }
             }
@@ -485,6 +490,45 @@ mod tests {
         let (again, exact_w2, exact_r2) = sets.commit_payload();
         assert_eq!((exact_w2, exact_r2), (exact_w, exact_r));
         assert_eq!(again, Some(sets.spilled().w));
+    }
+
+    /// The two substrates give one answer: `SpecSets` (par) and a `Bdm`
+    /// (sim) fed the same accesses disambiguate a `W_C` alike, the exact
+    /// halves are plain set intersections, and no verdict is ever a miss.
+    #[test]
+    fn verdicts_agree_with_a_bdm_fed_the_same_accesses() {
+        use bulk_core::Bdm;
+        use bulk_mem::CacheGeometry;
+        use bulk_rng::check::{run, Gen};
+        use bulk_rng::{prop_assert_eq, prop_assert_ne};
+
+        let mut seen = [0u32; 3]; // TP, FP, TN — in `Class` order
+        run("verdicts_agree_with_a_bdm_fed_the_same_accesses", 256, |g| {
+            let lines = |g: &mut Gen, max: usize| -> Vec<u32> {
+                g.set_u32(0..max, 0..4096).into_iter().map(|line| line << 6).collect()
+            };
+            let (r, w, w_c) = (lines(g, 64), lines(g, 32), lines(g, 32));
+            let (sets, rec) = (sets_after(&r, &w), peer_record(&w_c));
+            let mut bdm = Bdm::new(SignatureConfig::s14_tm(), CacheGeometry::tm_l1(), 1);
+            let v = bdm.alloc_version().expect("one free slot");
+            r.iter().for_each(|&a| bdm.record_load(v, Addr::new(a)));
+            w.iter().for_each(|&a| bdm.record_store(v, Addr::new(a)));
+            let d = bdm.disambiguate(v, rec.w_sig.as_ref().expect("Bulk broadcasts W"));
+            let hits = |set: &[u32]| w_c.iter().any(|a| set.contains(a));
+
+            let (tm, tls) = (sets.verdict(&rec, true), sets.verdict(&rec, false));
+            prop_assert_eq!(tm.sig, Some(d.squash()));
+            prop_assert_eq!(tls.sig, Some(d.conflicts_read));
+            prop_assert_eq!(tm.exact, hits(&r) || hits(&w));
+            prop_assert_eq!(tls.exact, hits(&r));
+            for v in [tm, tls] {
+                let class = Class::classify(v.sig == Some(true), v.exact);
+                prop_assert_ne!(class, Class::FalseNegative);
+                seen[class as usize] += 1;
+            }
+            Ok(())
+        });
+        assert!(seen.iter().all(|&n| n > 0), "TP, FP and TN must all occur: {seen:?}");
     }
 
     #[test]

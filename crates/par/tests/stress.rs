@@ -1,4 +1,4 @@
-//! Exactly-once delivery under injected churn (`--cfg bulk_stress`).
+//! Exactly-once delivery under injected churn (`ParConfig::stress`).
 //!
 //! The stress plan re-delivers already-applied bus records and bumps the
 //! bus epoch mid-run — the failure modes the `crates/live` arbiter
@@ -7,11 +7,6 @@
 //! (`dedup_drops > 0`), no record is ever applied twice
 //! (`duplicate_applications == 0`), and the committed-order class still
 //! matches the deterministic sim's.
-//!
-//! Compiled (and run by `scripts/verify.sh` and the CI parallel-runtime
-//! job) only with `RUSTFLAGS="--cfg bulk_stress"`; an ordinary
-//! `cargo test` sees an empty file.
-#![cfg(bulk_stress)]
 
 use bulk_par::{
     conflict_light_tm, CrashPoint, KillSpec, ParConfig, ParRuntime, RunDetail, Runtime,

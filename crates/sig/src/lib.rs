@@ -39,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-mod arena;
 mod config;
 mod decode;
 mod expansion;
@@ -49,7 +48,6 @@ mod sealed;
 mod signature;
 mod word_bitmask;
 
-pub use arena::SignatureArena;
 pub use config::{table8, table8_spec, Granularity, SignatureConfig, SignatureSpec, LANES};
 pub use decode::SetBitmask;
 pub use expansion::ExpandedLine;

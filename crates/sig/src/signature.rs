@@ -505,7 +505,7 @@ impl Signature {
     }
 
     /// Overwrites this signature's bits with `other`'s (one lane-width
-    /// memcpy; used by the arena to recycle buffers).
+    /// memcpy; the par runtime refreshes its checkpoint in place with it).
     ///
     /// # Panics
     ///

@@ -11,7 +11,7 @@ use bulk_chaos::{Auditor, FaultPlan, FaultStats, InvariantKind, InvariantViolati
 use bulk_core::{flows, Bdm, CommitApplication, CommitMsg, DeliveredSignatures};
 use bulk_live::{CommitTicket, LiveStats, LivenessConfig, LivenessEngine, LivenessViolation};
 use bulk_mem::{AddrSet, BandwidthStats, Cache, LineAddr};
-use bulk_obs::{Obs, RuntimeObs, SpanId, SpanKind, SpanOutcome};
+use bulk_obs::{Obs, RuntimeObs, SpanId, SpanKind, SpanOutcome, Verdict};
 use bulk_sig::{SetBitmask, Signature};
 
 use crate::{Bus, CoreTimer, SimConfig};
@@ -67,6 +67,40 @@ impl Broadcast {
     pub fn w_c(&self) -> Option<(&Signature, &SetBitmask)> {
         Some((&self.delivered.as_ref()?.w, self.delta_w_c.as_ref()?))
     }
+}
+
+/// One squash or partial rollback, as [`SimHarness::squash_tail`] charges
+/// and traces it.
+pub struct SquashTail {
+    /// Trace lane of the victim (the TM thread; the TLS task's processor).
+    pub lane: usize,
+    /// Cycle the squash reaches the victim.
+    pub at: u64,
+    /// What the squash span carries: the dependence size, or the section a
+    /// partial rollback restarts from.
+    pub arg: u64,
+    /// The squashed attempt's section span and whether it ends where the
+    /// squash begins (a TLS task awaiting commit ended its span when it
+    /// finished). `None` for a partial rollback: the transaction is still
+    /// live, only its tail sections re-execute.
+    pub section: Option<(SpanId, bool)>,
+    /// Who retries after a full squash; `None` for a partial rollback,
+    /// which the liveness engine does not see.
+    pub victim: Option<Victim>,
+}
+
+/// The contender a full squash sends back to retry.
+pub struct Victim {
+    /// The squasher (committing or storing contender), when there is one:
+    /// the watchdog looks for ping-pong cycles between the two.
+    pub by: Option<usize>,
+    /// The squashed contender (TM thread, TLS task).
+    pub id: usize,
+    /// The exact oracle saw no conflict: only the signatures aliased.
+    pub aliasing: bool,
+    /// Rank among in-flight contenders by age (0 = oldest); the backoff
+    /// policy makes older ones wait longer.
+    pub age_rank: usize,
 }
 
 /// What a run leaves in the instruments, drained by [`SimHarness::drain`]
@@ -184,19 +218,59 @@ impl SimHarness {
         }
     }
 
-    /// A signature disambiguation that misses a real (exact-set) conflict
-    /// is a false negative — the one failure signatures must never have
-    /// (§3).
-    pub fn check_no_false_negative(
+    /// The receiver's verdict (Fig. 5(b)): its signatures' answer `sig` to
+    /// a delivered `W_C`, attributed against the exact oracle's `exact` —
+    /// counted as TP/FP/TN/FN, and audited for the one failure signatures
+    /// must never have (§3), a missed real conflict. Returns `sig`: Bulk
+    /// decides on signatures alone.
+    pub fn judge(
         &mut self,
         exact: bool,
         sig: bool,
         actor: usize,
         cycle: u64,
         detail: impl FnOnce() -> String,
-    ) {
-        if exact && !sig {
+    ) -> bool {
+        if let Some(obs) = &self.obs {
+            obs.verdicts.record(sig, exact);
+        }
+        if Verdict::classify(sig, exact) == Verdict::FalseNegative {
             self.breach(InvariantKind::SignatureContainment, actor, cycle, detail());
+        }
+        sig
+    }
+
+    /// How every squash ends (Fig. 5(b), left branch, after the machine
+    /// invalidated and rewound its victim): the victim's timer is charged
+    /// the squash overhead, its section span closes as squashed, a squash
+    /// span links back to [`SimHarness::commit_cause`], and an armed
+    /// liveness engine records the squash and makes the victim sit out its
+    /// backoff before it retries.
+    pub fn squash_tail(&mut self, cfg: &SimConfig, timer: &mut CoreTimer, s: SquashTail) {
+        let pre = timer.now();
+        timer.wait_until(s.at);
+        timer.advance(cfg.squash_overhead);
+        let lane = s.lane as u32;
+        if let Some(obs) = &self.obs {
+            if let Some((section, ends_here)) = s.section {
+                if ends_here {
+                    obs.span_end(section, pre);
+                }
+                obs.span_outcome(section, SpanOutcome::Squashed);
+            }
+            let sq = obs.span_complete(lane, SpanKind::Squash, pre, timer.now(), s.arg);
+            obs.span_link(self.commit_cause, sq);
+        }
+        if let (Some(live), Some(v)) = (self.live.as_mut(), s.victim) {
+            let wait = live.on_squash(v.by, v.id, v.aliasing, v.age_rank, s.at);
+            let b0 = timer.now();
+            timer.advance(wait);
+            if let Some(obs) = &self.obs {
+                obs.on_backoff(v.id as u32, s.at, wait);
+                if wait > 0 {
+                    obs.span_complete(lane, SpanKind::Backoff, b0, b0 + wait, 0);
+                }
+            }
         }
     }
 

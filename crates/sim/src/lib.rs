@@ -27,6 +27,6 @@ mod queue;
 mod timer;
 
 pub use config::SimConfig;
-pub use harness::{Broadcast, CommitRequest, RunTail, SimHarness};
+pub use harness::{Broadcast, CommitRequest, RunTail, SimHarness, SquashTail, Victim};
 pub use queue::{min_index, EventQueue};
 pub use timer::{AccessTiming, Bus, CoreTimer, FillSource};

@@ -17,10 +17,10 @@ use std::ops::Range;
 use bulk_chaos::{FaultPlan, InvariantKind, MachineError};
 use bulk_core::{check_speculative_store, flows, Bdm, CommitEvent, CommitMsg, StoreCheck, VersionId};
 use bulk_live::LivenessConfig;
-use bulk_obs::{Obs, SpanId, SpanKind, SpanOutcome};
+use bulk_obs::{Obs, SpanId, SpanKind};
 use bulk_mem::{Addr, AddrSet, Cache, LineAddr, MsgClass, WordAddr};
-use bulk_sig::{Signature, SignatureArena, SignatureConfig};
-use bulk_sim::{CommitRequest, CoreTimer, SimConfig, SimHarness};
+use bulk_sig::{Signature, SignatureConfig};
+use bulk_sim::{CommitRequest, CoreTimer, SimConfig, SimHarness, SquashTail, Victim};
 use bulk_trace::{TlsOp, TlsWorkload};
 
 use crate::{TlsScheme, TlsStats};
@@ -88,10 +88,6 @@ struct Proc {
 pub struct TlsMachine {
     cfg: SimConfig,
     scheme: TlsScheme,
-    /// Recycling pool for per-broadcast signature buffers (commit copies
-    /// and wire-delivered signatures) so the commit path stays off the
-    /// allocator.
-    sig_arena: SignatureArena,
     procs: Vec<Proc>,
     tasks: Vec<Task>,
     oldest_uncommitted: usize,
@@ -237,7 +233,6 @@ impl TlsMachine {
         let mut m = TlsMachine {
             cfg: cfg.clone(),
             scheme,
-            sig_arena: SignatureArena::new(sig_config),
             // The auditor watches processors; liveness watches tasks.
             h: SimHarness::new("tls.", scheme.to_string(), cfg.num_procs, tasks.len()),
             procs,
@@ -718,7 +713,7 @@ impl TlsMachine {
                     pc: self.tasks[i].pc,
                     context: "tls commit",
                 })?;
-                let sigs = self.procs[p].bdm.commit_with(v, &mut self.sig_arena);
+                let sigs = self.procs[p].bdm.commit(v);
                 let mut payload = sigs.w.compressed_size_bits().div_ceil(8);
                 if let Some(sh) = &sigs.w_sh {
                     payload += sh.compressed_size_bits().div_ceil(8);
@@ -771,22 +766,25 @@ impl TlsMachine {
         self.stats.rd_set_words += self.tasks[i].r_words.len() as u64;
         self.stats.wr_set_words += exact_w_words.len() as u64;
 
+        // Partial Overlap (§6.3): the first child was spawned with the words
+        // its parent had written by then, so only the parent's later writes
+        // (`W_sh`) can violate it. `hits`: does committed word `w` land in
+        // task `j`'s exact sets?
+        let scheme = self.scheme;
+        let overlapped = move |j: usize| j == i + 1 && scheme.partial_overlap();
+        let hits = |t: &Task, j: usize, w: &WordAddr| {
+            !(overlapped(j) && exact_prespawn.contains(w)) && t.reads_or_writes(*w)
+        };
+
         // Disambiguate against more-speculative in-flight tasks, in order.
         let mut squash_from: Option<(usize, bool, u64)> = None;
         for j in i + 1..self.next_unstarted {
-            if !self.tasks[j].in_flight() {
+            let t = &self.tasks[j];
+            if !t.in_flight() {
                 continue;
             }
-            let first_child = j == i + 1;
-            let use_overlap = first_child && self.scheme.partial_overlap();
-            let exact_conflict = {
-                let t = &self.tasks[j];
-                exact_w_words
-                    .iter()
-                    .filter(|w| !(use_overlap && exact_prespawn.contains(*w)))
-                    .any(|w| t.reads_or_writes(*w))
-            };
-            let violated = match self.scheme {
+            let exact_conflict = exact_w_words.iter().any(|w| hits(t, j, w));
+            let violated = match scheme {
                 // Eager already detected and resolved every violation at
                 // store time; by commit the successor's re-reads are in
                 // correct order and must not squash again.
@@ -799,14 +797,14 @@ impl TlsMachine {
                             payload: "address-list",
                         });
                     };
-                    let sig = match (&d.w_sh, use_overlap) {
-                        (Some(sh), true) => sh,
+                    let sig = match &d.w_sh {
+                        Some(sh) if overlapped(j) => sh,
                         _ => &d.w,
                     };
-                    let q = self.tasks[j].proc.expect("in-flight task has proc");
-                    let v = self.tasks[j].version.ok_or(MachineError::MissingVersion {
+                    let q = t.proc.expect("in-flight task has proc");
+                    let v = t.version.ok_or(MachineError::MissingVersion {
                         thread: j,
-                        pc: self.tasks[j].pc,
+                        pc: t.pc,
                         context: "tls commit disambiguation",
                     })?;
                     // The signature came off the wire: a config mismatch is
@@ -819,27 +817,16 @@ impl TlsMachine {
                             payload: "mismatched-signature-config",
                         })?
                         .squash();
-                    if let Some(obs) = &self.h.obs {
-                        obs.verdicts.record(squash, exact_conflict);
-                    }
-                    self.h.check_no_false_negative(exact_conflict, squash, q, finish, || {
+                    self.h.judge(exact_conflict, squash, q, finish, || {
                         format!(
                             "commit of task {i} conflicts with task {j}'s \
                              exact sets but the signature missed it"
                         )
-                    });
-                    squash
+                    })
                 }
             };
             if violated {
-                let dep = {
-                    let t = &self.tasks[j];
-                    exact_w_words
-                        .iter()
-                        .filter(|w| !(use_overlap && exact_prespawn.contains(*w)))
-                        .filter(|w| t.reads_or_writes(**w))
-                        .count() as u64
-                };
+                let dep = exact_w_words.iter().filter(|w| hits(t, j, w)).count() as u64;
                 squash_from = Some((j, exact_conflict, dep));
                 break;
             }
@@ -890,15 +877,6 @@ impl TlsMachine {
         }
         self.h.commit_cause = SpanId::DROPPED;
 
-        // The delivered (wire) signatures are dead now — recycle their
-        // buffers for the next broadcast.
-        if let Some(d) = b.delivered {
-            self.sig_arena.give(d.w);
-            if let Some(sh) = d.w_sh {
-                self.sig_arena.give(sh);
-            }
-        }
-
         // Committer cleanup.
         if self.scheme.uses_signatures() {
             if let Some(v) = self.tasks[i].version.take() {
@@ -917,18 +895,13 @@ impl TlsMachine {
             // sets overlap the committed (non-overlap-covered) writes
             // should have been squashed — except under Eager, where the
             // violation was already resolved at store time.
-            if self.scheme != TlsScheme::Eager {
+            if scheme != TlsScheme::Eager {
                 for j in i + 1..self.next_unstarted {
                     let t = &self.tasks[j];
                     if !t.in_flight() {
                         continue;
                     }
-                    let use_overlap = j == i + 1 && self.scheme.partial_overlap();
-                    if let Some(w) = exact_w_words
-                        .iter()
-                        .filter(|w| !(use_overlap && exact_prespawn.contains(*w)))
-                        .find(|w| t.reads_or_writes(**w))
-                    {
+                    if let Some(w) = exact_w_words.iter().find(|w| hits(t, j, w)) {
                         let q = t.proc.unwrap_or(0);
                         let detail = format!(
                             "task {j} survived the commit of task {i} despite an \
@@ -1045,7 +1018,6 @@ impl TlsMachine {
         }
         let was_running = self.tasks[k].status == Status::Running;
         let p = self.tasks[k].proc.expect("in-flight task has proc");
-        let pre = self.procs[p].timer.now();
         if self.scheme.uses_signatures() {
             let v = self.tasks[k].version.expect("in-flight task has version");
             // TLS squash also invalidates lines the task read (§6.3).
@@ -1098,36 +1070,21 @@ impl TlsMachine {
                 }
             }
         }
-        self.procs[p].timer.wait_until(at);
-        self.procs[p].timer.advance(self.cfg.squash_overhead);
-        if let Some(obs) = &self.h.obs {
-            let sec = self.tasks[k].section_span;
-            if was_running {
-                // A running victim's attempt ends where the squash begins;
-                // a waiting-commit victim's span already ended at finish.
-                obs.span_end(sec, pre);
-            }
-            obs.span_outcome(sec, SpanOutcome::Squashed);
-            self.tasks[k].section_span = SpanId::DROPPED;
-            let post = self.procs[p].timer.now();
-            let sq = obs.span_complete(p as u32, SpanKind::Squash, pre, post, dep);
-            obs.span_link(self.h.commit_cause, sq);
-        }
-        if self.h.live.is_some() {
-            // Age-based backoff: the victim's processor sits out a bounded,
-            // jittered wait before the task is eligible to restart.
-            let age_rank = k.saturating_sub(self.oldest_uncommitted);
-            let live = self.h.live.as_mut().expect("liveness armed");
-            let wait = live.on_squash(by, k, !truly, age_rank, at);
-            let b0 = self.procs[p].timer.now();
-            self.procs[p].timer.advance(wait);
-            if let Some(obs) = &self.h.obs {
-                obs.on_backoff(k as u32, at, wait);
-                if wait > 0 {
-                    obs.span_complete(p as u32, SpanKind::Backoff, b0, b0 + wait, 0);
-                }
-            }
-        }
+        // A running victim's attempt ends where the squash begins; a
+        // waiting-commit victim's span already ended at finish. The
+        // victim's processor then sits out the backoff before the task is
+        // eligible to restart.
+        let section = std::mem::replace(&mut t.section_span, SpanId::DROPPED);
+        let age_rank = k.saturating_sub(self.oldest_uncommitted);
+        let victim = Victim { by, id: k, aliasing: !truly, age_rank };
+        let tail = SquashTail {
+            lane: p,
+            at,
+            arg: dep,
+            section: Some((section, was_running)),
+            victim: Some(victim),
+        };
+        self.h.squash_tail(&self.cfg, &mut self.procs[p].timer, tail);
         self.audit_state(at);
     }
 

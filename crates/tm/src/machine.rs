@@ -18,8 +18,10 @@ use bulk_core::{
 use bulk_live::{Checkpoint, LivenessConfig};
 use bulk_mem::{Addr, AddrSet, Cache, LineAddr, MsgClass, OverflowArea};
 use bulk_obs::{Obs, SpanId, SpanKind, SpanOutcome};
-use bulk_sig::{SetBitmask, Signature, SignatureArena, SignatureConfig};
-use bulk_sim::{AccessTiming, Broadcast, CommitRequest, CoreTimer, SimConfig, SimHarness};
+use bulk_sig::{Signature, SignatureConfig};
+use bulk_sim::{
+    AccessTiming, Broadcast, CommitRequest, CoreTimer, SimConfig, SimHarness, SquashTail, Victim,
+};
 use bulk_trace::{TmOp, TmWorkload};
 
 use crate::{Scheme, TmStats};
@@ -87,6 +89,17 @@ impl Thread {
         self.timer.now().saturating_sub(self.tx_start_cycle)
     }
 
+    /// Forgets the transaction's speculative footprint: the exact oracle
+    /// sets and the section stack (at a Begin, a commit, a full squash).
+    fn reset_tx(&mut self) {
+        self.read_set.clear();
+        self.write_set.clear();
+        self.sections.clear();
+        self.section_starts.clear();
+        self.exact_sections.clear();
+        self.depth = 0;
+    }
+
     fn exact_union_contains(&self, line: LineAddr) -> bool {
         self.read_set.contains(&line) || self.write_set.contains(&line)
     }
@@ -97,10 +110,6 @@ impl Thread {
 pub struct TmMachine {
     cfg: SimConfig,
     scheme: Scheme,
-    /// Recycling pool for per-broadcast signature buffers (commit copies,
-    /// section unions, membership probes) so the commit path stays off the
-    /// allocator.
-    sig_arena: SignatureArena,
     threads: Vec<Thread>,
     /// Commit bus and instruments (chaos, auditor, obs, liveness), with
     /// the pipeline stages shared with the TLS machine.
@@ -236,7 +245,6 @@ impl TmMachine {
         Ok(TmMachine {
             cfg: cfg.clone(),
             scheme,
-            sig_arena: SignatureArena::new(sig_config),
             h: SimHarness::new("tm.", scheme.to_string(), threads.len(), threads.len()),
             threads,
             stats: TmStats::default(),
@@ -514,45 +522,22 @@ impl TmMachine {
 
     fn op_begin(&mut self, tid: usize) {
         let partial = self.scheme == Scheme::BulkPartial;
-        if self.threads[tid].escalated && self.threads[tid].depth == 0 {
-            // Graceful degradation: after repeated squashes this transaction
-            // re-executes non-speculatively under global exclusion — it can
-            // no longer be squashed, so it is guaranteed to finish.
+        // Graceful degradation: after repeated squashes this transaction
+        // re-executes non-speculatively under global exclusion — it can
+        // no longer be squashed, so it is guaranteed to finish.
+        let serialize = self.threads[tid].escalated && self.threads[tid].depth == 0;
+        if serialize {
             let ok = self.serial_token.is_none();
             let now = self.threads[tid].timer.now();
             self.h.check_token_protocol(ok, tid, now, "serial token double-granted at Begin");
             self.serial_token = Some(tid);
-            let t = &mut self.threads[tid];
-            t.serialized = true;
-            t.tx_serial += 1;
-            t.tx_start_pc = t.pc;
-            t.tx_start_cycle = t.timer.now();
-            if let Some(obs) = &self.h.obs {
-                t.section_span =
-                    obs.span_begin(tid as u32, SpanKind::Section, t.tx_start_cycle, t.tx_serial);
-            }
-            t.read_set.clear();
-            t.write_set.clear();
-            t.sections.clear();
-            t.section_starts.clear();
-            t.exact_sections.clear();
-            if let Some(v) = t.version.take() {
-                t.bdm.set_running(None);
-                t.bdm.free_version(v);
-            }
-            t.depth += 1;
-            t.pc += 1;
-            return;
         }
         let t = &mut self.threads[tid];
         if t.serialized {
             // Nested Begin inside a serialized transaction: flat, nothing
             // speculative to track.
-            t.depth += 1;
-            t.pc += 1;
-            return;
-        }
-        if t.depth == 0 {
+        } else if t.depth == 0 {
+            t.serialized = serialize;
             t.tx_serial += 1;
             t.tx_start_pc = t.pc;
             t.tx_start_cycle = t.timer.now();
@@ -560,23 +545,18 @@ impl TmMachine {
                 t.section_span =
                     obs.span_begin(tid as u32, SpanKind::Section, t.tx_start_cycle, t.tx_serial);
             }
-            t.read_set.clear();
-            t.write_set.clear();
-            if self.scheme.uses_signatures() {
-                if let Some(v) = t.version.take() {
-                    t.bdm.free_version(v);
-                }
+            t.reset_tx();
+            if let Some(v) = t.version.take() {
+                t.bdm.free_version(v);
+            }
+            if !serialize && self.scheme.uses_signatures() {
                 let v = t.bdm.alloc_version().expect("fresh BDM slot");
                 t.bdm.set_running(Some(v));
                 t.version = Some(v);
             }
-            if partial {
-                t.sections.clear();
-                t.sections.begin_section();
-                t.section_starts = vec![t.pc + 1];
-                t.exact_sections = vec![Default::default()];
-            }
-        } else if partial {
+        }
+        if partial && !t.serialized {
+            // Every Begin opens a section (paper Fig. 8).
             t.sections.begin_section();
             t.section_starts.push(t.pc + 1);
             t.exact_sections.push(Default::default());
@@ -771,15 +751,13 @@ impl TmMachine {
     fn non_tx_write(&mut self, tid: usize, a: Addr, line: LineAddr) {
         self.stats.individual_invalidations += 1;
         self.stats.bw.record(MsgClass::Inv, self.cfg.msg_sizes.addr_msg);
-        // Single-address probe signature, recycled through the arena (this
-        // runs once per non-transactional store, not per receiver).
-        let probe = if self.scheme == Scheme::BulkPartial {
-            let mut p = self.sig_arena.take();
+        // Single-address probe signature (built once per non-transactional
+        // store, not per receiver).
+        let probe = (self.scheme == Scheme::BulkPartial).then(|| {
+            let mut p = Signature::with_shared(self.threads[tid].bdm.config().clone());
             p.insert_addr(a);
-            Some(p)
-        } else {
-            None
-        };
+            p
+        });
         let victims: Vec<usize> = self
             .others(tid)
             .filter(|&j| {
@@ -799,9 +777,6 @@ impl TmMachine {
                 }
             })
             .collect();
-        if let Some(p) = probe {
-            self.sig_arena.give(p);
-        }
         let now = self.threads[tid].timer.now();
         if let Some(obs) = &self.h.obs {
             if !victims.is_empty() {
@@ -844,11 +819,11 @@ impl TmMachine {
             }
             Scheme::Bulk => {
                 let v = self.version_of(tid, "bulk commit")?;
-                let w = self.sig_arena.clone_of(self.threads[tid].bdm.write_signature(v));
+                let w = self.threads[tid].bdm.write_signature(v).clone();
                 (Some(w.compressed_size_bits().div_ceil(8)), CommitMsg::signatures(w))
             }
             Scheme::BulkPartial => {
-                let w = self.threads[tid].sections.commit_union_with(&mut self.sig_arena);
+                let w = self.threads[tid].sections.commit_union();
                 (Some(w.compressed_size_bits().div_ceil(8)), CommitMsg::signatures(w))
             }
         };
@@ -911,28 +886,13 @@ impl TmMachine {
         }
         self.h.commit_cause = SpanId::DROPPED;
 
-        // The delivered (wire) signatures are dead now — recycle their
-        // buffers for the next broadcast.
-        if let Some(d) = b.delivered {
-            self.sig_arena.give(d.w);
-            if let Some(sh) = d.w_sh {
-                self.sig_arena.give(sh);
-            }
-        }
-
         // Committer cleanup: the paper's clear-a-signature commit. The
-        // broadcast copy was already taken above, so just clear the slot.
+        // broadcast copy was already taken above; freeing the slot clears it.
         let t = &mut self.threads[tid];
         if let Some(v) = t.version.take() {
-            t.bdm.clear_version(v);
             t.bdm.free_version(v);
         }
-        t.sections.clear();
-        t.section_starts.clear();
-        t.exact_sections.clear();
-        t.read_set.clear();
-        t.write_set.clear();
-        t.depth = 0;
+        t.reset_tx();
         t.tx_serial += 1; // releases stalled threads
         t.tx_squashes = 0; // the transaction finished; escalation pressure resets
         t.escalated = false;
@@ -987,154 +947,81 @@ impl TmMachine {
             exact_w.iter().any(|l| o.read_set.contains(l) || o.write_set.contains(l))
         };
 
-        match self.scheme {
-            Scheme::EagerNaive | Scheme::Eager => {
-                // Conflicts were handled at access time; any residue (from
-                // interleaving approximation) is squashed here for safety.
-                if exact_conflict {
-                    let dep = self.exact_dep_size(j, exact_w);
-                    self.squash_thread(j, finish, true, dep, Some(committer));
-                } else {
-                    self.invalidate_lines_exact(j, exact_w);
-                }
+        if !self.scheme.uses_signatures() {
+            // Eager handled conflicts at access time; any residue (from
+            // interleaving approximation) is squashed here for safety.
+            if exact_conflict {
+                let dep = self.exact_dep_size(j, exact_w);
+                self.squash_thread(j, finish, true, dep, Some(committer));
+                return Ok(());
             }
-            Scheme::Lazy => {
-                if exact_conflict {
-                    let dep = self.exact_dep_size(j, exact_w);
-                    self.squash_thread(j, finish, true, dep, Some(committer));
-                } else {
-                    self.invalidate_lines_exact(j, exact_w);
-                    // A conventional lazy scheme must also disambiguate the
-                    // commit against its overflowed addresses in memory.
-                    if in_tx && !self.threads[j].overflow.is_empty() {
-                        let lines: Vec<LineAddr> = exact_w.iter().copied().collect();
-                        let walked = self.threads[j].overflow.len() as u64;
-                        let _ = self.threads[j].overflow.disambiguate_walk(lines.iter());
-                        self.stats
-                            .bw
-                            .record(MsgClass::Ub, walked * self.cfg.msg_sizes.addr_msg);
-                    }
-                }
+            for &l in exact_w {
+                self.threads[j].cache.invalidate(l);
             }
-            Scheme::Bulk => {
-                let Some(w_c) = b.w_c() else {
-                    return Err(MachineError::MalformedCommit {
-                        scheme: "Bulk",
-                        payload: "address-list",
-                    });
-                };
-                let w = w_c.0;
-                // The signature came off the wire: a config mismatch is a
-                // malformed commit, not a machine panic.
-                let sig_conflict = if in_tx {
-                    let o = &self.threads[j];
-                    match o.version {
-                        Some(v) => o
-                            .bdm
-                            .try_disambiguate(v, w)
-                            .map_err(|_| MachineError::MalformedCommit {
-                                scheme: "Bulk",
-                                payload: "mismatched-signature-config",
-                            })?
-                            .squash(),
-                        None => false,
-                    }
-                } else {
-                    false
-                };
-                self.check_no_false_negative(j, exact_conflict, sig_conflict, finish);
-                if in_tx {
-                    if let Some(obs) = &self.h.obs {
-                        obs.verdicts.record(sig_conflict, exact_conflict);
-                    }
-                }
-                if sig_conflict {
-                    let dep = self.exact_dep_size(j, exact_w);
-                    self.squash_thread(j, finish, exact_conflict, dep, Some(committer));
-                } else {
-                    self.bulk_apply_commit(j, w_c, exact_w, finish);
-                }
+            // A conventional lazy scheme must also disambiguate the commit
+            // against its overflowed addresses in memory.
+            if self.scheme == Scheme::Lazy && in_tx && !self.threads[j].overflow.is_empty() {
+                let lines: Vec<LineAddr> = exact_w.iter().copied().collect();
+                let walked = self.threads[j].overflow.len() as u64;
+                let _ = self.threads[j].overflow.disambiguate_walk(lines.iter());
+                self.stats.bw.record(MsgClass::Ub, walked * self.cfg.msg_sizes.addr_msg);
             }
-            Scheme::BulkPartial => {
-                let Some(w_c) = b.w_c() else {
-                    return Err(MachineError::MalformedCommit {
-                        scheme: "Bulk-Partial",
-                        payload: "address-list",
-                    });
-                };
-                let w = w_c.0;
-                let violated = if in_tx {
-                    self.threads[j].sections.try_disambiguate(w).map_err(|_| {
-                        MachineError::MalformedCommit {
-                            scheme: "Bulk-Partial",
-                            payload: "mismatched-signature-config",
-                        }
-                    })?
-                } else {
-                    None
-                };
-                self.check_no_false_negative(j, exact_conflict, violated.is_some(), finish);
-                if in_tx {
-                    if let Some(obs) = &self.h.obs {
-                        obs.verdicts.record(violated.is_some(), exact_conflict);
-                    }
+            return Ok(());
+        }
+        let partial = self.scheme == Scheme::BulkPartial;
+        let malformed = |payload| MachineError::MalformedCommit {
+            scheme: if partial { "Bulk-Partial" } else { "Bulk" },
+            payload,
+        };
+        let w_c = b.w_c().ok_or_else(|| malformed("address-list"))?;
+        // The first violated section; plain Bulk's one section is index 0.
+        let violated = if in_tx {
+            let o = &self.threads[j];
+            // The signature came off the wire: a config mismatch is a
+            // malformed commit, not a machine panic.
+            let violated = match (partial, o.version) {
+                (true, _) => o.sections.try_disambiguate(w_c.0),
+                (false, Some(v)) => {
+                    o.bdm.try_disambiguate(v, w_c.0).map(|d| d.squash().then_some(0))
                 }
-                match violated {
-                    Some(0) => {
-                        // Violation in the first section: full restart.
-                        let dep = self.exact_dep_size(j, exact_w);
-                        self.squash_thread(j, finish, exact_conflict, dep, Some(committer));
-                    }
-                    Some(sec) => {
-                        self.partial_rollback(j, sec, finish, exact_conflict);
-                    }
-                    None => {
-                        self.bulk_apply_commit(j, w_c, exact_w, finish);
-                    }
-                }
+                (false, None) => Ok(None),
+            }
+            .map_err(|_| malformed("mismatched-signature-config"))?;
+            self.h.judge(exact_conflict, violated.is_some(), j, finish, || {
+                "signature disambiguation missed an exact-set conflict (false negative)".to_string()
+            });
+            violated
+        } else {
+            None
+        };
+        match violated {
+            // A violation in the first section is a full restart.
+            Some(0) => {
+                let dep = self.exact_dep_size(j, exact_w);
+                self.squash_thread(j, finish, exact_conflict, dep, Some(committer));
+            }
+            Some(sec) => self.partial_rollback(j, sec, finish),
+            None => {
+                let t = &mut self.threads[j];
+                let (app, false_inv) =
+                    self.h.bulk_apply(j, &t.bdm, &mut t.cache, w_c, exact_w, finish);
+                self.stats.false_invalidations += false_inv;
+                debug_assert!(app.merged.is_empty(), "line-grain TM signatures never merge");
             }
         }
         Ok(())
     }
 
-    fn check_no_false_negative(&mut self, j: usize, exact: bool, sig: bool, cycle: u64) {
-        self.h.check_no_false_negative(exact, sig, j, cycle, || {
-            "signature disambiguation missed an exact-set conflict (false negative)".to_string()
-        });
-    }
-
-    fn bulk_apply_commit(
-        &mut self,
-        j: usize,
-        w_c: (&Signature, &SetBitmask),
-        exact_w: &AddrSet<LineAddr>,
-        at: u64,
-    ) {
-        let t = &mut self.threads[j];
-        let (app, false_inv) = self.h.bulk_apply(j, &t.bdm, &mut t.cache, w_c, exact_w, at);
-        self.stats.false_invalidations += false_inv;
-        debug_assert!(app.merged.is_empty(), "line-grain TM signatures never merge");
-    }
-
-    fn partial_rollback(&mut self, j: usize, sec: usize, at: u64, truly: bool) {
+    fn partial_rollback(&mut self, j: usize, sec: usize, at: u64) {
         self.stats.partial_rollbacks += 1;
-        if !truly {
-            self.stats.false_squashes += 1;
-        }
-        let pre = self.threads[j].timer.now();
         let t = &mut self.threads[j];
         self.stats.sections_rolled_back += (t.sections.depth() - sec) as u64;
-        // Discard the rolled-back sections' dirty lines. The union buffer
-        // comes from (and returns to) the arena — rollbacks ride the same
-        // hot broadcast path as commits.
-        let w_rolled = t.sections.write_union_from_with(sec, &mut self.sig_arena);
-        for e in w_rolled.expand(&t.cache) {
+        // Discard the rolled-back sections' dirty lines.
+        for e in t.sections.write_union_from(sec).expand(&t.cache) {
             if e.state == bulk_mem::LineState::Dirty {
                 t.cache.invalidate(e.addr);
             }
         }
-        self.sig_arena.give(w_rolled);
-        let t = &mut self.threads[j];
         t.sections.rollback_to(sec);
         t.section_starts.truncate(sec + 1);
         // Rebuild the exact oracle sets from the surviving sections.
@@ -1151,15 +1038,8 @@ impl TmMachine {
         // equals 1 + number of unmatched Begins before it; we conservatively
         // recompute it here.
         t.depth = depth_at(&t.ops, t.pc, t.tx_start_pc);
-        t.timer.wait_until(at);
-        t.timer.advance(self.cfg.squash_overhead);
-        if let Some(obs) = &self.h.obs {
-            // The section span stays open: the transaction is still live,
-            // only its tail sections re-execute.
-            let post = self.threads[j].timer.now();
-            let sq = obs.span_complete(j as u32, SpanKind::Squash, pre, post, sec as u64);
-            obs.span_link(self.h.commit_cause, sq);
-        }
+        let tail = SquashTail { lane: j, at, arg: sec as u64, section: None, victim: None };
+        self.h.squash_tail(&self.cfg, &mut t.timer, tail);
         self.audit_state(at);
     }
 
@@ -1177,7 +1057,6 @@ impl TmMachine {
         if let Some(obs) = &self.h.obs {
             obs.on_squash(j as u32, at, truly, dep);
         }
-        let pre = self.threads[j].timer.now();
         let scheme = self.scheme;
         let exp = self.h.obs.as_ref().map(|o| o.expansion.clone());
         let t = &mut self.threads[j];
@@ -1204,44 +1083,18 @@ impl TmMachine {
         t.overflow.deallocate(!scheme.uses_signatures());
         self.stats.bw.record(MsgClass::Ub, spilled * self.cfg.msg_sizes.addr_msg);
         let t = &mut self.threads[j];
-        t.read_set.clear();
-        t.write_set.clear();
-        t.sections.clear();
-        t.section_starts.clear();
-        t.exact_sections.clear();
-        t.depth = 0;
+        t.reset_tx();
         t.pc = t.tx_start_pc;
         t.tx_serial += 1;
         t.stalled_on = None;
-        t.timer.wait_until(at);
-        t.timer.advance(self.cfg.squash_overhead);
+        t.tx_squashes += 1;
+        let section = std::mem::replace(&mut t.section_span, SpanId::DROPPED);
+        let victim = Victim { by, id: j, aliasing: !truly, age_rank: self.age_rank(j) };
+        let tail =
+            SquashTail { lane: j, at, arg: dep, section: Some((section, true)), victim: Some(victim) };
+        self.h.squash_tail(&self.cfg, &mut self.threads[j].timer, tail);
         // Escalation: too many squashes of the same transaction trigger the
         // serialized fallback on its next restart.
-        t.tx_squashes += 1;
-        if let Some(obs) = &self.h.obs {
-            let sec = self.threads[j].section_span;
-            obs.span_end(sec, pre);
-            obs.span_outcome(sec, SpanOutcome::Squashed);
-            self.threads[j].section_span = SpanId::DROPPED;
-            let post = self.threads[j].timer.now();
-            let sq = obs.span_complete(j as u32, SpanKind::Squash, pre, post, dep);
-            obs.span_link(self.h.commit_cause, sq);
-        }
-        // Liveness: record the squash with the watchdog and apply the
-        // age-weighted randomized backoff before the victim retries.
-        if self.h.live.is_some() {
-            let age_rank = self.age_rank(j);
-            let live = self.h.live.as_mut().expect("liveness armed");
-            let wait = live.on_squash(by, j, !truly, age_rank, at);
-            let b0 = self.threads[j].timer.now();
-            self.threads[j].timer.advance(wait);
-            if let Some(obs) = &self.h.obs {
-                obs.on_backoff(j as u32, at, wait);
-                if wait > 0 {
-                    obs.span_complete(j as u32, SpanKind::Backoff, b0, b0 + wait, 0);
-                }
-            }
-        }
         if let Some(threshold) = self.escalation {
             let t = &mut self.threads[j];
             if !t.escalated && t.tx_squashes >= threshold {
@@ -1361,13 +1214,6 @@ impl TmMachine {
     fn invalidate_in_others(&mut self, tid: usize, line: LineAddr) {
         for j in self.others(tid) {
             self.threads[j].cache.invalidate(line);
-        }
-    }
-
-    fn invalidate_lines_exact(&mut self, j: usize, lines: &AddrSet<LineAddr>) {
-        let t = &mut self.threads[j];
-        for &l in lines {
-            t.cache.invalidate(l);
         }
     }
 

@@ -14,7 +14,9 @@ pub struct TmStats {
     /// Full-transaction squashes.
     pub squashes: u64,
     /// Squashes caused purely by signature aliasing (the exact oracle saw
-    /// no conflict). Table 7 "Sq (%)" = `false_squashes / squashes`.
+    /// no conflict). Table 7 "Sq (%)" = `false_squashes / squashes`. Full
+    /// squashes only: an aliasing-induced partial rollback shows up as a
+    /// `tm.verdict.false_positive`, not here.
     pub false_squashes: u64,
     /// Partial rollbacks performed instead of full squashes (Bulk-Partial).
     pub partial_rollbacks: u64,

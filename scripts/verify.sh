@@ -25,6 +25,11 @@ if grep -rnE 'T(m|ls)Machine::|run_par_t(m|ls)|run_t(m|ls)_observed' crates/cli/
 fi
 echo "front-door guard: OK"
 
+# One-core guard (DESIGN.md §16): one verdict (SimHarness::judge), one
+# signature recycler (the thread-local pool), no cfg-gated test.
+echo "== one-core guard (one verdict, one recycler, no cfg knob)"
+scripts/one-core-guard.sh
+
 echo "== cargo test -q --offline --locked --workspace"
 cargo test -q --offline --locked --workspace "$@"
 
@@ -63,13 +68,9 @@ cargo test -q --release --offline --locked -p bulk-live --test dedup_properties
 # does position arithmetic on them; run its tests with debug_assertions
 # AND overflow checks forced on, so any wrap in gap accumulation or bit
 # cursors is a hard failure even if a profile ever disables the default.
-# The same rebuild also enables --cfg bulk_stress, which compiles the
-# parallel runtime's re-delivery/epoch-churn smoke (crates/par/tests/
-# stress.rs): injected duplicates must be dropped by dedup, nothing may
-# apply twice, and the committed-order class must still match the sim's.
-echo "== cargo test -q -p bulk-sig -p bulk-par (overflow checks + bulk_stress)"
-RUSTFLAGS="$RUSTFLAGS -Coverflow-checks=on --cfg bulk_stress" \
-  cargo test -q --offline --locked -p bulk-sig -p bulk-par
+echo "== cargo test -q -p bulk-sig (overflow checks)"
+RUSTFLAGS="$RUSTFLAGS -Coverflow-checks=on" \
+  cargo test -q --offline --locked -p bulk-sig
 
 echo "== cargo doc --no-deps --offline --locked (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="${RUSTDOCFLAGS:--D warnings}" cargo doc --no-deps --offline --locked --workspace

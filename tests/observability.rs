@@ -86,6 +86,28 @@ fn squash_attribution_sums_and_oracle_never_misses() {
     }
 }
 
+/// `false_squashes` counts full squashes only, so the report's "from
+/// aliasing" line and Table 7's `Sq (%)` agree with the registry: an
+/// aliasing-induced *partial rollback* is a `verdict.false_positive`, not
+/// a squash.
+#[test]
+fn bulk_partial_false_squashes_match_the_registry_and_never_exceed_squashes() {
+    for p in profiles::tm_profiles() {
+        for seed in [42, 7] {
+            let obs = Arc::new(Obs::new());
+            let stats = run_tm_observed(
+                &p.generate(seed),
+                Scheme::BulkPartial,
+                &SimConfig::tm_default(),
+                Arc::clone(&obs),
+            );
+            let aliasing = obs.registry().counter_value("tm.squash.aliasing");
+            assert_eq!(stats.false_squashes, aliasing, "{} seed {seed}", p.name);
+            assert!(stats.false_squashes <= stats.squashes, "{} seed {seed}", p.name);
+        }
+    }
+}
+
 #[test]
 fn event_jsonl_lines_are_valid_and_ordered() {
     let obs = observed_tm_run(42);
