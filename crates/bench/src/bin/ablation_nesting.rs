@@ -45,5 +45,4 @@ fn main() {
     println!("Partial rollback converts full squashes into section restarts; the");
     println!("gain tracks how often conflicts land in inner sections — minor at");
     println!("the paper's low nesting rates, growing with nesting frequency.");
-    bulk_bench::write_summary("ablation_nesting");
 }

@@ -47,5 +47,4 @@ fn main() {
     println!("With no live-in consumption the two schemes coincide; as fine-grain");
     println!("parent→child sharing grows, NoOverlap squashes nearly every task at");
     println!("its parent's commit while the shadow signature keeps Bulk unharmed.");
-    bulk_bench::write_summary("ablation_overlap");
 }

@@ -52,5 +52,4 @@ fn main() {
     println!();
     println!("Small signatures pay real performance for their aliasing;");
     println!("beyond ~2 Kbit (S14) the returns flatten — the paper's sweet spot.");
-    bulk_bench::write_summary("ablation_sigsize");
 }

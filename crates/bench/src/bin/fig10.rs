@@ -52,5 +52,4 @@ fn main() {
         "  Ordering Eager >= Lazy >= Bulk > BulkNoOverlap: {}",
         gm[0] >= gm[1] && gm[1] >= gm[2] * 0.995 && gm[2] > gm[3]
     );
-    bulk_bench::write_summary("fig10");
 }

@@ -43,5 +43,4 @@ fn main() {
         "  sjbb2k Lazy > Eager:         {:.2}x (paper: Lazy faster on SPECjbb2000)",
         sjbb.speedup_over_eager(Scheme::Lazy)
     );
-    bulk_bench::write_summary("fig11");
 }

@@ -53,5 +53,4 @@ fn main() {
         "\n  Eager pays (squash or stall) on the conflict; Lazy commits the short\n  \
          reader before the writer's commit broadcast, avoiding the squash."
     );
-    bulk_bench::write_summary("fig12");
 }

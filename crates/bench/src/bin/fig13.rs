@@ -35,5 +35,4 @@ fn main() {
     println!();
     println!("Average totals vs Eager: E={:.1}%  L={:.1}%  B={:.1}%", totals[0] / n, totals[1] / n, totals[2] / n);
     println!("Shape check (paper): Bulk slightly above Lazy, below or near Eager.");
-    bulk_bench::write_summary("fig13");
 }

@@ -71,5 +71,4 @@ fn main() {
     );
     println!();
     println!("Conservation: the six columns sum to 100% of every app's thread cycles.");
-    bulk_bench::write_summary("fig13_time");
 }

@@ -49,5 +49,4 @@ fn main() {
          vs word-address enumerations)",
         sum / n
     );
-    bulk_bench::write_summary("fig13_tls");
 }

@@ -29,5 +29,4 @@ fn main() {
         "Average commit-bandwidth reduction: {:.1}% (paper: ~83%)",
         100.0 - avg
     );
-    bulk_bench::write_summary("fig14");
 }

@@ -48,5 +48,4 @@ fn main() {
     );
     println!("Shape check (paper): high for small signatures, quickly decreasing;");
     println!("permutation choice shifts accuracy significantly (error segments).");
-    bulk_bench::write_summary("fig15");
 }

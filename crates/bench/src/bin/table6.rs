@@ -56,5 +56,4 @@ fn main() {
     );
     println!("\n  Columns show measured | paper. Footprints are generator-calibrated;");
     println!("  aliasing and Set-Restriction columns emerge from the simulation.");
-    bulk_bench::write_summary("table6");
 }

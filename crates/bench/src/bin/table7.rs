@@ -61,5 +61,4 @@ fn main() {
     );
     println!("\n  Columns show measured | paper. The Overflow column is Bulk's");
     println!("  overflow-area accesses as a percentage of Lazy's (paper avg: 3.6%).");
-    bulk_bench::write_summary("table7");
 }

@@ -56,5 +56,4 @@ fn main() {
     println!("\n  Compressed sizes use Elias-gamma gap RLE over ~22-line write sets");
     println!("  (the paper's RLE variant is unspecified; magnitudes and the");
     println!("  growth-with-size trend are the comparison target).");
-    bulk_bench::write_summary("table8");
 }

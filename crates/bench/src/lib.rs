@@ -16,18 +16,12 @@
 //! Run them with `cargo run --release -p bulk-bench --bin <name>`.
 
 pub mod fpsweep;
-pub mod regress;
 pub mod runners;
-pub mod summary;
 pub mod table;
-pub mod timer;
 
 pub use fpsweep::{sweep_config, FpSample};
-pub use regress::{diff_dirs, diff_suites, parse_suite, Regression, SuiteResults, DEFAULT_TOLERANCE};
 pub use runners::{run_all_tls, run_all_tm, run_tls_app, run_tm_app, TlsAppResult, TmAppResult};
-pub use summary::{scenario_metrics, write_summary};
 pub use table::{fmt_f, geomean, print_table};
-pub use timer::{BenchResult, BenchSuite};
 
 #[cfg(test)]
 mod tests {

@@ -4,6 +4,8 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
+use bulk_trace::jobspec::{parse_flat_object, FlatValue};
+
 /// Everything one submission produced, already split into lines.
 #[derive(Debug, Clone)]
 pub struct Submission {
@@ -133,14 +135,23 @@ pub fn scrape(addr: &str) -> io::Result<String> {
     Ok(body)
 }
 
-/// Pulls `"<key>": "<value>"` out of a flat JSON line without a parser.
-/// Good enough for the daemon's own fixed-format responses.
+/// Pulls `"<key>": "<value>"` out of one of the daemon's fixed-format
+/// response lines, undoing the escapes `json_escape` wrote into the value.
 pub fn extract_str_field(line: &str, key: &str) -> Option<String> {
     let needle = format!("\"{key}\": \"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
+    let open = line.find(&needle)? + needle.len() - 1;
+    // The value ends at the first quote no backslash escapes.
+    let bytes = line.as_bytes();
+    let mut close = open + 1;
+    while *bytes.get(close)? != b'"' {
+        close += if bytes[close] == b'\\' { 2 } else { 1 };
+    }
+    // The literal goes through the workspace's one JSON parser.
+    let literal = &line[open..=close];
+    match parse_flat_object(&format!("{{\"v\": {literal}}}")).ok()?.pop()? {
+        (_, FlatValue::Str(value)) => Some(value),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -152,6 +163,11 @@ mod tests {
         let l = "{\"accepted\": true, \"job\": \"job-7\", \"spec\": {}}";
         assert_eq!(extract_str_field(l, "job").as_deref(), Some("job-7"));
         assert_eq!(extract_str_field(l, "missing"), None);
+        // What the daemon writes for the id `a"b\c`: the value ends at the
+        // unescaped quote and comes back unescaped.
+        let l = r#"{"accepted": true, "job": "a\"b\\c", "spec": {"id": "a\"b\\c"}}"#;
+        assert_eq!(extract_str_field(l, "job").as_deref(), Some("a\"b\\c"));
+        assert_eq!(extract_str_field(r#"{"job": "unterminated\"#, "job"), None);
     }
 
     #[test]

@@ -322,20 +322,22 @@ fn handle_line(line: &str, writer: &mut TcpStream, shared: &Arc<Shared>) -> bool
         }
     };
     shared.registry.counter("bulkd.jobs_submitted").add(1);
+    // The worker starts before the client hears `accepted`: a client gone
+    // by then ends this handler, and the job must not be left registered
+    // with nobody to run it. The handler streams events while it runs.
+    let worker = thread::Builder::new().name("bulkd-job".into()).spawn({
+        let (shared, id) = (Arc::clone(shared), id.clone());
+        move || shared.table.run(&id)
+    });
+    if let Err(e) = worker {
+        let detail = format!("no worker thread for job `{id}`: {e}");
+        shared.table.fail_queued(&id, "spawn-failed", detail);
+    }
     if write_line(
         writer,
         &format!("{{\"accepted\": true, \"job\": \"{}\", \"spec\": {}}}", json_escape(&id), echo),
     ) {
         return true;
-    }
-    // Run on a worker thread so the handler can stream events while the
-    // job executes.
-    {
-        let shared = Arc::clone(shared);
-        let worker_id = id.clone();
-        let _ = thread::Builder::new()
-            .name(format!("bulkd-job-{worker_id}"))
-            .spawn(move || shared.table.run(&worker_id));
     }
     stream_job(&id, writer, shared)
 }

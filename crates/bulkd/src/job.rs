@@ -11,7 +11,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 use bulk_live::{LivenessKind, LivenessViolation, WallClockWatchdog};
 use bulk_obs::{json_escape, Obs};
@@ -200,15 +199,6 @@ impl JobTable {
             e.watchdog = Some(Arc::clone(&watchdog));
         }
         watchdog.note_progress();
-        // Test hook: simulate a hung run. Sleeps in small steps so a
-        // reaped job's worker exits promptly instead of oversleeping.
-        if let Some(hang) = spec.hang_ms {
-            let mut waited = 0u64;
-            while waited < hang && !cancelled.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(5));
-                waited += 5;
-            }
-        }
         let outcome = if cancelled.load(Ordering::Acquire) {
             None
         } else {
@@ -232,6 +222,16 @@ impl JobTable {
         }
         drop(jobs);
         release(&slot_released);
+    }
+
+    /// Fails a job that will never get a worker, so whoever streams it
+    /// reads a typed `done` line instead of polling `queued` for the life
+    /// of the daemon. A job that already left `Queued` is left alone.
+    pub fn fail_queued(&self, id: &str, kind: &str, detail: String) {
+        let mut jobs = self.jobs.lock().expect("job table poisoned");
+        if let Some(e) = jobs.get_mut(id).filter(|e| e.state == JobState::Queued) {
+            e.state = JobState::Failed { kind: kind.to_string(), detail };
+        }
     }
 
     /// Fails every `Running` job whose wall-clock watchdog has tripped,
@@ -394,5 +394,21 @@ mod tests {
                 r#"{"job": "z", "state": "queued", "machine": "tls", "scheme": "bulk", "runtime": "sim", "seed": 42}"#
             )
         );
+    }
+
+    #[test]
+    fn fail_queued_is_terminal_for_a_queued_job_and_a_no_op_afterwards() {
+        let table = JobTable::new(1, 0, 16);
+        let spec = r#"{"id": "j", "machine": "tm", "app": "cb", "scheme": "bulk", "txs": 1}"#;
+        let id = table.submit(JobSpec::parse(spec).unwrap()).unwrap();
+        table.fail_queued(&id, "spawn-failed", "no thread".to_string());
+        let failed =
+            JobState::Failed { kind: "spawn-failed".to_string(), detail: "no thread".to_string() };
+        assert_eq!(table.state(&id), Some(failed.clone()));
+        // A worker that shows up late leaves the typed state alone, and so
+        // does a second failure.
+        table.run(&id);
+        table.fail_queued(&id, "other", String::new());
+        assert_eq!(table.state(&id), Some(failed));
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end daemon tests: concurrent mixed-runtime jobs, streaming
 //! determinism, a parse-checked Prometheus scrape under load, the
-//! hung-job watchdog, and clients that send nothing or never stop.
+//! hung-job watchdog, and clients that send nothing, never stop or hang up.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -24,6 +24,31 @@ fn start(max_jobs: usize, default_timeout_ms: u64) -> Arc<bulkd::DaemonHandle> {
 
 fn submit(handle: &bulkd::DaemonHandle, spec: &str) -> Submission {
     client::submit_spec(&handle.ingest_addr().to_string(), spec).expect("submit I/O")
+}
+
+/// Polls `cond` until it holds; the daemon's state is only visible through
+/// its sockets, so there is nothing to block on.
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// The `state` the daemon's `status` listing reports for `job`.
+fn job_state(handle: &bulkd::DaemonHandle, job: &str) -> Option<String> {
+    let status = client::control(&handle.ingest_addr().to_string(), "status").expect("status");
+    let entry = &status[status.find(&format!("\"job\": \"{job}\""))?..];
+    client::extract_str_field(entry, "state")
+}
+
+/// One series of a sim TM Bulk job, from a live scrape; 0 before it exists.
+fn tm_bulk_job_metric(handle: &bulkd::DaemonHandle, job: &str, name: &str) -> f64 {
+    let body = client::scrape(&handle.http_addr().to_string()).expect("scrape");
+    let parsed = bulk_obs::prometheus::parse_exposition(&body).expect("parse");
+    let labels = [("job", job), ("machine", "tm"), ("scheme", "bulk"), ("runtime", "sim")];
+    parsed.value(name, &labels).unwrap_or(0.0)
 }
 
 #[test]
@@ -144,10 +169,10 @@ fn same_spec_and_seed_streams_byte_identical_jsonl() {
 #[test]
 fn hung_job_is_reaped_as_typed_timeout_and_daemon_survives() {
     let handle = start(2, 30_000);
-    // hang_ms far exceeds the job's own 80 ms budget: the supervisor
-    // must fail the job with a typed liveness violation.
-    let hung = r#"{"id": "wedge", "machine": "tm", "app": "cb", "scheme": "bulk", "seed": 3, "timeout_ms": 80, "hang_ms": 60000}"#;
-    let t0 = Instant::now();
+    // A real run of 8 × 1500 transactions: about a second of work
+    // optimised and ten in a debug build, against a 50 ms budget. The
+    // supervisor must fail the job with a typed liveness violation.
+    let hung = r#"{"id": "wedge", "machine": "tm", "app": "cb", "scheme": "bulk", "seed": 3, "txs": 1500, "timeout_ms": 50}"#;
     let r = submit(&handle, hung);
     assert!(!r.ok(), "hung job must not complete: {}", r.last());
     assert!(
@@ -161,8 +186,8 @@ fn hung_job_is_reaped_as_typed_timeout_and_daemon_survives() {
         r.last()
     );
     assert!(
-        t0.elapsed() < Duration::from_secs(20),
-        "reaper must fire on the timeout, not on hang_ms"
+        tm_bulk_job_metric(&handle, "wedge", "bulk_tm_commits") < 8.0 * 1500.0,
+        "reaper must fire on the timeout, not when the run ends"
     );
     // The daemon is still fully operational afterwards.
     let after = submit(
@@ -177,6 +202,32 @@ fn hung_job_is_reaped_as_typed_timeout_and_daemon_survives() {
         Some(1.0),
         "reap counter must record the kill"
     );
+    // The abandoned worker runs on to the end (the cycle totals are the
+    // last thing a run publishes); its late result must not overwrite the
+    // typed failure.
+    wait_until("the abandoned run ends", || {
+        tm_bulk_job_metric(&handle, "wedge", "bulk_tm_cycles_total") > 0.0
+    });
+    thread::sleep(Duration::from_millis(100));
+    assert_eq!(job_state(&handle, "wedge").as_deref(), Some("failed"));
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn a_job_whose_client_hangs_up_unread_still_reaches_a_terminal_state() {
+    let handle = start(2, 30_000);
+    {
+        let mut gone = TcpStream::connect(handle.ingest_addr()).expect("connect");
+        gone.write_all(b"{\"id\": \"orphan\", \"machine\": \"tm\", \"app\": \"cb\", \"scheme\": \"bulk\"}\n")
+            .expect("send");
+        // Dropped without reading a byte: whichever reply the daemon fails
+        // to write, the job it registered must not stay `queued`.
+    }
+    wait_until("the orphaned job ends", || {
+        matches!(job_state(&handle, "orphan").as_deref(), Some("done" | "failed"))
+    });
+    assert_eq!(job_state(&handle, "orphan").as_deref(), Some("done"));
     handle.shutdown();
     handle.wait();
 }
@@ -200,9 +251,18 @@ fn control_protocol_and_error_lines_keep_the_connection_usable() {
     assert!(ok.ok());
     let dup = submit(&handle, r#"{"id": "dup", "machine": "tm", "app": "cb", "scheme": "eager"}"#);
     assert!(dup.last().contains("already exists"), "got: {}", dup.last());
+    // An id is data: quotes and backslashes come back to the client as
+    // sent, and a NUL (which no thread can be named after) still runs.
+    let quoted = submit(&handle, r#"{"id": "a\"b\\c", "machine": "tm", "app": "cb", "scheme": "eager"}"#);
+    assert!(quoted.ok(), "got: {}", quoted.last());
+    assert_eq!(quoted.job.as_deref(), Some("a\"b\\c"));
+    let nul = submit(&handle, "{\"id\": \"n\\u0000l\", \"machine\": \"tm\", \"app\": \"cb\", \"scheme\": \"eager\"}");
+    assert!(nul.ok(), "got: {}", nul.last());
+    assert_eq!(nul.job.as_deref(), Some("n\0l"));
     // Status reports every job the daemon has seen.
     let status = client::control(&addr, "status").unwrap();
     assert!(status.contains("\"job\": \"dup\""), "got: {status}");
+    assert!(status.contains(r#""job": "a\"b\\c""#), "got: {status}");
     // /jobs and /healthz are served; unknown paths 404.
     let (code, body) = client::http_get(&handle.http_addr().to_string(), "/jobs").unwrap();
     assert_eq!(code, 200);

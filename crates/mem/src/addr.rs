@@ -105,19 +105,6 @@ impl WordAddr {
     pub fn line(self, line_bytes: u32) -> LineAddr {
         self.to_addr().line(line_bytes)
     }
-
-    /// Returns this word's index within its line (0-based).
-    ///
-    /// ```
-    /// use bulk_mem::Addr;
-    /// // Word 5 of a 64-byte (16-word) line.
-    /// let w = Addr::new(64 + 5 * 4).word();
-    /// assert_eq!(w.index_in_line(64), 5);
-    /// ```
-    #[inline]
-    pub fn index_in_line(self, line_bytes: u32) -> u32 {
-        self.0 & (line_bytes / 4 - 1)
-    }
 }
 
 impl fmt::Display for WordAddr {
@@ -204,12 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn word_index_in_line() {
+    fn every_word_of_a_line_maps_back_to_it() {
         let l = LineAddr::new(7);
         for i in 0..16 {
-            let w = l.word(64, i);
-            assert_eq!(w.index_in_line(64), i);
-            assert_eq!(w.line(64), l);
+            assert_eq!(l.word(64, i).line(64), l);
         }
     }
 

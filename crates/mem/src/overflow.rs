@@ -64,13 +64,6 @@ impl OverflowArea {
         self.lines.contains(&line)
     }
 
-    /// Removes `line` from the area if present, counting one access.
-    /// Returns whether it was present.
-    pub fn reclaim(&mut self, line: LineAddr) -> bool {
-        self.accesses += 1;
-        self.lines.remove(&line)
-    }
-
     /// Walks the whole area (as a conventional lazy scheme does when
     /// disambiguating a commit against overflowed addresses). Counts one
     /// access per held line, and returns the lines intersecting `probe`.
@@ -158,15 +151,6 @@ mod tests {
         assert!(o.lookup(l));
         assert_eq!(o.accesses(), 2, "spills are not consultations");
         assert_eq!(o.len(), 1);
-    }
-
-    #[test]
-    fn reclaim_removes() {
-        let mut o = OverflowArea::new();
-        o.spill(LineAddr::new(1));
-        assert!(o.reclaim(LineAddr::new(1)));
-        assert!(!o.reclaim(LineAddr::new(1)));
-        assert!(o.is_empty());
     }
 
     #[test]

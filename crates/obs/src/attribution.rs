@@ -42,11 +42,6 @@ impl Verdict {
             (false, true) => Verdict::FalseNegative,
         }
     }
-
-    /// Whether the signature decision agreed with the oracle.
-    pub fn is_correct(self) -> bool {
-        matches!(self, Verdict::TruePositive | Verdict::TrueNegative)
-    }
 }
 
 /// Counters for the four [`Verdict`] outcomes of a disambiguation site.
@@ -100,8 +95,6 @@ mod tests {
         assert_eq!(Verdict::classify(true, false), Verdict::FalsePositive);
         assert_eq!(Verdict::classify(false, false), Verdict::TrueNegative);
         assert_eq!(Verdict::classify(false, true), Verdict::FalseNegative);
-        assert!(Verdict::TrueNegative.is_correct());
-        assert!(!Verdict::FalsePositive.is_correct());
     }
 
     #[test]

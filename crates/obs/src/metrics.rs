@@ -8,7 +8,7 @@
 //! allocation and no formatting. Serialization ([`Registry::to_json`])
 //! walks the registry in name order, so two runs that record the same
 //! values produce byte-identical JSON — the property the determinism
-//! tests and the `BENCH_*.json` trajectory rely on.
+//! tests and the golden digests rely on.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -328,8 +328,8 @@ impl Registry {
     }
 
     /// [`Registry::to_json`] with every line prefixed by `base` — for
-    /// embedding the object inside an outer JSON document (the
-    /// `BENCH_*.json` metrics block).
+    /// embedding the object inside an outer JSON document (the CLI's
+    /// `--metrics-out` file).
     pub fn to_json_indented(&self, base: &str) -> String {
         let inner = self.inner.lock().expect("registry poisoned");
         let mut out = String::new();

@@ -268,11 +268,6 @@ pub fn encode(scopes: &[Scope<'_>]) -> String {
     out
 }
 
-/// [`encode`] of a single unlabelled registry.
-pub fn encode_registry(registry: &Registry) -> String {
-    encode(&[Scope::unlabelled(registry)])
-}
-
 /// One parsed sample line of an exposition document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedSample {
@@ -604,7 +599,7 @@ mod tests {
     fn empty_histogram_summary_is_nan_and_still_validates() {
         let reg = Registry::new();
         reg.histogram("h", &[1]);
-        let text = encode_registry(&reg);
+        let text = encode(&[Scope::unlabelled(&reg)]);
         assert!(text.contains("bulk_h_summary{quantile=\"0.5\"} NaN"));
         validate(&text).unwrap();
     }

@@ -134,13 +134,6 @@ impl SealedSignature {
         self.payload = Signature::from_flat_bits(self.payload.config().clone(), &bits);
     }
 
-    /// Whether [`corrupt_bit`] has damaged the in-flight payload.
-    ///
-    /// [`corrupt_bit`]: SealedSignature::corrupt_bit
-    pub fn was_corrupted(&self) -> bool {
-        self.pristine.is_some()
-    }
-
     /// Receiver-side CRC check of the in-flight payload.
     pub fn verify(&self) -> bool {
         signature_crc(&self.payload) == self.crc
@@ -214,7 +207,6 @@ mod tests {
         for bit in (0..bits).step_by(7) {
             let mut sealed = SealedSignature::seal(sig.clone());
             sealed.corrupt_bit(bit);
-            assert!(sealed.was_corrupted());
             let d = sealed.open();
             assert!(d.corruption_detected, "flip of bit {bit} went undetected");
             assert!(!d.silent_corruption);

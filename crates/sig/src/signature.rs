@@ -353,19 +353,6 @@ impl Signature {
         acc.iter().fold(0, |a, &x| a | x)
     }
 
-    /// Number of set bits in V-field `i`, as a lane loop.
-    #[inline]
-    fn field_popcount(&self, i: usize) -> u64 {
-        let r = self.cfg().field_word_range(i);
-        let mut acc = [0u64; LANES];
-        for blk in &self.buf[r.start / LANES..r.end / LANES] {
-            for l in 0..LANES {
-                acc[l] += blk.0[l].count_ones() as u64;
-            }
-        }
-        acc.iter().sum()
-    }
-
     /// The emptiness test of Table 1: true iff at least one V-field is
     /// all-zero, in which case the signature encodes no address.
     pub fn is_empty(&self) -> bool {
@@ -467,16 +454,6 @@ impl Signature {
         Signature { config: Some(config), buf }
     }
 
-    /// Non-panicking [`Signature::union`] for wire-derived signatures.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigMismatch`] when the configurations differ.
-    pub fn try_union(&self, other: &Signature) -> Result<Signature, ConfigMismatch> {
-        self.try_check_compatible(other)?;
-        Ok(self.union(other))
-    }
-
     /// In-place union.
     ///
     /// # Panics
@@ -490,18 +467,6 @@ impl Signature {
                 a.0[l] |= b.0[l];
             }
         }
-    }
-
-    /// Non-panicking [`Signature::union_assign`] for wire-derived
-    /// signatures.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigMismatch`] when the configurations differ.
-    pub fn try_union_assign(&mut self, other: &Signature) -> Result<(), ConfigMismatch> {
-        self.try_check_compatible(other)?;
-        self.union_assign(other);
-        Ok(())
     }
 
     /// Overwrites this signature's bits with `other`'s (one lane-width
@@ -518,36 +483,6 @@ impl Signature {
     /// Clears the signature — the paper's one-instruction commit (§5.1).
     pub fn clear(&mut self) {
         self.buf.fill(LaneBlock::default());
-    }
-
-    /// Fraction of the signature's bits that are set (its "fill ratio"),
-    /// the quantity that drives aliasing.
-    ///
-    /// ```
-    /// use bulk_sig::{Signature, SignatureConfig};
-    /// let s = Signature::new(SignatureConfig::s14_tm());
-    /// assert_eq!(s.fill_ratio(), 0.0);
-    /// ```
-    pub fn fill_ratio(&self) -> f64 {
-        self.popcount() as f64 / self.cfg().size_bits() as f64
-    }
-
-    /// Analytic estimate of the probability that `self ∩ other ≠ ∅` for
-    /// *independent* address sets — the Bloom-filter false-positive model:
-    /// per V-field, `1 - (1 - fill_self)^(popcount_other)` composed over
-    /// fields. Useful for sizing signatures before running a workload;
-    /// real address streams are correlated, so measured rates differ.
-    pub fn estimated_collision_rate(&self, other: &Signature) -> f64 {
-        self.check_compatible(other);
-        let mut p = 1.0;
-        for i in 0..self.cfg().num_fields() {
-            let range = self.cfg().field_range(i);
-            let bits = (range.end - range.start) as f64;
-            let mine = self.field_popcount(i) as f64;
-            let theirs = other.field_popcount(i) as f64;
-            p *= 1.0 - (1.0 - mine / bits).powf(theirs);
-        }
-        p
     }
 
     /// Total number of set bits across all V-fields.
@@ -945,47 +880,18 @@ mod tests {
     }
 
     #[test]
-    fn try_ops_reject_mixed_configs_without_panicking() {
+    fn try_intersects_rejects_mixed_configs_without_panicking() {
         let a = Signature::new(SignatureConfig::s14_tm());
         let b = Signature::new(small());
         let err = a.try_intersects(&b).unwrap_err();
         assert_eq!(err.left_bits, 2048);
         assert_eq!(err.right_bits, 32);
         assert!(err.to_string().contains("incompatible"));
-        assert!(a.try_union(&b).is_err());
-        let mut c = Signature::new(SignatureConfig::s14_tm());
-        assert!(c.try_union_assign(&b).is_err());
 
         // Matching configs behave like the panicking operators.
         let mut d = Signature::new(SignatureConfig::s14_tm());
         d.insert_key(42);
         assert_eq!(a.try_intersects(&d).unwrap(), a.intersects(&d));
-        assert_eq!(a.try_union(&d).unwrap(), a.union(&d));
-        assert!(c.try_union_assign(&d).is_ok());
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    fn fill_ratio_and_estimate_behave() {
-        let cfg = SignatureConfig::s14_tm().into_shared();
-        let mut a = Signature::with_shared(cfg.clone());
-        let mut b = Signature::with_shared(cfg.clone());
-        assert_eq!(a.estimated_collision_rate(&b), 0.0);
-        for k in 0..22u32 {
-            a.insert_key(k.wrapping_mul(2654435761) % (1 << 26));
-        }
-        for k in 100..168u32 {
-            b.insert_key(k.wrapping_mul(2654435761) % (1 << 26));
-        }
-        assert!(a.fill_ratio() > 0.0 && a.fill_ratio() < 0.05);
-        let p = a.estimated_collision_rate(&b);
-        assert!(p > 0.0 && p < 1.0, "p = {p}");
-        // Denser signatures collide more.
-        let mut dense = Signature::with_shared(cfg);
-        for k in 0..500u32 {
-            dense.insert_key(k.wrapping_mul(48271) % (1 << 26));
-        }
-        assert!(dense.estimated_collision_rate(&b) > p);
     }
 
     #[test]

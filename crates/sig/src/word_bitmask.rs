@@ -16,11 +16,6 @@ use crate::{Granularity, Signature};
 pub struct WordBitmask(u64);
 
 impl WordBitmask {
-    /// Builds a mask directly from raw bits (bit *i* = word *i* updated).
-    pub const fn from_bits(bits: u64) -> Self {
-        WordBitmask(bits)
-    }
-
     /// The raw bits.
     pub const fn bits(self) -> u64 {
         self.0
@@ -113,7 +108,7 @@ mod tests {
     fn merge_takes_local_words_only_where_masked() {
         let committed: Vec<u64> = (0..16).map(|i| 100 + i).collect();
         let local: Vec<u64> = (0..16).map(|i| 200 + i).collect();
-        let mask = WordBitmask::from_bits(0b101);
+        let mask = WordBitmask(0b101);
         let merged = merge_line(&committed, &local, mask);
         assert_eq!(merged[0], 200);
         assert_eq!(merged[1], 101);

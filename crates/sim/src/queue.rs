@@ -71,11 +71,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 
-    /// The time of the earliest event, if any.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -113,7 +108,6 @@ mod tests {
         q.push(5, 'x');
         q.push(1, 'y');
         q.push(5, 'z');
-        assert_eq!(q.peek_time(), Some(1));
         assert_eq!(q.pop(), Some((1, 'y')));
         assert_eq!(q.pop(), Some((5, 'x')));
         assert_eq!(q.pop(), Some((5, 'z')));

@@ -320,10 +320,6 @@ pub struct JobSpec {
     /// Wall-clock budget for the run; the daemon's default applies if
     /// absent. `0` disables the watchdog for this job.
     pub timeout_ms: Option<u64>,
-    /// Test hook: stall the worker this long *before* running, so a
-    /// hung job (and the watchdog that reaps it) can be exercised
-    /// deterministically.
-    pub hang_ms: Option<u64>,
 }
 
 impl JobSpec {
@@ -340,7 +336,6 @@ impl JobSpec {
             txs: None,
             tasks: None,
             timeout_ms: None,
-            hang_ms: None,
         }
     }
 
@@ -395,7 +390,6 @@ impl JobSpec {
                 "txs" => spec.txs = Some(take_num(&key, value)?),
                 "tasks" => spec.tasks = Some(take_num(&key, value)?),
                 "timeout_ms" => spec.timeout_ms = Some(take_num(&key, value)?),
-                "hang_ms" => spec.hang_ms = Some(take_num(&key, value)?),
                 _ => return Err(JobSpecError::UnknownKey(key)),
             }
         }
@@ -436,9 +430,6 @@ impl JobSpec {
         }
         if let Some(v) = self.timeout_ms {
             out.push_str(&format!(", \"timeout_ms\": {v}"));
-        }
-        if let Some(v) = self.hang_ms {
-            out.push_str(&format!(", \"hang_ms\": {v}"));
         }
         out.push('}');
         out
@@ -520,6 +511,13 @@ mod tests {
         assert_eq!(
             JobSpec::parse(r#"{"machine": "tm", "app": "mc", "scheme": "bulk", "sede": 3}"#),
             Err(JobSpecError::UnknownKey("sede".to_string()))
+        );
+        // The retired stall hook: a client must not be able to park a worker.
+        assert_eq!(
+            JobSpec::parse(
+                r#"{"machine": "tm", "app": "mc", "scheme": "bulk", "timeout_ms": 0, "hang_ms": 60000}"#
+            ),
+            Err(JobSpecError::UnknownKey("hang_ms".to_string()))
         );
         assert!(matches!(
             JobSpec::parse(r#"{"machine": "gpu", "app": "mc", "scheme": "bulk"}"#),

@@ -6,6 +6,9 @@
 # 2. One recycler: the thread-local signature pool (DESIGN.md §11). The
 #    `SignatureArena` and the `_with` forks it bred stay deleted.
 # 3. No build-time knob: the stress smoke is an ordinary test.
+# 4. One benchmark system: the ledger (benchmark/) times code and
+#    crates/bench draws the paper's figures. The `cargo bench` suites,
+#    their gate and the `hang_ms` wire hook stay deleted.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -13,11 +16,17 @@ cd "$(dirname "$0")/.."
 
 fail=0
 
-# Lines before each file's first #[cfg(test)], as scripts/loc.sh counts them.
+# Prints the lines of FILE... that match REGEX and come before the file's
+# first #[cfg(test)] (what scripts/loc.sh counts); succeeds on a hit.
+nontest_hits() { # REGEX FILE...
+  local re=$1; shift
+  awk -v re="$re" 'FNR == 1 { test = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+                   !test && $0 ~ re { print FILENAME ":" FNR ":" $0; hit = 1 }
+                   END { exit !hit }' "$@"
+}
+
 mapfile -t files < <(find crates/*/src src -name '*.rs' ! -path crates/sim/src/harness.rs | sort)
-if awk 'FNR == 1 { test = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
-        !test && /verdicts\.record\(|check_no_false_negative\(/ { print FILENAME ":" FNR ":" $0; hit = 1 }
-        END { exit !hit }' "${files[@]}"; then
+if nontest_hits 'verdicts[.]record[(]|check_no_false_negative[(]' "${files[@]}"; then
   echo "one-core guard: verdicts are judged in crates/sim/src/harness.rs (SimHarness::judge) only"
   fail=1
 fi
@@ -29,6 +38,17 @@ fi
 
 if grep -rn 'bulk_stress' crates .github; then
   echo "one-core guard: cfg(bulk_stress) is gone; crates/par/tests/stress.rs is an ordinary test"
+  fail=1
+fi
+
+# `hang_ms` may appear in test code only (one test pins it as an unknown key).
+retired=0
+grep -rnE 'BenchSuite|bench_diff|BULK_BENCH_OUT' crates src tests examples .github && retired=1
+grep -n '^\[\[bench\]\]' crates/*/Cargo.toml && retired=1
+grep -rn 'hang_ms' examples .github && retired=1
+nontest_hits 'hang_ms' "${files[@]}" crates/sim/src/harness.rs && retired=1
+if [ "$retired" -eq 1 ]; then
+  echo "one-core guard: the ledger is the one benchmark system; no cargo-bench suite, gate or hang_ms hook"
   fail=1
 fi
 

@@ -26,8 +26,9 @@ fi
 echo "front-door guard: OK"
 
 # One-core guard (DESIGN.md §16): one verdict (SimHarness::judge), one
-# signature recycler (the thread-local pool), no cfg-gated test.
-echo "== one-core guard (one verdict, one recycler, no cfg knob)"
+# signature recycler (the thread-local pool), no cfg-gated test, one
+# benchmark system (no cargo-bench suite, no hang_ms wire hook).
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"
