@@ -45,8 +45,11 @@ pub enum RecordKind {
     Fence,
 }
 
-/// One broadcast on the bus: the write signature plus the exact oracle
-/// sets the auditor replays after the run.
+/// One broadcast on the bus, holding what the paper's bus carries: a
+/// commit is its write signature `W_C` (§1 — `R` never leaves the
+/// processor), a non-transactional store is its address, which receivers
+/// test by membership (§4.2). Beside it rides the exact written lines,
+/// the oracle that verdicts and the post-run audit replay.
 #[derive(Debug)]
 pub struct BusRecord {
     /// Exactly-once identity: `(committer, serial)` under the epoch the
@@ -54,18 +57,20 @@ pub struct BusRecord {
     pub ticket: CommitTicket,
     /// Publishing thread (TM) or task (TLS).
     pub thread: u32,
-    /// The publisher's commit ordinal (0 for non-transactional stores'
-    /// position-independent records this is the store count).
+    /// The record's position in its publisher's program order. A TM
+    /// commit carries how many transactions its thread committed before
+    /// it, a non-transactional store how many such stores its thread
+    /// published before it; a fence and a TLS task (whose `thread` is
+    /// already its place in the task order) carry 0.
     pub ordinal: u64,
-    /// Transaction commit or individual store.
+    /// Transaction commit, individual store or fence.
     pub kind: RecordKind,
-    /// The broadcast write signature (`None` for exact-set schemes).
+    /// The broadcast write signature: `Some` only on a commit under a
+    /// signature scheme. A store, a fence and every exact-set record
+    /// carry `None`.
     pub w_sig: Option<Signature>,
-    /// Exact written lines — the oracle the auditor replays.
+    /// Exact written lines — a store's one line; the oracle for a commit.
     pub exact_w: Vec<LineAddr>,
-    /// Exact read lines of the committed transaction (audit only; the
-    /// paper never broadcasts `R`).
-    pub exact_r: Vec<LineAddr>,
     /// Log length the publisher had fully validated against when its
     /// claim succeeded. The claim protocol guarantees this equals the
     /// record's own slot index; the auditor asserts it.
@@ -73,8 +78,8 @@ pub struct BusRecord {
 }
 
 impl BusRecord {
-    /// A record of `kind` by `thread` for `slot` with empty sets (all a
-    /// fence carries); a publisher fills in its signature and exact sets.
+    /// A record of `kind` by `thread` for `slot` with an empty write set
+    /// (all a fence carries); a publisher fills in what it broadcasts.
     pub(crate) fn bare(
         ticket: CommitTicket,
         thread: usize,
@@ -89,7 +94,6 @@ impl BusRecord {
             kind,
             w_sig: None,
             exact_w: Vec::new(),
-            exact_r: Vec::new(),
             validated_to: slot,
         }
     }
@@ -195,7 +199,6 @@ mod tests {
             kind: RecordKind::Commit,
             w_sig: None,
             exact_w: Vec::new(),
-            exact_r: Vec::new(),
             validated_to: to,
         }
     }

@@ -8,7 +8,7 @@
 //! predecessor's against `R`), when it may claim a slot, and what a
 //! squash rewinds.
 
-use crate::bus::{BusLog, BusRecord};
+use crate::bus::{BusLog, BusRecord, RecordKind};
 use crate::config::{ParConfig, StressConfig};
 use crate::recover::{Halt, RunControl};
 use crate::stats::WorkerStats;
@@ -88,37 +88,38 @@ impl SpecSets {
 
     /// Does `rec`'s write set hit what was read here — or, `with_writes`,
     /// read or written?
+    ///
+    /// Under a signature scheme a commit's `W_C` is intersected and a
+    /// store's address is tested by membership (§4.2, the sim's
+    /// `Bdm::disambiguate_addr`) — the answer a one-line signature's
+    /// intersection gives, without building one.
     pub(crate) fn verdict(&self, rec: &BusRecord, with_writes: bool) -> Verdict {
         let exact = rec
             .exact_w
             .iter()
             .any(|l| self.exact_r.contains(l) || (with_writes && self.exact_w.contains(l)));
-        let sig = rec.w_sig.as_ref().map(|w| {
-            w.intersects(&self.r_sig) || (with_writes && w.intersects(&self.w_sig))
-        });
+        let sig = match &rec.w_sig {
+            Some(w) => {
+                Some(w.intersects(&self.r_sig) || (with_writes && w.intersects(&self.w_sig)))
+            }
+            None if self.use_sigs && rec.kind == RecordKind::NonTxStore => {
+                Some(rec.exact_w.iter().any(|&l| {
+                    self.r_sig.contains_line(l) || (with_writes && self.w_sig.contains_line(l))
+                }))
+            }
+            None => None,
+        };
         Verdict { exact, sig }
     }
 
-    /// A signature holding exactly `line` (`None` for exact-set schemes).
-    pub(crate) fn signature_of(&self, line: LineAddr) -> Option<Signature> {
-        self.use_sigs.then(|| {
-            let mut s = Signature::with_shared(self.sig_config.clone());
-            s.insert_line(line);
-            s
-        })
-    }
-
-    /// What a commit broadcasts — a copy of `W`, the exact sets sorted —
-    /// as `(w_sig, exact_w, exact_r)`. It changes nothing, so a publisher
-    /// builds it before it claims a slot (DESIGN.md §18).
-    pub(crate) fn commit_payload(&self) -> (Option<Signature>, Vec<LineAddr>, Vec<LineAddr>) {
-        let sorted = |set: &AddrSet<LineAddr>| {
-            let mut v: Vec<LineAddr> = set.iter().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        let w_sig = self.use_sigs.then(|| self.w_sig.clone());
-        (w_sig, sorted(&self.exact_w), sorted(&self.exact_r))
+    /// What a commit broadcasts — a copy of `W` and the exact written
+    /// lines, sorted — as `(w_sig, exact_w)`; `R` is not read. It changes
+    /// nothing, so a publisher builds it before it claims a slot
+    /// (DESIGN.md §18).
+    pub(crate) fn commit_payload(&self) -> (Option<Signature>, Vec<LineAddr>) {
+        let mut exact_w: Vec<LineAddr> = self.exact_w.iter().copied().collect();
+        exact_w.sort_unstable();
+        (self.use_sigs.then(|| self.w_sig.clone()), exact_w)
     }
 
     /// The signatures as they stand, in the form a context switch would
@@ -447,12 +448,19 @@ mod tests {
         sets
     }
 
+    fn peer_bare(kind: RecordKind) -> BusRecord {
+        BusRecord::bare(CommitTicket { epoch: 0, committer: 1, serial: 0 }, 1, 0, kind, 0)
+    }
+
     /// A peer's commit of `writes`, as the bus would carry it.
     fn peer_record(writes: &[u32]) -> BusRecord {
-        let (w_sig, exact_w, exact_r) = sets_after(&[], writes).commit_payload();
-        let ticket = CommitTicket { epoch: 0, committer: 1, serial: 0 };
-        let bare = BusRecord::bare(ticket, 1, 0, RecordKind::Commit, 0);
-        BusRecord { w_sig, exact_w, exact_r, ..bare }
+        let (w_sig, exact_w) = sets_after(&[], writes).commit_payload();
+        BusRecord { w_sig, exact_w, ..peer_bare(RecordKind::Commit) }
+    }
+
+    /// A peer's non-transactional store to `a`: its line and no signature.
+    fn peer_store(a: u32) -> BusRecord {
+        BusRecord { exact_w: vec![Addr::new(a).line(64)], ..peer_bare(RecordKind::NonTxStore) }
     }
 
     #[test]
@@ -478,23 +486,21 @@ mod tests {
 
         // A commit attempt that lost its claim: the payload was built and
         // dropped. The sets must still answer as if it never was.
-        let (w_sig, exact_w, exact_r) = sets.commit_payload();
+        let (w_sig, exact_w) = sets.commit_payload();
         let line = |a| Addr::new(a).line(64);
         assert_eq!(exact_w, vec![line(0x2000), line(0x2040)]);
-        assert_eq!(exact_r, vec![line(0x1000), line(0x1040), line(0x9000)]);
         let w_sig = w_sig.expect("Bulk broadcasts W");
         assert!(exact_w.iter().all(|&l| w_sig.contains_line(l)), "containment");
         drop(w_sig);
         assert_eq!(verdicts(&sets), before);
         // The retry's payload is the same broadcast.
-        let (again, exact_w2, exact_r2) = sets.commit_payload();
-        assert_eq!((exact_w2, exact_r2), (exact_w, exact_r));
-        assert_eq!(again, Some(sets.spilled().w));
+        assert_eq!(sets.commit_payload(), (Some(sets.spilled().w), exact_w));
     }
 
     /// The two substrates give one answer: `SpecSets` (par) and a `Bdm`
-    /// (sim) fed the same accesses disambiguate a `W_C` alike, the exact
-    /// halves are plain set intersections, and no verdict is ever a miss.
+    /// (sim) fed the same accesses disambiguate a `W_C` — and a store's
+    /// address — alike, the exact halves are plain set intersections, and
+    /// no verdict is ever a miss.
     #[test]
     fn verdicts_agree_with_a_bdm_fed_the_same_accesses() {
         use bulk_core::Bdm;
@@ -521,7 +527,23 @@ mod tests {
             prop_assert_eq!(tls.sig, Some(d.conflicts_read));
             prop_assert_eq!(tm.exact, hits(&r) || hits(&w));
             prop_assert_eq!(tls.exact, hits(&r));
-            for v in [tm, tls] {
+            let mut verdicts = vec![tm, tls];
+
+            // A store, half the time to a line this worker touched.
+            let touched: Vec<u32> = r.iter().chain(&w).copied().collect();
+            let a = match touched.len() {
+                n if n > 0 && g.bool() => touched[g.in_range(0..n)],
+                _ => g.in_range(0..4096u32) << 6,
+            };
+            let (store, l) = (peer_store(a), Addr::new(a).line(64));
+            let (tm, tls) = (sets.verdict(&store, true), sets.verdict(&store, false));
+            prop_assert_eq!(tm.sig, Some(bdm.disambiguate_addr(v, Addr::new(a))));
+            prop_assert_eq!(tls.sig, Some(bdm.read_signature(v).contains_line(l)));
+            prop_assert_eq!(tm.exact, r.contains(&a) || w.contains(&a));
+            prop_assert_eq!(tls.exact, r.contains(&a));
+            verdicts.extend([tm, tls]);
+
+            for v in verdicts {
                 let class = Class::classify(v.sig == Some(true), v.exact);
                 prop_assert_ne!(class, Class::FalseNegative);
                 seen[class as usize] += 1;
@@ -529,6 +551,30 @@ mod tests {
             Ok(())
         });
         assert!(seen.iter().all(|&n| n > 0), "TP, FP and TN must all occur: {seen:?}");
+    }
+
+    /// A store to a line nobody read squashes only when the address aliases
+    /// in `R` — found here by asking the signature itself — and is then
+    /// attributed to aliasing; an exact-set scheme gives it no signature
+    /// verdict at all.
+    #[test]
+    fn an_aliasing_only_store_is_a_false_positive() {
+        let reads: Vec<u32> = (0..512u32).map(|i| (i * 37) << 6).collect();
+        let sets = sets_after(&reads, &[]);
+        let r_sig = sets.spilled().r;
+        let alias = (0..1u32 << 20)
+            .map(|line| line << 6)
+            .find(|a| !reads.contains(a) && r_sig.contains_line(Addr::new(*a).line(64)))
+            .expect("512 lines alias somewhere in 2^20");
+        for with_writes in [false, true] {
+            let v = sets.verdict(&peer_store(alias), with_writes);
+            assert_eq!((v.exact, v.sig), (false, Some(true)));
+            assert_eq!(Class::classify(true, v.exact), Class::FalsePositive);
+        }
+        let mut lazy = SpecSets::new(false, SignatureConfig::s14_tm().into_shared());
+        lazy.read(Addr::new(reads[0]));
+        let v = lazy.verdict(&peer_store(reads[0]), false);
+        assert_eq!((v.exact, v.sig), (true, None), "Lazy: the oracle decides");
     }
 
     #[test]

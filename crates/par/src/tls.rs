@@ -197,7 +197,7 @@ fn commit_in_order(
     next_commit: &AtomicUsize,
     ctl: &RunControl,
 ) -> Result<bool, Halt> {
-    let (w_sig, exact_w, exact_r) = sets.commit_payload();
+    let (w_sig, exact_w) = sets.commit_payload();
     // Wait for the in-order commit token, still vulnerable to
     // predecessor commits while waiting.
     while next_commit.load(Ordering::Acquire) != task {
@@ -229,7 +229,7 @@ fn commit_in_order(
     }
     rx.publish(log, ctl, task, |ticket| {
         let bare = BusRecord::bare(ticket, task, 0, RecordKind::Commit, task);
-        BusRecord { w_sig, exact_w, exact_r, ..bare }
+        BusRecord { w_sig, exact_w, ..bare }
     })?;
     next_commit.store(task + 1, Ordering::Release);
     rx.stats.commits += 1;
@@ -355,11 +355,11 @@ mod tests {
         // Task 0 publishes {x}; the token has not been handed on yet.
         let (mut rx0, mut sets0) = (receiver(0), SpecSets::new(true, sig_config));
         sets0.write(x);
-        let (w_sig, exact_w, exact_r) = sets0.commit_payload();
+        let (w_sig, exact_w) = sets0.commit_payload();
         assert!(matches!(rx0.claim(&log, 0), Ok(true)));
         let published = rx0.publish(&log, &ctl, 0, |ticket| {
             let bare = BusRecord::bare(ticket, 0, 0, RecordKind::Commit, 0);
-            BusRecord { w_sig, exact_w, exact_r, ..bare }
+            BusRecord { w_sig, exact_w, ..bare }
         });
         assert!(published.is_ok());
 
@@ -379,7 +379,7 @@ mod tests {
         assert!(matches!(committed, Ok(true)));
         assert_eq!(next_commit.load(Ordering::Acquire), 2);
         let rec = log.get(1).expect("task 1 published");
-        assert_eq!((&rec.exact_w, &rec.exact_r), (&vec![z.line(64)], &vec![x.line(64)]));
+        assert_eq!(rec.exact_w, vec![z.line(64)], "the re-execution's W, not the squashed y");
         assert_eq!(rec.ticket.serial, 1, "serial = task");
 
         // Containment, density, claim == validated prefix, ticket uniqueness.

@@ -98,15 +98,19 @@ pub fn run_par_tm(
             })
         }
     }
+    // One pass per thread checks its nesting and counts its broadcasts —
+    // one per outer transaction and per non-transactional store — so the
+    // log needs only crash-fence slack beyond the sum.
+    let mut capacity = 0;
     for (i, t) in workload.threads.iter().enumerate() {
-        t.validate(MAX_DEPTH)
+        capacity += t
+            .validate(MAX_DEPTH)
             .map_err(|e| RuntimeError::InvalidWorkload(format!("thread {i}: {e}")))?;
     }
 
     let n = workload.threads.len();
     let sig_config = SignatureConfig::s14_tm().into_shared();
     let sets = || SpecSets::new(scheme.uses_signatures(), sig_config.clone());
-    let capacity: usize = workload.threads.iter().map(|t| broadcasts_of(&t.ops)).sum();
     let ctl = RunControl::new(format!("par/tm/{scheme}"), n, cfg);
     // Every crash can orphan at most one claimed slot, which the
     // supervisor fences; the log needs slack for those extra records.
@@ -196,28 +200,6 @@ fn verify_tm_resume(
         )));
     }
     Ok(())
-}
-
-/// Number of bus broadcasts `ops` will publish: one per outer `End`,
-/// one per non-transactional `Write`. Exact, so the log only needs
-/// crash-fence slack beyond it.
-fn broadcasts_of(ops: &[TmOp]) -> usize {
-    let mut depth = 0usize;
-    let mut n = 0usize;
-    for op in ops {
-        match op {
-            TmOp::Begin => depth += 1,
-            TmOp::End => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    n += 1;
-                }
-            }
-            TmOp::Write(_) if depth == 0 => n += 1,
-            _ => {}
-        }
-    }
-    n
 }
 
 /// One incarnation's execution state; its bus state is the [`Receiver`].
@@ -324,13 +306,13 @@ impl<'a> TmWorker<'a> {
     /// attempt.
     fn commit(&mut self, rx: &mut Receiver, log: &BusLog, ctl: &RunControl) -> Result<(), Halt> {
         let (me, ordinal) = (rx.proc, self.boundary.commit_ordinal);
-        let (w_sig, exact_w, exact_r) = self.sets.commit_payload();
+        let (w_sig, exact_w) = self.sets.commit_payload();
         while !self.poll(rx, log, ctl)? {
             let slot = rx.cursor;
             if rx.claim(log, slot)? {
                 rx.publish(log, ctl, slot, |ticket| {
                     let bare = BusRecord::bare(ticket, me, ordinal, RecordKind::Commit, slot);
-                    BusRecord { w_sig, exact_w, exact_r, ..bare }
+                    BusRecord { w_sig, exact_w, ..bare }
                 })?;
                 rx.stats.commits += 1;
                 self.depth = 0;
@@ -343,7 +325,8 @@ impl<'a> TmWorker<'a> {
     }
 
     /// A non-transactional store: ordered on the log like a commit (so
-    /// speculative readers squash on it), but never squashable itself.
+    /// speculative readers squash on it), but never squashable itself. It
+    /// broadcasts its address, not a signature (§4.2).
     fn publish_non_tx_store(
         &mut self,
         rx: &mut Receiver,
@@ -352,14 +335,13 @@ impl<'a> TmWorker<'a> {
         line: LineAddr,
     ) -> Result<(), Halt> {
         let (me, ordinal) = (rx.proc, self.boundary.non_tx_ordinal);
-        let (w_sig, exact_w) = (self.sets.signature_of(line), vec![line]);
+        let exact_w = vec![line];
         loop {
             // Not in a transaction, so poll can't squash us.
             self.poll(rx, log, ctl)?;
             let slot = rx.cursor;
             if rx.claim(log, slot)? {
                 rx.publish(log, ctl, slot, |ticket| BusRecord {
-                    w_sig,
                     exact_w,
                     ..BusRecord::bare(ticket, me, ordinal, RecordKind::NonTxStore, slot)
                 })?;
@@ -405,7 +387,7 @@ mod tests {
             TmOp::End, // outer commit
             TmOp::Write(Addr::new(0xc0)), // non-tx
         ];
-        assert_eq!(broadcasts_of(&ops), 3);
+        assert_eq!(ThreadTrace { ops }.validate(MAX_DEPTH), Ok(3));
     }
 
     #[test]

@@ -294,6 +294,9 @@ impl TlsProfile {
             ops.push(TlsOp::Write(vio_word(i)));
         }
         ops.push(TlsOp::Compute(instrs / 8));
+        // A long workload keeps every task: hand back the growth slack
+        // (a quarter of a 40,000-task trace otherwise).
+        ops.shrink_to_fit();
         TaskTrace { ops }
     }
 }

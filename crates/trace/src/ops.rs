@@ -84,8 +84,13 @@ impl ThreadTrace {
     /// Validates nesting: every `End` has a matching `Begin`, all
     /// transactions are closed by the end of the trace, and transactional
     /// nesting never exceeds `max_depth`.
-    pub fn validate(&self, max_depth: usize) -> Result<(), TraceError> {
-        let mut depth = 0usize;
+    ///
+    /// Returns the number of broadcasts the trace implies — one per
+    /// outermost `End` (a commit) and one per non-transactional `Write`
+    /// (an individual invalidation) — so a runtime that sizes its bus from
+    /// the trace reads it once.
+    pub fn validate(&self, max_depth: usize) -> Result<usize, TraceError> {
+        let (mut depth, mut broadcasts) = (0usize, 0usize);
         for (i, op) in self.ops.iter().enumerate() {
             match op {
                 TmOp::Begin => {
@@ -96,14 +101,16 @@ impl ThreadTrace {
                 }
                 TmOp::End => {
                     depth = depth.checked_sub(1).ok_or(TraceError::UnmatchedEnd { op: i })?;
+                    broadcasts += usize::from(depth == 0);
                 }
+                TmOp::Write(_) => broadcasts += usize::from(depth == 0),
                 _ => {}
             }
         }
         if depth != 0 {
             return Err(TraceError::UnclosedTransactions { open: depth });
         }
-        Ok(())
+        Ok(broadcasts)
     }
 
     /// Number of transactional memory accesses (within any transaction).
@@ -156,13 +163,13 @@ impl TaskTrace {
     /// Validates the task shape: at most one `Spawn` per task (a task
     /// spawns at most its one successor, paper §2.2).
     pub fn validate(&self) -> Result<(), TraceError> {
-        let mut first = None;
-        for (i, op) in self.ops.iter().enumerate() {
-            if matches!(op, TlsOp::Spawn) {
-                match first {
-                    None => first = Some(i),
-                    Some(f) => return Err(TraceError::MultipleSpawns { first: f, second: i }),
-                }
+        // Counting has no early exit, so it runs branch-free over the ops;
+        // only a defective task is read again, to name the offending pair.
+        let is_spawn = |op: &TlsOp| matches!(op, TlsOp::Spawn);
+        if self.ops.iter().filter(|op| is_spawn(op)).count() > 1 {
+            let mut spawns = self.ops.iter().enumerate().filter(|(_, op)| is_spawn(op));
+            if let (Some((first, _)), Some((second, _))) = (spawns.next(), spawns.next()) {
+                return Err(TraceError::MultipleSpawns { first, second });
             }
         }
         Ok(())
@@ -252,6 +259,132 @@ mod tests {
         assert_eq!(t.validate(), Err(TraceError::MultipleSpawns { first: 0, second: 2 }));
         assert!(TaskTrace { ops: vec![TlsOp::Spawn] }.validate().is_ok());
         assert!(TaskTrace::default().validate().is_ok());
+    }
+
+    /// `ThreadTrace::validate` before it counted: nesting only.
+    fn validate_nesting_only(ops: &[TmOp], max_depth: usize) -> Result<(), TraceError> {
+        let mut depth = 0usize;
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                TmOp::Begin => {
+                    depth += 1;
+                    if depth > max_depth {
+                        return Err(TraceError::NestingTooDeep { depth, op: i, max: max_depth });
+                    }
+                }
+                TmOp::End => {
+                    depth = depth.checked_sub(1).ok_or(TraceError::UnmatchedEnd { op: i })?;
+                }
+                _ => {}
+            }
+        }
+        if depth != 0 {
+            return Err(TraceError::UnclosedTransactions { open: depth });
+        }
+        Ok(())
+    }
+
+    /// The second pass the par runtime used to make over a valid thread:
+    /// one broadcast per outer `End`, one per non-transactional `Write`.
+    fn broadcasts_of(ops: &[TmOp]) -> usize {
+        let mut depth = 0usize;
+        let mut n = 0usize;
+        for op in ops {
+            match op {
+                TmOp::Begin => depth += 1,
+                TmOp::End => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        n += 1;
+                    }
+                }
+                TmOp::Write(_) if depth == 0 => n += 1,
+                _ => {}
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn one_pass_validates_and_counts_like_the_two_it_replaced() {
+        use bulk_rng::check::run;
+        use bulk_rng::{prop_assert, prop_assert_eq};
+
+        let mut seen = [0u32; 4]; // Ok, UnmatchedEnd, Unclosed, TooDeep
+        run("one_pass_validates_and_counts_like_the_two_it_replaced", 512, |g| {
+            // Well-formed threads (every `End` matched, all closed) and
+            // wild ones that lean towards opening, so every defect occurs.
+            let well_formed = g.bool();
+            let max_depth = [1, 2, 8][g.in_range(0..3usize)];
+            let mut ops = Vec::new();
+            let mut depth = 0usize;
+            for _ in 0..g.in_range(0..48usize) {
+                let a = Addr::new(g.in_range(0..64u32) * 4);
+                let op = match g.in_range(0..10u32) {
+                    0..=2 if !well_formed || depth < max_depth => TmOp::Begin,
+                    3..=4 if !well_formed || depth > 0 => TmOp::End,
+                    5..=6 => TmOp::Write(a),
+                    7 => TmOp::Compute(3),
+                    _ => TmOp::Read(a),
+                };
+                match op {
+                    TmOp::Begin => depth += 1,
+                    TmOp::End => depth = depth.saturating_sub(1),
+                    _ => {}
+                }
+                ops.push(op);
+            }
+            if well_formed {
+                ops.extend(std::iter::repeat_n(TmOp::End, depth));
+            }
+            let expected = validate_nesting_only(&ops, max_depth).map(|()| broadcasts_of(&ops));
+            prop_assert!(!well_formed || expected.is_ok(), "generator: {ops:?}");
+            seen[match expected {
+                Ok(_) => 0,
+                Err(TraceError::UnmatchedEnd { .. }) => 1,
+                Err(TraceError::UnclosedTransactions { .. }) => 2,
+                Err(_) => 3,
+            }] += 1;
+            prop_assert_eq!(ThreadTrace { ops }.validate(max_depth), expected);
+            Ok(())
+        });
+        assert!(seen.iter().all(|&n| n > 0), "every outcome must occur: {seen:?}");
+    }
+
+    #[test]
+    fn task_validate_names_the_first_two_spawns_as_the_early_exit_loop_did() {
+        use bulk_rng::check::run;
+        use bulk_rng::prop_assert_eq;
+
+        fn early_exit(ops: &[TlsOp]) -> Result<(), TraceError> {
+            let mut first = None;
+            for (i, op) in ops.iter().enumerate() {
+                if matches!(op, TlsOp::Spawn) {
+                    match first {
+                        None => first = Some(i),
+                        Some(f) => return Err(TraceError::MultipleSpawns { first: f, second: i }),
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        let mut rejected = 0;
+        run("task_validate_names_the_first_two_spawns_as_the_early_exit_loop_did", 256, |g| {
+            let mut ops = g.vec_of(0..40, |g| match g.in_range(0..3u32) {
+                0 => TlsOp::Read(Addr::new(g.in_range(0..256u32) * 4)),
+                1 => TlsOp::Write(Addr::new(g.in_range(0..256u32) * 4)),
+                _ => TlsOp::Compute(g.in_range(1..9u32)),
+            });
+            for _ in 0..g.in_range(0..4u32) {
+                ops.insert(g.in_range(0..ops.len() + 1), TlsOp::Spawn);
+            }
+            let expected = early_exit(&ops);
+            rejected += u32::from(expected.is_err());
+            prop_assert_eq!(TaskTrace { ops }.validate(), expected);
+            Ok(())
+        });
+        assert!((64..192).contains(&rejected), "2–3 spawns in about half the cases: {rejected}");
     }
 
     #[test]

@@ -9,6 +9,10 @@
 # 4. One benchmark system: the ledger (benchmark/) times code and
 #    crates/bench draws the paper's figures. The `cargo bench` suites,
 #    their gate and the `hang_ms` wire hook stay deleted.
+# 5. The par bus carries what the paper's bus carries (DESIGN.md §18): a
+#    record has no read set, a store no signature, and a run reads its
+#    trace and its log once. The old names may live on only as the
+#    reference copies the property tests compare against.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -49,6 +53,14 @@ grep -rn 'hang_ms' examples .github && retired=1
 nontest_hits 'hang_ms' "${files[@]}" crates/sim/src/harness.rs && retired=1
 if [ "$retired" -eq 1 ]; then
   echo "one-core guard: the ledger is the one benchmark system; no cargo-bench suite, gate or hang_ms hook"
+  fail=1
+fi
+
+par_names=0
+nontest_hits 'exact_r' crates/par/src/bus.rs && par_names=1
+nontest_hits '(signature_of|history_of|broadcasts_of)[(]' crates/par/src/*.rs && par_names=1
+if [ "$par_names" -eq 1 ]; then
+  echo "one-core guard: a bus record is W_C or an address; no read set, one-line signature or second pass"
   fail=1
 fi
 
