@@ -74,19 +74,38 @@ pub enum StoreOutcome {
 }
 
 /// A set-associative write-back cache (see module docs).
+///
+/// The ways are stored flat and set-major: set `s` owns the `assoc` ways
+/// from `s * assoc` on, of which the first `len[s]` are resident. `tags`
+/// mirrors each way's address and holds the sentinel `EMPTY` in every way
+/// past `len[s]`, so a lookup is one fixed-length compare over `assoc` tags.
 #[derive(Debug, Clone)]
 pub struct Cache {
     geom: CacheGeometry,
-    sets: Vec<Vec<CacheLine>>,
+    ways: Vec<CacheLine>,
+    tags: Vec<LineAddr>,
+    len: Vec<u8>,
+    set_mask: u32,
     tick: u64,
 }
+
+/// The tag of an empty way. A line address is a byte address shifted right
+/// by at least 2 (lines are at least 4 bytes), so it is at most 2^30 - 1:
+/// no line of the 32-bit space can match this tag.
+const EMPTY: LineAddr = LineAddr::new(u32::MAX);
 
 impl Cache {
     /// Creates an empty cache of the given shape.
     pub fn new(geom: CacheGeometry) -> Self {
+        let n = (geom.size_bytes() / geom.line_bytes()) as usize;
+        let sets = n / geom.assoc() as usize;
+        let vacant = CacheLine { addr: EMPTY, state: LineState::Clean, lru: 0 };
         Cache {
-            sets: vec![Vec::with_capacity(geom.assoc() as usize); geom.num_sets() as usize],
             geom,
+            ways: vec![vacant; n],
+            tags: vec![EMPTY; n],
+            len: vec![0; sets],
+            set_mask: sets as u32 - 1,
             tick: 0,
         }
     }
@@ -97,21 +116,37 @@ impl Cache {
         self.geom
     }
 
-    fn set_index(&self, line: LineAddr) -> usize {
-        self.geom.set_of_line(line) as usize
+    /// The set `line` maps to.
+    #[inline]
+    fn set(&self, line: LineAddr) -> usize {
+        (line.raw() & self.set_mask) as usize
+    }
+
+    /// The way holding `line`, if resident. Scans all `assoc` tags of the
+    /// set: empty ways hold [`EMPTY`], which no line matches, so the scan
+    /// needs neither an early exit nor the set's fill count.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        debug_assert_ne!(line, EMPTY, "the empty-way tag is not a line");
+        let assoc = self.geom.assoc() as usize;
+        let base = self.set(line) * assoc;
+        let tags = &self.tags[base..base + assoc];
+        // Both Table 5 L1s are 4-way: hand the compiler that trip count.
+        let i = match <&[LineAddr; 4]>::try_from(tags) {
+            Ok(four) => scan(four, line),
+            Err(_) => scan(tags, line),
+        };
+        (i != usize::MAX).then(|| base + i)
     }
 
     /// Whether `line` is resident.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.sets[self.set_index(line)].iter().any(|l| l.addr == line)
+        self.find(line).is_some()
     }
 
     /// The state of `line`, or `None` if not resident.
     pub fn state_of(&self, line: LineAddr) -> Option<LineState> {
-        self.sets[self.set_index(line)]
-            .iter()
-            .find(|l| l.addr == line)
-            .map(|l| l.state)
+        self.find(line).map(|w| self.ways[w].state)
     }
 
     /// Performs a load of `line`. Returns `true` on hit. On a miss the line
@@ -127,32 +162,30 @@ impl Cache {
 
     /// Performs a store to `line` (write-allocate).
     pub fn store(&mut self, line: LineAddr) -> StoreOutcome {
-        let set = self.set_index(line);
         self.tick += 1;
-        let tick = self.tick;
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.addr == line) {
-            l.lru = tick;
-            return match l.state {
-                LineState::Dirty => StoreOutcome::HitDirty,
-                LineState::Clean => {
-                    l.state = LineState::Dirty;
-                    StoreOutcome::HitUpgrade
-                }
-            };
+        let Some(w) = self.find(line) else {
+            return StoreOutcome::Miss(self.fill(line, LineState::Dirty));
+        };
+        let l = &mut self.ways[w];
+        l.lru = self.tick;
+        match l.state {
+            LineState::Dirty => StoreOutcome::HitDirty,
+            LineState::Clean => {
+                l.state = LineState::Dirty;
+                StoreOutcome::HitUpgrade
+            }
         }
-        StoreOutcome::Miss(self.fill(line, LineState::Dirty))
     }
 
     /// Updates LRU state for `line` if resident; returns whether it was.
     pub fn touch(&mut self, line: LineAddr) -> bool {
-        let set = self.set_index(line);
         self.tick += 1;
-        let tick = self.tick;
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.addr == line) {
-            l.lru = tick;
-            true
-        } else {
-            false
+        match self.find(line) {
+            Some(w) => {
+                self.ways[w].lru = self.tick;
+                true
+            }
+            None => false,
         }
     }
 
@@ -176,26 +209,40 @@ impl Cache {
         self.fill(line, LineState::Dirty)
     }
 
+    /// Appends `line` to its set, first evicting the LRU way if the set is
+    /// full. Eviction is `Vec::swap_remove` on the set's resident prefix,
+    /// so the per-set order is the one the per-set `Vec` layout produced.
     fn fill(&mut self, line: LineAddr, state: LineState) -> Option<EvictedLine> {
+        assert_ne!(line, EMPTY, "line {line} is the empty-way tag and cannot be cached");
+        debug_assert!(self.find(line).is_none());
         let assoc = self.geom.assoc() as usize;
-        let set_idx = self.set_index(line);
+        let set = self.set(line);
+        let base = set * assoc;
         self.tick += 1;
-        let tick = self.tick;
-        let set = &mut self.sets[set_idx];
-        debug_assert!(!set.iter().any(|l| l.addr == line));
-        let evicted = if set.len() == assoc {
-            let (victim, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .expect("non-empty set");
-            let v = set.swap_remove(victim);
+        let evicted = if self.len[set] as usize == assoc {
+            let victim =
+                (base..base + assoc).min_by_key(|&w| self.ways[w].lru).expect("non-empty set");
+            let v = self.ways[victim];
+            self.remove(set, victim);
             Some(EvictedLine { addr: v.addr, state: v.state })
         } else {
             None
         };
-        set.push(CacheLine { addr: line, state, lru: tick });
+        let w = base + self.len[set] as usize;
+        self.ways[w] = CacheLine { addr: line, state, lru: self.tick };
+        self.tags[w] = line;
+        self.len[set] += 1;
         evicted
+    }
+
+    /// Removes the resident way `w` of `set` the way `Vec::swap_remove`
+    /// would: the set's last resident way moves into its place.
+    fn remove(&mut self, set: usize, w: usize) {
+        self.len[set] -= 1;
+        let last = set * self.geom.assoc() as usize + self.len[set] as usize;
+        self.ways[w] = self.ways[last];
+        self.tags[w] = self.tags[last];
+        self.tags[last] = EMPTY;
     }
 
     /// Marks a resident line dirty.
@@ -204,12 +251,8 @@ impl Cache {
     ///
     /// Panics if the line is not resident.
     pub fn mark_dirty(&mut self, line: LineAddr) {
-        let set = self.set_index(line);
-        let l = self.sets[set]
-            .iter_mut()
-            .find(|l| l.addr == line)
-            .expect("mark_dirty on non-resident line");
-        l.state = LineState::Dirty;
+        let w = self.find(line).expect("mark_dirty on non-resident line");
+        self.ways[w].state = LineState::Dirty;
     }
 
     /// Marks a resident line clean (as after a writeback that keeps the line
@@ -219,29 +262,27 @@ impl Cache {
     ///
     /// Panics if the line is not resident.
     pub fn mark_clean(&mut self, line: LineAddr) {
-        let set = self.set_index(line);
-        let l = self.sets[set]
-            .iter_mut()
-            .find(|l| l.addr == line)
-            .expect("mark_clean on non-resident line");
-        l.state = LineState::Clean;
+        let w = self.find(line).expect("mark_clean on non-resident line");
+        self.ways[w].state = LineState::Clean;
     }
 
     /// Removes `line`, returning its prior state if it was resident.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<LineState> {
-        let set = self.set_index(line);
-        let pos = self.sets[set].iter().position(|l| l.addr == line)?;
-        Some(self.sets[set].swap_remove(pos).state)
+        let w = self.find(line)?;
+        let state = self.ways[w].state;
+        self.remove(self.set(line), w);
+        Some(state)
     }
 
     /// Removes every line, leaving the cache empty.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.tags.fill(EMPTY);
+        self.len.fill(0);
     }
 
-    /// The resident lines of cache set `set`, in no particular order.
+    /// The resident lines of cache set `set`, in a deterministic order:
+    /// fills append, and a removal moves the set's last line into the freed
+    /// slot. Signature expansion visits a set's lines in this order.
     ///
     /// This is the "read all valid line addresses of the set" step of the
     /// paper's signature expansion (Fig. 4).
@@ -250,41 +291,60 @@ impl Cache {
     ///
     /// Panics if `set` is out of range.
     pub fn lines_in_set(&self, set: u32) -> &[CacheLine] {
-        &self.sets[set as usize]
+        let base = set as usize * self.geom.assoc() as usize;
+        &self.ways[base..base + self.len[set as usize] as usize]
     }
 
     /// Whether cache set `set` holds at least one dirty line.
     pub fn set_has_dirty(&self, set: u32) -> bool {
-        self.sets[set as usize].iter().any(|l| l.is_dirty())
+        self.lines_in_set(set).iter().any(|l| l.is_dirty())
     }
 
     /// The dirty lines of cache set `set`.
     pub fn dirty_lines_in_set(&self, set: u32) -> impl Iterator<Item = LineAddr> + '_ {
-        self.sets[set as usize]
+        self.lines_in_set(set)
             .iter()
             .filter(|l| l.is_dirty())
             .map(|l| l.addr)
     }
 
-    /// Iterates over every resident line.
+    /// Iterates over every resident line, set by set.
     pub fn iter(&self) -> impl Iterator<Item = &CacheLine> {
-        self.sets.iter().flat_map(|s| s.iter())
+        let assoc = self.geom.assoc() as usize;
+        self.ways
+            .chunks_exact(assoc)
+            .zip(&self.len)
+            .flat_map(|(set, &n)| &set[..n as usize])
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.len.iter().map(|&n| n as usize).sum()
     }
 
     /// Whether no line is resident.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(|s| s.is_empty())
+        self.len.iter().all(|&n| n == 0)
     }
+}
+
+/// The position of `line` among `tags`, or `usize::MAX`. Every tag is
+/// compared: there is no early exit to mispredict.
+#[inline]
+fn scan<'a>(tags: impl IntoIterator<Item = &'a LineAddr>, line: LineAddr) -> usize {
+    let mut hit = usize::MAX;
+    for (i, &tag) in tags.into_iter().enumerate() {
+        if tag == line {
+            hit = i;
+        }
+    }
+    hit
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Addr;
 
     fn tiny() -> Cache {
         // 2 sets, 2 ways, 64-byte lines.
@@ -402,5 +462,26 @@ mod tests {
     #[should_panic(expected = "non-resident")]
     fn mark_dirty_missing_panics() {
         tiny().mark_dirty(LineAddr::new(9));
+    }
+
+    #[test]
+    fn no_address_maps_to_the_empty_tag() {
+        // The highest byte address gives the highest line of every legal
+        // line size (powers of two from 4 bytes up).
+        for shift in 2..32 {
+            let line = Addr::new(u32::MAX).line(1 << shift);
+            assert!(line.raw() < 1 << 30, "{line}");
+            assert_ne!(line, EMPTY);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty-way tag")]
+    fn filling_the_empty_tag_panics() {
+        let mut c = tiny();
+        // Fill the tag's set (the last one) so no way in it is empty.
+        c.load(LineAddr::new(1));
+        c.load(LineAddr::new(3));
+        c.load(EMPTY);
     }
 }

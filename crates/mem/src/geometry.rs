@@ -27,14 +27,16 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero, not a power of two, or if the
+    /// Panics if any parameter is zero, not a power of two, if the
+    /// associativity exceeds 255 (a set's fill count is a `u8`), or if the
     /// configuration yields zero sets.
     pub fn new(size_bytes: u32, assoc: u32, line_bytes: u32) -> Self {
         assert!(size_bytes.is_power_of_two(), "cache size must be a power of two");
         assert!(assoc.is_power_of_two(), "associativity must be a power of two");
+        assert!(assoc <= 255, "associativity must be at most 255");
         assert!(line_bytes.is_power_of_two() && line_bytes >= 4, "line size must be a power of two >= 4");
         assert!(
-            size_bytes >= assoc * line_bytes,
+            assoc.checked_mul(line_bytes).is_some_and(|set_bytes| size_bytes >= set_bytes),
             "cache must hold at least one set"
         );
         CacheGeometry { size_bytes, assoc, line_bytes }
@@ -77,7 +79,7 @@ impl CacheGeometry {
     /// Number of cache sets.
     #[inline]
     pub fn num_sets(&self) -> u32 {
-        self.size_bytes / (self.assoc * self.line_bytes)
+        self.size_bytes >> (self.assoc.trailing_zeros() + self.line_bytes.trailing_zeros())
     }
 
     /// Number of index bits (`log2(num_sets)`).
@@ -178,5 +180,28 @@ mod tests {
     #[should_panic(expected = "at least one set")]
     fn rejects_degenerate_shape() {
         CacheGeometry::new(64, 4, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one set")]
+    fn rejects_set_size_that_overflows() {
+        // 128 ways x 2^25-byte lines is 2^32 bytes: `assoc * line_bytes`
+        // wraps to 0 in release arithmetic.
+        CacheGeometry::new(1 << 31, 128, 1 << 25);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255")]
+    fn rejects_assoc_above_u8() {
+        CacheGeometry::new(1 << 20, 256, 64);
+    }
+
+    #[test]
+    fn num_sets_shift_matches_division() {
+        let shapes = [(256, 2, 64), (1024, 1, 64), (4096, 8, 64), (1 << 31, 128, 4)];
+        for (size, assoc, line) in shapes {
+            let g = CacheGeometry::new(size, assoc, line);
+            assert_eq!(g.num_sets(), size / (assoc * line));
+        }
     }
 }

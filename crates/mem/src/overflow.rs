@@ -66,21 +66,15 @@ impl OverflowArea {
 
     /// Walks the whole area (as a conventional lazy scheme does when
     /// disambiguating a commit against overflowed addresses). Counts one
-    /// access per held line, and returns the lines intersecting `probe`.
-    pub fn disambiguate_walk<'a>(
-        &mut self,
-        probe: impl IntoIterator<Item = &'a LineAddr>,
-    ) -> Vec<LineAddr> {
-        self.accesses += self.lines.len() as u64;
+    /// access per held line, and returns the number of lines walked and
+    /// how many of them `probe` holds.
+    pub fn disambiguate_walk(&mut self, probe: &AddrSet<LineAddr>) -> (u64, usize) {
+        let walked = self.lines.len() as u64;
+        self.accesses += walked;
         if let Some(obs) = &self.obs {
-            obs.walked_entries.add(self.lines.len() as u64);
+            obs.walked_entries.add(walked);
         }
-        let probe: AddrSet<&LineAddr> = probe.into_iter().collect();
-        self.lines
-            .iter()
-            .filter(|l| probe.contains(l))
-            .copied()
-            .collect()
+        (walked, self.lines.iter().filter(|l| probe.contains(l)).count())
     }
 
     /// Deallocates everything. Bulk discards the area in one step
@@ -160,9 +154,8 @@ mod tests {
             o.spill(LineAddr::new(i));
         }
         o.reset_accesses();
-        let probe = [LineAddr::new(3), LineAddr::new(100)];
-        let hits = o.disambiguate_walk(probe.iter());
-        assert_eq!(hits, vec![LineAddr::new(3)]);
+        let probe: AddrSet<LineAddr> = [3, 100].into_iter().map(LineAddr::new).collect();
+        assert_eq!(o.disambiguate_walk(&probe), (10, 1));
         assert_eq!(o.accesses(), 10);
     }
 
@@ -203,7 +196,7 @@ mod tests {
         o.spill(LineAddr::new(2));
         assert!(o.lookup(LineAddr::new(1)));
         assert!(!o.lookup(LineAddr::new(9)));
-        o.disambiguate_walk([LineAddr::new(1)].iter());
+        o.disambiguate_walk(&[LineAddr::new(1)].into_iter().collect());
         o.deallocate(true);
         assert_eq!(reg.counter_value("tm.overflow.spills"), 2);
         assert_eq!(reg.counter_value("tm.overflow.lookups"), 2);

@@ -961,9 +961,7 @@ impl TmMachine {
             // A conventional lazy scheme must also disambiguate the commit
             // against its overflowed addresses in memory.
             if self.scheme == Scheme::Lazy && in_tx && !self.threads[j].overflow.is_empty() {
-                let lines: Vec<LineAddr> = exact_w.iter().copied().collect();
-                let walked = self.threads[j].overflow.len() as u64;
-                let _ = self.threads[j].overflow.disambiguate_walk(lines.iter());
+                let (walked, _) = self.threads[j].overflow.disambiguate_walk(exact_w);
                 self.stats.bw.record(MsgClass::Ub, walked * self.cfg.msg_sizes.addr_msg);
             }
             return Ok(());

@@ -13,6 +13,10 @@
 #    record has no read set, a store no signature, and a run reads its
 #    trace and its log once. The old names may live on only as the
 #    reference copies the property tests compare against.
+# 6. The cache is flat (DESIGN.md §15): no set behind its own heap
+#    pointer, and no per-lookup division for the set count. The per-set
+#    `Vec` layout lives on only as the reference model in
+#    crates/mem/tests/cache_properties.rs.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -61,6 +65,11 @@ nontest_hits 'exact_r' crates/par/src/bus.rs && par_names=1
 nontest_hits '(signature_of|history_of|broadcasts_of)[(]' crates/par/src/*.rs && par_names=1
 if [ "$par_names" -eq 1 ]; then
   echo "one-core guard: a bus record is W_C or an address; no read set, one-line signature or second pass"
+  fail=1
+fi
+
+if nontest_hits 'Vec<Vec<CacheLine>>|num_sets[(][)]' crates/mem/src/cache.rs; then
+  echo "one-core guard: the cache is flat set-major arrays; no Vec<Vec<CacheLine>>, no num_sets() per lookup"
   fail=1
 fi
 

@@ -27,9 +27,10 @@ echo "front-door guard: OK"
 
 # One-core guard (DESIGN.md §16): one verdict (SimHarness::judge), one
 # signature recycler (the thread-local pool), no cfg-gated test, one
-# benchmark system (no cargo-bench suite, no hang_ms wire hook), and a par
-# bus record that is W_C or an address (no read set, no second pass).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record)"
+# benchmark system (no cargo-bench suite, no hang_ms wire hook), a par
+# bus record that is W_C or an address (no read set, no second pass), and
+# a flat cache (no Vec<Vec<CacheLine>>, no num_sets() per lookup).
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"
