@@ -150,7 +150,7 @@ RUNTIMES:
   deterministic discrete-event simulator: same trace + same seed is
   byte-identical across runs, and it models Table 5 timing. `par` runs
   the same commit/squash protocol on real OS threads over a lock-free
-  broadcast log with epoch-ticketed exactly-once delivery; it supports
+  broadcast log that each receiver walks slot by slot; it supports
   the schemes whose disambiguation is timing-independent (TM: bulk,
   lazy; TLS: bulk, bulk-no-overlap, lazy), audits its committed history
   after every run, and reports wall time instead of simulated cycles.

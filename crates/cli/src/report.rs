@@ -114,12 +114,9 @@ fn print_tls(app: &str, scheme: TlsScheme, seq_cycles: u64, s: &TlsStats, chaos_
 }
 
 /// A parallel-runtime summary for either machine (`TM` / `TLS`). Wall
-/// time replaces simulated cycles; the exactly-once line shows the
-/// `crates/live` dedup machinery at work (drops are nonzero only under
-/// stress injection, duplicate applications must always be zero). A
-/// resilience section appears whenever the supervisor survived worker
-/// deaths — crashes, respawns, fence tombstones (TM), adopted slots
-/// (TLS) and the recovery latency.
+/// time replaces simulated cycles. A resilience section appears whenever
+/// the supervisor survived worker deaths — crashes, respawns, fence
+/// tombstones (TM), adopted slots (TLS) and the recovery latency.
 fn print_par(machine: &str, app: &str, scheme: &str, s: &ParStats) {
     println!("{machine} run: app={app} scheme={scheme} runtime=par");
     println!("  commits            {}", s.commits);
@@ -133,10 +130,6 @@ fn print_par(machine: &str, app: &str, scheme: &str, s: &ParStats) {
         "  bus log            {} records ({} non-tx stores), {} claim retries, \
          {} slot-wait spins",
         s.records, s.non_tx_stores, s.claim_retries, s.slot_wait_spins
-    );
-    println!(
-        "  exactly-once       {} dedup drops, {} duplicate applications, epoch {}",
-        s.dedup_drops, s.duplicate_applications, s.epoch
     );
     let per: Vec<String> = s.per_thread_commits.iter().map(u64::to_string).collect();
     println!("  commits per thread {}", per.join(" "));

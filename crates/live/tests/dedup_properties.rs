@@ -13,7 +13,9 @@
 //!   number of distinct tickets, never by the delivery count: an
 //!   adversary replaying the same commit a thousand times cannot grow it.
 //!
-//! And the one the parallel runtime's constant-size commit leans on:
+//! And the one that keeps a probe constant-time whatever the serials
+//! look like (the sim's failover replay probes it per delivery; the
+//! parallel runtime's receivers no longer use a filter at all):
 //!
 //! * **Representation independence** — the hashed filter answers every
 //!   call exactly as two ordered sets of `(committer, serial)` would, for

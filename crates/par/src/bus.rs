@@ -8,12 +8,12 @@
 //!   claim slot `n` only while its local view of the log is exactly the
 //!   first `n` records, which makes validate-then-publish one atomic
 //!   step (see [`BusLog::try_claim`]);
-//! * every record carries a [`CommitTicket`] stamped from a shared
-//!   [`AtomicU64`] epoch, and each receiver runs its own
-//!   [`DedupFilter`](bulk_live::DedupFilter), so re-deliveries (which
-//!   the stress mode injects on purpose) are dropped instead of applied
-//!   twice — the same exactly-once machinery `crates/live` built for
-//!   arbiter failover;
+//! * the log delivers each record once: a receiver reads slot `i` only
+//!   when its cursor is `i`, then moves past it, and a respawned worker
+//!   starts a fresh cursor at 0 — so every record is applied exactly once
+//!   per incarnation, with no per-record filter. The [`CommitTicket`] a
+//!   record carries is its identity, which the post-run audit holds
+//!   unique;
 //! * readers never block writers: a claimed-but-unpublished slot is an
 //!   empty [`OnceLock`] the reader spins on with `yield_now`, and the
 //!   winner of a tail race always publishes, so the system as a whole
@@ -27,7 +27,7 @@
 use bulk_live::CommitTicket;
 use bulk_mem::LineAddr;
 use bulk_sig::Signature;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// What kind of store a bus record broadcasts.
@@ -40,8 +40,9 @@ pub enum RecordKind {
     NonTxStore,
     /// A tombstone published by the supervisor into a dead worker's
     /// claimed-but-unpublished slot. Carries empty sets and a fresh
-    /// ticket so receivers admit-and-skip it exactly once; keeps the log
-    /// dense so survivors stop waiting on the orphaned slot.
+    /// ticket, so receivers step over it like any record that hits
+    /// nothing; keeps the log dense so survivors stop waiting on the
+    /// orphaned slot.
     Fence,
 }
 
@@ -52,8 +53,9 @@ pub enum RecordKind {
 /// the oracle that verdicts and the post-run audit replay.
 #[derive(Debug)]
 pub struct BusRecord {
-    /// Exactly-once identity: `(committer, serial)` under the epoch the
-    /// broadcast was stamped in.
+    /// The record's identity, `(committer, serial)`, unique across the run
+    /// (the post-run audit checks it). Its epoch is always 0: slot order,
+    /// not an epoch, orders the records of a par run.
     pub ticket: CommitTicket,
     /// Publishing thread (TM) or task (TLS).
     pub thread: u32,
@@ -118,7 +120,6 @@ impl std::error::Error for SlotOccupied {}
 pub struct BusLog {
     slots: Box<[OnceLock<BusRecord>]>,
     tail: AtomicUsize,
-    epoch: AtomicU64,
 }
 
 impl BusLog {
@@ -130,7 +131,6 @@ impl BusLog {
         BusLog {
             slots: (0..capacity).map(|_| OnceLock::new()).collect(),
             tail: AtomicUsize::new(0),
-            epoch: AtomicU64::new(0),
         }
     }
 
@@ -143,20 +143,6 @@ impl BusLog {
     /// publishing).
     pub fn tail(&self) -> usize {
         self.tail.load(Ordering::Acquire)
-    }
-
-    /// Current bus epoch (advanced only by stress-mode failover
-    /// injection; tickets are stamped with it).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Advances the epoch, simulating an arbiter re-election. Dedup is
-    /// keyed on `(committer, serial)`, so records stamped before and
-    /// after the bump stay distinct and exactly-once delivery holds
-    /// across the churn — the property the stress smoke asserts.
-    pub fn bump_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// Attempts to claim slot `seen`: succeeds only if the log still has
@@ -238,14 +224,6 @@ mod tests {
         let fence = BusRecord { kind: RecordKind::Fence, ..record(0, 1, 0) };
         log.publish(0, fence).unwrap();
         assert_eq!(log.get(0).map(|r| r.kind), Some(RecordKind::Fence));
-    }
-
-    #[test]
-    fn epoch_bumps_are_visible() {
-        let log = BusLog::new(1);
-        assert_eq!(log.epoch(), 0);
-        assert_eq!(log.bump_epoch(), 1);
-        assert_eq!(log.epoch(), 1);
     }
 
     #[test]

@@ -2,26 +2,6 @@
 
 use bulk_chaos::{ChaosConfig, KillSpec};
 
-/// Fault-injection plan for the stress smoke (`crates/par/tests/stress.rs`
-/// arms it; ordinary runs leave it off). Both knobs are percentages in
-/// `0..=100`, drawn from a deterministic per-thread RNG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StressConfig {
-    /// Chance that an applied record is delivered to the same receiver a
-    /// second time. The dedup filter must drop every such re-delivery;
-    /// `duplicate_applications` staying 0 is the asserted property.
-    pub redeliver_percent: u8,
-    /// Chance that a committer bumps the bus epoch before stamping its
-    /// ticket, simulating an arbiter re-election mid-run.
-    pub epoch_bump_percent: u8,
-}
-
-impl Default for StressConfig {
-    fn default() -> Self {
-        StressConfig { redeliver_percent: 25, epoch_bump_percent: 10 }
-    }
-}
-
 /// Configuration of the [`ParRuntime`](crate::ParRuntime).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParConfig {
@@ -36,10 +16,8 @@ pub struct ParConfig {
     /// threads regardless of core count). `0` disables dwell — right
     /// for conformance tests, wrong for throughput benches.
     pub compute_ns_per_kcycle: u64,
-    /// Seed for squash-backoff jitter and the stress plan.
+    /// Seed for squash-backoff jitter.
     pub seed: u64,
-    /// Duplicate-delivery / epoch-churn injection, when armed.
-    pub stress: Option<StressConfig>,
     /// Probabilistic real-thread fault injection (seeded worker kills,
     /// stalls, delayed publishes). `None` leaves the injector unarmed.
     pub chaos: Option<ChaosConfig>,
@@ -62,7 +40,6 @@ impl Default for ParConfig {
             tls_workers: 4,
             compute_ns_per_kcycle: 0,
             seed: 0,
-            stress: None,
             chaos: None,
             kills: Vec::new(),
             respawn_budget: 8,
@@ -80,7 +57,6 @@ mod tests {
         let c = ParConfig::default();
         assert_eq!(c.tls_workers, 4);
         assert_eq!(c.compute_ns_per_kcycle, 0);
-        assert!(c.stress.is_none());
         assert!(c.chaos.is_none());
         assert!(c.kills.is_empty());
         assert_eq!(c.respawn_budget, 8);

@@ -10,11 +10,10 @@
 //! disambiguation from caches and timing: nothing in the protocol needs
 //! simulated cycles. This crate takes that literally. [`ParRuntime`]
 //! maps each simulated processor to an OS thread, replaces the snoopy
-//! bus with a lock-free broadcast log ([`bus::BusLog`]) whose records
-//! carry epoch-stamped [`CommitTicket`](bulk_live::CommitTicket)s
-//! deduplicated per receiver (the `crates/live` exactly-once machinery),
-//! and lets the SIMD signatures of `crates/sig` disambiguate genuinely
-//! concurrent read/write sets.
+//! bus with a lock-free broadcast log ([`bus::BusLog`]) that each
+//! receiver walks slot by slot — its cursor is what applies every record
+//! exactly once — and lets the SIMD signatures of `crates/sig`
+//! disambiguate genuinely concurrent read/write sets.
 //!
 //! The deterministic sim stays what it always was — and becomes the
 //! *oracle*: [`SimRuntime`] runs the same trace under the same trait,
@@ -49,7 +48,7 @@ mod workloads;
 
 pub use bulk_chaos::{CrashPoint, KillSpec};
 pub use bus::SlotOccupied;
-pub use config::{ParConfig, StressConfig};
+pub use config::ParConfig;
 pub use runtime::{
     runtime_for, same_commit_class, Job, JobPlan, ParRuntime, RunDetail, RunOptions, RunReport,
     Runtime, RuntimeError, SimRuntime,

@@ -1,7 +1,8 @@
 //! The worker-side half of the bus protocol, shared by the TM and TLS
-//! engines: a [`Receiver`] applies the log to a worker exactly once and
-//! publishes the worker's own records into it, and [`SpecSets`] is the
-//! speculative read/write state those records are checked against.
+//! engines: a [`Receiver`] walks the log with a cursor, applying each
+//! record to a worker exactly once, and publishes the worker's own
+//! records into it; [`SpecSets`] is the speculative read/write state
+//! those records are checked against.
 //!
 //! An engine keeps what differs: which records can squash it (TM: a
 //! peer's `W_C` against `R ∪ W`, inside a transaction; TLS: a
@@ -9,12 +10,12 @@
 //! squash rewinds.
 
 use crate::bus::{BusLog, BusRecord, RecordKind};
-use crate::config::{ParConfig, StressConfig};
+use crate::config::ParConfig;
 use crate::recover::{Halt, RunControl};
 use crate::stats::WorkerStats;
 use bulk_chaos::{CrashPoint, InvariantKind, WorkerChaos};
 use bulk_core::SpilledVersion;
-use bulk_live::{Checkpoint, CommitTicket, DedupFilter};
+use bulk_live::{Checkpoint, CommitTicket};
 use bulk_mem::{Addr, AddrSet, LineAddr};
 use bulk_obs::Verdict as Class;
 use bulk_rng::{Rng, SeedableRng, SmallRng};
@@ -160,42 +161,40 @@ pub(crate) struct Resume {
 pub(crate) struct Receiver {
     pub proc: usize,
     compute_ns_per_kcycle: u64,
-    stress: Option<StressConfig>,
     rng: SmallRng,
     chaos: WorkerChaos,
     /// Records applied (or published) so far: the validated log prefix.
+    /// Slot `i` is read only while the cursor is `i`, and the cursor then
+    /// moves past it — this is what applies each record exactly once.
     pub cursor: usize,
-    dedup: DedupFilter,
     /// Serial of the next ticket (a `Publish`-point death consumed
     /// `serial - 1` without publishing it).
     pub serial: u64,
     squash_streak: u32,
     pending_dwell_ns: u64,
-    /// Slot claimed (or adopted) whose record is not yet published. If
-    /// the worker dies inside that window the supervisor fences it (TM)
-    /// or hands it to the next incarnation (TLS).
+    /// Slot claimed (or adopted from a dead incarnation) whose record is
+    /// not yet published. If the worker dies inside that window the
+    /// supervisor fences it (TM) or hands it to the next incarnation
+    /// (TLS) — however often the adopter itself dies before publishing.
     pub claimed_unpublished: Option<usize>,
-    adopt: Option<usize>,
     pub stats: WorkerStats,
 }
 
 impl Receiver {
-    /// A fresh incarnation: cursor 0 and an empty dedup filter, so a
-    /// respawn replays the entire log, admitting each record exactly once.
+    /// A fresh incarnation: cursor 0, so a respawn replays the entire log
+    /// and applies each record once, holding the slot it adopts (if any)
+    /// from the start.
     pub(crate) fn new(proc: usize, cfg: &ParConfig, chaos: WorkerChaos, resume: Resume) -> Self {
         Receiver {
             proc,
             compute_ns_per_kcycle: cfg.compute_ns_per_kcycle,
-            stress: cfg.stress,
             rng: SmallRng::seed_from_u64(cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64 ^ proc as u64)),
             chaos,
             cursor: 0,
-            dedup: DedupFilter::new(),
             serial: resume.serial,
             squash_streak: 0,
             pending_dwell_ns: 0,
-            claimed_unpublished: None,
-            adopt: resume.adopt,
+            claimed_unpublished: resume.adopt,
             stats: WorkerStats::default(),
         }
     }
@@ -242,7 +241,7 @@ impl Receiver {
         let mut squashed = false;
         // An adopted (still unpublished) slot is the worker's own: there
         // is nothing to apply, and waiting on it would deadlock.
-        while self.cursor < tail && self.adopt != Some(self.cursor) {
+        while self.cursor < tail && self.claimed_unpublished != Some(self.cursor) {
             self.apply_next(log, ctl, &mut squashed, &mut check)?;
         }
         Ok(squashed)
@@ -281,51 +280,34 @@ impl Receiver {
             std::hint::spin_loop();
             std::thread::yield_now();
         };
-        if self.dedup.admit(rec.ticket) {
-            self.dedup.record_application(rec.ticket);
-            let verdict = if *squashed { None } else { check(rec) };
-            if let Some(v) = verdict {
-                self.stats.audit_checks += u64::from(v.sig.is_some());
-                // A record without a signature (exact-set schemes) is
-                // decided by the oracle itself.
-                let class = Class::classify(v.sig.unwrap_or(v.exact), v.exact);
-                if class == Class::FalseNegative {
-                    // A real conflict the signatures missed: the
-                    // one-sided-error guarantee is broken. Record it
-                    // and squash anyway so execution stays safe.
-                    self.stats.violations.push(ctl.violation(
-                        InvariantKind::SignatureContainment,
-                        self.proc,
-                        rec.ticket.serial,
-                        "broadcast W_C missed an exact conflict",
-                    ));
-                }
-                if class != Class::TrueNegative {
-                    self.stats.squashes += 1;
-                    self.stats.false_squashes += u64::from(class == Class::FalsePositive);
-                    *squashed = true;
-                }
+        let verdict = if *squashed { None } else { check(rec) };
+        if let Some(v) = verdict {
+            self.stats.audit_checks += u64::from(v.sig.is_some());
+            // A record without a signature (exact-set schemes) is decided
+            // by the oracle itself.
+            let class = Class::classify(v.sig.unwrap_or(v.exact), v.exact);
+            if class == Class::FalseNegative {
+                // A real conflict the signatures missed: the one-sided-error
+                // guarantee is broken. Record it and squash anyway so
+                // execution stays safe.
+                self.stats.violations.push(ctl.violation(
+                    InvariantKind::SignatureContainment,
+                    self.proc,
+                    rec.ticket.serial,
+                    "broadcast W_C missed an exact conflict",
+                ));
             }
-            self.maybe_redeliver(rec.ticket);
-        } // else: duplicate delivery — dropped, never applied
+            if class != Class::TrueNegative {
+                self.stats.squashes += 1;
+                self.stats.false_squashes += u64::from(class == Class::FalsePositive);
+                *squashed = true;
+            }
+        }
         self.cursor += 1;
         if self.chaos.on_apply() {
             return Err(Halt::Killed { point: CrashPoint::Apply });
         }
         Ok(())
-    }
-
-    /// Stress mode: deliver the record to this receiver again. The dedup
-    /// filter must drop it; an admitted re-delivery is recorded as an
-    /// application so `duplicate_applications` exposes the bug.
-    fn maybe_redeliver(&mut self, ticket: CommitTicket) {
-        let Some(stress) = self.stress else { return };
-        if self.rng.random_range(0..100u32) < stress.redeliver_percent as u32 {
-            self.stats.stress_redeliveries += 1;
-            if self.dedup.admit(ticket) {
-                self.dedup.record_application(ticket);
-            }
-        }
     }
 
     /// After a squash: drops the attempt's unspent dwell, then a jittered
@@ -350,11 +332,9 @@ impl Receiver {
     /// schedule's `Claim` and `Publish` kills and its publish delay land
     /// here, and nothing else may: the record is ready beforehand.
     pub(crate) fn claim(&mut self, log: &BusLog, slot: usize) -> Result<bool, Halt> {
-        if self.adopt == Some(slot) {
-            // The dead incarnation already won this claim; publish into
-            // the orphaned slot instead of re-claiming.
-            self.adopt = None;
-        } else if !log.try_claim(slot) {
+        // An adopted slot was already won by a dead incarnation: publish
+        // into it instead of re-claiming.
+        if self.claimed_unpublished != Some(slot) && !log.try_claim(slot) {
             self.stats.claim_retries += 1;
             return Ok(false);
         }
@@ -363,7 +343,7 @@ impl Receiver {
             Some(CrashPoint::Publish) => {
                 // The nastiest window: a serial is consumed but its
                 // record never reaches the log.
-                let _ = self.stamp_ticket(log);
+                let _ = self.stamp_ticket();
                 return Err(Halt::Killed { point: CrashPoint::Publish });
             }
             Some(point) => return Err(Halt::Killed { point }),
@@ -386,27 +366,17 @@ impl Receiver {
         record: impl FnOnce(CommitTicket) -> BusRecord,
     ) -> Result<(), Halt> {
         debug_assert_eq!(self.claimed_unpublished, Some(slot), "publish without a claim");
-        let ticket = self.stamp_ticket(log);
+        let ticket = self.stamp_ticket();
         log.publish(slot, record(ticket)).map_err(|e| Halt::Bug(e.to_string()))?;
         self.claimed_unpublished = None;
         ctl.progress();
-        // Account the own broadcast in the dedup filter so every
-        // receiver (including self) tracks every record uniformly.
-        self.dedup.admit(ticket);
-        self.dedup.record_application(ticket);
         self.cursor = slot + 1;
         self.squash_streak = 0;
         Ok(())
     }
 
-    fn stamp_ticket(&mut self, log: &BusLog) -> CommitTicket {
-        if let Some(stress) = self.stress {
-            if self.rng.random_range(0..100u32) < stress.epoch_bump_percent as u32 {
-                log.bump_epoch();
-                self.stats.stress_epoch_bumps += 1;
-            }
-        }
-        let t = CommitTicket { epoch: log.epoch(), committer: self.proc, serial: self.serial };
+    fn stamp_ticket(&mut self) -> CommitTicket {
+        let t = CommitTicket { epoch: 0, committer: self.proc, serial: self.serial };
         self.serial += 1;
         t
     }
@@ -426,13 +396,6 @@ impl Receiver {
             std::thread::sleep(std::time::Duration::from_nanos(self.pending_dwell_ns));
             self.pending_dwell_ns = 0;
         }
-    }
-
-    /// The incarnation's counters, dedup totals folded in.
-    pub(crate) fn take_stats(&mut self) -> WorkerStats {
-        self.stats.dedup_drops = self.dedup.drops();
-        self.stats.duplicate_applications = self.dedup.duplicate_applications();
-        std::mem::take(&mut self.stats)
     }
 }
 
@@ -591,6 +554,9 @@ mod tests {
         assert!(log.try_claim(1));
         let resume = Resume { serial: 0, adopt: Some(1) };
         let mut rx = Receiver::new(0, &cfg, ctl.chaos.worker(0, 1), resume);
+        // Held from the start: should this incarnation die before it
+        // publishes, the supervisor hands the slot on again.
+        assert_eq!(rx.claimed_unpublished, Some(1));
         let mut seen = 0;
         for _ in 0..3 {
             let squashed = rx.poll(&log, &ctl, |_| {

@@ -181,7 +181,7 @@ pub(crate) fn supervise<P: Send>(
                 }
                 Ok((mut dead, outcome, point)) => {
                     live -= 1;
-                    stats.fold(dead.take_stats());
+                    stats.fold(std::mem::take(&mut dead.stats));
                     match outcome {
                         Ok(()) | Err(Halt::Aborted) => Ok(None),
                         Err(Halt::Stalled(v)) => Err(RuntimeError::Liveness(v)),

@@ -29,15 +29,6 @@ pub struct ParStats {
     pub non_tx_stores: u64,
     /// Records published on the bus log.
     pub records: u64,
-    /// Duplicate deliveries dropped by receiver-side dedup (nonzero only
-    /// under stress injection).
-    pub dedup_drops: u64,
-    /// Times one record was applied twice by one receiver (must stay 0).
-    pub duplicate_applications: u64,
-    /// Stress-mode re-deliveries injected.
-    pub stress_redeliveries: u64,
-    /// Stress-mode epoch bumps injected (arbiter re-elections).
-    pub stress_epoch_bumps: u64,
     /// Worker deaths observed by the supervisor (injected kills plus
     /// genuine panics).
     pub worker_crashes: u64,
@@ -55,8 +46,6 @@ pub struct ParStats {
     pub injected_stalls: u64,
     /// Chaos-injected claim-to-publish delays actually slept through.
     pub delayed_publishes: u64,
-    /// Final bus epoch.
-    pub epoch: u64,
     /// Individual invariant checks performed (apply-time oracle checks
     /// plus the post-run log audit).
     pub audit_checks: u64,
@@ -79,10 +68,6 @@ pub(crate) struct WorkerStats {
     pub claim_retries: u64,
     pub slot_wait_spins: u64,
     pub non_tx_stores: u64,
-    pub dedup_drops: u64,
-    pub duplicate_applications: u64,
-    pub stress_redeliveries: u64,
-    pub stress_epoch_bumps: u64,
     pub injected_stalls: u64,
     pub delayed_publishes: u64,
     pub audit_checks: u64,
@@ -104,8 +89,6 @@ impl ParStats {
             ("slot_wait_spins", self.slot_wait_spins),
             ("non_tx_stores", self.non_tx_stores),
             ("records", self.records),
-            ("dedup_drops", self.dedup_drops),
-            ("duplicate_applications", self.duplicate_applications),
             ("worker_crashes", self.worker_crashes),
             ("respawns", self.respawns),
             ("fences", self.fences),
@@ -113,7 +96,6 @@ impl ParStats {
             ("recovery_ns", self.recovery_ns),
             ("injected_stalls", self.injected_stalls),
             ("delayed_publishes", self.delayed_publishes),
-            ("epoch", self.epoch),
             ("audit_checks", self.audit_checks),
             ("violations", self.violations.len() as u64),
         ];
@@ -123,9 +105,9 @@ impl ParStats {
         reg.gauge("par.wall_ns").set(self.wall_ns);
     }
 
-    /// Closes a finished run in one walk of the log: reads epoch, record
-    /// count and committed history (commit records, in log order) off it
-    /// and audits it, against the structure the protocol promises and the
+    /// Closes a finished run in one walk of the log: reads the record count
+    /// and committed history (commit records, in log order) off it and
+    /// audits it, against the structure the protocol promises and the
     /// `expected` record count the workload implies.
     ///
     /// Everything here is *sound*: each check flags only genuine protocol
@@ -140,8 +122,9 @@ impl ParStats {
     ///   against its fully validated prefix (the CAS postcondition);
     /// * per-publisher ordinals increase in log order — the global commit
     ///   order embeds every thread's program order;
-    /// * ticket uniqueness — `(committer, serial)` never repeats, which is
-    ///   what makes receiver-side dedup exactly-once rather than lossy;
+    /// * ticket uniqueness — `(committer, serial)` never repeats: each
+    ///   record is a distinct broadcast, which with each receiver's
+    ///   cursor walking every slot once makes application exactly-once;
     /// * signature containment — every exact written line is contained in
     ///   the broadcast write signature (no false negatives, the paper's
     ///   one-sided error guarantee).
@@ -157,7 +140,6 @@ impl ParStats {
     /// thread indices this process stamped, not outside input.
     pub(crate) fn seal(&mut self, log: &BusLog, ctl: &RunControl, actors: usize, expected: u64) {
         let tail = log.tail();
-        self.epoch = log.epoch();
         self.records = tail as u64;
         self.history.reserve(self.commits as usize);
         let mut auditor = Auditor::new(ctl.scheme.clone(), actors, Some(ctl.seed));
@@ -194,7 +176,7 @@ impl ParStats {
                     thread,
                     at,
                     format!(
-                        "ticket ({}, {}) reused; dedup would drop a real commit",
+                        "ticket ({}, {}) reused: two records carry one (committer, serial) identity",
                         rec.ticket.committer, rec.ticket.serial
                     ),
                 );
@@ -249,10 +231,6 @@ impl ParStats {
         self.claim_retries += w.claim_retries;
         self.slot_wait_spins += w.slot_wait_spins;
         self.non_tx_stores += w.non_tx_stores;
-        self.dedup_drops += w.dedup_drops;
-        self.duplicate_applications += w.duplicate_applications;
-        self.stress_redeliveries += w.stress_redeliveries;
-        self.stress_epoch_bumps += w.stress_epoch_bumps;
         self.injected_stalls += w.injected_stalls;
         self.delayed_publishes += w.delayed_publishes;
         self.audit_checks += w.audit_checks;
@@ -315,7 +293,7 @@ mod tests {
 
     #[test]
     fn a_clean_log_with_a_fence_and_a_bare_store_seals_without_violations() {
-        let ticket = |serial| CommitTicket { epoch: 1, committer: 1, serial };
+        let ticket = |serial| CommitTicket { epoch: 0, committer: 1, serial };
         let store = BusRecord {
             exact_w: vec![line(9)],
             ..BusRecord::bare(ticket(0), 1, 0, RecordKind::NonTxStore, 1)
@@ -326,7 +304,7 @@ mod tests {
         let stats =
             sealed(vec![Some(commit(0)), Some(store), Some(fence), Some(late), Some(commit(4))], 5);
         assert!(stats.violations.is_empty(), "{:?}", stats.violations);
-        assert_eq!((stats.records, stats.epoch), (5, 0));
+        assert_eq!(stats.records, 5);
         let history: Vec<(u32, u64, u64)> =
             stats.history.iter().map(|e| (e.thread, e.ordinal, e.at)).collect();
         assert_eq!(history, vec![(0, 0, 0), (1, 0, 3), (0, 2, 4)]);
@@ -366,7 +344,7 @@ mod tests {
                 InvariantKind::TokenProtocol,
                 0,
                 2,
-                "ticket (0, 0) reused; dedup would drop a real commit".into()
+                "ticket (0, 0) reused: two records carry one (committer, serial) identity".into()
             )
         );
     }

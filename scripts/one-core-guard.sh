@@ -5,7 +5,7 @@
 #    counts a TP/FP/TN/FN verdict or audits a missed conflict.
 # 2. One recycler: the thread-local signature pool (DESIGN.md §11). The
 #    `SignatureArena` and the `_with` forks it bred stay deleted.
-# 3. No build-time knob: the stress smoke is an ordinary test.
+# 3. No build-time knob: no test hides behind a --cfg.
 # 4. One benchmark system: the ledger (benchmark/) times code and
 #    crates/bench draws the paper's figures. The `cargo bench` suites,
 #    their gate and the `hang_ms` wire hook stay deleted.
@@ -17,6 +17,10 @@
 #    pointer, and no per-lookup division for the set count. The per-set
 #    `Vec` layout lives on only as the reference model in
 #    crates/mem/tests/cache_properties.rs.
+# 7. Exactly-once on real threads is the log cursor (DESIGN.md §13): no
+#    par receiver filters re-deliveries, no stress plan injects them, the
+#    bus has no epoch, and the TLS commit token only moves forward
+#    (`fetch_max`, never a plain store).
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -45,7 +49,7 @@ if grep -rnE 'SignatureArena|sig_arena|commit_with\b|_union_with\b|union_from_wi
 fi
 
 if grep -rn 'bulk_stress' crates .github; then
-  echo "one-core guard: cfg(bulk_stress) is gone; crates/par/tests/stress.rs is an ordinary test"
+  echo "one-core guard: cfg(bulk_stress) is gone; no test hides behind a --cfg"
   fail=1
 fi
 
@@ -70,6 +74,15 @@ fi
 
 if nontest_hits 'Vec<Vec<CacheLine>>|num_sets[(][)]' crates/mem/src/cache.rs; then
   echo "one-core guard: the cache is flat set-major arrays; no Vec<Vec<CacheLine>>, no num_sets() per lookup"
+  fail=1
+fi
+
+cursor=0
+nontest_hits 'StressConfig|DedupFilter|bump_epoch|stress_redeliveries|next_commit[.]store[(]' \
+  crates/par/src/*.rs && cursor=1
+[ -e crates/par/tests/stress.rs ] && { echo "crates/par/tests/stress.rs"; cursor=1; }
+if [ "$cursor" -eq 1 ]; then
+  echo "one-core guard: par exactly-once is the log cursor; no dedup filter, stress plan, bus epoch or backward token store"
   fail=1
 fi
 

