@@ -29,7 +29,7 @@ pub struct BroadcastSchedule {
     /// Interconnect delay added to the broadcast, in cycles.
     pub delay: u64,
     /// Whether the broadcast is delivered a second time by the
-    /// interconnect (chaos duplication; receivers must dedup).
+    /// interconnect (chaos duplication).
     pub duplicate: bool,
     /// Arbiter crashes during this broadcast. The first crash hits the
     /// original transmission; each further crash hits the *replay* of the
@@ -45,7 +45,7 @@ impl BroadcastSchedule {
 
     /// Delivery rounds a liveness-armed machine performs for this
     /// broadcast: the original, plus one per duplication, plus one replay
-    /// per crash. Receiver-side dedup admits exactly one of them, so the
+    /// per crash. Receivers apply the first and drop the rest, so the
     /// expected dedup-drop count is `rounds() - 1`.
     pub fn rounds(&self) -> u64 {
         1 + u64::from(self.duplicate) + u64::from(self.crashes)
@@ -82,7 +82,7 @@ impl ScheduleScript {
 
     /// Expected receiver-side dedup drops for a liveness-armed run that
     /// performs at least `self.broadcasts.len()` commits: every delivery
-    /// round after the first admitted one is dropped.
+    /// round after a broadcast's first is dropped.
     pub fn expected_dedup_drops(&self) -> u64 {
         self.broadcasts.iter().map(|b| b.rounds() - 1).sum()
     }

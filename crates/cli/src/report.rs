@@ -164,13 +164,8 @@ fn print_liveness(l: &LiveStats, violations: usize) {
     );
     if l.arbiter_crashes > 0 {
         println!(
-            "  arbiter            {} crashes survived (epoch {}), {} replays, \
-             {} dedup drops, {} duplicate applications",
-            l.arbiter_crashes,
-            l.arbiter_epoch,
-            l.replayed_commits,
-            l.dedup_drops,
-            l.duplicate_applications
+            "  arbiter            {} crashes survived (epoch {}), {} replays, {} dedup drops",
+            l.arbiter_crashes, l.arbiter_epoch, l.replayed_commits, l.dedup_drops
         );
     }
     if l.checkpoints > 0 {

@@ -1,15 +1,15 @@
 //! The composed liveness engine the machines embed.
 //!
 //! [`LivenessEngine`] bundles the four mechanisms — watchdog, backoff
-//! arbitration, arbiter failover with receiver-side dedup, and checkpoint
-//! accounting — behind one small hook surface, so a machine wires liveness
-//! with a handful of calls at its existing event sites (tick, squash,
-//! commit, broadcast). Everything is deterministic: the only randomness is
-//! the backoff jitter, seeded from [`LivenessConfig::seed`] (the machines
-//! pass the chaos seed through, so `BULK_CHAOS_SEED` replays liveness
-//! behaviour too).
+//! arbitration, arbiter failover, and checkpoint accounting — behind one
+//! small hook surface, so a machine wires liveness with a handful of
+//! calls at its existing event sites (tick, squash, commit, broadcast).
+//! Everything is deterministic: the only randomness is the backoff
+//! jitter, seeded from [`LivenessConfig::seed`] (the machines pass the
+//! chaos seed through, so `BULK_CHAOS_SEED` replays liveness behaviour
+//! too).
 
-use crate::arbiter::{Arbiter, CommitTicket, DedupFilter};
+use crate::arbiter::Arbiter;
 use crate::backoff::{BackoffConfig, BackoffPolicy};
 use crate::violation::LivenessViolation;
 use crate::watchdog::{Watchdog, WatchdogConfig};
@@ -57,10 +57,9 @@ pub struct LiveStats {
     pub arbiter_epoch: u64,
     /// In-flight commit broadcasts replayed after a failover.
     pub replayed_commits: u64,
-    /// Duplicate deliveries dropped by the receiver-side dedup filter.
+    /// Delivery rounds after a broadcast's first (chaos duplicates and
+    /// failover replays) that receivers dropped.
     pub dedup_drops: u64,
-    /// Times one commit was applied more than once (must stay 0).
-    pub duplicate_applications: u64,
     /// Checkpoints captured at chaos context switches.
     pub checkpoints: u64,
     /// Checkpoint restores that failed verification (must stay 0).
@@ -78,21 +77,20 @@ impl LiveStats {
         self.arbiter_epoch = self.arbiter_epoch.max(other.arbiter_epoch);
         self.replayed_commits += other.replayed_commits;
         self.dedup_drops += other.dedup_drops;
-        self.duplicate_applications += other.duplicate_applications;
         self.checkpoints += other.checkpoints;
         self.checkpoint_restore_failures += other.checkpoint_restore_failures;
     }
 }
 
 /// One machine run's liveness engine: watchdog + backoff + failable
-/// arbiter + dedup, with a unified stats snapshot.
+/// arbiter, with a unified stats snapshot.
 #[derive(Debug)]
 pub struct LivenessEngine {
     watchdog: Watchdog,
     backoff: BackoffPolicy,
     arbiter: Arbiter,
-    dedup: DedupFilter,
     replayed_commits: u64,
+    dedup_drops: u64,
     checkpoints: u64,
     checkpoint_restore_failures: u64,
 }
@@ -111,8 +109,8 @@ impl LivenessEngine {
             watchdog: Watchdog::new(scheme, threads, cfg.watchdog, chaos_seed),
             backoff: BackoffPolicy::new(threads, cfg.backoff, cfg.seed),
             arbiter: Arbiter::new(threads, cfg.reelect_cycles),
-            dedup: DedupFilter::new(),
             replayed_commits: 0,
+            dedup_drops: 0,
             checkpoints: 0,
             checkpoint_restore_failures: 0,
         }
@@ -169,11 +167,6 @@ impl LivenessEngine {
         self.watchdog.take_violations()
     }
 
-    /// Stamps a commit ticket for the current epoch.
-    pub fn ticket(&self, committer: usize, serial: u64) -> CommitTicket {
-        self.arbiter.ticket(committer, serial)
-    }
-
     /// Crashes the arbiter mid-broadcast: re-elects, marks the in-flight
     /// commit as replayed, and returns the re-election cost in cycles.
     pub fn arbiter_crash(&mut self) -> u64 {
@@ -191,16 +184,10 @@ impl LivenessEngine {
         self.arbiter.leader()
     }
 
-    /// Admits a delivery of `ticket` (first delivery only); duplicates are
-    /// counted and must not be applied.
-    pub fn admit(&mut self, ticket: CommitTicket) -> bool {
-        self.dedup.admit(ticket)
-    }
-
-    /// Records an actual application of `ticket`'s W_C; duplicate
-    /// applications are counted as bugs.
-    pub fn record_application(&mut self, ticket: CommitTicket) -> bool {
-        self.dedup.record_application(ticket)
+    /// Records a delivery round the receivers dropped: a chaos duplicate
+    /// or failover replay of a broadcast they already applied.
+    pub fn note_dedup_drop(&mut self) {
+        self.dedup_drops += 1;
     }
 
     /// Records a checkpoint capture and whether its restore verified.
@@ -236,8 +223,7 @@ impl LivenessEngine {
             arbiter_crashes: self.arbiter.crashes(),
             arbiter_epoch: self.arbiter.epoch(),
             replayed_commits: self.replayed_commits,
-            dedup_drops: self.dedup.drops(),
-            duplicate_applications: self.dedup.duplicate_applications(),
+            dedup_drops: self.dedup_drops,
             checkpoints: self.checkpoints,
             checkpoint_restore_failures: self.checkpoint_restore_failures,
         }
@@ -275,22 +261,19 @@ mod tests {
     }
 
     #[test]
-    fn crash_replay_dedup_round_trip() {
+    fn dropped_replay_and_duplicate_rounds_are_counted() {
         let mut e = LivenessEngine::new("tm/test", 4, LivenessConfig::default(), None);
-        let t = e.ticket(2, 11);
-        assert!(e.admit(t));
-        assert!(!e.record_application(t));
         let cost = e.arbiter_crash();
         assert_eq!(cost, LivenessConfig::default().reelect_cycles);
-        let replay = e.ticket(2, 11);
-        assert_eq!(replay.epoch, 1);
-        assert!(!e.admit(replay));
+        // One broadcast, three rounds (original, replay, chaos duplicate):
+        // the receivers drop the two after the first.
+        e.note_dedup_drop();
+        e.note_dedup_drop();
         let s = e.stats();
         assert_eq!(s.arbiter_crashes, 1);
         assert_eq!(s.arbiter_epoch, 1);
         assert_eq!(s.replayed_commits, 1);
-        assert_eq!(s.dedup_drops, 1);
-        assert_eq!(s.duplicate_applications, 0);
+        assert_eq!(s.dedup_drops, 2);
     }
 
     #[test]

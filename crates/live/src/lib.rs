@@ -16,10 +16,11 @@
 //!   exponential backoff and seeded deterministic jitter, including
 //!   squash-storm throttling driven by the aliasing-squash rate, as a
 //!   graduated policy *before* serial-token escalation;
-//! * [`Arbiter`] / [`DedupFilter`] — the commit arbiter as a failable
-//!   component with epoch-based re-election and idempotent replay of
-//!   in-flight commit messages (`(committer, serial)` dedup at receivers,
-//!   so a committed-but-unacked W_C is never applied twice);
+//! * [`Arbiter`] — the commit arbiter as a failable component with
+//!   epoch-based re-election and replay of the in-flight commit message
+//!   inside the broadcast's one bus occupancy, whose first round is the
+//!   only one receivers apply (so a committed-but-unacked W_C is never
+//!   applied twice);
 //! * [`Checkpoint`] — crash-consistent capture/verify of per-thread
 //!   speculative state (R/W signatures + overflow area + O bit), so an
 //!   arbiter crash or forced context switch resumes without violating the
@@ -54,7 +55,7 @@ mod engine;
 mod violation;
 mod watchdog;
 
-pub use arbiter::{Arbiter, CommitTicket, DedupFilter};
+pub use arbiter::Arbiter;
 pub use backoff::{BackoffConfig, BackoffPolicy};
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use engine::{LiveStats, LivenessConfig, LivenessEngine};

@@ -29,9 +29,8 @@ USAGE:
   with the correct protocol, then the full mutation suite.
 
   --smoke            reduced bounds + depth cap + one mutation (fast gate)
-  --mutation <name>  check only this mutation (none | skip-dedup |
-                     stale-epoch-apply | replay-without-restamp |
-                     skip-replay | no-fencing)
+  --mutation <name>  check only this mutation (none | skip-cursor |
+                     replay-without-restamp | skip-replay | no-fencing)
   --out <dir>        write counterexample-<mutation>.txt artifacts here
   --procs/--commits/--crashes/--dups  override the bounds
   --max-depth <n>    bound exploration depth (reports TRUNCATED)

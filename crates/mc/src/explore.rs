@@ -57,8 +57,8 @@ pub struct ExploreReport {
     pub max_depth: usize,
     /// Most message copies simultaneously in flight in any state.
     pub max_inflight_msgs: usize,
-    /// Most *distinct commits* simultaneously in flight in any state
-    /// (> 1 exercises stale-copy drain concurrent with a fresh grant).
+    /// Most *distinct commits* simultaneously in flight in any state (1:
+    /// a grant waits for the previous broadcast's copies to drain).
     pub max_inflight_commits: usize,
     /// Interleaving classes: the distinct per-broadcast fault patterns
     /// observed at quiescence, in deterministic order.
@@ -239,9 +239,9 @@ mod tests {
     }
 
     #[test]
-    fn skip_dedup_yields_a_minimal_duplicate_application() {
-        let report = explore(ModelConfig::mutated(Mutation::SkipDedup));
-        let cx = report.counterexample.expect("skip-dedup must fail");
+    fn skip_cursor_yields_a_minimal_duplicate_application() {
+        let report = explore(ModelConfig::mutated(Mutation::SkipCursor));
+        let cx = report.counterexample.expect("skip-cursor must fail");
         assert!(matches!(cx.violation, Violation::DuplicateApplication { .. }));
         // Minimal: grant, deliver, duplicate the same delivery.
         assert_eq!(cx.trace.len(), 3, "{}", cx.render());

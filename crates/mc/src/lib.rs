@@ -8,15 +8,16 @@
 //! re-election. This crate checks those claims three ways:
 //!
 //! 1. **Exhaustive exploration** — [`model`] is a compact state machine
-//!    of the protocol (processors, one arbiter-granted bus, per-receiver
-//!    delivery, crashes with re-stamped replay, interconnect duplication,
-//!    `(committer, serial)` dedup); [`explore()`] enumerates *every*
-//!    interleaving under documented bounds with exact state dedup and
-//!    reports minimal certified counterexamples.
+//!    of the protocol (processors, one arbiter-granted bus occupancy per
+//!    broadcast, per-receiver delivery, crashes with re-stamped replay,
+//!    interconnect duplication, a per-receiver cursor over the bus
+//!    order); [`explore()`] enumerates *every* interleaving under
+//!    documented bounds with exact state dedup and reports minimal
+//!    certified counterexamples.
 //! 2. **Mutation testing** — [`mutation`] seeds protocol bugs (skip the
-//!    dedup check, fold the epoch into the dedup identity, replay without
-//!    re-stamping, skip replay); each must produce a counterexample while
-//!    the unmutated protocol passes exhaustively.
+//!    cursor check, replay without re-stamping, skip replay); each must
+//!    produce a counterexample while the unmutated protocol passes
+//!    exhaustively.
 //! 3. **Conformance replay** — [`conformance`] projects every explored
 //!    interleaving class onto a deterministic
 //!    [`ScheduleScript`](bulk_chaos::ScheduleScript); the repo-level

@@ -3,27 +3,27 @@
 //! The model abstracts the TM/TLS machines down to the distributed
 //! protocol the liveness engine implements (DESIGN.md §9): processors
 //! that each broadcast a bounded number of commits, a single bus the
-//! arbiter grants one current-epoch broadcast at a time, arbiter crashes
-//! that advance the epoch and replay the in-flight message under the new
-//! stamp, interconnect duplication, and receiver-side `(committer,
-//! serial)` dedup. Unlike the machines — where a broadcast's delivery
-//! rounds are atomic — the model delivers **per receiver**, so a crash
-//! can strand a half-delivered message, its stale copy can drain
-//! concurrently with the next epoch's broadcasts (two distinct commits
-//! genuinely in flight), and every interleaving of those deliveries is a
-//! distinct schedule.
+//! arbiter grants one broadcast at a time, arbiter crashes that advance
+//! the epoch and replay the in-flight message under the new stamp,
+//! interconnect duplication, and a per-receiver cursor over the bus
+//! order. The model delivers **per receiver**, so a crash can strand a
+//! half-delivered message and every interleaving of its copies'
+//! deliveries is a distinct schedule. Like the machines, whose
+//! `SimHarness::broadcast` delivers a commit's duplicate and replay
+//! rounds inside one bus occupancy, the arbiter grants the next
+//! broadcast only once every copy of the current one — original,
+//! duplicate, replays, stale or not — has drained.
 //!
 //! The correct protocol relies on three mechanisms, each of which a
-//! [`Mutation`] can break:
+//! [`Mutation`] can break or probe:
 //!
-//! 1. **Receiver dedup on `(committer, serial)`** — a ticket's W_C is
-//!    applied at most once however many copies arrive.
+//! 1. **The receiver cursor** — one past the last broadcast index a
+//!    receiver applied; a copy below it is dropped, so a W_C is applied
+//!    at most once however many copies arrive.
 //! 2. **Replay re-stamping** — the failover arbiter replays the in-flight
 //!    message stamped with the *new* epoch, so it passes the fence below.
 //! 3. **Epoch fencing** — receivers drop deliveries stamped with a dead
-//!    epoch (the lease-safety rule), so a stale copy draining after
-//!    re-election can never interleave its applications with the new
-//!    epoch's broadcasts.
+//!    epoch (the lease-safety rule).
 //!
 //! Checked properties:
 //!
@@ -39,8 +39,8 @@ use std::fmt;
 
 use crate::mutation::Mutation;
 
-/// A commit's identity: `(committer, serial)` — what receiver dedup keys
-/// on, and what must be applied exactly once everywhere.
+/// A commit's identity: `(committer, serial)` — what must be applied
+/// exactly once everywhere.
 pub type Ticket = (u8, u8);
 
 /// Model bounds. State-space size is a function of these; the documented
@@ -100,7 +100,8 @@ pub struct Msg {
     pub serial: u8,
     /// Epoch stamped at grant (or re-stamp) time.
     pub epoch: u8,
-    /// Broadcast index in bus-grant order (for fault-pattern attribution).
+    /// Broadcast index in bus-grant order: what receiver cursors compare
+    /// against, and the fault pattern's index.
     pub bindex: u8,
     /// Bitmask of receivers this copy has reached.
     pub delivered: u8,
@@ -149,8 +150,9 @@ pub struct State {
     pub crashes: u8,
     /// In-flight message copies, in creation order.
     pub inflight: Vec<Msg>,
-    /// Per-receiver dedup filter contents (identity keys admitted).
-    pub seen: Vec<BTreeSet<(u8, u8, u8)>>,
+    /// Per-receiver cursor: one past the broadcast index of the last copy
+    /// the receiver applied.
+    pub cursor: Vec<u8>,
     /// Per-receiver applied commit order — the committed order each
     /// processor observed.
     pub order: Vec<Vec<Ticket>>,
@@ -169,7 +171,7 @@ impl State {
             leader: 0,
             crashes: 0,
             inflight: Vec::new(),
-            seen: vec![BTreeSet::new(); p],
+            cursor: vec![0; p],
             order: vec![Vec::new(); p],
             pattern: Vec::new(),
         }
@@ -180,9 +182,8 @@ impl State {
         self.inflight.is_empty() && self.remaining.iter().all(|&r| r == 0)
     }
 
-    /// Number of *distinct commits* currently in flight (stale copies of
-    /// an old epoch count: after a failover the previous broadcast's
-    /// orphan can drain concurrently with the new epoch's broadcast).
+    /// Number of *distinct commits* currently in flight. A grant waits
+    /// for every copy to drain, stale ones included, so this is at most 1.
     pub fn inflight_commits(&self) -> usize {
         self.inflight.iter().map(Msg::ticket).collect::<BTreeSet<_>>().len()
     }
@@ -329,9 +330,9 @@ impl Model {
     /// All enabled actions of `state`, in deterministic order.
     pub fn enabled(&self, state: &State) -> Vec<Action> {
         let mut out = Vec::new();
-        // Grant: the bus is free when no current-epoch copy is in flight.
-        // (Stale copies of dead epochs may still be draining.)
-        if state.current_epoch_msg().is_none() {
+        // Grant: the bus is free once every copy has drained — one bus
+        // occupancy per broadcast, as `SimHarness::broadcast` delivers it.
+        if state.inflight.is_empty() {
             for p in 0..self.cfg.procs {
                 if state.remaining[usize::from(p)] > 0 {
                     out.push(Action::Grant { proc: p });
@@ -371,7 +372,7 @@ impl Model {
             Action::Grant { proc } => {
                 let p = usize::from(proc);
                 assert!(s.remaining[p] > 0, "grant for a finished proc");
-                assert!(s.current_epoch_msg().is_none(), "bus is occupied");
+                assert!(s.inflight.is_empty(), "bus is occupied");
                 let serial = self.cfg.commits_per_proc - s.remaining[p];
                 s.remaining[p] -= 1;
                 let bindex = s.pattern.len() as u8;
@@ -500,27 +501,20 @@ impl Model {
     }
 
     /// Receiver logic for one delivery of `state.inflight[mi]` at `to`:
-    /// epoch fence, dedup, then apply + eager property checks.
+    /// epoch fence, cursor, then apply + eager property checks.
     fn receive(&self, state: &mut State, mi: usize, to: u8) -> Option<Violation> {
         let m = state.inflight[mi];
         // Lease safety: deliveries stamped by a dead epoch are fenced.
         if m.epoch < state.epoch && self.cfg.mutation != Mutation::NoFencing {
             return None;
         }
-        // Receiver dedup. The correct identity is (committer, serial);
-        // the StaleEpochApply mutation wrongly folds the stamp into the
-        // identity, so a re-stamped replay reads as a fresh commit.
-        let identity = match self.cfg.mutation {
-            Mutation::StaleEpochApply => (m.committer, m.serial, m.epoch),
-            _ => (m.committer, m.serial, 0),
-        };
+        // The cursor: a copy of a broadcast this receiver already applied
+        // (a duplicate, a replay, a stale original) is dropped.
         let r = usize::from(to);
-        if self.cfg.mutation != Mutation::SkipDedup && !state.seen[r].insert(identity) {
+        if m.bindex < state.cursor[r] && self.cfg.mutation != Mutation::SkipCursor {
             return None;
         }
-        if self.cfg.mutation == Mutation::SkipDedup {
-            state.seen[r].insert(identity);
-        }
+        state.cursor[r] = m.bindex + 1;
         // Apply W_C.
         let ticket = m.ticket();
         state.order[r].push(ticket);
@@ -611,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_replays_under_the_new_epoch_and_dedup_drops_the_second_copy() {
+    fn crash_replays_under_the_new_epoch_and_the_cursor_drops_the_second_copy() {
         let m = model();
         let mut s = m.initial();
         s = m.apply(&s, Action::Grant { proc: 0 }).0;
@@ -623,7 +617,7 @@ mod tests {
         assert_eq!((s.epoch, s.leader, s.crashes), (1, 1, 1));
         assert_eq!(s.inflight.len(), 2, "original (stale) + re-stamped replay");
         assert_eq!(s.inflight_commits(), 1);
-        // The replay reaches both receivers: 1 dedups, 2 applies.
+        // The replay reaches both receivers: 1 is past it, 2 applies.
         let (next, v) = m.apply(&s, Action::Deliver { msg: (0, 0, 1, true), to: 1 });
         s = next;
         assert_eq!(v, None);
@@ -636,27 +630,34 @@ mod tests {
         assert_eq!(v, None);
         assert_eq!(s.order[1], vec![(0, 0)]);
         assert_eq!(s.order[2], vec![(0, 0)]);
+        assert_eq!(s.cursor, vec![0, 1, 1]);
         assert_eq!(s.pattern[0], FaultEntry { crashes: 1, dup: false });
     }
 
     #[test]
-    fn stale_drain_allows_two_distinct_commits_in_flight() {
+    fn grant_waits_for_every_copy_to_drain() {
         let m = model();
+        let is_grant = |a: &Action| matches!(a, Action::Grant { .. });
         let mut s = m.initial();
         s = m.apply(&s, Action::Grant { proc: 0 }).0;
         s = m.apply(&s, Action::Crash).0;
-        // Replay fully delivers; the stale original has not drained.
+        // The replay fully delivers; the stale original has not drained,
+        // so the bus is still occupied.
         s = m.apply(&s, Action::Deliver { msg: (0, 0, 1, true), to: 1 }).0;
         s = m.apply(&s, Action::Deliver { msg: (0, 0, 1, true), to: 2 }).0;
-        // Bus is free (no current-epoch copy): proc 1 is granted while the
-        // stale copy of proc 0's commit is still in flight.
-        s = m.apply(&s, Action::Grant { proc: 1 }).0;
-        assert_eq!(s.inflight_commits(), 2);
+        assert_eq!(s.inflight.len(), 1);
+        assert!(!m.enabled(&s).iter().any(is_grant), "a stale copy holds the bus");
+        // The stale copy drains (fenced at both receivers): now the bus
+        // is free.
+        s = m.apply(&s, Action::Deliver { msg: (0, 0, 0, false), to: 1 }).0;
+        s = m.apply(&s, Action::Deliver { msg: (0, 0, 0, false), to: 2 }).0;
+        assert!(s.inflight.is_empty());
+        assert!(m.enabled(&s).iter().any(is_grant));
     }
 
     #[test]
     fn replay_certifies_a_recorded_trace() {
-        let m = Model::new(ModelConfig::mutated(Mutation::StaleEpochApply));
+        let m = Model::new(ModelConfig::mutated(Mutation::SkipCursor));
         let trace = vec![
             Action::Grant { proc: 0 },
             Action::Deliver { msg: (0, 0, 0, false), to: 1 },

@@ -17,17 +17,11 @@ pub enum Mutation {
     /// The correct protocol.
     #[default]
     None,
-    /// Receivers apply every delivery without consulting the
-    /// `(committer, serial)` dedup filter. Any duplicated or replayed
-    /// delivery then applies a W_C twice — the bug the liveness engine's
-    /// `DedupFilter` exists to prevent.
-    SkipDedup,
-    /// Receivers fold the epoch stamp into the dedup identity
-    /// (`(committer, serial, epoch)` instead of `(committer, serial)`).
-    /// A failover replay is re-stamped with the new epoch, so a receiver
-    /// that already applied the original treats the replay as a fresh
-    /// commit and applies the stale epoch's W_C again.
-    StaleEpochApply,
+    /// Receivers apply every delivery without consulting their cursor.
+    /// Any duplicated or replayed delivery then applies a W_C twice —
+    /// the bug the machines avoid by applying only round 0 of a bus
+    /// occupancy.
+    SkipCursor,
     /// The failover arbiter replays the in-flight message without
     /// re-stamping it. The replay carries the dead epoch, every receiver
     /// fences it, and receivers the original never reached lose the
@@ -37,29 +31,23 @@ pub enum Mutation {
     /// receivers the original never reached lose the commit.
     SkipReplay,
     /// Receivers apply deliveries stamped by dead epochs instead of
-    /// fencing them. At these bounds this is *safe* — bus serialization
-    /// plus dedup mask it — and the suite asserts the explorer finds no
-    /// counterexample, demonstrating a discharged redundancy.
+    /// fencing them. This is *safe* — the one bus occupancy per broadcast
+    /// plus the cursor mask it — and the suite asserts the explorer finds
+    /// no counterexample, demonstrating a discharged redundancy.
     NoFencing,
 }
 
 impl Mutation {
     /// The seeded bugs, each of which must yield a counterexample.
-    pub fn seeded_bugs() -> [Mutation; 4] {
-        [
-            Mutation::SkipDedup,
-            Mutation::StaleEpochApply,
-            Mutation::ReplayWithoutRestamp,
-            Mutation::SkipReplay,
-        ]
+    pub fn seeded_bugs() -> [Mutation; 3] {
+        [Mutation::SkipCursor, Mutation::ReplayWithoutRestamp, Mutation::SkipReplay]
     }
 
     /// Stable kebab-case name (CLI argument and artifact file names).
     pub fn as_str(&self) -> &'static str {
         match self {
             Mutation::None => "none",
-            Mutation::SkipDedup => "skip-dedup",
-            Mutation::StaleEpochApply => "stale-epoch-apply",
+            Mutation::SkipCursor => "skip-cursor",
             Mutation::ReplayWithoutRestamp => "replay-without-restamp",
             Mutation::SkipReplay => "skip-replay",
             Mutation::NoFencing => "no-fencing",
@@ -70,8 +58,7 @@ impl Mutation {
     pub fn parse(s: &str) -> Option<Mutation> {
         Some(match s {
             "none" => Mutation::None,
-            "skip-dedup" => Mutation::SkipDedup,
-            "stale-epoch-apply" => Mutation::StaleEpochApply,
+            "skip-cursor" => Mutation::SkipCursor,
             "replay-without-restamp" => Mutation::ReplayWithoutRestamp,
             "skip-replay" => Mutation::SkipReplay,
             "no-fencing" => Mutation::NoFencing,
@@ -99,8 +86,7 @@ mod tests {
     fn names_round_trip() {
         for m in [
             Mutation::None,
-            Mutation::SkipDedup,
-            Mutation::StaleEpochApply,
+            Mutation::SkipCursor,
             Mutation::ReplayWithoutRestamp,
             Mutation::SkipReplay,
             Mutation::NoFencing,

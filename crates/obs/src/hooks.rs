@@ -182,7 +182,7 @@ pub struct RuntimeObs {
     pub live_arbiter_crashes: Counter,
     /// Current arbiter epoch (high-water mark).
     pub live_arbiter_epoch: Gauge,
-    /// Duplicate commit deliveries dropped by `(committer, serial)` dedup.
+    /// Delivery rounds after a broadcast's first, dropped by receivers.
     pub live_dedup_drops: Counter,
     /// Crash-consistent checkpoints captured at context switches.
     pub live_checkpoints: Counter,
@@ -416,7 +416,7 @@ impl RuntimeObs {
             .record(actor, cycle, EventKind::ArbiterFailover { epoch });
     }
 
-    /// A duplicate commit delivery was dropped by the dedup filter.
+    /// A commit delivery round after the broadcast's first was dropped.
     pub fn on_dedup_drop(&self) {
         self.live_dedup_drops.inc();
     }

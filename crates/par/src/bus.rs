@@ -24,7 +24,6 @@
 //! observes slot `n` published also observes every record before it
 //! and the full payload of record `n` itself.
 
-use bulk_live::CommitTicket;
 use bulk_mem::LineAddr;
 use bulk_sig::Signature;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,6 +45,16 @@ pub enum RecordKind {
     Fence,
 }
 
+/// A record's identity: the publishing worker and its serial, which
+/// counts the records that worker published before this one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct CommitTicket {
+    /// Publishing worker (TM thread, TLS processor).
+    pub committer: usize,
+    /// The worker's publish serial (monotonic per worker).
+    pub serial: u64,
+}
+
 /// One broadcast on the bus, holding what the paper's bus carries: a
 /// commit is its write signature `W_C` (§1 — `R` never leaves the
 /// processor), a non-transactional store is its address, which receivers
@@ -53,9 +62,8 @@ pub enum RecordKind {
 /// the oracle that verdicts and the post-run audit replay.
 #[derive(Debug)]
 pub struct BusRecord {
-    /// The record's identity, `(committer, serial)`, unique across the run
-    /// (the post-run audit checks it). Its epoch is always 0: slot order,
-    /// not an epoch, orders the records of a par run.
+    /// The record's identity, unique across the run (the post-run audit
+    /// checks it).
     pub ticket: CommitTicket,
     /// Publishing thread (TM) or task (TLS).
     pub thread: u32,
@@ -179,7 +187,7 @@ mod tests {
 
     fn record(thread: u32, serial: u64, to: usize) -> BusRecord {
         BusRecord {
-            ticket: CommitTicket { epoch: 0, committer: thread as usize, serial },
+            ticket: CommitTicket { committer: thread as usize, serial },
             thread,
             ordinal: serial,
             kind: RecordKind::Commit,

@@ -9,13 +9,13 @@
 //! predecessor's against `R`), when it may claim a slot, and what a
 //! squash rewinds.
 
-use crate::bus::{BusLog, BusRecord, RecordKind};
+use crate::bus::{BusLog, BusRecord, CommitTicket, RecordKind};
 use crate::config::ParConfig;
 use crate::recover::{Halt, RunControl};
 use crate::stats::WorkerStats;
 use bulk_chaos::{CrashPoint, InvariantKind, WorkerChaos};
 use bulk_core::SpilledVersion;
-use bulk_live::{Checkpoint, CommitTicket};
+use bulk_live::Checkpoint;
 use bulk_mem::{Addr, AddrSet, LineAddr};
 use bulk_obs::Verdict as Class;
 use bulk_rng::{Rng, SeedableRng, SmallRng};
@@ -376,7 +376,7 @@ impl Receiver {
     }
 
     fn stamp_ticket(&mut self) -> CommitTicket {
-        let t = CommitTicket { epoch: 0, committer: self.proc, serial: self.serial };
+        let t = CommitTicket { committer: self.proc, serial: self.serial };
         self.serial += 1;
         t
     }
@@ -412,7 +412,7 @@ mod tests {
     }
 
     fn peer_bare(kind: RecordKind) -> BusRecord {
-        BusRecord::bare(CommitTicket { epoch: 0, committer: 1, serial: 0 }, 1, 0, kind, 0)
+        BusRecord::bare(CommitTicket { committer: 1, serial: 0 }, 1, 0, kind, 0)
     }
 
     /// A peer's commit of `writes`, as the bus would carry it.

@@ -241,9 +241,8 @@ impl ParStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::BusRecord;
+    use crate::bus::{BusRecord, CommitTicket};
     use crate::config::ParConfig;
-    use bulk_live::CommitTicket;
     use bulk_mem::LineAddr;
     use bulk_sig::{Signature, SignatureConfig};
 
@@ -255,7 +254,7 @@ mod tests {
     /// number `slot / 2`, broadcasting one line its `W_C` contains.
     fn commit(slot: usize) -> BusRecord {
         let (thread, n) = (slot % 2, (slot / 2) as u64);
-        let ticket = CommitTicket { epoch: 0, committer: thread, serial: n };
+        let ticket = CommitTicket { committer: thread, serial: n };
         let mut w = Signature::new(SignatureConfig::s14_tm());
         w.insert_line(line(slot));
         let bare = BusRecord::bare(ticket, thread, n, RecordKind::Commit, slot);
@@ -293,7 +292,7 @@ mod tests {
 
     #[test]
     fn a_clean_log_with_a_fence_and_a_bare_store_seals_without_violations() {
-        let ticket = |serial| CommitTicket { epoch: 0, committer: 1, serial };
+        let ticket = |serial| CommitTicket { committer: 1, serial };
         let store = BusRecord {
             exact_w: vec![line(9)],
             ..BusRecord::bare(ticket(0), 1, 0, RecordKind::NonTxStore, 1)

@@ -50,14 +50,14 @@
 //! every spin site checks the bound and turns a stall into a typed
 //! `LivenessViolation` carrying the replay seed.
 
-use crate::bus::{BusLog, BusRecord, RecordKind};
+use crate::bus::{BusLog, BusRecord, CommitTicket, RecordKind};
 use crate::config::ParConfig;
 use crate::receiver::{Receiver, Resume, SpecSets};
 use crate::recover::{supervise, Halt, RunControl};
 use crate::runtime::RuntimeError;
 use crate::stats::ParStats;
 use bulk_core::SpilledVersion;
-use bulk_live::{Checkpoint, CommitTicket};
+use bulk_live::Checkpoint;
 use bulk_mem::LineAddr;
 use bulk_sig::SignatureConfig;
 use bulk_tm::Scheme;
@@ -139,7 +139,7 @@ pub fn run_par_tm(
                 // The orphaned slot would hang every survivor's poll; the
                 // fence tombstone keeps the log dense. It consumes
                 // `serial`, so the respawn starts past it.
-                let ticket = CommitTicket { epoch: 0, committer: dead.proc, serial };
+                let ticket = CommitTicket { committer: dead.proc, serial };
                 let fence = BusRecord::bare(ticket, dead.proc, 0, RecordKind::Fence, slot);
                 log.publish(slot, fence).map_err(|_| {
                     RuntimeError::ProtocolBug(format!(

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use bulk_chaos::{Auditor, FaultPlan, FaultStats, InvariantKind, InvariantViolation};
 use bulk_core::{flows, Bdm, CommitApplication, CommitMsg, DeliveredSignatures};
-use bulk_live::{CommitTicket, LiveStats, LivenessConfig, LivenessEngine, LivenessViolation};
+use bulk_live::{LiveStats, LivenessConfig, LivenessEngine, LivenessViolation};
 use bulk_mem::{AddrSet, BandwidthStats, Cache, LineAddr};
 use bulk_obs::{Obs, RuntimeObs, SpanId, SpanKind, SpanOutcome, Verdict};
 use bulk_sig::{SetBitmask, Signature};
@@ -18,11 +18,8 @@ use crate::{Bus, CoreTimer, SimConfig};
 
 /// One commit asking for the bus: the input of [`SimHarness::broadcast`].
 pub struct CommitRequest {
-    /// Who commits (TM thread, TLS task), as events and tickets name it.
+    /// Who commits (TM thread, TLS task), as events name it.
     pub committer: usize,
-    /// Which of the committer's commits this is; with `committer`, the
-    /// identity receivers dedup replayed deliveries by.
-    pub serial: u64,
     /// The actor audit reports name (TM thread, TLS processor).
     pub actor: usize,
     /// Trace lane of the commit span (the TM thread; the TLS bus lane).
@@ -50,15 +47,12 @@ pub struct Broadcast {
     /// `δ(W_C)` of the delivered write signature: decoded once here, not
     /// once per receiver (the expansion FSM's input, Fig. 4).
     delta_w_c: Option<SetBitmask>,
-    /// Deliveries every receiver sees: one, plus one for a chaos duplicate,
-    /// plus one replay per arbiter failover. Each is gated by
-    /// [`SimHarness::admit`].
+    /// Deliveries every receiver sees, all inside this broadcast's one
+    /// bus occupancy: one, plus one for a chaos duplicate, plus one replay
+    /// per arbiter failover. Each is gated by [`SimHarness::admit`].
     pub rounds: u32,
     /// Arbitration denials the committer retried through.
     pub retries: u32,
-    /// The commit's dedup ticket, for [`SimHarness::admit`]; `None`
-    /// without a liveness engine (deliveries then rely on idempotence).
-    pub ticket: Option<CommitTicket>,
 }
 
 impl Broadcast {
@@ -376,13 +370,12 @@ impl SimHarness {
         // Liveness: the commit arbiter itself can crash mid-broadcast
         // (chaos `arbiter_crash` fault, consulted only when a liveness
         // engine is armed). The new epoch's arbiter replays the in-flight
-        // broadcast; receivers dedup it by ticket so a committed-but-
-        // unacked W_C is never applied twice. The replay itself can be hit
-        // by another crash: one re-election and one more replay round per
-        // crash, up to the plan's per-broadcast bound so recovery always
-        // terminates.
+        // broadcast as one more round of this bus occupancy, which
+        // receivers drop (`admit`) so a committed-but-unacked W_C is never
+        // applied twice. The replay itself can be hit by another crash:
+        // one re-election and one more replay round per crash, up to the
+        // plan's per-broadcast bound so recovery always terminates.
         let mut replays = 0u32;
-        let ticket = self.live.as_ref().map(|l| l.ticket(committer, req.serial));
         if let Some(live) = self.live.as_mut() {
             let crash_cap =
                 self.chaos.as_ref().map_or(0, |plan| plan.config().max_crashes_per_broadcast);
@@ -412,30 +405,26 @@ impl SimHarness {
             self.commit_cause = c;
         }
         let rounds = 1 + u32::from(duplicate) + replays;
-        Broadcast { finish, delivered, delta_w_c, rounds, retries, ticket }
+        Broadcast { finish, delivered, delta_w_c, rounds, retries }
     }
 
-    /// Gate of one delivery round: with a liveness engine only the first
-    /// delivery of a ticket is applied, chaos duplicates and failover
-    /// replays are dropped (and counted). Without one every round is
-    /// delivered and must be idempotent: squashed receivers are no longer
-    /// speculative, invalidated lines are simply absent.
-    pub fn admit(&mut self, ticket: Option<CommitTicket>) -> bool {
-        let (Some(live), Some(tk)) = (self.live.as_mut(), ticket) else { return true };
-        let first = live.admit(tk);
-        if !first {
-            if let Some(obs) = &self.obs {
-                obs.on_dedup_drop();
-            }
+    /// Gate of delivery round `round` of a [`Broadcast`]. Its rounds all
+    /// arrive inside one bus occupancy, so with a liveness engine a
+    /// receiver applies round 0 and is past the broadcast after that —
+    /// the cursor rule `crates/mc` model-checks: chaos duplicates and
+    /// failover replays are dropped (and counted). Without one every
+    /// round is delivered and must be idempotent: squashed receivers are
+    /// no longer speculative, invalidated lines are simply absent.
+    pub fn admit(&mut self, round: u32) -> bool {
+        if round == 0 {
+            return true;
         }
-        first
-    }
-
-    /// Notes that an admitted round was applied at every receiver.
-    pub fn applied(&mut self, ticket: Option<CommitTicket>) {
-        if let (Some(live), Some(tk)) = (self.live.as_mut(), ticket) {
-            live.record_application(tk);
+        let Some(live) = self.live.as_mut() else { return true };
+        live.note_dedup_drop();
+        if let Some(obs) = &self.obs {
+            obs.on_dedup_drop();
         }
+        false
     }
 
     /// A Bulk receiver that was not squashed applies the commit: bulk

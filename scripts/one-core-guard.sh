@@ -17,10 +17,11 @@
 #    pointer, and no per-lookup division for the set count. The per-set
 #    `Vec` layout lives on only as the reference model in
 #    crates/mem/tests/cache_properties.rs.
-# 7. Exactly-once on real threads is the log cursor (DESIGN.md §13): no
-#    par receiver filters re-deliveries, no stress plan injects them, the
-#    bus has no epoch, and the TLS commit token only moves forward
-#    (`fetch_max`, never a plain store).
+# 7. Exactly-once is a cursor on both substrates (DESIGN.md §9, §13): a
+#    par receiver walks the log, a sim receiver applies round 0 of a
+#    broadcast's bus occupancy. No receiver filters re-deliveries, no
+#    stress plan injects them, the bus has no epoch, and the TLS commit
+#    token only moves forward (`fetch_max`, never a plain store).
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -78,11 +79,15 @@ if nontest_hits 'Vec<Vec<CacheLine>>|num_sets[(][)]' crates/mem/src/cache.rs; th
 fi
 
 cursor=0
-nontest_hits 'StressConfig|DedupFilter|bump_epoch|stress_redeliveries|next_commit[.]store[(]' \
+nontest_hits 'StressConfig|bump_epoch|stress_redeliveries|next_commit[.]store[(]' \
   crates/par/src/*.rs && cursor=1
-[ -e crates/par/tests/stress.rs ] && { echo "crates/par/tests/stress.rs"; cursor=1; }
+nontest_hits 'DedupFilter|record_application|duplicate_applications' \
+  "${files[@]}" crates/sim/src/harness.rs && cursor=1
+for gone in crates/par/tests/stress.rs crates/live/tests/dedup_properties.rs; do
+  [ -e "$gone" ] && { echo "$gone"; cursor=1; }
+done
 if [ "$cursor" -eq 1 ]; then
-  echo "one-core guard: par exactly-once is the log cursor; no dedup filter, stress plan, bus epoch or backward token store"
+  echo "one-core guard: exactly-once is a cursor; no dedup filter, stress plan, bus epoch or backward token store"
   fail=1
 fi
 

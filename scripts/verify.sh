@@ -67,13 +67,6 @@ for i in $(seq 1 50); do
 done
 echo "par_recovery x50: OK"
 
-# The filter the sim's arbiter-failover replay asks "applied already?"
-# (the par runtime needs none: its receivers walk the log by cursor): it
-# must answer exactly as the ordered-set model does, whatever the serials
-# look like.
-echo "== cargo test --release -p bulk-live --test dedup_properties"
-cargo test -q --release --offline --locked -p bulk-live --test dedup_properties
-
 # The signature crate parses attacker-controlled compressed bytes and
 # does position arithmetic on them; run its tests with debug_assertions
 # AND overflow checks forced on, so any wrap in gap accumulation or bit
