@@ -41,14 +41,13 @@ pub struct ChaosConfig {
     pub retransmit_cycles: u64,
     /// Per-broadcast probability that the commit arbiter crashes
     /// mid-broadcast (after the bus grant, before every receiver has
-    /// acknowledged). Recovery — epoch re-election and idempotent replay
-    /// of the in-flight message — is the liveness engine's job; with no
-    /// engine armed the machines never consult this fault, so the default
-    /// chaos mix is unchanged. Zero by default.
+    /// acknowledged). Recovery — a re-election that holds the bus, then a
+    /// replay of the in-flight message that receivers drop — is the sim
+    /// broadcast stage's job, and it consults this fault only with a
+    /// liveness engine armed, so the default chaos mix is unchanged. The
+    /// plan's [`FaultStats::arbiter_crashes`] is the one count of crashes
+    /// (and so of re-elections and replays). Zero by default.
     pub arbiter_crash_prob: f64,
-    /// Cycles one arbiter re-election costs (lease timeout + election
-    /// round), charged before the replay.
-    pub reelect_cycles: u64,
     /// Hard bound on arbiter crashes within one broadcast (the first
     /// crash hits the original transmission, later ones hit the replays —
     /// crash-during-replay). The machines stop consulting
@@ -98,7 +97,6 @@ impl ChaosConfig {
             evict_prob: 0.03,
             retransmit_cycles: 80,
             arbiter_crash_prob: 0.0,
-            reelect_cycles: 120,
             max_crashes_per_broadcast: 4,
             worker_kill_prob: 0.0,
             max_worker_kills: 0,

@@ -220,7 +220,6 @@ pub(crate) fn scripted_config() -> ChaosConfig {
         evict_prob: 0.0,
         retransmit_cycles: 80,
         arbiter_crash_prob: 0.0,
-        reelect_cycles: 120,
         max_crashes_per_broadcast: u32::MAX,
         worker_kill_prob: 0.0,
         max_worker_kills: 0,

@@ -242,7 +242,7 @@ fn run_job(a: RunArgs) -> Result<(), String> {
         finish_obs(obs, &a)?;
     }
     check("invariant", &r.violations, chaos)?;
-    check("liveness", &r.liveness_violations, None)
+    check("liveness", r.liveness_violations(), None)
 }
 
 /// Rejects the simulator-only flags under `--runtime par`: the

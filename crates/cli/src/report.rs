@@ -162,12 +162,6 @@ fn print_liveness(l: &LiveStats, violations: usize) {
          {} watchdog trips",
         l.backoff_waits, l.backoff_cycles, l.storm_widenings, l.watchdog_trips
     );
-    if l.arbiter_crashes > 0 {
-        println!(
-            "  arbiter            {} crashes survived (epoch {}), {} replays, {} dedup drops",
-            l.arbiter_crashes, l.arbiter_epoch, l.replayed_commits, l.dedup_drops
-        );
-    }
     if l.checkpoints > 0 {
         println!(
             "  checkpoints        {} captured, {} restore failures",

@@ -148,11 +148,6 @@ impl BackoffPolicy {
         }
     }
 
-    /// Whether the storm throttle is currently open.
-    pub fn storm_active(&self) -> bool {
-        self.storm_active
-    }
-
     /// Total waits issued.
     pub fn waits(&self) -> u64 {
         self.waits
@@ -254,12 +249,12 @@ mod tests {
         for _ in 0..8 {
             p.on_squash(0, true, 0);
         }
-        assert!(p.storm_active(), "all-aliasing window must open the throttle");
+        assert!(p.storm_active, "all-aliasing window must open the throttle");
         assert_eq!(p.storm_widenings(), 1);
         for _ in 0..8 {
             p.on_squash(0, false, 0);
         }
-        assert!(!p.storm_active(), "all-true-conflict window must close it");
+        assert!(!p.storm_active, "all-true-conflict window must close it");
         assert_eq!(p.storm_widenings(), 1);
     }
 

@@ -1,15 +1,14 @@
 //! The composed liveness engine the machines embed.
 //!
-//! [`LivenessEngine`] bundles the four mechanisms — watchdog, backoff
-//! arbitration, arbiter failover, and checkpoint accounting — behind one
-//! small hook surface, so a machine wires liveness with a handful of
-//! calls at its existing event sites (tick, squash, commit, broadcast).
+//! [`LivenessEngine`] bundles the three mechanisms — watchdog, backoff
+//! arbitration, and checkpoint accounting — behind one small hook
+//! surface, so a machine wires liveness with a handful of calls at its
+//! existing event sites (tick, squash, commit, delivery).
 //! Everything is deterministic: the only randomness is the backoff
 //! jitter, seeded from [`LivenessConfig::seed`] (the machines pass the
 //! chaos seed through, so `BULK_CHAOS_SEED` replays liveness behaviour
 //! too).
 
-use crate::arbiter::Arbiter;
 use crate::backoff::{BackoffConfig, BackoffPolicy};
 use crate::violation::LivenessViolation;
 use crate::watchdog::{Watchdog, WatchdogConfig};
@@ -21,8 +20,6 @@ pub struct LivenessConfig {
     pub watchdog: WatchdogConfig,
     /// Backoff ladder tuning.
     pub backoff: BackoffConfig,
-    /// Cycles one arbiter re-election costs (lease timeout + election).
-    pub reelect_cycles: u64,
     /// Seed for the deterministic backoff jitter. Machines pass the chaos
     /// seed so one `BULK_CHAOS_SEED` replays the whole run.
     pub seed: u64,
@@ -33,14 +30,14 @@ impl Default for LivenessConfig {
         LivenessConfig {
             watchdog: WatchdogConfig::default(),
             backoff: BackoffConfig::default(),
-            reelect_cycles: 120,
             seed: 0,
         }
     }
 }
 
 /// Counters the engine accumulates over a run; folded into the machines'
-/// stats structs and mirrored into the observability registry.
+/// stats structs and published once into the observability registry at
+/// the end of the run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LiveStats {
     /// Backoff waits issued.
@@ -51,12 +48,6 @@ pub struct LiveStats {
     pub storm_widenings: u64,
     /// Watchdog trips (0 or 1 per run; the first trip aborts).
     pub watchdog_trips: u64,
-    /// Arbiter crashes survived.
-    pub arbiter_crashes: u64,
-    /// Final arbiter epoch.
-    pub arbiter_epoch: u64,
-    /// In-flight commit broadcasts replayed after a failover.
-    pub replayed_commits: u64,
     /// Delivery rounds after a broadcast's first (chaos duplicates and
     /// failover replays) that receivers dropped.
     pub dedup_drops: u64,
@@ -67,29 +58,24 @@ pub struct LiveStats {
 }
 
 impl LiveStats {
-    /// Folds `other` into `self` (sums counters; epoch takes the max).
+    /// Folds `other` into `self` (sums every counter).
     pub fn merge(&mut self, other: &LiveStats) {
         self.backoff_waits += other.backoff_waits;
         self.backoff_cycles += other.backoff_cycles;
         self.storm_widenings += other.storm_widenings;
         self.watchdog_trips += other.watchdog_trips;
-        self.arbiter_crashes += other.arbiter_crashes;
-        self.arbiter_epoch = self.arbiter_epoch.max(other.arbiter_epoch);
-        self.replayed_commits += other.replayed_commits;
         self.dedup_drops += other.dedup_drops;
         self.checkpoints += other.checkpoints;
         self.checkpoint_restore_failures += other.checkpoint_restore_failures;
     }
 }
 
-/// One machine run's liveness engine: watchdog + backoff + failable
-/// arbiter, with a unified stats snapshot.
+/// One machine run's liveness engine: watchdog + backoff + checkpoint
+/// accounting, with a unified stats snapshot.
 #[derive(Debug)]
 pub struct LivenessEngine {
     watchdog: Watchdog,
     backoff: BackoffPolicy,
-    arbiter: Arbiter,
-    replayed_commits: u64,
     dedup_drops: u64,
     checkpoints: u64,
     checkpoint_restore_failures: u64,
@@ -108,8 +94,6 @@ impl LivenessEngine {
         LivenessEngine {
             watchdog: Watchdog::new(scheme, threads, cfg.watchdog, chaos_seed),
             backoff: BackoffPolicy::new(threads, cfg.backoff, cfg.seed),
-            arbiter: Arbiter::new(threads, cfg.reelect_cycles),
-            replayed_commits: 0,
             dedup_drops: 0,
             checkpoints: 0,
             checkpoint_restore_failures: 0,
@@ -167,23 +151,6 @@ impl LivenessEngine {
         self.watchdog.take_violations()
     }
 
-    /// Crashes the arbiter mid-broadcast: re-elects, marks the in-flight
-    /// commit as replayed, and returns the re-election cost in cycles.
-    pub fn arbiter_crash(&mut self) -> u64 {
-        self.replayed_commits += 1;
-        self.arbiter.fail_over()
-    }
-
-    /// Current arbiter epoch.
-    pub fn epoch(&self) -> u64 {
-        self.arbiter.epoch()
-    }
-
-    /// Current arbiter leader.
-    pub fn leader(&self) -> usize {
-        self.arbiter.leader()
-    }
-
     /// Records a delivery round the receivers dropped: a chaos duplicate
     /// or failover replay of a broadcast they already applied.
     pub fn note_dedup_drop(&mut self) {
@@ -220,9 +187,6 @@ impl LivenessEngine {
             backoff_cycles: self.backoff.wait_cycles(),
             storm_widenings: self.backoff.storm_widenings(),
             watchdog_trips: self.watchdog.trips(),
-            arbiter_crashes: self.arbiter.crashes(),
-            arbiter_epoch: self.arbiter.epoch(),
-            replayed_commits: self.replayed_commits,
             dedup_drops: self.dedup_drops,
             checkpoints: self.checkpoints,
             checkpoint_restore_failures: self.checkpoint_restore_failures,
@@ -261,37 +225,22 @@ mod tests {
     }
 
     #[test]
-    fn dropped_replay_and_duplicate_rounds_are_counted() {
+    fn dropped_rounds_and_checkpoints_are_counted() {
         let mut e = LivenessEngine::new("tm/test", 4, LivenessConfig::default(), None);
-        let cost = e.arbiter_crash();
-        assert_eq!(cost, LivenessConfig::default().reelect_cycles);
-        // One broadcast, three rounds (original, replay, chaos duplicate):
-        // the receivers drop the two after the first.
+        // One broadcast, three rounds (original, failover replay, chaos
+        // duplicate): the receivers drop the two after the first.
         e.note_dedup_drop();
         e.note_dedup_drop();
+        e.note_checkpoint(true);
         let s = e.stats();
-        assert_eq!(s.arbiter_crashes, 1);
-        assert_eq!(s.arbiter_epoch, 1);
-        assert_eq!(s.replayed_commits, 1);
-        assert_eq!(s.dedup_drops, 2);
+        assert_eq!((s.dedup_drops, s.checkpoints, s.checkpoint_restore_failures), (2, 1, 0));
     }
 
     #[test]
-    fn stats_merge_sums_and_maxes() {
-        let mut a = LiveStats {
-            backoff_waits: 1,
-            arbiter_epoch: 2,
-            ..LiveStats::default()
-        };
-        let b = LiveStats {
-            backoff_waits: 3,
-            arbiter_epoch: 1,
-            dedup_drops: 4,
-            ..LiveStats::default()
-        };
+    fn stats_merge_sums() {
+        let mut a = LiveStats { backoff_waits: 1, ..LiveStats::default() };
+        let b = LiveStats { backoff_waits: 3, dedup_drops: 4, ..LiveStats::default() };
         a.merge(&b);
-        assert_eq!(a.backoff_waits, 4);
-        assert_eq!(a.arbiter_epoch, 2);
-        assert_eq!(a.dedup_drops, 4);
+        assert_eq!((a.backoff_waits, a.dedup_drops), (4, 4));
     }
 }

@@ -1,11 +1,11 @@
-//! Liveness engine for the Bulk machines: forward-progress guarantees,
-//! commit-arbiter failover, and crash-consistent recovery.
+//! Liveness engine for the Bulk machines: forward-progress guarantees and
+//! crash-consistent recovery.
 //!
 //! The paper's commit protocol (§5) assumes an always-available arbiter
 //! and leaves forward progress to policy — its own Fig. 12(a) shows a
 //! naive eager scheme livelocking on a two-thread ping-pong. The chaos
 //! harness (DESIGN.md §7) can *stress* progress but nothing in the stack
-//! *guarantees* it. This crate closes that loop with four cooperating
+//! *guarantees* it. This crate closes that loop with three cooperating
 //! mechanisms:
 //!
 //! * [`Watchdog`] — detects livelock (repeated squash cycles between the
@@ -16,19 +16,18 @@
 //!   exponential backoff and seeded deterministic jitter, including
 //!   squash-storm throttling driven by the aliasing-squash rate, as a
 //!   graduated policy *before* serial-token escalation;
-//! * [`Arbiter`] — the commit arbiter as a failable component with
-//!   epoch-based re-election and replay of the in-flight commit message
-//!   inside the broadcast's one bus occupancy, whose first round is the
-//!   only one receivers apply (so a committed-but-unacked W_C is never
-//!   applied twice);
 //! * [`Checkpoint`] — crash-consistent capture/verify of per-thread
-//!   speculative state (R/W signatures + overflow area + O bit), so an
-//!   arbiter crash or forced context switch resumes without violating the
-//!   Set Restriction.
+//!   speculative state (R/W signatures + overflow area + O bit), so a
+//!   forced context switch resumes without violating the Set Restriction.
 //!
-//! [`LivenessEngine`] composes all four behind the hook surface the TM and
-//! TLS machines call. Every mechanism is a pure function of its seed and
-//! the event order, so runs replay exactly under `BULK_CHAOS_SEED`.
+//! [`LivenessEngine`] composes all three behind the hook surface the TM and
+//! TLS machines call, and counts the delivery rounds receivers drop. A
+//! commit-arbiter crash is not a mechanism of its own: the chaos plan
+//! counts it, and the sim's broadcast stage charges the re-election and
+//! delivers the replay as one more round of the same bus occupancy,
+//! which receivers drop (`bulk_sim::SimHarness::admit`). Every mechanism
+//! is a pure function of its seed and the event order, so runs replay
+//! exactly under `BULK_CHAOS_SEED`.
 //!
 //! ```
 //! use bulk_live::{LivenessConfig, LivenessEngine, LivenessKind, WatchdogConfig};
@@ -48,14 +47,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod arbiter;
 mod backoff;
 mod checkpoint;
 mod engine;
 mod violation;
 mod watchdog;
 
-pub use arbiter::Arbiter;
 pub use backoff::{BackoffConfig, BackoffPolicy};
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use engine::{LiveStats, LivenessConfig, LivenessEngine};

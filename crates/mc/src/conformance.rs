@@ -11,8 +11,9 @@
 //! becomes one deterministic [`ScheduleScript`] the machines replay. The
 //! conformance tests then assert the machine-observable outcomes the model
 //! predicts for that class: every commit applied exactly once, dedup drops
-//! equal to the class's extra delivery rounds, one epoch re-election and
-//! one replay per crash, and a byte-identical metrics snapshot per script.
+//! equal to the class's extra delivery rounds, every scripted crash
+//! injected (the chaos plan's count), and a byte-identical metrics
+//! snapshot per script.
 
 use std::collections::BTreeSet;
 
@@ -25,7 +26,8 @@ use crate::model::FaultEntry;
 pub struct ClassExpectation {
     /// The schedule realizing the class.
     pub script: ScheduleScript,
-    /// Arbiter crashes (= epoch re-elections = failover replays).
+    /// Arbiter crashes; each is one re-election and one failover replay,
+    /// so the machines count only the crash (`FaultStats::arbiter_crashes`).
     pub crashes: u64,
     /// Duplicated deliveries the interconnect injects.
     pub duplicates: u64,

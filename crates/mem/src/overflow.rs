@@ -125,11 +125,6 @@ impl OverflowArea {
     pub fn accesses(&self) -> u64 {
         self.accesses
     }
-
-    /// Resets the access counter (e.g. between measurement intervals).
-    pub fn reset_accesses(&mut self) {
-        self.accesses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +148,6 @@ mod tests {
         for i in 0..10 {
             o.spill(LineAddr::new(i));
         }
-        o.reset_accesses();
         let probe: AddrSet<LineAddr> = [3, 100].into_iter().map(LineAddr::new).collect();
         assert_eq!(o.disambiguate_walk(&probe), (10, 1));
         assert_eq!(o.accesses(), 10);
@@ -164,14 +158,12 @@ mod tests {
         let mut o = OverflowArea::new();
         o.spill(LineAddr::new(1));
         o.spill(LineAddr::new(2));
-        o.reset_accesses();
         o.deallocate(true);
         assert_eq!(o.accesses(), 2, "conventional walk touches each entry");
         assert!(o.is_empty());
 
         let mut o2 = OverflowArea::new();
         o2.spill(LineAddr::new(1));
-        o2.reset_accesses();
         o2.deallocate(false);
         assert_eq!(o2.accesses(), 1, "bulk discard is a single access");
         o2.deallocate(false);
@@ -211,7 +203,6 @@ mod tests {
         o.spill(LineAddr::new(9));
         o.spill(LineAddr::new(1));
         o.spill(LineAddr::new(5));
-        o.reset_accesses();
         assert_eq!(
             o.snapshot_lines(),
             vec![LineAddr::new(1), LineAddr::new(5), LineAddr::new(9)]
@@ -223,7 +214,6 @@ mod tests {
     fn contains_does_not_count() {
         let mut o = OverflowArea::new();
         o.spill(LineAddr::new(9));
-        o.reset_accesses();
         assert!(o.contains(LineAddr::new(9)));
         assert_eq!(o.accesses(), 0);
     }

@@ -79,69 +79,31 @@ impl OverflowObs {
     }
 }
 
-/// Counters holding the machine's final Fig. 13 cycle breakdown, filled
-/// once per run by [`RuntimeObs::finish_cycle_accounting`]. The six
-/// per-actor categories (`useful + squashed + commit + stall + overhead
-/// + other`) sum exactly to `total` whenever `audit_violations` is zero
-/// — the conservation invariant.
-#[derive(Debug, Clone)]
-pub struct CycleObs {
-    /// Committed speculative-section cycles.
-    pub useful: Counter,
-    /// Squashed speculative-section cycles.
-    pub squashed: Counter,
-    /// Commit arbitration + broadcast cycles on actor timelines.
-    pub commit: Counter,
-    /// Conflict-stall and backoff-wait cycles.
-    pub stall: Counter,
-    /// Squash/rollback, context-switch, checkpoint and spill cycles.
-    pub overhead: Counter,
-    /// Non-speculative execution, dispatch gaps and idle tails.
-    pub other: Counter,
-    /// Commit broadcast cycles on the bus lane (TLS: overlaps execution).
-    pub commit_bus: Counter,
-    /// Total cycles across all actor timelines.
-    pub total: Counter,
-    /// Conservation-audit failures found while reducing the trace.
-    pub audit_violations: Counter,
-}
-
-impl CycleObs {
-    /// Registers the breakdown counters under `prefix`.
-    pub fn register(reg: &Registry, prefix: &str) -> Self {
-        CycleObs {
-            useful: reg.counter(&format!("{prefix}cycles.useful")),
-            squashed: reg.counter(&format!("{prefix}cycles.squashed")),
-            commit: reg.counter(&format!("{prefix}cycles.commit")),
-            stall: reg.counter(&format!("{prefix}cycles.stall")),
-            overhead: reg.counter(&format!("{prefix}cycles.overhead")),
-            other: reg.counter(&format!("{prefix}cycles.other")),
-            commit_bus: reg.counter(&format!("{prefix}cycles.commit_bus")),
-            total: reg.counter(&format!("{prefix}cycles.total")),
-            audit_violations: reg.counter(&format!("{prefix}cycles.audit_violations")),
-        }
-    }
-}
-
 /// The full instrumentation bundle a machine (TM or TLS) holds: one
-/// handle per metric it maintains, plus the shared [`Obs`] so protocol
-/// steps can also be recorded as events.
+/// handle per metric a scrape reads while the run is going, plus the
+/// shared [`Obs`] so protocol steps can also be recorded as events.
 ///
-/// All handles live under the prefix given to [`RuntimeObs::attach`]
+/// All metrics live under the prefix given to [`RuntimeObs::attach`]
 /// (`"tm."` or `"tls."`). The `on_*` methods are the machines' single
 /// instrumentation surface; each is one or two atomic ops plus, where
 /// the step is a typed protocol event, an [`EventLog::record`]
 /// (ring-buffer push).
 ///
+/// A count nothing reads before the run ends has no handle here: it lives
+/// in the component that produces it and reaches the registry once,
+/// through [`RuntimeObs::publish`] — the Fig. 13 breakdown from
+/// [`RuntimeObs::finish_cycle_accounting`], the liveness and chaos counts
+/// from the sim harness's end-of-run drain. Each such series is published
+/// as zero at attach, so a scrape lists the same names before, during and
+/// after a run.
+///
 /// [`EventLog::record`]: crate::EventLog::record
 #[derive(Debug, Clone)]
 pub struct RuntimeObs {
     obs: Arc<Obs>,
+    prefix: String,
     /// Trace track (Chrome-export process) this machine's spans live on.
     pub track: u32,
-    /// The run's final cycle breakdown (filled by
-    /// [`RuntimeObs::finish_cycle_accounting`]).
-    pub cycles: CycleObs,
     /// Successful commits.
     pub commits: Counter,
     /// Commit broadcast payload sizes in bytes.
@@ -166,26 +128,12 @@ pub struct RuntimeObs {
     pub inv_exact: Counter,
     /// Of those, aliasing overshoot (`inv_lines - inv_exact`).
     pub inv_overshoot: Counter,
-    /// Forced context switches (signature spill + reload).
-    pub ctx_switches: Counter,
     /// Escalations to the non-speculative fallback.
     pub escalations: Counter,
     /// Disambiguation verdicts vs. the exact oracle.
     pub verdicts: VerdictCounters,
-    /// Backoff waits issued by the liveness engine.
-    pub live_backoff_waits: Counter,
-    /// Sizes of those waits, in cycles.
+    /// Sizes of the liveness engine's backoff waits, in cycles.
     pub live_backoff_cycles: Histogram,
-    /// Watchdog trips (livelock / starvation / global stall).
-    pub live_watchdog_trips: Counter,
-    /// Arbiter crashes survived via epoch re-election.
-    pub live_arbiter_crashes: Counter,
-    /// Current arbiter epoch (high-water mark).
-    pub live_arbiter_epoch: Gauge,
-    /// Delivery rounds after a broadcast's first, dropped by receivers.
-    pub live_dedup_drops: Counter,
-    /// Crash-consistent checkpoints captured at context switches.
-    pub live_checkpoints: Counter,
     /// The machine-side signature expansion counters.
     pub expansion: ExpansionObs,
     /// Counters to clone into the machine's overflow area, if it has one.
@@ -200,8 +148,8 @@ impl RuntimeObs {
         let bytes_edges = Histogram::pow2_edges(14); // 1 B .. 16 KiB
         let size_edges = Histogram::pow2_edges(10); // 1 .. 1024 lines/words
         let bundle = RuntimeObs {
+            prefix: prefix.to_string(),
             track: obs.trace().register_track(prefix),
-            cycles: CycleObs::register(reg, prefix),
             commits: reg.counter(&format!("{prefix}commits")),
             commit_payload_bytes: reg
                 .histogram(&format!("{prefix}commit.payload_bytes"), &bytes_edges),
@@ -217,22 +165,30 @@ impl RuntimeObs {
             inv_lines: reg.counter(&format!("{prefix}invalidate.lines")),
             inv_exact: reg.counter(&format!("{prefix}invalidate.exact")),
             inv_overshoot: reg.counter(&format!("{prefix}invalidate.overshoot")),
-            ctx_switches: reg.counter(&format!("{prefix}ctx_switches")),
             escalations: reg.counter(&format!("{prefix}escalations")),
             verdicts: VerdictCounters::register(reg, prefix),
-            live_backoff_waits: reg.counter(&format!("{prefix}live.backoff_waits")),
             live_backoff_cycles: reg
                 .histogram(&format!("{prefix}live.backoff_cycles"), &bytes_edges),
-            live_watchdog_trips: reg.counter(&format!("{prefix}live.watchdog_trips")),
-            live_arbiter_crashes: reg.counter(&format!("{prefix}live.arbiter_crashes")),
-            live_arbiter_epoch: reg.gauge(&format!("{prefix}live.arbiter_epoch")),
-            live_dedup_drops: reg.counter(&format!("{prefix}live.dedup_drops")),
-            live_checkpoints: reg.counter(&format!("{prefix}live.checkpoints")),
             expansion: ExpansionObs::register(reg, prefix),
             overflow: OverflowObs::register(reg, prefix),
             obs,
         };
+        bundle.publish(&cycle_counts(&CycleBreakdown::default()), &[]);
         bundle
+    }
+
+    /// Publishes end-of-run counts under the machine's prefix: each
+    /// counter grows by its value and each gauge is raised to its value.
+    /// Call once per run with the final values; a call with zeros only
+    /// registers the series.
+    pub fn publish(&self, counters: &[(&str, u64)], gauges: &[(&str, u64)]) {
+        let reg = self.obs.registry();
+        for &(name, value) in counters {
+            reg.counter(&format!("{}{name}", self.prefix)).add(value);
+        }
+        for &(name, value) in gauges {
+            reg.gauge(&format!("{}{name}", self.prefix)).record_max(value);
+        }
     }
 
     /// The shared observability bundle the handles record into.
@@ -292,7 +248,7 @@ impl RuntimeObs {
     }
 
     /// Reduces this machine's trace into the Fig. 13 cycle breakdown and
-    /// publishes it through [`RuntimeObs::cycles`]. `totals[a]` is actor
+    /// publishes it as the `cycles.*` counters. `totals[a]` is actor
     /// `a`'s final clock. Call once, at the end of the run; the returned
     /// breakdown carries any conservation-audit violations so the caller
     /// can feed them to its invariant auditor.
@@ -306,15 +262,7 @@ impl RuntimeObs {
                 detail: format!("trace ring dropped {dropped} spans; accounting is incomplete"),
             });
         }
-        self.cycles.useful.add(br.useful);
-        self.cycles.squashed.add(br.squashed);
-        self.cycles.commit.add(br.commit);
-        self.cycles.stall.add(br.stall);
-        self.cycles.overhead.add(br.overhead);
-        self.cycles.other.add(br.other);
-        self.cycles.commit_bus.add(br.commit_bus);
-        self.cycles.total.add(br.total);
-        self.cycles.audit_violations.add(br.violations.len() as u64);
+        self.publish(&cycle_counts(&br), &[]);
         br
     }
 
@@ -376,7 +324,6 @@ impl RuntimeObs {
 
     /// A forced context switch of the running speculative version.
     pub fn on_ctx_switch(&self, actor: u32, cycle: u64) {
-        self.ctx_switches.inc();
         self.obs.events().record(actor, cycle, EventKind::CtxSwitch);
     }
 
@@ -387,9 +334,8 @@ impl RuntimeObs {
     }
 
     /// A liveness-engine backoff wait of `cycles` issued to `actor`
-    /// before its retry. Zero-cycle waits are counted but not logged.
+    /// before its retry. Zero-cycle waits are observed but not logged.
     pub fn on_backoff(&self, actor: u32, cycle: u64, cycles: u64) {
-        self.live_backoff_waits.inc();
         self.live_backoff_cycles.observe(cycles);
         if cycles > 0 {
             self.obs
@@ -400,31 +346,36 @@ impl RuntimeObs {
 
     /// The watchdog tripped with violation kind `kind` (kebab-case).
     pub fn on_watchdog_trip(&self, actor: u32, cycle: u64, kind: &'static str) {
-        self.live_watchdog_trips.inc();
         self.obs
             .events()
             .record(actor, cycle, EventKind::WatchdogTrip { kind });
     }
 
     /// The commit arbiter crashed mid-broadcast (the committing `actor`'s
-    /// message will be replayed) and `epoch` was elected.
+    /// message will be replayed); `epoch` counts the run's crashes so far.
     pub fn on_arbiter_failover(&self, actor: u32, cycle: u64, epoch: u64) {
-        self.live_arbiter_crashes.inc();
-        self.live_arbiter_epoch.record_max(epoch);
         self.obs
             .events()
             .record(actor, cycle, EventKind::ArbiterFailover { epoch });
     }
+}
 
-    /// A commit delivery round after the broadcast's first was dropped.
-    pub fn on_dedup_drop(&self) {
-        self.live_dedup_drops.inc();
-    }
-
-    /// A crash-consistent checkpoint was captured at a context switch.
-    pub fn on_checkpoint(&self) {
-        self.live_checkpoints.inc();
-    }
+/// The Fig. 13 breakdown as the `cycles.*` counters it is published as.
+/// The six per-actor categories (`useful + squashed + commit + stall +
+/// overhead + other`) sum exactly to `total` whenever `audit_violations`
+/// is zero — the conservation invariant.
+fn cycle_counts(br: &CycleBreakdown) -> [(&'static str, u64); 9] {
+    [
+        ("cycles.useful", br.useful),
+        ("cycles.squashed", br.squashed),
+        ("cycles.commit", br.commit),
+        ("cycles.stall", br.stall),
+        ("cycles.overhead", br.overhead),
+        ("cycles.other", br.other),
+        ("cycles.commit_bus", br.commit_bus),
+        ("cycles.total", br.total),
+        ("cycles.audit_violations", br.violations.len() as u64),
+    ]
 }
 
 #[cfg(test)]
@@ -447,7 +398,6 @@ mod tests {
         assert_eq!(reg.counter_value("tm.squash.aliasing"), 1);
         assert_eq!(reg.counter_value("tm.squash.true_conflict"), 1);
         assert_eq!(reg.counter_value("tm.invalidate.overshoot"), 1);
-        assert_eq!(reg.counter_value("tm.ctx_switches"), 1);
         assert_eq!(reg.counter_value("tm.escalations"), 1);
         // squash split sums to total
         assert_eq!(
@@ -467,28 +417,6 @@ mod tests {
         r.on_bulk_invalidate(0, 10, 0, 0);
         assert!(obs.events().is_empty());
         assert_eq!(obs.registry().counter_value("tls.invalidate.lines"), 0);
-    }
-
-    #[test]
-    fn liveness_hooks_register_and_record() {
-        let obs = Arc::new(Obs::new());
-        let r = RuntimeObs::attach(Arc::clone(&obs), "tm.");
-        r.on_backoff(0, 100, 48);
-        r.on_backoff(1, 110, 0);
-        r.on_watchdog_trip(1, 200, "livelock");
-        r.on_arbiter_failover(0, 300, 2);
-        r.on_dedup_drop();
-        r.on_checkpoint();
-        let reg = obs.registry();
-        assert_eq!(reg.counter_value("tm.live.backoff_waits"), 2);
-        assert_eq!(reg.counter_value("tm.live.watchdog_trips"), 1);
-        assert_eq!(reg.counter_value("tm.live.arbiter_crashes"), 1);
-        assert_eq!(reg.counter_value("tm.live.dedup_drops"), 1);
-        assert_eq!(reg.counter_value("tm.live.checkpoints"), 1);
-        // Zero-cycle waits are counted but emit no event.
-        assert_eq!(obs.events().len(), 3);
-        let gauges = reg.gauges();
-        assert!(gauges.contains(&("tm.live.arbiter_epoch".to_string(), 2)));
     }
 
     #[test]

@@ -555,6 +555,7 @@ mod tests {
     #[test]
     fn a_snapshot_during_observation_is_self_consistent() {
         use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
         let h = Histogram::with_edges(&Histogram::pow2_edges(6));
         let stop = AtomicBool::new(false);
         let field = |json: &str, key: &str| -> Vec<u64> {
@@ -578,9 +579,14 @@ mod tests {
             while h.count() == 0 {
                 std::thread::yield_now();
             }
+            // Snapshot until the observer has advanced and 2,000 snapshots
+            // are taken: on a busy host the observer can sit descheduled
+            // through any fixed number of them. The deadline fails a run
+            // whose observer never advances.
             let before = h.count();
-            let mut torn = None;
-            for _ in 0..2000 {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let (mut torn, mut snapshots, mut observed) = (None, 0u32, false);
+            while (snapshots < 2000 || !observed) && Instant::now() < deadline {
                 let json = h.to_json();
                 let count = field(&json, "\"count\": ")[0];
                 let in_buckets: u64 = field(&json, "\"n\": ").iter().sum();
@@ -595,8 +601,9 @@ mod tests {
                     torn = Some(format!("p100 = {p100:?}"));
                     break;
                 }
+                snapshots += 1;
+                observed = h.count() > before;
             }
-            let observed = h.count() > before;
             stop.store(true, Ordering::Relaxed);
             assert_eq!(torn, None, "snapshot disagrees with itself");
             assert!(observed, "nothing was observed while snapshotting");

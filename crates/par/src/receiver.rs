@@ -12,7 +12,7 @@
 use crate::bus::{BusLog, BusRecord, CommitTicket, RecordKind};
 use crate::config::ParConfig;
 use crate::recover::{Halt, RunControl};
-use crate::stats::WorkerStats;
+use crate::stats::ParStats;
 use bulk_chaos::{CrashPoint, InvariantKind, WorkerChaos};
 use bulk_core::SpilledVersion;
 use bulk_live::Checkpoint;
@@ -177,7 +177,8 @@ pub(crate) struct Receiver {
     /// supervisor fences it (TM) or hands it to the next incarnation
     /// (TLS) — however often the adopter itself dies before publishing.
     pub claimed_unpublished: Option<usize>,
-    pub stats: WorkerStats,
+    /// This incarnation's counters, folded into the run's at its end.
+    pub stats: ParStats,
 }
 
 impl Receiver {
@@ -195,7 +196,7 @@ impl Receiver {
             squash_streak: 0,
             pending_dwell_ns: 0,
             claimed_unpublished: resume.adopt,
-            stats: WorkerStats::default(),
+            stats: ParStats::default(),
         }
     }
 

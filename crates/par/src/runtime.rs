@@ -232,7 +232,8 @@ pub enum RunDetail {
 }
 
 /// What every runtime returns: the cross-substrate commit summary plus
-/// the substrate's own statistics.
+/// the substrate's own statistics, which the summary reads rather than
+/// copies.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Which runtime produced this report (`"sim"` or `"par"`).
@@ -241,13 +242,8 @@ pub struct RunReport {
     pub commits: u64,
     /// Squashes / task restarts.
     pub squashes: u64,
-    /// Committed history in the substrate's commit order.
-    pub history: Vec<CommitEvent>,
     /// Invariant violations observed (empty on a healthy run).
     pub violations: Vec<InvariantViolation>,
-    /// Watchdog trips of a sim run that finished with a diagnosis (the
-    /// parallel runtime reports a stall as [`RuntimeError::Liveness`]).
-    pub liveness_violations: Vec<LivenessViolation>,
     /// Wall-clock nanoseconds the run took on the host.
     pub wall_ns: u64,
     /// The substrate's full statistics.
@@ -257,26 +253,31 @@ pub struct RunReport {
 impl RunReport {
     /// Lifts a substrate's statistics into the cross-substrate summary.
     fn new(runtime: &'static str, wall_ns: u64, detail: RunDetail) -> Self {
-        let (commits, squashes, history, violations) = match &detail {
-            RunDetail::Tm(s) => (s.commits, s.squashes, &s.history, &s.violations),
-            RunDetail::Tls(s) => (s.commits, s.squashes, &s.history, &s.violations),
-            RunDetail::Par(s) => (s.commits, s.squashes, &s.history, &s.violations),
+        let (commits, squashes, violations) = match &detail {
+            RunDetail::Tm(s) => (s.commits, s.squashes, &s.violations),
+            RunDetail::Tls(s) => (s.commits, s.squashes, &s.violations),
+            RunDetail::Par(s) => (s.commits, s.squashes, &s.violations),
         };
-        let (history, violations) = (history.clone(), violations.clone());
-        let liveness_violations = match &detail {
-            RunDetail::Tm(s) => s.liveness_violations.clone(),
-            RunDetail::Tls(s) => s.liveness_violations.clone(),
-            RunDetail::Par(_) => Vec::new(),
-        };
-        RunReport {
-            runtime,
-            commits,
-            squashes,
-            history,
-            violations,
-            liveness_violations,
-            wall_ns,
-            detail,
+        let violations = violations.clone();
+        RunReport { runtime, commits, squashes, violations, wall_ns, detail }
+    }
+
+    /// Committed history in the substrate's commit order.
+    pub fn history(&self) -> &[CommitEvent] {
+        match &self.detail {
+            RunDetail::Tm(s) => &s.history,
+            RunDetail::Tls(s) => &s.history,
+            RunDetail::Par(s) => &s.history,
+        }
+    }
+
+    /// Watchdog trips of a sim run that finished with a diagnosis (the
+    /// parallel runtime reports a stall as [`RuntimeError::Liveness`]).
+    pub fn liveness_violations(&self) -> &[LivenessViolation] {
+        match &self.detail {
+            RunDetail::Tm(s) => &s.liveness_violations,
+            RunDetail::Tls(s) => &s.liveness_violations,
+            RunDetail::Par(_) => &[],
         }
     }
 
@@ -286,7 +287,7 @@ impl RunReport {
     /// program order" — the strongest order statement preserved across
     /// substrates with different timestamps.
     pub fn commit_class(&self) -> BTreeSet<(u32, u64)> {
-        self.history.iter().map(CommitEvent::identity).collect()
+        self.history().iter().map(CommitEvent::identity).collect()
     }
 }
 
@@ -461,13 +462,20 @@ mod tests {
     use super::*;
     use bulk_trace::profiles;
 
+    fn tm_stats(r: &mut RunReport) -> &mut TmStats {
+        match &mut r.detail {
+            RunDetail::Tm(s) => s,
+            other => panic!("not a sim TM report: {other:?}"),
+        }
+    }
+
     #[test]
     fn sim_runtime_reports_history_matching_commits() {
         let wl = profiles::tm_profile("mc").unwrap().generate(1);
         let r = SimRuntime.run_tm(&wl, Scheme::Bulk, &SimConfig::tm_default()).unwrap();
         assert_eq!(r.runtime, "sim");
-        assert_eq!(r.commits as usize, r.history.len());
-        assert_eq!(r.commit_class().len(), r.history.len());
+        assert_eq!(r.commits as usize, r.history().len());
+        assert_eq!(r.commit_class().len(), r.history().len());
     }
 
     #[test]
@@ -475,7 +483,7 @@ mod tests {
         let wl = profiles::tm_profile("mc").unwrap().generate(1);
         let a = SimRuntime.run_tm(&wl, Scheme::Bulk, &SimConfig::tm_default()).unwrap();
         let mut b = a.clone();
-        for ev in &mut b.history {
+        for ev in &mut tm_stats(&mut b).history {
             ev.at += 1000; // same class, shifted clock
         }
         same_commit_class(&a, &b).unwrap();
@@ -486,7 +494,7 @@ mod tests {
         let wl = profiles::tm_profile("mc").unwrap().generate(1);
         let a = SimRuntime.run_tm(&wl, Scheme::Bulk, &SimConfig::tm_default()).unwrap();
         let mut b = a.clone();
-        b.history.pop();
+        tm_stats(&mut b).history.pop();
         let err = same_commit_class(&a, &b).unwrap_err();
         assert!(err.contains("committed-order classes differ"), "{err}");
     }

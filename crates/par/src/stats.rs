@@ -9,8 +9,9 @@ use bulk_obs::Registry;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 
-/// Aggregate statistics of one parallel-runtime run, folded from the
-/// per-thread workers after join.
+/// Statistics of one parallel-runtime run, and of each worker
+/// incarnation in it: the supervisor folds every incarnation's counters
+/// into the run's after join.
 #[derive(Debug, Clone, Default)]
 pub struct ParStats {
     /// Committed outer transactions (TM) or tasks (TLS).
@@ -57,20 +58,6 @@ pub struct ParStats {
     pub history: Vec<CommitEvent>,
     /// Invariant violations found at apply time or by the post-run
     /// audit (empty on a healthy run).
-    pub violations: Vec<InvariantViolation>,
-}
-
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WorkerStats {
-    pub commits: u64,
-    pub squashes: u64,
-    pub false_squashes: u64,
-    pub claim_retries: u64,
-    pub slot_wait_spins: u64,
-    pub non_tx_stores: u64,
-    pub injected_stalls: u64,
-    pub delayed_publishes: u64,
-    pub audit_checks: u64,
     pub violations: Vec<InvariantViolation>,
 }
 
@@ -224,7 +211,9 @@ impl ParStats {
         self.violations.extend(auditor.take_violations());
     }
 
-    pub(crate) fn fold(&mut self, w: WorkerStats) {
+    /// Adds one worker incarnation's counters — the ones a
+    /// [`Receiver`](crate::receiver::Receiver) keeps — into the run's.
+    pub(crate) fn fold(&mut self, w: ParStats) {
         self.commits += w.commits;
         self.squashes += w.squashes;
         self.false_squashes += w.false_squashes;

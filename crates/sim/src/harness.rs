@@ -16,6 +16,10 @@ use bulk_sig::{SetBitmask, Signature};
 
 use crate::{Bus, CoreTimer, SimConfig};
 
+/// Bus cycles one commit-arbiter re-election holds (lease timeout plus
+/// election round) before the crashed broadcast's replay.
+const REELECT_CYCLES: u64 = 120;
+
 /// One commit asking for the bus: the input of [`SimHarness::broadcast`].
 pub struct CommitRequest {
     /// Who commits (TM thread, TLS task), as events name it.
@@ -130,8 +134,9 @@ pub struct SimHarness {
     pub auditor: Auditor,
     /// Observability handles, when attached.
     pub obs: Option<RuntimeObs>,
-    /// Liveness engine (watchdog + backoff + failable arbiter). `None`
-    /// leaves a run bit-identical: no fault-stream draws, no timing change.
+    /// Liveness engine (watchdog + backoff + checkpoints); arming it also
+    /// arms commit-arbiter failover. `None` leaves a run bit-identical: no
+    /// fault-stream draws, no timing change.
     pub live: Option<LivenessEngine>,
     /// Trace span of the commit broadcast (or individual invalidation)
     /// currently being delivered, so receiver-side squash and invalidate
@@ -157,9 +162,12 @@ impl SimHarness {
     }
 
     /// Attaches an observability bundle: protocol steps are mirrored into
-    /// metrics under the machine's prefix and into the shared event log.
+    /// metrics under the machine's prefix and into the shared event log,
+    /// and the counts [`SimHarness::drain`] publishes start at zero.
     pub fn attach_obs(&mut self, obs: Arc<Obs>) -> &RuntimeObs {
-        self.obs.insert(RuntimeObs::attach(obs, self.prefix))
+        let obs = self.obs.insert(RuntimeObs::attach(obs, self.prefix));
+        publish_tail(obs, &FaultStats::default(), &LiveStats::default());
+        obs
     }
 
     /// Arms the chaos fault injector. The run then becomes a pure function
@@ -369,25 +377,25 @@ impl SimHarness {
 
         // Liveness: the commit arbiter itself can crash mid-broadcast
         // (chaos `arbiter_crash` fault, consulted only when a liveness
-        // engine is armed). The new epoch's arbiter replays the in-flight
-        // broadcast as one more round of this bus occupancy, which
-        // receivers drop (`admit`) so a committed-but-unacked W_C is never
-        // applied twice. The replay itself can be hit by another crash:
-        // one re-election and one more replay round per crash, up to the
-        // plan's per-broadcast bound so recovery always terminates.
+        // engine is armed; the plan counts every crash). The re-elected
+        // arbiter replays the in-flight broadcast as one more round of
+        // this bus occupancy, which receivers drop (`admit`) so a
+        // committed-but-unacked W_C is never applied twice. The replay
+        // itself can be hit by another crash: one re-election and one more
+        // replay round per crash, up to the plan's per-broadcast bound so
+        // recovery always terminates.
         let mut replays = 0u32;
-        if let Some(live) = self.live.as_mut() {
-            let crash_cap =
-                self.chaos.as_ref().map_or(0, |plan| plan.config().max_crashes_per_broadcast);
-            while replays < crash_cap && self.chaos.as_mut().is_some_and(|p| p.arbiter_crash()) {
+        if let (Some(plan), Some(_)) = (self.chaos.as_mut(), &self.live) {
+            let crash_cap = plan.config().max_crashes_per_broadcast;
+            while replays < crash_cap && plan.arbiter_crash() {
                 // Re-election occupies the bus (no broadcast can proceed
                 // while the arbiter lease times out), keeping commit order
                 // total.
-                let reelect = live.arbiter_crash();
-                finish = self.bus.acquire(finish, reelect) + reelect;
+                finish = self.bus.acquire(finish, REELECT_CYCLES) + REELECT_CYCLES;
                 replays += 1;
                 if let Some(obs) = &self.obs {
-                    obs.on_arbiter_failover(committer as u32, finish, live.epoch());
+                    let epoch = plan.stats().arbiter_crashes;
+                    obs.on_arbiter_failover(committer as u32, finish, epoch);
                 }
             }
         }
@@ -412,18 +420,16 @@ impl SimHarness {
     /// arrive inside one bus occupancy, so with a liveness engine a
     /// receiver applies round 0 and is past the broadcast after that —
     /// the cursor rule `crates/mc` model-checks: chaos duplicates and
-    /// failover replays are dropped (and counted). Without one every
-    /// round is delivered and must be idempotent: squashed receivers are
-    /// no longer speculative, invalidated lines are simply absent.
+    /// failover replays are dropped (and counted by the engine). Without
+    /// one every round is delivered and must be idempotent: squashed
+    /// receivers are no longer speculative, invalidated lines are simply
+    /// absent.
     pub fn admit(&mut self, round: u32) -> bool {
         if round == 0 {
             return true;
         }
         let Some(live) = self.live.as_mut() else { return true };
         live.note_dedup_drop();
-        if let Some(obs) = &self.obs {
-            obs.on_dedup_drop();
-        }
         false
     }
 
@@ -459,7 +465,8 @@ impl SimHarness {
     /// (`totals[a]` is actor `a`'s final clock; conservation failures
     /// become audited violations, so they must land before the auditor is
     /// drained), the auditor, the liveness engine, and the watchdog events
-    /// its violations imply.
+    /// its violations imply — then publishes the chaos and liveness counts
+    /// into the registry, once.
     pub fn drain(&mut self, totals: &[u64]) -> RunTail {
         let chaos = self.chaos.as_mut().map(FaultPlan::take_stats).unwrap_or_default();
         if let Some(obs) = &self.obs {
@@ -485,7 +492,26 @@ impl SimHarness {
             for v in &liveness_violations {
                 obs.on_watchdog_trip(v.thread.unwrap_or(0) as u32, v.cycle, v.kind.as_str());
             }
+            publish_tail(obs, &chaos, &liveness);
         }
         RunTail { chaos, audit_checks, violations, liveness, liveness_violations }
     }
+}
+
+/// The registry's copy of the counts the chaos plan and the liveness
+/// engine keep: zeros at attach, the final values at drain. Every arbiter
+/// crash is one re-election and one replay, so the plan's crash count is
+/// also the last epoch.
+fn publish_tail(obs: &RuntimeObs, chaos: &FaultStats, live: &LiveStats) {
+    obs.publish(
+        &[
+            ("ctx_switches", chaos.forced_context_switches),
+            ("live.arbiter_crashes", chaos.arbiter_crashes),
+            ("live.backoff_waits", live.backoff_waits),
+            ("live.checkpoints", live.checkpoints),
+            ("live.dedup_drops", live.dedup_drops),
+            ("live.watchdog_trips", live.watchdog_trips),
+        ],
+        &[("live.arbiter_epoch", chaos.arbiter_crashes)],
+    );
 }

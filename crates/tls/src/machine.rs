@@ -273,8 +273,8 @@ impl TlsMachine {
     }
 
     /// Arms the liveness engine: squash-triggered backoff arbitration, the
-    /// forward-progress watchdog, and the failable commit arbiter
-    /// (consulted by an armed chaos plan's `arbiter_crash` fault). Call
+    /// forward-progress watchdog, and commit-arbiter failover (an armed
+    /// chaos plan's `arbiter_crash` fault is consulted only then). Call
     /// *after* [`TlsMachine::set_chaos`] so the backoff jitter inherits the
     /// chaos seed; with `cfg.seed == 0` and chaos armed, the chaos seed is
     /// used.
@@ -1424,11 +1424,8 @@ mod tests {
         let b = run();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.liveness, b.liveness);
-        assert!(a.liveness.arbiter_crashes > 0, "{:?}", a.liveness);
-        assert_eq!(a.chaos.arbiter_crashes, a.liveness.arbiter_crashes);
-        assert_eq!(a.liveness.arbiter_epoch, a.liveness.arbiter_crashes);
-        assert_eq!(a.liveness.replayed_commits, a.liveness.arbiter_crashes);
-        assert!(a.liveness.dedup_drops >= a.liveness.replayed_commits, "{:?}", a.liveness);
+        assert!(a.chaos.arbiter_crashes > 0, "{:?}", a.chaos);
+        assert!(a.liveness.dedup_drops >= a.chaos.arbiter_crashes, "{:?}", a.liveness);
         assert!(a.violations.is_empty(), "{:?}", a.violations);
         assert!(a.liveness_violations.is_empty(), "{:?}", a.liveness_violations);
         assert_eq!(a.commits as usize, p.tasks, "every task commits despite crashes");
@@ -1458,9 +1455,7 @@ mod tests {
         let b = run();
         assert_eq!(a.cycles, b.cycles, "scripted runs are deterministic");
         assert_eq!(a.liveness, b.liveness);
-        assert_eq!(a.liveness.arbiter_crashes, 2, "{:?}", a.liveness);
-        assert_eq!(a.liveness.arbiter_epoch, 2);
-        assert_eq!(a.liveness.replayed_commits, 2);
+        assert_eq!(a.chaos.arbiter_crashes, 2, "{:?}", a.chaos);
         assert_eq!(a.liveness.dedup_drops, script.expected_dedup_drops());
         assert!(a.violations.is_empty(), "{:?}", a.violations);
         assert!(a.liveness_violations.is_empty(), "{:?}", a.liveness_violations);

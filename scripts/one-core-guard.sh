@@ -22,6 +22,10 @@
 #    broadcast's bus occupancy. No receiver filters re-deliveries, no
 #    stress plan injects them, the bus has no epoch, and the TLS commit
 #    token only moves forward (`fetch_max`, never a plain store).
+# 8. A count has one owner (DESIGN.md §8, §19): the registry gets an
+#    end-of-run count once, from its owner's publish. No arbiter object
+#    keeps a second crash count, no handle mirrors a cycle breakdown or a
+#    liveness count, and par's workers keep a `ParStats`, not a twin.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -88,6 +92,15 @@ for gone in crates/par/tests/stress.rs crates/live/tests/dedup_properties.rs; do
 done
 if [ "$cursor" -eq 1 ]; then
   echo "one-core guard: exactly-once is a cursor; no dedup filter, stress plan, bus epoch or backward token store"
+  fail=1
+fi
+
+owner=0
+nontest_hits 'struct Arbiter|CycleObs|WorkerStats|on_dedup_drop|on_checkpoint|replayed_commits|arbiter_epoch:|reelect_cycles' \
+  "${files[@]}" crates/sim/src/harness.rs && owner=1
+[ -e crates/live/src/arbiter.rs ] && { echo crates/live/src/arbiter.rs; owner=1; }
+if [ "$owner" -eq 1 ]; then
+  echo "one-core guard: a count has one owner; no Arbiter, CycleObs, WorkerStats or registry mirror of a liveness count"
   fail=1
 fi
 

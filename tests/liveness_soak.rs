@@ -1,15 +1,16 @@
 //! Liveness soak: every chaos profile (baseline, squash storm, arbiter
 //! crash) across TM and TLS with the full liveness engine armed — backoff
-//! arbitration, forward-progress watchdog, failable commit arbiter whose
+//! arbitration, forward-progress watchdog, commit-arbiter failover whose
 //! replays receivers drop — plus the invariant auditor and the
 //! observability registry.
 //!
 //! Each configuration runs twice and must: commit every transaction/task,
-//! record zero invariant violations and zero liveness violations, and
-//! produce byte-identical metrics JSON across the two runs (the whole
-//! engine is a pure function of the seed). The arbiter-crash profile must
-//! actually crash the arbiter at least once per sweep, or it would be
-//! vacuous.
+//! record zero invariant violations and zero liveness violations, produce
+//! byte-identical metrics JSON across the two runs (the whole engine is a
+//! pure function of the seed), and publish into the registry exactly the
+//! liveness and chaos counts the run kept in their owners (`LiveStats`,
+//! `FaultStats`). The arbiter-crash profile must actually crash the
+//! arbiter at least once per sweep, or it would be vacuous.
 //!
 //! `tests/golden/liveness_digests.txt` pins the `sig::crc64` of every
 //! configuration's metrics JSON: the failover half of the commit pipeline
@@ -24,8 +25,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use bulk_repro::chaos::{ChaosConfig, FaultPlan};
-use bulk_repro::live::{BackoffConfig, LivenessConfig, LivenessKind};
+use bulk_repro::chaos::{ChaosConfig, FaultPlan, FaultStats};
+use bulk_repro::live::{BackoffConfig, LiveStats, LivenessConfig, LivenessKind};
 use bulk_repro::obs::Obs;
 use bulk_repro::sig::crc64;
 use bulk_repro::sim::SimConfig;
@@ -50,8 +51,47 @@ struct RunOutcome {
     commits: u64,
     violations: usize,
     liveness_violations: Vec<String>,
-    arbiter_crashes: u64,
+    liveness: LiveStats,
+    chaos: FaultStats,
     metrics_json: String,
+}
+
+/// Asserts that the registry's `{prefix}live.*` and `{prefix}ctx_switches`
+/// series are the counts the run kept in their owners: the liveness
+/// engine's `LiveStats` and the chaos plan's `FaultStats`.
+fn assert_published(obs: &Obs, prefix: &str, live: &LiveStats, chaos: &FaultStats, ctx: &str) {
+    let reg = obs.registry();
+    let counter = |name: &str| reg.counter_value(&format!("{prefix}{name}"));
+    let published = [
+        counter("ctx_switches"),
+        counter("live.arbiter_crashes"),
+        counter("live.backoff_waits"),
+        counter("live.checkpoints"),
+        counter("live.dedup_drops"),
+        counter("live.watchdog_trips"),
+    ];
+    let owned = [
+        chaos.forced_context_switches,
+        chaos.arbiter_crashes,
+        live.backoff_waits,
+        live.checkpoints,
+        live.dedup_drops,
+        live.watchdog_trips,
+    ];
+    assert_eq!(published, owned, "published counts differ from their owners' ({ctx})");
+    let epoch = format!("{prefix}live.arbiter_epoch");
+    assert!(
+        reg.gauges().contains(&(epoch, chaos.arbiter_crashes)),
+        "the epoch gauge is the crash count ({ctx})"
+    );
+    assert_eq!(
+        reg.histograms()
+            .iter()
+            .find(|(name, _)| *name == format!("{prefix}live.backoff_cycles"))
+            .map(|(_, h)| (h.count(), h.sum())),
+        Some((live.backoff_waits, live.backoff_cycles)),
+        "one backoff_cycles observation per wait ({ctx})"
+    );
 }
 
 fn tm_run(app: &str, scheme: Scheme, cfg: &ChaosConfig, seed: u64) -> RunOutcome {
@@ -67,6 +107,8 @@ fn tm_run(app: &str, scheme: Scheme, cfg: &ChaosConfig, seed: u64) -> RunOutcome
     m.enable_liveness(LivenessConfig::default());
     m.attach_obs(Arc::clone(&obs));
     let stats = m.try_run().expect("run completes");
+    let ctx = format!("{app} {scheme} seed={seed}");
+    assert_published(&obs, "tm.", &stats.liveness, &stats.chaos, &ctx);
     RunOutcome {
         commits: stats.commits,
         violations: stats.violations.len(),
@@ -75,7 +117,8 @@ fn tm_run(app: &str, scheme: Scheme, cfg: &ChaosConfig, seed: u64) -> RunOutcome
             .iter()
             .map(ToString::to_string)
             .collect(),
-        arbiter_crashes: stats.liveness.arbiter_crashes,
+        liveness: stats.liveness,
+        chaos: stats.chaos,
         metrics_json: obs.registry().to_json(),
     }
 }
@@ -92,6 +135,8 @@ fn tls_run(app: &str, scheme: TlsScheme, cfg: &ChaosConfig, seed: u64) -> RunOut
     m.enable_liveness(LivenessConfig::default());
     m.attach_obs(Arc::clone(&obs));
     let stats = m.try_run().expect("run completes");
+    let ctx = format!("{app} {scheme} seed={seed}");
+    assert_published(&obs, "tls.", &stats.liveness, &stats.chaos, &ctx);
     RunOutcome {
         commits: stats.commits,
         violations: stats.violations.len(),
@@ -100,9 +145,19 @@ fn tls_run(app: &str, scheme: TlsScheme, cfg: &ChaosConfig, seed: u64) -> RunOut
             .iter()
             .map(ToString::to_string)
             .collect(),
-        arbiter_crashes: stats.liveness.arbiter_crashes,
+        liveness: stats.liveness,
+        chaos: stats.chaos,
         metrics_json: obs.registry().to_json(),
     }
+}
+
+/// A sweep is vacuous unless its runs crashed the arbiter, dropped
+/// rounds, forced context switches and issued backoff waits: the
+/// published series must have had non-zero values to match.
+fn assert_covered(live: &LiveStats, chaos: &FaultStats) {
+    assert!(chaos.arbiter_crashes > 0, "the arbiter-crash profile never crashed the arbiter");
+    assert!(chaos.forced_context_switches > 0, "{chaos:?}");
+    assert!(live.dedup_drops > 0 && live.backoff_waits > 0, "{live:?}");
 }
 
 fn check(a: &RunOutcome, b: &RunOutcome, expected_commits: u64, ctx: &str) {
@@ -143,7 +198,7 @@ fn assert_golden(machine: &str, digests: &[String]) {
 /// The TM sweep: checks every configuration and returns its golden rows.
 fn tm_sweep() -> Vec<String> {
     let mut digests = Vec::new();
-    let mut crashes = 0u64;
+    let (mut live, mut chaos) = (LiveStats::default(), FaultStats::default());
     for app in ["mc", "cb"] {
         for scheme in [Scheme::EagerNaive, Scheme::Bulk] {
             for seed in SEEDS {
@@ -154,23 +209,25 @@ fn tm_sweep() -> Vec<String> {
                     let profile = profiles::tm_profile(app).expect("known app");
                     check(&a, &b, (profile.threads * 5) as u64, &ctx);
                     digests.push(format!("{:016x} {ctx}", crc64(a.metrics_json.as_bytes())));
-                    if name == "arbiter-crash" {
-                        crashes += a.arbiter_crashes;
-                    } else {
-                        assert_eq!(a.arbiter_crashes, 0, "crash outside its profile ({ctx})");
+                    if name != "arbiter-crash" {
+                        assert_eq!(a.chaos.arbiter_crashes, 0, "crash outside its profile ({ctx})");
                     }
+                    live.merge(&a.liveness);
+                    chaos.merge(&a.chaos);
                 }
             }
         }
     }
-    assert!(crashes > 0, "the arbiter-crash profile never crashed the arbiter");
+    assert_covered(&live, &chaos);
+    // Only a TM context switch checkpoints its spilled version.
+    assert!(live.checkpoints > 0, "no checkpoint to publish: {live:?}");
     digests
 }
 
 /// The TLS sweep: checks every configuration and returns its golden rows.
 fn tls_sweep() -> Vec<String> {
     let mut digests = Vec::new();
-    let mut crashes = 0u64;
+    let (mut live, mut chaos) = (LiveStats::default(), FaultStats::default());
     for app in ["gzip", "vpr"] {
         for scheme in [TlsScheme::Eager, TlsScheme::Bulk] {
             for seed in SEEDS {
@@ -180,16 +237,16 @@ fn tls_sweep() -> Vec<String> {
                     let b = tls_run(app, scheme, &cfg, seed);
                     check(&a, &b, 40, &ctx);
                     digests.push(format!("{:016x} {ctx}", crc64(a.metrics_json.as_bytes())));
-                    if name == "arbiter-crash" {
-                        crashes += a.arbiter_crashes;
-                    } else {
-                        assert_eq!(a.arbiter_crashes, 0, "crash outside its profile ({ctx})");
+                    if name != "arbiter-crash" {
+                        assert_eq!(a.chaos.arbiter_crashes, 0, "crash outside its profile ({ctx})");
                     }
+                    live.merge(&a.liveness);
+                    chaos.merge(&a.chaos);
                 }
             }
         }
     }
-    assert!(crashes > 0, "the arbiter-crash profile never crashed the arbiter");
+    assert_covered(&live, &chaos);
     digests
 }
 
@@ -273,7 +330,7 @@ fn liveness_policy_comparison() {
 
 /// The Fig. 12(a) reproducer: the symmetric EagerNaive ping-pong must trip
 /// the livelock watchdog — deterministically, with the same diagnosis on
-/// every run — instead of burning the squash cap.
+/// every run — instead of burning the squash cap, and publish the trip.
 #[test]
 fn eager_naive_ping_pong_trips_the_livelock_watchdog_deterministically() {
     let wl = patterns::fig12a_livelock(50, 400);
@@ -286,7 +343,11 @@ fn eager_naive_ping_pong_trips_the_livelock_watchdog_deterministically() {
             backoff: BackoffConfig { base: 0, cap: 0, ..BackoffConfig::default() },
             ..LivenessConfig::default()
         });
-        m.try_run().expect("run terminates via the watchdog")
+        let obs = Arc::new(Obs::new());
+        m.attach_obs(Arc::clone(&obs));
+        let stats = m.try_run().expect("run terminates via the watchdog");
+        assert_published(&obs, "tm.", &stats.liveness, &stats.chaos, "fig12a");
+        stats
     };
     let a = run();
     let b = run();

@@ -136,7 +136,7 @@ fn sim_runtime_is_byte_identical_across_runs() {
     let wl = profiles::tm_profile("mc").unwrap().generate(7);
     let a = SimRuntime.run_tm(&wl, Scheme::Bulk, &cfg).unwrap();
     let b = SimRuntime.run_tm(&wl, Scheme::Bulk, &cfg).unwrap();
-    assert_eq!(a.history, b.history, "histories diverged with timestamps included");
+    assert_eq!(a.history(), b.history(), "histories diverged with timestamps included");
     assert_eq!(
         format!("{:?}", a.detail),
         format!("{:?}", b.detail),
@@ -147,7 +147,7 @@ fn sim_runtime_is_byte_identical_across_runs() {
     let wl = profiles::tls_profile("gzip").unwrap().generate(7);
     let a = SimRuntime.run_tls(&wl, TlsScheme::Bulk, &tls_cfg).unwrap();
     let b = SimRuntime.run_tls(&wl, TlsScheme::Bulk, &tls_cfg).unwrap();
-    assert_eq!(a.history, b.history);
+    assert_eq!(a.history(), b.history());
     assert_eq!(format!("{:?}", a.detail), format!("{:?}", b.detail));
 }
 
