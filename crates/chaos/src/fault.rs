@@ -41,18 +41,17 @@ pub struct ChaosConfig {
     pub retransmit_cycles: u64,
     /// Per-broadcast probability that the commit arbiter crashes
     /// mid-broadcast (after the bus grant, before every receiver has
-    /// acknowledged). Recovery — a re-election that holds the bus, then a
-    /// replay of the in-flight message that receivers drop — is the sim
-    /// broadcast stage's job, and it consults this fault only with a
-    /// liveness engine armed, so the default chaos mix is unchanged. The
-    /// plan's [`FaultStats::arbiter_crashes`] is the one count of crashes
-    /// (and so of re-elections and replays). Zero by default.
+    /// acknowledged). Recovery — a re-election that holds the bus while
+    /// the broadcast drains — is the sim broadcast stage's job, and it
+    /// consults this fault only with a liveness engine armed, so the
+    /// default chaos mix is unchanged. The plan's
+    /// [`FaultStats::arbiter_crashes`] is the one count of crashes (and so
+    /// of re-elections). Zero by default.
     pub arbiter_crash_prob: f64,
-    /// Hard bound on arbiter crashes within one broadcast (the first
-    /// crash hits the original transmission, later ones hit the replays —
-    /// crash-during-replay). The machines stop consulting
-    /// [`FaultPlan::arbiter_crash`] once a broadcast has absorbed this
-    /// many, so recovery always terminates.
+    /// Hard bound on arbiter crashes within one broadcast (each further
+    /// crash hits the re-election of the one before). The machines stop
+    /// consulting [`FaultPlan::arbiter_crash`] once a broadcast has
+    /// absorbed this many, so recovery always terminates.
     pub max_crashes_per_broadcast: u32,
     /// Per-event probability that a real-thread worker is killed at a
     /// commit-protocol point (claim/publish/apply — see
@@ -108,8 +107,8 @@ impl ChaosConfig {
     }
 
     /// The default mix plus arbiter crashes: every broadcast has a real
-    /// chance of losing the arbiter mid-flight, forcing an epoch
-    /// re-election and an idempotent replay. Requires a liveness engine
+    /// chance of losing the arbiter mid-flight, forcing a re-election that
+    /// holds the bus. Requires a liveness engine
     /// on the machine; used by the liveness soak and the CI soak job.
     pub fn arbiter_crash(seed: u64) -> Self {
         ChaosConfig {

@@ -9,7 +9,7 @@
 //! order. The `bulk-mc` model checker serializes every interleaving class
 //! it explores as one of these scripts, and the conformance tests drive
 //! the TM and TLS machines through each class, asserting the machines'
-//! committed order and dedup behaviour match the model's.
+//! commits and fault counts match the model's.
 //!
 //! A scripted plan injects *nothing* the script does not name: no bit
 //! flips, no forced context switches, no evictions — the schedule is the
@@ -31,10 +31,9 @@ pub struct BroadcastSchedule {
     /// Whether the broadcast is delivered a second time by the
     /// interconnect (chaos duplication).
     pub duplicate: bool,
-    /// Arbiter crashes during this broadcast. The first crash hits the
-    /// original transmission; each further crash hits the *replay* of the
-    /// previous epoch (crash-during-replay). Every crash forces an epoch
-    /// re-election and one more replay round.
+    /// Arbiter crashes during this broadcast. Every crash forces one more
+    /// re-election, which holds the bus; the broadcast is still delivered
+    /// once.
     pub crashes: u32,
 }
 
@@ -42,14 +41,6 @@ impl BroadcastSchedule {
     /// A broadcast with no faults at all.
     pub const QUIET: BroadcastSchedule =
         BroadcastSchedule { denials: 0, delay: 0, duplicate: false, crashes: 0 };
-
-    /// Delivery rounds a liveness-armed machine performs for this
-    /// broadcast: the original, plus one per duplication, plus one replay
-    /// per crash. Receivers apply the first and drop the rest, so the
-    /// expected dedup-drop count is `rounds() - 1`.
-    pub fn rounds(&self) -> u64 {
-        1 + u64::from(self.duplicate) + u64::from(self.crashes)
-    }
 }
 
 /// A deterministic fault schedule: one [`BroadcastSchedule`] per commit
@@ -80,11 +71,11 @@ impl ScheduleScript {
         self.broadcasts.iter().filter(|b| b.duplicate).count() as u64
     }
 
-    /// Expected receiver-side dedup drops for a liveness-armed run that
-    /// performs at least `self.broadcasts.len()` commits: every delivery
-    /// round after a broadcast's first is dropped.
+    /// The `live.dedup_drops` a liveness-armed run that performs at least
+    /// `self.broadcasts.len()` commits publishes: one per duplicate and
+    /// one per crash, the deliveries a receiver does not apply.
     pub fn expected_dedup_drops(&self) -> u64 {
-        self.broadcasts.iter().map(|b| b.rounds() - 1).sum()
+        self.total_duplicates() + self.total_crashes()
     }
 
     /// A compact stable label for the script's fault pattern, used as the
@@ -254,7 +245,7 @@ mod tests {
         let s = crashy();
         assert_eq!(s.total_crashes(), 2);
         assert_eq!(s.total_duplicates(), 1);
-        // Broadcast 0 has 2 replays (drops), broadcast 2 one duplicate.
+        // Broadcast 0 has 2 crashes, broadcast 2 one duplicate.
         assert_eq!(s.expected_dedup_drops(), 3);
     }
 

@@ -237,7 +237,7 @@ fn run_job(a: RunArgs) -> Result<(), String> {
     let r = runtime_for(spec)
         .run(&job, &opts)
         .map_err(|e| format!("{e}{}", replay_hint(chaos)))?;
-    report::print_run(&spec.app, &job, &r, a.chaos);
+    report::print_run(&spec.app, &job, &r, &opts);
     if let Some(obs) = &opts.obs {
         finish_obs(obs, &a)?;
     }
@@ -336,8 +336,9 @@ fn replay(a: ReplayArgs) -> Result<(), String> {
         Job::Tm { workload, .. } => &workload.name,
         Job::Tls { workload, .. } => &workload.name,
     };
-    let r = SimRuntime.run(&job, &RunOptions::default()).map_err(|e| e.to_string())?;
-    report::print_run(name, &job, &r, false);
+    let opts = RunOptions::default();
+    let r = SimRuntime.run(&job, &opts).map_err(|e| e.to_string())?;
+    report::print_run(name, &job, &r, &opts);
     Ok(())
 }
 

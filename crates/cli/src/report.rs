@@ -3,20 +3,21 @@
 use bulk_chaos::FaultStats;
 use bulk_live::LiveStats;
 use bulk_mem::MsgClass;
-use bulk_par::{Job, ParStats, RunDetail, RunReport};
+use bulk_par::{Job, ParStats, RunDetail, RunOptions, RunReport};
 use bulk_tls::{TlsScheme, TlsStats};
 use bulk_tm::{Scheme, TmStats};
 
 /// Prints the summary that fits the report's substrate and machine.
-/// `chaos_active` tells whether a fault plan was armed; the sim's
-/// resilience section is omitted otherwise.
-pub fn print_run(app: &str, job: &Job<'_>, r: &RunReport, chaos_active: bool) {
+/// `opts` are the options the run was armed with: the sim's resilience
+/// section needs a fault plan, its liveness section counts re-deliveries
+/// only under a liveness engine.
+pub fn print_run(app: &str, job: &Job<'_>, r: &RunReport, opts: &RunOptions) {
     match (job, &r.detail) {
-        (Job::Tm { scheme, .. }, RunDetail::Tm(s)) => print_tm(app, *scheme, s, chaos_active),
+        (Job::Tm { scheme, .. }, RunDetail::Tm(s)) => print_tm(app, *scheme, s, opts),
         (Job::Tm { scheme, .. }, RunDetail::Par(s)) => print_par("TM", app, &scheme.to_string(), s),
         (Job::Tls { workload, scheme, cfg }, RunDetail::Tls(s)) => {
             let seq = bulk_tls::run_tls_sequential(workload, cfg);
-            print_tls(app, *scheme, seq, s, chaos_active);
+            print_tls(app, *scheme, seq, s, opts);
         }
         (Job::Tls { scheme, .. }, RunDetail::Par(s)) => {
             print_par("TLS", app, &scheme.to_string(), s)
@@ -25,7 +26,7 @@ pub fn print_run(app: &str, job: &Job<'_>, r: &RunReport, chaos_active: bool) {
     }
 }
 
-fn print_tm(app: &str, scheme: Scheme, s: &TmStats, chaos_active: bool) {
+fn print_tm(app: &str, scheme: Scheme, s: &TmStats, opts: &RunOptions) {
     println!("TM run: app={app} scheme={scheme} runtime=sim");
     println!("  commits            {}", s.commits);
     println!(
@@ -63,7 +64,7 @@ fn print_tm(app: &str, scheme: Scheme, s: &TmStats, chaos_active: bool) {
     println!("  cycles             {}", s.cycles);
     print_bw("  ", &s.bw);
     print_resilience(
-        chaos_active,
+        opts.chaos.is_some(),
         &s.chaos,
         s.commit_retries,
         s.escalations,
@@ -71,10 +72,10 @@ fn print_tm(app: &str, scheme: Scheme, s: &TmStats, chaos_active: bool) {
         s.audit_checks,
         s.violations.len(),
     );
-    print_liveness(&s.liveness, s.liveness_violations.len());
+    print_liveness(&s.liveness, &s.chaos, opts, s.liveness_violations.len());
 }
 
-fn print_tls(app: &str, scheme: TlsScheme, seq_cycles: u64, s: &TlsStats, chaos_active: bool) {
+fn print_tls(app: &str, scheme: TlsScheme, seq_cycles: u64, s: &TlsStats, opts: &RunOptions) {
     println!("TLS run: app={app} scheme={scheme} runtime=sim");
     println!("  commits            {}", s.commits);
     println!(
@@ -102,7 +103,7 @@ fn print_tls(app: &str, scheme: TlsScheme, seq_cycles: u64, s: &TlsStats, chaos_
     );
     print_bw("  ", &s.bw);
     print_resilience(
-        chaos_active,
+        opts.chaos.is_some(),
         &s.chaos,
         s.commit_retries,
         s.escalations,
@@ -110,7 +111,7 @@ fn print_tls(app: &str, scheme: TlsScheme, seq_cycles: u64, s: &TlsStats, chaos_
         s.audit_checks,
         s.violations.len(),
     );
-    print_liveness(&s.liveness, s.liveness_violations.len());
+    print_liveness(&s.liveness, &s.chaos, opts, s.liveness_violations.len());
 }
 
 /// A parallel-runtime summary for either machine (`TM` / `TLS`). Wall
@@ -152,9 +153,12 @@ fn print_par(machine: &str, app: &str, scheme: &str, s: &ParStats) {
 }
 
 /// Liveness-engine section: printed only when the engine recorded
-/// anything (the stats are all zeros unless it was armed).
-fn print_liveness(l: &LiveStats, violations: usize) {
-    if *l == LiveStats::default() && violations == 0 {
+/// anything (the stats are all zeros unless it was armed) or an armed
+/// engine's receivers skipped a re-delivery (a duplicate or a crash).
+fn print_liveness(l: &LiveStats, chaos: &FaultStats, opts: &RunOptions, violations: usize) {
+    let redelivered = chaos.duplicated_broadcasts + chaos.arbiter_crashes > 0;
+    let armed = opts.watchdog_ticks.is_some();
+    if *l == LiveStats::default() && violations == 0 && !(armed && redelivered) {
         return;
     }
     println!(
@@ -357,8 +361,9 @@ mod tests {
 
     #[test]
     fn reports_do_not_panic() {
-        print_tm("t", Scheme::Bulk, &TmStats::default(), false);
-        print_tls("t", TlsScheme::Bulk, 1, &TlsStats::default(), true);
+        print_tm("t", Scheme::Bulk, &TmStats::default(), &RunOptions::default());
+        let chaos = RunOptions { chaos: Some(1), ..RunOptions::default() };
+        print_tls("t", TlsScheme::Bulk, 1, &TlsStats::default(), &chaos);
         let reg = bulk_obs::Registry::new();
         reg.counter("tm.squashes").add(3);
         reg.counter("tm.squash.true_conflict").add(2);
@@ -375,7 +380,7 @@ mod tests {
         let cfg = SimConfig::tm_default();
         let r = ParRuntime::default().run_tm(&wl, Scheme::Bulk, &cfg).unwrap();
         let job = Job::Tm { workload: std::borrow::Cow::Borrowed(&wl), scheme: Scheme::Bulk, cfg };
-        print_run("conflict_light", &job, &r, false);
+        print_run("conflict_light", &job, &r, &RunOptions::default());
     }
 
     #[test]

@@ -71,9 +71,6 @@ pub struct CommitApplication {
     /// (word-granularity signatures only, §4.4). Each entry carries the
     /// conservative local word mask used.
     pub merged: Vec<(LineAddr, bulk_sig::WordBitmask)>,
-    /// Dirty lines that passed the membership test but were left alone:
-    /// non-speculative dirty aliases (§4.3).
-    pub skipped_dirty: Vec<LineAddr>,
 }
 
 /// Applies a remote commit's write signature to this processor's cache:
@@ -119,10 +116,8 @@ pub fn apply_remote_commit_observed(
                     let mask = bdm.write_signature(v).updated_word_bitmask(e.addr);
                     out.merged.push((e.addr, mask));
                 }
-                _ => {
-                    // Dirty non-speculative alias: no action (§4.3).
-                    out.skipped_dirty.push(e.addr);
-                }
+                // Dirty non-speculative alias: no action (§4.3).
+                _ => {}
             }
         }
     });
@@ -234,8 +229,7 @@ mod tests {
         let mut w_c = Signature::with_shared(bdm.config().clone());
         w_c.insert_line(line); // aliasing made it appear in W_C
         let app = apply_remote_commit(&bdm, &w_c, &mut cache);
-        assert_eq!(app.skipped_dirty, vec![line]);
-        assert!(cache.contains(line));
+        assert_eq!(app, CommitApplication::default(), "neither invalidated nor merged");
         assert_eq!(cache.state_of(line), Some(LineState::Dirty));
     }
 

@@ -48,9 +48,6 @@ pub struct LiveStats {
     pub storm_widenings: u64,
     /// Watchdog trips (0 or 1 per run; the first trip aborts).
     pub watchdog_trips: u64,
-    /// Delivery rounds after a broadcast's first (chaos duplicates and
-    /// failover replays) that receivers dropped.
-    pub dedup_drops: u64,
     /// Checkpoints captured at chaos context switches.
     pub checkpoints: u64,
     /// Checkpoint restores that failed verification (must stay 0).
@@ -64,7 +61,6 @@ impl LiveStats {
         self.backoff_cycles += other.backoff_cycles;
         self.storm_widenings += other.storm_widenings;
         self.watchdog_trips += other.watchdog_trips;
-        self.dedup_drops += other.dedup_drops;
         self.checkpoints += other.checkpoints;
         self.checkpoint_restore_failures += other.checkpoint_restore_failures;
     }
@@ -76,7 +72,6 @@ impl LiveStats {
 pub struct LivenessEngine {
     watchdog: Watchdog,
     backoff: BackoffPolicy,
-    dedup_drops: u64,
     checkpoints: u64,
     checkpoint_restore_failures: u64,
 }
@@ -94,7 +89,6 @@ impl LivenessEngine {
         LivenessEngine {
             watchdog: Watchdog::new(scheme, threads, cfg.watchdog, chaos_seed),
             backoff: BackoffPolicy::new(threads, cfg.backoff, cfg.seed),
-            dedup_drops: 0,
             checkpoints: 0,
             checkpoint_restore_failures: 0,
         }
@@ -151,12 +145,6 @@ impl LivenessEngine {
         self.watchdog.take_violations()
     }
 
-    /// Records a delivery round the receivers dropped: a chaos duplicate
-    /// or failover replay of a broadcast they already applied.
-    pub fn note_dedup_drop(&mut self) {
-        self.dedup_drops += 1;
-    }
-
     /// Records a checkpoint capture and whether its restore verified.
     pub fn note_checkpoint(&mut self, restore_ok: bool) {
         self.checkpoints += 1;
@@ -187,7 +175,6 @@ impl LivenessEngine {
             backoff_cycles: self.backoff.wait_cycles(),
             storm_widenings: self.backoff.storm_widenings(),
             watchdog_trips: self.watchdog.trips(),
-            dedup_drops: self.dedup_drops,
             checkpoints: self.checkpoints,
             checkpoint_restore_failures: self.checkpoint_restore_failures,
         }
@@ -225,22 +212,18 @@ mod tests {
     }
 
     #[test]
-    fn dropped_rounds_and_checkpoints_are_counted() {
+    fn checkpoints_are_counted() {
         let mut e = LivenessEngine::new("tm/test", 4, LivenessConfig::default(), None);
-        // One broadcast, three rounds (original, failover replay, chaos
-        // duplicate): the receivers drop the two after the first.
-        e.note_dedup_drop();
-        e.note_dedup_drop();
         e.note_checkpoint(true);
         let s = e.stats();
-        assert_eq!((s.dedup_drops, s.checkpoints, s.checkpoint_restore_failures), (2, 1, 0));
+        assert_eq!((s.checkpoints, s.checkpoint_restore_failures), (1, 0));
     }
 
     #[test]
     fn stats_merge_sums() {
         let mut a = LiveStats { backoff_waits: 1, ..LiveStats::default() };
-        let b = LiveStats { backoff_waits: 3, dedup_drops: 4, ..LiveStats::default() };
+        let b = LiveStats { backoff_waits: 3, checkpoints: 4, ..LiveStats::default() };
         a.merge(&b);
-        assert_eq!((a.backoff_waits, a.dedup_drops), (4, 4));
+        assert_eq!((a.backoff_waits, a.checkpoints), (4, 4));
     }
 }

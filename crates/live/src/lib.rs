@@ -21,13 +21,12 @@
 //!   forced context switch resumes without violating the Set Restriction.
 //!
 //! [`LivenessEngine`] composes all three behind the hook surface the TM and
-//! TLS machines call, and counts the delivery rounds receivers drop. A
-//! commit-arbiter crash is not a mechanism of its own: the chaos plan
-//! counts it, and the sim's broadcast stage charges the re-election and
-//! delivers the replay as one more round of the same bus occupancy,
-//! which receivers drop (`bulk_sim::SimHarness::admit`). Every mechanism
-//! is a pure function of its seed and the event order, so runs replay
-//! exactly under `BULK_CHAOS_SEED`.
+//! TLS machines call. A commit-arbiter crash is not a mechanism of its
+//! own: the chaos plan counts it, and the sim's broadcast stage
+//! (`bulk_sim::SimHarness::broadcast`) charges the re-election as bus time
+//! and still delivers the broadcast once. Every mechanism is a pure
+//! function of its seed and the event order, so runs replay exactly under
+//! `BULK_CHAOS_SEED`.
 //!
 //! ```
 //! use bulk_live::{LivenessConfig, LivenessEngine, LivenessKind, WatchdogConfig};

@@ -3,17 +3,17 @@
 //!
 //! The model's adversary controls more than the machines expose: it picks
 //! bus-grant order and interleaves per-receiver deliveries, while the TM
-//! and TLS machines arbitrate commits themselves and deliver a broadcast's
-//! rounds atomically. What *does* project faithfully is the per-broadcast
-//! fault pattern — how many arbiter crashes hit each broadcast and whether
-//! the interconnect duplicated it. Every quiescent model execution is
-//! therefore classified by its [`FaultEntry`] pattern, and each class
-//! becomes one deterministic [`ScheduleScript`] the machines replay. The
-//! conformance tests then assert the machine-observable outcomes the model
-//! predicts for that class: every commit applied exactly once, dedup drops
-//! equal to the class's extra delivery rounds, every scripted crash
-//! injected (the chaos plan's count), and a byte-identical metrics
-//! snapshot per script.
+//! and TLS machines arbitrate commits themselves and deliver a broadcast
+//! to every receiver at once. What *does* project faithfully is the
+//! per-broadcast fault pattern — how many arbiter crashes hit each
+//! broadcast and whether the interconnect duplicated it. Every quiescent
+//! model execution is therefore classified by its [`FaultEntry`] pattern,
+//! and each class becomes one deterministic [`ScheduleScript`] the
+//! machines replay. The conformance tests then assert the
+//! machine-observable outcomes the model predicts for that class: every
+//! commit applied exactly once, every scripted crash and duplicate
+//! injected (the chaos plan's counts, whose sum is the published
+//! `live.dedup_drops`), and a byte-identical metrics snapshot per script.
 
 use std::collections::BTreeSet;
 
@@ -26,14 +26,11 @@ use crate::model::FaultEntry;
 pub struct ClassExpectation {
     /// The schedule realizing the class.
     pub script: ScheduleScript,
-    /// Arbiter crashes; each is one re-election and one failover replay,
-    /// so the machines count only the crash (`FaultStats::arbiter_crashes`).
+    /// Arbiter crashes, each one re-election holding the bus
+    /// (`FaultStats::arbiter_crashes`).
     pub crashes: u64,
     /// Duplicated deliveries the interconnect injects.
     pub duplicates: u64,
-    /// Receiver-side dedup drops: one per delivery round beyond the
-    /// first admitted one.
-    pub dedup_drops: u64,
 }
 
 /// Converts one model fault pattern into a machine schedule.
@@ -61,7 +58,6 @@ pub fn expectations(classes: &BTreeSet<Vec<FaultEntry>>) -> Vec<ClassExpectation
             ClassExpectation {
                 crashes: script.total_crashes(),
                 duplicates: script.total_duplicates(),
-                dedup_drops: script.expected_dedup_drops(),
                 script,
             }
         })
@@ -83,8 +79,8 @@ mod tests {
         let names: BTreeSet<&str> =
             exps.iter().map(|e| e.script.name.as_str()).collect();
         assert_eq!(names.len(), exps.len(), "class labels must be unique");
-        // The quiet class and at least one crash-during-replay class
-        // (two crashes on one broadcast) must be present.
+        // The quiet class and at least one class with two crashes on one
+        // broadcast must be present.
         assert!(names.contains("-.-.-"));
         assert!(exps.iter().any(|e| e.script.broadcasts.iter().any(|b| b.crashes >= 2)));
     }
@@ -99,8 +95,6 @@ mod tests {
         let exp = &expectations(&BTreeSet::from([pattern]))[0];
         assert_eq!(exp.crashes, 2);
         assert_eq!(exp.duplicates, 2);
-        // Broadcast 0: 2 replays + 1 dup = 3 drops; broadcast 2: 1 drop.
-        assert_eq!(exp.dedup_drops, 4);
         assert_eq!(exp.script.name, "c2+dup.-.c0+dup");
     }
 }

@@ -55,10 +55,8 @@ pub struct ExploreReport {
     pub quiescent: usize,
     /// Depth of the deepest state (longest shortest-path).
     pub max_depth: usize,
-    /// Most message copies simultaneously in flight in any state.
-    pub max_inflight_msgs: usize,
-    /// Most *distinct commits* simultaneously in flight in any state (1:
-    /// a grant waits for the previous broadcast's copies to drain).
+    /// Most commits simultaneously in flight in any state (1: a grant
+    /// waits for the previous broadcast's copies to drain).
     pub max_inflight_commits: usize,
     /// Interleaving classes: the distinct per-broadcast fault patterns
     /// observed at quiescence, in deterministic order.
@@ -119,7 +117,6 @@ pub fn explore_bounded(cfg: ModelConfig, max_depth: usize) -> ExploreReport {
         transitions: 0,
         quiescent: 0,
         max_depth: 0,
-        max_inflight_msgs: 0,
         max_inflight_commits: 0,
         classes: BTreeSet::new(),
         truncated: false,
@@ -136,9 +133,7 @@ pub fn explore_bounded(cfg: ModelConfig, max_depth: usize) -> ExploreReport {
         let mut next_frontier = Vec::new();
         for &si in &frontier {
             let state = arena[si].clone();
-            report.max_inflight_msgs = report.max_inflight_msgs.max(state.inflight.len());
-            report.max_inflight_commits =
-                report.max_inflight_commits.max(state.inflight_commits());
+            report.max_inflight_commits = report.max_inflight_commits.max(state.inflight.len());
             if state.quiescent() {
                 report.quiescent += 1;
                 report.classes.insert(state.pattern.clone());
@@ -248,9 +243,15 @@ mod tests {
     }
 
     #[test]
-    fn skip_replay_loses_a_commit() {
-        let report = explore(ModelConfig::mutated(Mutation::SkipReplay));
-        let cx = report.counterexample.expect("skip-replay must fail");
+    fn grant_before_drain_yields_a_certified_minimal_lost_commit() {
+        let cfg = ModelConfig::mutated(Mutation::GrantBeforeDrain);
+        let report = explore(cfg);
+        let cx = report.counterexample.expect("grant-before-drain must fail");
         assert!(matches!(cx.violation, Violation::LostCommit { .. }), "{}", cx.render());
+        // Minimal: three grants before anything drains, a receiver sees
+        // broadcast 2 before broadcast 1 and its cursor drops broadcast 1,
+        // and the rest drains to quiescence.
+        assert_eq!(cx.trace.len(), 9, "{}", cx.render());
+        assert_eq!(Model::new(cfg).replay(&cx.trace), Ok(Some(cx.violation)));
     }
 }

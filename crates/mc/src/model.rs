@@ -1,29 +1,28 @@
-//! The compact state machine of the commit/arbiter-failover protocol.
+//! The compact state machine of the commit protocol.
 //!
 //! The model abstracts the TM/TLS machines down to the distributed
-//! protocol the liveness engine implements (DESIGN.md §9): processors
-//! that each broadcast a bounded number of commits, a single bus the
-//! arbiter grants one broadcast at a time, arbiter crashes that advance
-//! the epoch and replay the in-flight message under the new stamp,
-//! interconnect duplication, and a per-receiver cursor over the bus
-//! order. The model delivers **per receiver**, so a crash can strand a
-//! half-delivered message and every interleaving of its copies'
-//! deliveries is a distinct schedule. Like the machines, whose
-//! `SimHarness::broadcast` delivers a commit's duplicate and replay
-//! rounds inside one bus occupancy, the arbiter grants the next
-//! broadcast only once every copy of the current one — original,
-//! duplicate, replays, stale or not — has drained.
+//! protocol `SimHarness::broadcast` implements (DESIGN.md §9):
+//! processors that each broadcast a bounded number of commits, a single
+//! bus the arbiter grants one broadcast at a time, interconnect
+//! duplication, arbiter crashes, and a per-receiver cursor over the bus
+//! order. The model delivers **per receiver**, so every interleaving of a
+//! broadcast's deliveries and its duplicate is a distinct schedule.
 //!
-//! The correct protocol relies on three mechanisms, each of which a
-//! [`Mutation`] can break or probe:
+//! An arbiter crash is bus time: the re-election holds the bus while the
+//! broadcast in flight keeps draining, so a crash changes no delivery and
+//! only counts against that broadcast's fault pattern — the per-broadcast
+//! classes the conformance layer replays onto the machines.
+//!
+//! The correct protocol relies on two mechanisms, each of which a
+//! [`Mutation`] breaks:
 //!
 //! 1. **The receiver cursor** — one past the last broadcast index a
 //!    receiver applied; a copy below it is dropped, so a W_C is applied
 //!    at most once however many copies arrive.
-//! 2. **Replay re-stamping** — the failover arbiter replays the in-flight
-//!    message stamped with the *new* epoch, so it passes the fence below.
-//! 3. **Epoch fencing** — receivers drop deliveries stamped with a dead
-//!    epoch (the lease-safety rule).
+//! 2. **Drain before grant** — the arbiter grants the next broadcast only
+//!    once every copy of the current one has drained (the harness's one
+//!    bus occupancy per broadcast), so no receiver can see a later
+//!    broadcast before an earlier one and skip it.
 //!
 //! Checked properties:
 //!
@@ -34,13 +33,12 @@
 //! * **No lost commits** — at quiescence every granted ticket has been
 //!   applied by every receiver, crashes or not.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::mutation::Mutation;
 
 /// A commit's identity: `(committer, serial)` — what must be applied
-/// exactly once everywhere.
+/// exactly once everywhere, and the key an [`Action`] names its copy by.
 pub type Ticket = (u8, u8);
 
 /// Model bounds. State-space size is a function of these; the documented
@@ -63,8 +61,8 @@ pub struct ModelConfig {
 
 impl ModelConfig {
     /// The documented exhaustive bounds: 3 processors, 1 commit each,
-    /// 2 arbiter crashes (enabling crash-during-replay), 1 duplication
-    /// per broadcast.
+    /// 2 arbiter crashes (two re-elections on one broadcast), 1
+    /// duplication per broadcast.
     pub fn exhaustive() -> Self {
         ModelConfig {
             procs: 3,
@@ -91,38 +89,27 @@ impl ModelConfig {
     }
 }
 
-/// One in-flight copy of a commit broadcast.
+/// One commit broadcast in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Msg {
     /// Committing processor.
     pub committer: u8,
     /// The committer's transaction serial.
     pub serial: u8,
-    /// Epoch stamped at grant (or re-stamp) time.
-    pub epoch: u8,
     /// Broadcast index in bus-grant order: what receiver cursors compare
     /// against, and the fault pattern's index.
     pub bindex: u8,
-    /// Bitmask of receivers this copy has reached.
+    /// Bitmask of receivers this broadcast has reached.
     pub delivered: u8,
-    /// Interconnect duplications left for this copy.
+    /// Interconnect duplications left for this broadcast.
     pub dups_left: u8,
-    /// Whether this copy is a failover replay.
-    pub replay: bool,
 }
 
 impl Msg {
-    /// The commit identity this copy carries.
+    /// The commit identity this broadcast carries, unique among the
+    /// broadcasts in flight.
     pub fn ticket(&self) -> Ticket {
         (self.committer, self.serial)
-    }
-
-    /// Stable key identifying this copy in an [`Action`]: `(committer,
-    /// serial, epoch, replay)` is unique among concurrently in-flight
-    /// copies (replays are re-stamped; a non-re-stamped replay chain is
-    /// cut off after one crash because no current-epoch copy remains).
-    pub fn key(&self) -> (u8, u8, u8, bool) {
-        (self.committer, self.serial, self.epoch, self.replay)
     }
 }
 
@@ -130,8 +117,8 @@ impl Msg {
 /// projection the conformance layer replays onto the machines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FaultEntry {
-    /// Arbiter crashes during this broadcast (1 = crash mid-broadcast,
-    /// 2 = crash-during-replay as well).
+    /// Arbiter crashes during this broadcast, each one re-election
+    /// holding the bus.
     pub crashes: u8,
     /// Whether the interconnect duplicated a delivery of this broadcast.
     pub dup: bool,
@@ -142,13 +129,10 @@ pub struct FaultEntry {
 pub struct State {
     /// Commits each processor has yet to start.
     pub remaining: Vec<u8>,
-    /// Current arbiter epoch.
-    pub epoch: u8,
-    /// Current arbiter leader (rotates on crash).
-    pub leader: u8,
     /// Crashes injected so far.
     pub crashes: u8,
-    /// In-flight message copies, in creation order.
+    /// Broadcasts in flight, in grant order (at most one unless
+    /// [`Mutation::GrantBeforeDrain`] is seeded).
     pub inflight: Vec<Msg>,
     /// Per-receiver cursor: one past the broadcast index of the last copy
     /// the receiver applied.
@@ -167,8 +151,6 @@ impl State {
         let p = usize::from(cfg.procs);
         State {
             remaining: vec![cfg.commits_per_proc; p],
-            epoch: 0,
-            leader: 0,
             crashes: 0,
             inflight: Vec::new(),
             cursor: vec![0; p],
@@ -181,21 +163,11 @@ impl State {
     pub fn quiescent(&self) -> bool {
         self.inflight.is_empty() && self.remaining.iter().all(|&r| r == 0)
     }
-
-    /// Number of *distinct commits* currently in flight. A grant waits
-    /// for every copy to drain, stale ones included, so this is at most 1.
-    pub fn inflight_commits(&self) -> usize {
-        self.inflight.iter().map(Msg::ticket).collect::<BTreeSet<_>>().len()
-    }
-
-    fn current_epoch_msg(&self) -> Option<usize> {
-        self.inflight.iter().position(|m| m.epoch == self.epoch)
-    }
 }
 
-/// One transition of the model. Message-bearing actions name the copy by
-/// its stable [`Msg::key`], so a recorded trace replays against a fresh
-/// model without relying on internal indices.
+/// One transition of the model. Delivery actions name the broadcast by
+/// its [`Ticket`], so a recorded trace replays against a fresh model
+/// without relying on internal indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Action {
     /// The arbiter grants the bus to `proc`'s next commit.
@@ -203,43 +175,35 @@ pub enum Action {
         /// Committing processor.
         proc: u8,
     },
-    /// The copy `msg` reaches receiver `to` for the first time.
+    /// The broadcast `msg` reaches receiver `to` for the first time.
     Deliver {
-        /// Key of the in-flight copy ([`Msg::key`]).
-        msg: (u8, u8, u8, bool),
+        /// Ticket of the broadcast in flight.
+        msg: Ticket,
         /// Receiving processor.
         to: u8,
     },
-    /// The interconnect re-delivers the copy `msg` to `to`.
+    /// The interconnect re-delivers the broadcast `msg` to `to`.
     Duplicate {
-        /// Key of the in-flight copy ([`Msg::key`]).
-        msg: (u8, u8, u8, bool),
+        /// Ticket of the broadcast in flight.
+        msg: Ticket,
         /// Receiving processor.
         to: u8,
     },
-    /// The arbiter crashes mid-broadcast; the epoch advances, leadership
-    /// rotates, and the in-flight message is replayed under the new stamp.
+    /// The arbiter crashes mid-broadcast; the re-election holds the bus.
     Crash,
 }
 
 impl fmt::Display for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = |k: &(u8, u8, u8, bool)| {
-            format!(
-                "{}({},{})@e{}",
-                if k.3 { "replay" } else { "commit" },
-                k.0,
-                k.1,
-                k.2
-            )
-        };
         match self {
             Action::Grant { proc } => write!(f, "grant bus to proc {proc}"),
-            Action::Deliver { msg, to } => write!(f, "deliver {} -> proc {to}", name(msg)),
-            Action::Duplicate { msg, to } => {
-                write!(f, "duplicate {} -> proc {to}", name(msg))
+            Action::Deliver { msg: (c, s), to } => {
+                write!(f, "deliver commit({c},{s}) -> proc {to}")
             }
-            Action::Crash => write!(f, "arbiter crashes; epoch++, replay in-flight"),
+            Action::Duplicate { msg: (c, s), to } => {
+                write!(f, "duplicate commit({c},{s}) -> proc {to}")
+            }
+            Action::Crash => write!(f, "arbiter crashes; re-election holds the bus"),
         }
     }
 }
@@ -294,8 +258,7 @@ impl fmt::Display for Violation {
             ),
             Violation::LostCommit { ticket, receiver } => write!(
                 f,
-                "commit lost across re-election: proc {receiver} never applied \
-                 W_C of commit ({},{})",
+                "commit lost: proc {receiver} never applied W_C of commit ({},{})",
                 ticket.0, ticket.1
             ),
             Violation::Stuck => write!(f, "deadlock: work remains but nothing is enabled"),
@@ -332,7 +295,7 @@ impl Model {
         let mut out = Vec::new();
         // Grant: the bus is free once every copy has drained — one bus
         // occupancy per broadcast, as `SimHarness::broadcast` delivers it.
-        if state.inflight.is_empty() {
+        if state.inflight.is_empty() || self.cfg.mutation == Mutation::GrantBeforeDrain {
             for p in 0..self.cfg.procs {
                 if state.remaining[usize::from(p)] > 0 {
                     out.push(Action::Grant { proc: p });
@@ -346,14 +309,14 @@ impl Model {
                 }
                 let bit = 1u8 << r;
                 if m.delivered & bit == 0 {
-                    out.push(Action::Deliver { msg: m.key(), to: r });
+                    out.push(Action::Deliver { msg: m.ticket(), to: r });
                 } else if m.dups_left > 0 {
-                    out.push(Action::Duplicate { msg: m.key(), to: r });
+                    out.push(Action::Duplicate { msg: m.ticket(), to: r });
                 }
             }
         }
         // Crash: only mid-broadcast, like the machines' fault hook.
-        if state.crashes < self.cfg.max_crashes && state.current_epoch_msg().is_some() {
+        if state.crashes < self.cfg.max_crashes && !state.inflight.is_empty() {
             out.push(Action::Crash);
         }
         out
@@ -372,7 +335,6 @@ impl Model {
             Action::Grant { proc } => {
                 let p = usize::from(proc);
                 assert!(s.remaining[p] > 0, "grant for a finished proc");
-                assert!(s.inflight.is_empty(), "bus is occupied");
                 let serial = self.cfg.commits_per_proc - s.remaining[p];
                 s.remaining[p] -= 1;
                 let bindex = s.pattern.len() as u8;
@@ -380,11 +342,9 @@ impl Model {
                 s.inflight.push(Msg {
                     committer: proc,
                     serial,
-                    epoch: s.epoch,
                     bindex,
                     delivered: 0,
                     dups_left: self.cfg.max_dups,
-                    replay: false,
                 });
                 None
             }
@@ -402,45 +362,16 @@ impl Model {
                 assert!(s.inflight[mi].delivered & (1 << to) != 0, "nothing to duplicate");
                 s.inflight[mi].dups_left -= 1;
                 let v = self.receive(&mut s, mi, to);
-                if s.pattern.is_empty() {
-                    unreachable!("duplicate before any grant");
-                }
                 let bi = usize::from(s.inflight[mi].bindex);
                 s.pattern[bi].dup = true;
                 v
             }
             Action::Crash => {
-                let mi = s.current_epoch_msg().expect("crash requires an in-flight broadcast");
-                s.crashes += 1;
-                s.epoch += 1;
-                s.leader = (s.leader + 1) % self.cfg.procs;
-                let m = s.inflight[mi];
+                // The re-election holds the bus and the broadcast keeps
+                // draining: the crash only counts against it.
+                let m = s.inflight.last().expect("crash requires an in-flight broadcast");
                 s.pattern[usize::from(m.bindex)].crashes += 1;
-                match self.cfg.mutation {
-                    // The crashed arbiter's successor forgets the
-                    // in-flight message entirely.
-                    Mutation::SkipReplay => {}
-                    // The replay goes out under the dead epoch's stamp:
-                    // every receiver fences it.
-                    Mutation::ReplayWithoutRestamp => {
-                        s.inflight.push(Msg {
-                            epoch: m.epoch,
-                            delivered: 0,
-                            dups_left: 0,
-                            replay: true,
-                            ..m
-                        });
-                    }
-                    _ => {
-                        s.inflight.push(Msg {
-                            epoch: s.epoch,
-                            delivered: 0,
-                            dups_left: 0,
-                            replay: true,
-                            ..m
-                        });
-                    }
-                }
+                s.crashes += 1;
                 None
             }
         };
@@ -492,24 +423,20 @@ impl Model {
         Ok(None)
     }
 
-    fn find_msg(&self, state: &State, key: (u8, u8, u8, bool)) -> usize {
+    fn find_msg(&self, state: &State, ticket: Ticket) -> usize {
         state
             .inflight
             .iter()
-            .position(|m| m.key() == key)
-            .expect("action names an in-flight copy")
+            .position(|m| m.ticket() == ticket)
+            .expect("action names an in-flight broadcast")
     }
 
     /// Receiver logic for one delivery of `state.inflight[mi]` at `to`:
-    /// epoch fence, cursor, then apply + eager property checks.
+    /// the cursor, then apply + eager property checks.
     fn receive(&self, state: &mut State, mi: usize, to: u8) -> Option<Violation> {
         let m = state.inflight[mi];
-        // Lease safety: deliveries stamped by a dead epoch are fenced.
-        if m.epoch < state.epoch && self.cfg.mutation != Mutation::NoFencing {
-            return None;
-        }
-        // The cursor: a copy of a broadcast this receiver already applied
-        // (a duplicate, a replay, a stale original) is dropped.
+        // The cursor: a copy of a broadcast at or below the last one this
+        // receiver applied (a duplicate) is dropped.
         let r = usize::from(to);
         if m.bindex < state.cursor[r] && self.cfg.mutation != Mutation::SkipCursor {
             return None;
@@ -592,9 +519,8 @@ mod tests {
             let (next, v) = m.apply(&s, Action::Grant { proc: p });
             s = next;
             assert_eq!(v, None);
-            let key = (p, 0, s.epoch, false);
             for r in (0..3u8).filter(|r| *r != p) {
-                let (next, v) = m.apply(&s, Action::Deliver { msg: key, to: r });
+                let (next, v) = m.apply(&s, Action::Deliver { msg: (p, 0), to: r });
                 s = next;
                 assert_eq!(v, None);
             }
@@ -605,54 +531,44 @@ mod tests {
     }
 
     #[test]
-    fn crash_replays_under_the_new_epoch_and_the_cursor_drops_the_second_copy() {
+    fn a_crash_holds_the_bus_and_only_counts() {
         let m = model();
         let mut s = m.initial();
         s = m.apply(&s, Action::Grant { proc: 0 }).0;
-        // Receiver 1 gets the original pre-crash.
-        s = m.apply(&s, Action::Deliver { msg: (0, 0, 0, false), to: 1 }).0;
-        let (next, v) = m.apply(&s, Action::Crash);
+        s = m.apply(&s, Action::Deliver { msg: (0, 0), to: 1 }).0;
+        // Two re-elections on one broadcast: no copy is added, the
+        // receivers' state does not move, the grant stays blocked.
+        for crashes in 1..=2u8 {
+            let (next, v) = m.apply(&s, Action::Crash);
+            s = next;
+            assert_eq!(v, None);
+            assert_eq!((s.crashes, s.inflight.len()), (crashes, 1));
+            assert_eq!(s.order, vec![vec![], vec![(0, 0)], vec![]]);
+        }
+        assert!(!m.enabled(&s).contains(&Action::Crash), "the crash budget is spent");
+        let (next, v) = m.apply(&s, Action::Deliver { msg: (0, 0), to: 2 });
         s = next;
         assert_eq!(v, None);
-        assert_eq!((s.epoch, s.leader, s.crashes), (1, 1, 1));
-        assert_eq!(s.inflight.len(), 2, "original (stale) + re-stamped replay");
-        assert_eq!(s.inflight_commits(), 1);
-        // The replay reaches both receivers: 1 is past it, 2 applies.
-        let (next, v) = m.apply(&s, Action::Deliver { msg: (0, 0, 1, true), to: 1 });
-        s = next;
-        assert_eq!(v, None);
-        let (next, v) = m.apply(&s, Action::Deliver { msg: (0, 0, 1, true), to: 2 });
-        s = next;
-        assert_eq!(v, None);
-        // The stale original drains to receiver 2: fenced, not applied.
-        let (next, v) = m.apply(&s, Action::Deliver { msg: (0, 0, 0, false), to: 2 });
-        s = next;
-        assert_eq!(v, None);
-        assert_eq!(s.order[1], vec![(0, 0)]);
-        assert_eq!(s.order[2], vec![(0, 0)]);
+        assert!(s.inflight.is_empty());
         assert_eq!(s.cursor, vec![0, 1, 1]);
-        assert_eq!(s.pattern[0], FaultEntry { crashes: 1, dup: false });
+        assert_eq!(s.pattern[0], FaultEntry { crashes: 2, dup: false });
     }
 
     #[test]
     fn grant_waits_for_every_copy_to_drain() {
-        let m = model();
         let is_grant = |a: &Action| matches!(a, Action::Grant { .. });
-        let mut s = m.initial();
-        s = m.apply(&s, Action::Grant { proc: 0 }).0;
-        s = m.apply(&s, Action::Crash).0;
-        // The replay fully delivers; the stale original has not drained,
-        // so the bus is still occupied.
-        s = m.apply(&s, Action::Deliver { msg: (0, 0, 1, true), to: 1 }).0;
-        s = m.apply(&s, Action::Deliver { msg: (0, 0, 1, true), to: 2 }).0;
-        assert_eq!(s.inflight.len(), 1);
-        assert!(!m.enabled(&s).iter().any(is_grant), "a stale copy holds the bus");
-        // The stale copy drains (fenced at both receivers): now the bus
-        // is free.
-        s = m.apply(&s, Action::Deliver { msg: (0, 0, 0, false), to: 1 }).0;
-        s = m.apply(&s, Action::Deliver { msg: (0, 0, 0, false), to: 2 }).0;
-        assert!(s.inflight.is_empty());
+        let grant_then_deliver = |m: &Model| {
+            let s = m.apply(&m.initial(), Action::Grant { proc: 0 }).0;
+            m.apply(&s, Action::Deliver { msg: (0, 0), to: 1 }).0
+        };
+        let m = model();
+        let s = grant_then_deliver(&m);
+        assert!(!m.enabled(&s).iter().any(is_grant), "receiver 2 holds the bus");
+        let s = m.apply(&s, Action::Deliver { msg: (0, 0), to: 2 }).0;
         assert!(m.enabled(&s).iter().any(is_grant));
+        // The seeded bug grants while the copy to receiver 2 is in flight.
+        let bug = Model::new(ModelConfig::mutated(Mutation::GrantBeforeDrain));
+        assert!(bug.enabled(&grant_then_deliver(&bug)).iter().any(is_grant));
     }
 
     #[test]
@@ -660,9 +576,8 @@ mod tests {
         let m = Model::new(ModelConfig::mutated(Mutation::SkipCursor));
         let trace = vec![
             Action::Grant { proc: 0 },
-            Action::Deliver { msg: (0, 0, 0, false), to: 1 },
-            Action::Crash,
-            Action::Deliver { msg: (0, 0, 1, true), to: 1 },
+            Action::Deliver { msg: (0, 0), to: 1 },
+            Action::Duplicate { msg: (0, 0), to: 1 },
         ];
         let v = m.replay(&trace).expect("trace is well-formed");
         assert_eq!(

@@ -9,9 +9,9 @@
 //!   actor's timeline (speculative section, commit arbitration/broadcast,
 //!   squash + re-execution overhead, stall/backoff, overflow spill,
 //!   checkpoint, context switch). Spans carry parent/child structure and
-//!   **causal links**: a commit span records the ID of every squash and
-//!   bulk-invalidation span it triggered, so a squash ping-pong renders
-//!   as a visible chain.
+//!   **causal links**: a squash or bulk-invalidation span records the
+//!   commit span that triggered it, and the export lists each commit's
+//!   effects, so a squash ping-pong renders as a visible chain.
 //! - [`TraceLog::to_chrome_json`] exports the spans as Chrome
 //!   trace-event / Perfetto-compatible JSON (`--trace-out` in the CLI).
 //!   The export is deterministic: identical runs serialize
@@ -131,7 +131,7 @@ impl SpanId {
 }
 
 /// One recorded span: a window of logical time on an actor's timeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Span ID (also its index in [`TraceLog::spans`]).
     pub id: u64,
@@ -155,10 +155,9 @@ pub struct Span {
     /// Enclosing span (a commit's speculative section), if any.
     pub parent: Option<u64>,
     /// The span that causally triggered this one (a squash's commit
-    /// broadcast), if any.
+    /// broadcast), if any. The spans this one triggered are the spans
+    /// whose `cause` it is; the export lists them as its `links`.
     pub cause: Option<u64>,
-    /// IDs of spans this one triggered (filled by [`TraceLog::link`]).
-    pub links: Vec<u64>,
     /// Section outcome; [`SpanOutcome::Pending`] for leaves.
     pub outcome: SpanOutcome,
     /// Free payload: transaction/task index for sections and commits,
@@ -251,7 +250,6 @@ impl TraceLog {
             ended: false,
             parent: parent.filter(|p| !p.is_dropped()).map(SpanId::raw),
             cause: None,
-            links: Vec::new(),
             outcome: SpanOutcome::Pending,
             detail,
         });
@@ -298,16 +296,14 @@ impl TraceLog {
         }
     }
 
-    /// Records that `cause` triggered `effect`: pushes `effect` onto the
-    /// cause's link list and sets the effect's back-pointer. No-op if
-    /// either side was dropped.
+    /// Records that `cause` triggered `effect`: sets the effect's
+    /// back-pointer. No-op if either side was dropped.
     pub fn link(&self, cause: SpanId, effect: SpanId) {
         if cause.is_dropped() || effect.is_dropped() || cause == effect {
             return;
         }
         let mut inner = self.lock();
         if (cause.0 as usize) < inner.spans.len() && (effect.0 as usize) < inner.spans.len() {
-            inner.spans[cause.0 as usize].links.push(effect.0);
             inner.spans[effect.0 as usize].cause = Some(cause.0);
         }
     }
@@ -344,7 +340,8 @@ impl TraceLog {
     /// - each track becomes a process (`ph:"M"` `process_name` metadata),
     /// - each span a complete event (`ph:"X"`, `pid` = track, `tid` =
     ///   actor, `ts`/`dur` in cycles) whose `args` carry the span ID,
-    ///   parent, cause, outcome, detail and causal links,
+    ///   parent, cause, outcome, detail and causal links (the IDs of the
+    ///   spans whose cause it is, in ID order),
     /// - each causal link a flow pair (`ph:"s"` at the cause, `ph:"f"`
     ///   with `bp:"e"` at the effect) with the effect's span ID as the
     ///   flow ID.
@@ -361,11 +358,20 @@ impl TraceLog {
                 json_escape(name)
             ));
         }
+        // (cause, effect) pairs sorted: a span's effects are one run, in ID order.
+        let mut edges: Vec<(u64, u64)> =
+            inner.spans.iter().filter_map(|s| Some((s.cause?, s.id))).collect();
+        edges.sort_unstable();
         for s in &inner.spans {
             let dur = if s.ended { s.end.saturating_sub(s.start) } else { 0 };
             let parent = s.parent.map_or_else(|| "null".to_string(), |p| p.to_string());
             let cause = s.cause.map_or_else(|| "null".to_string(), |c| c.to_string());
-            let links: Vec<String> = s.links.iter().map(u64::to_string).collect();
+            let from = edges.partition_point(|&(c, _)| c < s.id);
+            let links: Vec<String> = edges[from..]
+                .iter()
+                .take_while(|&&(c, _)| c == s.id)
+                .map(|&(_, e)| e.to_string())
+                .collect();
             events.push(format!(
                 "{{\"ph\": \"X\", \"pid\": {}, \"tid\": {}, \"ts\": {}, \"dur\": {dur}, \
                  \"name\": \"{}\", \"cat\": \"bulk\", \"args\": {{\"span\": {}, \
@@ -650,9 +656,12 @@ mod tests {
         t.link(c, s1);
         t.link(c, s2);
         let spans = t.spans();
-        assert_eq!(spans[0].links, vec![s1.raw(), s2.raw()]);
+        assert_eq!(spans[0].cause, None);
         assert_eq!(spans[1].cause, Some(c.raw()));
         assert_eq!(spans[2].cause, Some(c.raw()));
+        let json = t.to_chrome_json();
+        assert!(json.contains("\"span\": 0, \"parent\": null, \"cause\": null"));
+        assert!(json.contains("\"links\": [1, 2]}"), "{json}");
     }
 
     #[test]
@@ -670,7 +679,7 @@ mod tests {
         t.set_outcome(c, SpanOutcome::Squashed);
         t.link(a, c);
         t.link(c, a);
-        assert!(t.spans()[0].links.is_empty());
+        assert!(t.spans().iter().all(|s| s.cause.is_none()));
     }
 
     #[test]

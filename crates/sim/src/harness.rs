@@ -17,7 +17,7 @@ use bulk_sig::{SetBitmask, Signature};
 use crate::{Bus, CoreTimer, SimConfig};
 
 /// Bus cycles one commit-arbiter re-election holds (lease timeout plus
-/// election round) before the crashed broadcast's replay.
+/// election round) before the crashed broadcast's bus occupancy ends.
 const REELECT_CYCLES: u64 = 120;
 
 /// One commit asking for the bus: the input of [`SimHarness::broadcast`].
@@ -51,9 +51,13 @@ pub struct Broadcast {
     /// `δ(W_C)` of the delivered write signature: decoded once here, not
     /// once per receiver (the expansion FSM's input, Fig. 4).
     delta_w_c: Option<SetBitmask>,
-    /// Deliveries every receiver sees, all inside this broadcast's one
-    /// bus occupancy: one, plus one for a chaos duplicate, plus one replay
-    /// per arbiter failover. Each is gated by [`SimHarness::admit`].
+    /// Deliveries every receiver applies, all inside this broadcast's one
+    /// bus occupancy. It is 2 only for a chaos duplicate in a run with no
+    /// liveness engine, and 1 otherwise: an armed engine's receivers apply
+    /// a broadcast once (the cursor rule `crates/mc` model-checks). The
+    /// second delivery is not a no-op: a TM receiver the first one
+    /// squashed is out of its transaction, so the second invalidates the
+    /// clean copies of `W_C`'s lines the squash left in its cache.
     pub rounds: u32,
     /// Arbitration denials the committer retried through.
     pub retries: u32,
@@ -166,7 +170,7 @@ impl SimHarness {
     /// and the counts [`SimHarness::drain`] publishes start at zero.
     pub fn attach_obs(&mut self, obs: Arc<Obs>) -> &RuntimeObs {
         let obs = self.obs.insert(RuntimeObs::attach(obs, self.prefix));
-        publish_tail(obs, &FaultStats::default(), &LiveStats::default());
+        publish_tail(obs, &FaultStats::default(), &LiveStats::default(), false);
         obs
     }
 
@@ -377,22 +381,18 @@ impl SimHarness {
 
         // Liveness: the commit arbiter itself can crash mid-broadcast
         // (chaos `arbiter_crash` fault, consulted only when a liveness
-        // engine is armed; the plan counts every crash). The re-elected
-        // arbiter replays the in-flight broadcast as one more round of
-        // this bus occupancy, which receivers drop (`admit`) so a
-        // committed-but-unacked W_C is never applied twice. The replay
-        // itself can be hit by another crash: one re-election and one more
-        // replay round per crash, up to the plan's per-broadcast bound so
+        // engine is armed; the plan counts every crash). A crash is bus
+        // time: the re-election holds the bus, so no broadcast can proceed
+        // while the arbiter lease times out and commit order stays total,
+        // and the broadcast is still delivered once. Each crash costs one
+        // more re-election, up to the plan's per-broadcast bound so
         // recovery always terminates.
-        let mut replays = 0u32;
+        let mut crashes = 0u32;
         if let (Some(plan), Some(_)) = (self.chaos.as_mut(), &self.live) {
             let crash_cap = plan.config().max_crashes_per_broadcast;
-            while replays < crash_cap && plan.arbiter_crash() {
-                // Re-election occupies the bus (no broadcast can proceed
-                // while the arbiter lease times out), keeping commit order
-                // total.
+            while crashes < crash_cap && plan.arbiter_crash() {
                 finish = self.bus.acquire(finish, REELECT_CYCLES) + REELECT_CYCLES;
-                replays += 1;
+                crashes += 1;
                 if let Some(obs) = &self.obs {
                     let epoch = plan.stats().arbiter_crashes;
                     obs.on_arbiter_failover(committer as u32, finish, epoch);
@@ -401,8 +401,8 @@ impl SimHarness {
         }
         if let Some(obs) = &self.obs {
             // Latency and commit span run from the first request to bus
-            // release: denial backoff, arbitration queueing, failover
-            // replays and bus occupancy are all commit time.
+            // release: denial backoff, arbitration queueing, re-elections
+            // and bus occupancy are all commit time.
             let latency = finish.saturating_sub(req.at);
             obs.on_commit(committer as u32, finish, payload.unwrap_or(0), req.writes, latency);
             obs.span_outcome(req.section, SpanOutcome::Useful);
@@ -412,25 +412,8 @@ impl SimHarness {
             // this broadcast link back to its commit span.
             self.commit_cause = c;
         }
-        let rounds = 1 + u32::from(duplicate) + replays;
+        let rounds = 1 + u32::from(duplicate && self.live.is_none());
         Broadcast { finish, delivered, delta_w_c, rounds, retries }
-    }
-
-    /// Gate of delivery round `round` of a [`Broadcast`]. Its rounds all
-    /// arrive inside one bus occupancy, so with a liveness engine a
-    /// receiver applies round 0 and is past the broadcast after that —
-    /// the cursor rule `crates/mc` model-checks: chaos duplicates and
-    /// failover replays are dropped (and counted by the engine). Without
-    /// one every round is delivered and must be idempotent: squashed
-    /// receivers are no longer speculative, invalidated lines are simply
-    /// absent.
-    pub fn admit(&mut self, round: u32) -> bool {
-        if round == 0 {
-            return true;
-        }
-        let Some(live) = self.live.as_mut() else { return true };
-        live.note_dedup_drop();
-        false
     }
 
     /// A Bulk receiver that was not squashed applies the commit: bulk
@@ -492,7 +475,7 @@ impl SimHarness {
             for v in &liveness_violations {
                 obs.on_watchdog_trip(v.thread.unwrap_or(0) as u32, v.cycle, v.kind.as_str());
             }
-            publish_tail(obs, &chaos, &liveness);
+            publish_tail(obs, &chaos, &liveness, self.live.is_some());
         }
         RunTail { chaos, audit_checks, violations, liveness, liveness_violations }
     }
@@ -500,16 +483,18 @@ impl SimHarness {
 
 /// The registry's copy of the counts the chaos plan and the liveness
 /// engine keep: zeros at attach, the final values at drain. Every arbiter
-/// crash is one re-election and one replay, so the plan's crash count is
-/// also the last epoch.
-fn publish_tail(obs: &RuntimeObs, chaos: &FaultStats, live: &LiveStats) {
+/// crash is one re-election, so the plan's crash count is also the last
+/// epoch. `live.dedup_drops` counts the deliveries a liveness-armed
+/// receiver does not apply: one per chaos duplicate and one per crash.
+fn publish_tail(obs: &RuntimeObs, chaos: &FaultStats, live: &LiveStats, armed: bool) {
+    let dedup_drops = if armed { chaos.duplicated_broadcasts + chaos.arbiter_crashes } else { 0 };
     obs.publish(
         &[
             ("ctx_switches", chaos.forced_context_switches),
             ("live.arbiter_crashes", chaos.arbiter_crashes),
             ("live.backoff_waits", live.backoff_waits),
             ("live.checkpoints", live.checkpoints),
-            ("live.dedup_drops", live.dedup_drops),
+            ("live.dedup_drops", dedup_drops),
             ("live.watchdog_trips", live.watchdog_trips),
         ],
         &[("live.arbiter_epoch", chaos.arbiter_crashes)],

@@ -153,11 +153,6 @@ impl Bus {
         self.free_at = start + duration;
         start
     }
-
-    /// The cycle at which the bus becomes free.
-    pub fn free_at(&self) -> u64 {
-        self.free_at
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +222,7 @@ mod tests {
         let mut bus = Bus::new();
         assert_eq!(bus.acquire(100, 10), 100);
         assert_eq!(bus.acquire(50, 10), 110); // must wait
-        assert_eq!(bus.free_at(), 120);
+        assert_eq!(bus.acquire(0, 10), 120);
     }
 
     #[test]

@@ -26,6 +26,11 @@
 #    end-of-run count once, from its owner's publish. No arbiter object
 #    keeps a second crash count, no handle mirrors a cycle breakdown or a
 #    liveness count, and par's workers keep a `ParStats`, not a twin.
+# 9. An arbiter crash is bus time (DESIGN.md §9, §12): the model in
+#    crates/mc checks what the sim does, so it has no arbiter epoch,
+#    lease fence or re-stamped replay; the sim delivers no replay round,
+#    so no receiver gate drops one and no engine counts it; and
+#    specs/tla/ holds the one spec, BulkCommit.tla.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -101,6 +106,16 @@ nontest_hits 'struct Arbiter|CycleObs|WorkerStats|on_dedup_drop|on_checkpoint|re
 [ -e crates/live/src/arbiter.rs ] && { echo crates/live/src/arbiter.rs; owner=1; }
 if [ "$owner" -eq 1 ]; then
   echo "one-core guard: a count has one owner; no Arbiter, CycleObs, WorkerStats or registry mirror of a liveness count"
+  fail=1
+fi
+
+bustime=0
+nontest_hits 'epoch|fence|restamp|ReplayWithoutRestamp|SkipReplay|NoFencing' \
+  $(find crates/mc/src -name '*.rs' | sort) && bustime=1
+nontest_hits 'fn admit|note_dedup_drop|dedup_drops:' "${files[@]}" crates/sim/src/harness.rs && bustime=1
+[ -e specs/tla/ArbiterFailover.tla ] && { echo specs/tla/ArbiterFailover.tla; bustime=1; }
+if [ "$bustime" -eq 1 ]; then
+  echo "one-core guard: an arbiter crash is bus time; no modelled epoch, fence or replay, no round gate or drop count"
   fail=1
 fi
 

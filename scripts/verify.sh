@@ -32,7 +32,7 @@ echo "front-door guard: OK"
 # flat cache (no Vec<Vec<CacheLine>>, no num_sets() per lookup), and par
 # exactly-once by the log cursor (no dedup filter, stress plan or bus
 # epoch; a forward-only TLS commit token).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor)"
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, one owner per count, a crash is bus time)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"
@@ -166,11 +166,12 @@ HTTP=$(sed -n 2p "$TRACE_DIR/bulkd.addrs")
 wait "$BULKD_PID"
 echo "bulkd smoke: OK"
 
-# Protocol model-check smoke: bounded-depth BFS over the commit/
-# failover model plus one seeded bug that must die with a
-# counterexample. The exhaustive + full mutation suite runs in the CI
-# model-check job; this keeps a protocol regression inside the
-# hermetic gate at ~tens of milliseconds.
+# Protocol model-check smoke: BFS over the commit model at 3 procs,
+# 1 crash and depth <= 16 (the whole correct space at that budget, 967
+# states) plus grant-before-drain, which must die with a 9-step
+# counterexample. At 2 procs neither seeded bug can fire. The exhaustive
+# + full mutation suite runs in the CI model-check job; the smoke keeps
+# a protocol regression inside the hermetic gate at ~0.1 s.
 echo "== model-check smoke (bounded depth)"
 cargo run --release -q --offline --locked -p bulk-mc --bin mc_explore -- --smoke
 echo "model-check smoke: OK"

@@ -5,11 +5,11 @@
 //! that class:
 //!
 //! * every transaction/task commits,
-//! * receivers drop exactly the class's extra delivery rounds (one per
-//!   arbiter crash replay, one per interconnect duplication): each
-//!   applies round 0 of a broadcast's bus occupancy, the model's cursor,
 //! * every scripted crash is injected (the chaos plan's count is the one
-//!   count of crashes, re-elections and failover replays),
+//!   count of crashes and re-elections), and the registry's
+//!   `live.dedup_drops` counts exactly the class's deliveries a receiver
+//!   does not apply (one per crash, one per interconnect duplication):
+//!   each receiver applies a broadcast once, the model's cursor,
 //! * the committed order stays serializable (runtime auditor), and
 //! * the whole run is a pure function of the script: two runs of the same
 //!   class produce byte-identical metrics JSON.
@@ -89,7 +89,7 @@ fn tm_replay(wl: &TmWorkload, script: ScheduleScript) -> MachineOutcome {
         commits: stats.commits,
         squashes: stats.squashes,
         arbiter_crashes: stats.chaos.arbiter_crashes,
-        dedup_drops: stats.liveness.dedup_drops,
+        dedup_drops: obs.registry().counter_value("tm.live.dedup_drops"),
         invariant_violations: stats.violations.len(),
         liveness_violations: stats.liveness_violations.len(),
         metrics_json: obs.registry().to_json(),
@@ -109,7 +109,7 @@ fn tls_replay(wl: &TlsWorkload, script: ScheduleScript) -> MachineOutcome {
         commits: stats.commits,
         squashes: stats.squashes,
         arbiter_crashes: stats.chaos.arbiter_crashes,
-        dedup_drops: stats.liveness.dedup_drops,
+        dedup_drops: obs.registry().counter_value("tls.live.dedup_drops"),
         invariant_violations: stats.violations.len(),
         liveness_violations: stats.liveness_violations.len(),
         metrics_json: obs.registry().to_json(),
@@ -137,8 +137,9 @@ fn check_conformance(
         "scripted crashes not all injected ({ctx})"
     );
     assert_eq!(
-        a.dedup_drops, exp.dedup_drops,
-        "dedup must drop exactly the class's extra delivery rounds ({ctx})"
+        a.dedup_drops,
+        exp.script.expected_dedup_drops(),
+        "the registry must count exactly the class's unapplied deliveries ({ctx})"
     );
     assert_eq!(a.invariant_violations, 0, "serializability broke ({ctx})");
     assert_eq!(a.liveness_violations, 0, "liveness violation ({ctx})");
@@ -154,7 +155,7 @@ fn every_explored_interleaving_class_replays_on_both_machines() {
     let report = explore(cfg);
     assert!(report.passed(), "the correct protocol must verify: {}", report.summary());
     // The harness delivers one bus occupancy at a time — a broadcast's
-    // duplicate and replay rounds included — and the model grants the
+    // duplicate and re-elections included — and the model grants the
     // next broadcast only once every copy has drained.
     assert_eq!(
         report.max_inflight_commits, 1,
@@ -164,8 +165,8 @@ fn every_explored_interleaving_class_replays_on_both_machines() {
     let classes = expectations(&report.classes);
     assert!(!classes.is_empty());
     // The class set must include the quiet baseline, an interconnect
-    // duplication, and a crash-during-replay (two crashes on one
-    // broadcast) — otherwise the sweep is vacuous.
+    // duplication, and two crashes on one broadcast — otherwise the
+    // sweep is vacuous.
     assert!(classes.iter().any(|e| e.crashes == 0 && e.duplicates == 0));
     assert!(classes.iter().any(|e| e.duplicates > 0));
     assert!(classes
@@ -188,7 +189,7 @@ fn every_explored_interleaving_class_replays_on_both_machines() {
 }
 
 #[test]
-fn seeded_protocol_bugs_are_caught_and_the_redundant_fence_is_not() {
+fn seeded_protocol_bugs_are_caught() {
     use bulk_repro::mc::Mutation;
     for m in Mutation::seeded_bugs() {
         let report = explore(ModelConfig::mutated(m));
@@ -198,8 +199,4 @@ fn seeded_protocol_bugs_are_caught_and_the_redundant_fence_is_not() {
             .unwrap_or_else(|| panic!("seeded bug {m} escaped the explorer"));
         assert!(!cx.trace.is_empty(), "{m}: counterexample must carry a trace");
     }
-    // NoFencing removes a mechanism the one-occupancy bus plus the
-    // receiver cursor make redundant: the explorer proves the redundancy.
-    let report = explore(ModelConfig::mutated(Mutation::NoFencing));
-    assert!(report.passed(), "no-fencing must verify: {}", report.summary());
 }

@@ -137,6 +137,24 @@ fn storm_squashes_all_link_back_to_commit_broadcasts() {
     assert!(checked > 0, "the storm must squash via commit broadcasts");
 }
 
+/// The `links` array of each span's complete event in the Chrome export,
+/// indexed by span ID (the export writes the events in ID order).
+fn exported_links(obs: &Obs) -> Vec<Vec<u64>> {
+    obs.trace()
+        .to_chrome_json()
+        .lines()
+        .filter(|l| l.contains("\"ph\": \"X\""))
+        .map(|l| {
+            let tail = &l[l.find("\"links\": [").expect("a links array") + 10..];
+            tail[..tail.find(']').expect("a closed links array")]
+                .split(", ")
+                .filter(|id| !id.is_empty())
+                .map(|id| id.parse().expect("a span ID"))
+                .collect()
+        })
+        .collect()
+}
+
 /// Every squash and receiver-side bulk invalidation must carry a causal
 /// link. Bulk invalidations are only ever selected by a commit
 /// broadcast; squashes are caused by a commit broadcast or — for
@@ -144,6 +162,7 @@ fn storm_squashes_all_link_back_to_commit_broadcasts() {
 /// Returns the number of commit-broadcast-caused squashes.
 fn assert_squashes_caused_by_commits(obs: &Obs, ctx: &str) -> usize {
     let spans = obs.trace().spans();
+    let links = exported_links(obs);
     let mut commit_caused = 0usize;
     for s in &spans {
         if !matches!(s.kind, SpanKind::Squash | SpanKind::BulkInvalidate) {
@@ -172,8 +191,8 @@ fn assert_squashes_caused_by_commits(obs: &Obs, ctx: &str) -> usize {
             );
         }
         assert!(
-            spans[cause as usize].links.contains(&s.id),
-            "{ctx}: cause {cause} must link forward to span {}",
+            links[cause as usize].contains(&s.id),
+            "{ctx}: cause {cause} must link forward to span {} in the export",
             s.id
         );
     }
