@@ -171,7 +171,7 @@ CHAOS:
   kills at commit-protocol points (claim, publish, apply), short injected
   stalls and widened claim-to-publish windows. The supervisor fences the
   dead worker's orphaned bus slot (TM) or lets the respawned worker adopt
-  it (TLS), respawns from the last verified checkpoint, and reports the
+  it (TLS), respawns the worker from its last publish, and reports the
   recoveries in a resilience section; an unrecoverable death or a
   wall-clock stall exits nonzero with the replay seed.
 
@@ -199,8 +199,11 @@ LIVENESS:
   --watchdog-ticks <n> arms the detection-only forward-progress watchdog:
   livelock (a squash ping-pong cycle between two threads), starvation
   (one thread's commit age exceeding its bound) and global stall (no
-  commit for <n> cycles). Detection never perturbs the schedule — the
-  backoff ladder stays off. A trip aborts the run, prints the diagnosis
+  commit for <n> cycles). The backoff ladder stays off, so without
+  --chaos a watched run's schedule equals an unwatched one's until a
+  trip. Under
+  --chaos it can differ: an armed engine applies a duplicated broadcast
+  once instead of twice. A trip aborts the run, prints the diagnosis
   (including the detected squash cycle) and exits nonzero; try
   `bulk tm --app mc --scheme eager-naive --watchdog-ticks 1000000`.
 ";

@@ -167,10 +167,7 @@ fn print_liveness(l: &LiveStats, chaos: &FaultStats, opts: &RunOptions, violatio
         l.backoff_waits, l.backoff_cycles, l.storm_widenings, l.watchdog_trips
     );
     if l.checkpoints > 0 {
-        println!(
-            "  checkpoints        {} captured, {} restore failures",
-            l.checkpoints, l.checkpoint_restore_failures
-        );
+        println!("  checkpoints        {} captured", l.checkpoints);
     }
 }
 

@@ -1,7 +1,9 @@
 //! `δ(W_v)` is a register of its BDM slot (DESIGN.md §17): after any
 //! sequence of BDM operations every in-use slot's cached mask equals a
 //! fresh decode of its write signature, and the `δ(W_run)` /
-//! `OR(δ(W_pre))` registers equal a rebuild from scratch.
+//! `OR(δ(W_pre))` registers equal a rebuild from scratch. A context
+//! switch's spill and reload (§6.2.2) is faithful: spilling a reloaded
+//! version again gives back the R, W, `W_sh` and O bit that were spilled.
 //!
 //! Cases are generated by the seeded `bulk_rng::check` harness; a failure
 //! prints a `BULK_PROP_SEED` value that replays exactly that case.
@@ -13,7 +15,8 @@ use bulk_rng::prop_assert_eq;
 use bulk_sig::{table8_spec, BitPermutation, Granularity, SetBitmask, SignatureConfig};
 
 /// Drives `bdm` through `steps` random operations, calling `check` after
-/// each one.
+/// each one. Every reload is spilled again, compared with what was
+/// spilled, and reloaded into the same slot.
 fn random_walk(
     g: &mut Gen,
     bdm: &mut Bdm,
@@ -40,8 +43,18 @@ fn random_walk(
             (9, Some(i)) => spilled.push(bdm.spill_version(live.swap_remove(i))),
             (10, _) => {
                 if let Some(s) = spilled.pop() {
+                    let kept = s.clone();
                     match bdm.reload_version(s) {
-                        Ok(v) => live.push(v),
+                        Ok(v) => {
+                            let again = bdm.spill_version(v);
+                            prop_assert_eq!(again.r, kept.r, "R of {v:?}");
+                            prop_assert_eq!(again.w, kept.w, "W of {v:?}");
+                            prop_assert_eq!(again.w_sh, kept.w_sh, "W_sh of {v:?}");
+                            prop_assert_eq!(again.overflowed, kept.overflowed, "O of {v:?}");
+                            let back = bdm.reload_version(again).expect("the spill freed a slot");
+                            prop_assert_eq!(back, v, "the lowest free slot again");
+                            live.push(back);
+                        }
                         Err(s) => spilled.push(s),
                     }
                 }

@@ -1,9 +1,9 @@
 //! The composed liveness engine the machines embed.
 //!
-//! [`LivenessEngine`] bundles the three mechanisms — watchdog, backoff
-//! arbitration, and checkpoint accounting — behind one small hook
-//! surface, so a machine wires liveness with a handful of calls at its
-//! existing event sites (tick, squash, commit, delivery).
+//! [`LivenessEngine`] bundles the watchdog, backoff arbitration and a
+//! context-switch count behind one small hook surface, so a machine wires
+//! liveness with a handful of calls at its existing event sites (tick,
+//! squash, commit, delivery, context switch).
 //! Everything is deterministic: the only randomness is the backoff
 //! jitter, seeded from [`LivenessConfig::seed`] (the machines pass the
 //! chaos seed through, so `BULK_CHAOS_SEED` replays liveness behaviour
@@ -48,10 +48,8 @@ pub struct LiveStats {
     pub storm_widenings: u64,
     /// Watchdog trips (0 or 1 per run; the first trip aborts).
     pub watchdog_trips: u64,
-    /// Checkpoints captured at chaos context switches.
+    /// Chaos context switches that reloaded a running version.
     pub checkpoints: u64,
-    /// Checkpoint restores that failed verification (must stay 0).
-    pub checkpoint_restore_failures: u64,
 }
 
 impl LiveStats {
@@ -62,18 +60,16 @@ impl LiveStats {
         self.storm_widenings += other.storm_widenings;
         self.watchdog_trips += other.watchdog_trips;
         self.checkpoints += other.checkpoints;
-        self.checkpoint_restore_failures += other.checkpoint_restore_failures;
     }
 }
 
-/// One machine run's liveness engine: watchdog + backoff + checkpoint
-/// accounting, with a unified stats snapshot.
+/// One machine run's liveness engine: watchdog + backoff + the
+/// context-switch count, with a unified stats snapshot.
 #[derive(Debug)]
 pub struct LivenessEngine {
     watchdog: Watchdog,
     backoff: BackoffPolicy,
     checkpoints: u64,
-    checkpoint_restore_failures: u64,
 }
 
 impl LivenessEngine {
@@ -90,7 +86,6 @@ impl LivenessEngine {
             watchdog: Watchdog::new(scheme, threads, cfg.watchdog, chaos_seed),
             backoff: BackoffPolicy::new(threads, cfg.backoff, cfg.seed),
             checkpoints: 0,
-            checkpoint_restore_failures: 0,
         }
     }
 
@@ -145,27 +140,10 @@ impl LivenessEngine {
         self.watchdog.take_violations()
     }
 
-    /// Records a checkpoint capture and whether its restore verified.
-    pub fn note_checkpoint(&mut self, restore_ok: bool) {
+    /// Records a context switch that spilled and reloaded a running
+    /// version (§6.2.2).
+    pub fn note_checkpoint(&mut self) {
         self.checkpoints += 1;
-        if !restore_ok {
-            self.checkpoint_restore_failures += 1;
-        }
-    }
-
-    /// Records a failed crash-consistent checkpoint restore as a typed
-    /// [`LivenessKind::CheckpointRestore`](crate::LivenessKind) violation
-    /// carrying the scheme label and replay seed, instead of the machine
-    /// panicking at the restore site. Counts the checkpoint as captured
-    /// and its restore as failed.
-    pub fn report_checkpoint_failure(&mut self, thread: usize, cycle: u64, detail: String) {
-        self.note_checkpoint(false);
-        self.watchdog.report(
-            crate::LivenessKind::CheckpointRestore,
-            Some(thread),
-            cycle,
-            detail,
-        );
     }
 
     /// Snapshot of the engine's counters.
@@ -176,7 +154,6 @@ impl LivenessEngine {
             storm_widenings: self.backoff.storm_widenings(),
             watchdog_trips: self.watchdog.trips(),
             checkpoints: self.checkpoints,
-            checkpoint_restore_failures: self.checkpoint_restore_failures,
         }
     }
 }
@@ -214,9 +191,8 @@ mod tests {
     #[test]
     fn checkpoints_are_counted() {
         let mut e = LivenessEngine::new("tm/test", 4, LivenessConfig::default(), None);
-        e.note_checkpoint(true);
-        let s = e.stats();
-        assert_eq!((s.checkpoints, s.checkpoint_restore_failures), (1, 0));
+        e.note_checkpoint();
+        assert_eq!(e.stats().checkpoints, 1);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Liveness engine for the Bulk machines: forward-progress guarantees and
-//! crash-consistent recovery.
+//! Liveness engine for the Bulk machines: forward-progress guarantees.
 //!
 //! The paper's commit protocol (§5) assumes an always-available arbiter
 //! and leaves forward progress to policy — its own Fig. 12(a) shows a
 //! naive eager scheme livelocking on a two-thread ping-pong. The chaos
 //! harness (DESIGN.md §7) can *stress* progress but nothing in the stack
-//! *guarantees* it. This crate closes that loop with three cooperating
+//! *guarantees* it. This crate closes that loop with two cooperating
 //! mechanisms:
 //!
 //! * [`Watchdog`] — detects livelock (repeated squash cycles between the
@@ -15,13 +14,14 @@
 //! * [`BackoffPolicy`] — age-based commit arbitration with bounded
 //!   exponential backoff and seeded deterministic jitter, including
 //!   squash-storm throttling driven by the aliasing-squash rate, as a
-//!   graduated policy *before* serial-token escalation;
-//! * [`Checkpoint`] — crash-consistent capture/verify of per-thread
-//!   speculative state (R/W signatures + overflow area + O bit), so a
-//!   forced context switch resumes without violating the Set Restriction.
+//!   graduated policy *before* serial-token escalation.
 //!
-//! [`LivenessEngine`] composes all three behind the hook surface the TM and
-//! TLS machines call. A commit-arbiter crash is not a mechanism of its
+//! [`LivenessEngine`] composes both behind the hook surface the TM and
+//! TLS machines call, and counts the context switches a liveness-armed TM
+//! run takes. A context switch spills a version's signatures to memory
+//! and reloads them (§6.2.2); a reload is faithful by construction, which
+//! `crates/core/tests/delta_register.rs` checks, so nothing here proves
+//! it again at run time. A commit-arbiter crash is not a mechanism of its
 //! own: the chaos plan counts it, and the sim's broadcast stage
 //! (`bulk_sim::SimHarness::broadcast`) charges the re-election as bus time
 //! and still delivers the broadcast once. Every mechanism is a pure
@@ -47,13 +47,11 @@
 #![forbid(unsafe_code)]
 
 mod backoff;
-mod checkpoint;
 mod engine;
 mod violation;
 mod watchdog;
 
 pub use backoff::{BackoffConfig, BackoffPolicy};
-pub use checkpoint::{Checkpoint, CheckpointError};
 pub use engine::{LiveStats, LivenessConfig, LivenessEngine};
 pub use violation::{LivenessKind, LivenessViolation};
 pub use watchdog::{WallClockWatchdog, Watchdog, WatchdogConfig};

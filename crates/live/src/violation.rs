@@ -24,12 +24,6 @@ pub enum LivenessKind {
     /// The machine as a whole stops committing: no thread commits for a
     /// configured number of cycles even though work remains.
     GlobalStall,
-    /// A crash-consistent checkpoint could not be restored faithfully:
-    /// the spill/reload round trip failed (no free BDM slot) or the
-    /// restored state failed the byte-faithfulness proof. The thread
-    /// cannot safely resume, so the run surfaces a typed violation with
-    /// replay context instead of panicking.
-    CheckpointRestore,
     /// A daemon-managed job exceeded its wall-clock budget: the `bulkd`
     /// watchdog reaped the run and marked the *job* failed, leaving the
     /// daemon and its other jobs untouched.
@@ -43,7 +37,6 @@ impl LivenessKind {
             LivenessKind::Livelock => "livelock",
             LivenessKind::Starvation => "starvation",
             LivenessKind::GlobalStall => "global-stall",
-            LivenessKind::CheckpointRestore => "checkpoint-restore",
             LivenessKind::JobTimeout => "job-timeout",
         }
     }
@@ -120,7 +113,6 @@ mod tests {
         assert_eq!(LivenessKind::Livelock.to_string(), "livelock");
         assert_eq!(LivenessKind::Starvation.to_string(), "starvation");
         assert_eq!(LivenessKind::GlobalStall.to_string(), "global-stall");
-        assert_eq!(LivenessKind::CheckpointRestore.to_string(), "checkpoint-restore");
         assert_eq!(LivenessKind::JobTimeout.to_string(), "job-timeout");
     }
 }

@@ -14,9 +14,11 @@
 //!   cycles while work remains.
 //!
 //! Detection is purely observational: the watchdog never perturbs the
-//! machine, so arming it does not change a run's schedule. A trip is
-//! sticky — the first violation latches and the machine is expected to
-//! abort the run and surface the violation.
+//! machine. (Arming the engine it lives in does move a chaos run: an
+//! armed engine's receivers apply a duplicated broadcast once — see
+//! `bulk_sim::SimHarness::broadcast`.) A trip is sticky — the first
+//! violation latches and the machine is expected to abort the run and
+//! surface the violation.
 
 use std::collections::BTreeMap;
 
@@ -122,20 +124,6 @@ impl Watchdog {
             seed: self.seed,
             detail,
         });
-    }
-
-    /// Records an externally-detected liveness violation (e.g. a failed
-    /// crash-consistent checkpoint restore) with the watchdog's scheme
-    /// label and replay seed attached. Trips the watchdog: the thread in
-    /// question cannot make further progress safely.
-    pub fn report(
-        &mut self,
-        kind: LivenessKind,
-        thread: Option<usize>,
-        cycle: u64,
-        detail: String,
-    ) {
-        self.trip(kind, thread, cycle, detail);
     }
 
     /// Records that `by` squashed `victim` at `cycle`.

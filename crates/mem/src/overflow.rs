@@ -100,17 +100,6 @@ impl OverflowArea {
         self.lines.clear();
     }
 
-    /// Sorted snapshot of the resident lines, **without** counting an
-    /// access: the checkpoint machinery reads the area's content the way
-    /// the paper's context-switch save does — as part of the state dump,
-    /// not as a disambiguation consultation. Sorted so two snapshots of
-    /// identical state compare equal.
-    pub fn snapshot_lines(&self) -> Vec<LineAddr> {
-        let mut lines: Vec<LineAddr> = self.lines.iter().copied().collect();
-        lines.sort_unstable();
-        lines
-    }
-
     /// Number of lines currently held.
     pub fn len(&self) -> usize {
         self.lines.len()
@@ -195,19 +184,6 @@ mod tests {
         assert_eq!(reg.counter_value("tm.overflow.hits"), 1);
         assert_eq!(reg.counter_value("tm.overflow.walked_entries"), 4);
         assert_eq!(reg.gauges(), vec![("tm.overflow.resident_max".to_string(), 2)]);
-    }
-
-    #[test]
-    fn snapshot_is_sorted_and_free() {
-        let mut o = OverflowArea::new();
-        o.spill(LineAddr::new(9));
-        o.spill(LineAddr::new(1));
-        o.spill(LineAddr::new(5));
-        assert_eq!(
-            o.snapshot_lines(),
-            vec![LineAddr::new(1), LineAddr::new(5), LineAddr::new(9)]
-        );
-        assert_eq!(o.accesses(), 0, "snapshots are state dumps, not lookups");
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub enum SpanKind {
     /// A speculative dirty line spilled to the memory overflow area
     /// (marker: zero duration).
     Spill,
-    /// A crash-consistent checkpoint captured at a context switch
-    /// (marker: zero duration).
+    /// A liveness-armed TM context switch that spilled and reloaded the
+    /// running version (marker: zero duration).
     Checkpoint,
     /// A forced context switch: signature spill plus reload.
     CtxSwitch,

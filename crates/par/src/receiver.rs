@@ -14,8 +14,6 @@ use crate::config::ParConfig;
 use crate::recover::{Halt, RunControl};
 use crate::stats::ParStats;
 use bulk_chaos::{CrashPoint, InvariantKind, WorkerChaos};
-use bulk_core::SpilledVersion;
-use bulk_live::Checkpoint;
 use bulk_mem::{Addr, AddrSet, LineAddr};
 use bulk_obs::Verdict as Class;
 use bulk_rng::{Rng, SeedableRng, SmallRng};
@@ -121,29 +119,6 @@ impl SpecSets {
         let mut exact_w: Vec<LineAddr> = self.exact_w.iter().copied().collect();
         exact_w.sort_unstable();
         (self.use_sigs.then(|| self.w_sig.clone()), exact_w)
-    }
-
-    /// The signatures as they stand, in the form a context switch would
-    /// spill them.
-    pub(crate) fn spilled(&self) -> SpilledVersion {
-        SpilledVersion {
-            r: self.r_sig.clone(),
-            w: self.w_sig.clone(),
-            w_sh: None,
-            overflowed: false,
-        }
-    }
-
-    /// Crash-consistency checkpoint of [`SpecSets::spilled`].
-    pub(crate) fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::capture(self.spilled(), Vec::new())
-    }
-
-    /// Makes `ckpt` — an earlier [`SpecSets::checkpoint`] of these sets —
-    /// equal to a fresh one by copying the signature bits over in place.
-    pub(crate) fn refresh_checkpoint(&self, ckpt: &mut Checkpoint) {
-        ckpt.spilled.r.copy_from(&self.r_sig);
-        ckpt.spilled.w.copy_from(&self.w_sig);
     }
 }
 
@@ -458,7 +433,7 @@ mod tests {
         drop(w_sig);
         assert_eq!(verdicts(&sets), before);
         // The retry's payload is the same broadcast.
-        assert_eq!(sets.commit_payload(), (Some(sets.spilled().w), exact_w));
+        assert_eq!(sets.commit_payload(), (Some(sets.w_sig.clone()), exact_w));
     }
 
     /// The two substrates give one answer: `SpecSets` (par) and a `Bdm`
@@ -525,7 +500,7 @@ mod tests {
     fn an_aliasing_only_store_is_a_false_positive() {
         let reads: Vec<u32> = (0..512u32).map(|i| (i * 37) << 6).collect();
         let sets = sets_after(&reads, &[]);
-        let r_sig = sets.spilled().r;
+        let r_sig = &sets.r_sig;
         let alias = (0..1u32 << 20)
             .map(|line| line << 6)
             .find(|a| !reads.contains(a) && r_sig.contains_line(Addr::new(*a).line(64)))
@@ -575,17 +550,5 @@ mod tests {
         assert!(published.is_ok());
         assert_eq!((rx.cursor, log.tail()), (2, 2));
         assert!(matches!(rx.poll(&log, &ctl, |_| None), Ok(false)), "fast path again");
-    }
-
-    #[test]
-    fn a_refreshed_checkpoint_equals_a_fresh_one() {
-        let mut sets = sets_after(&[0x1000], &[0x2000]);
-        let mut ckpt = sets.checkpoint();
-        sets.clear();
-        assert!(ckpt.verify(&sets.spilled(), &[]).is_err(), "stale until refreshed");
-        sets.refresh_checkpoint(&mut ckpt);
-        let fresh = sets.checkpoint();
-        assert_eq!(ckpt.verify(&fresh.spilled, &fresh.overflow_lines), Ok(()));
-        assert_eq!(fresh.verify(&ckpt.spilled, &ckpt.overflow_lines), Ok(()));
     }
 }

@@ -42,7 +42,7 @@ pub(crate) enum Halt {
 
 impl Halt {
     /// `true` for the halts the supervisor treats as a worker *crash*
-    /// (fence the orphaned slot, respawn from the last checkpoint).
+    /// (fence the orphaned slot, respawn from the last publish).
     pub(crate) fn is_crash(&self) -> bool {
         matches!(self, Halt::Killed { .. } | Halt::Panicked(_))
     }

@@ -164,8 +164,7 @@ pub enum RuntimeError {
     /// The workload trace failed validation.
     InvalidWorkload(String),
     /// A worker thread died (panic or injected kill) and the supervisor
-    /// could not recover it — the respawn budget was exhausted, or its
-    /// checkpoint failed verification.
+    /// could not recover it: the respawn budget was exhausted.
     WorkerDied {
         /// The dead processor (TM workload thread / TLS pool worker).
         proc: usize,
@@ -380,9 +379,11 @@ fn arm(h: &mut SimHarness, opts: &RunOptions) {
         h.set_chaos(FaultPlan::seeded(seed));
     }
     if let Some(stall_ticks) = opts.watchdog_ticks {
-        // Pure detection: a zero backoff ladder means arming the watchdog
-        // never perturbs the schedule, so a watched run stays
-        // cycle-identical to an unwatched one.
+        // Detection only: a zero backoff ladder, so without chaos a watched
+        // run stays cycle-identical to an unwatched one until a trip ends
+        // it. Under chaos it does not: an armed engine's receivers apply a
+        // duplicated broadcast once, an unarmed one's twice
+        // (`SimHarness::broadcast`).
         h.enable_liveness(LivenessConfig {
             watchdog: WatchdogConfig { stall_ticks, ..WatchdogConfig::default() },
             backoff: BackoffConfig { base: 0, cap: 0, ..BackoffConfig::default() },

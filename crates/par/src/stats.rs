@@ -33,15 +33,15 @@ pub struct ParStats {
     /// Worker deaths observed by the supervisor (injected kills plus
     /// genuine panics).
     pub worker_crashes: u64,
-    /// Workers respawned from their last verified checkpoint.
+    /// Workers respawned after a death, from their last publish.
     pub respawns: u64,
     /// Fence tombstones published into dead workers' orphaned slots
     /// (TM; the TLS engine adopts the claimed slot instead).
     pub fences: u64,
     /// Claimed slots a respawned TLS worker adopted and republished.
     pub adopted_slots: u64,
-    /// Wall-clock nanoseconds spent in supervisor recovery (fencing,
-    /// checkpoint verification, respawn).
+    /// Wall-clock nanoseconds spent in supervisor recovery (fencing, the
+    /// boundary's check against the log, respawn).
     pub recovery_ns: u64,
     /// Chaos-injected worker stalls actually slept through.
     pub injected_stalls: u64,

@@ -38,8 +38,8 @@
 //! 1. *fences* the dead worker's claimed-but-unpublished bus slot with
 //!    a [`RecordKind::Fence`] tombstone (fresh ticket), so the log stays
 //!    dense and survivors stop spinning;
-//! 2. *verifies* the worker's last boundary checkpoint (the
-//!    `crates/live` crash-consistency proof) against the published log;
+//! 2. *checks* the worker's last boundary — the pc just past its most
+//!    recent publish — against the published log;
 //! 3. *respawns* the processor from that boundary, with a fresh
 //!    [`Receiver`] whose cursor starts at 0 and replays the whole log —
 //!    exactly-once `W_C` application holds across the crash because the
@@ -56,8 +56,6 @@ use crate::receiver::{Receiver, Resume, SpecSets};
 use crate::recover::{supervise, Halt, RunControl};
 use crate::runtime::RuntimeError;
 use crate::stats::ParStats;
-use bulk_core::SpilledVersion;
-use bulk_live::Checkpoint;
 use bulk_mem::LineAddr;
 use bulk_sig::SignatureConfig;
 use bulk_tm::Scheme;
@@ -67,14 +65,13 @@ use bulk_trace::{TmOp, TmWorkload};
 const MAX_DEPTH: usize = 8;
 
 /// A worker's last recovery point: the pc just past its most recent
-/// publish, the ordinals counted up to it, and the crash-consistency
-/// checkpoint proving its speculative state was clean there.
-#[derive(Debug, Clone)]
+/// publish and the ordinals counted up to it. Speculative state is empty
+/// there, so a respawn starts from fresh [`SpecSets`].
+#[derive(Debug, Default)]
 struct Boundary {
     pc: usize,
     commit_ordinal: u64,
     non_tx_ordinal: u64,
-    checkpoint: Checkpoint,
 }
 
 /// Runs `workload` under the parallel runtime and returns the folded
@@ -116,23 +113,19 @@ pub fn run_par_tm(
     // supervisor fences; the log needs slack for those extra records.
     let log = BusLog::new((capacity + ctl.chaos.crash_bound()).max(1));
 
-    // Every worker starts — and every boundary must again be — clean.
-    let clean = sets().spilled();
-    let checkpoint = sets().checkpoint();
-    let start = Boundary { pc: 0, commit_ordinal: 0, non_tx_ordinal: 0, checkpoint };
     let mut stats = ParStats { per_thread_commits: vec![0; n], ..ParStats::default() };
     supervise(
         n,
         cfg,
         &ctl,
         &mut stats,
-        |_| start.clone(),
+        |_| Boundary::default(),
         |rx, boundary| {
             let ops = &workload.threads[rx.proc].ops;
             TmWorker::resume(sets(), boundary).run(rx, ops, &log, &ctl)?;
             rx.drain_for_apply_kill(&log, &ctl, capacity)
         },
-        // Killed or panicked: fence, verify, respawn from the boundary.
+        // Killed or panicked: fence, check, respawn from the boundary.
         |stats, dead, boundary| {
             let mut serial = dead.serial;
             if let Some(slot) = dead.claimed_unpublished {
@@ -151,7 +144,7 @@ pub fn run_par_tm(
                 ctl.progress();
                 serial += 1;
             }
-            verify_tm_resume(&log, dead.proc, &boundary, &clean)?;
+            verify_tm_resume(&log, dead.proc, &boundary)?;
             Ok((boundary, Resume { serial, adopt: None }))
         },
     )?;
@@ -163,22 +156,10 @@ pub fn run_par_tm(
     Ok(stats)
 }
 
-/// Pre-respawn verification: the dead worker's boundary checkpoint must
-/// prove a `clean` speculative state (the `crates/live` crash-consistency
-/// proof), and its ordinals must match what the worker actually
-/// published — the log is the ground truth a lying checkpoint can't
-/// survive.
-fn verify_tm_resume(
-    log: &BusLog,
-    proc: usize,
-    boundary: &Boundary,
-    clean: &SpilledVersion,
-) -> Result<(), RuntimeError> {
-    boundary.checkpoint.verify(clean, &[]).map_err(|e| RuntimeError::WorkerDied {
-        proc,
-        slot: None,
-        detail: format!("checkpoint failed verification: {e}"),
-    })?;
+/// Pre-respawn check: the dead worker's boundary ordinals must match
+/// what the worker actually published — the log is the ground truth a
+/// stale boundary can't survive.
+fn verify_tm_resume(log: &BusLog, proc: usize, boundary: &Boundary) -> Result<(), RuntimeError> {
     let (mut commits, mut stores) = (0u64, 0u64);
     for i in 0..log.tail() {
         let Some(rec) = log.get(i) else { continue };
@@ -193,7 +174,7 @@ fn verify_tm_resume(
     }
     if commits != boundary.commit_ordinal || stores != boundary.non_tx_ordinal {
         return Err(RuntimeError::ProtocolBug(format!(
-            "worker {proc} checkpoint is at {}/{} commits/stores but the log holds \
+            "worker {proc} boundary is at {}/{} commits/stores but the log holds \
              {commits}/{stores}",
             boundary.commit_ordinal, boundary.non_tx_ordinal
         )));
@@ -265,12 +246,11 @@ impl<'a> TmWorker<'a> {
     }
 
     /// Steps past a published op of `kind` and moves the recovery point
-    /// there: speculative state is clean, and the checkpoint proves it. The
-    /// point moves in one step, after everything that can panic.
+    /// there, where speculative state is clean. The point moves in one
+    /// step, after everything that can panic.
     fn published(&mut self, kind: RecordKind) {
         self.pc += 1;
         let b = &mut *self.boundary;
-        self.sets.refresh_checkpoint(&mut b.checkpoint);
         match kind {
             RecordKind::Commit => b.commit_ordinal += 1,
             _ => b.non_tx_ordinal += 1,

@@ -469,17 +469,6 @@ impl Signature {
         }
     }
 
-    /// Overwrites this signature's bits with `other`'s (one lane-width
-    /// memcpy; the par runtime refreshes its checkpoint in place with it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two signatures have different configurations.
-    pub fn copy_from(&mut self, other: &Signature) {
-        self.check_compatible(other);
-        self.buf.copy_from_slice(&other.buf);
-    }
-
     /// Clears the signature — the paper's one-instruction commit (§5.1).
     pub fn clear(&mut self) {
         self.buf.fill(LaneBlock::default());
@@ -766,18 +755,6 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.popcount(), 0);
-    }
-
-    #[test]
-    fn copy_from_overwrites() {
-        let cfg = SignatureConfig::s14_tm().into_shared();
-        let mut a = Signature::with_shared(cfg.clone());
-        let mut b = Signature::with_shared(cfg);
-        a.insert_key(11);
-        b.insert_key(77);
-        a.copy_from(&b);
-        assert_eq!(a, b);
-        assert!(a.contains_key(77));
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub struct RunTail {
     pub violations: Vec<InvariantViolation>,
     /// Liveness-engine counters.
     pub liveness: LiveStats,
-    /// Liveness violations (watchdog trips, checkpoint failures).
+    /// Liveness violations (watchdog trips).
     pub liveness_violations: Vec<LivenessViolation>,
 }
 
@@ -138,9 +138,9 @@ pub struct SimHarness {
     pub auditor: Auditor,
     /// Observability handles, when attached.
     pub obs: Option<RuntimeObs>,
-    /// Liveness engine (watchdog + backoff + checkpoints); arming it also
-    /// arms commit-arbiter failover. `None` leaves a run bit-identical: no
-    /// fault-stream draws, no timing change.
+    /// Liveness engine (watchdog + backoff + context-switch count); arming
+    /// it also arms commit-arbiter failover. `None` leaves a run
+    /// bit-identical: no fault-stream draws, no timing change.
     pub live: Option<LivenessEngine>,
     /// Trace span of the commit broadcast (or individual invalidation)
     /// currently being delivered, so receiver-side squash and invalidate

@@ -15,7 +15,7 @@ use bulk_core::{
     check_speculative_store, flows, Bdm, CommitEvent, CommitMsg,
     SectionStack, StoreCheck, VersionId,
 };
-use bulk_live::{Checkpoint, LivenessConfig};
+use bulk_live::LivenessConfig;
 use bulk_mem::{Addr, AddrSet, Cache, LineAddr, MsgClass, OverflowArea};
 use bulk_obs::{Obs, SpanId, SpanKind, SpanOutcome};
 use bulk_sig::{Signature, SignatureConfig};
@@ -296,8 +296,8 @@ impl TmMachine {
 
     /// Arms the liveness engine: squash-triggered backoff arbitration, the
     /// forward-progress watchdog, commit-arbiter failover (an armed chaos
-    /// plan's `arbiter_crash` fault is consulted only then), and checkpoint
-    /// verification at chaos context switches. Call *after*
+    /// plan's `arbiter_crash` fault is consulted only then), and the count
+    /// of chaos context switches. Call *after*
     /// [`TmMachine::set_chaos`] so the backoff jitter inherits the chaos
     /// seed; with `cfg.seed == 0` and chaos armed, the chaos seed is used.
     pub fn enable_liveness(&mut self, cfg: LivenessConfig) {
@@ -448,51 +448,22 @@ impl TmMachine {
                 // The OS preempts mid-transaction: signatures spill to
                 // memory and reload when the thread is rescheduled.
                 let spilled = t.bdm.spill_version(v);
-                if self.h.live.is_some() {
-                    // Crash-consistent restore: checkpoint the spilled state
-                    // (+ overflow area), reload, re-spill, and prove the
-                    // round trip bit-faithful before the thread resumes — a
-                    // torn restore would run against signatures that no
-                    // longer cover the thread's footprint (Set Restriction
-                    // hazard).
-                    let ckpt = Checkpoint::capture(spilled, t.overflow.snapshot_lines());
-                    match ckpt.restore_into(&mut t.bdm, &t.overflow.snapshot_lines()) {
-                        Ok(v3) => {
-                            t.bdm.set_running(Some(v3));
-                            t.version = Some(v3);
-                            if let Some(live) = &mut self.h.live {
-                                live.note_checkpoint(true);
-                            }
-                        }
-                        Err(e) => {
-                            // The thread cannot resume against torn or
-                            // unreloadable state: surface a typed
-                            // checkpoint-restore violation (with replay
-                            // seed) and leave the thread without a running
-                            // version — the next operation that needs one
-                            // yields a typed MissingVersion error instead
-                            // of this site panicking.
-                            let now = t.timer.now();
-                            if let Some(live) = &mut self.h.live {
-                                live.report_checkpoint_failure(tid, now, e.to_string());
-                            }
-                        }
+                match t.bdm.reload_version(spilled) {
+                    Ok(v2) => {
+                        t.bdm.set_running(Some(v2));
+                        t.version = Some(v2);
                     }
+                    // No free slot to reload into (cannot happen — the
+                    // spill just freed one — but a typed dead thread
+                    // beats a panic): the next operation that needs the
+                    // version reports MissingVersion.
+                    Err(_) => t.version = None,
+                }
+                if let Some(live) = &mut self.h.live {
+                    live.note_checkpoint();
                     if let Some(obs) = &self.h.obs {
                         let now = t.timer.now();
                         obs.span_complete(tid as u32, SpanKind::Checkpoint, now, now, 0);
-                    }
-                } else {
-                    match t.bdm.reload_version(spilled) {
-                        Ok(v2) => {
-                            t.bdm.set_running(Some(v2));
-                            t.version = Some(v2);
-                        }
-                        // No free slot to reload into (cannot happen — the
-                        // spill just freed one — but a typed dead thread
-                        // beats a panic): the next operation that needs the
-                        // version reports MissingVersion.
-                        Err(_) => t.version = None,
                     }
                 }
             }
@@ -1932,7 +1903,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_verify_at_chaos_context_switches() {
+    fn checkpoints_count_chaos_context_switches() {
         let p = profiles::tm_profile("mc").unwrap();
         let w = p.generate(3);
         let mut m = TmMachine::new(&w, Scheme::Bulk, &cfg());
@@ -1940,16 +1911,10 @@ mod tests {
         m.enable_audit();
         m.enable_liveness(bulk_live::LivenessConfig::default());
         let stats = m.try_run().expect("run completes");
-        assert!(
-            stats.chaos.forced_context_switches > 0,
-            "the plan must preempt: {:?}",
-            stats.chaos
-        );
-        assert!(stats.liveness.checkpoints > 0, "{:?}", stats.liveness);
-        assert_eq!(
-            stats.liveness.checkpoint_restore_failures, 0,
-            "every spill/reload round trip must verify bit-faithful"
-        );
+        // One count per forced switch that caught a running version.
+        let (checkpoints, switches) =
+            (stats.liveness.checkpoints, stats.chaos.forced_context_switches);
+        assert!(0 < checkpoints && checkpoints <= switches, "{checkpoints} of {switches}");
         assert!(stats.violations.is_empty(), "{:?}", stats.violations);
     }
 }

@@ -31,6 +31,10 @@
 #    lease fence or re-stamped replay; the sim delivers no replay round,
 #    so no receiver gate drops one and no engine counts it; and
 #    specs/tla/ holds the one spec, BulkCommit.tla.
+# 10. A checkpoint that cannot fail is a test (DESIGN.md §9): a context
+#    switch spills and reloads a version (§6.2.2) with no proof step, and
+#    par keeps no signature copy at a recovery point. The round trip is a
+#    property of crates/core/tests/delta_register.rs.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -116,6 +120,15 @@ nontest_hits 'fn admit|note_dedup_drop|dedup_drops:' "${files[@]}" crates/sim/sr
 [ -e specs/tla/ArbiterFailover.tla ] && { echo specs/tla/ArbiterFailover.tla; bustime=1; }
 if [ "$bustime" -eq 1 ]; then
   echo "one-core guard: an arbiter crash is bus time; no modelled epoch, fence or replay, no round gate or drop count"
+  fail=1
+fi
+
+ckpt=0
+nontest_hits 'Checkpoint::|CheckpointError|checkpoint_restore_failures|report_checkpoint_failure|refresh_checkpoint|CheckpointRestore|fn snapshot_lines|fn copy_from[(]' \
+  "${files[@]}" crates/sim/src/harness.rs && ckpt=1
+[ -e crates/live/src/checkpoint.rs ] && { echo crates/live/src/checkpoint.rs; ckpt=1; }
+if [ "$ckpt" -eq 1 ]; then
+  echo "one-core guard: a checkpoint that cannot fail is a test; no Checkpoint, restore-failure count or in-place signature copy"
   fail=1
 fi
 

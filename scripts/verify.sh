@@ -29,10 +29,12 @@ echo "front-door guard: OK"
 # signature recycler (the thread-local pool), no cfg-gated test, one
 # benchmark system (no cargo-bench suite, no hang_ms wire hook), a par
 # bus record that is W_C or an address (no read set, no second pass), a
-# flat cache (no Vec<Vec<CacheLine>>, no num_sets() per lookup), and par
+# flat cache (no Vec<Vec<CacheLine>>, no num_sets() per lookup), par
 # exactly-once by the log cursor (no dedup filter, stress plan or bus
-# epoch; a forward-only TLS commit token).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, one owner per count, a crash is bus time)"
+# epoch; a forward-only TLS commit token), one owner per count, an
+# arbiter crash as bus time, and no checkpoint proof (a spill/reload
+# round trip is a property test, not a run-time check).
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"
@@ -112,8 +114,8 @@ echo "audit-cost guard: OK"
 # Parallel-runtime crash smoke: --chaos under --runtime par arms the
 # real-thread fault preset (seeded worker kills at commit-protocol
 # points, injected stalls, delayed publishes). The supervisor must
-# fence/adopt the orphaned slot, respawn from the last checkpoint and
-# finish auditor-clean; a violation, a stall or a lost worker is a
+# fence/adopt the orphaned slot, respawn from the dead worker's last
+# publish and finish auditor-clean; a violation, a stall or a lost worker is a
 # nonzero exit. The crafty runs are long enough for kills to land while
 # peers wait on the TLS commit token.
 echo "== par crash smoke ($BULK, tm mc + tls gzip at 2 seeds, tls crafty at 2 seeds)"

@@ -22,9 +22,8 @@
 //!   auditing for both runtimes,
 //! * [`obs`] — observability: metrics registry, protocol event log, and
 //!   false-positive attribution against the exact oracle (DESIGN.md §8),
-//! * [`live`] — liveness engine: forward-progress watchdog, age-based
-//!   backoff arbitration, commit-arbiter failover and crash-consistent
-//!   checkpoints (DESIGN.md §9),
+//! * [`live`] — liveness engine: forward-progress watchdogs and age-based
+//!   backoff arbitration (DESIGN.md §9),
 //! * [`mc`] — explicit-state model checker for the commit/squash/failover
 //!   protocol, with mutation testing and interleaving-class conformance
 //!   replay onto the real machines (DESIGN.md §12),

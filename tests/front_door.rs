@@ -111,6 +111,39 @@ fn sim_run_equals_the_hand_built_tls_machine_under_every_scheme() {
     }
 }
 
+/// The watchdog is detection only: without chaos, a watched run's stats
+/// equal an unwatched run's, `liveness` aside. Under chaos they may not,
+/// since an armed engine's receivers apply a duplicated broadcast once
+/// (`SimHarness::broadcast`). Eager-naive is left out: it livelocks
+/// (Fig. 12(a)), and the watchdog's trip ends that run early.
+#[test]
+fn without_chaos_a_watched_run_equals_an_unwatched_one() {
+    let watched = RunOptions { watchdog_ticks: Some(WATCHDOG_TICKS), ..RunOptions::default() };
+    let runs = |job: &Job<'_>| {
+        let [plain, armed] = [RunOptions::default(), watched.clone()]
+            .map(|opts| SimRuntime.run(job, &opts).expect("run completes").detail);
+        (plain, armed)
+    };
+    for scheme in Scheme::ALL.into_iter().filter(|&s| s != Scheme::EagerNaive) {
+        let (RunDetail::Tm(plain), RunDetail::Tm(mut armed)) =
+            runs(&generated(Machine::Tm, "mc", scheme.kebab_name()))
+        else {
+            panic!("{scheme}: not a TM run")
+        };
+        armed.liveness = plain.liveness.clone();
+        assert_eq!(format!("{armed:?}"), format!("{plain:?}"), "tm {scheme}");
+    }
+    for scheme in TlsScheme::ALL {
+        let (RunDetail::Tls(plain), RunDetail::Tls(mut armed)) =
+            runs(&generated(Machine::Tls, "gzip", scheme.kebab_name()))
+        else {
+            panic!("{scheme}: not a TLS run")
+        };
+        armed.liveness = plain.liveness.clone();
+        assert_eq!(format!("{armed:?}"), format!("{plain:?}"), "tls {scheme}");
+    }
+}
+
 #[test]
 fn par_run_publishes_its_counters_and_lands_in_the_sims_commit_class() {
     for (machine, app, scheme) in [(Machine::Tm, "cb", "lazy"), (Machine::Tls, "gzip", "bulk")] {

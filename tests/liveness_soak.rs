@@ -222,7 +222,7 @@ fn tm_sweep() -> Vec<String> {
         }
     }
     assert_covered(&live, &chaos);
-    // Only a TM context switch checkpoints its spilled version.
+    // Only a TM context switch with a running version counts one.
     assert!(live.checkpoints > 0, "no checkpoint to publish: {live:?}");
     digests
 }

@@ -5,7 +5,7 @@
 //! or `apply` (mid-replay of a peer's record) — must not take the run
 //! down: the supervisor fences the orphaned slot (TM) or hands it to
 //! the respawned incarnation for adoption (TLS), respawns the worker
-//! from its last verified checkpoint, and the finished run must be
+//! from its last publish, and the finished run must be
 //! indistinguishable from a crash-free one: every transaction/task
 //! committed exactly once, auditor-clean (ticket uniqueness, a dense log),
 //! and in the same committed-order class as the deterministic sim
