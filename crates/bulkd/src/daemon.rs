@@ -349,18 +349,22 @@ fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
     let (obs, runtime) = (&job.obs, job.spec.runtime.as_str());
     let mut next_seq = 0u64;
     let mut streamed = 0u64;
-    let flush_events = |writer: &mut TcpStream, next_seq: &mut u64, streamed: &mut u64| -> bool {
-        for e in obs.events().events_after(*next_seq) {
-            *next_seq = e.seq + 1;
-            *streamed += 1;
-            if write_line(writer, &e.to_json_line()) {
-                return true;
-            }
+    // One poll's lines leave in one write and one flush, from a buffer
+    // reused across polls.
+    let mut batch = String::new();
+    let mut flush_events = |writer: &mut TcpStream| -> bool {
+        batch.clear();
+        for e in obs.events().events_after(next_seq) {
+            next_seq = e.seq + 1;
+            streamed += 1;
+            e.write_json_line(&mut batch);
+            batch.push('\n');
         }
-        false
+        !batch.is_empty()
+            && writer.write_all(batch.as_bytes()).and_then(|()| writer.flush()).is_err()
     };
     loop {
-        if flush_events(writer, &mut next_seq, &mut streamed) {
+        if flush_events(writer) {
             return true;
         }
         match shared.table.state(id) {
@@ -371,7 +375,7 @@ fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
     }
     // Final drain: the run finished between the last poll and the state
     // check; pick up whatever it recorded at the end.
-    if flush_events(writer, &mut next_seq, &mut streamed) {
+    if flush_events(writer) {
         return true;
     }
     obs.publish_stream_stats();

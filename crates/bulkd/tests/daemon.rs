@@ -8,6 +8,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use bulk_obs::{Obs, DEFAULT_EVENT_CAPACITY};
+use bulk_par::{runtime_for, JobPlan, RunOptions};
+use bulk_trace::jobspec::JobSpec;
 use bulkd::client::{self, Submission};
 use bulkd::{spawn, DaemonConfig};
 
@@ -164,6 +167,40 @@ fn same_spec_and_seed_streams_byte_identical_jsonl() {
     );
     handle.shutdown();
     handle.wait();
+}
+
+/// The events of `lines` (a stream or a JSONL artifact), without its
+/// trailer: the two trailers count different things.
+fn without_trailer(jsonl: &str) -> Vec<&str> {
+    jsonl.lines().filter(|l| !l.starts_with("{\"trailer\"")).collect()
+}
+
+#[test]
+fn the_daemon_stream_equals_the_in_process_event_artifact() {
+    // Long enough that the stream spans many 2 ms polls, so lines cross
+    // batch edges.
+    let spec = r#"{"id": "long", "machine": "tm", "app": "sjbb2k", "scheme": "bulk", "seed": 7, "txs": 600}"#;
+    let handle = start(2, 60_000);
+    let streamed = submit(&handle, spec);
+    assert!(streamed.ok(), "{}", streamed.last());
+    handle.shutdown();
+    handle.wait();
+
+    let spec = JobSpec::parse(spec).expect("spec parses");
+    let obs = Arc::new(Obs::with_event_capacity(DEFAULT_EVENT_CAPACITY));
+    let opts = RunOptions { obs: Some(Arc::clone(&obs)), ..RunOptions::default() };
+    let plan = JobPlan::resolve(&spec).expect("spec resolves");
+    runtime_for(&spec).run(&plan.generate(spec.seed), &opts).expect("in-process run");
+    let artifact = obs.events().to_jsonl();
+    assert!(artifact.ends_with("\"dropped\": 0}\n"), "the ring must hold the whole run");
+
+    let stream = streamed.event_jsonl();
+    let (stream, artifact) = (without_trailer(&stream), without_trailer(&artifact));
+    assert!(artifact.len() > 1000, "only {} events: too short to span polls", artifact.len());
+    assert_eq!(stream.len(), artifact.len(), "event line counts differ");
+    if let Some(i) = (0..stream.len()).find(|&i| stream[i] != artifact[i]) {
+        panic!("line {i} differs:\n stream:   {}\n artifact: {}", stream[i], artifact[i]);
+    }
 }
 
 #[test]

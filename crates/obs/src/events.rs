@@ -9,6 +9,7 @@
 //! long run degrades to a bounded tail instead of unbounded memory.
 
 use std::collections::VecDeque;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -92,10 +93,11 @@ pub enum EventKind {
         /// Cycles the thread was told to wait.
         cycles: u64,
     },
-    /// The commit arbiter crashed mid-broadcast and a new epoch was
-    /// elected; the in-flight commit message is replayed idempotently.
+    /// The commit arbiter crashed mid-broadcast. The crash is bus time:
+    /// the re-election holds the bus, and the in-flight commit message
+    /// is still delivered once.
     ArbiterFailover {
-        /// Epoch after re-election.
+        /// Epoch after re-election: the run's crash count so far.
         epoch: u64,
     },
     /// The forward-progress watchdog tripped; the run aborts with a
@@ -142,30 +144,40 @@ impl Event {
     /// The event as one JSONL line (no trailing newline). Field order is
     /// fixed, so identical runs serialize byte-identically.
     pub fn to_json_line(&self) -> String {
-        let head = format!(
+        let mut out = String::new();
+        self.write_json_line(&mut out);
+        out
+    }
+
+    /// Appends [`Event::to_json_line`]'s bytes to `out`, so a caller
+    /// serializing many events reuses one buffer.
+    pub fn write_json_line(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
             "{{\"seq\": {}, \"cycle\": {}, \"actor\": {}, \"event\": \"{}\"",
             self.seq,
             self.cycle,
             self.actor,
             self.kind.tag()
         );
-        let tail = match &self.kind {
+        let _ = match &self.kind {
             EventKind::CommitBroadcast { payload_bytes, writes } => {
-                format!(", \"payload_bytes\": {payload_bytes}, \"writes\": {writes}}}")
+                write!(out, ", \"payload_bytes\": {payload_bytes}, \"writes\": {writes}")
             }
             EventKind::Squash { cause, dep } => {
-                format!(", \"cause\": \"{}\", \"dep\": {dep}}}", cause.as_str())
+                write!(out, ", \"cause\": \"{}\", \"dep\": {dep}", cause.as_str())
             }
             EventKind::BulkInvalidate { lines, exact, overshoot } => {
-                format!(", \"lines\": {lines}, \"exact\": {exact}, \"overshoot\": {overshoot}}}")
+                write!(out, ", \"lines\": {lines}, \"exact\": {exact}, \"overshoot\": {overshoot}")
             }
-            EventKind::Overflow { resident } => format!(", \"resident\": {resident}}}"),
-            EventKind::CtxSwitch | EventKind::Escalation => "}".to_string(),
-            EventKind::Backoff { cycles } => format!(", \"cycles\": {cycles}}}"),
-            EventKind::ArbiterFailover { epoch } => format!(", \"epoch\": {epoch}}}"),
-            EventKind::WatchdogTrip { kind } => format!(", \"kind\": \"{kind}\"}}"),
+            EventKind::Overflow { resident } => write!(out, ", \"resident\": {resident}"),
+            EventKind::CtxSwitch | EventKind::Escalation => Ok(()),
+            EventKind::Backoff { cycles } => write!(out, ", \"cycles\": {cycles}"),
+            EventKind::ArbiterFailover { epoch } => write!(out, ", \"epoch\": {epoch}"),
+            EventKind::WatchdogTrip { kind } => write!(out, ", \"kind\": \"{kind}\""),
         };
-        head + &tail
+        out.push('}');
     }
 }
 
@@ -279,14 +291,15 @@ impl EventLog {
         let ring = self.ring.lock().expect("event ring poisoned");
         let mut out = String::new();
         for e in &ring.buf {
-            out.push_str(&e.to_json_line());
+            e.write_json_line(&mut out);
             out.push('\n');
         }
-        out.push_str(&format!(
-            "{{\"trailer\": true, \"retained\": {}, \"dropped\": {}}}\n",
+        let _ = writeln!(
+            out,
+            "{{\"trailer\": true, \"retained\": {}, \"dropped\": {}}}",
             ring.buf.len(),
             ring.dropped
-        ));
+        );
         out
     }
 }

@@ -15,9 +15,7 @@ use std::sync::Arc;
 use crate::attribution::VerdictCounters;
 use crate::events::{EventKind, SquashCause};
 use crate::metrics::{Counter, Gauge, Histogram, Registry};
-use crate::trace::{
-    cycle_accounting, AccountingViolation, CycleBreakdown, SpanId, SpanKind, SpanOutcome, TraceLog,
-};
+use crate::trace::{AccountingViolation, CycleBreakdown, SpanId, SpanKind, SpanOutcome, TraceLog};
 use crate::Obs;
 
 /// Counters for the signature expansion path (paper §4.1's δ decode):
@@ -253,7 +251,7 @@ impl RuntimeObs {
     /// breakdown carries any conservation-audit violations so the caller
     /// can feed them to its invariant auditor.
     pub fn finish_cycle_accounting(&self, totals: &[u64]) -> CycleBreakdown {
-        let mut br = cycle_accounting(&self.obs.trace().spans(), self.track, totals);
+        let mut br = self.obs.trace().cycle_accounting(self.track, totals);
         let dropped = self.obs.trace().dropped();
         if dropped > 0 {
             br.violations.push(AccountingViolation {
@@ -351,8 +349,9 @@ impl RuntimeObs {
             .record(actor, cycle, EventKind::WatchdogTrip { kind });
     }
 
-    /// The commit arbiter crashed mid-broadcast (the committing `actor`'s
-    /// message will be replayed); `epoch` counts the run's crashes so far.
+    /// The commit arbiter crashed mid-broadcast. The re-election holds the
+    /// bus, and the committing `actor`'s message is still delivered once;
+    /// `epoch` counts the run's crashes so far.
     pub fn on_arbiter_failover(&self, actor: u32, cycle: u64, epoch: u64) {
         self.obs
             .events()

@@ -27,6 +27,7 @@
 //! machines are deterministic, and the trace must be too. Trace viewers
 //! display them as microseconds, which is harmless.
 
+use std::fmt::Write;
 use std::sync::Mutex;
 
 use crate::json_escape;
@@ -350,65 +351,95 @@ impl TraceLog {
     /// identical runs export byte-identically.
     pub fn to_chrome_json(&self) -> String {
         let inner = self.lock();
-        let mut events: Vec<String> = Vec::new();
-        for (i, name) in inner.tracks.iter().enumerate() {
-            events.push(format!(
-                "{{\"ph\": \"M\", \"pid\": {i}, \"tid\": 0, \"name\": \"process_name\", \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                json_escape(name)
-            ));
-        }
         // (cause, effect) pairs sorted: a span's effects are one run, in ID order.
         let mut edges: Vec<(u64, u64)> =
             inner.spans.iter().filter_map(|s| Some((s.cause?, s.id))).collect();
         edges.sort_unstable();
+        // About the bytes a stock run writes per event, so the buffer
+        // seldom grows.
+        let mut out = String::with_capacity(
+            64 + 96 * inner.tracks.len() + 256 * inner.spans.len() + 240 * edges.len(),
+        );
+        out.push_str("{\"traceEvents\": [");
+        // Writing into a `String` cannot fail, hence the ignored results.
+        let mut sep = "\n";
+        for (i, name) in inner.tracks.iter().enumerate() {
+            out.push_str(sep);
+            sep = ",\n";
+            let _ = write!(
+                out,
+                "{{\"ph\": \"M\", \"pid\": {i}, \"tid\": 0, \"name\": \"process_name\", \
+                 \"args\": {{\"name\": \"{}\"}}}}",
+                json_escape(name)
+            );
+        }
         for s in &inner.spans {
+            out.push_str(sep);
+            sep = ",\n";
             let dur = if s.ended { s.end.saturating_sub(s.start) } else { 0 };
-            let parent = s.parent.map_or_else(|| "null".to_string(), |p| p.to_string());
-            let cause = s.cause.map_or_else(|| "null".to_string(), |c| c.to_string());
-            let from = edges.partition_point(|&(c, _)| c < s.id);
-            let links: Vec<String> = edges[from..]
-                .iter()
-                .take_while(|&&(c, _)| c == s.id)
-                .map(|&(_, e)| e.to_string())
-                .collect();
-            events.push(format!(
+            let _ = write!(
+                out,
                 "{{\"ph\": \"X\", \"pid\": {}, \"tid\": {}, \"ts\": {}, \"dur\": {dur}, \
                  \"name\": \"{}\", \"cat\": \"bulk\", \"args\": {{\"span\": {}, \
-                 \"parent\": {parent}, \"cause\": {cause}, \"outcome\": \"{}\", \
-                 \"detail\": {}, \"links\": [{}]}}}}",
+                 \"parent\": {}, \"cause\": {}, \"outcome\": \"{}\", \
+                 \"detail\": {}, \"links\": [",
                 s.track,
                 s.actor,
                 s.start,
                 s.kind.tag(),
                 s.id,
+                OrNull(s.parent),
+                OrNull(s.cause),
                 s.outcome.as_str(),
-                s.detail,
-                links.join(", ")
-            ));
+                s.detail
+            );
+            let from = edges.partition_point(|&(c, _)| c < s.id);
+            for (k, &(_, e)) in edges[from..].iter().take_while(|&&(c, _)| c == s.id).enumerate() {
+                let _ = write!(out, "{}{e}", if k == 0 { "" } else { ", " });
+            }
+            out.push_str("]}}");
         }
         for s in &inner.spans {
             let Some(c) = s.cause else { continue };
             let cs = &inner.spans[c as usize];
             let cause_ts = if cs.ended { cs.end } else { cs.start };
-            events.push(format!(
+            out.push_str(sep);
+            let _ = write!(
+                out,
                 "{{\"ph\": \"s\", \"pid\": {}, \"tid\": {}, \"ts\": {}, \"id\": {}, \
-                 \"name\": \"causal\", \"cat\": \"bulk\"}}",
+                 \"name\": \"causal\", \"cat\": \"bulk\"}},\n\
+                 {{\"ph\": \"f\", \"pid\": {}, \"tid\": {}, \"ts\": {}, \"id\": {}, \
+                 \"bp\": \"e\", \"name\": \"causal\", \"cat\": \"bulk\"}}",
                 cs.track,
                 cs.actor,
                 cause_ts.min(s.start),
+                s.id,
+                s.track,
+                s.actor,
+                s.start,
                 s.id
-            ));
-            events.push(format!(
-                "{{\"ph\": \"f\", \"pid\": {}, \"tid\": {}, \"ts\": {}, \"id\": {}, \
-                 \"bp\": \"e\", \"name\": \"causal\", \"cat\": \"bulk\"}}",
-                s.track, s.actor, s.start, s.id
-            ));
+            );
         }
-        if events.is_empty() {
-            return "{\"traceEvents\": []}\n".to_string();
+        out.push_str(if sep == "\n" { "]}\n" } else { "\n]}\n" });
+        out
+    }
+
+    /// [`cycle_accounting`] over the recorded spans, reduced under the
+    /// log's lock instead of over a [`TraceLog::spans`] copy.
+    pub(crate) fn cycle_accounting(&self, track: u32, totals: &[u64]) -> CycleBreakdown {
+        cycle_accounting(&self.lock().spans, track, totals)
+    }
+}
+
+/// Displays `Some(n)` as `n` and `None` as `null`.
+struct OrNull(Option<u64>);
+
+impl std::fmt::Display for OrNull {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            Some(n) => write!(f, "{n}"),
+            None => f.write_str("null"),
         }
-        format!("{{\"traceEvents\": [\n{}\n]}}\n", events.join(",\n"))
     }
 }
 
@@ -462,10 +493,29 @@ impl CycleBreakdown {
     }
 }
 
-fn window_overlap(a: (u64, u64), b: (u64, u64)) -> u64 {
-    let lo = a.0.max(b.0);
-    let hi = a.1.min(b.1);
-    hi.saturating_sub(lo)
+/// `Σ (x − p)⁺` over a multiset of points `p`, answered in O(log n) from
+/// the sorted points and their prefix sums.
+struct Ramp {
+    points: Vec<u64>,
+    /// `sums[k]` is the sum of the `k` smallest points.
+    sums: Vec<u128>,
+}
+
+impl Ramp {
+    fn new(mut points: Vec<u64>) -> Self {
+        points.sort_unstable();
+        let running = points.iter().scan(0u128, |sum, &p| {
+            *sum += u128::from(p);
+            Some(*sum)
+        });
+        let sums = std::iter::once(0).chain(running).collect();
+        Ramp { points, sums }
+    }
+
+    fn at(&self, x: u64) -> u128 {
+        let k = self.points.partition_point(|&p| p < x);
+        k as u128 * u128::from(x) - self.sums[k]
+    }
 }
 
 /// Folds the spans of `track` into the Fig. 13 cycle categories.
@@ -572,9 +622,13 @@ pub fn cycle_accounting(spans: &[Span], track: u32, totals: &[u64]) -> CycleBrea
             }
         }
         let mut claimed = 0u64;
+        let mut leaf_starts = Vec::with_capacity(leaves[a].len());
+        let mut leaf_ends = Vec::with_capacity(leaves[a].len());
         for s in &leaves[a] {
             let st = s.start.min(total);
             let e = eff(s).clamp(st, total);
+            leaf_starts.push(st);
+            leaf_ends.push(e);
             let d = e - st;
             match s.kind {
                 SpanKind::Commit => br.commit += d,
@@ -583,14 +637,17 @@ pub fn cycle_accounting(spans: &[Span], track: u32, totals: &[u64]) -> CycleBrea
             }
             claimed += d;
         }
+        // Leaf time inside `[0, x]` is `Σ (x − ls)⁺ − Σ (x − le)⁺` over
+        // the clamped leaf windows `[ls, le]`, so a section's inner leaf
+        // time is `below(e) − below(st)`: exact even where leaves overlap.
+        let (starts, ends) = (Ramp::new(leaf_starts), Ramp::new(leaf_ends));
+        let below = |x: u64| starts.at(x) - ends.at(x);
         for s in &sections[a] {
             let st = s.start.min(total);
             let e = eff(s).clamp(st, total);
-            let inner: u64 = leaves[a]
-                .iter()
-                .map(|l| window_overlap((st, e), (l.start.min(total), eff(l).clamp(l.start.min(total), total))))
-                .sum();
-            let net = (e - st).saturating_sub(inner);
+            let inner = below(e) - below(st);
+            // At most `e - st`, so the narrowing is lossless.
+            let net = u128::from(e - st).saturating_sub(inner) as u64;
             match s.outcome {
                 SpanOutcome::Useful => {
                     br.useful += net;
@@ -619,10 +676,214 @@ pub fn cycle_accounting(spans: &[Span], track: u32, totals: &[u64]) -> CycleBrea
 
 #[cfg(test)]
 mod tests {
+    use bulk_rng::check::{run, Gen};
+    use bulk_rng::prop_assert_eq;
+
     use super::*;
 
     fn log() -> TraceLog {
         TraceLog::new()
+    }
+
+    // The reducer as it was before prefix sums: every section summed
+    // against every leaf of its actor. Kept verbatim as the reference.
+    fn window_overlap(a: (u64, u64), b: (u64, u64)) -> u64 {
+        let lo = a.0.max(b.0);
+        let hi = a.1.min(b.1);
+        hi.saturating_sub(lo)
+    }
+
+    fn quadratic_cycle_accounting(spans: &[Span], track: u32, totals: &[u64]) -> CycleBreakdown {
+        let mut br = CycleBreakdown { total: totals.iter().sum(), ..CycleBreakdown::default() };
+        let n = totals.len();
+        let mut leaves: Vec<Vec<&Span>> = (0..n).map(|_| Vec::new()).collect();
+        let mut sections: Vec<Vec<&Span>> = (0..n).map(|_| Vec::new()).collect();
+        for s in spans.iter().filter(|s| s.track == track) {
+            let a = s.actor as usize;
+            if a >= n {
+                if s.kind == SpanKind::Commit {
+                    if s.ended && s.end >= s.start {
+                        br.commit_bus += s.end - s.start;
+                    } else if s.ended {
+                        br.violations.push(AccountingViolation {
+                            actor: s.actor,
+                            cycle: s.start,
+                            detail: format!("bus-lane span {} runs backwards", s.id),
+                        });
+                    }
+                } else {
+                    br.violations.push(AccountingViolation {
+                        actor: s.actor,
+                        cycle: s.start,
+                        detail: format!("non-commit span {} ({}) on bus lane", s.id, s.kind.tag()),
+                    });
+                }
+                continue;
+            }
+            if s.kind == SpanKind::Section {
+                sections[a].push(s);
+            } else {
+                leaves[a].push(s);
+            }
+        }
+        for a in 0..n {
+            let total = totals[a];
+            let eff = |s: &Span| if s.ended { s.end } else { total };
+            leaves[a].sort_by_key(|s| (s.start, s.id));
+            sections[a].sort_by_key(|s| (s.start, s.id));
+            for s in leaves[a].iter().chain(sections[a].iter()) {
+                let e = eff(s);
+                if e < s.start {
+                    br.violations.push(AccountingViolation {
+                        actor: a as u32,
+                        cycle: s.start,
+                        detail: format!("span {} ({}) runs backwards: [{}, {e}]", s.id, s.kind.tag(), s.start),
+                    });
+                }
+                // Zero-duration markers (e.g. a bulk invalidation delivered
+                // at commit-finish to an actor that already retired) claim no
+                // time and are exempt.
+                if e > total && e > s.start {
+                    br.violations.push(AccountingViolation {
+                        actor: a as u32,
+                        cycle: s.start,
+                        detail: format!(
+                            "span {} ({}) ends at {e}, past actor total {total}",
+                            s.id,
+                            s.kind.tag()
+                        ),
+                    });
+                }
+            }
+            for group in [&leaves[a], &sections[a]] {
+                let mut max_end = 0u64;
+                let mut prev = 0u64;
+                for s in group.iter() {
+                    let e = eff(s).max(s.start);
+                    // Zero-duration markers claim no time and may legitimately
+                    // land inside another span's window (e.g. a bulk
+                    // invalidation delivered mid-squash); they cannot overlap.
+                    if e == s.start {
+                        continue;
+                    }
+                    if s.start < max_end {
+                        br.violations.push(AccountingViolation {
+                            actor: a as u32,
+                            cycle: s.start,
+                            detail: format!(
+                                "span {} ({}) overlaps span {prev} on the same timeline",
+                                s.id,
+                                s.kind.tag()
+                            ),
+                        });
+                    }
+                    if e > max_end {
+                        max_end = e;
+                        prev = s.id;
+                    }
+                }
+            }
+            let mut claimed = 0u64;
+            for s in &leaves[a] {
+                let st = s.start.min(total);
+                let e = eff(s).clamp(st, total);
+                let d = e - st;
+                match s.kind {
+                    SpanKind::Commit => br.commit += d,
+                    SpanKind::Stall | SpanKind::Backoff => br.stall += d,
+                    _ => br.overhead += d,
+                }
+                claimed += d;
+            }
+            for s in &sections[a] {
+                let st = s.start.min(total);
+                let e = eff(s).clamp(st, total);
+                let inner: u64 = leaves[a]
+                    .iter()
+                    .map(|l| window_overlap((st, e), (l.start.min(total), eff(l).clamp(l.start.min(total), total))))
+                    .sum();
+                let net = (e - st).saturating_sub(inner);
+                match s.outcome {
+                    SpanOutcome::Useful => {
+                        br.useful += net;
+                        claimed += net;
+                    }
+                    SpanOutcome::Squashed => {
+                        br.squashed += net;
+                        claimed += net;
+                    }
+                    // Unresolved attempts (run aborted mid-flight) fall into
+                    // the remainder.
+                    SpanOutcome::Pending => {}
+                }
+            }
+            if claimed > total {
+                br.violations.push(AccountingViolation {
+                    actor: a as u32,
+                    cycle: total,
+                    detail: format!("actor {a} claims {claimed} cycles of a {total}-cycle timeline"),
+                });
+            }
+            br.other += total.saturating_sub(claimed);
+        }
+        br
+    }
+
+    const KINDS: [SpanKind; 10] = [
+        SpanKind::Section,
+        SpanKind::Commit,
+        SpanKind::Squash,
+        SpanKind::Stall,
+        SpanKind::Backoff,
+        SpanKind::Spill,
+        SpanKind::Checkpoint,
+        SpanKind::CtxSwitch,
+        SpanKind::BulkInvalidate,
+        SpanKind::Invalidate,
+    ];
+
+    /// A random span: mostly on track 0 and a real actor, sometimes on
+    /// the bus lane, past it or on a foreign track; a quarter zero-length
+    /// markers, some open, some running backwards, some ending past
+    /// their actor's total.
+    fn random_span(g: &mut Gen, id: u64, actors: u32, horizon: u64) -> Span {
+        let kind = if g.bool() { SpanKind::Section } else { KINDS[g.in_range(0..KINDS.len())] };
+        let start = g.in_range(0..horizon);
+        let end = match g.in_range(0u32..16) {
+            0..=3 => start,
+            4 => start.saturating_sub(g.in_range(1..20)),
+            _ => start + g.in_range(1..horizon),
+        };
+        let outcomes = [SpanOutcome::Pending, SpanOutcome::Useful, SpanOutcome::Squashed];
+        Span {
+            id,
+            track: u32::from(g.in_range(0u32..8) == 0),
+            actor: g.in_range(0..actors + 2),
+            kind,
+            start,
+            end,
+            ended: g.in_range(0u32..8) != 0,
+            parent: None,
+            cause: None,
+            outcome: outcomes[g.in_range(0..outcomes.len())],
+            detail: 0,
+        }
+    }
+
+    #[test]
+    fn prefix_sum_reducer_equals_the_quadratic_one() {
+        run("prefix_sum_reducer_equals_the_quadratic_one", 600, |g| {
+            let actors = g.in_range(1u32..5);
+            let horizon = g.in_range(2u64..400);
+            // Totals around the horizon, so some spans end past them.
+            let totals: Vec<u64> = (0..actors).map(|_| g.in_range(0..horizon + 40)).collect();
+            let n = g.in_range(0u64..80);
+            let spans: Vec<Span> = (0..n).map(|id| random_span(g, id, actors, horizon)).collect();
+            let fast = cycle_accounting(&spans, 0, &totals);
+            let slow = quadratic_cycle_accounting(&spans, 0, &totals);
+            prop_assert_eq!(fast, slow);
+            Ok(())
+        });
     }
 
     #[test]

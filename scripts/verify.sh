@@ -131,6 +131,9 @@ echo "par crash smoke: OK"
 # Trace determinism smoke: two same-seed runs per machine must export
 # byte-identical Chrome trace-event JSON (cycle accounting runs inside
 # each, so a conservation violation also fails here via the auditor).
+# The 600-transaction sjbb2k pair (about 15,000 spans, audited) runs the
+# prefix-sum reducer and the one-buffer export at the scale where a
+# quadratic reducer shows (about 17 ms there, against 1.3 ms now).
 echo "== trace determinism smoke"
 TRACE_DIR=$(mktemp -d)
 trap 'rm -rf "$TRACE_DIR"' EXIT
@@ -139,9 +142,12 @@ for run in a b; do
     --trace-out "$TRACE_DIR/tm_$run.trace.json" > /dev/null
   "$BULK" tls --app gzip --scheme bulk --seed 7 --tasks 60 --chaos \
     --trace-out "$TRACE_DIR/tls_$run.trace.json" > /dev/null
+  "$BULK" tm  --app sjbb2k --scheme bulk --seed 0 --txs 600 --audit \
+    --trace-out "$TRACE_DIR/long_$run.trace.json" > /dev/null
 done
-cmp "$TRACE_DIR/tm_a.trace.json"  "$TRACE_DIR/tm_b.trace.json"
-cmp "$TRACE_DIR/tls_a.trace.json" "$TRACE_DIR/tls_b.trace.json"
+cmp "$TRACE_DIR/tm_a.trace.json"   "$TRACE_DIR/tm_b.trace.json"
+cmp "$TRACE_DIR/tls_a.trace.json"  "$TRACE_DIR/tls_b.trace.json"
+cmp "$TRACE_DIR/long_a.trace.json" "$TRACE_DIR/long_b.trace.json"
 echo "trace determinism: OK"
 
 # bulkd smoke: start the telemetry daemon on ephemeral ports, submit
