@@ -149,11 +149,17 @@ impl Auditor {
         });
     }
 
-    /// Checks a thread-local clock observation for monotonicity.
+    /// Checks a thread-local clock observation for monotonicity. Called on
+    /// every step, so the disabled check inlines and the body does not.
+    #[inline]
     pub fn observe_clock(&mut self, thread: usize, now: u64) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.check_clock(thread, now);
         }
+    }
+
+    #[inline(never)]
+    fn check_clock(&mut self, thread: usize, now: u64) {
         self.checks += 1;
         if thread >= self.clocks.len() {
             self.clocks.resize(thread + 1, 0);
@@ -172,10 +178,15 @@ impl Auditor {
 
     /// Checks the global commit order: `thread`'s commit finishing at
     /// `finish` must not precede an already-observed commit.
+    #[inline]
     pub fn observe_commit(&mut self, thread: usize, finish: u64) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.check_commit(thread, finish);
         }
+    }
+
+    #[inline(never)]
+    fn check_commit(&mut self, thread: usize, finish: u64) {
         self.checks += 1;
         if finish < self.last_commit_finish {
             self.record(

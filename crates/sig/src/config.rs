@@ -144,6 +144,10 @@ pub struct SignatureConfig {
     /// Whether every V-field spans exactly one lane block (true for the
     /// small Table 8 configs, whose chunks are ≤ 8 bits).
     single_block: bool,
+    /// The C-field whose low bits are a line's word-offset bits, in order,
+    /// after permutation (word granularity only). A line's words then
+    /// differ only in that field, inside one aligned group of its V-field.
+    word_offset_field: Option<usize>,
     permutation: BitPermutation,
     granularity: Granularity,
     line_bytes: u32,
@@ -151,6 +155,8 @@ pub struct SignatureConfig {
     /// decoded against — in a run, the only one. Derived state, like the
     /// vectors above, but it needs the geometry and so is made on demand.
     decode_plan: OnceLock<DecodePlan>,
+    /// The CRC of each lone flat bit, for sealing (made on the first seal).
+    crc_basis: OnceLock<Box<[u64]>>,
 }
 
 /// Two configurations are equal when they define the same encoding; every
@@ -213,6 +219,17 @@ impl SignatureConfig {
             })
             .collect::<Vec<FieldMeta>>();
         let single_block = fields_meta.iter().all(|m| m.block_end - m.block_start == 1);
+        let offset_bits = (line_bytes / 4).trailing_zeros();
+        let word_offset_field = (granularity == Granularity::Word && offset_bits <= 6)
+            .then(|| {
+                (0..chunks.len()).find(|&i| {
+                    chunks[i] >= offset_bits
+                        && (0..offset_bits).all(|b| {
+                            u32::from(permutation.destination_of(b as u8)) == chunk_starts[i] + b
+                        })
+                })
+            })
+            .flatten();
         SignatureConfig {
             chunks,
             field_offsets,
@@ -220,10 +237,12 @@ impl SignatureConfig {
             chunk_starts,
             fields_meta,
             single_block,
+            word_offset_field,
             permutation,
             granularity,
             line_bytes,
             decode_plan: OnceLock::new(),
+            crc_basis: OnceLock::new(),
         }
     }
 
@@ -328,6 +347,22 @@ impl SignatureConfig {
     #[inline]
     pub(crate) fn fields_single_block(&self) -> bool {
         self.single_block
+    }
+
+    /// The C-field that holds a line's word-offset bits, in order, as its
+    /// low bits — C-field 0 for every Table 8 spec under the paper's TLS
+    /// permutation. `None` for line-granularity configs, and for word
+    /// configs whose permutation scatters the offset bits, whose fields
+    /// are all narrower than the offset, or whose lines hold more than 64
+    /// words: those answer a line query one word at a time.
+    pub fn word_offset_field(&self) -> Option<usize> {
+        self.word_offset_field
+    }
+
+    /// The CRC-64 of every one-bit flat signature of this config, indexed
+    /// by flat bit position (built on first use, `8 × size_bits` bytes).
+    pub(crate) fn crc_basis(&self) -> &[u64] {
+        self.crc_basis.get_or_init(|| crate::sealed::crc_basis(self.size_bits()))
     }
 
     /// The permutation applied before chunk extraction.

@@ -70,11 +70,31 @@ pub fn crc64(bytes: &[u8]) -> u64 {
 }
 
 /// The CRC of a signature's canonical flat bits, words in little-endian
-/// byte order.
+/// byte order: the XOR of the basis CRC of each set bit. With a zero
+/// initial value and no final XOR, CRC-64 is linear over GF(2) for a
+/// fixed message length, so this equals [`crc64`] over the flat bytes.
 fn signature_crc(sig: &Signature) -> u64 {
-    let mut crc = 0;
-    sig.for_each_flat_word(|w| crc = crc64_step8(crc, w.to_le_bytes()));
-    crc
+    let basis = sig.config().crc_basis();
+    sig.iter_flat_positions().fold(0, |crc, pos| crc ^ basis[pos as usize])
+}
+
+/// `basis[j]` is the CRC of the `⌈size_bits / 64⌉`-word flat message whose
+/// only set bit is flat bit `j`. Flat bit `j` is bit `j % 8` of message
+/// byte `j / 8` (words are little-endian), so walking the bytes from the
+/// last one back, each byte's eight CRCs are the next byte's advanced over
+/// one zero byte.
+pub(crate) fn crc_basis(size_bits: u64) -> Box<[u64]> {
+    let bytes = size_bits.div_ceil(64) as usize * 8;
+    let mut basis = vec![0u64; bytes * 8];
+    let mut lone: [u64; 8] = std::array::from_fn(|v| CRC64_TABLES[0][1 << v]);
+    for byte in basis.chunks_exact_mut(8).rev() {
+        byte.copy_from_slice(&lone);
+        for crc in &mut lone {
+            *crc = CRC64_TABLES[0][(*crc >> 56) as usize] ^ (*crc << 8);
+        }
+    }
+    basis.truncate(size_bits as usize);
+    basis.into_boxed_slice()
 }
 
 /// A commit-broadcast signature framed with its CRC-64 checksum.
@@ -248,6 +268,83 @@ mod tests {
         let sig = sample();
         let bytes: Vec<u8> = sig.flat_bits().iter().flat_map(|w| w.to_le_bytes()).collect();
         assert_eq!(SealedSignature::seal(sig).crc, crc64_bitwise(&bytes));
+    }
+
+    /// The definition `signature_crc` answers for: `crc64` over the flat
+    /// bits as little-endian bytes.
+    fn flat_crc(sig: &Signature) -> u64 {
+        let bytes: Vec<u8> = sig.flat_bits().iter().flat_map(|w| w.to_le_bytes()).collect();
+        crc64(&bytes)
+    }
+
+    #[test]
+    fn set_bit_crc_equals_crc64_of_the_flat_bytes_for_every_table8_spec() {
+        use crate::{table8, BitPermutation, Granularity};
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for spec in table8() {
+            let cfg = SignatureConfig::from_spec(
+                *spec,
+                BitPermutation::paper_tm(),
+                Granularity::Line,
+                64,
+            )
+            .into_shared();
+            let size = cfg.size_bits();
+            let words = size.div_ceil(64) as usize;
+            let empty = Signature::with_shared(cfg.clone());
+            assert_eq!(signature_crc(&empty), 0, "{}", spec.id);
+            assert_eq!(signature_crc(&empty), flat_crc(&empty), "{}", spec.id);
+            // One-bit signatures: each field's first and last bit, and the
+            // signature's last bit (mid-word for S11 and S21).
+            let mut lone_bits: Vec<u64> = (0..cfg.num_fields())
+                .flat_map(|i| [cfg.field_range(i).start, cfg.field_range(i).end - 1])
+                .collect();
+            lone_bits.extend((0..16).map(|_| next() % size));
+            for bit in lone_bits {
+                let mut flat = vec![0u64; words];
+                flat[(bit / 64) as usize] = 1 << (bit % 64);
+                let sig = Signature::from_flat_bits(cfg.clone(), &flat);
+                assert_eq!(sig.popcount(), 1);
+                assert_eq!(signature_crc(&sig), flat_crc(&sig), "{} bit {bit}", spec.id);
+            }
+            for density in 0..4 {
+                let flat: Vec<u64> =
+                    (0..words).map(|_| (0..density).fold(next(), |w, _| w & next())).collect();
+                let sig = Signature::from_flat_bits(cfg.clone(), &flat);
+                assert_eq!(signature_crc(&sig), flat_crc(&sig), "{} density {density}", spec.id);
+            }
+        }
+        let s11 = crate::table8_spec("S11").expect("S11").full_size_bits();
+        let s21 = crate::table8_spec("S21").expect("S21").full_size_bits();
+        assert!(!s11.is_multiple_of(64) && !s21.is_multiple_of(64), "the specs that end mid-word");
+    }
+
+    #[test]
+    fn corrupting_any_bit_of_a_small_config_fails_verify() {
+        let cfg = SignatureConfig::new(
+            vec![5, 4, 3],
+            crate::BitPermutation::identity(),
+            crate::Granularity::Line,
+            64,
+        )
+        .into_shared();
+        let mut sig = Signature::with_shared(cfg);
+        for a in [0x40u32, 0x1c0, 0x2_0040] {
+            sig.insert_addr(Addr::new(a));
+        }
+        let sealed = SealedSignature::seal(sig);
+        assert!(sealed.verify());
+        for bit in 0..sealed.size_bits() {
+            let mut hit = sealed.clone();
+            hit.corrupt_bit(bit);
+            assert!(!hit.verify(), "flip of bit {bit} went undetected");
+        }
     }
 
     #[test]

@@ -328,15 +328,52 @@ impl Signature {
 
     /// Whether any word of `line` may be in the signature. This is how a
     /// word-granularity signature answers line-level questions (bulk
-    /// invalidation walks cache lines). For line-granularity configs this
-    /// is the plain line membership test.
+    /// invalidation walks cache lines): a non-empty
+    /// [`Signature::updated_word_bitmask`], one probe when the config has a
+    /// [word-offset field](SignatureConfig::word_offset_field), else one
+    /// membership test per word. For line-granularity configs this is the
+    /// plain line membership test.
+    #[inline]
     pub fn contains_any_word_of_line(&self, line: LineAddr) -> bool {
-        match self.cfg().granularity() {
-            Granularity::Line => self.contains_line(line),
-            Granularity::Word => line
-                .words(self.cfg().line_bytes())
-                .any(|w| self.contains_word(w)),
+        let cfg = self.cfg();
+        match (cfg.granularity(), cfg.word_offset_field()) {
+            (Granularity::Line, _) => self.contains_line(line),
+            (Granularity::Word, Some(field)) => self.word_group(line, field) != 0,
+            (Granularity::Word, None) => {
+                line.words(cfg.line_bytes()).any(|w| self.contains_word(w))
+            }
         }
+    }
+
+    /// The words of `line` that may be in the signature, bit *i* for word
+    /// *i*, given the config's word-offset field `group_field`. The line's
+    /// words share every other C-field value, and in `group_field` they
+    /// fill one aligned group of `words_per_line` values: so word 0's key
+    /// is permuted once, that group is read in one shift, and every other
+    /// field contributes one bit.
+    #[inline]
+    pub(crate) fn word_group(&self, line: LineAddr, group_field: usize) -> u64 {
+        let cfg = self.cfg();
+        let words = cfg.line_bytes() / 4;
+        let key = cfg.key_of_word(line.word(cfg.line_bytes(), 0));
+        let permuted = u64::from(cfg.permutation().apply(key));
+        let buf = self.buf.as_slice();
+        let mut group = 0;
+        for (i, m) in cfg.fields_meta().iter().enumerate() {
+            let v = (permuted >> m.shift) & m.mask;
+            let blk = m.block_start as usize + (v >> BLOCK_SHIFT) as usize;
+            let bits = buf[blk].0[(v >> 6) as usize % LANES] >> (v & 63);
+            if i == group_field {
+                // `words` ≤ 64, and `>>` keeps a 64-word mask in range.
+                group = bits & (u64::MAX >> (64 - words));
+                if group == 0 {
+                    return 0;
+                }
+            } else if bits & 1 == 0 {
+                return 0;
+            }
+        }
+        group
     }
 
     /// OR-reduction of V-field `i`'s words (nonzero iff the field holds any
@@ -516,17 +553,12 @@ impl Signature {
     /// The signature's bits as one flat, LSB-first vector (fields
     /// concatenated in order). Canonical form used by the RLE codec and the
     /// sealed wire framing.
-    pub fn flat_bits(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.cfg().size_bits().div_ceil(64) as usize);
-        self.for_each_flat_word(|w| out.push(w));
-        out
-    }
-
-    /// The words of [`Signature::flat_bits`], in order, without the vector:
-    /// each field's words are funnelled through a 128-bit window, so a
+    ///
+    /// Each field's words are funnelled through a 128-bit window, so a
     /// field that ends inside a word is followed at once by the next one.
-    pub(crate) fn for_each_flat_word(&self, mut f: impl FnMut(u64)) {
+    pub fn flat_bits(&self) -> Vec<u64> {
         let cfg = self.cfg();
+        let mut out = Vec::with_capacity(cfg.size_bits().div_ceil(64) as usize);
         let (mut window, mut held) = (0u128, 0u32);
         for i in 0..cfg.num_fields() {
             let field_bits = cfg.field_range(i).end - cfg.field_range(i).start;
@@ -536,15 +568,16 @@ impl Signature {
                 window |= u128::from(self.word(w0 + j)) << held;
                 held += (field_bits - j as u64 * 64).min(64) as u32;
                 if held >= 64 {
-                    f(window as u64);
+                    out.push(window as u64);
                     window >>= 64;
                     held -= 64;
                 }
             }
         }
         if held > 0 {
-            f(window as u64);
+            out.push(window as u64);
         }
+        out
     }
 
     /// Rebuilds a signature from its flat bit vector, word-by-word.

@@ -41,20 +41,33 @@ impl Signature {
     /// The Updated Word Bitmask unit (paper Fig. 6): a conservative mask of
     /// the words of `line` that this (write) signature may have updated.
     ///
+    /// Like the unit, it reads the line's whole word group in one step
+    /// from the V-field whose C-field holds the word-offset bits
+    /// ([`SignatureConfig::word_offset_field`]). A config whose permutation
+    /// scatters those bits is answered by the definition: one membership
+    /// test per word.
+    ///
+    /// [`SignatureConfig::word_offset_field`]: crate::SignatureConfig::word_offset_field
+    ///
     /// # Panics
     ///
     /// Panics if the signature is not word-granularity, or the line has
     /// more than 64 words.
+    #[inline]
     pub fn updated_word_bitmask(&self, line: LineAddr) -> WordBitmask {
+        let cfg = self.config();
         assert_eq!(
-            self.config().granularity(),
+            cfg.granularity(),
             Granularity::Word,
             "updated-word bitmask requires a word-granularity signature"
         );
-        let words_per_line = self.config().line_bytes() / 4;
+        if let Some(field) = cfg.word_offset_field() {
+            return WordBitmask(self.word_group(line, field));
+        }
+        let words_per_line = cfg.line_bytes() / 4;
         assert!(words_per_line <= 64, "line too wide for a 64-bit word mask");
         let mut bits = 0u64;
-        for (i, w) in line.words(self.config().line_bytes()).enumerate() {
+        for (i, w) in line.words(cfg.line_bytes()).enumerate() {
             if self.contains_word(w) {
                 bits |= 1 << i;
             }

@@ -423,3 +423,98 @@ fn mask_driven_expansion_equals_expand() {
         Ok(())
     });
 }
+
+/// The per-word definition of the updated-word bitmask: bit *i* is set when
+/// word *i* of `line` may be in `s`.
+fn per_word_mask(s: &Signature, line: LineAddr) -> u64 {
+    let line_bytes = s.config().line_bytes();
+    line.words(line_bytes)
+        .enumerate()
+        .filter(|&(_, w)| s.contains_word(w))
+        .fold(0, |mask, (i, _)| mask | 1 << i)
+}
+
+/// The word-grain configs the one-probe line test is checked on, each with
+/// the path it must take: `Some(field)` when that C-field holds the word
+/// offset bits as its low bits, `None` for the per-word definition.
+fn word_group_configs() -> Vec<(String, SignatureConfig, Option<usize>)> {
+    let word = |id: &str, perm: BitPermutation, line_bytes: u32| {
+        let spec = table8_spec(id).expect("catalog id");
+        SignatureConfig::from_spec(spec, perm, Granularity::Word, line_bytes)
+    };
+    let mut configs = vec![("S14 TLS".to_string(), SignatureConfig::s14_tls(), Some(0))];
+    for spec in table8() {
+        let name = format!("{} paper_tls", spec.id);
+        configs.push((name, word(spec.id, BitPermutation::paper_tls(), 64), Some(0)));
+    }
+    // 32- and 64-word lines: 32-bit and 64-bit groups.
+    configs.push(("S14 128 B".into(), word("S14", BitPermutation::paper_tls(), 128), Some(0)));
+    configs.push(("S14 256 B".into(), word("S14", BitPermutation::paper_tls(), 256), Some(0)));
+    // The offset bits land at the bottom of C-field 1 instead.
+    let to_field_1 = BitPermutation::from_map(vec![4, 5, 6, 7, 8, 0, 1, 2, 3]).expect("perm");
+    let shifted = SignatureConfig::new(vec![5, 10, 10], to_field_1, Granularity::Word, 64);
+    configs.push(("offset in field 1".into(), shifted, Some(1)));
+    // The per-word path: a permutation that moves bit 0, and a first chunk
+    // narrower than a line's four offset bits.
+    let swap_low = BitPermutation::from_map(vec![1, 0]).expect("perm");
+    configs.push(("bit 0 moved".into(), word("S14", swap_low, 64), None));
+    let narrow =
+        SignatureConfig::new(vec![3, 10, 10], BitPermutation::paper_tls(), Granularity::Word, 64);
+    configs.push(("3-bit first chunk".into(), narrow, None));
+    configs
+}
+
+/// The one-probe line test (`updated_word_bitmask`, and
+/// `contains_any_word_of_line` as "that mask is non-empty") equals the
+/// per-word definition on random signatures and lines, on both paths.
+#[test]
+fn word_group_probe_equals_the_per_word_definition() {
+    let configs = word_group_configs();
+    for (name, config, path) in &configs {
+        assert_eq!(config.word_offset_field(), *path, "{name}: path");
+    }
+    run("word_group_probe_equals_the_per_word_definition", 256, |g| {
+        let (name, config, _) = &configs[g.in_range(0..configs.len())];
+        let config = std::sync::Arc::new(config.clone());
+        let line_bytes = config.line_bytes();
+        let words = line_bytes / 4;
+        let line_space = 1u32 << (32 - line_bytes.trailing_zeros());
+        // A random signature of random density, plus words of probed lines.
+        let density = g.in_range(0u32..6);
+        let flat: Vec<u64> = (0..config.size_bits().div_ceil(64))
+            .map(|_| (0..density).fold(g.u64(), |w, _| w & g.u64()))
+            .collect();
+        let mut s = Signature::from_flat_bits(config.clone(), &flat);
+        let lines: Vec<LineAddr> =
+            (0..8).map(|_| LineAddr::new(g.in_range(0..line_space))).collect();
+        for &line in &lines[..4] {
+            for _ in 0..g.in_range(0u32..4) {
+                s.insert_word(line.word(line_bytes, g.in_range(0..words)));
+            }
+        }
+        for &line in &lines {
+            let expect = per_word_mask(&s, line);
+            prop_assert_eq!(s.updated_word_bitmask(line).bits(), expect, "{name} {line}");
+            prop_assert_eq!(s.contains_any_word_of_line(line), expect != 0, "{name} {line}");
+        }
+        Ok(())
+    });
+}
+
+/// A line whose every word was written reads back as a full mask, up to
+/// 64 words (the mask of a 64-word group is all ones, not an overflow).
+#[test]
+fn a_fully_written_line_reads_back_every_word() {
+    for (name, config, _) in word_group_configs() {
+        let line_bytes = config.line_bytes();
+        let line = LineAddr::new(0x1234);
+        let mut s = Signature::new(config);
+        for w in line.words(line_bytes) {
+            s.insert_word(w);
+        }
+        let full = u64::MAX >> (64 - line_bytes / 4);
+        assert_eq!(s.updated_word_bitmask(line).bits(), full, "{name}");
+        assert_eq!(per_word_mask(&s, line), full, "{name}");
+        assert!(s.contains_any_word_of_line(line), "{name}");
+    }
+}

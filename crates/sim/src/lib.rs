@@ -28,5 +28,5 @@ mod timer;
 
 pub use config::SimConfig;
 pub use harness::{Broadcast, CommitRequest, RunTail, SimHarness, SquashTail, Victim};
-pub use queue::{min_index, EventQueue};
+pub use queue::{earliest, EventQueue};
 pub use timer::{AccessTiming, Bus, CoreTimer, FillSource};

@@ -88,14 +88,24 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// Picks the index of the minimum value, breaking ties by lowest index —
-/// the "advance the laggard processor" step of clock-ordered simulation.
-pub fn min_index(values: impl IntoIterator<Item = u64>) -> Option<usize> {
-    values
-        .into_iter()
-        .enumerate()
-        .min_by_key(|&(i, v)| (v, i))
-        .map(|(i, _)| i)
+/// The index of the earliest clock among the lanes that can run (`Some`),
+/// ties to the lowest index — the "advance the laggard processor" step of
+/// clock-ordered simulation, shared by both sim machines' schedulers.
+///
+/// Branch-free: a running `u128` minimum of `clock << 64 | index`, where a
+/// lane that cannot run (`None`) counts as `u128::MAX`.
+///
+/// ```
+/// use bulk_sim::earliest;
+/// assert_eq!(earliest([Some(3), None, Some(1), Some(1)]), Some(2));
+/// assert_eq!(earliest([None, None]), None);
+/// ```
+#[inline]
+pub fn earliest(clocks: impl IntoIterator<Item = Option<u64>>) -> Option<usize> {
+    let best = clocks.into_iter().enumerate().fold(u128::MAX, |best, (i, clock)| {
+        best.min(clock.map_or(u128::MAX, |c| u128::from(c) << 64 | i as u128))
+    });
+    (best != u128::MAX).then_some(best as u64 as usize)
 }
 
 #[cfg(test)]
@@ -126,9 +136,15 @@ mod tests {
     }
 
     #[test]
-    fn min_index_breaks_ties_low() {
-        assert_eq!(min_index([3, 1, 1, 2]), Some(1));
-        assert_eq!(min_index([]), None);
-        assert_eq!(min_index([7]), Some(0));
+    fn earliest_breaks_ties_low_and_skips_lanes_that_cannot_run() {
+        assert_eq!(earliest([Some(3), Some(1), Some(1), Some(2)]), Some(1));
+        assert_eq!(earliest([]), None);
+        assert_eq!(earliest([Some(7)]), Some(0));
+        assert_eq!(earliest([None, Some(9), None, Some(9)]), Some(1));
+        assert_eq!(earliest([Some(0), None]), Some(0));
+        assert_eq!(earliest([None, None, None]), None);
+        // The full clock range orders, and the top clock still runs.
+        assert_eq!(earliest([Some(u64::MAX), None, Some(u64::MAX - 1)]), Some(2));
+        assert_eq!(earliest([None, Some(u64::MAX)]), Some(1));
     }
 }

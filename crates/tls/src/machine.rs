@@ -20,7 +20,7 @@ use bulk_live::LivenessConfig;
 use bulk_obs::{Obs, SpanId, SpanKind};
 use bulk_mem::{Addr, AddrSet, Cache, LineAddr, MsgClass, WordAddr};
 use bulk_sig::{Signature, SignatureConfig};
-use bulk_sim::{CommitRequest, CoreTimer, SimConfig, SimHarness, SquashTail, Victim};
+use bulk_sim::{earliest, CommitRequest, CoreTimer, SimConfig, SimHarness, SquashTail, Victim};
 use bulk_trace::{TlsOp, TlsWorkload};
 
 use crate::{TlsScheme, TlsStats};
@@ -358,12 +358,7 @@ impl TlsMachine {
     }
 
     fn pick_proc(&self) -> Option<usize> {
-        self.procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.running.is_some())
-            .min_by_key(|(i, p)| (p.timer.now(), *i))
-            .map(|(i, _)| i)
+        earliest(self.procs.iter().map(|p| p.running.is_some().then_some(p.timer.now())))
     }
 
     /// The in-flight window: the index range holding every `Ready`,
@@ -438,20 +433,22 @@ impl TlsMachine {
             if self.tasks.get(i).is_none_or(|t| t.ready_at.is_none()) {
                 return;
             }
-            let Some(p) = self
-                .procs
-                .iter()
-                .enumerate()
-                .filter(|(q, p)| p.running.is_none() && self.tasks_on_proc(*q) < VERSIONS_PER_PROC)
-                .min_by_key(|(q, p)| (p.timer.now(), *q))
-                .map(|(q, _)| q)
-            else {
+            let Some(p) = self.free_proc() else {
                 return;
             };
             self.tasks[i].proc = Some(p);
             self.start_on(p, i, true);
             self.next_unstarted += 1;
         }
+    }
+
+    /// The free processor with the earliest clock that still has room for
+    /// another version, ties to the lowest index.
+    fn free_proc(&self) -> Option<usize> {
+        earliest(self.procs.iter().enumerate().map(|(q, p)| {
+            (p.running.is_none() && self.tasks_on_proc(q) < VERSIONS_PER_PROC)
+                .then_some(p.timer.now())
+        }))
     }
 
     fn start_on(&mut self, p: usize, i: usize, fresh: bool) {
@@ -1133,6 +1130,53 @@ mod tests {
 
     fn r(a: u32) -> TlsOp {
         TlsOp::Read(Addr::new(a))
+    }
+
+    /// A four-processor machine with no task started.
+    fn scheduler_machine() -> TlsMachine {
+        let tasks = (0..8u32).map(|i| vec![TlsOp::Spawn, w(0x1_0000 + i * 0x100)]).collect();
+        let m = TlsMachine::new(&workload(tasks), TlsScheme::Bulk, &cfg());
+        assert_eq!(m.procs.len(), 4);
+        m
+    }
+
+    #[test]
+    fn pick_proc_takes_the_earliest_running_processor_ties_to_the_lowest_index() {
+        let mut m = scheduler_machine();
+        assert_eq!(m.pick_proc(), None, "no processor runs a task");
+        m.procs[1].running = Some(0);
+        m.procs[3].running = Some(1);
+        assert_eq!(m.pick_proc(), Some(1));
+        m.procs[1].timer.wait_until(5);
+        assert_eq!(m.pick_proc(), Some(3));
+        m.procs[3].timer.wait_until(5);
+        assert_eq!(m.pick_proc(), Some(1));
+        m.procs[0].running = Some(2);
+        m.procs[0].timer.wait_until(9);
+        assert_eq!(m.pick_proc(), Some(1), "an idle earlier clock does not run");
+    }
+
+    #[test]
+    fn free_proc_takes_the_earliest_idle_processor_with_room_ties_to_the_lowest_index() {
+        let mut m = scheduler_machine();
+        assert_eq!(m.free_proc(), Some(0));
+        m.procs[0].running = Some(0);
+        assert_eq!(m.free_proc(), Some(1));
+        m.procs[1].timer.wait_until(8);
+        m.procs[2].timer.wait_until(3);
+        m.procs[3].timer.wait_until(3);
+        assert_eq!(m.free_proc(), Some(2));
+        // Processor 2 already holds its version budget.
+        for i in 0..VERSIONS_PER_PROC {
+            m.tasks[i].proc = Some(2);
+            m.tasks[i].status = Status::Ready;
+        }
+        m.next_unstarted = VERSIONS_PER_PROC;
+        assert_eq!(m.free_proc(), Some(3));
+        m.procs[3].running = Some(1);
+        assert_eq!(m.free_proc(), Some(1));
+        m.procs[1].running = Some(2);
+        assert_eq!(m.free_proc(), None);
     }
 
     #[test]

@@ -20,7 +20,8 @@ use bulk_mem::{Addr, AddrSet, Cache, LineAddr, MsgClass, OverflowArea};
 use bulk_obs::{Obs, SpanId, SpanKind, SpanOutcome};
 use bulk_sig::{Signature, SignatureConfig};
 use bulk_sim::{
-    AccessTiming, Broadcast, CommitRequest, CoreTimer, SimConfig, SimHarness, SquashTail, Victim,
+    earliest, AccessTiming, Broadcast, CommitRequest, CoreTimer, SimConfig, SimHarness, SquashTail,
+    Victim,
 };
 use bulk_trace::{TmOp, TmWorkload};
 
@@ -376,26 +377,15 @@ impl TmMachine {
                 return Ok(Some(k));
             }
         }
-        let mut best: Option<(u64, usize)> = None;
-        let mut any_not_done = false;
-        for (i, t) in self.threads.iter().enumerate() {
-            if t.done {
-                continue;
-            }
-            any_not_done = true;
-            if let Some((blocker, serial)) = t.stalled_on {
-                let b = &self.threads[blocker];
-                if b.tx_serial == serial && b.in_tx() && !b.done {
-                    continue; // still blocked
-                }
-            }
-            let key = (t.timer.now(), i);
-            if best.is_none_or(|(bt, bi)| key < (bt, bi)) {
-                best = Some((t.timer.now(), i));
-            }
-        }
-        let picked = best.map(|(_, i)| i);
-        if picked.is_none() && any_not_done {
+        let threads = &self.threads;
+        let picked = earliest(threads.iter().map(|t| {
+            let blocked = t.stalled_on.is_some_and(|(blocker, serial)| {
+                let b = &threads[blocker];
+                b.tx_serial == serial && b.in_tx() && !b.done
+            });
+            (!t.done && !blocked).then_some(t.timer.now())
+        }));
+        if picked.is_none() && threads.iter().any(|t| !t.done) {
             let cycle = self.threads.iter().map(|t| t.timer.now()).max().unwrap_or(0);
             return Err(MachineError::ConflictDeadlock { cycle });
         }
@@ -1743,6 +1733,73 @@ mod tests {
         assert_eq!(stats.escalations, 0, "no serialized fallback was armed");
         assert!(stats.liveness.backoff_waits > 0);
         assert!(stats.liveness.backoff_cycles > 0);
+    }
+
+    /// A machine of `n` one-transaction threads, for the scheduler tests.
+    fn scheduler_machine(n: u32) -> TmMachine {
+        let threads = (0..n)
+            .map(|i| vec![TmOp::Begin, TmOp::Write(Addr::new(i * 4096)), TmOp::End])
+            .collect();
+        TmMachine::new(&simple_workload(threads), Scheme::Eager, &cfg())
+    }
+
+    #[test]
+    fn pick_runnable_takes_the_earliest_clock_ties_to_the_lowest_index() {
+        let mut m = scheduler_machine(4);
+        assert_eq!(m.pick_runnable().unwrap(), Some(0));
+        m.threads[0].timer.wait_until(30);
+        m.threads[1].timer.wait_until(20);
+        m.threads[2].timer.wait_until(10);
+        m.threads[3].timer.wait_until(10);
+        assert_eq!(m.pick_runnable().unwrap(), Some(2));
+        m.threads[2].done = true;
+        assert_eq!(m.pick_runnable().unwrap(), Some(3), "a done thread is skipped");
+    }
+
+    #[test]
+    fn pick_runnable_skips_a_thread_stalled_on_a_blocker_still_in_its_transaction() {
+        let mut m = scheduler_machine(3);
+        m.threads[1].depth = 1;
+        m.threads[1].tx_serial = 5;
+        m.threads[0].stalled_on = Some((1, 5));
+        assert_eq!(m.pick_runnable().unwrap(), Some(1));
+        // The blocker moved on to another transaction: the stall is over.
+        m.threads[1].tx_serial = 6;
+        assert_eq!(m.pick_runnable().unwrap(), Some(0));
+        // The blocker left its transaction.
+        m.threads[1].tx_serial = 5;
+        m.threads[1].depth = 0;
+        assert_eq!(m.pick_runnable().unwrap(), Some(0));
+        // The blocker finished.
+        m.threads[1].depth = 1;
+        m.threads[1].done = true;
+        assert_eq!(m.pick_runnable().unwrap(), Some(0));
+    }
+
+    #[test]
+    fn pick_runnable_schedules_the_serial_token_holder_first() {
+        let mut m = scheduler_machine(3);
+        m.threads[2].timer.wait_until(1000);
+        m.serial_token = Some(2);
+        assert_eq!(m.pick_runnable().unwrap(), Some(2));
+    }
+
+    #[test]
+    fn pick_runnable_reports_a_deadlock_when_every_live_thread_is_blocked() {
+        let mut m = scheduler_machine(3);
+        m.threads[2].done = true;
+        m.threads[2].timer.wait_until(70);
+        for (me, other) in [(0, 1), (1, 0)] {
+            m.threads[me].depth = 1;
+            m.threads[me].tx_serial = 9;
+            m.threads[me].stalled_on = Some((other, 9));
+        }
+        m.threads[1].timer.wait_until(40);
+        assert_eq!(m.pick_runnable().unwrap_err(), MachineError::ConflictDeadlock { cycle: 70 });
+        // With every thread done there is nothing to run, and no deadlock.
+        m.threads[0].done = true;
+        m.threads[1].done = true;
+        assert_eq!(m.pick_runnable().unwrap(), None);
     }
 
     #[test]

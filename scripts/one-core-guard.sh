@@ -35,6 +35,11 @@
 #    switch spills and reloads a version (§6.2.2) with no proof step, and
 #    par keeps no signature copy at a recovery point. The round trip is a
 #    property of crates/core/tests/delta_register.rs.
+# 11. A line test is one probe (DESIGN.md §11): expansion and the
+#    speculative-store check ask a word signature about a line through
+#    its word group, not word by word; a seal XORs one basis CRC per set
+#    bit instead of running the byte tables over every flat word; and the
+#    machines' scheduler scans are the shared branch-free `earliest`.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -49,6 +54,22 @@ nontest_hits() { # REGEX FILE...
   awk -v re="$re" 'FNR == 1 { test = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
                    !test && $0 ~ re { print FILENAME ":" FNR ":" $0; hit = 1 }
                    END { exit !hit }' "$@"
+}
+
+# Prints the lines matching REGEX inside the bodies of the named
+# functions of FILE (each from its `fn NAME(` line to the `}` at the same
+# indent); succeeds on a hit. A named function that is missing is a hit
+# too, so a rename cannot retire the check.
+fn_hits() { # REGEX FILE FN...
+  local re=$1 file=$2; shift 2
+  awk -v re="$re" -v names="$*" '
+    BEGIN { n = split(names, want, " "); for (i = 1; i <= n; i++) missing[want[i]] = 1 }
+    !inside { for (i = 1; i <= n; i++) if ($0 ~ "fn " want[i] "[(<]") {
+                inside = 1; delete missing[want[i]]
+                match($0, /^[[:space:]]*/); close_line = substr($0, 1, RLENGTH) "}" } }
+    inside && $0 ~ re { print FILENAME ":" FNR ":" $0; hit = 1 }
+    inside && $0 == close_line { inside = 0 }
+    END { for (f in missing) { print FILENAME ": no fn " f; hit = 1 } exit !hit }' "$file"
 }
 
 mapfile -t files < <(find crates/*/src src -name '*.rs' ! -path crates/sim/src/harness.rs | sort)
@@ -129,6 +150,16 @@ nontest_hits 'Checkpoint::|CheckpointError|checkpoint_restore_failures|report_ch
 [ -e crates/live/src/checkpoint.rs ] && { echo crates/live/src/checkpoint.rs; ckpt=1; }
 if [ "$ckpt" -eq 1 ]; then
   echo "one-core guard: a checkpoint that cannot fail is a test; no Checkpoint, restore-failure count or in-place signature copy"
+  fail=1
+fi
+
+probe=0
+nontest_hits 'contains_word' crates/sig/src/expansion.rs crates/core/src/set_restriction.rs && probe=1
+fn_hits 'crc64_step8' crates/sig/src/sealed.rs signature_crc && probe=1
+fn_hits 'min_by_key' crates/tm/src/machine.rs pick_runnable && probe=1
+fn_hits 'min_by_key' crates/tls/src/machine.rs pick_proc free_proc assign_tasks && probe=1
+if [ "$probe" -eq 1 ]; then
+  echo "one-core guard: a line test is one probe; no per-word expansion, no byte-table seal, no min_by_key scheduler scan"
   fail=1
 fi
 

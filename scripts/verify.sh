@@ -32,9 +32,10 @@ echo "front-door guard: OK"
 # flat cache (no Vec<Vec<CacheLine>>, no num_sets() per lookup), par
 # exactly-once by the log cursor (no dedup filter, stress plan or bus
 # epoch; a forward-only TLS commit token), one owner per count, an
-# arbiter crash as bus time, and no checkpoint proof (a spill/reload
-# round trip is a property test, not a run-time check).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test)"
+# arbiter crash as bus time, no checkpoint proof (a spill/reload round
+# trip is a property test, not a run-time check), and a line test that is
+# one probe (word-group expansion, set-bit seal CRC, `earliest` scans).
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"
