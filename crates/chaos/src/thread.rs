@@ -113,13 +113,6 @@ impl ThreadChaos {
         })
     }
 
-    /// Upper bound on worker kills this injector can ever fire: the
-    /// explicit schedule plus the probabilistic budget. The runtime
-    /// sizes its bus-log fence slack (and respawn planning) from this.
-    pub fn crash_bound(&self) -> usize {
-        self.kills.len() + self.cfg.as_ref().map_or(0, |c| c.max_worker_kills as usize)
-    }
-
     /// A worker incarnation's handle. `incarnation` is 0 for the
     /// original spawn and increments per respawn, so respawned workers
     /// draw a fresh (but still seed-determined) probabilistic stream.
@@ -297,7 +290,6 @@ mod tests {
         let mut w = chaos.worker(0, 0);
         let kills = (0..100).filter(|_| w.on_claim().is_some()).count();
         assert_eq!(kills, 3, "budget must cap probabilistic kills");
-        assert_eq!(chaos.crash_bound(), 3);
     }
 
     #[test]
@@ -310,7 +302,6 @@ mod tests {
             assert_eq!(w.maybe_stall(), None);
             assert_eq!(w.publish_delay(), None);
         }
-        assert_eq!(chaos.crash_bound(), 0);
     }
 
     #[test]

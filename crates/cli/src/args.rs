@@ -169,11 +169,11 @@ CHAOS:
   undetected corruption makes the exit code nonzero. Under --runtime par
   the same flag arms the real-thread fault preset instead: seeded worker
   kills at commit-protocol points (claim, publish, apply), short injected
-  stalls and widened claim-to-publish windows. The supervisor fences the
-  dead worker's orphaned bus slot (TM) or lets the respawned worker adopt
-  it (TLS), respawns the worker from its last publish, and reports the
-  recoveries in a resilience section; an unrecoverable death or a
-  wall-clock stall exits nonzero with the replay seed.
+  stalls and widened claim-to-publish windows. The supervisor respawns
+  the worker from its last publish, lets the respawn adopt the dead
+  worker's orphaned bus slot, and reports the recoveries in a resilience
+  section; an unrecoverable death or a wall-clock stall exits nonzero
+  with the replay seed.
 
 OBSERVABILITY:
   --metrics prints the metrics registry after the run: every squash is

@@ -116,8 +116,8 @@ fn print_tls(app: &str, scheme: TlsScheme, seq_cycles: u64, s: &TlsStats, opts: 
 
 /// A parallel-runtime summary for either machine (`TM` / `TLS`). Wall
 /// time replaces simulated cycles. A resilience section appears whenever
-/// the supervisor survived worker deaths — crashes, respawns, fence
-/// tombstones (TM), adopted slots (TLS) and the recovery latency.
+/// the supervisor survived worker deaths — crashes, respawns, adopted
+/// slots and the recovery latency.
 fn print_par(machine: &str, app: &str, scheme: &str, s: &ParStats) {
     println!("{machine} run: app={app} scheme={scheme} runtime=par");
     println!("  commits            {}", s.commits);
@@ -136,9 +136,8 @@ fn print_par(machine: &str, app: &str, scheme: &str, s: &ParStats) {
     println!("  commits per thread {}", per.join(" "));
     if s.worker_crashes > 0 {
         println!(
-            "  resilience         {} worker crashes, {} respawns, {} fences, \
-             {} adopted slots",
-            s.worker_crashes, s.respawns, s.fences, s.adopted_slots
+            "  resilience         {} worker crashes, {} respawns, {} adopted slots",
+            s.worker_crashes, s.respawns, s.adopted_slots
         );
         println!("  recovery time      {:.3} ms", s.recovery_ns as f64 / 1e6);
     }

@@ -16,8 +16,10 @@
 //!   unique;
 //! * readers never block writers: a claimed-but-unpublished slot is an
 //!   empty [`OnceLock`] the reader spins on with `yield_now`, and the
-//!   winner of a tail race always publishes, so the system as a whole
-//!   is lock-free (some thread always makes progress).
+//!   winner of a tail race always publishes — itself, or, if it dies
+//!   first, the respawn that adopts the slot — so the system as a whole
+//!   is lock-free (some thread always makes progress). The log holds
+//!   only what the paper's bus carries: commits and stores.
 //!
 //! Memory ordering: the tail CAS is `AcqRel` and `OnceLock::set/get`
 //! give release/acquire on the record payload, so a reader that
@@ -37,12 +39,6 @@ pub enum RecordKind {
     /// A single non-transactional store (the paper's individual
     /// invalidation path).
     NonTxStore,
-    /// A tombstone published by the supervisor into a dead worker's
-    /// claimed-but-unpublished slot. Carries empty sets and a fresh
-    /// ticket, so receivers step over it like any record that hits
-    /// nothing; keeps the log dense so survivors stop waiting on the
-    /// orphaned slot.
-    Fence,
 }
 
 /// A record's identity: the publishing worker and its serial, which
@@ -70,14 +66,13 @@ pub struct BusRecord {
     /// The record's position in its publisher's program order. A TM
     /// commit carries how many transactions its thread committed before
     /// it, a non-transactional store how many such stores its thread
-    /// published before it; a fence and a TLS task (whose `thread` is
-    /// already its place in the task order) carry 0.
+    /// published before it; a TLS task (whose `thread` is already its
+    /// place in the task order) carries 0.
     pub ordinal: u64,
-    /// Transaction commit, individual store or fence.
+    /// Transaction commit or individual store.
     pub kind: RecordKind,
     /// The broadcast write signature: `Some` only on a commit under a
-    /// signature scheme. A store, a fence and every exact-set record
-    /// carry `None`.
+    /// signature scheme. A store and every exact-set record carry `None`.
     pub w_sig: Option<Signature>,
     /// Exact written lines — a store's one line; the oracle for a commit.
     pub exact_w: Vec<LineAddr>,
@@ -88,8 +83,8 @@ pub struct BusRecord {
 }
 
 impl BusRecord {
-    /// A record of `kind` by `thread` for `slot` with an empty write set
-    /// (all a fence carries); a publisher fills in what it broadcasts.
+    /// A record of `kind` by `thread` for `slot` with an empty write set;
+    /// a publisher fills in what it broadcasts.
     pub(crate) fn bare(
         ticket: CommitTicket,
         thread: usize,
@@ -109,9 +104,8 @@ impl BusRecord {
     }
 }
 
-/// A publish hit an already-written slot (the slot index). Indicates a
-/// double publish — either a protocol bug or a fence racing a claimer
-/// that turned out to be alive.
+/// A publish hit an already-written slot (the slot index): a double
+/// publish, which only a protocol bug can cause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotOccupied(pub usize);
 
@@ -134,7 +128,8 @@ impl BusLog {
     /// Creates a log with capacity for exactly `capacity` broadcasts.
     /// The parallel runtime computes the capacity statically from the
     /// workload (each outer transaction and each non-transactional
-    /// store publishes exactly once), so a full log is a protocol bug.
+    /// store publishes exactly once, crash or no crash), so a full log
+    /// is a protocol bug.
     pub fn new(capacity: usize) -> Self {
         BusLog {
             slots: (0..capacity).map(|_| OnceLock::new()).collect(),
@@ -166,9 +161,10 @@ impl BusLog {
     }
 
     /// Publishes the record into a previously claimed slot. A slot is
-    /// written exactly once — by its claimer, or by the supervisor
-    /// fencing a dead claimer — so a second publish is a protocol bug
-    /// the caller turns into a typed runtime error instead of an abort.
+    /// written exactly once — by its claimer, or by the respawn that
+    /// adopted it from a dead claimer — so a second publish is a protocol
+    /// bug the caller turns into a typed runtime error instead of an
+    /// abort.
     pub fn publish(&self, slot: usize, record: BusRecord) -> Result<(), SlotOccupied> {
         self.slots[slot].set(record).map_err(|_| SlotOccupied(slot))
     }
@@ -219,19 +215,6 @@ mod tests {
         let err = log.publish(0, record(1, 0, 0)).unwrap_err();
         assert_eq!(err, SlotOccupied(0));
         assert_eq!(err.to_string(), "bus slot 0 published twice");
-    }
-
-    #[test]
-    fn a_fence_unblocks_waiters_on_an_orphaned_slot() {
-        let log = BusLog::new(1);
-        assert!(log.try_claim(0));
-        // The claimer died; a reader waiting on slot 0 would see `None`
-        // forever. The supervisor fences the slot and the reader sees a
-        // skippable tombstone.
-        assert!(log.get(0).is_none());
-        let fence = BusRecord { kind: RecordKind::Fence, ..record(0, 1, 0) };
-        log.publish(0, fence).unwrap();
-        assert_eq!(log.get(0).map(|r| r.kind), Some(RecordKind::Fence));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! An engine keeps what differs: which records can squash it (TM: a
 //! peer's `W_C` against `R ∪ W`, inside a transaction; TLS: a
 //! predecessor's against `R`), when it may claim a slot, and what a
-//! squash rewinds.
+//! squash rewinds. Recovery is shared too: a respawned incarnation holds
+//! the slot its dead predecessor claimed (`claimed_unpublished`), stops
+//! its replay there, and publishes into it without re-claiming.
 
 use crate::bus::{BusLog, BusRecord, CommitTicket, RecordKind};
 use crate::config::ParConfig;
@@ -122,16 +124,6 @@ impl SpecSets {
     }
 }
 
-/// Where a respawned incarnation picks the protocol up.
-#[derive(Default)]
-pub(crate) struct Resume {
-    /// Next unconsumed ticket serial.
-    pub serial: u64,
-    /// A slot the dead incarnation already claimed; this one publishes
-    /// into it without re-claiming.
-    pub adopt: Option<usize>,
-}
-
 /// One worker incarnation's view of the bus.
 pub(crate) struct Receiver {
     pub proc: usize,
@@ -149,8 +141,8 @@ pub(crate) struct Receiver {
     pending_dwell_ns: u64,
     /// Slot claimed (or adopted from a dead incarnation) whose record is
     /// not yet published. If the worker dies inside that window the
-    /// supervisor fences it (TM) or hands it to the next incarnation
-    /// (TLS) — however often the adopter itself dies before publishing.
+    /// supervisor hands it to the next incarnation, which publishes into
+    /// it — however often the adopter itself dies before publishing.
     pub claimed_unpublished: Option<usize>,
     /// This incarnation's counters, folded into the run's at its end.
     pub stats: ParStats,
@@ -158,19 +150,19 @@ pub(crate) struct Receiver {
 
 impl Receiver {
     /// A fresh incarnation: cursor 0, so a respawn replays the entire log
-    /// and applies each record once, holding the slot it adopts (if any)
-    /// from the start.
-    pub(crate) fn new(proc: usize, cfg: &ParConfig, chaos: WorkerChaos, resume: Resume) -> Self {
+    /// and applies each record once. The supervisor hands a respawn its
+    /// dead incarnation's serial and held slot before it starts.
+    pub(crate) fn new(proc: usize, cfg: &ParConfig, chaos: WorkerChaos) -> Self {
         Receiver {
             proc,
             compute_ns_per_kcycle: cfg.compute_ns_per_kcycle,
             rng: SmallRng::seed_from_u64(cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64 ^ proc as u64)),
             chaos,
             cursor: 0,
-            serial: resume.serial,
+            serial: 0,
             squash_streak: 0,
             pending_dwell_ns: 0,
-            claimed_unpublished: resume.adopt,
+            claimed_unpublished: None,
             stats: ParStats::default(),
         }
     }
@@ -528,11 +520,10 @@ mod tests {
         assert!(log.try_claim(0));
         log.publish(0, peer_record(&[0x1000])).unwrap();
         assert!(log.try_claim(1));
-        let resume = Resume { serial: 0, adopt: Some(1) };
-        let mut rx = Receiver::new(0, &cfg, ctl.chaos.worker(0, 1), resume);
-        // Held from the start: should this incarnation die before it
-        // publishes, the supervisor hands the slot on again.
-        assert_eq!(rx.claimed_unpublished, Some(1));
+        let mut rx = Receiver::new(0, &cfg, ctl.chaos.worker(0, 1));
+        // Held from the start, as the supervisor hands it over: should this
+        // incarnation die before it publishes, the slot is handed on again.
+        rx.claimed_unpublished = Some(1);
         let mut seen = 0;
         for _ in 0..3 {
             let squashed = rx.poll(&log, &ctl, |_| {

@@ -9,7 +9,7 @@
 //! [`RuntimeError`] for everything unrecoverable.
 
 use crate::config::ParConfig;
-use crate::receiver::{Receiver, Resume};
+use crate::receiver::Receiver;
 use crate::runtime::RuntimeError;
 use crate::stats::ParStats;
 use bulk_chaos::{CrashPoint, InvariantKind, InvariantViolation, ThreadChaos};
@@ -42,7 +42,8 @@ pub(crate) enum Halt {
 
 impl Halt {
     /// `true` for the halts the supervisor treats as a worker *crash*
-    /// (fence the orphaned slot, respawn from the last publish).
+    /// (respawn from the last publish, holding any slot the dead
+    /// incarnation claimed).
     pub(crate) fn is_crash(&self) -> bool {
         matches!(self, Halt::Killed { .. } | Halt::Panicked(_))
     }
@@ -138,11 +139,22 @@ impl RunControl {
 /// counters into `stats`. Worker `w` starts from recovery point
 /// `first(w)`; `work` is one incarnation's run, advancing the point as it
 /// goes. When an incarnation crashes (injected kill or panic), `recover`
-/// contains the damage — it sees the dead incarnation's [`Receiver`] and
-/// last recovery point — and says where the next incarnation resumes;
-/// the respawn budget bounds how often. Every other way a run can fail
-/// (stall, protocol bug, failed recovery, spent budget) aborts the
-/// surviving workers and comes back as the first typed error.
+/// checks the dead incarnation's [`Receiver`] and last recovery point
+/// against the log and says where the next incarnation resumes; the
+/// respawn budget bounds how often.
+///
+/// One recovery rule serves both engines: the respawn *adopts* the slot
+/// its dead incarnation claimed and never published, and starts at the
+/// dead incarnation's ticket serial, past every serial it stamped. Its
+/// fresh cursor replays the log up to that slot, and it publishes into
+/// the slot without re-claiming it; should it die first, the next
+/// incarnation adopts the slot again. No claim can pass a held slot, so
+/// until then the log simply stops growing.
+///
+/// Every other way a run can fail (stall, protocol bug, failed recovery,
+/// spent budget) aborts the surviving workers — a worker waiting on an
+/// orphaned slot unwinds at its next spin check — and comes back as the
+/// first typed error.
 pub(crate) fn supervise<P: Send>(
     workers: usize,
     cfg: &ParConfig,
@@ -150,15 +162,14 @@ pub(crate) fn supervise<P: Send>(
     stats: &mut ParStats,
     first: impl Fn(usize) -> P,
     work: impl Fn(&mut Receiver, &mut P) -> Result<(), Halt> + Sync,
-    mut recover: impl FnMut(&mut ParStats, &Receiver, P) -> Result<(P, Resume), RuntimeError>,
+    mut recover: impl FnMut(&Receiver, P) -> Result<P, RuntimeError>,
 ) -> Result<(), RuntimeError> {
     let mut fatal: Option<RuntimeError> = None;
     let start = Instant::now();
     std::thread::scope(|s| {
         let (tx, exits) = mpsc::channel::<(Receiver, Result<(), Halt>, P)>();
-        let spawn = |proc: usize, incarnation: u32, mut point: P, resume: Resume| {
+        let spawn = |mut rx: Receiver, mut point: P| {
             let (tx, work) = (tx.clone(), &work);
-            let mut rx = Receiver::new(proc, cfg, ctl.chaos.worker(proc, incarnation), resume);
             s.spawn(move || {
                 let run = std::panic::AssertUnwindSafe(|| work(&mut rx, &mut point));
                 let outcome = std::panic::catch_unwind(run)
@@ -166,7 +177,7 @@ pub(crate) fn supervise<P: Send>(
                 let _ = tx.send((rx, outcome, point));
             });
         };
-        (0..workers).for_each(|w| spawn(w, 0, first(w), Resume::default()));
+        (0..workers).for_each(|w| spawn(Receiver::new(w, cfg, ctl.chaos.worker(w, 0)), first(w)));
 
         let mut live = workers;
         let mut budget = cfg.respawn_budget;
@@ -190,27 +201,29 @@ pub(crate) fn supervise<P: Send>(
                             debug_assert!(crash.is_crash());
                             stats.worker_crashes += 1;
                             let t0 = Instant::now();
-                            // Containment comes first and runs even when the
-                            // run is already lost or the budget is spent: the
-                            // log must stay dense for the survivors.
                             let cause = crash.describe();
-                            recover(stats, &dead, point).and_then(|(point, resume)| match budget {
+                            recover(&dead, point).and_then(|point| match budget {
                                 0 => Err(RuntimeError::WorkerDied {
                                     proc: dead.proc,
                                     slot: dead.claimed_unpublished,
                                     detail: format!("{cause}; respawn budget exhausted"),
                                 }),
-                                _ => Ok(Some((dead.proc, point, resume, t0))),
+                                _ => Ok(Some((dead, point, t0))),
                             })
                         }
                     }
                 }
             };
             match step {
-                Ok(Some((proc, point, resume, t0))) if fatal.is_none() => {
+                Ok(Some((dead, point, t0))) if fatal.is_none() => {
                     budget -= 1;
-                    incarnations[proc] += 1;
-                    spawn(proc, incarnations[proc], point, resume);
+                    incarnations[dead.proc] += 1;
+                    let chaos = ctl.chaos.worker(dead.proc, incarnations[dead.proc]);
+                    let mut heir = Receiver::new(dead.proc, cfg, chaos);
+                    heir.serial = dead.serial;
+                    heir.claimed_unpublished = dead.claimed_unpublished;
+                    stats.adopted_slots += u64::from(heir.claimed_unpublished.is_some());
+                    spawn(heir, point);
                     live += 1;
                     stats.respawns += 1;
                     stats.recovery_ns += t0.elapsed().as_nanos() as u64;

@@ -169,7 +169,7 @@ pub enum RuntimeError {
         /// The dead processor (TM workload thread / TLS pool worker).
         proc: usize,
         /// The bus slot it held claimed-but-unpublished, if any (the
-        /// slot the supervisor fenced).
+        /// slot a respawn would have adopted).
         slot: Option<usize>,
         /// Human-readable cause (panic message, kill point, budget).
         detail: String,

@@ -35,13 +35,11 @@ pub struct ParStats {
     pub worker_crashes: u64,
     /// Workers respawned after a death, from their last publish.
     pub respawns: u64,
-    /// Fence tombstones published into dead workers' orphaned slots
-    /// (TM; the TLS engine adopts the claimed slot instead).
-    pub fences: u64,
-    /// Claimed slots a respawned TLS worker adopted and republished.
+    /// Claimed slots the supervisor handed to a respawned worker, which
+    /// publishes into them (either engine).
     pub adopted_slots: u64,
-    /// Wall-clock nanoseconds spent in supervisor recovery (fencing, the
-    /// boundary's check against the log, respawn).
+    /// Wall-clock nanoseconds spent in supervisor recovery (the recovery
+    /// point's check against the log, respawn).
     pub recovery_ns: u64,
     /// Chaos-injected worker stalls actually slept through.
     pub injected_stalls: u64,
@@ -78,7 +76,6 @@ impl ParStats {
             ("records", self.records),
             ("worker_crashes", self.worker_crashes),
             ("respawns", self.respawns),
-            ("fences", self.fences),
             ("adopted_slots", self.adopted_slots),
             ("recovery_ns", self.recovery_ns),
             ("injected_stalls", self.injected_stalls),
@@ -116,11 +113,8 @@ impl ParStats {
     ///   the broadcast write signature (no false negatives, the paper's
     ///   one-sided error guarantee).
     ///
-    /// [`RecordKind::Fence`] tombstones participate in density, claim and
-    /// ticket-uniqueness checks like any record — a fenced log is still
-    /// dense and exactly-once — but carry no ordinal or write set, so the
-    /// program-order and containment checks skip them; a store carries an
-    /// address and no signature to contain it.
+    /// A store carries an address and no signature to contain it, so the
+    /// containment check skips it.
     ///
     /// The ticket set and the ordinal map are sized once from the tail and
     /// hash with the fixed [`AddrHasher`]: their keys are tickets and
@@ -280,25 +274,23 @@ mod tests {
     }
 
     #[test]
-    fn a_clean_log_with_a_fence_and_a_bare_store_seals_without_violations() {
+    fn a_clean_log_with_a_bare_store_seals_without_violations() {
         let ticket = |serial| CommitTicket { committer: 1, serial };
         let store = BusRecord {
             exact_w: vec![line(9)],
             ..BusRecord::bare(ticket(0), 1, 0, RecordKind::NonTxStore, 1)
         };
-        let fence = BusRecord::bare(ticket(1), 1, 0, RecordKind::Fence, 2);
-        // Thread 1's first commit comes after its store and its fence.
-        let late = BusRecord { ticket: ticket(2), ordinal: 0, ..commit(3) };
-        let stats =
-            sealed(vec![Some(commit(0)), Some(store), Some(fence), Some(late), Some(commit(4))], 5);
+        // Thread 1's first commit comes after its store.
+        let late = BusRecord { ticket: ticket(1), ordinal: 0, ..commit(3) };
+        let stats = sealed(vec![Some(commit(0)), Some(store), Some(commit(2)), Some(late)], 4);
         assert!(stats.violations.is_empty(), "{:?}", stats.violations);
-        assert_eq!(stats.records, 5);
+        assert_eq!(stats.records, 4);
         let history: Vec<(u32, u64, u64)> =
             stats.history.iter().map(|e| (e.thread, e.ordinal, e.at)).collect();
-        assert_eq!(history, vec![(0, 0, 0), (1, 0, 3), (0, 2, 4)]);
+        assert_eq!(history, vec![(0, 0, 0), (0, 1, 2), (1, 0, 3)]);
         // The record count, then per record claim + ticket, per commit its
         // ordinal and per line of a signed record its containment.
-        assert_eq!(stats.audit_checks, 1 + 5 * 2 + 3 + 3);
+        assert_eq!(stats.audit_checks, 1 + 4 * 2 + 3 + 3);
     }
 
     #[test]

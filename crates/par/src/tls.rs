@@ -18,14 +18,13 @@
 //!
 //! # Fault model
 //!
-//! The slot-per-task invariant rules out TM-style fence tombstones (a
-//! fenced slot would leave its task uncommitted and break the in-order
-//! audit), so a dead worker's claimed-but-unpublished slot is instead
-//! *adopted*: the respawned incarnation resumes at its first
-//! unpublished stride task, skips the already-won claim, and publishes
-//! into the orphaned slot itself — and holds it from its first
-//! instruction, so an adopter that dies before publishing hands the slot
-//! on again. The supervisor repairs the commit token from the published
+//! A dead worker's claimed-but-unpublished slot is *adopted*, by the
+//! rule [`supervise`] applies to both engines: the respawned incarnation
+//! resumes at its first unpublished stride task — the task that slot
+//! belongs to — skips the already-won claim, and publishes into the
+//! orphaned slot itself; it holds the slot from its first instruction,
+//! so an adopter that dies before publishing hands the slot on again.
+//! The supervisor repairs the commit token from the published
 //! prefix (a worker can in principle die between publish and token
 //! hand-off); the token only moves forward, since both of its writers
 //! advance it with `fetch_max`. Every spin site checks the abort flag
@@ -34,7 +33,7 @@
 
 use crate::bus::{BusLog, BusRecord, RecordKind};
 use crate::config::ParConfig;
-use crate::receiver::{Receiver, Resume, SpecSets};
+use crate::receiver::{Receiver, SpecSets};
 use crate::recover::{supervise, Halt, RunControl};
 use crate::runtime::RuntimeError;
 use crate::stats::ParStats;
@@ -92,9 +91,9 @@ pub fn run_par_tls(
             }
             rx.drain_for_apply_kill(&log, &ctl, tasks.len())
         },
-        // Killed or panicked: repair the token, respawn with adoption of
-        // any orphaned claim.
-        |stats, dead, _| {
+        // Killed or panicked: repair the token and resume at the dead
+        // worker's first unpublished task, the slot it held if any.
+        |dead, _| {
             // A worker can die between publishing task T and passing the
             // token on; re-derive the token from the published prefix so
             // T+1's owner is not stranded.
@@ -110,17 +109,13 @@ pub fn run_par_tls(
                 resume += workers;
             }
             match dead.claimed_unpublished {
-                Some(slot) if slot != resume => {
-                    return Err(RuntimeError::ProtocolBug(format!(
-                        "dead worker {} claimed slot {slot} but its first \
-                         unpublished task is {resume}",
-                        dead.proc
-                    )))
-                }
-                Some(_) => stats.adopted_slots += 1,
-                None => {}
+                Some(slot) if slot != resume => Err(RuntimeError::ProtocolBug(format!(
+                    "dead worker {} claimed slot {slot} but its first \
+                     unpublished task is {resume}",
+                    dead.proc
+                ))),
+                _ => Ok(resume),
             }
-            Ok((resume, Resume { serial: 0, adopt: dead.claimed_unpublished }))
         },
     )?;
 
@@ -336,7 +331,6 @@ mod tests {
         assert_eq!(s.worker_crashes, 1);
         assert_eq!(s.respawns, 1);
         assert_eq!(s.adopted_slots, 1, "the orphaned claim was adopted");
-        assert_eq!(s.fences, 0, "TLS never fences: slot i must hold task i");
         assert!(s.violations.is_empty(), "{:?}", s.violations);
         let order: Vec<u32> = s.history.iter().map(|e| e.thread).collect();
         assert_eq!(order, (0..8).collect::<Vec<_>>());
@@ -348,7 +342,7 @@ mod tests {
         let ctl = RunControl::new("par/tls/Bulk".into(), 2, &cfg);
         let (log, next_commit) = (BusLog::new(2), AtomicUsize::new(0));
         let sig_config = SignatureConfig::s14_tm().into_shared();
-        let receiver = |w| Receiver::new(w, &cfg, ctl.chaos.worker(w, 0), Resume::default());
+        let receiver = |w| Receiver::new(w, &cfg, ctl.chaos.worker(w, 0));
         let (x, y, z) = (Addr::new(0x4000), Addr::new(0x5000), Addr::new(0x6000));
 
         // Task 1 ran ahead: it read x before task 0 committed its store to

@@ -21,12 +21,11 @@
 //!   lines squash exactly as in the sim.
 //!
 //! Termination is unconditional: the log holds exactly one record per
-//! outer transaction and non-transactional store (plus one fence per
-//! crash), each record squashes each thread at most once (a receiver's
-//! cursor passes each slot once), and every failed
-//! commit CAS implies another thread's commit was published. Squashes
-//! are therefore bounded by `records × threads` and no livelock or
-//! escalation path is needed.
+//! outer transaction and store, each record squashes each thread at
+//! most once (a receiver's cursor passes each slot once), and every
+//! failed commit CAS implies another thread's commit was published.
+//! Squashes are therefore bounded by `records × threads` and no
+//! livelock or escalation path is needed.
 //!
 //! # Fault model
 //!
@@ -35,24 +34,29 @@
 //! each worker reports a typed [`Halt`] to the supervisor
 //! ([`supervise`], shared with the TLS engine), which
 //!
-//! 1. *fences* the dead worker's claimed-but-unpublished bus slot with
-//!    a [`RecordKind::Fence`] tombstone (fresh ticket), so the log stays
-//!    dense and survivors stop spinning;
-//! 2. *checks* the worker's last boundary — the pc just past its most
-//!    recent publish — against the published log;
-//! 3. *respawns* the processor from that boundary, with a fresh
+//! 1. *checks* the worker's last boundary — the pc just past its most
+//!    recent publish — and the slot it held, if any, against the
+//!    published log;
+//! 2. *respawns* the processor from that boundary, with a fresh
 //!    [`Receiver`] whose cursor starts at 0 and replays the whole log —
 //!    exactly-once `W_C` application holds across the crash because the
 //!    new incarnation's state is fresh, its cursor passes each slot once,
-//!    and the worker's own old records never squash it.
+//!    and the worker's own old records never squash it;
+//! 3. hands the respawn the slot its dead incarnation claimed and never
+//!    published. No claim can pass an unpublished slot, so it is the
+//!    log's last, every record before it is published, and the log stops
+//!    growing until the adopter publishes: its replay ends at the slot
+//!    with no verdict (depth 0), and since the trace is fixed and the
+//!    boundary moves only on a publish, it re-executes to the same
+//!    operation with the same ordinal and publishes it into the slot.
 //!
 //! A hung (rather than dead) peer is caught by the wall-clock watchdog:
 //! every spin site checks the bound and turns a stall into a typed
 //! `LivenessViolation` carrying the replay seed.
 
-use crate::bus::{BusLog, BusRecord, CommitTicket, RecordKind};
+use crate::bus::{BusLog, BusRecord, RecordKind};
 use crate::config::ParConfig;
-use crate::receiver::{Receiver, Resume, SpecSets};
+use crate::receiver::{Receiver, SpecSets};
 use crate::recover::{supervise, Halt, RunControl};
 use crate::runtime::RuntimeError;
 use crate::stats::ParStats;
@@ -96,8 +100,8 @@ pub fn run_par_tm(
         }
     }
     // One pass per thread checks its nesting and counts its broadcasts —
-    // one per outer transaction and per non-transactional store — so the
-    // log needs only crash-fence slack beyond the sum.
+    // one per outer transaction and per non-transactional store — which
+    // sum to the log's exact size.
     let mut capacity = 0;
     for (i, t) in workload.threads.iter().enumerate() {
         capacity += t
@@ -109,9 +113,7 @@ pub fn run_par_tm(
     let sig_config = SignatureConfig::s14_tm().into_shared();
     let sets = || SpecSets::new(scheme.uses_signatures(), sig_config.clone());
     let ctl = RunControl::new(format!("par/tm/{scheme}"), n, cfg);
-    // Every crash can orphan at most one claimed slot, which the
-    // supervisor fences; the log needs slack for those extra records.
-    let log = BusLog::new((capacity + ctl.chaos.crash_bound()).max(1));
+    let log = BusLog::new(capacity.max(1));
 
     let mut stats = ParStats { per_thread_commits: vec![0; n], ..ParStats::default() };
     supervise(
@@ -125,31 +127,14 @@ pub fn run_par_tm(
             TmWorker::resume(sets(), boundary).run(rx, ops, &log, &ctl)?;
             rx.drain_for_apply_kill(&log, &ctl, capacity)
         },
-        // Killed or panicked: fence, check, respawn from the boundary.
-        |stats, dead, boundary| {
-            let mut serial = dead.serial;
-            if let Some(slot) = dead.claimed_unpublished {
-                // The orphaned slot would hang every survivor's poll; the
-                // fence tombstone keeps the log dense. It consumes
-                // `serial`, so the respawn starts past it.
-                let ticket = CommitTicket { committer: dead.proc, serial };
-                let fence = BusRecord::bare(ticket, dead.proc, 0, RecordKind::Fence, slot);
-                log.publish(slot, fence).map_err(|_| {
-                    RuntimeError::ProtocolBug(format!(
-                        "fence for dead worker {} hit occupied slot {slot}",
-                        dead.proc
-                    ))
-                })?;
-                stats.fences += 1;
-                ctl.progress();
-                serial += 1;
-            }
-            verify_tm_resume(&log, dead.proc, &boundary)?;
-            Ok((boundary, Resume { serial, adopt: None }))
+        // Killed or panicked: check, then respawn from the boundary.
+        |dead, boundary| {
+            verify_tm_resume(&log, dead.proc, dead.claimed_unpublished, &boundary)?;
+            Ok(boundary)
         },
     )?;
 
-    stats.seal(&log, &ctl, n, capacity as u64 + stats.fences);
+    stats.seal(&log, &ctl, n, capacity as u64);
     for ev in &stats.history {
         stats.per_thread_commits[ev.thread as usize] += 1;
     }
@@ -158,10 +143,24 @@ pub fn run_par_tm(
 
 /// Pre-respawn check: the dead worker's boundary ordinals must match
 /// what the worker actually published — the log is the ground truth a
-/// stale boundary can't survive.
-fn verify_tm_resume(log: &BusLog, proc: usize, boundary: &Boundary) -> Result<(), RuntimeError> {
+/// stale boundary can't survive — and a slot it `held` must be the
+/// log's last claimed slot, still unpublished, which is what lets the
+/// respawn adopt it.
+fn verify_tm_resume(
+    log: &BusLog,
+    proc: usize,
+    held: Option<usize>,
+    boundary: &Boundary,
+) -> Result<(), RuntimeError> {
+    let tail = log.tail();
+    if let Some(slot) = held.filter(|&slot| tail != slot + 1 || log.get(slot).is_some()) {
+        return Err(RuntimeError::ProtocolBug(format!(
+            "worker {proc} held slot {slot}, which is not the log's unpublished \
+             last slot (tail {tail})"
+        )));
+    }
     let (mut commits, mut stores) = (0u64, 0u64);
-    for i in 0..log.tail() {
+    for i in 0..tail {
         let Some(rec) = log.get(i) else { continue };
         if rec.thread as usize != proc {
             continue;
@@ -169,7 +168,6 @@ fn verify_tm_resume(log: &BusLog, proc: usize, boundary: &Boundary) -> Result<()
         match rec.kind {
             RecordKind::Commit => commits += 1,
             RecordKind::NonTxStore => stores += 1,
-            RecordKind::Fence => {}
         }
     }
     if commits != boundary.commit_ordinal || stores != boundary.non_tx_ordinal {
@@ -335,6 +333,7 @@ impl<'a> TmWorker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::CommitTicket;
     use bulk_chaos::{CrashPoint, KillSpec};
     use bulk_mem::Addr;
     use bulk_trace::ThreadTrace;
@@ -455,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn a_publish_point_kill_is_fenced_and_recovered() {
+    fn a_publish_point_kill_is_adopted_and_recovered() {
         let wl = workload(vec![
             [tx(&[(true, 0x1000)]), tx(&[(true, 0x1040)])].concat(),
             [tx(&[(true, 0x8000)]), tx(&[(true, 0x8040)])].concat(),
@@ -468,10 +467,38 @@ mod tests {
         assert_eq!(s.commits, 4, "every transaction still commits");
         assert_eq!(s.worker_crashes, 1);
         assert_eq!(s.respawns, 1);
-        assert_eq!(s.fences, 1, "the orphaned slot was fenced");
-        assert_eq!(s.records as u64, 4 + s.fences, "log stays dense");
+        assert_eq!(s.adopted_slots, 1, "the orphaned slot was adopted");
+        assert_eq!(s.records, 4, "one record per transaction");
         assert!(s.violations.is_empty(), "{:?}", s.violations);
         assert_eq!(s.per_thread_commits, vec![2, 2]);
+    }
+
+    #[test]
+    fn a_held_slot_must_be_the_logs_unpublished_last_slot() {
+        // Thread 1 published slot 0; `claims` more slots are claimed, and
+        // `published` says whether the last one was published by thread 1.
+        let log_with = |claims: usize, published: bool| {
+            let log = BusLog::new(3);
+            for slot in 0..=claims {
+                assert!(log.try_claim(slot));
+            }
+            let rec = |slot: usize| {
+                let ticket = CommitTicket { committer: 1, serial: slot as u64 };
+                BusRecord::bare(ticket, 1, slot as u64, RecordKind::Commit, slot)
+            };
+            log.publish(0, rec(0)).unwrap();
+            if published {
+                log.publish(claims, rec(claims)).unwrap();
+            }
+            log
+        };
+        let check = |log: &BusLog, held| verify_tm_resume(log, 0, held, &Boundary::default());
+        assert!(check(&log_with(1, false), Some(1)).is_ok(), "holds tail - 1");
+        assert!(check(&log_with(1, false), None).is_ok(), "holds nothing");
+        let below = check(&log_with(2, false), Some(1));
+        assert!(matches!(below, Err(RuntimeError::ProtocolBug(ref m)) if m.contains("slot 1")));
+        let published = check(&log_with(1, true), Some(1));
+        assert!(matches!(published, Err(RuntimeError::ProtocolBug(ref m)) if m.contains("tail 2")));
     }
 
     #[test]

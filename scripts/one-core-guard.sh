@@ -40,6 +40,10 @@
 #    its word group, not word by word; a seal XORs one basis CRC per set
 #    bit instead of running the byte tables over every flat word; and the
 #    machines' scheduler scans are the shared branch-free `earliest`.
+# 12. One recovery rule (DESIGN.md §13): on either par engine a respawn
+#    adopts the slot its dead incarnation held, so the bus log carries
+#    only commits and stores. No fence tombstone, no fence count, no
+#    crash slack in the log's size and no separate resume hand-over.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -160,6 +164,12 @@ fn_hits 'min_by_key' crates/tm/src/machine.rs pick_runnable && probe=1
 fn_hits 'min_by_key' crates/tls/src/machine.rs pick_proc free_proc assign_tasks && probe=1
 if [ "$probe" -eq 1 ]; then
   echo "one-core guard: a line test is one probe; no per-word expansion, no byte-table seal, no min_by_key scheduler scan"
+  fail=1
+fi
+
+if nontest_hits 'RecordKind::Fence|^[[:space:]]*Fence,|fences|crash_bound|struct Resume' \
+  crates/par/src/*.rs crates/chaos/src/thread.rs $(find crates/cli/src -name '*.rs' | sort); then
+  echo "one-core guard: one recovery rule; a respawn adopts its held slot, no fence record, count or log slack"
   fail=1
 fi
 

@@ -33,9 +33,10 @@ echo "front-door guard: OK"
 # exactly-once by the log cursor (no dedup filter, stress plan or bus
 # epoch; a forward-only TLS commit token), one owner per count, an
 # arbiter crash as bus time, no checkpoint proof (a spill/reload round
-# trip is a property test, not a run-time check), and a line test that is
-# one probe (word-group expansion, set-bit seal CRC, `earliest` scans).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe)"
+# trip is a property test, not a run-time check), a line test that is
+# one probe (word-group expansion, set-bit seal CRC, `earliest` scans),
+# and one par recovery rule (a respawn adopts its held slot; no fence).
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"
@@ -115,10 +116,10 @@ echo "audit-cost guard: OK"
 # Parallel-runtime crash smoke: --chaos under --runtime par arms the
 # real-thread fault preset (seeded worker kills at commit-protocol
 # points, injected stalls, delayed publishes). The supervisor must
-# fence/adopt the orphaned slot, respawn from the dead worker's last
-# publish and finish auditor-clean; a violation, a stall or a lost worker is a
-# nonzero exit. The crafty runs are long enough for kills to land while
-# peers wait on the TLS commit token.
+# respawn from the dead worker's last publish, hand the respawn the
+# orphaned slot to adopt, and finish auditor-clean; a violation, a stall
+# or a lost worker is a nonzero exit. The crafty runs are long enough for
+# kills to land while peers wait on the TLS commit token.
 echo "== par crash smoke ($BULK, tm mc + tls gzip at 2 seeds, tls crafty at 2 seeds)"
 for seed in 1 2; do
   "$BULK" tm  --app mc   --scheme bulk --seed "$seed" --txs 8   --runtime par --chaos > /dev/null
