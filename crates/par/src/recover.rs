@@ -34,7 +34,7 @@ pub(crate) enum Halt {
     Panicked(String),
     /// The wall-clock watchdog tripped while this worker was spinning.
     Stalled(LivenessViolation),
-    /// A protocol invariant broke (double publish, token misorder).
+    /// A protocol invariant broke (double publish, a lost TLS slot).
     Bug(String),
     /// The supervisor requested an abort; the worker unwound cleanly.
     Aborted,

@@ -177,8 +177,8 @@ pub enum RuntimeError {
     /// The run tripped a liveness bound — typically the wall-clock
     /// watchdog detecting a hung peer. Carries the replay seed.
     Liveness(bulk_live::LivenessViolation),
-    /// An internal protocol invariant broke (double publish, token
-    /// ordering, resume-state underflow). Always a bug, never a
+    /// An internal protocol invariant broke (double publish, a lost
+    /// TLS slot, resume-state underflow). Always a bug, never a
     /// workload problem.
     ProtocolBug(String),
 }
@@ -503,10 +503,16 @@ mod tests {
     #[test]
     fn sim_runtime_refuses_an_empty_workload_with_a_typed_error() {
         let tm = TmWorkload { name: "empty".into(), threads: Vec::new() };
-        let err = SimRuntime.run_tm(&tm, Scheme::Bulk, &SimConfig::tm_default()).unwrap_err();
-        assert!(matches!(err, RuntimeError::InvalidWorkload(_)), "{err}");
         let tls = TlsWorkload { name: "empty".into(), tasks: Vec::new() };
-        let err = SimRuntime.run_tls(&tls, TlsScheme::Bulk, &SimConfig::tls_default()).unwrap_err();
-        assert!(matches!(err, RuntimeError::InvalidWorkload(_)), "{err}");
+        // Both substrates refuse it with the sim machine's own message.
+        let runtimes: [&dyn Runtime; 2] = [&SimRuntime, &ParRuntime::default()];
+        for rt in runtimes {
+            let err = rt.run_tm(&tm, Scheme::Bulk, &SimConfig::tm_default()).unwrap_err();
+            let want = MachineError::EmptyWorkload { machine: "tm" }.to_string();
+            assert!(matches!(&err, RuntimeError::InvalidWorkload(m) if *m == want), "{err}");
+            let err = rt.run_tls(&tls, TlsScheme::Bulk, &SimConfig::tls_default()).unwrap_err();
+            let want = MachineError::EmptyWorkload { machine: "tls" }.to_string();
+            assert!(matches!(&err, RuntimeError::InvalidWorkload(m) if *m == want), "{err}");
+        }
     }
 }

@@ -24,7 +24,9 @@ pub struct ParStats {
     /// Commit-claim CAS attempts that lost the tail race and revalidated.
     pub claim_retries: u64,
     /// Iterations receivers spent waiting on a claimed-but-unpublished
-    /// slot: one worker's claim-to-publish window in another's way.
+    /// slot: one worker's claim-to-publish window in another's way. A
+    /// TLS successor that has executed its task waits here on its
+    /// predecessor's claimed slot.
     pub slot_wait_spins: u64,
     /// Non-transactional stores broadcast as individual records.
     pub non_tx_stores: u64,

@@ -4,12 +4,14 @@
 //! TLS semantics differ from TM in one essential way: tasks have a
 //! *total* predefined order, and task `i` may only commit after task
 //! `i-1`. The engine encodes that directly: bus slot `i` belongs to task
-//! `i`, an atomic `next_commit` counter is the commit token, and a
-//! worker publishes its task only when the token reaches it. Conflict
-//! detection is the paper's RAW rule — a predecessor's committed `W`
-//! intersecting the speculative task's `R` restarts the task — checked
-//! with signatures (Bulk) or exact sets (Lazy), with the exact oracle
-//! always run alongside to classify aliasing restarts.
+//! `i`, and the log is the commit order — a worker claims its task's
+//! slot once its cursor reaches it, that is, once it has applied every
+//! predecessor's record. Conflict detection is the paper's RAW rule — a
+//! predecessor's committed `W` intersecting the speculative task's `R`
+//! restarts the task — checked with signatures (Bulk) or exact sets
+//! (Lazy), with the exact oracle always run alongside to classify
+//! aliasing restarts. TM and TLS differ only in which slot they may
+//! claim: TM any validated tail, TLS its own.
 //!
 //! `Spawn` ops are no-ops here: the task list is fully materialized by
 //! the trace, and the round-robin deal hands every worker its next task
@@ -22,14 +24,14 @@
 //! rule [`supervise`] applies to both engines: the respawned incarnation
 //! resumes at its first unpublished stride task — the task that slot
 //! belongs to — skips the already-won claim, and publishes into the
-//! orphaned slot itself; it holds the slot from its first instruction,
+//! orphaned slot itself, stamping its ticket past every serial the dead
+//! incarnation consumed; it holds the slot from its first instruction,
 //! so an adopter that dies before publishing hands the slot on again.
-//! The supervisor repairs the commit token from the published
-//! prefix (a worker can in principle die between publish and token
-//! hand-off); the token only moves forward, since both of its writers
-//! advance it with `fetch_max`. Every spin site checks the abort flag
-//! and the wall-clock watchdog, so worker death or a hung peer becomes
-//! a typed error rather than a process abort or an infinite spin.
+//! A death between a publish and the next task leaves nothing to
+//! repair: the successor's cursor reads the published slot like any
+//! other. Every spin site checks the abort flag and the wall-clock
+//! watchdog, so worker death or a hung peer becomes a typed error rather
+//! than a process abort or an infinite spin.
 
 use crate::bus::{BusLog, BusRecord, RecordKind};
 use crate::config::ParConfig;
@@ -37,11 +39,10 @@ use crate::receiver::{Receiver, SpecSets};
 use crate::recover::{supervise, Halt, RunControl};
 use crate::runtime::RuntimeError;
 use crate::stats::ParStats;
-use bulk_chaos::InvariantKind;
+use bulk_chaos::{InvariantKind, MachineError};
 use bulk_sig::SignatureConfig;
 use bulk_tls::TlsScheme;
-use bulk_trace::{TlsOp, TlsWorkload};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use bulk_trace::{TaskTrace, TlsOp, TlsWorkload};
 
 /// Runs `workload` under the parallel runtime. `Bulk`, `BulkNoOverlap`
 /// (identical here: Partial Overlap is a cache-warmup optimization with
@@ -52,27 +53,35 @@ pub fn run_par_tls(
     scheme: TlsScheme,
     cfg: &ParConfig,
 ) -> Result<ParStats, RuntimeError> {
-    let use_sigs = match scheme {
-        TlsScheme::Bulk | TlsScheme::BulkNoOverlap => true,
-        TlsScheme::Lazy => false,
-        TlsScheme::Eager => {
-            return Err(RuntimeError::UnsupportedScheme {
-                runtime: "par",
-                scheme: "Eager".into(),
-                why: "eager TLS squashes at remote store time; the broadcast-log \
-                      substrate only orders commits",
-            })
-        }
-    };
+    if workload.tasks.is_empty() {
+        let empty = MachineError::EmptyWorkload { machine: "tls" };
+        return Err(RuntimeError::InvalidWorkload(empty.to_string()));
+    }
+    if scheme == TlsScheme::Eager {
+        return Err(RuntimeError::UnsupportedScheme {
+            runtime: "par",
+            scheme: "Eager".into(),
+            why: "eager TLS squashes at remote store time; the broadcast-log \
+                  substrate only orders commits",
+        });
+    }
     for (i, t) in workload.tasks.iter().enumerate() {
         t.validate().map_err(|e| RuntimeError::InvalidWorkload(format!("task {i}: {e}")))?;
     }
+    run_on(&BusLog::new(workload.tasks.len()), &workload.tasks, scheme, cfg)
+}
 
+/// [`run_par_tls`] past its checks: runs `tasks` to their in-order
+/// commits in `log`, one slot per task.
+fn run_on(
+    log: &BusLog,
+    tasks: &[TaskTrace],
+    scheme: TlsScheme,
+    cfg: &ParConfig,
+) -> Result<ParStats, RuntimeError> {
+    let use_sigs = scheme != TlsScheme::Lazy;
     let sig_config = SignatureConfig::s14_tm().into_shared();
-    let tasks = &workload.tasks;
-    let workers = cfg.tls_workers.max(1).min(tasks.len().max(1));
-    let log = BusLog::new(tasks.len().max(1));
-    let next_commit = AtomicUsize::new(0);
+    let workers = cfg.tls_workers.max(1).min(tasks.len());
     let ctl = RunControl::new(format!("par/tls/{scheme:?}"), workers, cfg);
 
     let mut stats = ParStats { per_thread_commits: vec![0; workers], ..ParStats::default() };
@@ -86,24 +95,14 @@ pub fn run_par_tls(
         |rx, task| {
             let mut sets = SpecSets::new(use_sigs, sig_config.clone());
             while *task < tasks.len() {
-                run_task(rx, &mut sets, *task, &tasks[*task].ops, &log, &next_commit, &ctl)?;
+                run_task(rx, &mut sets, *task, &tasks[*task].ops, log, &ctl)?;
                 *task += workers;
             }
-            rx.drain_for_apply_kill(&log, &ctl, tasks.len())
+            rx.drain_for_apply_kill(log, &ctl, tasks.len())
         },
-        // Killed or panicked: repair the token and resume at the dead
-        // worker's first unpublished task, the slot it held if any.
+        // Killed or panicked: resume at the dead worker's first
+        // unpublished task, the slot it held if any.
         |dead, _| {
-            // A worker can die between publishing task T and passing the
-            // token on; re-derive the token from the published prefix so
-            // T+1's owner is not stranded.
-            let mut nc = next_commit.load(Ordering::Acquire);
-            while nc < tasks.len() && log.get(nc).is_some() {
-                nc += 1;
-            }
-            next_commit.fetch_max(nc, Ordering::AcqRel);
-            // The respawn resumes at the first unpublished task of the
-            // dead worker's stride.
             let mut resume = dead.proc;
             while resume < tasks.len() && log.get(resume).is_some() {
                 resume += workers;
@@ -119,7 +118,7 @@ pub fn run_par_tls(
         },
     )?;
 
-    stats.seal(&log, &ctl, workers, tasks.len() as u64);
+    stats.seal(log, &ctl, workers, tasks.len() as u64);
     for (i, ev) in stats.history.iter().enumerate() {
         stats.per_thread_commits[ev.thread as usize % workers] += 1;
         stats.audit_checks += 1;
@@ -154,7 +153,6 @@ fn run_task(
     task: usize,
     ops: &[TlsOp],
     log: &BusLog,
-    next_commit: &AtomicUsize,
     ctl: &RunControl,
 ) -> Result<(), Halt> {
     'attempt: loop {
@@ -171,13 +169,13 @@ fn run_task(
             }
         }
         rx.flush_dwell();
-        if commit_in_order(rx, sets, task, log, next_commit, ctl)? {
+        if commit_in_order(rx, sets, task, log, ctl)? {
             return Ok(());
         }
     }
 }
 
-/// Commits an executed `task` when the in-order token reaches it.
+/// Commits an executed `task` once the cursor reaches its slot.
 /// `Ok(false)`: a predecessor's commit squashed the attempt first and
 /// nothing was published.
 ///
@@ -190,49 +188,34 @@ fn commit_in_order(
     sets: &SpecSets,
     task: usize,
     log: &BusLog,
-    next_commit: &AtomicUsize,
     ctl: &RunControl,
 ) -> Result<bool, Halt> {
     let (w_sig, exact_w) = sets.commit_payload();
-    // Wait for the in-order commit token, still vulnerable to
-    // predecessor commits while waiting.
-    while next_commit.load(Ordering::Acquire) != task {
+    // Apply every predecessor's record, each of which can still squash
+    // the attempt. Only this task's owner claims slot `task`, so the log
+    // cannot pass it, and once the cursor is there the log holds exactly
+    // the `task` predecessors.
+    loop {
         if poll(rx, sets, log, ctl)? {
             return Ok(false);
+        }
+        if rx.cursor >= task {
+            break;
         }
         ctl.check_spin(rx.proc)?;
         std::hint::spin_loop();
         std::thread::yield_now();
     }
-    // Drain anything committed between the token check and now:
-    // the token is ours, so after this poll the log is exactly
-    // our `task` predecessors and can no longer grow under us.
-    if poll(rx, sets, log, ctl)? {
-        return Ok(false);
-    }
-    if rx.cursor != task {
+    if rx.cursor != task || !rx.claim(log, task)? {
         return Err(Halt::Bug(format!(
-            "commit token granted out of order: validated {} records for task {task}",
+            "task {task} lost its own slot: validated {} records",
             rx.cursor
         )));
-    }
-    // `(committer, serial)` must be globally unique: the worker index
-    // plus the task index (a task commits exactly once, even across
-    // incarnations — an adopted slot's ticket was never published).
-    rx.serial = task as u64;
-    if !rx.claim(log, task)? {
-        return Err(Halt::Bug(format!("task {task} lost an uncontended claim")));
     }
     rx.publish(log, ctl, task, |ticket| {
         let bare = BusRecord::bare(ticket, task, 0, RecordKind::Commit, task);
         BusRecord { w_sig, exact_w, ..bare }
     })?;
-    // Forward only: the supervisor's token repair may already have moved
-    // the token past `task`, and the next task's owner may have published
-    // and passed it on since. A plain store would move it back to a task
-    // that is already published, and nobody would pass it on again.
-    // `Release` pairs with the waiting successor's `Acquire` load.
-    next_commit.fetch_max(task + 1, Ordering::Release);
     rx.stats.commits += 1;
     Ok(true)
 }
@@ -240,9 +223,9 @@ fn commit_in_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::CommitTicket;
     use bulk_chaos::{CrashPoint, KillSpec};
     use bulk_mem::Addr;
-    use bulk_trace::TaskTrace;
 
     fn task(ops: Vec<TlsOp>) -> TaskTrace {
         TaskTrace { ops }
@@ -326,7 +309,8 @@ mod tests {
             kills: vec![KillSpec { proc: 1, point: CrashPoint::Publish, at: 0 }],
             ..ParConfig::default()
         };
-        let s = run_par_tls(&wl, TlsScheme::Bulk, &cfg).unwrap();
+        let log = BusLog::new(wl.tasks.len());
+        let s = run_on(&log, &wl.tasks, TlsScheme::Bulk, &cfg).unwrap();
         assert_eq!(s.commits, 8, "every task still commits in order");
         assert_eq!(s.worker_crashes, 1);
         assert_eq!(s.respawns, 1);
@@ -334,23 +318,27 @@ mod tests {
         assert!(s.violations.is_empty(), "{:?}", s.violations);
         let order: Vec<u32> = s.history.iter().map(|e| e.thread).collect();
         assert_eq!(order, (0..8).collect::<Vec<_>>());
+        // Worker 1's first claim was task 1's slot; the kill consumed
+        // serial 0 there, so the adopter publishes past it.
+        let rec = log.get(1).expect("the adopted slot was published");
+        assert_eq!(rec.ticket, CommitTicket { committer: 1, serial: 1 });
     }
 
     #[test]
     fn a_task_squashed_while_waiting_for_the_token_publishes_its_re_execution() {
         let cfg = ParConfig::default();
         let ctl = RunControl::new("par/tls/Bulk".into(), 2, &cfg);
-        let (log, next_commit) = (BusLog::new(2), AtomicUsize::new(0));
+        let log = BusLog::new(2);
         let sig_config = SignatureConfig::s14_tm().into_shared();
         let receiver = |w| Receiver::new(w, &cfg, ctl.chaos.worker(w, 0));
         let (x, y, z) = (Addr::new(0x4000), Addr::new(0x5000), Addr::new(0x6000));
 
         // Task 1 ran ahead: it read x before task 0 committed its store to
-        // x, and now waits for the token with its W_C already prepared.
+        // x, and now waits for its slot with its W_C already prepared.
         let (mut rx1, mut sets1) = (receiver(1), SpecSets::new(true, sig_config.clone()));
         sets1.read(x);
         sets1.write(y);
-        // Task 0 publishes {x}; the token has not been handed on yet.
+        // Task 0 publishes {x} into slot 0.
         let (mut rx0, mut sets0) = (receiver(0), SpecSets::new(true, sig_config));
         sets0.write(x);
         let (w_sig, exact_w) = sets0.commit_payload();
@@ -363,22 +351,21 @@ mod tests {
 
         // The waiting poll applies task 0's record: RAW on x. The attempt
         // ends there, and the prepared payload goes with it.
-        let committed = commit_in_order(&mut rx1, &sets1, 1, &log, &next_commit, &ctl);
+        let committed = commit_in_order(&mut rx1, &sets1, 1, &log, &ctl);
         assert!(matches!(committed, Ok(false)));
         assert_eq!((rx1.stats.squashes, rx1.cursor, log.tail()), (1, 1, 1));
         assert!(log.get(1).is_none(), "nothing of the squashed attempt reached the bus");
 
         // Re-execution sees task 0's x and takes another path: it writes z.
-        next_commit.store(1, Ordering::Release);
         sets1.clear();
         sets1.read(x);
         sets1.write(z);
-        let committed = commit_in_order(&mut rx1, &sets1, 1, &log, &next_commit, &ctl);
+        let committed = commit_in_order(&mut rx1, &sets1, 1, &log, &ctl);
         assert!(matches!(committed, Ok(true)));
-        assert_eq!(next_commit.load(Ordering::Acquire), 2);
         let rec = log.get(1).expect("task 1 published");
         assert_eq!(rec.exact_w, vec![z.line(64)], "the re-execution's W, not the squashed y");
-        assert_eq!(rec.ticket.serial, 1, "serial = task");
+        let own = CommitTicket { committer: 1, serial: 0 };
+        assert_eq!(rec.ticket, own, "the worker's own first serial, not the task index");
 
         // Containment, density, claim == validated prefix, ticket uniqueness.
         let mut stats = ParStats::default();

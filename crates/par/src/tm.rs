@@ -60,6 +60,7 @@ use crate::receiver::{Receiver, SpecSets};
 use crate::recover::{supervise, Halt, RunControl};
 use crate::runtime::RuntimeError;
 use crate::stats::ParStats;
+use bulk_chaos::MachineError;
 use bulk_mem::LineAddr;
 use bulk_sig::SignatureConfig;
 use bulk_tm::Scheme;
@@ -88,6 +89,10 @@ pub fn run_par_tm(
     scheme: Scheme,
     cfg: &ParConfig,
 ) -> Result<ParStats, RuntimeError> {
+    if workload.threads.is_empty() {
+        let empty = MachineError::EmptyWorkload { machine: "tm" };
+        return Err(RuntimeError::InvalidWorkload(empty.to_string()));
+    }
     match scheme {
         Scheme::Bulk | Scheme::Lazy => {}
         other => {

@@ -20,8 +20,9 @@
 # 7. Exactly-once is a cursor on both substrates (DESIGN.md §9, §13): a
 #    par receiver walks the log, a sim receiver applies round 0 of a
 #    broadcast's bus occupancy. No receiver filters re-deliveries, no
-#    stress plan injects them, the bus has no epoch, and the TLS commit
-#    token only moves forward (`fetch_max`, never a plain store).
+#    stress plan injects them, and the bus has no epoch. TLS has no
+#    commit token: the log is its order, so no `next_commit` or
+#    `fetch_max` hand-off, and TLS stamps tickets as TM does.
 # 8. A count has one owner (DESIGN.md §8, §19): the registry gets an
 #    end-of-run count once, from its owner's publish. No arbiter object
 #    keeps a second crash count, no handle mirrors a cycle breakdown or a
@@ -117,15 +118,16 @@ if nontest_hits 'Vec<Vec<CacheLine>>|num_sets[(][)]' crates/mem/src/cache.rs; th
 fi
 
 cursor=0
-nontest_hits 'StressConfig|bump_epoch|stress_redeliveries|next_commit[.]store[(]' \
+nontest_hits 'StressConfig|bump_epoch|stress_redeliveries|next_commit|fetch_max' \
   crates/par/src/*.rs && cursor=1
+nontest_hits 'serial[[:space:]]*=([^=]|$)' crates/par/src/tls.rs && cursor=1
 nontest_hits 'DedupFilter|record_application|duplicate_applications' \
   "${files[@]}" crates/sim/src/harness.rs && cursor=1
 for gone in crates/par/tests/stress.rs crates/live/tests/dedup_properties.rs; do
   [ -e "$gone" ] && { echo "$gone"; cursor=1; }
 done
 if [ "$cursor" -eq 1 ]; then
-  echo "one-core guard: exactly-once is a cursor; no dedup filter, stress plan, bus epoch or backward token store"
+  echo "one-core guard: exactly-once is a cursor and the log is the TLS order; no dedup filter, stress plan, bus epoch, commit token or ticket override"
   fail=1
 fi
 

@@ -31,12 +31,12 @@ echo "front-door guard: OK"
 # bus record that is W_C or an address (no read set, no second pass), a
 # flat cache (no Vec<Vec<CacheLine>>, no num_sets() per lookup), par
 # exactly-once by the log cursor (no dedup filter, stress plan or bus
-# epoch; a forward-only TLS commit token), one owner per count, an
+# epoch; no TLS commit token: the log is its order), one owner per count, an
 # arbiter crash as bus time, no checkpoint proof (a spill/reload round
 # trip is a property test, not a run-time check), a line test that is
 # one probe (word-group expansion, set-bit seal CRC, `earliest` scans),
 # and one par recovery rule (a respawn adopts its held slot; no fence).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule)"
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"
@@ -62,8 +62,9 @@ mv "$LEDGER_LOCK" benchmark/Cargo.lock
 # green runs (about 2 s each) are the proof, and a guard against its
 # return. The matrix includes TLS under the probabilistic chaos preset
 # (most of those 2 s: its injected stalls sleep), where an adopted slot
-# lost to a second death or a commit token moved backwards used to stall
-# a run until the watchdog tripped.
+# lost to a second death or a commit token moved backwards (the token
+# is gone: the log is the TLS order) used to stall a run until the
+# watchdog tripped.
 echo "== cargo test --test par_recovery x50"
 for i in $(seq 1 50); do
   out=$(cargo test -q --offline --locked --test par_recovery 2>&1) \
@@ -119,7 +120,7 @@ echo "audit-cost guard: OK"
 # respawn from the dead worker's last publish, hand the respawn the
 # orphaned slot to adopt, and finish auditor-clean; a violation, a stall
 # or a lost worker is a nonzero exit. The crafty runs are long enough for
-# kills to land while peers wait on the TLS commit token.
+# kills to land while peers wait on a predecessor's slot.
 echo "== par crash smoke ($BULK, tm mc + tls gzip at 2 seeds, tls crafty at 2 seeds)"
 for seed in 1 2; do
   "$BULK" tm  --app mc   --scheme bulk --seed "$seed" --txs 8   --runtime par --chaos > /dev/null

@@ -242,7 +242,7 @@ fn recovered_runs_compose_with_probabilistic_chaos() {
 #[test]
 fn recovered_tls_runs_compose_with_probabilistic_chaos() {
     // The TLS twin, long enough for the preset's kills to land while peers
-    // wait on the commit token and the supervisor repairs it.
+    // wait on a predecessor's slot, claimed or not yet claimed.
     let mut p = profiles::tls_profile("crafty").unwrap();
     p.tasks = 240;
     let sim_cfg = SimConfig::tls_default();
