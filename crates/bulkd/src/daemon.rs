@@ -75,7 +75,7 @@ impl Shared {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Sets the shutdown flag, cancels every non-terminal job, and wakes
+    /// Sets the shutdown flag, fails every non-terminal job, and wakes
     /// both accept loops (they block in `accept`; a throwaway connection
     /// lets them observe the flag and exit). Idempotent.
     pub(crate) fn begin_shutdown(&self) {
@@ -105,7 +105,7 @@ impl DaemonHandle {
         self.http_addr
     }
 
-    /// Initiates graceful shutdown: cancels every non-terminal job and
+    /// Initiates graceful shutdown: fails every non-terminal job and
     /// wakes the accept loops. Idempotent; does not block.
     pub fn shutdown(&self) {
         self.shared.begin_shutdown();

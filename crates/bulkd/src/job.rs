@@ -87,11 +87,8 @@ struct JobEntry {
     obs: Arc<Obs>,
     /// Armed when the job starts running; the supervisor polls it.
     watchdog: Option<Arc<WallClockWatchdog>>,
-    /// Set by the reaper / shutdown; workers observe it and abandon
-    /// their run, stream pumps stop waiting.
-    cancelled: Arc<AtomicBool>,
     /// Ensures the worker slot is given back exactly once even when a
-    /// cancelled worker finishes after the reaper already failed the job.
+    /// reaped worker finishes after the reaper already failed the job.
     slot_released: Arc<AtomicBool>,
 }
 
@@ -144,7 +141,6 @@ impl JobTable {
                 state: JobState::Queued,
                 obs: Arc::new(Obs::with_event_capacity(self.event_capacity)),
                 watchdog: None,
-                cancelled: Arc::new(AtomicBool::new(false)),
                 slot_released: Arc::new(AtomicBool::new(false)),
             },
         );
@@ -153,18 +149,14 @@ impl JobTable {
 
     /// Executes job `id` to completion on the calling thread (the worker
     /// entry point): waits for a pool slot, runs, records the terminal
-    /// state. A job cancelled before or during the run keeps the state
-    /// the canceller wrote and its result is discarded.
+    /// state. A job failed by the reaper or by shutdown while it ran keeps
+    /// the state written there, and its result is discarded; one failed
+    /// while queued never runs.
     pub fn run(&self, id: &str) {
-        let (spec, obs, cancelled, slot_released) = {
+        let (spec, obs, slot_released) = {
             let jobs = self.jobs.lock().expect("job table poisoned");
             let Some(e) = jobs.get(id) else { return };
-            (
-                e.spec.clone(),
-                Arc::clone(&e.obs),
-                Arc::clone(&e.cancelled),
-                Arc::clone(&e.slot_released),
-            )
+            (e.spec.clone(), Arc::clone(&e.obs), Arc::clone(&e.slot_released))
         };
         // Bounded concurrency: block until a slot frees up.
         {
@@ -199,24 +191,16 @@ impl JobTable {
             e.watchdog = Some(Arc::clone(&watchdog));
         }
         watchdog.note_progress();
-        let outcome = if cancelled.load(Ordering::Acquire) {
-            None
-        } else {
-            Some(execute(&spec, &obs))
-        };
+        let outcome = execute(&spec, &obs);
         obs.publish_stream_stats();
         let mut jobs = self.jobs.lock().expect("job table poisoned");
         if let Some(e) = jobs.get_mut(id) {
-            // The reaper may have failed the job while we ran; its typed
-            // state wins and the late result is discarded.
-            if e.state == JobState::Running && !cancelled.load(Ordering::Acquire) {
+            // The reaper or shutdown may have failed the job while we ran;
+            // that typed state wins and the late result is discarded.
+            if e.state == JobState::Running {
                 e.state = match outcome {
-                    Some(Ok((commits, squashes))) => JobState::Done { commits, squashes },
-                    Some(Err((kind, detail))) => JobState::Failed { kind, detail },
-                    None => JobState::Failed {
-                        kind: "cancelled".to_string(),
-                        detail: "job cancelled before execution".to_string(),
-                    },
+                    Ok((commits, squashes)) => JobState::Done { commits, squashes },
+                    Err((kind, detail)) => JobState::Failed { kind, detail },
                 };
             }
         }
@@ -250,7 +234,6 @@ impl JobTable {
                 if !stalled {
                     continue;
                 }
-                e.cancelled.store(true, Ordering::Release);
                 let timeout_ms = e
                     .watchdog
                     .as_ref()
@@ -281,15 +264,16 @@ impl JobTable {
         reaped
     }
 
-    /// Cancels every non-terminal job (graceful shutdown): queued jobs
-    /// fail immediately, running workers observe the flag and abandon.
+    /// Fails every non-terminal job (graceful shutdown). A queued job never
+    /// starts; a running one is not interrupted — should its worker return
+    /// before the process exits, `run` discards the result because the
+    /// state is no longer `Running`.
     pub fn cancel_all(&self) {
         let mut jobs = self.jobs.lock().expect("job table poisoned");
         for e in jobs.values_mut() {
             if e.state.is_terminal() {
                 continue;
             }
-            e.cancelled.store(true, Ordering::Release);
             e.state = JobState::Failed {
                 kind: "shutdown".to_string(),
                 detail: "daemon shut down before the job finished".to_string(),

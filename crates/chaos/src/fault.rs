@@ -54,8 +54,8 @@ pub struct ChaosConfig {
     /// absorbed this many, so recovery always terminates.
     pub max_crashes_per_broadcast: u32,
     /// Per-event probability that a real-thread worker is killed at a
-    /// commit-protocol point (claim/publish/apply — see
-    /// [`CrashPoint`](crate::CrashPoint)). Consulted only by the
+    /// commit-protocol point: after each won slot claim and each applied
+    /// record (see [`CrashPoint`](crate::CrashPoint)). Consulted only by the
     /// parallel runtime's [`ThreadChaos`](crate::ThreadChaos); the sim
     /// machines never read it. Zero by default.
     pub worker_kill_prob: f64,

@@ -16,6 +16,12 @@
 //!   schedule is exactly reproducible and the probabilistic stream is
 //!   reproducible per `(seed, incarnation)` event order.
 //!
+//! A worker dies at one of two points: right after it wins a slot claim
+//! ([`CrashPoint::Claim`], holding the empty slot its respawn adopts) or
+//! right after it applies a record ([`CrashPoint::Apply`], holding
+//! nothing). A record carries no identity beyond its slot, so there is
+//! nothing else in flight to orphan.
+//!
 //! The injector only *decides*; the runtime carries the decision out
 //! (returning a typed halt from the worker loop, sleeping for a stall,
 //! delaying a publish). That keeps the chaos crate free of any threading
@@ -30,12 +36,10 @@ use std::time::Duration;
 /// Where in the commit protocol a worker is killed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrashPoint {
-    /// After winning the bus-slot claim CAS, before stamping a ticket:
-    /// the orphaned slot is claimed but carries no serial yet.
+    /// After winning the bus-slot claim CAS, before publishing the
+    /// record: the orphaned slot is claimed but empty, and the slot is
+    /// all the record's identity there is.
     Claim,
-    /// After stamping the commit ticket, before publishing the record:
-    /// the nastiest window — a serial was consumed but never hit the log.
-    Publish,
     /// While applying a peer's record from the log (no slot is held).
     Apply,
 }
@@ -45,7 +49,6 @@ impl CrashPoint {
     pub fn as_str(&self) -> &'static str {
         match self {
             CrashPoint::Claim => "claim",
-            CrashPoint::Publish => "publish",
             CrashPoint::Apply => "apply",
         }
     }
@@ -58,10 +61,9 @@ impl std::fmt::Display for CrashPoint {
 }
 
 /// One scripted worker kill: processor `proc` dies at its `at`-th
-/// matching event (0-based; slot claims for [`CrashPoint::Claim`] and
-/// [`CrashPoint::Publish`], record applications for
-/// [`CrashPoint::Apply`]). Event counts are cumulative across respawns,
-/// and each spec fires exactly once per run.
+/// matching event (0-based; slot claims for [`CrashPoint::Claim`],
+/// record applications for [`CrashPoint::Apply`]). Event counts are
+/// cumulative across respawns, and each spec fires exactly once per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillSpec {
     /// The processor (TM workload thread / TLS pool worker) to kill.
@@ -141,18 +143,19 @@ impl ThreadChaos {
             .is_ok()
     }
 
-    fn explicit_kill(&self, proc: usize, n: u64, apply: bool) -> Option<CrashPoint> {
-        for (i, k) in self.kills.iter().enumerate() {
-            let point_matches = (k.point == CrashPoint::Apply) == apply;
-            if k.proc == proc
-                && k.at == n
-                && point_matches
-                && !self.consumed[i].swap(true, Ordering::AcqRel)
-            {
-                return Some(k.point);
-            }
-        }
-        None
+    fn explicit_kill(&self, proc: usize, n: u64, point: CrashPoint) -> bool {
+        self.kills.iter().zip(&self.consumed).any(|(k, consumed)| {
+            k.proc == proc && k.at == n && k.point == point && !consumed.swap(true, Ordering::AcqRel)
+        })
+    }
+
+    /// The probabilistic kill: a coin of `worker_kill_prob`, while the
+    /// budget lasts.
+    fn random_kill(&self, rng: &mut SmallRng) -> bool {
+        let Some(cfg) = self.cfg.as_ref() else { return false };
+        cfg.worker_kill_prob > 0.0
+            && rng.random::<f64>() < cfg.worker_kill_prob
+            && self.take_kill_budget()
     }
 }
 
@@ -166,36 +169,21 @@ pub struct WorkerChaos {
 }
 
 impl WorkerChaos {
-    /// Consulted after every successful bus-slot claim. `Some(point)`
-    /// means the worker must die at that point of the in-flight commit
-    /// ([`CrashPoint::Claim`] or [`CrashPoint::Publish`], never
-    /// [`CrashPoint::Apply`]).
-    pub fn on_claim(&mut self) -> Option<CrashPoint> {
+    /// Consulted after every successful bus-slot claim. `true` means the
+    /// worker dies here ([`CrashPoint::Claim`] — holding the claimed,
+    /// unpublished slot).
+    pub fn on_claim(&mut self) -> bool {
         let n = self.shared.events[self.proc].claims.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = self.shared.explicit_kill(self.proc, n, false) {
-            return Some(p);
-        }
-        let cfg = self.shared.cfg.as_ref()?;
-        if cfg.worker_kill_prob > 0.0
-            && self.rng.random::<f64>() < cfg.worker_kill_prob
-            && self.shared.take_kill_budget()
-        {
-            return Some(if self.rng.random() { CrashPoint::Claim } else { CrashPoint::Publish });
-        }
-        None
+        self.shared.explicit_kill(self.proc, n, CrashPoint::Claim)
+            || self.shared.random_kill(&mut self.rng)
     }
 
     /// Consulted after every record application. `true` means the worker
     /// dies here ([`CrashPoint::Apply`] — no bus slot is held).
     pub fn on_apply(&mut self) -> bool {
         let n = self.shared.events[self.proc].applies.fetch_add(1, Ordering::Relaxed);
-        if self.shared.explicit_kill(self.proc, n, true).is_some() {
-            return true;
-        }
-        let Some(cfg) = self.shared.cfg.as_ref() else { return false };
-        cfg.worker_kill_prob > 0.0
-            && self.rng.random::<f64>() < cfg.worker_kill_prob
-            && self.shared.take_kill_budget()
+        self.shared.explicit_kill(self.proc, n, CrashPoint::Apply)
+            || self.shared.random_kill(&mut self.rng)
     }
 
     /// [`ThreadChaos::apply_kill_pending`] for this worker's processor.
@@ -232,21 +220,21 @@ mod tests {
         let chaos = ThreadChaos::new(
             2,
             None,
-            vec![KillSpec { proc: 1, point: CrashPoint::Publish, at: 2 }],
+            vec![KillSpec { proc: 1, point: CrashPoint::Claim, at: 2 }],
         );
         let mut w0 = chaos.worker(0, 0);
         let mut w1 = chaos.worker(1, 0);
         for _ in 0..8 {
-            assert_eq!(w0.on_claim(), None, "spec targets proc 1, not 0");
+            assert!(!w0.on_claim(), "spec targets proc 1, not 0");
         }
-        assert_eq!(w1.on_claim(), None); // claim 0
-        assert_eq!(w1.on_claim(), None); // claim 1
-        assert_eq!(w1.on_claim(), Some(CrashPoint::Publish)); // claim 2
+        assert!(!w1.on_claim()); // claim 0
+        assert!(!w1.on_claim()); // claim 1
+        assert!(w1.on_claim()); // claim 2
         // The respawned incarnation continues the cumulative count and
         // the consumed spec never fires again.
         let mut w1b = chaos.worker(1, 1);
         for _ in 0..8 {
-            assert_eq!(w1b.on_claim(), None);
+            assert!(!w1b.on_claim());
         }
     }
 
@@ -255,7 +243,7 @@ mod tests {
         let chaos =
             ThreadChaos::new(1, None, vec![KillSpec { proc: 0, point: CrashPoint::Apply, at: 1 }]);
         let mut w = chaos.worker(0, 0);
-        assert_eq!(w.on_claim(), None, "claim events must not consume an Apply spec");
+        assert!(!w.on_claim(), "claim events must not consume an Apply spec");
         assert!(!w.on_apply()); // apply 0
         assert!(w.apply_kill_pending(), "armed until it fires");
         assert!(!chaos.apply_kill_pending(1), "no spec names proc 1");
@@ -288,7 +276,7 @@ mod tests {
         };
         let chaos = ThreadChaos::new(1, Some(cfg), Vec::new());
         let mut w = chaos.worker(0, 0);
-        let kills = (0..100).filter(|_| w.on_claim().is_some()).count();
+        let kills = (0..100).filter(|_| w.on_claim()).count();
         assert_eq!(kills, 3, "budget must cap probabilistic kills");
     }
 
@@ -297,7 +285,7 @@ mod tests {
         let chaos = ThreadChaos::new(1, None, Vec::new());
         let mut w = chaos.worker(0, 0);
         for _ in 0..64 {
-            assert_eq!(w.on_claim(), None);
+            assert!(!w.on_claim());
             assert!(!w.on_apply());
             assert_eq!(w.maybe_stall(), None);
             assert_eq!(w.publish_delay(), None);

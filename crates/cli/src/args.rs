@@ -168,7 +168,7 @@ CHAOS:
   run prints the seed needed to replay it. Any invariant violation or
   undetected corruption makes the exit code nonzero. Under --runtime par
   the same flag arms the real-thread fault preset instead: seeded worker
-  kills at commit-protocol points (claim, publish, apply), short injected
+  kills at the two commit-protocol points (claim, apply), short injected
   stalls and widened claim-to-publish windows. The supervisor respawns
   the worker from its last publish, lets the respawn adopt the dead
   worker's orphaned bus slot, and reports the recoveries in a resilience

@@ -11,9 +11,9 @@
 //! * the log delivers each record once: a receiver reads slot `i` only
 //!   when its cursor is `i`, then moves past it, and a respawned worker
 //!   starts a fresh cursor at 0 — so every record is applied exactly once
-//!   per incarnation, with no per-record filter. The [`CommitTicket`] a
-//!   record carries is its identity, which the post-run audit holds
-//!   unique;
+//!   per incarnation, with no per-record filter. A record's slot is its
+//!   only identity: the post-run audit checks that each publisher's
+//!   records appear once, in its program order;
 //! * readers never block writers: a claimed-but-unpublished slot is an
 //!   empty [`OnceLock`] the reader spins on with `yield_now`, and the
 //!   winner of a tail race always publishes — itself, or, if it dies
@@ -32,23 +32,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// What kind of store a bus record broadcasts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordKind {
     /// A committed outer transaction's write set (`W_C`).
     Commit,
     /// A single non-transactional store (the paper's individual
     /// invalidation path).
     NonTxStore,
-}
-
-/// A record's identity: the publishing worker and its serial, which
-/// counts the records that worker published before this one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CommitTicket {
-    /// Publishing worker (TM thread, TLS processor).
-    pub committer: usize,
-    /// The worker's publish serial (monotonic per worker).
-    pub serial: u64,
 }
 
 /// One broadcast on the bus, holding what the paper's bus carries: a
@@ -58,9 +48,6 @@ pub struct CommitTicket {
 /// the oracle that verdicts and the post-run audit replay.
 #[derive(Debug)]
 pub struct BusRecord {
-    /// The record's identity, unique across the run (the post-run audit
-    /// checks it).
-    pub ticket: CommitTicket,
     /// Publishing thread (TM) or task (TLS).
     pub thread: u32,
     /// The record's position in its publisher's program order. A TM
@@ -76,30 +63,24 @@ pub struct BusRecord {
     pub w_sig: Option<Signature>,
     /// Exact written lines — a store's one line; the oracle for a commit.
     pub exact_w: Vec<LineAddr>,
-    /// Log length the publisher had fully validated against when its
-    /// claim succeeded. The claim protocol guarantees this equals the
-    /// record's own slot index; the auditor asserts it.
+    /// Log length the publisher had applied when it published: its
+    /// receiver's cursor, stamped by `Receiver::publish`. The claim
+    /// protocol guarantees this equals the record's own slot index; the
+    /// auditor asserts it.
     pub validated_to: usize,
 }
 
 impl BusRecord {
-    /// A record of `kind` by `thread` for `slot` with an empty write set;
-    /// a publisher fills in what it broadcasts.
-    pub(crate) fn bare(
-        ticket: CommitTicket,
-        thread: usize,
-        ordinal: u64,
-        kind: RecordKind,
-        slot: usize,
-    ) -> Self {
+    /// A record of `kind` by `thread` with an empty write set; a publisher
+    /// fills in what it broadcasts.
+    pub(crate) fn bare(thread: usize, ordinal: u64, kind: RecordKind) -> Self {
         BusRecord {
-            ticket,
             thread: thread as u32,
             ordinal,
             kind,
             w_sig: None,
             exact_w: Vec::new(),
-            validated_to: slot,
+            validated_to: 0,
         }
     }
 }
@@ -181,16 +162,8 @@ impl BusLog {
 mod tests {
     use super::*;
 
-    fn record(thread: u32, serial: u64, to: usize) -> BusRecord {
-        BusRecord {
-            ticket: CommitTicket { committer: thread as usize, serial },
-            thread,
-            ordinal: serial,
-            kind: RecordKind::Commit,
-            w_sig: None,
-            exact_w: Vec::new(),
-            validated_to: to,
-        }
+    fn record(thread: u32, ordinal: u64, to: usize) -> BusRecord {
+        BusRecord { validated_to: to, ..BusRecord::bare(thread as usize, ordinal, RecordKind::Commit) }
     }
 
     #[test]

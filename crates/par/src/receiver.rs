@@ -9,9 +9,11 @@
 //! predecessor's against `R`), when it may claim a slot, and what a
 //! squash rewinds. Recovery is shared too: a respawned incarnation holds
 //! the slot its dead predecessor claimed (`claimed_unpublished`), stops
-//! its replay there, and publishes into it without re-claiming.
+//! its replay there, and publishes into it without re-claiming. A record
+//! carries no identity beyond its slot, so that slot is all a respawn
+//! inherits.
 
-use crate::bus::{BusLog, BusRecord, CommitTicket, RecordKind};
+use crate::bus::{BusLog, BusRecord, RecordKind};
 use crate::config::ParConfig;
 use crate::recover::{Halt, RunControl};
 use crate::stats::ParStats;
@@ -134,9 +136,6 @@ pub(crate) struct Receiver {
     /// Slot `i` is read only while the cursor is `i`, and the cursor then
     /// moves past it — this is what applies each record exactly once.
     pub cursor: usize,
-    /// Serial of the next ticket (a `Publish`-point death consumed
-    /// `serial - 1` without publishing it).
-    pub serial: u64,
     squash_streak: u32,
     pending_dwell_ns: u64,
     /// Slot claimed (or adopted from a dead incarnation) whose record is
@@ -151,7 +150,7 @@ pub(crate) struct Receiver {
 impl Receiver {
     /// A fresh incarnation: cursor 0, so a respawn replays the entire log
     /// and applies each record once. The supervisor hands a respawn its
-    /// dead incarnation's serial and held slot before it starts.
+    /// dead incarnation's held slot before it starts.
     pub(crate) fn new(proc: usize, cfg: &ParConfig, chaos: WorkerChaos) -> Self {
         Receiver {
             proc,
@@ -159,7 +158,6 @@ impl Receiver {
             rng: SmallRng::seed_from_u64(cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64 ^ proc as u64)),
             chaos,
             cursor: 0,
-            serial: 0,
             squash_streak: 0,
             pending_dwell_ns: 0,
             claimed_unpublished: None,
@@ -261,7 +259,7 @@ impl Receiver {
                 self.stats.violations.push(ctl.violation(
                     InvariantKind::SignatureContainment,
                     self.proc,
-                    rec.ticket.serial,
+                    self.cursor as u64,
                     "broadcast W_C missed an exact conflict",
                 ));
             }
@@ -297,8 +295,8 @@ impl Receiver {
     ///
     /// From a won claim until the publish every other worker's poll waits
     /// on this slot, and a worker death orphans it — so the chaos
-    /// schedule's `Claim` and `Publish` kills and its publish delay land
-    /// here, and nothing else may: the record is ready beforehand.
+    /// schedule's `Claim` kill and its publish delay land here, and
+    /// nothing else may: the record is ready beforehand.
     pub(crate) fn claim(&mut self, log: &BusLog, slot: usize) -> Result<bool, Halt> {
         // An adopted slot was already won by a dead incarnation: publish
         // into it instead of re-claiming.
@@ -307,15 +305,8 @@ impl Receiver {
             return Ok(false);
         }
         self.claimed_unpublished = Some(slot);
-        match self.chaos.on_claim() {
-            Some(CrashPoint::Publish) => {
-                // The nastiest window: a serial is consumed but its
-                // record never reaches the log.
-                let _ = self.stamp_ticket();
-                return Err(Halt::Killed { point: CrashPoint::Publish });
-            }
-            Some(point) => return Err(Halt::Killed { point }),
-            None => {}
+        if self.chaos.on_claim() {
+            return Err(Halt::Killed { point: CrashPoint::Claim });
         }
         if let Some(d) = self.chaos.publish_delay() {
             self.stats.delayed_publishes += 1;
@@ -324,29 +315,24 @@ impl Receiver {
         Ok(true)
     }
 
-    /// Stamps the next ticket and publishes `record(ticket)` into the
-    /// `slot` just [claimed](Receiver::claim).
+    /// Publishes `record` into the `slot` just [claimed](Receiver::claim),
+    /// stamped with the prefix this receiver applied before it: its
+    /// cursor, which the post-run audit holds equal to `slot`.
     pub(crate) fn publish(
         &mut self,
         log: &BusLog,
         ctl: &RunControl,
         slot: usize,
-        record: impl FnOnce(CommitTicket) -> BusRecord,
+        record: BusRecord,
     ) -> Result<(), Halt> {
         debug_assert_eq!(self.claimed_unpublished, Some(slot), "publish without a claim");
-        let ticket = self.stamp_ticket();
-        log.publish(slot, record(ticket)).map_err(|e| Halt::Bug(e.to_string()))?;
+        let record = BusRecord { validated_to: self.cursor, ..record };
+        log.publish(slot, record).map_err(|e| Halt::Bug(e.to_string()))?;
         self.claimed_unpublished = None;
         ctl.progress();
         self.cursor = slot + 1;
         self.squash_streak = 0;
         Ok(())
-    }
-
-    fn stamp_ticket(&mut self) -> CommitTicket {
-        let t = CommitTicket { committer: self.proc, serial: self.serial };
-        self.serial += 1;
-        t
     }
 
     pub(crate) fn dwell(&mut self, cycles: u32) {
@@ -380,7 +366,7 @@ mod tests {
     }
 
     fn peer_bare(kind: RecordKind) -> BusRecord {
-        BusRecord::bare(CommitTicket { committer: 1, serial: 0 }, 1, 0, kind, 0)
+        BusRecord::bare(1, 0, kind)
     }
 
     /// A peer's commit of `writes`, as the bus would carry it.
@@ -536,10 +522,30 @@ mod tests {
         assert_eq!((seen, rx.stats.slot_wait_spins), (1, 0), "record 0 applied once");
         // Publishing into the adopted slot skips the claim and moves on.
         assert!(matches!(rx.claim(&log, 1), Ok(true)));
-        let published =
-            rx.publish(&log, &ctl, 1, |ticket| BusRecord::bare(ticket, 0, 0, RecordKind::Commit, 1));
+        let published = rx.publish(&log, &ctl, 1, BusRecord::bare(0, 0, RecordKind::Commit));
         assert!(published.is_ok());
         assert_eq!((rx.cursor, log.tail()), (2, 2));
+        assert_eq!(log.get(1).map(|r| r.validated_to), Some(1), "stamped from the cursor");
         assert!(matches!(rx.poll(&log, &ctl, |_| None), Ok(false)), "fast path again");
+    }
+
+    #[test]
+    fn a_record_published_past_the_applied_prefix_is_flagged_by_seal() {
+        // A peer published slot 0, which this receiver never applied; it
+        // claims slot 1 anyway (what claiming `log.tail()` instead of its
+        // cursor would do). The record says what it validated, and the
+        // audit catches the gap.
+        let cfg = ParConfig::default();
+        let ctl = RunControl::new("par/tm/Bulk".into(), 2, &cfg);
+        let log = BusLog::new(2);
+        assert!(log.try_claim(0));
+        log.publish(0, peer_record(&[0x1000])).unwrap();
+        let mut rx = Receiver::new(0, &cfg, ctl.chaos.worker(0, 0));
+        assert!(matches!(rx.claim(&log, 1), Ok(true)));
+        assert!(rx.publish(&log, &ctl, 1, BusRecord::bare(0, 0, RecordKind::Commit)).is_ok());
+        let mut stats = ParStats::default();
+        stats.seal(&log, &ctl, 2, 2);
+        let details: Vec<&str> = stats.violations.iter().map(|v| v.detail.as_str()).collect();
+        assert_eq!(details, ["record 1 published after validating only 0 records"]);
     }
 }

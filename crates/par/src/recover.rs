@@ -6,7 +6,9 @@
 //! supervisor-requested abort, or a genuine panic (caught at the thread
 //! boundary) — funnels into one [`Halt`] value that [`supervise`] folds
 //! into its recovery decision: contain-and-respawn for crashes, a typed
-//! [`RuntimeError`] for everything unrecoverable.
+//! [`RuntimeError`] for everything unrecoverable. A respawn inherits one
+//! thing from its dead incarnation, the slot that one held: a record has
+//! no identity beyond its slot, so there is no serial to carry over.
 
 use crate::config::ParConfig;
 use crate::receiver::Receiver;
@@ -144,10 +146,10 @@ impl RunControl {
 /// respawn budget bounds how often.
 ///
 /// One recovery rule serves both engines: the respawn *adopts* the slot
-/// its dead incarnation claimed and never published, and starts at the
-/// dead incarnation's ticket serial, past every serial it stamped. Its
-/// fresh cursor replays the log up to that slot, and it publishes into
-/// the slot without re-claiming it; should it die first, the next
+/// its dead incarnation claimed and never published — the only thing the
+/// supervisor hands it, since a record has no identity beyond its slot.
+/// Its fresh cursor replays the log up to that slot, and it publishes
+/// into the slot without re-claiming it; should it die first, the next
 /// incarnation adopts the slot again. No claim can pass a held slot, so
 /// until then the log simply stops growing.
 ///
@@ -220,7 +222,6 @@ pub(crate) fn supervise<P: Send>(
                     incarnations[dead.proc] += 1;
                     let chaos = ctl.chaos.worker(dead.proc, incarnations[dead.proc]);
                     let mut heir = Receiver::new(dead.proc, cfg, chaos);
-                    heir.serial = dead.serial;
                     heir.claimed_unpublished = dead.claimed_unpublished;
                     stats.adopted_slots += u64::from(heir.claimed_unpublished.is_some());
                     spawn(heir, point);

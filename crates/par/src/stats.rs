@@ -6,7 +6,7 @@ use bulk_chaos::{Auditor, InvariantKind, InvariantViolation};
 use bulk_core::CommitEvent;
 use bulk_mem::AddrHasher;
 use bulk_obs::Registry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 /// Statistics of one parallel-runtime run, and of each worker
@@ -104,32 +104,32 @@ impl ParStats {
     /// the finished log:
     ///
     /// * density — every claimed slot was published;
-    /// * `validated_to == slot` — each committer's claim succeeded only
-    ///   against its fully validated prefix (the CAS postcondition);
-    /// * per-publisher ordinals increase in log order — the global commit
-    ///   order embeds every thread's program order;
-    /// * ticket uniqueness — `(committer, serial)` never repeats: each
-    ///   record is a distinct broadcast, which with each receiver's
-    ///   cursor walking every slot once makes application exactly-once;
+    /// * `validated_to == slot` — each publisher had applied exactly the
+    ///   records before its slot when it published (its receiver's
+    ///   cursor; the CAS postcondition);
+    /// * per-publisher ordinals increase in log order, commits and stores
+    ///   each — the global order embeds every thread's program order, and
+    ///   a record published twice repeats its ordinal;
     /// * signature containment — every exact written line is contained in
     ///   the broadcast write signature (no false negatives, the paper's
     ///   one-sided error guarantee).
     ///
-    /// A store carries an address and no signature to contain it, so the
-    /// containment check skips it.
+    /// A record's slot is its only identity: with the ordinals and the
+    /// record count against `expected`, no broadcast can be lost or
+    /// repeated unseen. A store carries an address and no signature to
+    /// contain it, so the containment check skips it.
     ///
-    /// The ticket set and the ordinal map are sized once from the tail and
-    /// hash with the fixed [`AddrHasher`]: their keys are tickets and
-    /// thread indices this process stamped, not outside input.
+    /// The ordinal map is sized once from the tail and hashes with the
+    /// fixed [`AddrHasher`]: its keys are thread indices and kinds this
+    /// process stamped, not outside input.
     pub(crate) fn seal(&mut self, log: &BusLog, ctl: &RunControl, actors: usize, expected: u64) {
         let tail = log.tail();
         self.records = tail as u64;
         self.history.reserve(self.commits as usize);
         let mut auditor = Auditor::new(ctl.scheme.clone(), actors, Some(ctl.seed));
         let mut checks = 1;
-        let hasher = BuildHasherDefault::<AddrHasher>::default;
-        let mut seen_tickets = HashSet::with_capacity_and_hasher(tail, hasher());
-        let mut last_ordinal = HashMap::with_capacity_and_hasher(tail, hasher());
+        let hasher = BuildHasherDefault::<AddrHasher>::default();
+        let mut last_ordinal = HashMap::with_capacity_and_hasher(tail, hasher);
         for i in 0..tail {
             let Some(rec) = log.get(i) else {
                 auditor.record(
@@ -153,32 +153,21 @@ impl ParStats {
                     ),
                 );
             }
-            if !seen_tickets.insert((rec.ticket.committer as u64, rec.ticket.serial)) {
-                auditor.record(
-                    InvariantKind::TokenProtocol,
-                    thread,
-                    at,
-                    format!(
-                        "ticket ({}, {}) reused: two records carry one (committer, serial) identity",
-                        rec.ticket.committer, rec.ticket.serial
-                    ),
-                );
-            }
-            if rec.kind == RecordKind::Commit {
-                self.history.push(CommitEvent { thread: rec.thread, ordinal: rec.ordinal, at });
-                checks += 1;
-                if let Some(prev) = last_ordinal.insert(rec.thread, rec.ordinal) {
-                    if rec.ordinal <= prev {
-                        auditor.record(
-                            InvariantKind::Serializability,
-                            thread,
-                            at,
-                            format!(
-                                "thread {} committed ordinal {} after {prev}",
-                                rec.thread, rec.ordinal
-                            ),
-                        );
-                    }
+            let verb = match rec.kind {
+                RecordKind::Commit => {
+                    self.history.push(CommitEvent { thread: rec.thread, ordinal: rec.ordinal, at });
+                    "committed"
+                }
+                RecordKind::NonTxStore => "stored",
+            };
+            if let Some(prev) = last_ordinal.insert((rec.thread, rec.kind), rec.ordinal) {
+                if rec.ordinal <= prev {
+                    auditor.record(
+                        InvariantKind::Serializability,
+                        thread,
+                        at,
+                        format!("thread {} {verb} ordinal {} after {prev}", rec.thread, rec.ordinal),
+                    );
                 }
             }
             if let Some(sig) = &rec.w_sig {
@@ -226,7 +215,7 @@ impl ParStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::{BusRecord, CommitTicket};
+    use crate::bus::BusRecord;
     use crate::config::ParConfig;
     use bulk_mem::LineAddr;
     use bulk_sig::{Signature, SignatureConfig};
@@ -239,11 +228,16 @@ mod tests {
     /// number `slot / 2`, broadcasting one line its `W_C` contains.
     fn commit(slot: usize) -> BusRecord {
         let (thread, n) = (slot % 2, (slot / 2) as u64);
-        let ticket = CommitTicket { committer: thread, serial: n };
         let mut w = Signature::new(SignatureConfig::s14_tm());
         w.insert_line(line(slot));
-        let bare = BusRecord::bare(ticket, thread, n, RecordKind::Commit, slot);
-        BusRecord { w_sig: Some(w), exact_w: vec![line(slot)], ..bare }
+        let bare = BusRecord::bare(thread, n, RecordKind::Commit);
+        BusRecord { w_sig: Some(w), exact_w: vec![line(slot)], validated_to: slot, ..bare }
+    }
+
+    /// Thread 1's first non-transactional store, published into `slot`.
+    fn store(slot: usize) -> BusRecord {
+        let bare = BusRecord::bare(1, 0, RecordKind::NonTxStore);
+        BusRecord { exact_w: vec![line(9)], validated_to: slot, ..bare }
     }
 
     /// Claims a slot per entry, publishes the `Some`s, and seals the log
@@ -277,22 +271,17 @@ mod tests {
 
     #[test]
     fn a_clean_log_with_a_bare_store_seals_without_violations() {
-        let ticket = |serial| CommitTicket { committer: 1, serial };
-        let store = BusRecord {
-            exact_w: vec![line(9)],
-            ..BusRecord::bare(ticket(0), 1, 0, RecordKind::NonTxStore, 1)
-        };
         // Thread 1's first commit comes after its store.
-        let late = BusRecord { ticket: ticket(1), ordinal: 0, ..commit(3) };
-        let stats = sealed(vec![Some(commit(0)), Some(store), Some(commit(2)), Some(late)], 4);
+        let late = BusRecord { ordinal: 0, ..commit(3) };
+        let stats = sealed(vec![Some(commit(0)), Some(store(1)), Some(commit(2)), Some(late)], 4);
         assert!(stats.violations.is_empty(), "{:?}", stats.violations);
         assert_eq!(stats.records, 4);
         let history: Vec<(u32, u64, u64)> =
             stats.history.iter().map(|e| (e.thread, e.ordinal, e.at)).collect();
         assert_eq!(history, vec![(0, 0, 0), (0, 1, 2), (1, 0, 3)]);
-        // The record count, then per record claim + ticket, per commit its
-        // ordinal and per line of a signed record its containment.
-        assert_eq!(stats.audit_checks, 1 + 4 * 2 + 3 + 3);
+        // The record count, then per record its claim and its ordinal, and
+        // per line of a signed record its containment.
+        assert_eq!(stats.audit_checks, 1 + 4 * 2 + 3);
     }
 
     #[test]
@@ -318,16 +307,12 @@ mod tests {
     }
 
     #[test]
-    fn a_reused_ticket_breaks_exactly_once() {
-        let reused = BusRecord { ticket: commit(0).ticket, ..commit(2) };
+    fn a_store_published_twice_breaks_program_order() {
+        // A duplicated broadcast repeats its publisher's ordinal; a store's
+        // ordinals are checked apart from the same thread's commits.
         assert_eq!(
-            only_violation(vec![Some(commit(0)), Some(commit(1)), Some(reused)], 3),
-            (
-                InvariantKind::TokenProtocol,
-                0,
-                2,
-                "ticket (0, 0) reused: two records carry one (committer, serial) identity".into()
-            )
+            only_violation(vec![Some(commit(0)), Some(store(1)), Some(store(2))], 3),
+            (InvariantKind::Serializability, 1, 2, "thread 1 stored ordinal 0 after 0".into())
         );
     }
 

@@ -24,9 +24,10 @@
 //! rule [`supervise`] applies to both engines: the respawned incarnation
 //! resumes at its first unpublished stride task — the task that slot
 //! belongs to — skips the already-won claim, and publishes into the
-//! orphaned slot itself, stamping its ticket past every serial the dead
-//! incarnation consumed; it holds the slot from its first instruction,
-//! so an adopter that dies before publishing hands the slot on again.
+//! orphaned slot itself. The slot is all it inherits: a record has no
+//! identity beyond its position in the log. It holds the slot from its
+//! first instruction, so an adopter that dies before publishing hands
+//! the slot on again.
 //! A death between a publish and the next task leaves nothing to
 //! repair: the successor's cursor reads the published slot like any
 //! other. Every spin site checks the abort flag and the wall-clock
@@ -212,10 +213,8 @@ fn commit_in_order(
             rx.cursor
         )));
     }
-    rx.publish(log, ctl, task, |ticket| {
-        let bare = BusRecord::bare(ticket, task, 0, RecordKind::Commit, task);
-        BusRecord { w_sig, exact_w, ..bare }
-    })?;
+    let bare = BusRecord::bare(task, 0, RecordKind::Commit);
+    rx.publish(log, ctl, task, BusRecord { w_sig, exact_w, ..bare })?;
     rx.stats.commits += 1;
     Ok(true)
 }
@@ -223,7 +222,6 @@ fn commit_in_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::CommitTicket;
     use bulk_chaos::{CrashPoint, KillSpec};
     use bulk_mem::Addr;
 
@@ -306,7 +304,7 @@ mod tests {
                 .collect(),
         );
         let cfg = ParConfig {
-            kills: vec![KillSpec { proc: 1, point: CrashPoint::Publish, at: 0 }],
+            kills: vec![KillSpec { proc: 1, point: CrashPoint::Claim, at: 0 }],
             ..ParConfig::default()
         };
         let log = BusLog::new(wl.tasks.len());
@@ -318,10 +316,10 @@ mod tests {
         assert!(s.violations.is_empty(), "{:?}", s.violations);
         let order: Vec<u32> = s.history.iter().map(|e| e.thread).collect();
         assert_eq!(order, (0..8).collect::<Vec<_>>());
-        // Worker 1's first claim was task 1's slot; the kill consumed
-        // serial 0 there, so the adopter publishes past it.
+        // Worker 1's first claim was task 1's slot; the adopter replayed
+        // slot 0 and published into slot 1 from there.
         let rec = log.get(1).expect("the adopted slot was published");
-        assert_eq!(rec.ticket, CommitTicket { committer: 1, serial: 1 });
+        assert_eq!((rec.thread, rec.validated_to), (1, 1));
     }
 
     #[test]
@@ -343,10 +341,8 @@ mod tests {
         sets0.write(x);
         let (w_sig, exact_w) = sets0.commit_payload();
         assert!(matches!(rx0.claim(&log, 0), Ok(true)));
-        let published = rx0.publish(&log, &ctl, 0, |ticket| {
-            let bare = BusRecord::bare(ticket, 0, 0, RecordKind::Commit, 0);
-            BusRecord { w_sig, exact_w, ..bare }
-        });
+        let bare = BusRecord::bare(0, 0, RecordKind::Commit);
+        let published = rx0.publish(&log, &ctl, 0, BusRecord { w_sig, exact_w, ..bare });
         assert!(published.is_ok());
 
         // The waiting poll applies task 0's record: RAW on x. The attempt
@@ -364,10 +360,9 @@ mod tests {
         assert!(matches!(committed, Ok(true)));
         let rec = log.get(1).expect("task 1 published");
         assert_eq!(rec.exact_w, vec![z.line(64)], "the re-execution's W, not the squashed y");
-        let own = CommitTicket { committer: 1, serial: 0 };
-        assert_eq!(rec.ticket, own, "the worker's own first serial, not the task index");
+        assert_eq!(rec.validated_to, 1, "published after applying task 0's record");
 
-        // Containment, density, claim == validated prefix, ticket uniqueness.
+        // Containment, density, claim == validated prefix, program order.
         let mut stats = ParStats::default();
         stats.seal(&log, &ctl, 2, 2);
         assert!(stats.violations.is_empty(), "{:?}", stats.violations);

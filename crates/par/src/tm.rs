@@ -61,7 +61,6 @@ use crate::recover::{supervise, Halt, RunControl};
 use crate::runtime::RuntimeError;
 use crate::stats::ParStats;
 use bulk_chaos::MachineError;
-use bulk_mem::LineAddr;
 use bulk_sig::SignatureConfig;
 use bulk_tm::Scheme;
 use bulk_trace::{TmOp, TmWorkload};
@@ -230,14 +229,24 @@ impl<'a> TmWorker<'a> {
                 TmOp::End if self.depth > 1 => self.depth -= 1,
                 TmOp::End => {
                     rx.flush_dwell();
-                    self.commit(rx, log, ctl)?;
+                    let (w_sig, exact_w) = self.sets.commit_payload();
+                    let bare =
+                        BusRecord::bare(rx.proc, self.boundary.commit_ordinal, RecordKind::Commit);
+                    self.broadcast(rx, log, ctl, BusRecord { w_sig, exact_w, ..bare })?;
                     continue; // pc is past the commit, or back at its `Begin`
                 }
                 TmOp::Read(a) if self.depth > 0 => self.sets.read(a),
                 TmOp::Read(_) => {}
                 TmOp::Write(a) if self.depth > 0 => self.sets.write(a),
+                // A non-transactional store: ordered on the log like a
+                // commit (so speculative readers squash on it), but never
+                // squashable itself. It broadcasts its address, not a
+                // signature (§4.2).
                 TmOp::Write(a) => {
-                    self.publish_non_tx_store(rx, log, ctl, self.sets.line(a))?;
+                    let ordinal = self.boundary.non_tx_ordinal;
+                    let bare = BusRecord::bare(rx.proc, ordinal, RecordKind::NonTxStore);
+                    let exact_w = vec![self.sets.line(a)];
+                    self.broadcast(rx, log, ctl, BusRecord { exact_w, ..bare })?;
                     continue;
                 }
                 TmOp::Compute(n) => rx.dwell(n),
@@ -251,12 +260,20 @@ impl<'a> TmWorker<'a> {
     /// Steps past a published op of `kind` and moves the recovery point
     /// there, where speculative state is clean. The point moves in one
     /// step, after everything that can panic.
-    fn published(&mut self, kind: RecordKind) {
+    fn published(&mut self, rx: &mut Receiver, kind: RecordKind) {
         self.pc += 1;
         let b = &mut *self.boundary;
         match kind {
-            RecordKind::Commit => b.commit_ordinal += 1,
-            _ => b.non_tx_ordinal += 1,
+            RecordKind::Commit => {
+                rx.stats.commits += 1;
+                self.depth = 0;
+                self.sets.clear();
+                b.commit_ordinal += 1;
+            }
+            RecordKind::NonTxStore => {
+                rx.stats.non_tx_stores += 1;
+                b.non_tx_ordinal += 1;
+            }
         }
         b.pc = self.pc;
     }
@@ -279,66 +296,38 @@ impl<'a> TmWorker<'a> {
         Ok(squashed)
     }
 
-    /// Validate-then-claim commit: returns with the transaction published
-    /// — or squashed instead, by a record a winner of the claim published.
+    /// Validate-then-claim: returns with `record` published — or, for a
+    /// commit, squashed instead by a record a winner of the claim
+    /// published. A store is outside any transaction, so no poll squashes
+    /// it.
     ///
-    /// `W_C` is built first, outside the validate→claim→publish sequence
-    /// (DESIGN.md §18); a claim that loses the tail race retries with the
-    /// same payload — only a squash changes the sets, and it ends the
-    /// attempt.
-    fn commit(&mut self, rx: &mut Receiver, log: &BusLog, ctl: &RunControl) -> Result<(), Halt> {
-        let (me, ordinal) = (rx.proc, self.boundary.commit_ordinal);
-        let (w_sig, exact_w) = self.sets.commit_payload();
-        while !self.poll(rx, log, ctl)? {
-            let slot = rx.cursor;
-            if rx.claim(log, slot)? {
-                rx.publish(log, ctl, slot, |ticket| {
-                    let bare = BusRecord::bare(ticket, me, ordinal, RecordKind::Commit, slot);
-                    BusRecord { w_sig, exact_w, ..bare }
-                })?;
-                rx.stats.commits += 1;
-                self.depth = 0;
-                self.sets.clear();
-                self.published(RecordKind::Commit);
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// A non-transactional store: ordered on the log like a commit (so
-    /// speculative readers squash on it), but never squashable itself. It
-    /// broadcasts its address, not a signature (§4.2).
-    fn publish_non_tx_store(
+    /// The record is built first, outside the validate→claim→publish
+    /// sequence (DESIGN.md §18); a claim that loses the tail race retries
+    /// with the same record — only a squash changes the sets, and it ends
+    /// the attempt.
+    fn broadcast(
         &mut self,
         rx: &mut Receiver,
         log: &BusLog,
         ctl: &RunControl,
-        line: LineAddr,
+        record: BusRecord,
     ) -> Result<(), Halt> {
-        let (me, ordinal) = (rx.proc, self.boundary.non_tx_ordinal);
-        let exact_w = vec![line];
-        loop {
-            // Not in a transaction, so poll can't squash us.
-            self.poll(rx, log, ctl)?;
+        while !self.poll(rx, log, ctl)? {
             let slot = rx.cursor;
             if rx.claim(log, slot)? {
-                rx.publish(log, ctl, slot, |ticket| BusRecord {
-                    exact_w,
-                    ..BusRecord::bare(ticket, me, ordinal, RecordKind::NonTxStore, slot)
-                })?;
-                rx.stats.non_tx_stores += 1;
-                self.published(RecordKind::NonTxStore);
-                return Ok(());
+                let kind = record.kind;
+                rx.publish(log, ctl, slot, record)?;
+                self.published(rx, kind);
+                break;
             }
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::CommitTicket;
     use bulk_chaos::{CrashPoint, KillSpec};
     use bulk_mem::Addr;
     use bulk_trace::ThreadTrace;
@@ -459,13 +448,13 @@ mod tests {
     }
 
     #[test]
-    fn a_publish_point_kill_is_adopted_and_recovered() {
+    fn a_claim_point_kill_is_adopted_and_recovered() {
         let wl = workload(vec![
             [tx(&[(true, 0x1000)]), tx(&[(true, 0x1040)])].concat(),
             [tx(&[(true, 0x8000)]), tx(&[(true, 0x8040)])].concat(),
         ]);
         let cfg = ParConfig {
-            kills: vec![KillSpec { proc: 0, point: CrashPoint::Publish, at: 0 }],
+            kills: vec![KillSpec { proc: 0, point: CrashPoint::Claim, at: 0 }],
             ..ParConfig::default()
         };
         let s = run_par_tm(&wl, Scheme::Bulk, &cfg).unwrap();
@@ -487,10 +476,7 @@ mod tests {
             for slot in 0..=claims {
                 assert!(log.try_claim(slot));
             }
-            let rec = |slot: usize| {
-                let ticket = CommitTicket { committer: 1, serial: slot as u64 };
-                BusRecord::bare(ticket, 1, slot as u64, RecordKind::Commit, slot)
-            };
+            let rec = |slot: usize| BusRecord::bare(1, slot as u64, RecordKind::Commit);
             log.publish(0, rec(0)).unwrap();
             if published {
                 log.publish(claims, rec(claims)).unwrap();

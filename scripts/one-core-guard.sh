@@ -22,7 +22,7 @@
 #    broadcast's bus occupancy. No receiver filters re-deliveries, no
 #    stress plan injects them, and the bus has no epoch. TLS has no
 #    commit token: the log is its order, so no `next_commit` or
-#    `fetch_max` hand-off, and TLS stamps tickets as TM does.
+#    `fetch_max` hand-off.
 # 8. A count has one owner (DESIGN.md §8, §19): the registry gets an
 #    end-of-run count once, from its owner's publish. No arbiter object
 #    keeps a second crash count, no handle mirrors a cycle breakdown or a
@@ -45,6 +45,10 @@
 #    adopts the slot its dead incarnation held, so the bus log carries
 #    only commits and stores. No fence tombstone, no fence count, no
 #    crash slack in the log's size and no separate resume hand-over.
+# 13. A record's slot is its identity (DESIGN.md §13): par stamps no
+#    commit ticket and hands a respawn no serial, only its held slot, so
+#    the audit has no ticket set and the chaos injector kills at two
+#    points, claim and apply. A publish-point kill was a claim kill.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -120,14 +124,13 @@ fi
 cursor=0
 nontest_hits 'StressConfig|bump_epoch|stress_redeliveries|next_commit|fetch_max' \
   crates/par/src/*.rs && cursor=1
-nontest_hits 'serial[[:space:]]*=([^=]|$)' crates/par/src/tls.rs && cursor=1
 nontest_hits 'DedupFilter|record_application|duplicate_applications' \
   "${files[@]}" crates/sim/src/harness.rs && cursor=1
 for gone in crates/par/tests/stress.rs crates/live/tests/dedup_properties.rs; do
   [ -e "$gone" ] && { echo "$gone"; cursor=1; }
 done
 if [ "$cursor" -eq 1 ]; then
-  echo "one-core guard: exactly-once is a cursor and the log is the TLS order; no dedup filter, stress plan, bus epoch, commit token or ticket override"
+  echo "one-core guard: exactly-once is a cursor and the log is the TLS order; no dedup filter, stress plan, bus epoch or commit token"
   fail=1
 fi
 
@@ -172,6 +175,14 @@ fi
 if nontest_hits 'RecordKind::Fence|^[[:space:]]*Fence,|fences|crash_bound|struct Resume' \
   crates/par/src/*.rs crates/chaos/src/thread.rs $(find crates/cli/src -name '*.rs' | sort); then
   echo "one-core guard: one recovery rule; a respawn adopts its held slot, no fence record, count or log slack"
+  fail=1
+fi
+
+slot=0
+nontest_hits 'CommitTicket|stamp_ticket|seen_tickets|[.]serial([^[:alnum:]_]|$)' crates/par/src/*.rs && slot=1
+grep -rn 'CrashPoint::Publish' crates tests && slot=1
+if [ "$slot" -eq 1 ]; then
+  echo "one-core guard: a record's slot is its identity; no commit ticket, worker serial or publish crash point"
   fail=1
 fi
 

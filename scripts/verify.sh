@@ -35,8 +35,10 @@ echo "front-door guard: OK"
 # arbiter crash as bus time, no checkpoint proof (a spill/reload round
 # trip is a property test, not a run-time check), a line test that is
 # one probe (word-group expansion, set-bit seal CRC, `earliest` scans),
-# and one par recovery rule (a respawn adopts its held slot; no fence).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule)"
+# one par recovery rule (a respawn adopts its held slot; no fence), and
+# a par record whose slot is its identity (no commit ticket, worker
+# serial or publish crash point).
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule, a record's slot is its identity)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"

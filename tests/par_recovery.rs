@@ -1,13 +1,12 @@
 //! Crash-recovery acceptance matrix for the parallel runtime.
 //!
-//! A worker killed at any commit-protocol point — `claim` (slot won,
-//! record unpublished), `publish` (ticket stamped, record unpublished)
-//! or `apply` (mid-replay of a peer's record) — must not take the run
-//! down: the supervisor respawns the worker from its last publish and
-//! hands the respawn the orphaned slot for adoption, on either engine,
-//! and the finished run must be
+//! A worker killed at either commit-protocol point — `claim` (slot won,
+//! record unpublished) or `apply` (mid-replay of a peer's record) — must
+//! not take the run down: the supervisor respawns the worker from its
+//! last publish and hands the respawn the orphaned slot for adoption, on
+//! either engine, and the finished run must be
 //! indistinguishable from a crash-free one: every transaction/task
-//! committed exactly once, auditor-clean (ticket uniqueness, a dense log),
+//! committed exactly once, auditor-clean (program order, a dense log),
 //! and in the same committed-order class as the deterministic sim
 //! oracle running the same trace.
 //!
@@ -26,7 +25,7 @@ use bulk_repro::tm::Scheme;
 use bulk_repro::trace::profiles;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
-const POINTS: [CrashPoint; 3] = [CrashPoint::Claim, CrashPoint::Publish, CrashPoint::Apply];
+const POINTS: [CrashPoint; 2] = [CrashPoint::Claim, CrashPoint::Apply];
 
 fn par_stats(r: &RunReport) -> &bulk_repro::par::ParStats {
     match &r.detail {
@@ -57,9 +56,9 @@ fn tm_crash_run(scheme: Scheme, point: CrashPoint, seed: u64) {
     assert!(s.worker_crashes >= 1, "{label}: the scheduled kill never fired");
     assert!(s.respawns >= 1, "{label}: the dead worker was not respawned");
     match point {
-        // Claim- and publish-point deaths orphan a claimed slot: the
-        // respawn must have adopted and published it.
-        CrashPoint::Claim | CrashPoint::Publish => {
+        // A claim-point death orphans a claimed slot: the respawn must
+        // have adopted and published it.
+        CrashPoint::Claim => {
             assert!(s.adopted_slots >= 1, "{label}: orphaned slot was never adopted")
         }
         // Apply-point deaths hold no slot: nothing to adopt.
@@ -95,7 +94,7 @@ fn tls_crash_run(scheme: TlsScheme, point: CrashPoint, seed: u64) {
     match point {
         // The dead worker held its current task's slot claimed: the
         // respawned incarnation must have adopted and republished it.
-        CrashPoint::Claim | CrashPoint::Publish => {
+        CrashPoint::Claim => {
             assert!(s.adopted_slots >= 1, "{label}: orphaned claim was never adopted")
         }
         CrashPoint::Apply => {
@@ -149,7 +148,7 @@ fn unrecoverable_tm_death_is_a_typed_error_not_an_abort() {
     let wl = p.generate(7);
     let cfg = ParConfig {
         seed: 7,
-        kills: vec![KillSpec { proc: 2, point: CrashPoint::Publish, at: 0 }],
+        kills: vec![KillSpec { proc: 2, point: CrashPoint::Claim, at: 0 }],
         respawn_budget: 0,
         ..ParConfig::default()
     };
@@ -157,7 +156,7 @@ fn unrecoverable_tm_death_is_a_typed_error_not_an_abort() {
     match err {
         RuntimeError::WorkerDied { proc, slot, detail } => {
             assert_eq!(proc, 2);
-            assert!(slot.is_some(), "a publish-point death holds a claimed slot");
+            assert!(slot.is_some(), "a claim-point death holds a claimed slot");
             assert!(detail.contains("respawn budget exhausted"), "{detail}");
         }
         other => panic!("expected WorkerDied, got: {other}"),
@@ -227,7 +226,7 @@ fn recovered_runs_compose_with_probabilistic_chaos() {
     let cfg = ParConfig {
         seed: 13,
         chaos: Some(ChaosConfig::worker_crash(13)),
-        kills: vec![KillSpec { proc: 0, point: CrashPoint::Publish, at: 1 }],
+        kills: vec![KillSpec { proc: 0, point: CrashPoint::Claim, at: 1 }],
         ..ParConfig::default()
     };
     let sim_cfg = SimConfig::tm_default();
@@ -251,7 +250,7 @@ fn recovered_tls_runs_compose_with_probabilistic_chaos() {
         let cfg = ParConfig {
             seed,
             chaos: Some(ChaosConfig::worker_crash(seed)),
-            kills: vec![KillSpec { proc: 1, point: CrashPoint::Publish, at: 1 }],
+            kills: vec![KillSpec { proc: 1, point: CrashPoint::Claim, at: 1 }],
             ..ParConfig::default()
         };
         let par = ParRuntime::new(cfg)
@@ -298,8 +297,8 @@ fn an_adopter_that_dies_before_publishing_hands_the_slot_on_again() {
 fn a_tm_adopter_that_dies_before_publishing_hands_the_slot_on_again() {
     // Thread 2 dies on its first won claim, holding the slot. Its respawn
     // adopts the slot, and its claim into it is thread 2's second: the
-    // publish-point kill fires there, with a ticket stamped and the slot
-    // still held. The next incarnation must adopt the slot again and
+    // second claim-point kill fires there, with the slot still held. The
+    // next incarnation must adopt the slot again and
     // publish into it. Claims count across incarnations, so both kills
     // fire however the OS schedules the threads.
     let mut p = profiles::tm_profile("mc").unwrap();
@@ -309,7 +308,7 @@ fn a_tm_adopter_that_dies_before_publishing_hands_the_slot_on_again() {
         seed: 7,
         kills: vec![
             KillSpec { proc: 2, point: CrashPoint::Claim, at: 0 },
-            KillSpec { proc: 2, point: CrashPoint::Publish, at: 1 },
+            KillSpec { proc: 2, point: CrashPoint::Claim, at: 1 },
         ],
         stall_timeout_ms: 1_000,
         ..ParConfig::default()
