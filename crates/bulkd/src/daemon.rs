@@ -63,6 +63,9 @@ pub(crate) struct Shared {
     /// unlabelled on `/metrics` alongside the labelled per-job scopes.
     pub(crate) registry: Registry,
     pub(crate) shutdown: AtomicBool,
+    /// Job worker threads not yet joined. Finished ones are dropped as
+    /// new ones start, so the list tracks running jobs, not every job.
+    workers: Mutex<Vec<JoinHandle<()>>>,
     /// Bound listener addresses, kept so `begin_shutdown` can poke the
     /// accept loops awake from any thread (including a connection
     /// handler serving `{"cmd": "shutdown"}`).
@@ -113,15 +116,18 @@ impl DaemonHandle {
 
     /// Blocks until every daemon thread (accept loops, supervisor,
     /// connection handlers, job workers) has exited. Call
-    /// [`DaemonHandle::shutdown`] first, or this waits forever.
+    /// [`DaemonHandle::shutdown`] first, or this waits forever. A job
+    /// running at shutdown is failed at once but runs to its end, and
+    /// this waits for it. The job workers go last: once the connection
+    /// handlers have exited, nothing starts another.
     pub fn wait(&self) {
-        loop {
-            let handle = self.threads.lock().expect("thread list poisoned").pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
+        for list in [&self.threads, &self.shared.workers] {
+            loop {
+                // Not a `while let`: the guard would be held across the
+                // join, and a handler pushing a worker would deadlock.
+                let next = list.lock().expect("thread list poisoned").pop();
+                let Some(h) = next else { break };
+                let _ = h.join();
             }
         }
     }
@@ -146,6 +152,7 @@ pub fn spawn(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
         table: JobTable::new(cfg.max_jobs, cfg.default_timeout_ms, cfg.event_capacity),
         registry: Registry::new(),
         shutdown: AtomicBool::new(false),
+        workers: Mutex::new(Vec::new()),
         ingest_addr,
         http_addr,
     });
@@ -329,9 +336,16 @@ fn handle_line(line: &str, writer: &mut TcpStream, shared: &Arc<Shared>) -> bool
         let (shared, id) = (Arc::clone(shared), id.clone());
         move || shared.table.run(&id)
     });
-    if let Err(e) = worker {
-        let detail = format!("no worker thread for job `{id}`: {e}");
-        shared.table.fail_queued(&id, "spawn-failed", detail);
+    match worker {
+        Ok(h) => {
+            let mut workers = shared.workers.lock().expect("thread list poisoned");
+            workers.retain(|w| !w.is_finished());
+            workers.push(h);
+        }
+        Err(e) => {
+            let detail = format!("no worker thread for job `{id}`: {e}");
+            shared.table.fail_queued(&id, "spawn-failed", detail);
+        }
     }
     if write_line(
         writer,

@@ -151,7 +151,8 @@ impl JobTable {
     /// entry point): waits for a pool slot, runs, records the terminal
     /// state. A job failed by the reaper or by shutdown while it ran keeps
     /// the state written there, and its result is discarded; one failed
-    /// while queued never runs.
+    /// while queued never runs. A panic in the run fails the job as
+    /// `worker-panicked`.
     pub fn run(&self, id: &str) {
         let (spec, obs, slot_released) = {
             let jobs = self.jobs.lock().expect("job table poisoned");
@@ -191,7 +192,7 @@ impl JobTable {
             e.watchdog = Some(Arc::clone(&watchdog));
         }
         watchdog.note_progress();
-        let outcome = execute(&spec, &obs);
+        let outcome = contain(|| execute(&spec, &obs));
         obs.publish_stream_stats();
         let mut jobs = self.jobs.lock().expect("job table poisoned");
         if let Some(e) = jobs.get_mut(id) {
@@ -265,9 +266,9 @@ impl JobTable {
     }
 
     /// Fails every non-terminal job (graceful shutdown). A queued job never
-    /// starts; a running one is not interrupted — should its worker return
-    /// before the process exits, `run` discards the result because the
-    /// state is no longer `Running`.
+    /// starts; a running one is not interrupted — its worker runs to the
+    /// end, which `DaemonHandle::wait` waits for, and `run` discards the
+    /// result because the state is no longer `Running`.
     pub fn cancel_all(&self) {
         let mut jobs = self.jobs.lock().expect("job table poisoned");
         for e in jobs.values_mut() {
@@ -354,9 +355,35 @@ fn execute(spec: &JobSpec, obs: &Arc<Obs>) -> Result<(u64, u64), (String, String
     Ok((r.commits, r.squashes))
 }
 
+/// Runs a job body, turning a panic in it into the job's typed
+/// `worker-panicked` failure, so the client's `done` line reports it and
+/// the worker still releases its slot.
+fn contain(
+    body: impl FnOnce() -> Result<(u64, u64), (String, String)>,
+) -> Result<(u64, u64), (String, String)> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).unwrap_or_else(|p| {
+        let msg = match (p.downcast_ref::<&str>(), p.downcast_ref::<String>()) {
+            (Some(s), _) => s.to_string(),
+            (None, Some(s)) => s.clone(),
+            (None, None) => "non-string panic payload".to_string(),
+        };
+        Err(("worker-panicked".to_string(), format!("job worker panicked: {msg}")))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_job_body_is_a_typed_failure() {
+        assert_eq!(contain(|| Ok((3, 1))), Ok((3, 1)));
+        let failed = contain(|| panic!("boom {}", 7));
+        assert_eq!(
+            failed,
+            Err(("worker-panicked".to_string(), "job worker panicked: boom 7".to_string()))
+        );
+    }
 
     #[test]
     fn get_finds_the_one_job_and_the_listing_keeps_its_bytes() {

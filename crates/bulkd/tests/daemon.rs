@@ -1,6 +1,7 @@
 //! End-to-end daemon tests: concurrent mixed-runtime jobs, streaming
 //! determinism, a parse-checked Prometheus scrape under load, the
-//! hung-job watchdog, and clients that send nothing, never stop or hang up.
+//! hung-job watchdog, a shutdown that waits for the jobs in flight, and
+//! clients that send nothing, never stop or hang up.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -321,6 +322,41 @@ fn shutdown_command_fails_queued_jobs_and_stops_the_daemon() {
     // The control command alone must stop the daemon: wait() joins every
     // thread, so a stuck accept loop hangs the test harness here.
     handle.wait();
+}
+
+#[test]
+fn wait_returns_only_after_a_job_running_at_shutdown_has_exited() {
+    // A real run of about half a second in a debug build. Shutdown fails
+    // it at once, but its worker runs on to the end, and `wait` must join
+    // it rather than let the process exit under it: `wait` takes at least
+    // a good part of the run, where a detached worker lets it return
+    // within about one 100 ms read timeout.
+    let spec = r#"{"id": "inflight", "machine": "tm", "app": "cb", "scheme": "bulk", "seed": 3, "txs": 150}"#;
+    let solo = {
+        let spec = JobSpec::parse(spec).expect("spec parses");
+        let job = JobPlan::resolve(&spec).expect("spec resolves").generate(spec.seed);
+        let t = Instant::now();
+        runtime_for(&spec).run(&job, &RunOptions::default()).expect("in-process run");
+        t.elapsed()
+    };
+    let handle = start(1, 30_000);
+    let mut conn = TcpStream::connect(handle.ingest_addr()).expect("connect");
+    conn.write_all(format!("{spec}\n").as_bytes()).expect("send");
+    // The worker starts before the daemon answers, so once the answer is
+    // here the job is in flight.
+    let mut accepted = Vec::new();
+    let mut byte = [0u8];
+    while byte[0] != b'\n' {
+        conn.read_exact(&mut byte).expect("the daemon answers");
+        accepted.push(byte[0]);
+    }
+    let accepted = String::from_utf8(accepted).expect("utf-8");
+    assert!(accepted.starts_with("{\"accepted\": true"), "got: {accepted}");
+    let stopped = Instant::now();
+    handle.shutdown();
+    handle.wait();
+    let waited = stopped.elapsed();
+    assert!(waited >= solo / 3, "wait returned {waited:?} after shutdown; the run takes {solo:?}");
 }
 
 #[test]

@@ -298,8 +298,9 @@ impl WallClockWatchdog {
         }
     }
 
-    /// Records that the system made progress (a bus record was
-    /// published). Called by every worker and the supervisor.
+    /// Records that the system made progress: the par supervisor calls
+    /// it when its audit of the bus log moves, a `bulkd` job once as it
+    /// starts.
     pub fn note_progress(&self) {
         let now = self.start.elapsed().as_nanos() as u64;
         // Monotonic max, not a blind store: a delayed writer must not

@@ -12,7 +12,7 @@
 //!   when its cursor is `i`, then moves past it, and a respawned worker
 //!   starts a fresh cursor at 0 — so every record is applied exactly once
 //!   per incarnation, with no per-record filter. A record's slot is its
-//!   only identity: the post-run audit checks that each publisher's
+//!   only identity: the supervisor's audit checks that each publisher's
 //!   records appear once, in its program order;
 //! * readers never block writers: a claimed-but-unpublished slot is an
 //!   empty [`OnceLock`] the reader spins on with `yield_now`, and the
@@ -45,7 +45,7 @@ pub enum RecordKind {
 /// commit is its write signature `W_C` (§1 — `R` never leaves the
 /// processor), a non-transactional store is its address, which receivers
 /// test by membership (§4.2). Beside it rides the exact written lines,
-/// the oracle that verdicts and the post-run audit replay.
+/// the oracle that verdicts and the supervisor's audit replay.
 #[derive(Debug)]
 pub struct BusRecord {
     /// Publishing thread (TM) or task (TLS).

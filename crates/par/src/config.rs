@@ -28,9 +28,9 @@ pub struct ParConfig {
     /// a typed [`RuntimeError::WorkerDied`](crate::RuntimeError). `0`
     /// means any worker death is fatal.
     pub respawn_budget: u32,
-    /// Wall-clock milliseconds without a bus publish before the run is
-    /// declared stalled (a typed `LivenessViolation`). `0` disables the
-    /// watchdog.
+    /// Wall-clock milliseconds without a bus publish — as the supervisor's
+    /// log audit sees it, on its 5 ms tick — before the run is declared
+    /// stalled (a typed `LivenessViolation`). `0` disables the watchdog.
     pub stall_timeout_ms: u64,
 }
 

@@ -317,11 +317,11 @@ impl Receiver {
 
     /// Publishes `record` into the `slot` just [claimed](Receiver::claim),
     /// stamped with the prefix this receiver applied before it: its
-    /// cursor, which the post-run audit holds equal to `slot`.
+    /// cursor, which the supervisor's audit holds equal to `slot`. The
+    /// audit, not the publisher, tells the watchdog the run moved.
     pub(crate) fn publish(
         &mut self,
         log: &BusLog,
-        ctl: &RunControl,
         slot: usize,
         record: BusRecord,
     ) -> Result<(), Halt> {
@@ -329,7 +329,6 @@ impl Receiver {
         let record = BusRecord { validated_to: self.cursor, ..record };
         log.publish(slot, record).map_err(|e| Halt::Bug(e.to_string()))?;
         self.claimed_unpublished = None;
-        ctl.progress();
         self.cursor = slot + 1;
         self.squash_streak = 0;
         Ok(())
@@ -357,6 +356,7 @@ impl Receiver {
 mod tests {
     use super::*;
     use crate::bus::RecordKind;
+    use crate::stats::Audit;
 
     fn sets_after(reads: &[u32], writes: &[u32]) -> SpecSets {
         let mut sets = SpecSets::new(true, SignatureConfig::s14_tm().into_shared());
@@ -522,7 +522,7 @@ mod tests {
         assert_eq!((seen, rx.stats.slot_wait_spins), (1, 0), "record 0 applied once");
         // Publishing into the adopted slot skips the claim and moves on.
         assert!(matches!(rx.claim(&log, 1), Ok(true)));
-        let published = rx.publish(&log, &ctl, 1, BusRecord::bare(0, 0, RecordKind::Commit));
+        let published = rx.publish(&log, 1, BusRecord::bare(0, 0, RecordKind::Commit));
         assert!(published.is_ok());
         assert_eq!((rx.cursor, log.tail()), (2, 2));
         assert_eq!(log.get(1).map(|r| r.validated_to), Some(1), "stamped from the cursor");
@@ -530,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn a_record_published_past_the_applied_prefix_is_flagged_by_seal() {
+    fn a_record_published_past_the_applied_prefix_is_flagged_by_the_audit() {
         // A peer published slot 0, which this receiver never applied; it
         // claims slot 1 anyway (what claiming `log.tail()` instead of its
         // cursor would do). The record says what it validated, and the
@@ -542,9 +542,9 @@ mod tests {
         log.publish(0, peer_record(&[0x1000])).unwrap();
         let mut rx = Receiver::new(0, &cfg, ctl.chaos.worker(0, 0));
         assert!(matches!(rx.claim(&log, 1), Ok(true)));
-        assert!(rx.publish(&log, &ctl, 1, BusRecord::bare(0, 0, RecordKind::Commit)).is_ok());
+        assert!(rx.publish(&log, 1, BusRecord::bare(0, 0, RecordKind::Commit)).is_ok());
         let mut stats = ParStats::default();
-        stats.seal(&log, &ctl, 2, 2);
+        Audit::new(&log, &ctl, 2, 2, 2, false).finish(&mut stats);
         let details: Vec<&str> = stats.violations.iter().map(|v| v.detail.as_str()).collect();
         assert_eq!(details, ["record 1 published after validating only 0 records"]);
     }

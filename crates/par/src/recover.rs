@@ -1,5 +1,7 @@
 //! Shared recovery machinery of the parallel engines: typed worker
-//! halts, the run-wide control block, and the supervisor loop.
+//! halts, the run-wide control block, and the supervisor loop, which
+//! also trails the log with the run's [`Audit`] and is the wall-clock
+//! watchdog's only progress writer.
 //!
 //! A worker never aborts the process. Every way it can stop — finishing
 //! its trace, an injected kill, a detected stall, a broken invariant, a
@@ -13,16 +15,18 @@
 use crate::config::ParConfig;
 use crate::receiver::Receiver;
 use crate::runtime::RuntimeError;
-use crate::stats::ParStats;
+use crate::stats::{Audit, ParStats};
 use bulk_chaos::{CrashPoint, InvariantKind, InvariantViolation, ThreadChaos};
 use bulk_live::{LivenessViolation, WallClockWatchdog};
+use bulk_trace::TraceError;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Supervisor wake-up period while waiting for worker exits, so the
-/// wall-clock watchdog is checked even when every worker is spinning.
-const SUPERVISE_TICK: Duration = Duration::from_millis(50);
+/// Supervisor wake-up period: each tick audits what was published since
+/// the last, notes it as progress, and checks the wall-clock watchdog,
+/// so a stall trips even when every worker is asleep.
+const SUPERVISE_TICK: Duration = Duration::from_millis(5);
 
 /// Why a worker's run loop stopped before finishing its trace.
 #[derive(Debug)]
@@ -38,6 +42,9 @@ pub(crate) enum Halt {
     Stalled(LivenessViolation),
     /// A protocol invariant broke (double publish, a lost TLS slot).
     Bug(String),
+    /// TLS task `.0`'s trace is malformed, reported once the worker's
+    /// cursor reaches the task's slot: the lowest such task.
+    InvalidTask(usize, TraceError),
     /// The supervisor requested an abort; the worker unwound cleanly.
     Aborted,
 }
@@ -50,13 +57,15 @@ impl Halt {
         matches!(self, Halt::Killed { .. } | Halt::Panicked(_))
     }
 
-    /// Human-readable cause, embedded in `WorkerDied` details.
+    /// Human-readable cause: a `WorkerDied` detail, or an invalid task's
+    /// `InvalidWorkload` message.
     pub(crate) fn describe(&self) -> String {
         match self {
             Halt::Killed { point } => format!("injected kill at {point} point"),
             Halt::Panicked(msg) => format!("panicked: {msg}"),
             Halt::Stalled(v) => format!("stalled: {v}"),
             Halt::Bug(m) => format!("protocol bug: {m}"),
+            Halt::InvalidTask(task, error) => format!("task {task}: {error}"),
             Halt::Aborted => "aborted".into(),
         }
     }
@@ -95,8 +104,9 @@ impl RunControl {
         self.abort.load(Ordering::Acquire)
     }
 
-    /// Notes a bus publish (progress) for the stall detector.
-    pub(crate) fn progress(&self) {
+    /// Notes progress — the audited prefix moved — for the stall
+    /// detector. The supervisor is its only caller.
+    fn progress(&self) {
         self.watchdog.note_progress();
     }
 
@@ -137,13 +147,15 @@ impl RunControl {
     }
 }
 
-/// Runs `workers` workers to completion under supervision and folds their
-/// counters into `stats`. Worker `w` starts from recovery point
-/// `first(w)`; `work` is one incarnation's run, advancing the point as it
-/// goes. When an incarnation crashes (injected kill or panic), `recover`
-/// checks the dead incarnation's [`Receiver`] and last recovery point
-/// against the log and says where the next incarnation resumes; the
-/// respawn budget bounds how often.
+/// Runs `workers` workers to completion under supervision and returns
+/// their folded counters, while `audit` trails the log they publish to;
+/// once the last worker has exited, the audit closes into the counters.
+/// Worker `w` starts from recovery point `first(w)`; `work` is one
+/// incarnation's run, advancing the point as it goes. When an incarnation
+/// crashes (injected kill or panic), `recover` checks the dead
+/// incarnation's [`Receiver`] and last recovery point against the log and
+/// says where the next incarnation resumes; the respawn budget bounds how
+/// often.
 ///
 /// One recovery rule serves both engines: the respawn *adopts* the slot
 /// its dead incarnation claimed and never published — the only thing the
@@ -153,19 +165,20 @@ impl RunControl {
 /// incarnation adopts the slot again. No claim can pass a held slot, so
 /// until then the log simply stops growing.
 ///
-/// Every other way a run can fail (stall, protocol bug, failed recovery,
-/// spent budget) aborts the surviving workers — a worker waiting on an
-/// orphaned slot unwinds at its next spin check — and comes back as the
-/// first typed error.
+/// Every other way a run can fail (stall, protocol bug, invalid task,
+/// failed recovery, spent budget) aborts the surviving workers — a
+/// worker waiting on an orphaned slot unwinds at its next spin check —
+/// and comes back as the first typed error, with the audit left unclosed.
 pub(crate) fn supervise<P: Send>(
     workers: usize,
     cfg: &ParConfig,
     ctl: &RunControl,
-    stats: &mut ParStats,
+    mut audit: Audit,
     first: impl Fn(usize) -> P,
     work: impl Fn(&mut Receiver, &mut P) -> Result<(), Halt> + Sync,
     mut recover: impl FnMut(&Receiver, P) -> Result<P, RuntimeError>,
-) -> Result<(), RuntimeError> {
+) -> Result<ParStats, RuntimeError> {
+    let mut stats = ParStats::default();
     let mut fatal: Option<RuntimeError> = None;
     let start = Instant::now();
     std::thread::scope(|s| {
@@ -187,7 +200,11 @@ pub(crate) fn supervise<P: Send>(
         while live > 0 {
             // One supervision step: a respawn to perform, nothing, or the
             // error that ends the run.
-            let step = match exits.recv_timeout(SUPERVISE_TICK) {
+            let exit = exits.recv_timeout(SUPERVISE_TICK);
+            if audit.advance() {
+                ctl.progress();
+            }
+            let step = match exit {
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     ctl.check_stall(None).map_or(Ok(None), |v| Err(RuntimeError::Liveness(v)))
@@ -199,6 +216,9 @@ pub(crate) fn supervise<P: Send>(
                         Ok(()) | Err(Halt::Aborted) => Ok(None),
                         Err(Halt::Stalled(v)) => Err(RuntimeError::Liveness(v)),
                         Err(Halt::Bug(m)) => Err(RuntimeError::ProtocolBug(m)),
+                        Err(invalid @ Halt::InvalidTask(..)) => {
+                            Err(RuntimeError::InvalidWorkload(invalid.describe()))
+                        }
                         Err(crash) => {
                             debug_assert!(crash.is_crash());
                             stats.worker_crashes += 1;
@@ -238,8 +258,11 @@ pub(crate) fn supervise<P: Send>(
             }
         }
     });
+    if fatal.is_none() {
+        audit.finish(&mut stats);
+    }
     stats.wall_ns = start.elapsed().as_nanos() as u64;
-    fatal.map_or(Ok(()), Err)
+    fatal.map_or(Ok(stats), Err)
 }
 
 /// Extracts a readable message from a caught panic payload.
@@ -289,6 +312,9 @@ mod tests {
         assert!(Halt::Panicked("x".into()).is_crash());
         assert!(!Halt::Aborted.is_crash());
         assert!(!Halt::Bug("x".into()).is_crash());
+        let invalid = Halt::InvalidTask(3, TraceError::MultipleSpawns { first: 0, second: 2 });
+        assert!(!invalid.is_crash());
+        assert_eq!(invalid.describe(), "task 3: second Spawn at op 2 (first at op 0)");
         assert!(panic_msg(Box::new("boom")).contains("boom"));
         assert!(panic_msg(Box::new(String::from("bang"))).contains("bang"));
     }

@@ -1,13 +1,11 @@
-//! Counters and post-run auditing of the parallel runtime.
+//! Counters of the parallel runtime, and the audit of its bus log that
+//! the supervisor runs while the log grows.
 
-use crate::bus::{BusLog, RecordKind};
+use crate::bus::{BusLog, BusRecord, RecordKind};
 use crate::recover::RunControl;
-use bulk_chaos::{Auditor, InvariantKind, InvariantViolation};
+use bulk_chaos::{InvariantKind, InvariantViolation};
 use bulk_core::CommitEvent;
-use bulk_mem::AddrHasher;
 use bulk_obs::Registry;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// Statistics of one parallel-runtime run, and of each worker
 /// incarnation in it: the supervisor folds every incarnation's counters
@@ -48,7 +46,7 @@ pub struct ParStats {
     /// Chaos-injected claim-to-publish delays actually slept through.
     pub delayed_publishes: u64,
     /// Individual invariant checks performed (apply-time oracle checks
-    /// plus the post-run log audit).
+    /// plus the supervisor's log audit).
     pub audit_checks: u64,
     /// Wall-clock duration of the run, in nanoseconds.
     pub wall_ns: u64,
@@ -56,8 +54,8 @@ pub struct ParStats {
     pub per_thread_commits: Vec<u64>,
     /// Committed history in bus-log order.
     pub history: Vec<CommitEvent>,
-    /// Invariant violations found at apply time or by the post-run
-    /// audit (empty on a healthy run).
+    /// Invariant violations found at apply time or by the log audit
+    /// (empty on a healthy run).
     pub violations: Vec<InvariantViolation>,
 }
 
@@ -91,111 +89,6 @@ impl ParStats {
         reg.gauge("par.wall_ns").set(self.wall_ns);
     }
 
-    /// Closes a finished run in one walk of the log: reads the record count
-    /// and committed history (commit records, in log order) off it and
-    /// audits it, against the structure the protocol promises and the
-    /// `expected` record count the workload implies.
-    ///
-    /// Everything here is *sound*: each check flags only genuine protocol
-    /// bugs, never racy-but-correct schedules. The timing-sensitive half of
-    /// serializability (a record conflicting with a set the receiver built
-    /// *before* applying it) is checked at apply time by the workers
-    /// themselves, exact-oracle alongside signatures; this pass re-checks
-    /// the finished log:
-    ///
-    /// * density — every claimed slot was published;
-    /// * `validated_to == slot` — each publisher had applied exactly the
-    ///   records before its slot when it published (its receiver's
-    ///   cursor; the CAS postcondition);
-    /// * per-publisher ordinals increase in log order, commits and stores
-    ///   each — the global order embeds every thread's program order, and
-    ///   a record published twice repeats its ordinal;
-    /// * signature containment — every exact written line is contained in
-    ///   the broadcast write signature (no false negatives, the paper's
-    ///   one-sided error guarantee).
-    ///
-    /// A record's slot is its only identity: with the ordinals and the
-    /// record count against `expected`, no broadcast can be lost or
-    /// repeated unseen. A store carries an address and no signature to
-    /// contain it, so the containment check skips it.
-    ///
-    /// The ordinal map is sized once from the tail and hashes with the
-    /// fixed [`AddrHasher`]: its keys are thread indices and kinds this
-    /// process stamped, not outside input.
-    pub(crate) fn seal(&mut self, log: &BusLog, ctl: &RunControl, actors: usize, expected: u64) {
-        let tail = log.tail();
-        self.records = tail as u64;
-        self.history.reserve(self.commits as usize);
-        let mut auditor = Auditor::new(ctl.scheme.clone(), actors, Some(ctl.seed));
-        let mut checks = 1;
-        let hasher = BuildHasherDefault::<AddrHasher>::default();
-        let mut last_ordinal = HashMap::with_capacity_and_hasher(tail, hasher);
-        for i in 0..tail {
-            let Some(rec) = log.get(i) else {
-                auditor.record(
-                    InvariantKind::TokenProtocol,
-                    0,
-                    i as u64,
-                    format!("bus slot {i} claimed but never published"),
-                );
-                continue;
-            };
-            let (thread, at) = (rec.thread as usize, i as u64);
-            checks += 2;
-            if rec.validated_to != i {
-                auditor.record(
-                    InvariantKind::Serializability,
-                    thread,
-                    at,
-                    format!(
-                        "record {i} published after validating only {} records",
-                        rec.validated_to
-                    ),
-                );
-            }
-            let verb = match rec.kind {
-                RecordKind::Commit => {
-                    self.history.push(CommitEvent { thread: rec.thread, ordinal: rec.ordinal, at });
-                    "committed"
-                }
-                RecordKind::NonTxStore => "stored",
-            };
-            if let Some(prev) = last_ordinal.insert((rec.thread, rec.kind), rec.ordinal) {
-                if rec.ordinal <= prev {
-                    auditor.record(
-                        InvariantKind::Serializability,
-                        thread,
-                        at,
-                        format!("thread {} {verb} ordinal {} after {prev}", rec.thread, rec.ordinal),
-                    );
-                }
-            }
-            if let Some(sig) = &rec.w_sig {
-                checks += rec.exact_w.len() as u64;
-                for &line in &rec.exact_w {
-                    if !sig.contains_line(line) {
-                        auditor.record(
-                            InvariantKind::SignatureContainment,
-                            thread,
-                            at,
-                            format!("committed line {line:?} missing from broadcast W_C"),
-                        );
-                    }
-                }
-            }
-        }
-        if self.records != expected {
-            auditor.record(
-                InvariantKind::TokenProtocol,
-                0,
-                self.records,
-                format!("bus log has {} records, workload implies {expected}", self.records),
-            );
-        }
-        self.audit_checks += checks;
-        self.violations.extend(auditor.take_violations());
-    }
-
     /// Adds one worker incarnation's counters — the ones a
     /// [`Receiver`](crate::receiver::Receiver) keeps — into the run's.
     pub(crate) fn fold(&mut self, w: ParStats) {
@@ -212,16 +105,182 @@ impl ParStats {
     }
 }
 
+/// The supervisor's audit of the bus log: a cursor that trails the
+/// published prefix during the run and checks each record once as it
+/// lands ([`Audit::advance`]), then a close after the last worker exits
+/// ([`Audit::finish`]).
+///
+/// Every check is *sound*: it flags only genuine protocol bugs, never
+/// racy-but-correct schedules. The timing-sensitive half of
+/// serializability (a record conflicting with a set the receiver built
+/// *before* applying it) is checked at apply time by the workers,
+/// exact-oracle alongside signatures; this audit checks the log:
+///
+/// * `validated_to == slot` — each publisher had applied exactly the
+///   records before its slot when it published (its receiver's cursor;
+///   the CAS postcondition);
+/// * per-publisher ordinals increase in log order, commits and stores
+///   each — the global order embeds every thread's program order, and a
+///   record published twice repeats its ordinal;
+/// * signature containment — every exact written line is contained in
+///   the broadcast write signature (no false negatives, the paper's
+///   one-sided error guarantee);
+/// * TLS only: slot `i` holds task `i`'s commit;
+/// * at the close, density — every claimed slot was published — and the
+///   record count against the `expected` one the workload implies.
+///
+/// A record's slot is its only identity: with the ordinals and the
+/// record count, no broadcast can be lost or repeated unseen. A store
+/// has no signature, so containment skips it. A claimed slot is not yet
+/// a gap: the cursor waits there, and only the close counts it.
+pub(crate) struct Audit<'a> {
+    log: &'a BusLog,
+    ctl: &'a RunControl,
+    /// Slots audited: every one below it was published and checked.
+    cursor: usize,
+    expected: u64,
+    /// TLS: the log is the task order.
+    in_task_order: bool,
+    /// Per publishing thread (TM) or task (TLS), the least ordinal its
+    /// next commit and next store may carry: one past the last seen.
+    next_ordinal: Vec<[u64; 2]>,
+    history: Vec<CommitEvent>,
+    per_thread_commits: Vec<u64>,
+    checks: u64,
+    violations: Vec<InvariantViolation>,
+}
+
+impl<'a> Audit<'a> {
+    /// An audit of `log`, which the workload fills with `expected`
+    /// records, published by `publishers` threads (TM) or tasks (TLS);
+    /// commits are attributed to `actors` workers, task `t` to worker
+    /// `t % actors`. `in_task_order` is the TLS rule.
+    pub(crate) fn new(
+        log: &'a BusLog,
+        ctl: &'a RunControl,
+        publishers: usize,
+        actors: usize,
+        expected: usize,
+        in_task_order: bool,
+    ) -> Self {
+        Audit {
+            log,
+            ctl,
+            cursor: 0,
+            expected: expected as u64,
+            in_task_order,
+            next_ordinal: vec![[0; 2]; publishers],
+            history: Vec::with_capacity(expected),
+            per_thread_commits: vec![0; actors],
+            checks: 0,
+            violations: Vec::new(),
+        }
+    }
+
+    /// Audits every record published since the last call, in slot order,
+    /// up to the first slot that is not published yet. Returns whether
+    /// the cursor moved: the run made progress.
+    pub(crate) fn advance(&mut self) -> bool {
+        let (from, tail) = (self.cursor, self.log.tail());
+        while self.cursor < tail {
+            let Some(rec) = self.log.get(self.cursor) else { break };
+            self.check(self.cursor, rec);
+            self.cursor += 1;
+        }
+        self.cursor > from
+    }
+
+    /// Closes the audit once no worker can publish any more: audits the
+    /// rest of the log, flagging each claimed slot that was never
+    /// published, checks the record count, and hands the results to
+    /// `stats`.
+    pub(crate) fn finish(mut self, stats: &mut ParStats) {
+        self.advance();
+        let tail = self.log.tail();
+        for i in self.cursor..tail {
+            match self.log.get(i) {
+                Some(rec) => self.check(i, rec),
+                None => self.flag(
+                    InvariantKind::TokenProtocol,
+                    0,
+                    i as u64,
+                    format!("bus slot {i} claimed but never published"),
+                ),
+            }
+        }
+        stats.records = tail as u64;
+        self.checks += 1;
+        if stats.records != self.expected {
+            let (records, expected) = (stats.records, self.expected);
+            let detail = format!("bus log has {records} records, workload implies {expected}");
+            self.flag(InvariantKind::TokenProtocol, 0, records, detail);
+        }
+        stats.history = self.history;
+        stats.per_thread_commits = self.per_thread_commits;
+        stats.audit_checks += self.checks;
+        stats.violations.extend(self.violations);
+    }
+
+    /// The checks of the record published in slot `i`.
+    fn check(&mut self, i: usize, rec: &BusRecord) {
+        let (thread, at) = (rec.thread as usize, i as u64);
+        self.checks += 2;
+        if rec.validated_to != i {
+            let detail =
+                format!("record {i} published after validating only {} records", rec.validated_to);
+            self.flag(InvariantKind::Serializability, thread, at, detail);
+        }
+        let verb = match rec.kind {
+            RecordKind::Commit => {
+                self.history.push(CommitEvent { thread: rec.thread, ordinal: rec.ordinal, at });
+                let n = self.per_thread_commits.len();
+                self.per_thread_commits[thread % n] += 1;
+                "committed"
+            }
+            RecordKind::NonTxStore => "stored",
+        };
+        let next = &mut self.next_ordinal[thread][rec.kind as usize];
+        let (ordinal, least) = (rec.ordinal, std::mem::replace(next, rec.ordinal + 1));
+        if ordinal < least {
+            let detail = format!("thread {thread} {verb} ordinal {ordinal} after {}", least - 1);
+            self.flag(InvariantKind::Serializability, thread, at, detail);
+        }
+        if let Some(sig) = &rec.w_sig {
+            self.checks += rec.exact_w.len() as u64;
+            for &line in &rec.exact_w {
+                if !sig.contains_line(line) {
+                    let detail = format!("committed line {line:?} missing from broadcast W_C");
+                    self.flag(InvariantKind::SignatureContainment, thread, at, detail);
+                }
+            }
+        }
+        if self.in_task_order {
+            self.checks += 1;
+            if thread != i {
+                let detail = format!("task {thread} committed at log position {i}: order broken");
+                self.flag(InvariantKind::Serializability, thread, at, detail);
+            }
+        }
+    }
+
+    fn flag(&mut self, kind: InvariantKind, thread: usize, cycle: u64, detail: String) {
+        self.violations.push(self.ctl.violation(kind, thread, cycle, &detail));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::BusRecord;
     use crate::config::ParConfig;
     use bulk_mem::LineAddr;
     use bulk_sig::{Signature, SignatureConfig};
 
     fn line(slot: usize) -> LineAddr {
         LineAddr::new(0x100 + slot as u32)
+    }
+
+    fn ctl() -> RunControl {
+        RunControl::new("par/tm/Bulk".into(), 2, &ParConfig::default())
     }
 
     /// Slot `slot` of a healthy two-thread log: thread `slot % 2`'s commit
@@ -240,29 +299,34 @@ mod tests {
         BusRecord { exact_w: vec![line(9)], validated_to: slot, ..bare }
     }
 
-    /// Claims a slot per entry, publishes the `Some`s, and seals the log
-    /// against a workload that implies `expected` records.
-    fn sealed(records: Vec<Option<BusRecord>>, expected: u64) -> ParStats {
-        let log = BusLog::new(records.len());
+    /// Runs the log a two-thread TM run of `records` would leave, with the
+    /// audit trailing it as the supervisor's ticks do: a tick after each
+    /// claim and after each publish (a `None` is claimed and never
+    /// published). Then closes the audit against a workload that implies
+    /// `expected` records.
+    fn audited(records: Vec<Option<BusRecord>>, expected: usize) -> ParStats {
+        let (ctl, log) = (ctl(), BusLog::new(records.len()));
+        let mut audit = Audit::new(&log, &ctl, 2, 2, expected, false);
         for (slot, rec) in records.into_iter().enumerate() {
             assert!(log.try_claim(slot));
+            audit.advance();
             if let Some(rec) = rec {
                 log.publish(slot, rec).unwrap();
             }
+            audit.advance();
         }
-        let ctl = RunControl::new("par/tm/Bulk".into(), 2, &ParConfig::default());
         let mut stats = ParStats::default();
-        stats.seal(&log, &ctl, 2, expected);
+        audit.finish(&mut stats);
         stats
     }
 
-    /// The one violation sealing `records` must find, as
+    /// The one violation auditing `records` must find, as
     /// `(kind, thread, cycle, detail)`.
     fn only_violation(
         records: Vec<Option<BusRecord>>,
-        expected: u64,
+        expected: usize,
     ) -> (InvariantKind, usize, u64, String) {
-        let stats = sealed(records, expected);
+        let stats = audited(records, expected);
         assert_eq!(stats.violations.len(), 1, "{:?}", stats.violations);
         let v = &stats.violations[0];
         assert_eq!((v.scheme.as_str(), v.seed), ("par/tm/Bulk", Some(ParConfig::default().seed)));
@@ -270,22 +334,71 @@ mod tests {
     }
 
     #[test]
-    fn a_clean_log_with_a_bare_store_seals_without_violations() {
+    fn a_clean_log_with_a_bare_store_audits_without_violations() {
         // Thread 1's first commit comes after its store.
         let late = BusRecord { ordinal: 0, ..commit(3) };
-        let stats = sealed(vec![Some(commit(0)), Some(store(1)), Some(commit(2)), Some(late)], 4);
+        let stats = audited(vec![Some(commit(0)), Some(store(1)), Some(commit(2)), Some(late)], 4);
         assert!(stats.violations.is_empty(), "{:?}", stats.violations);
         assert_eq!(stats.records, 4);
         let history: Vec<(u32, u64, u64)> =
             stats.history.iter().map(|e| (e.thread, e.ordinal, e.at)).collect();
         assert_eq!(history, vec![(0, 0, 0), (0, 1, 2), (1, 0, 3)]);
+        assert_eq!(stats.per_thread_commits, vec![2, 1]);
         // The record count, then per record its claim and its ordinal, and
         // per line of a signed record its containment.
         assert_eq!(stats.audit_checks, 1 + 4 * 2 + 3);
     }
 
     #[test]
-    fn a_claimed_slot_that_was_never_published_breaks_density() {
+    fn the_cursor_waits_at_a_claimed_slot_and_audits_it_once_when_it_lands() {
+        let (ctl, log) = (ctl(), BusLog::new(3));
+        let mut audit = Audit::new(&log, &ctl, 2, 2, 3, false);
+        assert!(!audit.advance(), "an empty log is no progress");
+        assert!(log.try_claim(0));
+        log.publish(0, commit(0)).unwrap();
+        assert!(log.try_claim(1));
+        // Slot 1 is claimed and still unpublished: the cursor stops there,
+        // and a claim in flight is not a gap.
+        assert!(audit.advance());
+        assert_eq!((audit.cursor, audit.checks), (1, 2 + 1));
+        assert!(!audit.advance(), "nothing new");
+        assert!(audit.violations.is_empty(), "{:?}", audit.violations);
+        // It lands; the next tick audits it and moves on, once.
+        log.publish(1, commit(1)).unwrap();
+        assert!(audit.advance());
+        assert!(!audit.advance());
+        assert_eq!((audit.cursor, audit.checks, audit.history.len()), (2, 2 * (2 + 1), 2));
+        assert!(log.try_claim(2));
+        log.publish(2, commit(2)).unwrap();
+        // The close picks up what no tick saw.
+        let mut stats = ParStats::default();
+        audit.finish(&mut stats);
+        assert!(stats.violations.is_empty(), "{:?}", stats.violations);
+        let slots: Vec<u64> = stats.history.iter().map(|e| e.at).collect();
+        assert_eq!(slots, vec![0, 1, 2]);
+        assert_eq!(stats.audit_checks, 1 + 3 * 2 + 3);
+    }
+
+    #[test]
+    fn a_claimed_slot_that_was_never_published_breaks_density_at_the_close() {
+        let (ctl, log) = (ctl(), BusLog::new(3));
+        let mut audit = Audit::new(&log, &ctl, 2, 2, 3, false);
+        for slot in 0..3 {
+            assert!(log.try_claim(slot));
+        }
+        log.publish(0, commit(0)).unwrap();
+        log.publish(2, commit(2)).unwrap();
+        audit.advance();
+        assert_eq!(audit.cursor, 1, "stopped at the unpublished slot");
+        assert!(audit.violations.is_empty(), "not a gap until the close");
+        let mut stats = ParStats::default();
+        audit.finish(&mut stats);
+        let found: Vec<_> = stats.violations.iter().map(|v| (v.kind, v.thread, v.cycle)).collect();
+        assert_eq!(found, [(InvariantKind::TokenProtocol, 0, 1)]);
+        assert_eq!(stats.violations[0].detail, "bus slot 1 claimed but never published");
+        // Slot 2, past the gap, is still audited.
+        assert_eq!(stats.history.len(), 2);
+        assert_eq!(stats.audit_checks, 1 + 2 * 2 + 2);
         assert_eq!(
             only_violation(vec![Some(commit(0)), None, Some(commit(2))], 3),
             (InvariantKind::TokenProtocol, 0, 1, "bus slot 1 claimed but never published".into())
@@ -348,5 +461,40 @@ mod tests {
             only_violation(vec![Some(commit(0)), Some(commit(1))], 3),
             (InvariantKind::TokenProtocol, 0, 2, "bus log has 2 records, workload implies 3".into())
         );
+    }
+
+    #[test]
+    fn a_task_out_of_its_slot_breaks_the_tls_order() {
+        // Two TLS workers: slot i must hold task i's commit. Task 2 landed
+        // in slot 1, and task 1 never published.
+        let task = |t: usize, slot: usize| BusRecord {
+            validated_to: slot,
+            ..BusRecord::bare(t, 0, RecordKind::Commit)
+        };
+        let (ctl, log) = (ctl(), BusLog::new(3));
+        let mut audit = Audit::new(&log, &ctl, 3, 2, 3, true);
+        for (slot, t) in [0, 2].into_iter().enumerate() {
+            assert!(log.try_claim(slot));
+            log.publish(slot, task(t, slot)).unwrap();
+        }
+        let mut stats = ParStats::default();
+        audit.advance();
+        audit.finish(&mut stats);
+        let found: Vec<_> = stats.violations.iter().map(|v| (v.kind, v.thread, v.cycle)).collect();
+        assert_eq!(
+            found,
+            [(InvariantKind::Serializability, 2, 1), (InvariantKind::TokenProtocol, 0, 2)]
+        );
+        let details: Vec<&str> = stats.violations.iter().map(|v| v.detail.as_str()).collect();
+        assert_eq!(
+            details,
+            [
+                "task 2 committed at log position 1: order broken",
+                "bus log has 2 records, workload implies 3"
+            ]
+        );
+        // Task t ran on worker t % 2; each record's order is one check more.
+        assert_eq!(stats.per_thread_commits, vec![2, 0]);
+        assert_eq!(stats.audit_checks, 1 + 2 * 3);
     }
 }

@@ -16,7 +16,8 @@
 //! `Spawn` ops are no-ops here: the task list is fully materialized by
 //! the trace, and the round-robin deal hands every worker its next task
 //! eagerly — the paper's spawn tree is already flattened into task
-//! order by `bulk-trace`.
+//! order by `bulk-trace`. A task may hold at most one: the worker that
+//! runs it counts them (see [`refuse`]).
 //!
 //! # Fault model
 //!
@@ -39,11 +40,11 @@ use crate::config::ParConfig;
 use crate::receiver::{Receiver, SpecSets};
 use crate::recover::{supervise, Halt, RunControl};
 use crate::runtime::RuntimeError;
-use crate::stats::ParStats;
-use bulk_chaos::{InvariantKind, MachineError};
+use crate::stats::{Audit, ParStats};
+use bulk_chaos::MachineError;
 use bulk_sig::SignatureConfig;
 use bulk_tls::TlsScheme;
-use bulk_trace::{TaskTrace, TlsOp, TlsWorkload};
+use bulk_trace::{TaskTrace, TlsOp, TlsWorkload, TraceError};
 
 /// Runs `workload` under the parallel runtime. `Bulk`, `BulkNoOverlap`
 /// (identical here: Partial Overlap is a cache-warmup optimization with
@@ -66,14 +67,12 @@ pub fn run_par_tls(
                   substrate only orders commits",
         });
     }
-    for (i, t) in workload.tasks.iter().enumerate() {
-        t.validate().map_err(|e| RuntimeError::InvalidWorkload(format!("task {i}: {e}")))?;
-    }
     run_on(&BusLog::new(workload.tasks.len()), &workload.tasks, scheme, cfg)
 }
 
 /// [`run_par_tls`] past its checks: runs `tasks` to their in-order
-/// commits in `log`, one slot per task.
+/// commits in `log`, one slot per task. The audit holds the log to the
+/// task order.
 fn run_on(
     log: &BusLog,
     tasks: &[TaskTrace],
@@ -85,12 +84,11 @@ fn run_on(
     let workers = cfg.tls_workers.max(1).min(tasks.len());
     let ctl = RunControl::new(format!("par/tls/{scheme:?}"), workers, cfg);
 
-    let mut stats = ParStats { per_thread_commits: vec![0; workers], ..ParStats::default() };
     supervise(
         workers,
         cfg,
         &ctl,
-        &mut stats,
+        Audit::new(log, &ctl, tasks.len(), workers, tasks.len(), true),
         // Worker `w` runs the stride of tasks w, w + workers, ….
         |w| w,
         |rx, task| {
@@ -117,19 +115,7 @@ fn run_on(
                 _ => Ok(resume),
             }
         },
-    )?;
-
-    stats.seal(log, &ctl, workers, tasks.len() as u64);
-    for (i, ev) in stats.history.iter().enumerate() {
-        stats.per_thread_commits[ev.thread as usize % workers] += 1;
-        stats.audit_checks += 1;
-        if ev.thread as usize != i {
-            let (kind, task) = (InvariantKind::Serializability, ev.thread as usize);
-            let detail = format!("task {task} committed at log position {i}: order broken");
-            stats.violations.push(ctl.violation(kind, task, i as u64, &detail));
-        }
-    }
-    Ok(stats)
+    )
 }
 
 /// Applies predecessor commits; `true` when one of them hit the running
@@ -146,7 +132,8 @@ fn poll(rx: &mut Receiver, sets: &SpecSets, log: &BusLog, ctl: &RunControl) -> R
 }
 
 /// Runs `task` to its in-order commit: speculative execution, restarted
-/// whenever a predecessor's commit hits its read set.
+/// whenever a predecessor's commit hits its read set. A second `Spawn`
+/// ends the task with its trace refused instead.
 #[inline(always)]
 fn run_task(
     rx: &mut Receiver,
@@ -158,7 +145,8 @@ fn run_task(
 ) -> Result<(), Halt> {
     'attempt: loop {
         sets.clear();
-        for op in ops {
+        let mut spawn = None;
+        for (i, op) in ops.iter().enumerate() {
             if poll(rx, sets, log, ctl)? {
                 continue 'attempt;
             }
@@ -166,13 +154,43 @@ fn run_task(
                 TlsOp::Read(a) => sets.read(a),
                 TlsOp::Write(a) => sets.write(a),
                 TlsOp::Compute(n) => rx.dwell(n),
-                TlsOp::Spawn => {}
+                TlsOp::Spawn => match spawn {
+                    None => spawn = Some(i),
+                    Some(first) => {
+                        let error = TraceError::MultipleSpawns { first, second: i };
+                        return refuse(rx, task, error, log, ctl);
+                    }
+                },
             }
         }
         rx.flush_dwell();
         if commit_in_order(rx, sets, task, log, ctl)? {
             return Ok(());
         }
+    }
+}
+
+/// Ends a worker whose `task` has a malformed trace with
+/// [`Halt::InvalidTask`] once its cursor reaches the task's slot: every
+/// predecessor published, so it is the lowest malformed task. A worker
+/// stuck behind a lower one unwinds at the supervisor's abort instead.
+#[cold]
+#[inline(never)]
+fn refuse(
+    rx: &mut Receiver,
+    task: usize,
+    error: TraceError,
+    log: &BusLog,
+    ctl: &RunControl,
+) -> Result<(), Halt> {
+    loop {
+        rx.poll(log, ctl, |_| None)?;
+        if rx.cursor >= task {
+            return Err(Halt::InvalidTask(task, error));
+        }
+        ctl.check_spin(rx.proc)?;
+        std::hint::spin_loop();
+        std::thread::yield_now();
     }
 }
 
@@ -214,7 +232,7 @@ fn commit_in_order(
         )));
     }
     let bare = BusRecord::bare(task, 0, RecordKind::Commit);
-    rx.publish(log, ctl, task, BusRecord { w_sig, exact_w, ..bare })?;
+    rx.publish(log, task, BusRecord { w_sig, exact_w, ..bare })?;
     rx.stats.commits += 1;
     Ok(true)
 }
@@ -342,7 +360,7 @@ mod tests {
         let (w_sig, exact_w) = sets0.commit_payload();
         assert!(matches!(rx0.claim(&log, 0), Ok(true)));
         let bare = BusRecord::bare(0, 0, RecordKind::Commit);
-        let published = rx0.publish(&log, &ctl, 0, BusRecord { w_sig, exact_w, ..bare });
+        let published = rx0.publish(&log, 0, BusRecord { w_sig, exact_w, ..bare });
         assert!(published.is_ok());
 
         // The waiting poll applies task 0's record: RAW on x. The attempt
@@ -362,9 +380,10 @@ mod tests {
         assert_eq!(rec.exact_w, vec![z.line(64)], "the re-execution's W, not the squashed y");
         assert_eq!(rec.validated_to, 1, "published after applying task 0's record");
 
-        // Containment, density, claim == validated prefix, program order.
+        // Containment, density, claim == validated prefix, program order,
+        // task order.
         let mut stats = ParStats::default();
-        stats.seal(&log, &ctl, 2, 2);
+        Audit::new(&log, &ctl, 2, 2, 2, true).finish(&mut stats);
         assert!(stats.violations.is_empty(), "{:?}", stats.violations);
         let order: Vec<u32> = stats.history.iter().map(|e| e.thread).collect();
         assert_eq!(order, vec![0, 1]);

@@ -59,7 +59,7 @@ use crate::config::ParConfig;
 use crate::receiver::{Receiver, SpecSets};
 use crate::recover::{supervise, Halt, RunControl};
 use crate::runtime::RuntimeError;
-use crate::stats::ParStats;
+use crate::stats::{Audit, ParStats};
 use bulk_chaos::MachineError;
 use bulk_sig::SignatureConfig;
 use bulk_tm::Scheme;
@@ -119,12 +119,11 @@ pub fn run_par_tm(
     let ctl = RunControl::new(format!("par/tm/{scheme}"), n, cfg);
     let log = BusLog::new(capacity.max(1));
 
-    let mut stats = ParStats { per_thread_commits: vec![0; n], ..ParStats::default() };
     supervise(
         n,
         cfg,
         &ctl,
-        &mut stats,
+        Audit::new(&log, &ctl, n, n, capacity, false),
         |_| Boundary::default(),
         |rx, boundary| {
             let ops = &workload.threads[rx.proc].ops;
@@ -136,13 +135,7 @@ pub fn run_par_tm(
             verify_tm_resume(&log, dead.proc, dead.claimed_unpublished, &boundary)?;
             Ok(boundary)
         },
-    )?;
-
-    stats.seal(&log, &ctl, n, capacity as u64);
-    for ev in &stats.history {
-        stats.per_thread_commits[ev.thread as usize] += 1;
-    }
-    Ok(stats)
+    )
 }
 
 /// Pre-respawn check: the dead worker's boundary ordinals must match
@@ -316,7 +309,7 @@ impl<'a> TmWorker<'a> {
             let slot = rx.cursor;
             if rx.claim(log, slot)? {
                 let kind = record.kind;
-                rx.publish(log, ctl, slot, record)?;
+                rx.publish(log, slot, record)?;
                 self.published(rx, kind);
                 break;
             }

@@ -49,6 +49,11 @@
 #    commit ticket and hands a respawn no serial, only its held slot, so
 #    the audit has no ticket set and the chaos injector kills at two
 #    points, claim and apply. A publish-point kill was a claim kill.
+# 14. The supervisor trails the log (DESIGN.md §13): the supervisor's
+#    audit cursor checks each record as it lands and is the watchdog's
+#    only progress writer, so a publish notes no progress, no `seal`
+#    replays the log after the join, and a TLS task's `Spawn`s are
+#    counted by the worker that runs it, not by a pass over the trace.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -183,6 +188,15 @@ nontest_hits 'CommitTicket|stamp_ticket|seen_tickets|[.]serial([^[:alnum:]_]|$)'
 grep -rn 'CrashPoint::Publish' crates tests && slot=1
 if [ "$slot" -eq 1 ]; then
   echo "one-core guard: a record's slot is its identity; no commit ticket, worker serial or publish crash point"
+  fail=1
+fi
+
+trail=0
+nontest_hits 'progress[(][)]' crates/par/src/receiver.rs && trail=1
+nontest_hits 'validate[(][)]' crates/par/src/tls.rs && trail=1
+nontest_hits 'seal[(]' crates/par/src/tm.rs crates/par/src/tls.rs && trail=1
+if [ "$trail" -eq 1 ]; then
+  echo "one-core guard: the supervisor trails the log; no progress per publish, no post-join seal, no up-front TLS trace pass"
   fail=1
 fi
 

@@ -35,10 +35,11 @@ echo "front-door guard: OK"
 # arbiter crash as bus time, no checkpoint proof (a spill/reload round
 # trip is a property test, not a run-time check), a line test that is
 # one probe (word-group expansion, set-bit seal CRC, `earliest` scans),
-# one par recovery rule (a respawn adopts its held slot; no fence), and
-# a par record whose slot is its identity (no commit ticket, worker
-# serial or publish crash point).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule, a record's slot is its identity)"
+# one par recovery rule (a respawn adopts its held slot; no fence), a
+# par record whose slot is its identity (no commit ticket, worker serial
+# or publish crash point), and a supervisor that trails the log (no
+# progress per publish, no post-join seal, no up-front TLS trace pass).
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule, a record's slot is its identity, the supervisor trails the log)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"
@@ -61,9 +62,10 @@ mv "$LEDGER_LOCK" benchmark/Cargo.lock
 # The crash-recovery matrix used to fail about one run in three on a
 # 2-core host (a scheduled apply-point kill the target worker could
 # outrun). Kill reachability is now schedule-independent; 50 consecutive
-# green runs (about 2 s each) are the proof, and a guard against its
+# green runs (about 2.5 s each) are the proof, and a guard against its
 # return. The matrix includes TLS under the probabilistic chaos preset
-# (most of those 2 s: its injected stalls sleep), where an adopted slot
+# (most of those 2.5 s, with the delayed-publish run under the stall
+# bound: their injected stalls and delays sleep), where an adopted slot
 # lost to a second death or a commit token moved backwards (the token
 # is gone: the log is the TLS order) used to stall a run until the
 # watchdog tripped.

@@ -13,14 +13,14 @@
 //! runtime's serializability under a repeated-run soak.
 
 use bulk_repro::par::{
-    conflict_light_tm, ParConfig, ParRuntime, RunDetail, RunReport, Runtime, SimRuntime,
-    same_commit_class,
+    conflict_light_tm, ParConfig, ParRuntime, RunDetail, RunReport, Runtime, RuntimeError,
+    SimRuntime, same_commit_class,
 };
 use bulk_repro::sim::SimConfig;
 use bulk_repro::tls::TlsScheme;
 use bulk_repro::tm::Scheme;
 use bulk_repro::trace::profiles;
-use bulk_repro::trace::{ThreadTrace, TmOp, TmWorkload};
+use bulk_repro::trace::{ThreadTrace, TlsOp, TmOp, TmWorkload};
 use bulk_repro::mem::Addr;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -121,6 +121,44 @@ fn tls_profiles_land_in_the_same_commit_class_on_both_runtimes() {
                     .unwrap_or_else(|e| panic!("par run failed ({ctx}): {e}"));
                 same_commit_class(&sim, &par)
                     .unwrap_or_else(|e| panic!("conformance failed ({ctx}): {e}"));
+            }
+        }
+    }
+}
+
+/// A task with two `Spawn`s is refused by both substrates with one
+/// message, naming the lowest such task: the sim before it builds its
+/// machine, par on the worker that runs the task, once every predecessor
+/// has committed. The invalid task sits early, late, or twice on two
+/// workers — in `[7, 6]` at the same depth of two workers' strides, so
+/// the two reach them together — and par runs on one, two and four
+/// workers.
+#[test]
+fn a_task_with_two_spawns_is_refused_as_the_sim_refuses_it() {
+    let cfg = SimConfig::tls_default();
+    let mut profile = profiles::tls_profile("gzip").unwrap();
+    profile.tasks = 48;
+    // The lowest invalid task of each case, then any others.
+    for bad in [&[1][..], &[46], &[5, 30], &[9, 4], &[7, 6]] {
+        let lowest = *bad.iter().min().unwrap();
+        for seed in SEEDS {
+            let mut wl = profile.generate(seed);
+            for &task in bad {
+                wl.tasks[task].ops.extend([TlsOp::Spawn, TlsOp::Spawn]);
+            }
+            let sim = SimRuntime.run_tls(&wl, TlsScheme::Bulk, &cfg).unwrap_err().to_string();
+            assert!(sim.contains(&format!("thread {lowest}: second Spawn")), "{sim}");
+            // The sim names the task a thread; par says task.
+            let want = sim.replace("invalid trace for thread ", "task ");
+            for tls_workers in [1, 2, 4] {
+                let par = ParRuntime::new(ParConfig { seed, tls_workers, ..ParConfig::default() });
+                let ctx = format!("tasks {bad:?}, seed {seed}, {tls_workers} workers");
+                match par.run_tls(&wl, TlsScheme::Bulk, &cfg) {
+                    Err(e @ RuntimeError::InvalidWorkload(_)) => {
+                        assert_eq!(e.to_string(), want, "{ctx}")
+                    }
+                    other => panic!("{ctx}: expected an invalid workload, got {other:?}"),
+                }
             }
         }
     }

@@ -16,8 +16,8 @@
 
 use bulk_repro::chaos::ChaosConfig;
 use bulk_repro::par::{
-    CrashPoint, KillSpec, ParConfig, ParRuntime, RunDetail, RunReport, Runtime, RuntimeError,
-    SimRuntime, same_commit_class,
+    conflict_light_tm, CrashPoint, KillSpec, ParConfig, ParRuntime, RunDetail, RunReport, Runtime,
+    RuntimeError, SimRuntime, same_commit_class,
 };
 use bulk_repro::sim::SimConfig;
 use bulk_repro::tls::TlsScheme;
@@ -212,6 +212,39 @@ fn a_hung_peer_trips_the_wall_clock_watchdog_with_a_replay_seed() {
             assert!(v.scheme.contains("par/tm"), "{}", v.scheme);
         }
         other => panic!("expected a liveness violation, got: {other}"),
+    }
+}
+
+#[test]
+fn delayed_publishes_under_the_bound_do_not_trip_the_watchdog() {
+    // The twin of the test above: every publish sleeps 20 ms, a tenth of
+    // the 200 ms bound. Progress is the supervisor's audited prefix, which
+    // trails each publish by about one tick; that lag must not make a
+    // spinning worker see a stall. Both engines, twelve publishes each:
+    // each run outlasts the bound, so progress must really be noted.
+    let chaos = ChaosConfig {
+        publish_delay_prob: 1.0,
+        publish_delay_ns: 20_000_000,
+        ..ChaosConfig::new(11)
+    };
+    let cfg = ParConfig {
+        seed: 11,
+        chaos: Some(chaos),
+        stall_timeout_ms: 200,
+        ..ParConfig::default()
+    };
+    let runtime = ParRuntime::new(cfg);
+    let par = runtime
+        .run_tm(&conflict_light_tm(4, 12, 4, 0), Scheme::Bulk, &SimConfig::tm_default())
+        .unwrap_or_else(|e| panic!("tm: {e}"));
+    let mut tls = profiles::tls_profile("gzip").unwrap();
+    tls.tasks = 12;
+    let par_tls = runtime
+        .run_tls(&tls.generate(11), TlsScheme::Bulk, &SimConfig::tls_default())
+        .unwrap_or_else(|e| panic!("tls: {e}"));
+    for s in [par_stats(&par), par_stats(&par_tls)] {
+        assert_eq!(s.delayed_publishes, s.records, "every publish slept");
+        assert!(s.violations.is_empty(), "{:?}", s.violations);
     }
 }
 
