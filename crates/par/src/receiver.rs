@@ -18,7 +18,7 @@ use crate::config::ParConfig;
 use crate::recover::{Halt, RunControl};
 use crate::stats::ParStats;
 use bulk_chaos::{CrashPoint, InvariantKind, WorkerChaos};
-use bulk_mem::{Addr, AddrSet, LineAddr};
+use bulk_mem::{Addr, LineAddr};
 use bulk_obs::Verdict as Class;
 use bulk_rng::{Rng, SeedableRng, SmallRng};
 use bulk_sig::{Signature, SignatureConfig};
@@ -28,6 +28,9 @@ use std::sync::Arc;
 /// fine-grained `Compute` ops don't turn into sub-microsecond sleeps.
 const DWELL_FLUSH_NS: u64 = 50_000;
 
+/// The shortest length at which an [`AccessLog`] compacts.
+const LOG_COMPACT_MIN: usize = 256;
+
 /// A receiver's verdict on one record: the exact oracle's, and the
 /// signatures' when the record carries one — the two halves
 /// [`bulk_obs::Verdict::classify`] attributes.
@@ -36,15 +39,68 @@ pub(crate) struct Verdict {
     pub sig: Option<bool>,
 }
 
-/// A worker's speculative state: exact oracle sets (always) and R/W
-/// signatures (Bulk schemes), at line granularity.
+/// The exact oracle's half of one speculative set: every line accessed,
+/// appended in program order with its repeats. An access is a push; set
+/// work happens only where a set answer is needed — a verdict scans the
+/// log, a payload sorts and dedups it — the paper's bulk operation on
+/// `W_C`'s arrival, with no per-access set insert.
+///
+/// A log never holds more than twice its distinct lines (or
+/// [`LOG_COMPACT_MIN`]): when it reaches twice what its last compaction
+/// left, it is sorted and deduped in place. That bounds a verdict's scan.
+struct AccessLog {
+    lines: Vec<LineAddr>,
+    /// The length at which the next push compacts.
+    compact_at: usize,
+}
+
+impl Default for AccessLog {
+    fn default() -> Self {
+        AccessLog { lines: Vec::new(), compact_at: LOG_COMPACT_MIN }
+    }
+}
+
+impl AccessLog {
+    #[inline(always)]
+    fn push(&mut self, line: LineAddr) {
+        self.lines.push(line);
+        if self.lines.len() >= self.compact_at {
+            self.compact();
+        }
+    }
+
+    /// Sorts and dedups the log in place; the set it holds is unchanged.
+    #[cold]
+    #[inline(never)]
+    fn compact(&mut self) {
+        self.lines.sort_unstable();
+        self.lines.dedup();
+        self.compact_at = (2 * self.lines.len()).max(LOG_COMPACT_MIN);
+    }
+
+    /// Branch-free, so LLVM vectorises the scan: a log is short (see the
+    /// bound above), and a branch per element costs more than the
+    /// elements an early exit would skip.
+    #[inline]
+    fn contains(&self, l: LineAddr) -> bool {
+        self.lines.iter().fold(false, |hit, &x| hit | (x == l))
+    }
+
+    fn clear(&mut self) {
+        self.lines.clear();
+        self.compact_at = LOG_COMPACT_MIN;
+    }
+}
+
+/// A worker's speculative state: exact oracle access logs (always) and
+/// R/W signatures (Bulk schemes), at line granularity.
 pub(crate) struct SpecSets {
     use_sigs: bool,
     sig_config: Arc<SignatureConfig>,
     r_sig: Signature,
     w_sig: Signature,
-    exact_r: AddrSet<LineAddr>,
-    exact_w: AddrSet<LineAddr>,
+    exact_r: AccessLog,
+    exact_w: AccessLog,
 }
 
 impl SpecSets {
@@ -54,8 +110,8 @@ impl SpecSets {
             r_sig: Signature::with_shared(sig_config.clone()),
             w_sig: Signature::with_shared(sig_config.clone()),
             sig_config,
-            exact_r: AddrSet::default(),
-            exact_w: AddrSet::default(),
+            exact_r: AccessLog::default(),
+            exact_w: AccessLog::default(),
         }
     }
 
@@ -66,7 +122,7 @@ impl SpecSets {
 
     pub(crate) fn read(&mut self, a: Addr) {
         let line = self.line(a);
-        self.exact_r.insert(line);
+        self.exact_r.push(line);
         if self.use_sigs {
             self.r_sig.insert_line(line);
         }
@@ -74,7 +130,7 @@ impl SpecSets {
 
     pub(crate) fn write(&mut self, a: Addr) {
         let line = self.line(a);
-        self.exact_w.insert(line);
+        self.exact_w.push(line);
         if self.use_sigs {
             self.w_sig.insert_line(line);
         }
@@ -100,7 +156,7 @@ impl SpecSets {
         let exact = rec
             .exact_w
             .iter()
-            .any(|l| self.exact_r.contains(l) || (with_writes && self.exact_w.contains(l)));
+            .any(|&l| self.exact_r.contains(l) || (with_writes && self.exact_w.contains(l)));
         let sig = match &rec.w_sig {
             Some(w) => {
                 Some(w.intersects(&self.r_sig) || (with_writes && w.intersects(&self.w_sig)))
@@ -116,13 +172,13 @@ impl SpecSets {
     }
 
     /// What a commit broadcasts — a copy of `W` and the exact written
-    /// lines, sorted — as `(w_sig, exact_w)`; `R` is not read. It changes
-    /// nothing, so a publisher builds it before it claims a slot
-    /// (DESIGN.md §18).
-    pub(crate) fn commit_payload(&self) -> (Option<Signature>, Vec<LineAddr>) {
-        let mut exact_w: Vec<LineAddr> = self.exact_w.iter().copied().collect();
-        exact_w.sort_unstable();
-        (self.use_sigs.then(|| self.w_sig.clone()), exact_w)
+    /// lines, sorted and deduped — as `(w_sig, exact_w)`; `R` is not
+    /// read. The `W` log is compacted in place and copied out at its
+    /// exact length; the set it holds, and so every verdict, is as it
+    /// was. A publisher builds it before it claims a slot (DESIGN.md §18).
+    pub(crate) fn commit_payload(&mut self) -> (Option<Signature>, Vec<LineAddr>) {
+        self.exact_w.compact();
+        (self.use_sigs.then(|| self.w_sig.clone()), self.exact_w.lines.to_vec())
     }
 }
 
@@ -382,7 +438,11 @@ mod tests {
 
     #[test]
     fn an_unpublished_payload_leaves_every_verdict_as_it_was() {
-        let sets = sets_after(&[0x1000, 0x1040, 0x9000], &[0x2000, 0x2040]);
+        // `W` is written with repeats, as a trace writes it: 200 appends of
+        // two lines, short of the compaction bound.
+        let writes: Vec<u32> = [0x2000, 0x2040].repeat(100);
+        let mut sets = sets_after(&[0x1000, 0x1040, 0x9000], &writes);
+        assert_eq!(sets.exact_w.lines.len(), 200, "not compacted yet");
         let records: Vec<BusRecord> =
             [&[0x1000][..], &[0x2040], &[0x7000, 0x7040], &[0x9000, 0x2000], &[]]
                 .map(peer_record)
@@ -406,12 +466,151 @@ mod tests {
         let (w_sig, exact_w) = sets.commit_payload();
         let line = |a| Addr::new(a).line(64);
         assert_eq!(exact_w, vec![line(0x2000), line(0x2040)]);
+        assert_eq!(exact_w.capacity(), exact_w.len(), "copied out at its exact length");
         let w_sig = w_sig.expect("Bulk broadcasts W");
         assert!(exact_w.iter().all(|&l| w_sig.contains_line(l)), "containment");
         drop(w_sig);
         assert_eq!(verdicts(&sets), before);
         // The retry's payload is the same broadcast.
-        assert_eq!(sets.commit_payload(), (Some(sets.w_sig.clone()), exact_w));
+        let retry = sets.commit_payload();
+        assert_eq!(retry, (Some(sets.w_sig.clone()), exact_w.clone()));
+
+        // More repeats push the `W` log past its bound, so it compacts on
+        // an append; a payload built after that is the same broadcast too.
+        for a in [0x2040, 0x2000].repeat(LOG_COMPACT_MIN) {
+            sets.write(Addr::new(a));
+        }
+        assert!(sets.exact_w.lines.len() < LOG_COMPACT_MIN, "compacted on an append");
+        assert_eq!(verdicts(&sets), before);
+        let (w_sig, after) = sets.commit_payload();
+        assert_eq!((&w_sig, &after), (&retry.0, &exact_w));
+        assert_eq!(verdicts(&sets), before);
+
+        // The lost claim and its retry on a log: a peer wins slot 0 with a
+        // record that misses this transaction, the poll applies it without
+        // a squash, and the retry publishes the payload it already had.
+        let cfg = ParConfig::default();
+        let ctl = RunControl::new("par/tm/Bulk".into(), 2, &cfg);
+        let log = BusLog::new(2);
+        let mut rx = Receiver::new(0, &cfg, ctl.chaos.worker(0, 0));
+        assert!(log.try_claim(0), "the peer wins the race");
+        assert!(matches!(rx.claim(&log, 0), Ok(false)), "the claim is lost");
+        log.publish(0, peer_record(&[0x7000, 0x7040])).unwrap();
+        let squashed = rx.poll(&log, &ctl, |rec| Some(sets.verdict(rec, true)));
+        assert!(matches!(squashed, Ok(false)));
+        assert_eq!(verdicts(&sets), before);
+        assert!(matches!(rx.claim(&log, 1), Ok(true)));
+        let bare = BusRecord::bare(0, 0, RecordKind::Commit);
+        assert!(rx.publish(&log, 1, BusRecord { w_sig, exact_w: after, ..bare }).is_ok());
+        let published = log.get(1).expect("the retry published");
+        assert_eq!(published.exact_w, exact_w);
+        // Each record keeps what it broadcasts, not the log's length.
+        assert_eq!(published.exact_w.capacity(), published.exact_w.len());
+        assert_eq!(rx.stats.claim_retries, 1);
+    }
+
+    /// The access log answers as the set did: fed a stream with many
+    /// repeats and a footprint up to 4× the compaction bound, every TM and
+    /// TLS verdict — on commit and store records, under Bulk and Lazy —
+    /// equals the one an `AddrSet` of the same accesses gives, a payload
+    /// is that set sorted, and no log holds more than max(2·distinct,
+    /// bound) lines.
+    #[test]
+    fn the_access_log_answers_as_the_set_did() {
+        use bulk_mem::AddrSet;
+        use bulk_rng::check::{run, Gen};
+        use bulk_rng::{prop_assert, prop_assert_eq};
+
+        let (mut compactions, mut hits, mut misses) = (0u32, 0u32, 0u32);
+        run("the_access_log_answers_as_the_set_did", 64, |g| {
+            let use_sigs = g.bool();
+            let config = SignatureConfig::s14_tm().into_shared();
+            let mut sets = SpecSets::new(use_sigs, config.clone());
+            // The reference: the sets and signatures the log replaced.
+            let fresh = || (AddrSet::<LineAddr>::default(), Signature::with_shared(config.clone()));
+            let (mut r, mut w) = (fresh(), fresh());
+            // Attempts, each ended by a squash or a commit, so a log that
+            // grew large is cleared before a small footprint reuses it.
+            for _ in 0..g.in_range(1..4u32) {
+                let footprint = g.in_range(1..4 * LOG_COMPACT_MIN as u32 + 1);
+                // Half the accesses go to a hot eighth of the footprint.
+                let hot = (footprint / 8).max(1);
+                let addr = |g: &mut Gen| {
+                    let line = if g.bool() { g.in_range(0..hot) } else { g.in_range(0..footprint) };
+                    Addr::new(line << 6)
+                };
+                // A peer's commit and store, to lines in and past the footprint.
+                let peer = |g: &mut Gen| -> (BusRecord, BusRecord) {
+                    let mut writer = SpecSets::new(use_sigs, config.clone());
+                    for _ in 0..g.in_range(0..8u32) {
+                        writer.write(Addr::new(g.in_range(0..footprint + 64) << 6));
+                    }
+                    let (w_sig, exact_w) = writer.commit_payload();
+                    let commit = BusRecord { w_sig, exact_w, ..peer_bare(RecordKind::Commit) };
+                    (commit, peer_store(g.in_range(0..footprint + 64) << 6))
+                };
+                for _ in 0..g.in_range(1..8 * LOG_COMPACT_MIN) {
+                    let a = addr(g);
+                    let (l, write) = (a.line(64), g.in_range(0..4u32) == 0);
+                    let (len, log, (set, sig)) = if write {
+                        let len = sets.exact_w.lines.len();
+                        sets.write(a);
+                        (len, &sets.exact_w, &mut w)
+                    } else {
+                        let len = sets.exact_r.lines.len();
+                        sets.read(a);
+                        (len, &sets.exact_r, &mut r)
+                    };
+                    set.insert(l);
+                    sig.insert_line(l);
+                    compactions += u32::from(log.lines.len() <= len);
+                    prop_assert!(log.lines.len() <= (2 * set.len()).max(LOG_COMPACT_MIN));
+
+                    match g.in_range(0..2048u32) {
+                        // A verdict on each record shape, for each engine.
+                        0..=15 => {
+                            let (commit, store) = peer(g);
+                            for rec in [&commit, &store] {
+                                for with_writes in [false, true] {
+                                    let v = sets.verdict(rec, with_writes);
+                                    let hit = |l: &LineAddr| {
+                                        r.0.contains(l) || (with_writes && w.0.contains(l))
+                                    };
+                                    prop_assert_eq!(v.exact, rec.exact_w.iter().any(hit));
+                                    (hits, misses) =
+                                        (hits + u32::from(v.exact), misses + u32::from(!v.exact));
+                                    let sig = match &rec.w_sig {
+                                        Some(c) => Some(
+                                            c.intersects(&r.1)
+                                                || (with_writes && c.intersects(&w.1)),
+                                        ),
+                                        None if use_sigs => Some(rec.exact_w.iter().any(|&l| {
+                                            r.1.contains_line(l)
+                                                || (with_writes && w.1.contains_line(l))
+                                        })),
+                                        None => None,
+                                    };
+                                    prop_assert_eq!(v.sig, sig);
+                                }
+                            }
+                        }
+                        // A payload: the set, sorted; `W` as the signature has it.
+                        16..=19 => {
+                            let (w_sig, exact_w) = sets.commit_payload();
+                            let mut want: Vec<LineAddr> = w.0.iter().copied().collect();
+                            want.sort_unstable();
+                            prop_assert_eq!(exact_w, want);
+                            prop_assert_eq!(w_sig, use_sigs.then(|| w.1.clone()));
+                        }
+                        _ => {}
+                    }
+                }
+                sets.clear();
+                (r, w) = (fresh(), fresh());
+            }
+            Ok(())
+        });
+        assert!(compactions > 0 && hits > 0 && misses > 0, "{compactions} {hits} {misses}");
     }
 
     /// The two substrates give one answer: `SpecSets` (par) and a `Bdm`
@@ -431,11 +630,20 @@ mod tests {
                 g.set_u32(0..max, 0..4096).into_iter().map(|line| line << 6).collect()
             };
             let (r, w, w_c) = (lines(g, 64), lines(g, 32), lines(g, 32));
-            let (sets, rec) = (sets_after(&r, &w), peer_record(&w_c));
+            // Each set is accessed with repeats, as a trace accesses it.
+            let with_repeats = |g: &mut Gen, set: &[u32]| -> Vec<u32> {
+                let repeats = match set.len() {
+                    0 => Vec::new(),
+                    n => g.vec_of(0..2 * n, |g| set[g.in_range(0..n)]),
+                };
+                [set, &repeats].concat()
+            };
+            let (r_stream, w_stream) = (with_repeats(g, &r), with_repeats(g, &w));
+            let (sets, rec) = (sets_after(&r_stream, &w_stream), peer_record(&w_c));
             let mut bdm = Bdm::new(SignatureConfig::s14_tm(), CacheGeometry::tm_l1(), 1);
             let v = bdm.alloc_version().expect("one free slot");
-            r.iter().for_each(|&a| bdm.record_load(v, Addr::new(a)));
-            w.iter().for_each(|&a| bdm.record_store(v, Addr::new(a)));
+            r_stream.iter().for_each(|&a| bdm.record_load(v, Addr::new(a)));
+            w_stream.iter().for_each(|&a| bdm.record_store(v, Addr::new(a)));
             let d = bdm.disambiguate(v, rec.w_sig.as_ref().expect("Bulk broadcasts W"));
             let hits = |set: &[u32]| w_c.iter().any(|a| set.contains(a));
 

@@ -16,7 +16,7 @@ use crate::config::ParConfig;
 use crate::receiver::Receiver;
 use crate::runtime::RuntimeError;
 use crate::stats::{Audit, ParStats};
-use bulk_chaos::{CrashPoint, InvariantKind, InvariantViolation, ThreadChaos};
+use bulk_chaos::{CrashPoint, InvariantKind, InvariantViolation, MachineError, ThreadChaos};
 use bulk_live::{LivenessViolation, WallClockWatchdog};
 use bulk_trace::TraceError;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,14 +58,17 @@ impl Halt {
     }
 
     /// Human-readable cause: a `WorkerDied` detail, or an invalid task's
-    /// `InvalidWorkload` message.
+    /// `InvalidWorkload` message — the sim's `MachineError::Trace` text,
+    /// so a refusal reads the same on both substrates.
     pub(crate) fn describe(&self) -> String {
         match self {
             Halt::Killed { point } => format!("injected kill at {point} point"),
             Halt::Panicked(msg) => format!("panicked: {msg}"),
             Halt::Stalled(v) => format!("stalled: {v}"),
             Halt::Bug(m) => format!("protocol bug: {m}"),
-            Halt::InvalidTask(task, error) => format!("task {task}: {error}"),
+            Halt::InvalidTask(task, error) => {
+                MachineError::Trace { thread: *task, source: error.clone() }.to_string()
+            }
             Halt::Aborted => "aborted".into(),
         }
     }
@@ -314,7 +317,8 @@ mod tests {
         assert!(!Halt::Bug("x".into()).is_crash());
         let invalid = Halt::InvalidTask(3, TraceError::MultipleSpawns { first: 0, second: 2 });
         assert!(!invalid.is_crash());
-        assert_eq!(invalid.describe(), "task 3: second Spawn at op 2 (first at op 0)");
+        let want = "invalid trace for thread 3: second Spawn at op 2 (first at op 0)";
+        assert_eq!(invalid.describe(), want, "the sim's text");
         assert!(panic_msg(Box::new("boom")).contains("boom"));
         assert!(panic_msg(Box::new(String::from("bang"))).contains("bang"));
     }

@@ -8,10 +8,11 @@
 //! slot once its cursor reaches it, that is, once it has applied every
 //! predecessor's record. Conflict detection is the paper's RAW rule — a
 //! predecessor's committed `W` intersecting the speculative task's `R`
-//! restarts the task — checked with signatures (Bulk) or exact sets
-//! (Lazy), with the exact oracle always run alongside to classify
-//! aliasing restarts. TM and TLS differ only in which slot they may
-//! claim: TM any validated tail, TLS its own.
+//! restarts the task — checked with signatures (Bulk) or the exact
+//! oracle (Lazy), whose access logs (each access appends its line, a
+//! verdict scans them) always run alongside to classify aliasing
+//! restarts. TM and TLS differ only in which slot they may claim: TM any
+//! validated tail, TLS its own.
 //!
 //! `Spawn` ops are no-ops here: the task list is fully materialized by
 //! the trace, and the round-robin deal hands every worker its next task
@@ -204,7 +205,7 @@ fn refuse(
 /// attempt and its payload together (DESIGN.md §18).
 fn commit_in_order(
     rx: &mut Receiver,
-    sets: &SpecSets,
+    sets: &mut SpecSets,
     task: usize,
     log: &BusLog,
     ctl: &RunControl,
@@ -365,7 +366,7 @@ mod tests {
 
         // The waiting poll applies task 0's record: RAW on x. The attempt
         // ends there, and the prepared payload goes with it.
-        let committed = commit_in_order(&mut rx1, &sets1, 1, &log, &ctl);
+        let committed = commit_in_order(&mut rx1, &mut sets1, 1, &log, &ctl);
         assert!(matches!(committed, Ok(false)));
         assert_eq!((rx1.stats.squashes, rx1.cursor, log.tail()), (1, 1, 1));
         assert!(log.get(1).is_none(), "nothing of the squashed attempt reached the bus");
@@ -374,7 +375,7 @@ mod tests {
         sets1.clear();
         sets1.read(x);
         sets1.write(z);
-        let committed = commit_in_order(&mut rx1, &sets1, 1, &log, &ctl);
+        let committed = commit_in_order(&mut rx1, &mut sets1, 1, &log, &ctl);
         assert!(matches!(committed, Ok(true)));
         let rec = log.get(1).expect("task 1 published");
         assert_eq!(rec.exact_w, vec![z.line(64)], "the re-execution's W, not the squashed y");

@@ -4,8 +4,8 @@
 //! Protocol (the paper's lazy commit, made concurrent):
 //!
 //! * each thread executes its trace speculatively, inserting read/write
-//!   lines into local R/W signatures (Bulk) and exact oracle sets
-//!   (always);
+//!   lines into local R/W signatures (Bulk) and appending them to exact
+//!   oracle access logs (always);
 //! * between operations it *polls* the log and applies every new record
 //!   to its speculative state: a record whose `W_C` intersects the local
 //!   `R ∪ W` squashes the transaction (restart from `Begin`, cleared
@@ -108,9 +108,9 @@ pub fn run_par_tm(
     // sum to the log's exact size.
     let mut capacity = 0;
     for (i, t) in workload.threads.iter().enumerate() {
-        capacity += t
-            .validate(MAX_DEPTH)
-            .map_err(|e| RuntimeError::InvalidWorkload(format!("thread {i}: {e}")))?;
+        capacity += t.validate(MAX_DEPTH).map_err(|source| {
+            RuntimeError::InvalidWorkload(MachineError::Trace { thread: i, source }.to_string())
+        })?;
     }
 
     let n = workload.threads.len();
@@ -273,8 +273,10 @@ impl<'a> TmWorker<'a> {
 
     /// Polls the bus; a peer's record whose `W_C` hits this transaction's
     /// `R ∪ W` squashes it: cleared sets, restart from `Begin`, backoff.
-    /// Returns whether that happened.
-    #[inline]
+    /// Returns whether that happened. Once per op: `always`, because as a
+    /// hint LLVM left it an out-of-line call in the worker loop, as it
+    /// once did TLS's `poll`.
+    #[inline(always)]
     fn poll(&mut self, rx: &mut Receiver, log: &BusLog, ctl: &RunControl) -> Result<bool, Halt> {
         let (me, depth, sets) = (rx.proc, self.depth, &self.sets);
         let squashed = rx.poll(log, ctl, |rec| {

@@ -54,6 +54,11 @@
 #    only progress writer, so a publish notes no progress, no `seal`
 #    replays the log after the join, and a TLS task's `Spawn`s are
 #    counted by the worker that runs it, not by a pass over the trace.
+# 15. A par access is an append (DESIGN.md §18): a worker's exact oracle
+#    is an access log, so no per-access set insert — no `AddrSet` in a
+#    non-test line of crates/par/src — and TM's per-op poll is
+#    `#[inline(always)]`, as TLS's is, not a hint LLVM may leave as a
+#    call.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -197,6 +202,18 @@ nontest_hits 'validate[(][)]' crates/par/src/tls.rs && trail=1
 nontest_hits 'seal[(]' crates/par/src/tm.rs crates/par/src/tls.rs && trail=1
 if [ "$trail" -eq 1 ]; then
   echo "one-core guard: the supervisor trails the log; no progress per publish, no post-join seal, no up-front TLS trace pass"
+  fail=1
+fi
+
+append=0
+nontest_hits 'AddrSet' crates/par/src/*.rs && append=1
+# The attribute line right above TM's `fn poll`, which must exist.
+awk '/^[[:space:]]*#\[/ { attr = $0; next }
+     /fn poll[(<]/ { seen = 1; if (attr !~ /#\[inline\(always\)\]/) { print FILENAME ":" FNR ":" $0; bad = 1 } }
+     { attr = "" }
+     END { if (!seen) print FILENAME ": no fn poll"; exit !(bad || !seen) }' crates/par/src/tm.rs && append=1
+if [ "$append" -eq 1 ]; then
+  echo "one-core guard: a par access is an append; no oracle set insert per access, and TM's poll is #[inline(always)]"
   fail=1
 fi
 

@@ -37,9 +37,11 @@ echo "front-door guard: OK"
 # one probe (word-group expansion, set-bit seal CRC, `earliest` scans),
 # one par recovery rule (a respawn adopts its held slot; no fence), a
 # par record whose slot is its identity (no commit ticket, worker serial
-# or publish crash point), and a supervisor that trails the log (no
-# progress per publish, no post-join seal, no up-front TLS trace pass).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule, a record's slot is its identity, the supervisor trails the log)"
+# or publish crash point), a supervisor that trails the log (no
+# progress per publish, no post-join seal, no up-front TLS trace pass),
+# and a par access that is an append (no oracle set insert; TM's poll
+# inlined always).
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule, a record's slot is its identity, the supervisor trails the log, a par access is an append)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"

@@ -146,10 +146,9 @@ fn a_task_with_two_spawns_is_refused_as_the_sim_refuses_it() {
             for &task in bad {
                 wl.tasks[task].ops.extend([TlsOp::Spawn, TlsOp::Spawn]);
             }
-            let sim = SimRuntime.run_tls(&wl, TlsScheme::Bulk, &cfg).unwrap_err().to_string();
-            assert!(sim.contains(&format!("thread {lowest}: second Spawn")), "{sim}");
-            // The sim names the task a thread; par says task.
-            let want = sim.replace("invalid trace for thread ", "task ");
+            let want = SimRuntime.run_tls(&wl, TlsScheme::Bulk, &cfg).unwrap_err().to_string();
+            let named = format!("invalid trace for thread {lowest}: second Spawn");
+            assert!(want.contains(&named), "{want}");
             for tls_workers in [1, 2, 4] {
                 let par = ParRuntime::new(ParConfig { seed, tls_workers, ..ParConfig::default() });
                 let ctx = format!("tasks {bad:?}, seed {seed}, {tls_workers} workers");
@@ -158,6 +157,42 @@ fn a_task_with_two_spawns_is_refused_as_the_sim_refuses_it() {
                         assert_eq!(e.to_string(), want, "{ctx}")
                     }
                     other => panic!("{ctx}: expected an invalid workload, got {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// A TM thread with an unmatched `End`, or nested past the supported
+/// depth, is refused by both substrates with one message — the sim's
+/// `MachineError::Trace` text, naming the lowest malformed thread.
+#[test]
+fn a_malformed_tm_thread_is_refused_as_the_sim_refuses_it() {
+    let cfg = SimConfig::tm_default();
+    let too_deep = [vec![TmOp::Begin; 9], vec![TmOp::End; 9]].concat();
+    let cases: [(&[usize], Vec<TmOp>, &str); 4] = [
+        (&[1], vec![TmOp::End], "unmatched End at op 0"),
+        (&[6], too_deep.clone(), "nesting depth 9 at op 8 exceeds supported maximum 8"),
+        (&[5, 2], vec![TmOp::End], "unmatched End at op 0"),
+        (&[0, 3], too_deep, "nesting depth 9 at op 8 exceeds supported maximum 8"),
+    ];
+    for (bad, prefix, error) in cases {
+        let lowest = *bad.iter().min().unwrap();
+        for seed in SEEDS {
+            let mut wl = profiles::tm_profile("mc").unwrap().generate(seed);
+            for &thread in bad {
+                wl.threads[thread].ops.splice(0..0, prefix.iter().copied());
+            }
+            let ctx = format!("threads {bad:?}, seed {seed}");
+            let want = format!("invalid workload: invalid trace for thread {lowest}: {error}");
+            let sim = SimRuntime.run_tm(&wl, Scheme::Bulk, &cfg).unwrap_err().to_string();
+            assert_eq!(sim, want, "{ctx}");
+            for scheme in [Scheme::Bulk, Scheme::Lazy] {
+                match par_runtime(seed).run_tm(&wl, scheme, &cfg) {
+                    Err(e @ RuntimeError::InvalidWorkload(_)) => {
+                        assert_eq!(e.to_string(), want, "{ctx}, {scheme}")
+                    }
+                    other => panic!("{ctx}, {scheme}: expected an invalid workload, got {other:?}"),
                 }
             }
         }
