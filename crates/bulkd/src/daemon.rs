@@ -29,7 +29,7 @@ use bulk_trace::jobspec::{FlatValue, JobSpec};
 use crate::job::{JobState, JobTable};
 
 /// How the daemon listens and bounds its work.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
     /// Ingest address (`host:port`; port 0 picks a free port).
     pub listen: String,
@@ -38,7 +38,7 @@ pub struct DaemonConfig {
     /// Maximum concurrently-running jobs; later jobs queue.
     pub max_jobs: usize,
     /// Wall-clock budget (ms) for jobs whose spec names none; 0 disables
-    /// the watchdog.
+    /// the reaper.
     pub default_timeout_ms: u64,
     /// Per-job event-ring capacity (events retained for streaming).
     pub event_capacity: usize,
@@ -401,7 +401,7 @@ fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
         return true;
     }
     let done_line = match shared.table.state(id) {
-        Some(JobState::Done { commits, .. }) => {
+        Some(JobState::Done { commits }) => {
             // The done line carries only deterministic fields (par-runtime
             // squash counts vary between runs; commit counts do not), so
             // identical spec+seed submissions stream byte-identically.

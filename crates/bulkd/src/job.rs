@@ -9,10 +9,11 @@
 //! typed `job-timeout` failure instead of a wedged daemon.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-use bulk_live::{LivenessKind, LivenessViolation, WallClockWatchdog};
+use bulk_live::{LivenessKind, LivenessViolation};
 use bulk_obs::{json_escape, Obs};
 use bulk_par::{runtime_for, JobPlan, RunOptions};
 use bulk_trace::jobspec::JobSpec;
@@ -22,14 +23,12 @@ use bulk_trace::jobspec::JobSpec;
 pub enum JobState {
     /// Accepted, waiting for a worker slot.
     Queued,
-    /// Executing on a worker thread.
+    /// Executing on a worker thread; holds one of the `max_jobs` slots.
     Running,
     /// Finished cleanly.
     Done {
         /// Committed transactions/tasks.
         commits: u64,
-        /// Squashes / restarts.
-        squashes: u64,
     },
     /// Finished with a typed error (run failure, timeout, shutdown).
     Failed {
@@ -85,19 +84,27 @@ struct JobEntry {
     spec: JobSpec,
     state: JobState,
     obs: Arc<Obs>,
-    /// Armed when the job starts running; the supervisor polls it.
-    watchdog: Option<Arc<WallClockWatchdog>>,
-    /// Ensures the worker slot is given back exactly once even when a
-    /// reaped worker finishes after the reaper already failed the job.
-    slot_released: Arc<AtomicBool>,
+    /// When a `Running` job's wall-clock budget runs out; `None` for a
+    /// job with no budget. The supervisor compares it with the clock.
+    deadline: Option<Instant>,
 }
 
-/// The daemon's shared job registry with a bounded worker pool.
+/// The slots taken: the `Running` entries.
+fn running(jobs: &BTreeMap<String, JobEntry>) -> usize {
+    jobs.values().filter(|e| e.state == JobState::Running).count()
+}
+
+/// The daemon's shared job registry with a bounded worker pool. A worker
+/// slot is a `Running` entry: a job takes one by moving to `Running` and
+/// gives it back by leaving it, both under the one `jobs` lock.
 pub struct JobTable {
     jobs: Mutex<BTreeMap<String, JobEntry>>,
+    /// Signalled whenever a job leaves `Running`, waking the workers of
+    /// queued jobs. All of them: one whose job was cancelled takes no
+    /// slot, so waking only it could strand the next queued job.
+    slot_freed: Condvar,
     next_id: AtomicU64,
-    slots: Mutex<usize>,
-    slots_cv: Condvar,
+    max_jobs: usize,
     default_timeout_ms: u64,
     event_capacity: usize,
 }
@@ -105,13 +112,13 @@ pub struct JobTable {
 impl JobTable {
     /// A table running at most `max_jobs` jobs concurrently. Jobs whose
     /// spec has no `timeout_ms` get `default_timeout_ms` (0 disables the
-    /// watchdog); each job's event ring holds `event_capacity` events.
+    /// reaper); each job's event ring holds `event_capacity` events.
     pub fn new(max_jobs: usize, default_timeout_ms: u64, event_capacity: usize) -> Self {
         JobTable {
             jobs: Mutex::new(BTreeMap::new()),
+            slot_freed: Condvar::new(),
             next_id: AtomicU64::new(1),
-            slots: Mutex::new(max_jobs.max(1)),
-            slots_cv: Condvar::new(),
+            max_jobs: max_jobs.max(1),
             default_timeout_ms,
             event_capacity,
         }
@@ -140,8 +147,7 @@ impl JobTable {
                 spec,
                 state: JobState::Queued,
                 obs: Arc::new(Obs::with_event_capacity(self.event_capacity)),
-                watchdog: None,
-                slot_released: Arc::new(AtomicBool::new(false)),
+                deadline: None,
             },
         );
         Ok(id)
@@ -154,59 +160,40 @@ impl JobTable {
     /// while queued never runs. A panic in the run fails the job as
     /// `worker-panicked`.
     pub fn run(&self, id: &str) {
-        let (spec, obs, slot_released) = {
+        let (spec, obs) = {
             let jobs = self.jobs.lock().expect("job table poisoned");
-            let Some(e) = jobs.get(id) else { return };
-            (e.spec.clone(), Arc::clone(&e.obs), Arc::clone(&e.slot_released))
-        };
-        // Bounded concurrency: block until a slot frees up.
-        {
-            let mut slots = self.slots.lock().expect("slot pool poisoned");
-            while *slots == 0 {
-                slots = self.slots_cv.wait(slots).expect("slot pool poisoned");
-            }
-            *slots -= 1;
-        }
-        let release = |released: &AtomicBool| {
-            if !released.swap(true, Ordering::AcqRel) {
-                *self.slots.lock().expect("slot pool poisoned") += 1;
-                self.slots_cv.notify_one();
-            }
-        };
-        // Arm the watchdog only now: queue wait does not burn the
-        // wall-clock budget.
-        let timeout_ms = spec.timeout_ms.unwrap_or(self.default_timeout_ms);
-        let watchdog = Arc::new(WallClockWatchdog::new(timeout_ms.saturating_mul(1_000_000)));
-        {
-            let mut jobs = self.jobs.lock().expect("job table poisoned");
-            let Some(e) = jobs.get_mut(id) else {
-                release(&slot_released);
+            let mut jobs = self
+                .slot_freed
+                .wait_while(jobs, |jobs| {
+                    jobs.get(id).is_some_and(|e| e.state == JobState::Queued)
+                        && running(jobs) >= self.max_jobs
+                })
+                .expect("job table poisoned");
+            // Gone, or failed (shutdown) while queued: no slot to take.
+            let Some(e) = jobs.get_mut(id).filter(|e| e.state == JobState::Queued) else {
                 return;
             };
-            if e.state != JobState::Queued {
-                // Cancelled (shutdown) while queued.
-                release(&slot_released);
-                return;
-            }
+            // The budget starts with the slot: queue wait does not burn it.
+            let timeout_ms = e.spec.timeout_ms.unwrap_or(self.default_timeout_ms);
             e.state = JobState::Running;
-            e.watchdog = Some(Arc::clone(&watchdog));
-        }
-        watchdog.note_progress();
+            e.deadline = Some(timeout_ms)
+                .filter(|&ms| ms > 0)
+                .and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
+            (e.spec.clone(), Arc::clone(&e.obs))
+        };
         let outcome = contain(|| execute(&spec, &obs));
         obs.publish_stream_stats();
         let mut jobs = self.jobs.lock().expect("job table poisoned");
-        if let Some(e) = jobs.get_mut(id) {
-            // The reaper or shutdown may have failed the job while we ran;
-            // that typed state wins and the late result is discarded.
-            if e.state == JobState::Running {
-                e.state = match outcome {
-                    Ok((commits, squashes)) => JobState::Done { commits, squashes },
-                    Err((kind, detail)) => JobState::Failed { kind, detail },
-                };
-            }
+        // The reaper or shutdown may have failed the job while we ran;
+        // that typed state wins, the slot went back with it, and the late
+        // result is discarded.
+        if let Some(e) = jobs.get_mut(id).filter(|e| e.state == JobState::Running) {
+            e.state = match outcome {
+                Ok(commits) => JobState::Done { commits },
+                Err((kind, detail)) => JobState::Failed { kind, detail },
+            };
+            self.slot_freed.notify_all();
         }
-        drop(jobs);
-        release(&slot_released);
     }
 
     /// Fails a job that will never get a worker, so whoever streams it
@@ -219,48 +206,36 @@ impl JobTable {
         }
     }
 
-    /// Fails every `Running` job whose wall-clock watchdog has tripped,
-    /// constructing the typed [`LivenessKind::JobTimeout`] violation.
-    /// Returns how many jobs were reaped. The worker thread may still be
-    /// wedged — it is abandoned, its slot reclaimed, and the daemon
-    /// carries on.
+    /// Fails every `Running` job past its deadline, constructing the
+    /// typed [`LivenessKind::JobTimeout`] violation, and hands its slot
+    /// back. Returns how many jobs were reaped. The worker thread may
+    /// still be wedged — it is abandoned and the daemon carries on.
     pub fn reap_stalled(&self) -> usize {
+        let now = Instant::now();
+        let mut jobs = self.jobs.lock().expect("job table poisoned");
         let mut reaped = 0;
-        let mut to_release = Vec::new();
-        {
-            let mut jobs = self.jobs.lock().expect("job table poisoned");
-            for (id, e) in jobs.iter_mut() {
-                let stalled =
-                    e.state == JobState::Running && e.watchdog.as_ref().is_some_and(|w| w.stalled());
-                if !stalled {
-                    continue;
-                }
-                let timeout_ms = e
-                    .watchdog
-                    .as_ref()
-                    .map_or(0, |w| w.timeout_ns() / 1_000_000);
-                let violation = LivenessViolation {
-                    kind: LivenessKind::JobTimeout,
-                    scheme: format!("{}/{}", e.spec.machine.as_str(), e.spec.scheme),
-                    thread: None,
-                    cycle: 0,
-                    seed: Some(e.spec.seed),
-                    detail: format!("job `{id}` exceeded its {timeout_ms} ms wall-clock budget"),
-                };
-                e.state = JobState::Failed {
-                    kind: LivenessKind::JobTimeout.as_str().to_string(),
-                    detail: violation.to_string(),
-                };
-                to_release.push(Arc::clone(&e.slot_released));
-                reaped += 1;
+        for (id, e) in jobs.iter_mut() {
+            let overdue = e.state == JobState::Running && e.deadline.is_some_and(|d| d < now);
+            if !overdue {
+                continue;
             }
+            let timeout_ms = e.spec.timeout_ms.unwrap_or(self.default_timeout_ms);
+            let violation = LivenessViolation {
+                kind: LivenessKind::JobTimeout,
+                scheme: format!("{}/{}", e.spec.machine.as_str(), e.spec.scheme),
+                thread: None,
+                cycle: 0,
+                seed: Some(e.spec.seed),
+                detail: format!("job `{id}` exceeded its {timeout_ms} ms wall-clock budget"),
+            };
+            e.state = JobState::Failed {
+                kind: LivenessKind::JobTimeout.as_str().to_string(),
+                detail: violation.to_string(),
+            };
+            reaped += 1;
         }
-        // Reclaim the wedged workers' slots so the pool cannot drain.
-        for released in to_release {
-            if !released.swap(true, Ordering::AcqRel) {
-                *self.slots.lock().expect("slot pool poisoned") += 1;
-                self.slots_cv.notify_one();
-            }
+        if reaped > 0 {
+            self.slot_freed.notify_all();
         }
         reaped
     }
@@ -280,6 +255,7 @@ impl JobTable {
                 detail: "daemon shut down before the job finished".to_string(),
             };
         }
+        self.slot_freed.notify_all();
     }
 
     /// The job's current state, if the job exists.
@@ -340,11 +316,11 @@ impl JobTable {
 }
 
 /// Runs the spec to completion through the front door, recording into
-/// `obs`. Returns `(commits, squashes)` or a `(kind, detail)` failure —
+/// `obs`. Returns the commit count or a `(kind, detail)` failure —
 /// classified here once, so a `done` line's `"kind"` cannot differ by
 /// substrate for the same failure. A job arms no watchdog, so a stall
 /// reaches here only as a par run's `RuntimeError::Liveness`.
-fn execute(spec: &JobSpec, obs: &Arc<Obs>) -> Result<(u64, u64), (String, String)> {
+fn execute(spec: &JobSpec, obs: &Arc<Obs>) -> Result<u64, (String, String)> {
     let opts = RunOptions { obs: Some(Arc::clone(obs)), ..RunOptions::default() };
     let r = JobPlan::resolve(spec)
         .and_then(|plan| runtime_for(spec).run(&plan.generate(spec.seed), &opts))
@@ -352,15 +328,13 @@ fn execute(spec: &JobSpec, obs: &Arc<Obs>) -> Result<(u64, u64), (String, String
     if let Some(v) = r.violations.first() {
         return Err(("invariant".to_string(), v.to_string()));
     }
-    Ok((r.commits, r.squashes))
+    Ok(r.commits)
 }
 
 /// Runs a job body, turning a panic in it into the job's typed
 /// `worker-panicked` failure, so the client's `done` line reports it and
 /// the worker still releases its slot.
-fn contain(
-    body: impl FnOnce() -> Result<(u64, u64), (String, String)>,
-) -> Result<(u64, u64), (String, String)> {
+fn contain(body: impl FnOnce() -> Result<u64, (String, String)>) -> Result<u64, (String, String)> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).unwrap_or_else(|p| {
         let msg = match (p.downcast_ref::<&str>(), p.downcast_ref::<String>()) {
             (Some(s), _) => s.to_string(),
@@ -377,7 +351,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_body_is_a_typed_failure() {
-        assert_eq!(contain(|| Ok((3, 1))), Ok((3, 1)));
+        assert_eq!(contain(|| Ok(3)), Ok(3));
         let failed = contain(|| panic!("boom {}", 7));
         assert_eq!(
             failed,

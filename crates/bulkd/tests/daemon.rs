@@ -206,7 +206,8 @@ fn the_daemon_stream_equals_the_in_process_event_artifact() {
 
 #[test]
 fn hung_job_is_reaped_as_typed_timeout_and_daemon_survives() {
-    let handle = start(2, 30_000);
+    // One slot: the follow-up job below runs only if the reap gave it back.
+    let handle = start(1, 30_000);
     // A real run of 8 × 1500 transactions: about a second of work
     // optimised and ten in a debug build, against a 50 ms budget. The
     // supervisor must fail the job with a typed liveness violation.
@@ -233,6 +234,11 @@ fn hung_job_is_reaped_as_typed_timeout_and_daemon_survives() {
         r#"{"machine": "tls", "app": "bzip2", "scheme": "lazy", "seed": 2}"#,
     );
     assert!(after.ok(), "daemon wedged after reaping: {}", after.last());
+    assert_eq!(
+        tm_bulk_job_metric(&handle, "wedge", "bulk_tm_cycles_total"),
+        0.0,
+        "the slot must come back at the reap, not when the abandoned run ends"
+    );
     let body = client::scrape(&handle.http_addr().to_string()).expect("scrape after reap");
     let parsed = bulk_obs::prometheus::parse_exposition(&body).expect("parse");
     assert_eq!(
@@ -342,8 +348,6 @@ fn wait_returns_only_after_a_job_running_at_shutdown_has_exited() {
     let handle = start(1, 30_000);
     let mut conn = TcpStream::connect(handle.ingest_addr()).expect("connect");
     conn.write_all(format!("{spec}\n").as_bytes()).expect("send");
-    // The worker starts before the daemon answers, so once the answer is
-    // here the job is in flight.
     let mut accepted = Vec::new();
     let mut byte = [0u8];
     while byte[0] != b'\n' {
@@ -352,6 +356,9 @@ fn wait_returns_only_after_a_job_running_at_shutdown_has_exited() {
     }
     let accepted = String::from_utf8(accepted).expect("utf-8");
     assert!(accepted.starts_with("{\"accepted\": true"), "got: {accepted}");
+    // The worker is spawned before the daemon answers, but it may not
+    // have taken its slot yet; a job shut down while queued never runs.
+    wait_until("the job runs", || job_state(&handle, "inflight").as_deref() == Some("running"));
     let stopped = Instant::now();
     handle.shutdown();
     handle.wait();

@@ -16,7 +16,14 @@ pub enum Command {
     /// `bulk sweep-sig --app A` — signature-size ablation on one app.
     SweepSig { app: String, seed: u64 },
     /// `bulk bulkd ...` — run the live telemetry daemon.
-    Bulkd(BulkdArgs),
+    Bulkd {
+        /// The daemon's addresses and bounds, straight from the flags.
+        cfg: bulkd::DaemonConfig,
+        /// Write `<ingest-addr>\n<http-addr>\n` here once bound — lets
+        /// shell scripts start the daemon on port 0 and discover where it
+        /// landed.
+        addr_file: Option<String>,
+    },
     /// `bulk submit --connect A --spec J` — submit a job spec to a
     /// running daemon and stream its event JSONL to stdout.
     Submit {
@@ -45,24 +52,6 @@ pub enum Command {
     },
     /// `bulk help` or `--help`.
     Help,
-}
-
-/// Options of `bulk bulkd` (the daemon).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BulkdArgs {
-    /// Ingest listen address (`host:port`; port 0 picks a free port).
-    pub listen: String,
-    /// HTTP `/metrics` listen address.
-    pub http: String,
-    /// Maximum concurrently-running jobs.
-    pub max_jobs: u64,
-    /// Default wall-clock budget per job in ms (0 disables the watchdog).
-    pub job_timeout_ms: u64,
-    /// Per-job event-ring capacity (0 keeps the library default).
-    pub event_capacity: u64,
-    /// Write `<ingest-addr>\n<http-addr>\n` here once bound — lets shell
-    /// scripts start the daemon on port 0 and discover where it landed.
-    pub addr_file: Option<String>,
 }
 
 /// Options of `bulk tm` and `bulk tls`.
@@ -322,21 +311,25 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "bulkd" => {
             let mut f = Flags::parse(rest)?;
-            let listen = f.take("listen").unwrap_or_else(|| "127.0.0.1:7700".into());
-            let http = f.take("http").unwrap_or_else(|| "127.0.0.1:7701".into());
-            let max_jobs = parse_num(f.take("max-jobs"), 8, "--max-jobs")?;
-            let job_timeout_ms = parse_num(f.take("job-timeout-ms"), 30_000, "--job-timeout-ms")?;
-            let event_capacity = parse_num(f.take("event-capacity"), 0, "--event-capacity")?;
+            let d = bulkd::DaemonConfig::default();
+            let cfg = bulkd::DaemonConfig {
+                listen: f.take("listen").unwrap_or_else(|| "127.0.0.1:7700".into()),
+                http: f.take("http").unwrap_or_else(|| "127.0.0.1:7701".into()),
+                max_jobs: parse_num(f.take("max-jobs"), d.max_jobs, "--max-jobs")?,
+                default_timeout_ms: parse_num(
+                    f.take("job-timeout-ms"),
+                    d.default_timeout_ms,
+                    "--job-timeout-ms",
+                )?,
+                // 0 keeps the library's default ring.
+                event_capacity: match parse_num(f.take("event-capacity"), 0, "--event-capacity")? {
+                    0 => d.event_capacity,
+                    n => n,
+                },
+            };
             let addr_file = f.take("addr-file");
             f.finish()?;
-            Ok(Command::Bulkd(BulkdArgs {
-                listen,
-                http,
-                max_jobs,
-                job_timeout_ms,
-                event_capacity,
-                addr_file,
-            }))
+            Ok(Command::Bulkd { cfg, addr_file })
         }
         "submit" => {
             let mut f = Flags::parse(rest)?;
@@ -378,7 +371,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     }
 }
 
-fn parse_num(v: Option<String>, default: u64, flag: &str) -> Result<u64, String> {
+fn parse_num<T: std::str::FromStr>(v: Option<String>, default: T, flag: &str) -> Result<T, String> {
     match v {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("{flag}: bad number `{v}`")),
@@ -526,23 +519,24 @@ mod tests {
 
     #[test]
     fn parses_daemon_commands() {
-        match parse(&args("bulkd --listen 127.0.0.1:0 --http 127.0.0.1:0 --max-jobs 3 --addr-file /tmp/a")).unwrap() {
-            Command::Bulkd(a) => {
-                assert_eq!(a.listen, "127.0.0.1:0");
-                assert_eq!(a.max_jobs, 3);
-                assert_eq!(a.job_timeout_ms, 30_000, "default budget");
-                assert_eq!(a.addr_file.as_deref(), Some("/tmp/a"));
+        let daemon = |listen: &str, http: &str, max_jobs| bulkd::DaemonConfig {
+            listen: listen.into(),
+            http: http.into(),
+            max_jobs,
+            ..bulkd::DaemonConfig::default()
+        };
+        assert_eq!(
+            parse(&args("bulkd --listen 127.0.0.1:0 --http 127.0.0.1:0 --max-jobs 3 --addr-file /tmp/a")).unwrap(),
+            Command::Bulkd {
+                cfg: daemon("127.0.0.1:0", "127.0.0.1:0", 3),
+                addr_file: Some("/tmp/a".into())
             }
-            other => panic!("{other:?}"),
-        }
-        match parse(&args("bulkd")).unwrap() {
-            Command::Bulkd(a) => {
-                assert_eq!(a.listen, "127.0.0.1:7700");
-                assert_eq!(a.http, "127.0.0.1:7701");
-                assert_eq!(a.max_jobs, 8);
-            }
-            other => panic!("{other:?}"),
-        }
+        );
+        // The CLI's own ports; every bound is the library's default, and
+        // an event capacity of 0 keeps its default ring.
+        let defaults = Command::Bulkd { cfg: daemon("127.0.0.1:7700", "127.0.0.1:7701", 8), addr_file: None };
+        assert_eq!(parse(&args("bulkd")).unwrap(), defaults);
+        assert_eq!(parse(&args("bulkd --event-capacity 0")).unwrap(), defaults);
         assert!(matches!(
             parse(&args("status --connect 127.0.0.1:7700")).unwrap(),
             Command::Status { .. }

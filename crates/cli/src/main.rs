@@ -12,7 +12,7 @@ use std::fmt::Display;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use args::{parse, BulkdArgs, Command, ReplayArgs, RunArgs, USAGE};
+use args::{parse, Command, ReplayArgs, RunArgs, USAGE};
 use bulk_obs::Obs;
 use bulk_par::{runtime_for, Job, JobPlan, RunDetail, RunOptions, Runtime, SimRuntime};
 use bulk_sig::{table8, table8_spec, BitPermutation, Granularity, SignatureConfig};
@@ -48,7 +48,7 @@ fn main() -> ExitCode {
             // The daemon keeps the runtime's setting: a client that hangs
             // up must stay a write error on its connection.
             #[cfg(unix)]
-            if !matches!(cmd, Command::Bulkd(_)) {
+            if !matches!(cmd, Command::Bulkd { .. }) {
                 restore_default_sigpipe();
             }
             match run(cmd) {
@@ -79,7 +79,7 @@ fn run(cmd: Command) -> Result<(), String> {
         Command::Run(a) => run_job(a),
         Command::Replay(a) => replay(a),
         Command::SweepSig { app, seed } => sweep_sig(&app, seed),
-        Command::Bulkd(a) => run_bulkd(a),
+        Command::Bulkd { cfg, addr_file } => run_bulkd(cfg, addr_file.as_deref()),
         Command::Submit { connect, spec } => submit(&connect, &spec),
         Command::Status { connect } => {
             let line = bulkd::client::control(&connect, "status").map_err(|e| e.to_string())?;
@@ -99,21 +99,11 @@ fn run(cmd: Command) -> Result<(), String> {
 /// control command arrives on the ingest socket (or the process is
 /// killed). `--addr-file` publishes the bound addresses for scripts that
 /// listen on port 0.
-fn run_bulkd(a: BulkdArgs) -> Result<(), String> {
-    let mut cfg = bulkd::DaemonConfig {
-        listen: a.listen,
-        http: a.http,
-        max_jobs: a.max_jobs.max(1) as usize,
-        default_timeout_ms: a.job_timeout_ms,
-        ..bulkd::DaemonConfig::default()
-    };
-    if a.event_capacity > 0 {
-        cfg.event_capacity = a.event_capacity as usize;
-    }
+fn run_bulkd(cfg: bulkd::DaemonConfig, addr_file: Option<&str>) -> Result<(), String> {
     let handle = bulkd::spawn(cfg).map_err(|e| format!("bulkd: {e}"))?;
     println!("bulkd: ingest on {}", handle.ingest_addr());
     println!("bulkd: metrics on http://{}/metrics", handle.http_addr());
-    if let Some(path) = &a.addr_file {
+    if let Some(path) = addr_file {
         std::fs::write(path, format!("{}\n{}\n", handle.ingest_addr(), handle.http_addr()))
             .map_err(|e| format!("--addr-file {path}: {e}"))?;
     }

@@ -262,18 +262,20 @@ impl Watchdog {
 ///
 /// The simulated [`Watchdog`] measures progress in cycles; on real OS
 /// threads a hung peer manifests as wall time passing with no bus
-/// publish. Every publish calls [`note_progress`](Self::note_progress);
-/// every spin site calls [`stalled`](Self::stalled), which trips —
-/// stickily — once the gap since the last progress exceeds the bound.
+/// publish. The par supervisor's audit is the one writer: it calls
+/// [`note_progress`](Self::note_progress) when its cursor over the bus
+/// log moves. Every spin site calls [`stalled`](Self::stalled), which
+/// trips — stickily — once the gap since the last progress exceeds the
+/// bound.
 ///
 /// Memory-ordering argument: `note_progress` stores the elapsed-ns
 /// reading with `Release` and `stalled` loads it with `Acquire`, so a
 /// checker that observes a fresh timestamp also observes everything the
-/// publisher wrote before it (the publish itself synchronizes via the
-/// bus's `OnceLock`, so this ordering is for monotonicity of the
-/// *detector*, not for protocol safety — a stale read can only make the
-/// detector conservative by at most one progress event, never unsound:
-/// it may trip late, and it never un-trips). The trip latch is a sticky
+/// audit saw before it (a publish itself synchronizes via the bus's
+/// `OnceLock`, so this ordering is for monotonicity of the *detector*,
+/// not for protocol safety — a stale read can only make the detector
+/// conservative by at most one progress event, never unsound: it may
+/// trip late, and it never un-trips). The trip latch is a sticky
 /// `AtomicBool` (`Release` store, `Acquire` load), so once any checker
 /// trips, every later check reports stalled without re-deriving it.
 #[derive(Debug)]
@@ -299,8 +301,7 @@ impl WallClockWatchdog {
     }
 
     /// Records that the system made progress: the par supervisor calls
-    /// it when its audit of the bus log moves, a `bulkd` job once as it
-    /// starts.
+    /// it when its audit of the bus log moves.
     pub fn note_progress(&self) {
         let now = self.start.elapsed().as_nanos() as u64;
         // Monotonic max, not a blind store: a delayed writer must not
@@ -332,11 +333,6 @@ impl WallClockWatchdog {
     pub fn since_progress_ns(&self) -> u64 {
         let now = self.start.elapsed().as_nanos() as u64;
         now.saturating_sub(self.last_progress_ns.load(std::sync::atomic::Ordering::Acquire))
-    }
-
-    /// The configured bound, in nanoseconds.
-    pub fn timeout_ns(&self) -> u64 {
-        self.timeout_ns
     }
 
     /// Builds the typed violation for a trip, with replay context. The
@@ -516,6 +512,5 @@ mod tests {
         w.note_progress();
         assert!(w.since_progress_ns() < 60_000_000_000);
         assert!(!w.stalled());
-        assert_eq!(w.timeout_ns(), 60_000_000_000);
     }
 }

@@ -59,6 +59,14 @@
 #    non-test line of crates/par/src — and TM's per-op poll is
 #    `#[inline(always)]`, as TLS's is, not a hint LLVM may leave as a
 #    call.
+# 16. A job's slot is its `Running` state (DESIGN.md §14): bulkd's job
+#    table counts its `Running` entries under the one jobs lock, so no
+#    slot semaphore, no per-job release latch and no per-job watchdog (a
+#    job keeps a deadline); and `bulk bulkd` parses straight into
+#    `bulkd::DaemonConfig`, with no `BulkdArgs` copy of it.
+# 17. One front door (DESIGN.md §19): a run is a JobSpec + RunOptions
+#    executed by bulk_par::Runtime::run, so the CLI and the daemon build
+#    no machine and call no engine or `_observed` entry point.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -214,6 +222,19 @@ awk '/^[[:space:]]*#\[/ { attr = $0; next }
      END { if (!seen) print FILENAME ": no fn poll"; exit !(bad || !seen) }' crates/par/src/tm.rs && append=1
 if [ "$append" -eq 1 ]; then
   echo "one-core guard: a par access is an append; no oracle set insert per access, and TM's poll is #[inline(always)]"
+  fail=1
+fi
+
+running=0
+nontest_hits 'slot_released|slots_cv|WallClockWatchdog' $(find crates/bulkd/src -name '*.rs' | sort) && running=1
+nontest_hits 'BulkdArgs' $(find crates/cli/src -name '*.rs' | sort) && running=1
+if [ "$running" -eq 1 ]; then
+  echo "one-core guard: a job's slot is its Running state; no slot semaphore, release latch, per-job watchdog or BulkdArgs"
+  fail=1
+fi
+
+if grep -rnE 'T(m|ls)Machine::|run_par_t(m|ls)|run_t(m|ls)_observed' crates/cli/src crates/bulkd/src; then
+  echo "one-core guard: one front door; crates/cli and crates/bulkd must go through Runtime::run"
   fail=1
 fi
 

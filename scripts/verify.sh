@@ -15,16 +15,6 @@ export RUSTFLAGS="${RUSTFLAGS:--D warnings}"
 echo "== cargo build --release --offline --locked --workspace --all-targets"
 cargo build --release --offline --locked --workspace --all-targets
 
-# Front-door guard (DESIGN.md §19): a run is a JobSpec + RunOptions and
-# bulk_par::Runtime::run executes it. Neither caller may build a machine,
-# call an engine entry point or an `_observed` shortcut behind its back.
-echo "== front-door guard (no second path to a machine in cli/ or bulkd/)"
-if grep -rnE 'T(m|ls)Machine::|run_par_t(m|ls)|run_t(m|ls)_observed' crates/cli/src crates/bulkd/src; then
-  echo "front-door guard: crates/cli and crates/bulkd must go through Runtime::run"
-  exit 1
-fi
-echo "front-door guard: OK"
-
 # One-core guard (DESIGN.md §16): one verdict (SimHarness::judge), one
 # signature recycler (the thread-local pool), no cfg-gated test, one
 # benchmark system (no cargo-bench suite, no hang_ms wire hook), a par
@@ -39,9 +29,12 @@ echo "front-door guard: OK"
 # par record whose slot is its identity (no commit ticket, worker serial
 # or publish crash point), a supervisor that trails the log (no
 # progress per publish, no post-join seal, no up-front TLS trace pass),
-# and a par access that is an append (no oracle set insert; TM's poll
-# inlined always).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule, a record's slot is its identity, the supervisor trails the log, a par access is an append)"
+# a par access that is an append (no oracle set insert; TM's poll
+# inlined always), a bulkd job whose slot is its `Running` state (no
+# slot semaphore, release latch, per-job watchdog or `BulkdArgs`), and
+# one front door (DESIGN.md §19: cli/ and bulkd/ build no machine and
+# go through Runtime::run).
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule, a record's slot is its identity, the supervisor trails the log, a par access is an append, a job's slot is its Running state, one front door)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"
