@@ -20,10 +20,10 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, Scope};
 use std::time::Duration;
 
-use bulk_obs::{json_escape, Registry};
+use bulk_obs::json_escape;
 use bulk_trace::jobspec::{FlatValue, JobSpec};
 
 use crate::job::{JobState, JobTable};
@@ -40,8 +40,6 @@ pub struct DaemonConfig {
     /// Wall-clock budget (ms) for jobs whose spec names none; 0 disables
     /// the reaper.
     pub default_timeout_ms: u64,
-    /// Per-job event-ring capacity (events retained for streaming).
-    pub event_capacity: usize,
 }
 
 impl Default for DaemonConfig {
@@ -51,7 +49,6 @@ impl Default for DaemonConfig {
             http: "127.0.0.1:0".to_string(),
             max_jobs: 8,
             default_timeout_ms: 30_000,
-            event_capacity: bulk_obs::DEFAULT_EVENT_CAPACITY,
         }
     }
 }
@@ -59,16 +56,11 @@ impl Default for DaemonConfig {
 /// State shared by every daemon thread.
 pub(crate) struct Shared {
     pub(crate) table: JobTable,
-    /// Daemon-level metrics (connections, scrapes, job counts), exposed
-    /// unlabelled on `/metrics` alongside the labelled per-job scopes.
-    pub(crate) registry: Registry,
     pub(crate) shutdown: AtomicBool,
-    /// Job worker threads not yet joined. Finished ones are dropped as
-    /// new ones start, so the list tracks running jobs, not every job.
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Bound listener addresses, kept so `begin_shutdown` can poke the
-    /// accept loops awake from any thread (including a connection
-    /// handler serving `{"cmd": "shutdown"}`).
+    /// Bound listener addresses: the handle reports them, and
+    /// `begin_shutdown` pokes the accept loops awake through them from
+    /// any thread (including a connection handler serving
+    /// `{"cmd": "shutdown"}`).
     ingest_addr: std::net::SocketAddr,
     http_addr: std::net::SocketAddr,
 }
@@ -91,21 +83,20 @@ impl Shared {
 
 /// A running daemon: bound addresses plus shutdown/join handles.
 pub struct DaemonHandle {
-    ingest_addr: std::net::SocketAddr,
-    http_addr: std::net::SocketAddr,
     shared: Arc<Shared>,
+    /// The ingest and HTTP accept loops and the supervisor.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl DaemonHandle {
     /// The bound ingest address (job submission socket).
     pub fn ingest_addr(&self) -> std::net::SocketAddr {
-        self.ingest_addr
+        self.shared.ingest_addr
     }
 
     /// The bound HTTP address (`GET /metrics`).
     pub fn http_addr(&self) -> std::net::SocketAddr {
-        self.http_addr
+        self.shared.http_addr
     }
 
     /// Initiates graceful shutdown: fails every non-terminal job and
@@ -118,23 +109,16 @@ impl DaemonHandle {
     /// connection handlers, job workers) has exited. Call
     /// [`DaemonHandle::shutdown`] first, or this waits forever. A job
     /// running at shutdown is failed at once but runs to its end, and
-    /// this waits for it. The job workers go last: once the connection
-    /// handlers have exited, nothing starts another.
+    /// this waits for it: its worker lives in the ingest accept loop's
+    /// scope, which that loop's thread leaves only once every handler
+    /// and worker started in it has exited. A second call blocks until
+    /// the first returns.
     pub fn wait(&self) {
-        for list in [&self.threads, &self.shared.workers] {
-            loop {
-                // Not a `while let`: the guard would be held across the
-                // join, and a handler pushing a worker would deadlock.
-                let next = list.lock().expect("thread list poisoned").pop();
-                let Some(h) = next else { break };
-                let _ = h.join();
-            }
+        let mut threads = self.threads.lock().expect("thread list poisoned");
+        for h in threads.drain(..) {
+            let _ = h.join();
         }
     }
-}
-
-fn track(handle: &DaemonHandle, h: JoinHandle<()>) {
-    handle.threads.lock().expect("thread list poisoned").push(h);
 }
 
 /// Binds both listeners, starts the accept loops and the stall
@@ -146,82 +130,62 @@ fn track(handle: &DaemonHandle, h: JoinHandle<()>) {
 pub fn spawn(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
     let ingest = TcpListener::bind(&cfg.listen)?;
     let http = TcpListener::bind(&cfg.http)?;
-    let ingest_addr = ingest.local_addr()?;
-    let http_addr = http.local_addr()?;
     let shared = Arc::new(Shared {
-        table: JobTable::new(cfg.max_jobs, cfg.default_timeout_ms, cfg.event_capacity),
-        registry: Registry::new(),
+        table: JobTable::new(cfg.max_jobs, cfg.default_timeout_ms),
         shutdown: AtomicBool::new(false),
-        workers: Mutex::new(Vec::new()),
-        ingest_addr,
-        http_addr,
+        ingest_addr: ingest.local_addr()?,
+        http_addr: http.local_addr()?,
     });
-    let handle = DaemonHandle {
-        ingest_addr,
-        http_addr,
-        shared: Arc::clone(&shared),
-        threads: Mutex::new(Vec::new()),
-    };
 
     // One handler thread per connection on either socket; scrapes are
     // short-lived, ingest connections live as long as their client.
     let ingest = accept_loop(ingest, "bulkd-ingest", "bulkd-conn", &shared, handle_ingest)?;
-    track(&handle, ingest);
     let http = accept_loop(http, "bulkd-http", "bulkd-scrape", &shared, crate::http::handle)?;
-    track(&handle, http);
-
     // Supervisor: turns hung runs into typed `job-timeout` failures so
     // one wedged worker can never wedge the daemon.
-    {
+    let reaper = thread::Builder::new().name("bulkd-reaper".into()).spawn({
         let shared = Arc::clone(&shared);
-        let h = thread::Builder::new().name("bulkd-reaper".into()).spawn(move || {
+        move || {
             while !shared.shutting_down() {
-                let reaped = shared.table.reap_stalled();
-                if reaped > 0 {
-                    shared.registry.counter("bulkd.jobs_reaped").add(reaped as u64);
-                }
+                shared.table.reap_stalled();
                 thread::sleep(Duration::from_millis(20));
             }
-        })?;
-        track(&handle, h);
-    }
+        }
+    })?;
 
-    Ok(handle)
+    Ok(DaemonHandle { shared, threads: Mutex::new(vec![ingest, http, reaper]) })
 }
 
 /// Accepts connections on `listener` until shutdown, one `handler` thread
-/// each, then joins the handlers still running. Finished handlers are
-/// dropped as new connections arrive, so the list tracks open connections,
-/// not every connection ever made.
+/// each, in a scope the loop's thread opens and hands to each handler:
+/// it returns only once every thread started in that scope, handlers
+/// and the job workers they started, has exited.
 fn accept_loop(
     listener: TcpListener,
     name: &'static str,
     conn_name: &'static str,
     shared: &Arc<Shared>,
-    handler: fn(TcpStream, &Arc<Shared>),
+    handler: for<'s, 'e> fn(TcpStream, &'s Shared, &'s Scope<'s, 'e>),
 ) -> io::Result<JoinHandle<()>> {
     let shared = Arc::clone(shared);
     thread::Builder::new().name(name.into()).spawn(move || {
-        let mut conns: Vec<JoinHandle<()>> = Vec::new();
-        for stream in listener.incoming() {
-            if shared.shutting_down() {
-                break;
+        let shared = &*shared;
+        thread::scope(|scope| {
+            for stream in listener.incoming() {
+                if shared.shutting_down() {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                let conn = thread::Builder::new().name(conn_name.into());
+                let _ = conn.spawn_scoped(scope, move || handler(stream, shared, scope));
             }
-            conns.retain(|c| !c.is_finished());
-            let Ok(stream) = stream else { continue };
-            let shared = Arc::clone(&shared);
-            let conn = thread::Builder::new().name(conn_name.into());
-            conns.extend(conn.spawn(move || handler(stream, &shared)));
-        }
-        for c in conns {
-            let _ = c.join();
-        }
+        });
     })
 }
 
 /// One ingest connection: reads JSON lines, answers each in order.
-fn handle_ingest(stream: TcpStream, shared: &Arc<Shared>) {
-    shared.registry.counter("bulkd.connections").add(1);
+fn handle_ingest<'s>(stream: TcpStream, shared: &'s Shared, scope: &'s Scope<'s, '_>) {
+    shared.table.registry.counter("bulkd.connections").add(1);
     let Some((mut reader, mut writer)) = split(stream) else { return };
     let mut line = Vec::new();
     loop {
@@ -241,7 +205,7 @@ fn handle_ingest(stream: TcpStream, shared: &Arc<Shared>) {
         if trimmed.is_empty() {
             continue;
         }
-        let response_ended = handle_line(trimmed, &mut writer, shared);
+        let response_ended = handle_line(trimmed, &mut writer, shared, scope);
         if response_ended {
             break;
         }
@@ -304,7 +268,12 @@ pub(crate) fn read_line_interruptible(
 
 /// Dispatches one line; returns `true` when the connection should close
 /// (shutdown command or write failure).
-fn handle_line(line: &str, writer: &mut TcpStream, shared: &Arc<Shared>) -> bool {
+fn handle_line<'s>(
+    line: &str,
+    writer: &mut TcpStream,
+    shared: &'s Shared,
+    scope: &'s Scope<'s, '_>,
+) -> bool {
     // Control lines are flat objects with a `cmd` key; everything else
     // is treated as a job spec.
     if let Ok(pairs) = bulk_trace::jobspec::parse_flat_object(line) {
@@ -328,24 +297,16 @@ fn handle_line(line: &str, writer: &mut TcpStream, shared: &Arc<Shared>) -> bool
             return write_line(writer, &format!("{{\"error\": \"{}\"}}", json_escape(&e)));
         }
     };
-    shared.registry.counter("bulkd.jobs_submitted").add(1);
     // The worker starts before the client hears `accepted`: a client gone
     // by then ends this handler, and the job must not be left registered
     // with nobody to run it. The handler streams events while it runs.
-    let worker = thread::Builder::new().name("bulkd-job".into()).spawn({
-        let (shared, id) = (Arc::clone(shared), id.clone());
+    let worker = thread::Builder::new().name("bulkd-job".into()).spawn_scoped(scope, {
+        let id = id.clone();
         move || shared.table.run(&id)
     });
-    match worker {
-        Ok(h) => {
-            let mut workers = shared.workers.lock().expect("thread list poisoned");
-            workers.retain(|w| !w.is_finished());
-            workers.push(h);
-        }
-        Err(e) => {
-            let detail = format!("no worker thread for job `{id}`: {e}");
-            shared.table.fail_queued(&id, "spawn-failed", detail);
-        }
+    if let Err(e) = worker {
+        let detail = format!("no worker thread for job `{id}`: {e}");
+        shared.table.fail_queued(&id, "spawn-failed", detail);
     }
     if write_line(
         writer,
@@ -405,21 +366,17 @@ fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
             // The done line carries only deterministic fields (par-runtime
             // squash counts vary between runs; commit counts do not), so
             // identical spec+seed submissions stream byte-identically.
-            shared.registry.counter("bulkd.jobs_completed").add(1);
             format!(
                 "{{\"done\": true, \"job\": \"{}\", \"status\": \"ok\", \"runtime\": \"{runtime}\", \"commits\": {commits}}}",
                 json_escape(id)
             )
         }
-        Some(JobState::Failed { kind, detail }) => {
-            shared.registry.counter("bulkd.jobs_failed").add(1);
-            format!(
-                "{{\"done\": true, \"job\": \"{}\", \"status\": \"error\", \"runtime\": \"{runtime}\", \"kind\": \"{}\", \"detail\": \"{}\"}}",
-                json_escape(id),
-                json_escape(&kind),
-                json_escape(&detail)
-            )
-        }
+        Some(JobState::Failed { kind, detail }) => format!(
+            "{{\"done\": true, \"job\": \"{}\", \"status\": \"error\", \"runtime\": \"{runtime}\", \"kind\": \"{}\", \"detail\": \"{}\"}}",
+            json_escape(id),
+            json_escape(&kind),
+            json_escape(&detail)
+        ),
         _ => return true,
     };
     write_line(writer, &done_line)
@@ -427,7 +384,7 @@ fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
 
 /// Answers one control command. Returns `true` when the connection
 /// should close.
-fn handle_control(cmd: &str, writer: &mut TcpStream, shared: &Arc<Shared>) -> bool {
+fn handle_control(cmd: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
     match cmd {
         "ping" => write_line(writer, "{\"ok\": true}"),
         "status" => {

@@ -7,15 +7,15 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::thread;
 
 use bulk_obs::prometheus::{encode, Scope};
 
 use crate::daemon::{line_too_long, read_line_interruptible, split, ReadOutcome, Shared};
 
 /// Handles one HTTP connection: parse the request, route, respond,
-/// close.
-pub(crate) fn handle(stream: TcpStream, shared: &Arc<Shared>) {
+/// close. It starts no threads of its own, so it leaves the scope alone.
+pub(crate) fn handle(stream: TcpStream, shared: &Shared, _: &thread::Scope<'_, '_>) {
     let Some((mut reader, mut writer)) = split(stream) else { return };
     // Both are read like ingest lines, so a client that connects and goes
     // quiet cannot hold shutdown hostage.
@@ -46,7 +46,7 @@ pub(crate) fn handle(stream: TcpStream, shared: &Arc<Shared>) {
     }
     match path {
         "/metrics" => {
-            shared.registry.counter("bulkd.scrapes").add(1);
+            shared.table.registry.counter("bulkd.scrapes").add(1);
             let body = render_metrics(shared);
             respond(
                 &mut writer,
@@ -67,19 +67,22 @@ pub(crate) fn handle(stream: TcpStream, shared: &Arc<Shared>) {
 
 /// The full exposition: the daemon's own registry unlabelled, then one
 /// labelled scope per job so every sample is attributable to its run.
+/// The state gauges and the scopes come from one snapshot of the table,
+/// so a job's scope and the gauges agree on its state.
 pub(crate) fn render_metrics(shared: &Shared) -> String {
     let snaps = shared.table.snapshot();
-    let (queued, running, done, failed) = shared.table.counts();
-    shared.registry.gauge("bulkd.jobs_queued").set(queued);
-    shared.registry.gauge("bulkd.jobs_running").set(running);
-    shared.registry.gauge("bulkd.jobs_done").set(done);
-    shared.registry.gauge("bulkd.jobs_failed_total").set(failed);
+    let registry = &shared.table.registry;
+    let count = |state| snaps.iter().filter(|s| s.state.as_str() == state).count() as u64;
+    registry.gauge("bulkd.jobs_queued").set(count("queued"));
+    registry.gauge("bulkd.jobs_running").set(count("running"));
+    registry.gauge("bulkd.jobs_done").set(count("done"));
+    registry.gauge("bulkd.jobs_failed_total").set(count("failed"));
     for s in &snaps {
         // Refresh each job's stream gauges (events.dropped, buffer hwm)
         // so the scrape reflects the ring's latest accounting.
         s.obs.publish_stream_stats();
     }
-    let mut scopes = vec![Scope::unlabelled(&shared.registry)];
+    let mut scopes = vec![Scope::unlabelled(registry)];
     for s in &snaps {
         scopes.push(Scope::labelled(
             &[

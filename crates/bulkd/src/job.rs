@@ -6,7 +6,9 @@
 //! worker thread executes the run; the connection handler streams the
 //! job's event JSONL from the bundle [`JobTable::get`] hands it; the daemon's
 //! supervisor calls [`JobTable::reap_stalled`] so a hung run becomes a
-//! typed `job-timeout` failure instead of a wedged daemon.
+//! typed `job-timeout` failure instead of a wedged daemon. The table also
+//! holds the daemon's own registry and counts each job's submission and
+//! end in it, where the job's state changes.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +16,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bulk_live::{LivenessKind, LivenessViolation};
-use bulk_obs::{json_escape, Obs};
+use bulk_obs::{json_escape, Obs, Registry};
 use bulk_par::{runtime_for, JobPlan, RunOptions};
 use bulk_trace::jobspec::JobSpec;
 
@@ -99,6 +101,10 @@ fn running(jobs: &BTreeMap<String, JobEntry>) -> usize {
 /// gives it back by leaving it, both under the one `jobs` lock.
 pub struct JobTable {
     jobs: Mutex<BTreeMap<String, JobEntry>>,
+    /// The daemon-level metrics, exposed unlabelled on `/metrics` beside
+    /// the labelled per-job scopes: the job counts kept here, plus the
+    /// daemon's connection and scrape counts.
+    pub(crate) registry: Registry,
     /// Signalled whenever a job leaves `Running`, waking the workers of
     /// queued jobs. All of them: one whose job was cancelled takes no
     /// slot, so waking only it could strand the next queued job.
@@ -106,22 +112,33 @@ pub struct JobTable {
     next_id: AtomicU64,
     max_jobs: usize,
     default_timeout_ms: u64,
-    event_capacity: usize,
 }
 
 impl JobTable {
     /// A table running at most `max_jobs` jobs concurrently. Jobs whose
     /// spec has no `timeout_ms` get `default_timeout_ms` (0 disables the
-    /// reaper); each job's event ring holds `event_capacity` events.
-    pub fn new(max_jobs: usize, default_timeout_ms: u64, event_capacity: usize) -> Self {
+    /// reaper).
+    pub fn new(max_jobs: usize, default_timeout_ms: u64) -> Self {
         JobTable {
             jobs: Mutex::new(BTreeMap::new()),
+            registry: Registry::new(),
             slot_freed: Condvar::new(),
             next_id: AtomicU64::new(1),
             max_jobs: max_jobs.max(1),
             default_timeout_ms,
-            event_capacity,
         }
+    }
+
+    /// Moves a job to the terminal `state` and counts its end: every end
+    /// passes here, so each is counted once, whether or not a client is
+    /// left to read its `done` line.
+    fn end(&self, e: &mut JobEntry, state: JobState) {
+        let name = match state {
+            JobState::Done { .. } => "bulkd.jobs_completed",
+            _ => "bulkd.jobs_failed",
+        };
+        self.registry.counter(name).inc();
+        e.state = state;
     }
 
     /// Validates and registers a spec, returning the job id. The spec is
@@ -146,10 +163,11 @@ impl JobTable {
             JobEntry {
                 spec,
                 state: JobState::Queued,
-                obs: Arc::new(Obs::with_event_capacity(self.event_capacity)),
+                obs: Arc::new(Obs::new()),
                 deadline: None,
             },
         );
+        self.registry.counter("bulkd.jobs_submitted").inc();
         Ok(id)
     }
 
@@ -188,10 +206,11 @@ impl JobTable {
         // that typed state wins, the slot went back with it, and the late
         // result is discarded.
         if let Some(e) = jobs.get_mut(id).filter(|e| e.state == JobState::Running) {
-            e.state = match outcome {
+            let state = match outcome {
                 Ok(commits) => JobState::Done { commits },
                 Err((kind, detail)) => JobState::Failed { kind, detail },
             };
+            self.end(e, state);
             self.slot_freed.notify_all();
         }
     }
@@ -202,15 +221,15 @@ impl JobTable {
     pub fn fail_queued(&self, id: &str, kind: &str, detail: String) {
         let mut jobs = self.jobs.lock().expect("job table poisoned");
         if let Some(e) = jobs.get_mut(id).filter(|e| e.state == JobState::Queued) {
-            e.state = JobState::Failed { kind: kind.to_string(), detail };
+            self.end(e, JobState::Failed { kind: kind.to_string(), detail });
         }
     }
 
     /// Fails every `Running` job past its deadline, constructing the
-    /// typed [`LivenessKind::JobTimeout`] violation, and hands its slot
-    /// back. Returns how many jobs were reaped. The worker thread may
-    /// still be wedged — it is abandoned and the daemon carries on.
-    pub fn reap_stalled(&self) -> usize {
+    /// typed [`LivenessKind::JobTimeout`] violation, hands its slot back
+    /// and counts the reap. The worker thread may still be wedged — it is
+    /// abandoned and the daemon carries on.
+    pub fn reap_stalled(&self) {
         let now = Instant::now();
         let mut jobs = self.jobs.lock().expect("job table poisoned");
         let mut reaped = 0;
@@ -228,16 +247,14 @@ impl JobTable {
                 seed: Some(e.spec.seed),
                 detail: format!("job `{id}` exceeded its {timeout_ms} ms wall-clock budget"),
             };
-            e.state = JobState::Failed {
-                kind: LivenessKind::JobTimeout.as_str().to_string(),
-                detail: violation.to_string(),
-            };
+            let kind = LivenessKind::JobTimeout.as_str().to_string();
+            self.end(e, JobState::Failed { kind, detail: violation.to_string() });
             reaped += 1;
         }
         if reaped > 0 {
+            self.registry.counter("bulkd.jobs_reaped").add(reaped);
             self.slot_freed.notify_all();
         }
-        reaped
     }
 
     /// Fails every non-terminal job (graceful shutdown). A queued job never
@@ -250,10 +267,8 @@ impl JobTable {
             if e.state.is_terminal() {
                 continue;
             }
-            e.state = JobState::Failed {
-                kind: "shutdown".to_string(),
-                detail: "daemon shut down before the job finished".to_string(),
-            };
+            let detail = "daemon shut down before the job finished".to_string();
+            self.end(e, JobState::Failed { kind: "shutdown".to_string(), detail });
         }
         self.slot_freed.notify_all();
     }
@@ -297,21 +312,6 @@ impl JobTable {
     pub fn snapshot(&self) -> Vec<JobSnapshot> {
         let jobs = self.jobs.lock().expect("job table poisoned");
         jobs.iter().map(JobSnapshot::of).collect()
-    }
-
-    /// Counts of (queued, running, done, failed) jobs.
-    pub fn counts(&self) -> (u64, u64, u64, u64) {
-        let jobs = self.jobs.lock().expect("job table poisoned");
-        let mut c = (0, 0, 0, 0);
-        for e in jobs.values() {
-            match e.state {
-                JobState::Queued => c.0 += 1,
-                JobState::Running => c.1 += 1,
-                JobState::Done { .. } => c.2 += 1,
-                JobState::Failed { .. } => c.3 += 1,
-            }
-        }
-        c
     }
 }
 
@@ -361,7 +361,7 @@ mod tests {
 
     #[test]
     fn get_finds_the_one_job_and_the_listing_keeps_its_bytes() {
-        let table = JobTable::new(1, 0, 16);
+        let table = JobTable::new(1, 0);
         let spec = r#"{"id": "a\"b", "machine": "tm", "app": "cb", "scheme": "lazy", "seed": 7, "runtime": "par"}"#;
         let id = table.submit(JobSpec::parse(spec).unwrap()).unwrap();
         table
@@ -381,7 +381,7 @@ mod tests {
 
     #[test]
     fn fail_queued_is_terminal_for_a_queued_job_and_a_no_op_afterwards() {
-        let table = JobTable::new(1, 0, 16);
+        let table = JobTable::new(1, 0);
         let spec = r#"{"id": "j", "machine": "tm", "app": "cb", "scheme": "bulk", "txs": 1}"#;
         let id = table.submit(JobSpec::parse(spec).unwrap()).unwrap();
         table.fail_queued(&id, "spawn-failed", "no thread".to_string());
@@ -393,5 +393,8 @@ mod tests {
         table.run(&id);
         table.fail_queued(&id, "other", String::new());
         assert_eq!(table.state(&id), Some(failed));
+        // Its one end is counted once.
+        assert_eq!(table.registry.counter_value("bulkd.jobs_failed"), 1);
+        assert_eq!(table.registry.counter_value("bulkd.jobs_completed"), 0);
     }
 }

@@ -272,6 +272,16 @@ fn a_job_whose_client_hangs_up_unread_still_reaches_a_terminal_state() {
         matches!(job_state(&handle, "orphan").as_deref(), Some("done" | "failed"))
     });
     assert_eq!(job_state(&handle, "orphan").as_deref(), Some("done"));
+    // Its end is counted although no done line was written for it.
+    let body = client::scrape(&handle.http_addr().to_string()).expect("scrape");
+    let parsed = bulk_obs::prometheus::parse_exposition(&body).expect("parse");
+    let count = |name| parsed.value(name, &[]).unwrap_or(0.0);
+    assert_eq!(count("bulk_bulkd_jobs_completed"), 1.0, "got: {body}");
+    assert_eq!(
+        count("bulk_bulkd_jobs_submitted"),
+        count("bulk_bulkd_jobs_completed") + count("bulk_bulkd_jobs_failed"),
+        "every submitted job has ended, so every one is counted: {body}"
+    );
     handle.shutdown();
     handle.wait();
 }
@@ -336,7 +346,9 @@ fn wait_returns_only_after_a_job_running_at_shutdown_has_exited() {
     // it at once, but its worker runs on to the end, and `wait` must join
     // it rather than let the process exit under it: `wait` takes at least
     // a good part of the run, where a detached worker lets it return
-    // within about one 100 ms read timeout.
+    // within about one 100 ms read timeout. Run twice: with the client
+    // still connected, and with it gone after `accepted`, when nothing
+    // but the daemon's thread scope still holds the worker.
     let spec = r#"{"id": "inflight", "machine": "tm", "app": "cb", "scheme": "bulk", "seed": 3, "txs": 150}"#;
     let solo = {
         let spec = JobSpec::parse(spec).expect("spec parses");
@@ -345,25 +357,33 @@ fn wait_returns_only_after_a_job_running_at_shutdown_has_exited() {
         runtime_for(&spec).run(&job, &RunOptions::default()).expect("in-process run");
         t.elapsed()
     };
-    let handle = start(1, 30_000);
-    let mut conn = TcpStream::connect(handle.ingest_addr()).expect("connect");
-    conn.write_all(format!("{spec}\n").as_bytes()).expect("send");
-    let mut accepted = Vec::new();
-    let mut byte = [0u8];
-    while byte[0] != b'\n' {
-        conn.read_exact(&mut byte).expect("the daemon answers");
-        accepted.push(byte[0]);
+    for hang_up in [false, true] {
+        let handle = start(1, 30_000);
+        let mut conn = TcpStream::connect(handle.ingest_addr()).expect("connect");
+        conn.write_all(format!("{spec}\n").as_bytes()).expect("send");
+        let mut accepted = Vec::new();
+        let mut byte = [0u8];
+        while byte[0] != b'\n' {
+            conn.read_exact(&mut byte).expect("the daemon answers");
+            accepted.push(byte[0]);
+        }
+        let accepted = String::from_utf8(accepted).expect("utf-8");
+        assert!(accepted.starts_with("{\"accepted\": true"), "got: {accepted}");
+        if hang_up {
+            drop(conn);
+        }
+        // The worker is spawned before the daemon answers, but it may not
+        // have taken its slot yet; a job shut down while queued never runs.
+        wait_until("the job runs", || job_state(&handle, "inflight").as_deref() == Some("running"));
+        let stopped = Instant::now();
+        handle.shutdown();
+        handle.wait();
+        let waited = stopped.elapsed();
+        assert!(
+            waited >= solo / 3,
+            "hang_up {hang_up}: wait returned {waited:?} after shutdown; the run takes {solo:?}"
+        );
     }
-    let accepted = String::from_utf8(accepted).expect("utf-8");
-    assert!(accepted.starts_with("{\"accepted\": true"), "got: {accepted}");
-    // The worker is spawned before the daemon answers, but it may not
-    // have taken its slot yet; a job shut down while queued never runs.
-    wait_until("the job runs", || job_state(&handle, "inflight").as_deref() == Some("running"));
-    let stopped = Instant::now();
-    handle.shutdown();
-    handle.wait();
-    let waited = stopped.elapsed();
-    assert!(waited >= solo / 3, "wait returned {waited:?} after shutdown; the run takes {solo:?}");
 }
 
 #[test]

@@ -113,7 +113,7 @@ USAGE:
   bulk replay --file <trace> --scheme <name>
   bulk sweep-sig --app <name> [--seed <n>]
   bulk bulkd [--listen <host:port>] [--http <host:port>] [--max-jobs <n>]
-             [--job-timeout-ms <n>] [--event-capacity <n>] [--addr-file <file>]
+             [--job-timeout-ms <n>] [--addr-file <file>]
   bulk submit --connect <host:port> (--spec <json> | --spec-file <file>)
   bulk status --connect <host:port>
   bulk shutdown --connect <host:port>
@@ -321,11 +321,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     d.default_timeout_ms,
                     "--job-timeout-ms",
                 )?,
-                // 0 keeps the library's default ring.
-                event_capacity: match parse_num(f.take("event-capacity"), 0, "--event-capacity")? {
-                    0 => d.event_capacity,
-                    n => n,
-                },
             };
             let addr_file = f.take("addr-file");
             f.finish()?;
@@ -532,11 +527,9 @@ mod tests {
                 addr_file: Some("/tmp/a".into())
             }
         );
-        // The CLI's own ports; every bound is the library's default, and
-        // an event capacity of 0 keeps its default ring.
+        // The CLI's own ports; every bound is the library's default.
         let defaults = Command::Bulkd { cfg: daemon("127.0.0.1:7700", "127.0.0.1:7701", 8), addr_file: None };
         assert_eq!(parse(&args("bulkd")).unwrap(), defaults);
-        assert_eq!(parse(&args("bulkd --event-capacity 0")).unwrap(), defaults);
         assert!(matches!(
             parse(&args("status --connect 127.0.0.1:7700")).unwrap(),
             Command::Status { .. }

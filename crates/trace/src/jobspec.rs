@@ -22,6 +22,8 @@
 
 use std::fmt;
 
+use bulk_obs::json_escape;
+
 /// Which machine family a job drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Machine {
@@ -411,14 +413,14 @@ impl JobSpec {
     pub fn to_json_line(&self) -> String {
         let mut out = String::from("{");
         if let Some(id) = &self.id {
-            out.push_str(&format!("\"id\": \"{}\", ", escape(id)));
+            out.push_str(&format!("\"id\": \"{}\", ", json_escape(id)));
         }
         out.push_str(&format!(
             "\"machine\": \"{}\", \"app\": \"{}\", \"scheme\": \"{}\", \"seed\": {}, \
              \"runtime\": \"{}\"",
             self.machine.as_str(),
-            escape(&self.app),
-            escape(&self.scheme),
+            json_escape(&self.app),
+            json_escape(&self.scheme),
             self.seed,
             self.runtime.as_str()
         ));
@@ -448,20 +450,6 @@ fn take_num(key: &str, v: FlatValue) -> Result<u64, JobSpecError> {
         FlatValue::Num(n) => Ok(n),
         _ => Err(JobSpecError::WrongType { key: key.to_string(), expected: "number" }),
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -555,6 +543,10 @@ mod tests {
         let pairs =
             parse_flat_object(r#"{"k": "a\"b\\c\ndA"}"#).unwrap();
         assert_eq!(pairs[0].1, FlatValue::Str("a\"b\\c\ndA".to_string()));
+        // The canonical line escapes what the reader unescapes.
+        let mut spec = JobSpec::new(Machine::Tm, "mc", "bulk");
+        spec.id = Some("t\tr\ru\u{1}\"\\".to_string());
+        assert_eq!(JobSpec::parse(&spec.to_json_line()).unwrap(), spec);
     }
 
     #[test]

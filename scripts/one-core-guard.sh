@@ -67,6 +67,12 @@
 # 17. One front door (DESIGN.md §19): a run is a JobSpec + RunOptions
 #    executed by bulk_par::Runtime::run, so the CLI and the daemon build
 #    no machine and call no engine or `_observed` entry point.
+# 18. A daemon thread lives in its accept loop's scope (DESIGN.md §14):
+#    bulkd's handlers and job workers are scoped threads of the accept
+#    loop that took their connection, so no worker or connection
+#    `JoinHandle` list and no `track`; a job's event ring has one size,
+#    so no `event_capacity` knob; and a spec's canonical line uses
+#    `bulk_obs::json_escape`, not a private `escape`.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -235,6 +241,15 @@ fi
 
 if grep -rnE 'T(m|ls)Machine::|run_par_t(m|ls)|run_t(m|ls)_observed' crates/cli/src crates/bulkd/src; then
   echo "one-core guard: one front door; crates/cli and crates/bulkd must go through Runtime::run"
+  fail=1
+fi
+
+scope=0
+nontest_hits 'fn track[(]|workers: Mutex|conns[.]retain|event_capacity|event-capacity' \
+  $(find crates/bulkd/src crates/cli/src -name '*.rs' | sort) && scope=1
+nontest_hits 'fn escape[(]' crates/trace/src/jobspec.rs && scope=1
+if [ "$scope" -eq 1 ]; then
+  echo "one-core guard: a daemon thread lives in its accept loop's scope; no worker or connection list, no track, no event-capacity knob, no second JSON escaper"
   fail=1
 fi
 

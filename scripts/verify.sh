@@ -31,10 +31,12 @@ cargo build --release --offline --locked --workspace --all-targets
 # progress per publish, no post-join seal, no up-front TLS trace pass),
 # a par access that is an append (no oracle set insert; TM's poll
 # inlined always), a bulkd job whose slot is its `Running` state (no
-# slot semaphore, release latch, per-job watchdog or `BulkdArgs`), and
-# one front door (DESIGN.md §19: cli/ and bulkd/ build no machine and
-# go through Runtime::run).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule, a record's slot is its identity, the supervisor trails the log, a par access is an append, a job's slot is its Running state, one front door)"
+# slot semaphore, release latch, per-job watchdog or `BulkdArgs`), one
+# front door (DESIGN.md §19: cli/ and bulkd/ build no machine and go
+# through Runtime::run), and a bulkd thread that lives in its accept
+# loop's scope (no worker or connection list, no `track`, no
+# event-capacity knob, no second JSON escaper).
+echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule, a record's slot is its identity, the supervisor trails the log, a par access is an append, a job's slot is its Running state, one front door, a daemon thread lives in its accept loop's scope)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"
