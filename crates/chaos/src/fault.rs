@@ -3,27 +3,36 @@
 use bulk_core::CommitMsg;
 use bulk_rng::{Rng, SeedableRng, SmallRng};
 
-/// Fault probabilities and magnitudes for one chaos run. All decisions
+use crate::schedule::{ScheduleScript, ScriptState};
+
+/// Consecutive denials of one commit before the arbiter must grant: the
+/// backoff is *bounded*, so commit always makes progress.
+const MAX_DENIALS: u32 = 4;
+/// Backoff after the first denial, in cycles; doubles per retry.
+const BACKOFF_BASE: u64 = 16;
+/// Cap on a single backoff wait, in cycles.
+const BACKOFF_CAP: u64 = 256;
+/// Longest injected broadcast delay, in cycles.
+const DELAY_MAX: u64 = 40;
+/// Arbiter crashes one broadcast of a seeded plan absorbs.
+const MAX_CRASHES: u32 = 4;
+
+/// The sim's fault mix: one probability per fault kind. All decisions
 /// derive from `seed`; two plans built from the same config replay the
-/// same fault sequence against the same machine.
-#[derive(Debug, Clone, PartialEq)]
+/// same fault sequence against the same machine. What a fault costs is
+/// fixed (the backoff and delay bounds here, the context-switch,
+/// retransmission and re-election cycles in the sim harness); a mix only
+/// says how often each fault fires. The default is the zero mix, under
+/// which no fault fires. The parallel runtime's worker
+/// faults are a [`ThreadChaosConfig`](crate::ThreadChaosConfig).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosConfig {
     /// The replay seed (what `BULK_CHAOS_SEED` prints).
     pub seed: u64,
     /// Per-attempt probability that commit arbitration is denied.
     pub denial_prob: f64,
-    /// Hard bound on consecutive denials of one commit: the backoff is
-    /// *bounded* and the arbiter must eventually grant, so commit always
-    /// makes progress.
-    pub max_denials: u32,
-    /// Backoff after the first denial, in cycles; doubles per retry.
-    pub backoff_base: u64,
-    /// Cap on a single backoff wait.
-    pub backoff_cap: u64,
     /// Probability a commit broadcast is delayed in the interconnect.
     pub delay_prob: f64,
-    /// Maximum broadcast delay, in cycles.
-    pub delay_max: u64,
     /// Probability a commit broadcast is delivered twice.
     pub dup_prob: f64,
     /// Probability one bit of a signature-carrying broadcast is flipped
@@ -32,13 +41,9 @@ pub struct ChaosConfig {
     /// Per-operation probability of a forced context switch (the OS
     /// preempts the processor; signatures spill and reload, §6.2.2).
     pub ctx_switch_prob: f64,
-    /// Cycles a forced context switch costs.
-    pub ctx_switch_cycles: u64,
     /// Per-operation probability of a forced cache eviction (capacity
     /// pressure; speculative dirty victims exercise the overflow path).
     pub evict_prob: f64,
-    /// Cycles a detected-corruption retransmission costs.
-    pub retransmit_cycles: u64,
     /// Per-broadcast probability that the commit arbiter crashes
     /// mid-broadcast (after the bus grant, before every receiver has
     /// acknowledged). Recovery — a re-election that holds the bus while
@@ -48,33 +53,6 @@ pub struct ChaosConfig {
     /// [`FaultStats::arbiter_crashes`] is the one count of crashes (and so
     /// of re-elections). Zero by default.
     pub arbiter_crash_prob: f64,
-    /// Hard bound on arbiter crashes within one broadcast (each further
-    /// crash hits the re-election of the one before). The machines stop
-    /// consulting [`FaultPlan::arbiter_crash`] once a broadcast has
-    /// absorbed this many, so recovery always terminates.
-    pub max_crashes_per_broadcast: u32,
-    /// Per-event probability that a real-thread worker is killed at a
-    /// commit-protocol point: after each won slot claim and each applied
-    /// record (see [`CrashPoint`](crate::CrashPoint)). Consulted only by the
-    /// parallel runtime's [`ThreadChaos`](crate::ThreadChaos); the sim
-    /// machines never read it. Zero by default.
-    pub worker_kill_prob: f64,
-    /// Hard budget on probabilistic worker kills per run (explicit
-    /// [`KillSpec`](crate::KillSpec) schedules are not budgeted), so
-    /// respawn recovery always terminates.
-    pub max_worker_kills: u32,
-    /// Per-poll probability a real-thread worker stalls (sleeps) instead
-    /// of making progress — a descheduled peer the wall-clock watchdog
-    /// must tolerate below its bound. Zero by default.
-    pub thread_stall_prob: f64,
-    /// Length of one injected thread stall, in wall-clock nanoseconds.
-    pub thread_stall_ns: u64,
-    /// Per-publish probability the claim-to-publish window is widened by
-    /// a delay — every reader spins through exactly the window a worker
-    /// death orphans. Zero by default.
-    pub publish_delay_prob: f64,
-    /// Length of one injected publish delay, in wall-clock nanoseconds.
-    pub publish_delay_ns: u64,
 }
 
 impl ChaosConfig {
@@ -84,25 +62,12 @@ impl ChaosConfig {
         ChaosConfig {
             seed,
             denial_prob: 0.20,
-            max_denials: 4,
-            backoff_base: 16,
-            backoff_cap: 256,
             delay_prob: 0.15,
-            delay_max: 40,
             dup_prob: 0.10,
             flip_prob: 0.25,
             ctx_switch_prob: 0.01,
-            ctx_switch_cycles: 60,
             evict_prob: 0.03,
-            retransmit_cycles: 80,
             arbiter_crash_prob: 0.0,
-            max_crashes_per_broadcast: 4,
-            worker_kill_prob: 0.0,
-            max_worker_kills: 0,
-            thread_stall_prob: 0.0,
-            thread_stall_ns: 0,
-            publish_delay_prob: 0.0,
-            publish_delay_ns: 0,
         }
     }
 
@@ -113,26 +78,6 @@ impl ChaosConfig {
     pub fn arbiter_crash(seed: u64) -> Self {
         ChaosConfig {
             arbiter_crash_prob: 0.25,
-            ..ChaosConfig::new(seed)
-        }
-    }
-
-    /// Real-thread worker faults for the parallel runtime: seeded worker
-    /// kills at commit-protocol points (bounded by `max_worker_kills`),
-    /// short injected stalls, and widened claim-to-publish windows. The
-    /// sim-facing probabilities stay at their defaults but are never
-    /// consulted by the parallel runtime; what this preset arms is the
-    /// [`ThreadChaos`](crate::ThreadChaos) stream (`--chaos` under
-    /// `--runtime par`). Stalls are kept far below the runtime's
-    /// wall-clock watchdog bound so a chaos run is slow, not stalled.
-    pub fn worker_crash(seed: u64) -> Self {
-        ChaosConfig {
-            worker_kill_prob: 0.02,
-            max_worker_kills: 3,
-            thread_stall_prob: 0.01,
-            thread_stall_ns: 200_000,
-            publish_delay_prob: 0.05,
-            publish_delay_ns: 50_000,
             ..ChaosConfig::new(seed)
         }
     }
@@ -208,15 +153,16 @@ impl FaultStats {
     }
 }
 
-/// A seeded stream of fault decisions, consulted by the machines at their
+/// A stream of fault decisions, consulted by the machines at their
 /// protocol hook points. The machines query it in deterministic
 /// (clock-ordered) execution order, so a run is a pure function of
-/// (workload, scheme, config, chaos seed).
+/// (workload, scheme, config, chaos seed) — or, for a scripted plan, of
+/// (workload, scheme, script).
 pub struct FaultPlan {
     cfg: ChaosConfig,
     rng: SmallRng,
     stats: FaultStats,
-    script: Option<crate::schedule::ScriptState>,
+    script: Option<ScriptState>,
 }
 
 impl FaultPlan {
@@ -231,25 +177,15 @@ impl FaultPlan {
         FaultPlan::new(ChaosConfig::new(seed))
     }
 
-    /// A plan that injects exactly `script` and nothing else: every
-    /// probabilistic fault is disabled and each hook answers from the
-    /// script's per-broadcast bundles, consumed in commit order. This is
-    /// how the `bulk-mc` conformance layer replays a model-checked
-    /// interleaving class onto a real machine.
-    pub fn scripted(script: crate::schedule::ScheduleScript) -> Self {
-        let cfg = crate::schedule::scripted_config();
-        let rng = SmallRng::seed_from_u64(0);
-        FaultPlan {
-            cfg,
-            rng,
-            stats: FaultStats::default(),
-            script: Some(crate::schedule::ScriptState::new(script)),
-        }
-    }
-
-    /// The schedule driving this plan, if it is scripted.
-    pub fn script(&self) -> Option<&crate::schedule::ScheduleScript> {
-        self.script.as_ref().map(|s| s.script())
+    /// A plan that injects exactly `script` and nothing else: the zero
+    /// mix, so no probabilistic fault fires, plus the script's
+    /// per-broadcast bundles, which answer the denial, delay,
+    /// duplication and arbiter-crash hooks in commit order. This is how
+    /// the `bulk-mc` conformance layer replays a model-checked
+    /// interleaving class onto a real machine. The plan reports
+    /// `seed() == 0`; a scripted run's identity is the script.
+    pub fn scripted(script: ScheduleScript) -> Self {
+        FaultPlan { script: Some(ScriptState::new(script)), ..FaultPlan::new(ChaosConfig::default()) }
     }
 
     /// The replay seed.
@@ -257,16 +193,23 @@ impl FaultPlan {
         self.cfg.seed
     }
 
-    /// The fault mix in force.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.cfg
+    /// The most arbiter crashes one broadcast absorbs (each further crash
+    /// hits the re-election of the one before), so recovery always
+    /// terminates: 4 on a seeded plan; a scripted plan crashes exactly as
+    /// often as its script says.
+    pub fn max_crashes(&self) -> u32 {
+        if self.script.is_some() {
+            u32::MAX
+        } else {
+            MAX_CRASHES
+        }
     }
 
     /// Consulted once per commit-arbitration attempt. `Some(backoff)`
     /// means the arbiter denied this attempt and the committer must wait
     /// `backoff` cycles before retrying; `None` means the grant went
-    /// through. Denials are bounded: attempt `max_denials` is always
-    /// granted, so arbitration cannot livelock.
+    /// through. Denials are bounded: on a seeded plan attempt
+    /// `MAX_DENIALS` is always granted, so arbitration cannot livelock.
     pub fn deny_commit(&mut self, attempt: u32) -> Option<u64> {
         if let Some(script) = &mut self.script {
             // The first arbitration attempt is the first hook a machine
@@ -277,17 +220,10 @@ impl FaultPlan {
             if !script.deny(attempt) {
                 return None;
             }
-        } else if attempt >= self.cfg.max_denials
-            || self.rng.random::<f64>() >= self.cfg.denial_prob
-        {
+        } else if attempt >= MAX_DENIALS || self.rng.random::<f64>() >= self.cfg.denial_prob {
             return None;
         }
-        let backoff = self
-            .cfg
-            .backoff_base
-            .saturating_mul(1u64 << attempt.min(16))
-            .min(self.cfg.backoff_cap)
-            .max(1);
+        let backoff = (BACKOFF_BASE << attempt.min(16)).min(BACKOFF_CAP);
         self.stats.denials += 1;
         self.stats.backoff_cycles += backoff;
         Some(backoff)
@@ -298,10 +234,10 @@ impl FaultPlan {
     pub fn broadcast_delay(&mut self) -> u64 {
         let d = if let Some(script) = &mut self.script {
             script.take_delay()
-        } else if self.rng.random::<f64>() >= self.cfg.delay_prob || self.cfg.delay_max == 0 {
+        } else if self.rng.random::<f64>() >= self.cfg.delay_prob {
             0
         } else {
-            self.rng.random_range(1..self.cfg.delay_max + 1)
+            self.rng.random_range(1..DELAY_MAX + 1)
         };
         if d > 0 {
             self.stats.broadcast_delays += 1;
@@ -328,10 +264,7 @@ impl FaultPlan {
     /// Possibly flips one in-flight bit of a signature-carrying commit
     /// message. Returns `true` if a corruption was injected.
     pub fn maybe_corrupt(&mut self, msg: &mut CommitMsg) -> bool {
-        if self.script.is_some()
-            || !msg.carries_signatures()
-            || self.rng.random::<f64>() >= self.cfg.flip_prob
-        {
+        if !msg.carries_signatures() || self.rng.random::<f64>() >= self.cfg.flip_prob {
             return false;
         }
         let bit = self.rng.random::<u64>();
@@ -374,9 +307,6 @@ impl FaultPlan {
     /// Consulted once per executed operation: force a context switch on
     /// this processor now?
     pub fn force_context_switch(&mut self) -> bool {
-        if self.script.is_some() {
-            return false;
-        }
         let hit = self.rng.random::<f64>() < self.cfg.ctx_switch_prob;
         if hit {
             self.stats.forced_context_switches += 1;
@@ -386,9 +316,6 @@ impl FaultPlan {
 
     /// Consulted once per executed operation: evict a resident line now?
     pub fn force_eviction(&mut self) -> bool {
-        if self.script.is_some() {
-            return false;
-        }
         let hit = self.rng.random::<f64>() < self.cfg.evict_prob;
         if hit {
             self.stats.forced_evictions += 1;
@@ -401,9 +328,6 @@ impl FaultPlan {
     /// order).
     pub fn pick(&mut self, n: usize) -> usize {
         debug_assert!(n > 0);
-        if self.script.is_some() {
-            return 0;
-        }
         self.rng.random_range(0..n)
     }
 
@@ -449,10 +373,10 @@ mod tests {
     #[test]
     fn denials_are_bounded_by_max_attempts() {
         let mut plan = FaultPlan::seeded(3);
-        let max = plan.config().max_denials;
         for _ in 0..200 {
-            // However unlucky the stream, attempt `max` is always granted.
-            assert_eq!(plan.deny_commit(max), None);
+            // However unlucky the stream, attempt `MAX_DENIALS` is always
+            // granted.
+            assert_eq!(plan.deny_commit(MAX_DENIALS), None);
         }
     }
 
@@ -460,12 +384,12 @@ mod tests {
     fn backoff_grows_and_saturates() {
         let mut cfg = ChaosConfig::new(1);
         cfg.denial_prob = 1.0; // deny every attempt up to the bound
-        let mut plan = FaultPlan::new(cfg.clone());
+        let mut plan = FaultPlan::new(cfg);
         let waits: Vec<u64> =
-            (0..cfg.max_denials).map(|a| plan.deny_commit(a).expect("denied")).collect();
+            (0..MAX_DENIALS).map(|a| plan.deny_commit(a).expect("denied")).collect();
         assert!(waits.windows(2).all(|w| w[0] <= w[1]), "non-decreasing: {waits:?}");
-        assert_eq!(*waits.last().unwrap(), cfg.backoff_cap.min(cfg.backoff_base << 3));
-        assert_eq!(plan.stats().denials, u64::from(cfg.max_denials));
+        assert_eq!(*waits.last().unwrap(), BACKOFF_CAP.min(BACKOFF_BASE << 3));
+        assert_eq!(plan.stats().denials, u64::from(MAX_DENIALS));
     }
 
     #[test]

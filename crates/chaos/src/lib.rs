@@ -12,9 +12,10 @@
 //!   broadcast, per-op scheduling) and it deterministically injects
 //!   arbitration denials with bounded exponential backoff, delayed and
 //!   duplicated commit broadcasts, in-flight signature bit flips, forced
-//!   context switches, and forced cache evictions. Every decision derives
-//!   from one `u64` seed — printing `BULK_CHAOS_SEED=<seed>` makes any
-//!   failure exactly replayable.
+//!   context switches, and forced cache evictions, each as often as its
+//!   [`ChaosConfig`] probability says. Every decision derives from one
+//!   `u64` seed — printing `BULK_CHAOS_SEED=<seed>` makes any failure
+//!   exactly replayable.
 //! * [`Auditor`] — a runtime invariant checker. After commits, squashes,
 //!   and invalidations the machines feed it Set Restriction checks
 //!   (§4.3/§4.5), signature-vs-oracle containment (a signature may alias
@@ -29,8 +30,8 @@
 //!   real-thread parallel runtime, where no simulated clock exists:
 //!   explicit [`KillSpec`] schedules and seeded probabilistic worker
 //!   kills at commit-protocol [`CrashPoint`]s, plus injected stalls and
-//!   delayed publishes, all deterministic per seed and monotonic across
-//!   worker respawns.
+//!   delayed publishes ([`ThreadChaosConfig`]), all deterministic per
+//!   seed and monotonic across worker respawns.
 //! * [`ScheduleScript`] — the deterministic alternative to the seeded
 //!   injector: an explicit per-broadcast fault schedule (denials, delay,
 //!   duplication, arbiter crashes) that `FaultPlan::scripted` replays
@@ -50,4 +51,4 @@ pub use audit::{Auditor, InvariantKind, InvariantViolation};
 pub use error::MachineError;
 pub use fault::{ChaosConfig, FaultPlan, FaultStats};
 pub use schedule::{BroadcastSchedule, ScheduleScript};
-pub use thread::{CrashPoint, KillSpec, ThreadChaos, WorkerChaos};
+pub use thread::{CrashPoint, KillSpec, ThreadChaos, ThreadChaosConfig, WorkerChaos};

@@ -11,12 +11,10 @@
 //! the TM and TLS machines through each class, asserting the machines'
 //! commits and fault counts match the model's.
 //!
-//! A scripted plan injects *nothing* the script does not name: no bit
-//! flips, no forced context switches, no evictions — the schedule is the
-//! whole fault universe, so a run is a pure function of (workload, scheme,
-//! script).
-
-use crate::fault::{ChaosConfig, FaultPlan};
+//! A scripted plan ([`FaultPlan::scripted`](crate::FaultPlan::scripted))
+//! is the zero fault mix plus its script: it injects *nothing* the script
+//! does not name — no bit flips, no forced context switches, no evictions
+//! — so a run is a pure function of (workload, scheme, script).
 
 /// The faults injected into one commit broadcast, in the order the
 /// machines consult them: arbitration denials first, then interconnect
@@ -46,6 +44,8 @@ impl BroadcastSchedule {
 /// A deterministic fault schedule: one [`BroadcastSchedule`] per commit
 /// broadcast, consumed in the order the machine's commits reach the
 /// arbiter. Broadcasts past the end of the script are fault-free.
+/// [`FaultPlan::scripted`](crate::FaultPlan::scripted) arms a plan with
+/// it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScheduleScript {
     /// Human-readable class label (e.g. `"crash@0x2+dup@1"`), carried into
@@ -114,17 +114,11 @@ impl ScheduleScript {
         let name = ScheduleScript::pattern_label(&broadcasts);
         ScheduleScript { name, broadcasts }
     }
-
-    /// Arms a [`FaultPlan`] that injects exactly this schedule and nothing
-    /// else. The plan reports `seed() == 0`; a scripted run's identity is
-    /// the script, not a seed.
-    pub fn into_plan(self) -> FaultPlan {
-        FaultPlan::scripted(self)
-    }
 }
 
-/// Cursor state of a scripted [`FaultPlan`]: which broadcast is current
-/// and how much of its fault bundle remains unconsumed.
+/// Cursor state of a scripted [`FaultPlan`](crate::FaultPlan): which
+/// broadcast is current and how much of its fault bundle remains
+/// unconsumed.
 #[derive(Debug, Clone)]
 pub(crate) struct ScriptState {
     script: ScheduleScript,
@@ -147,10 +141,6 @@ impl ScriptState {
             delay_left: 0,
             denials: 0,
         }
-    }
-
-    pub(crate) fn script(&self) -> &ScheduleScript {
-        &self.script
     }
 
     /// Advances to the next broadcast's fault bundle. Called at the first
@@ -192,38 +182,10 @@ impl ScriptState {
     }
 }
 
-/// The [`ChaosConfig`] a scripted plan runs under: every probabilistic
-/// fault is off, backoff costs are fixed and small, and the
-/// crash-per-broadcast bound is wide enough for any scripted class.
-pub(crate) fn scripted_config() -> ChaosConfig {
-    ChaosConfig {
-        seed: 0,
-        denial_prob: 0.0,
-        max_denials: u32::MAX,
-        backoff_base: 16,
-        backoff_cap: 256,
-        delay_prob: 0.0,
-        delay_max: 0,
-        dup_prob: 0.0,
-        flip_prob: 0.0,
-        ctx_switch_prob: 0.0,
-        ctx_switch_cycles: 60,
-        evict_prob: 0.0,
-        retransmit_cycles: 80,
-        arbiter_crash_prob: 0.0,
-        max_crashes_per_broadcast: u32::MAX,
-        worker_kill_prob: 0.0,
-        max_worker_kills: 0,
-        thread_stall_prob: 0.0,
-        thread_stall_ns: 0,
-        publish_delay_prob: 0.0,
-        publish_delay_ns: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultPlan;
 
     fn crashy() -> ScheduleScript {
         ScheduleScript::from_pattern(vec![
@@ -251,7 +213,7 @@ mod tests {
 
     #[test]
     fn scripted_plan_replays_the_bundle_in_machine_hook_order() {
-        let mut plan = crashy().into_plan();
+        let mut plan = FaultPlan::scripted(crashy());
         // Broadcast 0: one denial, 5-cycle delay, no dup, two crashes.
         assert!(plan.deny_commit(0).is_some());
         assert_eq!(plan.deny_commit(1), None);
@@ -282,7 +244,7 @@ mod tests {
 
     #[test]
     fn scripted_plans_never_inject_unscripted_faults() {
-        let mut plan = ScheduleScript::quiet("q").into_plan();
+        let mut plan = FaultPlan::scripted(ScheduleScript::quiet("q"));
         for attempt in 0..4 {
             assert_eq!(plan.deny_commit(attempt), None);
         }
@@ -292,7 +254,6 @@ mod tests {
             assert!(!plan.duplicate_broadcast());
             assert_eq!(plan.broadcast_delay(), 0);
         }
-        assert_eq!(plan.pick(7), 0);
         assert_eq!(plan.stats().total_injected(), 0);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! The sim-facing [`FaultPlan`](crate::FaultPlan) hooks the simulated
 //! clock; real OS threads have none, so the parallel runtime gets its
-//! own injector built from two pieces:
+//! own fault mix, a [`ThreadChaosConfig`], and its own injector built
+//! from two pieces:
 //!
 //! * [`ThreadChaos`] — the run-wide shared state: the explicit
 //!   [`KillSpec`] schedule (each spec fires exactly once, across the
@@ -27,11 +28,60 @@
 //! delaying a publish). That keeps the chaos crate free of any threading
 //! policy and makes the decisions unit-testable in isolation.
 
-use crate::ChaosConfig;
 use bulk_rng::{Rng, SeedableRng, SmallRng};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The parallel runtime's fault mix: seeded worker kills at
+/// commit-protocol points, injected stalls and widened claim-to-publish
+/// windows, each a probability plus, for stalls and delays, a
+/// wall-clock length. None of the sim's [`ChaosConfig`](crate::ChaosConfig)
+/// faults applies to real threads, and none of these applies to the sim.
+/// The default is the zero mix, under which nothing fires.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ThreadChaosConfig {
+    /// The replay seed: each worker incarnation's stream derives from it.
+    pub seed: u64,
+    /// Per-event probability that a worker is killed at a commit-protocol
+    /// point: after each won slot claim and each applied record (see
+    /// [`CrashPoint`]).
+    pub worker_kill_prob: f64,
+    /// Hard budget on probabilistic worker kills per run (explicit
+    /// [`KillSpec`] schedules are not budgeted), so respawn recovery
+    /// always terminates.
+    pub max_worker_kills: u32,
+    /// Per-poll probability a worker stalls (sleeps) instead of making
+    /// progress — a descheduled peer the wall-clock watchdog must
+    /// tolerate below its bound.
+    pub thread_stall_prob: f64,
+    /// Length of one injected thread stall, in wall-clock nanoseconds.
+    pub thread_stall_ns: u64,
+    /// Per-publish probability the claim-to-publish window is widened by
+    /// a delay — every reader spins through exactly the window a worker
+    /// death orphans.
+    pub publish_delay_prob: f64,
+    /// Length of one injected publish delay, in wall-clock nanoseconds.
+    pub publish_delay_ns: u64,
+}
+
+impl ThreadChaosConfig {
+    /// The `--chaos` preset under `--runtime par`: seeded worker kills
+    /// (at most three a run), short injected stalls and widened
+    /// claim-to-publish windows. Stalls are kept far below the runtime's
+    /// wall-clock watchdog bound so a chaos run is slow, not stalled.
+    pub fn worker_crash(seed: u64) -> Self {
+        ThreadChaosConfig {
+            seed,
+            worker_kill_prob: 0.02,
+            max_worker_kills: 3,
+            thread_stall_prob: 0.01,
+            thread_stall_ns: 200_000,
+            publish_delay_prob: 0.05,
+            publish_delay_ns: 50_000,
+        }
+    }
+}
 
 /// Where in the commit protocol a worker is killed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,11 +124,13 @@ pub struct KillSpec {
     pub at: u64,
 }
 
-/// Run-wide shared state of the real-thread fault injector. One per run,
-/// shared (`Arc`) by every worker incarnation and the supervisor.
+/// Run-wide shared state of the real-thread fault injector, armed by a
+/// [`ThreadChaosConfig`] mix, an explicit [`KillSpec`] schedule, both or
+/// neither. One per run, shared (`Arc`) by every worker incarnation and
+/// the supervisor.
 #[derive(Debug)]
 pub struct ThreadChaos {
-    cfg: Option<ChaosConfig>,
+    cfg: Option<ThreadChaosConfig>,
     kills: Vec<KillSpec>,
     consumed: Vec<AtomicBool>,
     /// Remaining probabilistic kills (explicit specs are not budgeted).
@@ -104,7 +156,7 @@ impl ThreadChaos {
     /// probabilistic faults (worker kills, stalls, delayed publishes);
     /// `kills` is the explicit deterministic schedule. Either may be
     /// empty/`None` — an unarmed injector never fires.
-    pub fn new(procs: usize, cfg: Option<ChaosConfig>, kills: Vec<KillSpec>) -> Arc<Self> {
+    pub fn new(procs: usize, cfg: Option<ThreadChaosConfig>, kills: Vec<KillSpec>) -> Arc<Self> {
         let budget = cfg.as_ref().map_or(0, |c| c.max_worker_kills);
         Arc::new(ThreadChaos {
             consumed: kills.iter().map(|_| AtomicBool::new(false)).collect(),
@@ -269,10 +321,11 @@ mod tests {
 
     #[test]
     fn probabilistic_kills_respect_the_budget() {
-        let cfg = ChaosConfig {
+        let cfg = ThreadChaosConfig {
+            seed: 42,
             worker_kill_prob: 1.0,
             max_worker_kills: 3,
-            ..ChaosConfig::new(42)
+            ..ThreadChaosConfig::default()
         };
         let chaos = ThreadChaos::new(1, Some(cfg), Vec::new());
         let mut w = chaos.worker(0, 0);
@@ -294,7 +347,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_incarnation_is_deterministic() {
-        let cfg = ChaosConfig::worker_crash(7);
+        let cfg = ThreadChaosConfig::worker_crash(7);
         let mk = || ThreadChaos::new(1, Some(cfg.clone()), Vec::new());
         let (a, b) = (mk(), mk());
         let (mut wa, mut wb) = (a.worker(0, 0), b.worker(0, 0));

@@ -304,8 +304,9 @@ impl WallClockWatchdog {
     /// it when its audit of the bus log moves.
     pub fn note_progress(&self) {
         let now = self.start.elapsed().as_nanos() as u64;
-        // Monotonic max, not a blind store: a delayed writer must not
-        // move the deadline backwards under a fresher reading.
+        // The par supervisor is the only writer and its readings only
+        // grow, so a store would do as well; the max keeps the deadline
+        // monotone without relying on there being one writer.
         self.last_progress_ns.fetch_max(now, std::sync::atomic::Ordering::Release);
     }
 

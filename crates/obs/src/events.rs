@@ -10,7 +10,6 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Why a speculative thread/task was squashed, as attributed by the exact
@@ -181,6 +180,10 @@ impl Event {
     }
 }
 
+/// The retained tail of the log. Every event ever recorded is either in
+/// `buf` or counted in `dropped`, so their sum is the next `seq`: taken
+/// under the ring's lock, it keeps `buf` seq-ordered however many threads
+/// record.
 #[derive(Debug, Default)]
 struct Ring {
     buf: VecDeque<Event>,
@@ -198,7 +201,6 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 16;
 /// A bounded, shareable log of [`Event`]s.
 #[derive(Debug)]
 pub struct EventLog {
-    seq: AtomicU64,
     capacity: usize,
     ring: Mutex<Ring>,
 }
@@ -223,13 +225,13 @@ impl EventLog {
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "event log capacity must be positive");
-        EventLog { seq: AtomicU64::new(0), capacity, ring: Mutex::new(Ring::default()) }
+        EventLog { capacity, ring: Mutex::new(Ring::default()) }
     }
 
     /// Records one event, assigning it the next logical timestamp.
     pub fn record(&self, actor: u32, cycle: u64, kind: EventKind) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.ring.lock().expect("event ring poisoned");
+        let seq = ring.dropped + ring.buf.len() as u64;
         if ring.buf.len() == self.capacity {
             ring.buf.pop_front();
             ring.dropped += 1;
@@ -438,6 +440,42 @@ mod tests {
         let tail: Vec<u64> = log.events_after(4).iter().map(|e| e.seq).collect();
         assert_eq!(tail, vec![4, 5]);
         assert!(log.events_after(6).is_empty());
+    }
+
+    #[test]
+    fn concurrent_records_stay_seq_ordered_and_drain_exactly_once() {
+        // Four threads record at once while this one drains: the ring must
+        // stay strictly seq-ordered, or `events_after`'s binary search
+        // skips or repeats events.
+        const PER_THREAD: u64 = 2_000;
+        let log = EventLog::new();
+        let mut drained = Vec::new();
+        std::thread::scope(|s| {
+            let log = &log;
+            let writers: Vec<_> = (0..4u32)
+                .map(|t| {
+                    s.spawn(move || {
+                        for i in 0..PER_THREAD {
+                            log.record(t, i, EventKind::Escalation);
+                        }
+                    })
+                })
+                .collect();
+            loop {
+                // Read `done` first, so the last drain sees every record.
+                let done = writers.iter().all(|w| w.is_finished());
+                let next = drained.last().map_or(0, |e: &Event| e.seq + 1);
+                drained.extend(log.events_after(next));
+                if done {
+                    break;
+                }
+            }
+        });
+        let all = log.events();
+        assert!(all.windows(2).all(|w| w[0].seq < w[1].seq), "ring is not seq-ordered");
+        let seqs: Vec<u64> = drained.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..4 * PER_THREAD).collect::<Vec<_>>(), "each event drained once");
+        assert_eq!(log.dropped(), 0);
     }
 
     #[test]

@@ -63,37 +63,29 @@ impl<'a> Scope<'a> {
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`: every other character becomes `_`, and a
 /// leading digit gains a `_` prefix. The empty string becomes `"_"`.
 pub fn sanitize_metric_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
-        if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-            out.push(c);
-        } else if ok {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
+    sanitize_name(name, true)
 }
 
 /// Sanitizes a label name to `[a-zA-Z_][a-zA-Z0-9_]*` (no colons, unlike
 /// metric names).
 pub fn sanitize_label_name(name: &str) -> String {
+    sanitize_name(name, false)
+}
+
+/// The name grammar, for the `i`th character of a name: a letter or
+/// `_`, a digit past the first character, and `:` in a metric name only.
+fn name_char(i: usize, c: char, colon: bool) -> bool {
+    c.is_ascii_alphabetic() || c == '_' || (colon && c == ':') || (i > 0 && c.is_ascii_digit())
+}
+
+fn sanitize_name(name: &str, colon: bool) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphabetic() || c == '_' || (i > 0 && c.is_ascii_digit());
         if i == 0 && c.is_ascii_digit() {
             out.push('_');
             out.push(c);
-        } else if ok {
-            out.push(c);
         } else {
-            out.push('_');
+            out.push(if name_char(i, c, colon) { c } else { '_' });
         }
     }
     if out.is_empty() {
@@ -303,18 +295,9 @@ impl Exposition {
     }
 }
 
-fn valid_metric_name(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars().enumerate().all(|(i, c)| {
-            c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit())
-        })
-}
-
-fn valid_label_name(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .enumerate()
-            .all(|(i, c)| c.is_ascii_alphabetic() || c == '_' || (i > 0 && c.is_ascii_digit()))
+/// Whether `s` is a valid metric name (`colon`) or label name.
+fn valid_name(s: &str, colon: bool) -> bool {
+    !s.is_empty() && s.chars().enumerate().all(|(i, c)| name_char(i, c, colon))
 }
 
 fn parse_value(s: &str) -> Result<f64, String> {
@@ -332,7 +315,7 @@ fn parse_sample(line: &str) -> Result<ParsedSample, String> {
         Some(i) => (&line[..i], &line[i..]),
         None => return Err(format!("sample line without value: `{line}`")),
     };
-    if !valid_metric_name(name) {
+    if !valid_name(name, true) {
         return Err(format!("invalid metric name `{name}`"));
     }
     let mut labels = Vec::new();
@@ -342,7 +325,7 @@ fn parse_sample(line: &str) -> Result<ParsedSample, String> {
         let (block, after) = (&body[..close], &body[close + 1..]);
         for pair in split_label_pairs(block)? {
             let (k, v) = pair;
-            if !valid_label_name(&k) {
+            if !valid_name(&k, false) {
                 return Err(format!("invalid label name `{k}`"));
             }
             labels.push((k, unescape_label_value(&v)?));

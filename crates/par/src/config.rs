@@ -1,6 +1,6 @@
 //! Tuning knobs of the parallel runtime.
 
-use bulk_chaos::{ChaosConfig, KillSpec};
+use bulk_chaos::{KillSpec, ThreadChaosConfig};
 
 /// Configuration of the [`ParRuntime`](crate::ParRuntime).
 #[derive(Debug, Clone, PartialEq)]
@@ -20,7 +20,7 @@ pub struct ParConfig {
     pub seed: u64,
     /// Probabilistic real-thread fault injection (seeded worker kills,
     /// stalls, delayed publishes). `None` leaves the injector unarmed.
-    pub chaos: Option<ChaosConfig>,
+    pub chaos: Option<ThreadChaosConfig>,
     /// Explicit deterministic worker-kill schedule, applied on top of
     /// (or without) `chaos`.
     pub kills: Vec<KillSpec>,

@@ -24,7 +24,7 @@ use crate::config::ParConfig;
 use crate::stats::ParStats;
 use crate::tls::run_par_tls;
 use crate::tm::run_par_tm;
-use bulk_chaos::{ChaosConfig, FaultPlan, InvariantViolation, MachineError};
+use bulk_chaos::{FaultPlan, InvariantViolation, MachineError, ThreadChaosConfig};
 use bulk_core::CommitEvent;
 use bulk_live::{BackoffConfig, LivenessConfig, LivenessViolation, WatchdogConfig};
 use bulk_obs::Obs;
@@ -445,7 +445,7 @@ impl Runtime for ParRuntime {
             // The real-thread fault preset: seeded worker kills at
             // commit-protocol points, injected stalls, widened
             // claim-to-publish windows.
-            cfg.chaos = Some(ChaosConfig::worker_crash(seed));
+            cfg.chaos = Some(ThreadChaosConfig::worker_crash(seed));
         }
         let stats = match job {
             Job::Tm { workload, scheme, .. } => run_par_tm(workload, *scheme, &cfg)?,

@@ -20,6 +20,13 @@ use crate::{Bus, CoreTimer, SimConfig};
 /// election round) before the crashed broadcast's bus occupancy ends.
 const REELECT_CYCLES: u64 = 120;
 
+/// Cycles a chaos-forced context switch charges the preempted core.
+const CTX_SWITCH_CYCLES: u64 = 60;
+
+/// Bus cycles the retransmission of a broadcast whose CRC check failed
+/// holds.
+const RETRANSMIT_CYCLES: u64 = 80;
+
 /// One commit asking for the bus: the input of [`SimHarness::broadcast`].
 pub struct CommitRequest {
     /// Who commits (TM thread, TLS task), as events name it.
@@ -289,7 +296,7 @@ impl SimHarness {
             return false;
         }
         let pre = timer.now();
-        timer.advance(plan.config().ctx_switch_cycles);
+        timer.advance(CTX_SWITCH_CYCLES);
         if let Some(obs) = &self.obs {
             obs.on_ctx_switch(actor as u32, timer.now());
             obs.span_complete(actor as u32, SpanKind::CtxSwitch, pre, timer.now(), 0);
@@ -362,8 +369,7 @@ impl SimHarness {
         let delta_w_c = delivered.as_ref().map(|d| d.w.decode_sets(&cfg.geom));
         if let Some(d) = &delivered {
             if d.corruption_detected {
-                let retransmit = self.chaos.as_ref().map_or(0, |p| p.config().retransmit_cycles);
-                finish = self.bus.acquire(finish, retransmit) + retransmit;
+                finish = self.bus.acquire(finish, RETRANSMIT_CYCLES) + RETRANSMIT_CYCLES;
                 bw.record_commit(payload.unwrap_or(0), &cfg.msg_sizes);
             }
             if let Some(plan) = self.chaos.as_mut() {
@@ -389,7 +395,7 @@ impl SimHarness {
         // recovery always terminates.
         let mut crashes = 0u32;
         if let (Some(plan), Some(_)) = (self.chaos.as_mut(), &self.live) {
-            let crash_cap = plan.config().max_crashes_per_broadcast;
+            let crash_cap = plan.max_crashes();
             while crashes < crash_cap && plan.arbiter_crash() {
                 finish = self.bus.acquire(finish, REELECT_CYCLES) + REELECT_CYCLES;
                 crashes += 1;

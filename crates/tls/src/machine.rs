@@ -1487,7 +1487,7 @@ mod tests {
         let run = || {
             let obs = std::sync::Arc::new(Obs::new());
             let mut m = TlsMachine::new(&wl, TlsScheme::Bulk, &cfg());
-            m.set_chaos(script.clone().into_plan());
+            m.set_chaos(FaultPlan::scripted(script.clone()));
             m.enable_audit();
             m.enable_liveness(bulk_live::LivenessConfig::default());
             m.attach_obs(std::sync::Arc::clone(&obs));

@@ -1907,7 +1907,7 @@ mod tests {
         let run = || {
             let obs = Arc::new(Obs::new());
             let mut m = TmMachine::new(&w, Scheme::Bulk, &cfg());
-            m.set_chaos(script.clone().into_plan());
+            m.set_chaos(FaultPlan::scripted(script.clone()));
             m.enable_audit();
             m.enable_liveness(bulk_live::LivenessConfig::default());
             m.attach_obs(Arc::clone(&obs));
@@ -1937,7 +1937,7 @@ mod tests {
         let w = p.generate(2);
         let run = |script: ScheduleScript| {
             let mut m = TmMachine::new(&w, Scheme::Bulk, &cfg());
-            m.set_chaos(script.into_plan());
+            m.set_chaos(FaultPlan::scripted(script));
             m.enable_audit();
             m.enable_liveness(bulk_live::LivenessConfig::default());
             m.try_run().expect("run completes")

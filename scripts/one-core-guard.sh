@@ -73,6 +73,12 @@
 #    `JoinHandle` list and no `track`; a job's event ring has one size,
 #    so no `event_capacity` knob; and a spec's canonical line uses
 #    `bulk_obs::json_escape`, not a private `escape`.
+# 19. A fault mix is its probabilities (DESIGN.md §7, §19): a sim
+#    `ChaosConfig` is a seed and seven probabilities, a fault's magnitude
+#    is a constant of the injector or the harness, and par's worker
+#    faults are a `ThreadChaosConfig`. A scripted plan is the zero mix
+#    plus its `ScheduleScript`, armed by `FaultPlan::scripted` alone, so
+#    the harness reads no config off its plan.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -250,6 +256,16 @@ nontest_hits 'fn track[(]|workers: Mutex|conns[.]retain|event_capacity|event-cap
 nontest_hits 'fn escape[(]' crates/trace/src/jobspec.rs && scope=1
 if [ "$scope" -eq 1 ]; then
   echo "one-core guard: a daemon thread lives in its accept loop's scope; no worker or connection list, no track, no event-capacity knob, no second JSON escaper"
+  fail=1
+fi
+
+mix=0
+nontest_hits 'max_denials|backoff_base|backoff_cap|delay_max|ctx_switch_cycles|retransmit_cycles|max_crashes_per_broadcast|worker_kill_prob|max_worker_kills|thread_stall|publish_delay' \
+  crates/chaos/src/fault.rs && mix=1
+nontest_hits 'scripted_config|[.]config[(][)]' crates/sim/src/harness.rs crates/chaos/src/*.rs && mix=1
+grep -rn 'into_plan' crates tests && mix=1
+if [ "$mix" -eq 1 ]; then
+  echo "one-core guard: a fault mix is its probabilities; no magnitude or worker-fault field in ChaosConfig, no scripted config, no into_plan"
   fail=1
 fi
 

@@ -15,28 +15,8 @@ export RUSTFLAGS="${RUSTFLAGS:--D warnings}"
 echo "== cargo build --release --offline --locked --workspace --all-targets"
 cargo build --release --offline --locked --workspace --all-targets
 
-# One-core guard (DESIGN.md §16): one verdict (SimHarness::judge), one
-# signature recycler (the thread-local pool), no cfg-gated test, one
-# benchmark system (no cargo-bench suite, no hang_ms wire hook), a par
-# bus record that is W_C or an address (no read set, no second pass), a
-# flat cache (no Vec<Vec<CacheLine>>, no num_sets() per lookup), par
-# exactly-once by the log cursor (no dedup filter, stress plan or bus
-# epoch; no TLS commit token: the log is its order), one owner per count, an
-# arbiter crash as bus time, no checkpoint proof (a spill/reload round
-# trip is a property test, not a run-time check), a line test that is
-# one probe (word-group expansion, set-bit seal CRC, `earliest` scans),
-# one par recovery rule (a respawn adopts its held slot; no fence), a
-# par record whose slot is its identity (no commit ticket, worker serial
-# or publish crash point), a supervisor that trails the log (no
-# progress per publish, no post-join seal, no up-front TLS trace pass),
-# a par access that is an append (no oracle set insert; TM's poll
-# inlined always), a bulkd job whose slot is its `Running` state (no
-# slot semaphore, release latch, per-job watchdog or `BulkdArgs`), one
-# front door (DESIGN.md §19: cli/ and bulkd/ build no machine and go
-# through Runtime::run), and a bulkd thread that lives in its accept
-# loop's scope (no worker or connection list, no `track`, no
-# event-capacity knob, no second JSON escaper).
-echo "== one-core guard (one verdict, one recycler, no cfg knob, one benchmark system, a lean bus record, a flat cache, exactly-once by cursor, the log is the TLS order, one owner per count, a crash is bus time, a checkpoint that cannot fail is a test, a line test is one probe, one recovery rule, a record's slot is its identity, the supervisor trails the log, a par access is an append, a job's slot is its Running state, one front door, a daemon thread lives in its accept loop's scope)"
+# The one-core guard: its header lists what each stanza forbids and why.
+echo "== one-core guard (scripts/one-core-guard.sh)"
 scripts/one-core-guard.sh
 
 echo "== cargo test -q --offline --locked --workspace"

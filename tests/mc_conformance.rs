@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use bulk_repro::chaos::ScheduleScript;
+use bulk_repro::chaos::{FaultPlan, ScheduleScript};
 use bulk_repro::live::LivenessConfig;
 use bulk_repro::mc::{expectations, explore, ClassExpectation, ModelConfig};
 use bulk_repro::mem::Addr;
@@ -81,7 +81,7 @@ fn tm_replay(wl: &TmWorkload, script: ScheduleScript) -> MachineOutcome {
     let mut m = TmMachine::try_new(wl, Scheme::Bulk, &SimConfig::tm_default())
         .expect("construction succeeds");
     m.enable_audit();
-    m.set_chaos(script.into_plan());
+    m.set_chaos(FaultPlan::scripted(script));
     m.enable_liveness(LivenessConfig::default());
     m.attach_obs(Arc::clone(&obs));
     let stats = m.try_run().expect("scripted run completes");
@@ -101,7 +101,7 @@ fn tls_replay(wl: &TlsWorkload, script: ScheduleScript) -> MachineOutcome {
     let mut m = TlsMachine::try_new(wl, TlsScheme::Bulk, &SimConfig::tls_default())
         .expect("construction succeeds");
     m.enable_audit();
-    m.set_chaos(script.into_plan());
+    m.set_chaos(FaultPlan::scripted(script));
     m.enable_liveness(LivenessConfig::default());
     m.attach_obs(Arc::clone(&obs));
     let stats = m.try_run().expect("scripted run completes");

@@ -14,7 +14,7 @@
 //! (wall-clock watchdog) must surface as *typed* errors carrying enough
 //! context to replay, never as process aborts.
 
-use bulk_repro::chaos::ChaosConfig;
+use bulk_repro::chaos::ThreadChaosConfig;
 use bulk_repro::par::{
     conflict_light_tm, CrashPoint, KillSpec, ParConfig, ParRuntime, RunDetail, RunReport, Runtime,
     RuntimeError, SimRuntime, same_commit_class,
@@ -194,10 +194,11 @@ fn a_hung_peer_trips_the_wall_clock_watchdog_with_a_replay_seed() {
     let mut p = profiles::tm_profile("mc").unwrap();
     p.txs_per_thread = 2;
     let wl = p.generate(11);
-    let chaos = ChaosConfig {
+    let chaos = ThreadChaosConfig {
+        seed: 11,
         publish_delay_prob: 1.0,
         publish_delay_ns: 200_000_000,
-        ..ChaosConfig::new(11)
+        ..ThreadChaosConfig::default()
     };
     let cfg = ParConfig {
         seed: 11,
@@ -222,10 +223,11 @@ fn delayed_publishes_under_the_bound_do_not_trip_the_watchdog() {
     // trails each publish by about one tick; that lag must not make a
     // spinning worker see a stall. Both engines, twelve publishes each:
     // each run outlasts the bound, so progress must really be noted.
-    let chaos = ChaosConfig {
+    let chaos = ThreadChaosConfig {
+        seed: 11,
         publish_delay_prob: 1.0,
         publish_delay_ns: 20_000_000,
-        ..ChaosConfig::new(11)
+        ..ThreadChaosConfig::default()
     };
     let cfg = ParConfig {
         seed: 11,
@@ -258,7 +260,7 @@ fn recovered_runs_compose_with_probabilistic_chaos() {
     let wl = p.generate(13);
     let cfg = ParConfig {
         seed: 13,
-        chaos: Some(ChaosConfig::worker_crash(13)),
+        chaos: Some(ThreadChaosConfig::worker_crash(13)),
         kills: vec![KillSpec { proc: 0, point: CrashPoint::Claim, at: 1 }],
         ..ParConfig::default()
     };
@@ -282,7 +284,7 @@ fn recovered_tls_runs_compose_with_probabilistic_chaos() {
         let wl = p.generate(seed);
         let cfg = ParConfig {
             seed,
-            chaos: Some(ChaosConfig::worker_crash(seed)),
+            chaos: Some(ThreadChaosConfig::worker_crash(seed)),
             kills: vec![KillSpec { proc: 1, point: CrashPoint::Claim, at: 1 }],
             ..ParConfig::default()
         };
