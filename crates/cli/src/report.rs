@@ -129,8 +129,8 @@ fn print_par(machine: &str, app: &str, scheme: &str, s: &ParStats) {
     );
     println!(
         "  bus log            {} records ({} non-tx stores), {} claim retries, \
-         {} slot-wait spins",
-        s.records, s.non_tx_stores, s.claim_retries, s.slot_wait_spins
+         {} slot-wait spins, {} parks",
+        s.records, s.non_tx_stores, s.claim_retries, s.slot_wait_spins, s.parks
     );
     let per: Vec<String> = s.per_thread_commits.iter().map(u64::to_string).collect();
     println!("  commits per thread {}", per.join(" "));

@@ -15,7 +15,8 @@
 //!   only identity: the supervisor's audit checks that each publisher's
 //!   records appear once, in its program order;
 //! * readers never block writers: a claimed-but-unpublished slot is an
-//!   empty [`OnceLock`] the reader spins on with `yield_now`, and the
+//!   empty [`OnceLock`] a reader waits on — it yields briefly, then
+//!   parks until that slot's publish wakes it (`BusLog::park`) — and the
 //!   winner of a tail race always publishes — itself, or, if it dies
 //!   first, the respawn that adopts the slot — so the system as a whole
 //!   is lock-free (some thread always makes progress). The log holds
@@ -24,12 +25,18 @@
 //! Memory ordering: the tail CAS is `AcqRel` and `OnceLock::set/get`
 //! give release/acquire on the record payload, so a reader that
 //! observes slot `n` published also observes every record before it
-//! and the full payload of record `n` itself.
+//! and the full payload of record `n` itself. A parked waiter and a
+//! publisher each put a `SeqCst` fence between their write (the parked
+//! count, the slot) and their read of the other's word, so at least one
+//! of them sees the other: the waiter does not sleep, or the publisher
+//! wakes it. A wake is only a hint all the same — every park times out.
 
 use bulk_mem::LineAddr;
 use bulk_sig::Signature;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::thread::Thread;
+use std::time::Duration;
 
 /// What kind of store a bus record broadcasts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,6 +110,11 @@ impl std::error::Error for SlotOccupied {}
 pub struct BusLog {
     slots: Box<[OnceLock<BusRecord>]>,
     tail: AtomicUsize,
+    /// Parked waiters and the slot each waits on.
+    sleepers: Mutex<Vec<(usize, Thread)>>,
+    /// `sleepers.len()`, which only a parking waiter writes (under the
+    /// lock): all a publish reads while nobody is parked.
+    parked: AtomicUsize,
 }
 
 impl BusLog {
@@ -115,6 +127,8 @@ impl BusLog {
         BusLog {
             slots: (0..capacity).map(|_| OnceLock::new()).collect(),
             tail: AtomicUsize::new(0),
+            sleepers: Mutex::new(Vec::new()),
+            parked: AtomicUsize::new(0),
         }
     }
 
@@ -145,9 +159,56 @@ impl BusLog {
     /// written exactly once — by its claimer, or by the respawn that
     /// adopted it from a dead claimer — so a second publish is a protocol
     /// bug the caller turns into a typed runtime error instead of an
-    /// abort.
+    /// abort. Wakes the waiters parked on `slot`; while none is parked,
+    /// that costs a fence and one load of a word no publisher writes.
     pub fn publish(&self, slot: usize, record: BusRecord) -> Result<(), SlotOccupied> {
-        self.slots[slot].set(record).map_err(|_| SlotOccupied(slot))
+        self.slots[slot].set(record).map_err(|_| SlotOccupied(slot))?;
+        // Orders the slot's write before the count's read; pairs with
+        // the fence in `park`.
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) != 0 {
+            self.wake(slot);
+        }
+        Ok(())
+    }
+
+    /// Unparks the waiters parked on `slot`.
+    #[cold]
+    #[inline(never)]
+    fn wake(&self, slot: usize) {
+        self.sleepers
+            .lock()
+            .expect("no thread panics holding the sleepers")
+            .iter()
+            .filter(|(waits_on, _)| *waits_on == slot)
+            .for_each(|(_, thread)| thread.unpark());
+    }
+
+    /// Parks the calling thread until `slot` is published or `timeout`
+    /// passes, whichever comes first; returns at once if the slot is
+    /// already published. A return says nothing about the slot: the
+    /// caller reads it again.
+    pub(crate) fn park(&self, slot: usize, timeout: Duration) {
+        self.enlist(Some(slot));
+        // Orders the count's write before the slot's read; pairs with the
+        // fence in `publish`.
+        fence(Ordering::SeqCst);
+        if self.get(slot).is_none() {
+            std::thread::park_timeout(timeout);
+        }
+        self.enlist(None);
+    }
+
+    /// Adds the calling thread to the sleepers as waiting on `slot`, or
+    /// with `None` takes it off, and stores their count.
+    fn enlist(&self, slot: Option<usize>) {
+        let mut sleepers = self.sleepers.lock().expect("no thread panics holding the sleepers");
+        let me = std::thread::current();
+        match slot {
+            Some(slot) => sleepers.push((slot, me)),
+            None => sleepers.retain(|(_, thread)| thread.id() != me.id()),
+        }
+        self.parked.store(sleepers.len(), Ordering::Relaxed);
     }
 
     /// Returns slot `i` if it is already published. A claimed slot stays
@@ -161,6 +222,12 @@ impl BusLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ParConfig;
+    use crate::receiver::Receiver;
+    use crate::recover::{Halt, RunControl};
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+    use std::time::Instant;
 
     fn record(thread: u32, ordinal: u64, to: usize) -> BusRecord {
         BusRecord { validated_to: to, ..BusRecord::bare(thread as usize, ordinal, RecordKind::Commit) }
@@ -221,5 +288,92 @@ mod tests {
             let r = log.get(i).expect("dense");
             assert_eq!(r.validated_to, i, "claim == validated prefix");
         }
+    }
+
+    /// Waits until some thread is parked on `log`.
+    fn until_parked(log: &BusLog) {
+        while log.parked.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_publish_wakes_the_waiter_parked_on_its_slot() {
+        let log = Arc::new(BusLog::new(2));
+        assert!(log.try_claim(0));
+        let waiter = {
+            let log = log.clone();
+            std::thread::spawn(move || {
+                log.park(0, Duration::from_secs(10));
+                Instant::now()
+            })
+        };
+        until_parked(&log);
+        let published = Instant::now();
+        log.publish(0, record(0, 0, 0)).unwrap();
+        let woke = waiter.join().unwrap();
+        assert!(woke - published < Duration::from_secs(1), "woke {:?} late", woke - published);
+        assert_eq!(log.parked.load(Ordering::Relaxed), 0, "the waiter took itself off");
+        // A park on a published slot does not sleep.
+        let t0 = Instant::now();
+        log.park(0, Duration::from_secs(10));
+        assert!(t0.elapsed() < Duration::from_secs(1));
+    }
+
+    /// Starts worker `proc` polling a log whose slot 0 is claimed and
+    /// never published, under `cfg`, and returns once it has parked:
+    /// the run's control block and the worker, which ends with the halt
+    /// that ended its wait and its park count.
+    fn wait_on_an_orphan(
+        proc: usize,
+        cfg: ParConfig,
+    ) -> (Arc<RunControl>, JoinHandle<(Halt, u64)>) {
+        let ctl = Arc::new(RunControl::new("par/tls/Bulk".into(), proc + 1, &cfg));
+        let log = Arc::new(BusLog::new(2));
+        assert!(log.try_claim(0), "claimed by a worker that died");
+        let worker = {
+            let (ctl, log) = (ctl.clone(), log.clone());
+            std::thread::spawn(move || {
+                let mut rx = Receiver::new(proc, &cfg, ctl.chaos.worker(proc, 0));
+                let halt = rx.poll(&log, &ctl, |_| None).expect_err("the slot stays empty");
+                (halt, rx.stats.parks)
+            })
+        };
+        until_parked(&log);
+        (ctl, worker)
+    }
+
+    /// Joins `worker` once it has finished; panics, leaving it running,
+    /// if it has not within `limit`.
+    fn join_within<T>(worker: JoinHandle<T>, limit: Duration) -> T {
+        let t0 = Instant::now();
+        while !worker.is_finished() {
+            assert!(t0.elapsed() < limit, "the waiter still runs after {limit:?}");
+            std::thread::yield_now();
+        }
+        worker.join().expect("the waiter does not panic")
+    }
+
+    #[test]
+    fn a_parked_waiter_unwinds_at_an_abort_within_the_park_timeout() {
+        // No watchdog: only the abort can end this wait.
+        let cfg = ParConfig { stall_timeout_ms: 0, ..ParConfig::default() };
+        let (ctl, worker) = wait_on_an_orphan(0, cfg);
+        ctl.abort();
+        let (halt, parks) = join_within(worker, Duration::from_secs(1));
+        assert!(matches!(halt, Halt::Aborted), "{halt:?}");
+        assert!(parks > 0, "the wait parked");
+    }
+
+    #[test]
+    fn a_parked_waiter_reports_the_stall_as_its_own() {
+        let cfg = ParConfig { stall_timeout_ms: 100, ..ParConfig::default() };
+        let (_ctl, worker) = wait_on_an_orphan(1, cfg);
+        let (halt, parks) = join_within(worker, Duration::from_secs(1));
+        match halt {
+            Halt::Stalled(v) => assert_eq!(v.thread, Some(1), "{v}"),
+            other => panic!("expected a stall, got {other:?}"),
+        }
+        assert!(parks > 1, "each park timed out and checked again: {parks}");
     }
 }

@@ -23,6 +23,18 @@ use bulk_obs::Verdict as Class;
 use bulk_rng::{Rng, SeedableRng, SmallRng};
 use bulk_sig::{Signature, SignatureConfig};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// How long a wait yields before it parks: long enough for a running
+/// publisher's claim-to-publish window, far short of a scheduler slice.
+/// It is a time, not a count of yields: beside a busy process one yield
+/// can cost a whole slice, and such a waiter must park at once.
+const WAIT_YIELD_BUDGET: Duration = Duration::from_micros(200);
+
+/// The longest one park sleeps. A publish of the awaited slot wakes the
+/// waiter sooner; the timeout bounds what a lost wake costs, and how
+/// late a parked waiter sees an abort or a stall.
+const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Accumulated compute dwell is slept in chunks no smaller than this, so
 /// fine-grained `Compute` ops don't turn into sub-microsecond sleeps.
@@ -293,14 +305,13 @@ impl Receiver {
         squashed: &mut bool,
         check: &mut impl FnMut(&BusRecord) -> Option<Verdict>,
     ) -> Result<(), Halt> {
+        let mut since = None;
         let rec = loop {
             if let Some(r) = log.get(self.cursor) {
                 break r;
             }
             self.stats.slot_wait_spins += 1;
-            ctl.check_spin(self.proc)?;
-            std::hint::spin_loop();
-            std::thread::yield_now();
+            self.wait(log, ctl, &mut since)?;
         };
         let verdict = if *squashed { None } else { check(rec) };
         if let Some(v) = verdict {
@@ -330,6 +341,29 @@ impl Receiver {
             return Err(Halt::Killed { point: CrashPoint::Apply });
         }
         Ok(())
+    }
+
+    /// One round of a wait for slot `self.cursor` to be published, which
+    /// began `since` (set at the first round); the caller reads the log
+    /// again after it. For [`WAIT_YIELD_BUDGET`] a round yields; after
+    /// that it parks until that slot's publish wakes the worker or
+    /// [`PARK_TIMEOUT`] passes, so a waiter leaves its core to the thread
+    /// that must publish next. Every round ends with the abort and
+    /// watchdog checks, so a wait on an orphaned slot ends in a typed halt.
+    pub(crate) fn wait(
+        &mut self,
+        log: &BusLog,
+        ctl: &RunControl,
+        since: &mut Option<Instant>,
+    ) -> Result<(), Halt> {
+        if since.get_or_insert_with(Instant::now).elapsed() < WAIT_YIELD_BUDGET {
+            std::hint::spin_loop();
+            std::thread::yield_now();
+        } else {
+            self.stats.parks += 1;
+            log.park(self.cursor, PARK_TIMEOUT);
+        }
+        ctl.check_spin(self.proc)
     }
 
     /// After a squash: drops the attempt's unspent dwell, then a jittered

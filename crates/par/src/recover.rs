@@ -38,7 +38,7 @@ pub(crate) enum Halt {
     },
     /// The worker's closure panicked; caught at the thread boundary.
     Panicked(String),
-    /// The wall-clock watchdog tripped while this worker was spinning.
+    /// The wall-clock watchdog tripped while this worker was waiting.
     Stalled(LivenessViolation),
     /// A protocol invariant broke (double publish, a lost TLS slot).
     Bug(String),
@@ -98,7 +98,7 @@ impl RunControl {
         }
     }
 
-    /// Tells every worker to unwind at its next spin-site check.
+    /// Tells every worker to unwind at its next wait check.
     pub(crate) fn abort(&self) {
         self.abort.store(true, Ordering::Release);
     }
@@ -121,8 +121,9 @@ impl RunControl {
             .then(|| self.watchdog.violation(&self.scheme, thread, Some(self.seed)))
     }
 
-    /// The check every spin site of worker `proc` makes: a requested abort
-    /// or a tripped watchdog ends the wait with a typed halt.
+    /// The check worker `proc` makes after every yield and every wake of
+    /// a wait (`Receiver::wait`): a requested abort or a tripped watchdog
+    /// ends the wait with a typed halt.
     pub(crate) fn check_spin(&self, proc: usize) -> Result<(), Halt> {
         if self.aborted() {
             return Err(Halt::Aborted);
@@ -170,7 +171,7 @@ impl RunControl {
 ///
 /// Every other way a run can fail (stall, protocol bug, invalid task,
 /// failed recovery, spent budget) aborts the surviving workers — a
-/// worker waiting on an orphaned slot unwinds at its next spin check —
+/// worker waiting on an orphaned slot unwinds at its next wait check —
 /// and comes back as the first typed error, with the audit left unclosed.
 pub(crate) fn supervise<P: Send>(
     workers: usize,

@@ -26,6 +26,11 @@ pub struct ParStats {
     /// TLS successor that has executed its task waits here on its
     /// predecessor's claimed slot.
     pub slot_wait_spins: u64,
+    /// Parks: a waiter past its yield budget sleeps until the slot it
+    /// waits on is published or a short timeout passes, and each sleep
+    /// counts once. Any wait on the log parks, not only the slot waits
+    /// above; a TLS task waiting for its predecessors parks most.
+    pub parks: u64,
     /// Non-transactional stores broadcast as individual records.
     pub non_tx_stores: u64,
     /// Records published on the bus log.
@@ -72,6 +77,7 @@ impl ParStats {
             ("squash.aliasing", self.false_squashes),
             ("claim_retries", self.claim_retries),
             ("slot_wait_spins", self.slot_wait_spins),
+            ("parks", self.parks),
             ("non_tx_stores", self.non_tx_stores),
             ("records", self.records),
             ("worker_crashes", self.worker_crashes),
@@ -97,6 +103,7 @@ impl ParStats {
         self.false_squashes += w.false_squashes;
         self.claim_retries += w.claim_retries;
         self.slot_wait_spins += w.slot_wait_spins;
+        self.parks += w.parks;
         self.non_tx_stores += w.non_tx_stores;
         self.injected_stalls += w.injected_stalls;
         self.delayed_publishes += w.delayed_publishes;

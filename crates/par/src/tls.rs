@@ -32,9 +32,11 @@
 //! the slot on again.
 //! A death between a publish and the next task leaves nothing to
 //! repair: the successor's cursor reads the published slot like any
-//! other. Every spin site checks the abort flag and the wall-clock
-//! watchdog, so worker death or a hung peer becomes a typed error rather
-//! than a process abort or an infinite spin.
+//! other. Every wait (`Receiver::wait`: yields for 200 µs, then parks
+//! until the next publish) checks the abort flag and the wall-clock
+//! watchdog after each yield and each wake, so worker death or a hung
+//! peer becomes a typed error rather than a process abort or an endless
+//! wait.
 
 use crate::bus::{BusLog, BusRecord, RecordKind};
 use crate::config::ParConfig;
@@ -184,14 +186,13 @@ fn refuse(
     log: &BusLog,
     ctl: &RunControl,
 ) -> Result<(), Halt> {
+    let mut since = None;
     loop {
         rx.poll(log, ctl, |_| None)?;
         if rx.cursor >= task {
             return Err(Halt::InvalidTask(task, error));
         }
-        ctl.check_spin(rx.proc)?;
-        std::hint::spin_loop();
-        std::thread::yield_now();
+        rx.wait(log, ctl, &mut since)?;
     }
 }
 
@@ -215,6 +216,7 @@ fn commit_in_order(
     // the attempt. Only this task's owner claims slot `task`, so the log
     // cannot pass it, and once the cursor is there the log holds exactly
     // the `task` predecessors.
+    let mut since = None;
     loop {
         if poll(rx, sets, log, ctl)? {
             return Ok(false);
@@ -222,9 +224,7 @@ fn commit_in_order(
         if rx.cursor >= task {
             break;
         }
-        ctl.check_spin(rx.proc)?;
-        std::hint::spin_loop();
-        std::thread::yield_now();
+        rx.wait(log, ctl, &mut since)?;
     }
     if rx.cursor != task || !rx.claim(log, task)? {
         return Err(Halt::Bug(format!(

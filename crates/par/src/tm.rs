@@ -51,8 +51,8 @@
 //!    operation with the same ordinal and publishes it into the slot.
 //!
 //! A hung (rather than dead) peer is caught by the wall-clock watchdog:
-//! every spin site checks the bound and turns a stall into a typed
-//! `LivenessViolation` carrying the replay seed.
+//! every wait checks the bound after each yield and each wake, and turns
+//! a stall into a typed `LivenessViolation` carrying the replay seed.
 
 use crate::bus::{BusLog, BusRecord, RecordKind};
 use crate::config::ParConfig;

@@ -79,6 +79,11 @@
 #    faults are a `ThreadChaosConfig`. A scripted plan is the zero mix
 #    plus its `ScheduleScript`, armed by `FaultPlan::scripted` alone, so
 #    the harness reads no config off its plan.
+# 20. A par waiter gives its core away (DESIGN.md §18): a wait on the log
+#    is `Receiver::wait`'s bounded yields and then a park until the next
+#    publish, so no other non-test line of the bus, receiver or TLS code
+#    yields or makes a spin check; `Receiver::backoff`'s bounded yields
+#    after a squash are the one other yield.
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -109,6 +114,22 @@ fn_hits() { # REGEX FILE FN...
     inside && $0 ~ re { print FILENAME ":" FNR ":" $0; hit = 1 }
     inside && $0 == close_line { inside = 0 }
     END { for (f in missing) { print FILENAME ": no fn " f; hit = 1 } exit !hit }' "$file"
+}
+
+# Prints the non-test lines of FILE... that match REGEX outside the
+# bodies of the named functions (bounded as in fn_hits); succeeds on a hit.
+outside_fn_hits() { # REGEX "FN..." FILE...
+  local re=$1 names=$2; shift 2
+  awk -v re="$re" -v names="$names" '
+    BEGIN { n = split(names, want, " ") }
+    FNR == 1 { test = 0; inside = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+    !inside { for (i = 1; i <= n; i++) if ($0 ~ "fn " want[i] "[(<]") {
+                inside = 1
+                match($0, /^[[:space:]]*/); close_line = substr($0, 1, RLENGTH) "}" } }
+    !test && !inside && $0 ~ re { print FILENAME ":" FNR ":" $0; hit = 1 }
+    inside && $0 == close_line { inside = 0 }
+    END { exit !hit }' "$@"
 }
 
 mapfile -t files < <(find crates/*/src src -name '*.rs' ! -path crates/sim/src/harness.rs | sort)
@@ -266,6 +287,12 @@ nontest_hits 'scripted_config|[.]config[(][)]' crates/sim/src/harness.rs crates/
 grep -rn 'into_plan' crates tests && mix=1
 if [ "$mix" -eq 1 ]; then
   echo "one-core guard: a fault mix is its probabilities; no magnitude or worker-fault field in ChaosConfig, no scripted config, no into_plan"
+  fail=1
+fi
+
+if outside_fn_hits 'yield_now[(]|check_spin[(]' 'wait backoff' \
+  crates/par/src/bus.rs crates/par/src/receiver.rs crates/par/src/tls.rs; then
+  echo "one-core guard: a par waiter gives its core away; only Receiver::wait waits on the log, and only it and Receiver::backoff yield"
   fail=1
 fi
 

@@ -221,8 +221,10 @@ fn delayed_publishes_under_the_bound_do_not_trip_the_watchdog() {
     // The twin of the test above: every publish sleeps 20 ms, a tenth of
     // the 200 ms bound. Progress is the supervisor's audited prefix, which
     // trails each publish by about one tick; that lag must not make a
-    // spinning worker see a stall. Both engines, twelve publishes each:
-    // each run outlasts the bound, so progress must really be noted.
+    // waiting worker see a stall. Both engines, twelve publishes each:
+    // each run outlasts the bound, so progress must really be noted. A
+    // 20 ms window outlasts a waiter's yield budget, so waiters park; the
+    // watchdog check at each wake must not see a stall either.
     let chaos = ThreadChaosConfig {
         seed: 11,
         publish_delay_prob: 1.0,
@@ -246,6 +248,7 @@ fn delayed_publishes_under_the_bound_do_not_trip_the_watchdog() {
         .unwrap_or_else(|e| panic!("tls: {e}"));
     for s in [par_stats(&par), par_stats(&par_tls)] {
         assert_eq!(s.delayed_publishes, s.records, "every publish slept");
+        assert!(s.parks > 0, "a wait on a delayed publish parks");
         assert!(s.violations.is_empty(), "{:?}", s.violations);
     }
 }
