@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle, Scope};
 use std::time::Duration;
 
-use bulk_obs::json_escape;
+use bulk_obs::{json_escape, Histogram};
 use bulk_trace::jobspec::{FlatValue, JobSpec};
 
 use crate::job::{JobState, JobTable};
@@ -317,6 +317,10 @@ fn handle_line<'s>(
     stream_job(&id, writer, shared)
 }
 
+/// Longest a streamer holds back the events a running job records: it
+/// drains them at least this often, and at once when the job ends.
+const STREAM_POLL: Duration = Duration::from_millis(2);
+
 /// Streams a job's event JSONL until it reaches a terminal state, then
 /// writes the trailer and done lines. Returns `true` on write failure.
 fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
@@ -338,18 +342,18 @@ fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
         !batch.is_empty()
             && writer.write_all(batch.as_bytes()).and_then(|()| writer.flush()).is_err()
     };
-    loop {
+    let (state, ended) = loop {
         if flush_events(writer) {
             return true;
         }
-        match shared.table.state(id) {
-            Some(st) if st.is_terminal() => break,
-            Some(_) => thread::sleep(Duration::from_millis(2)),
+        match shared.table.wait_end(id, STREAM_POLL) {
+            Some((state, Some(ended))) => break (state, ended),
+            Some(_) => {}
             None => return true,
         }
-    }
-    // Final drain: the run finished between the last poll and the state
-    // check; pick up whatever it recorded at the end.
+    };
+    // Final drain: the run finished between the last poll and the end;
+    // pick up whatever it recorded at the end.
     if flush_events(writer) {
         return true;
     }
@@ -361,8 +365,8 @@ fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
     ) {
         return true;
     }
-    let done_line = match shared.table.state(id) {
-        Some(JobState::Done { commits }) => {
+    let done_line = match state {
+        JobState::Done { commits } => {
             // The done line carries only deterministic fields (par-runtime
             // squash counts vary between runs; commit counts do not), so
             // identical spec+seed submissions stream byte-identically.
@@ -371,14 +375,21 @@ fn stream_job(id: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
                 json_escape(id)
             )
         }
-        Some(JobState::Failed { kind, detail }) => format!(
+        JobState::Failed { kind, detail } => format!(
             "{{\"done\": true, \"job\": \"{}\", \"status\": \"error\", \"runtime\": \"{runtime}\", \"kind\": \"{}\", \"detail\": \"{}\"}}",
             json_escape(id),
             json_escape(&kind),
             json_escape(&detail)
         ),
-        _ => return true,
+        // `end` stamps only terminal states.
+        JobState::Queued | JobState::Running => return true,
     };
+    // The daemon's own stream lag: the job's end to its `done` line,
+    // observed before the write so a client that has read the line
+    // scrapes a count that includes it.
+    let lag_us = u64::try_from(ended.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let lag = shared.table.registry.histogram("bulkd.done_lag_us", &Histogram::pow2_edges(20));
+    lag.observe(lag_us);
     write_line(writer, &done_line)
 }
 

@@ -4,8 +4,9 @@
 //! Every job owns its own [`Obs`] bundle, so concurrent runs never share
 //! counters and a scrape can label each job's metrics independently. A
 //! worker thread executes the run; the connection handler streams the
-//! job's event JSONL from the bundle [`JobTable::get`] hands it; the daemon's
-//! supervisor calls [`JobTable::reap_stalled`] so a hung run becomes a
+//! job's event JSONL from the bundle [`JobTable::get`] hands it, between
+//! waits in [`JobTable::wait_end`] that the job's end cuts short; the
+//! daemon's supervisor calls [`JobTable::reap_stalled`] so a hung run becomes a
 //! typed `job-timeout` failure instead of a wedged daemon. The table also
 //! holds the daemon's own registry and counts each job's submission and
 //! end in it, where the job's state changes.
@@ -89,6 +90,8 @@ struct JobEntry {
     /// When a `Running` job's wall-clock budget runs out; `None` for a
     /// job with no budget. The supervisor compares it with the clock.
     deadline: Option<Instant>,
+    /// When the job reached its terminal state; `None` until it does.
+    ended: Option<Instant>,
 }
 
 /// The slots taken: the `Running` entries.
@@ -105,10 +108,12 @@ pub struct JobTable {
     /// the labelled per-job scopes: the job counts kept here, plus the
     /// daemon's connection and scrape counts.
     pub(crate) registry: Registry,
-    /// Signalled whenever a job leaves `Running`, waking the workers of
-    /// queued jobs. All of them: one whose job was cancelled takes no
-    /// slot, so waking only it could strand the next queued job.
-    slot_freed: Condvar,
+    /// Signalled at every end, in [`JobTable::end`]: an end that leaves
+    /// `Running` frees a slot for the workers of queued jobs, and every
+    /// end lets its streamer write the `done` line. All waiters wake: a
+    /// worker whose job was cancelled takes no slot, so waking only it
+    /// could strand the next queued job.
+    job_ended: Condvar,
     next_id: AtomicU64,
     max_jobs: usize,
     default_timeout_ms: u64,
@@ -122,16 +127,18 @@ impl JobTable {
         JobTable {
             jobs: Mutex::new(BTreeMap::new()),
             registry: Registry::new(),
-            slot_freed: Condvar::new(),
+            job_ended: Condvar::new(),
             next_id: AtomicU64::new(1),
             max_jobs: max_jobs.max(1),
             default_timeout_ms,
         }
     }
 
-    /// Moves a job to the terminal `state` and counts its end: every end
-    /// passes here, so each is counted once, whether or not a client is
-    /// left to read its `done` line.
+    /// Moves a job to the terminal `state`, stamps and counts its end,
+    /// and wakes every waiter on the table: every end passes here, so
+    /// each is counted once, whether or not a client is left to read its
+    /// `done` line, and no end can leave a slot waiter or a streamer
+    /// asleep.
     fn end(&self, e: &mut JobEntry, state: JobState) {
         let name = match state {
             JobState::Done { .. } => "bulkd.jobs_completed",
@@ -139,6 +146,8 @@ impl JobTable {
         };
         self.registry.counter(name).inc();
         e.state = state;
+        e.ended = Some(Instant::now());
+        self.job_ended.notify_all();
     }
 
     /// Validates and registers a spec, returning the job id. The spec is
@@ -165,6 +174,7 @@ impl JobTable {
                 state: JobState::Queued,
                 obs: Arc::new(Obs::new()),
                 deadline: None,
+                ended: None,
             },
         );
         self.registry.counter("bulkd.jobs_submitted").inc();
@@ -181,7 +191,7 @@ impl JobTable {
         let (spec, obs) = {
             let jobs = self.jobs.lock().expect("job table poisoned");
             let mut jobs = self
-                .slot_freed
+                .job_ended
                 .wait_while(jobs, |jobs| {
                     jobs.get(id).is_some_and(|e| e.state == JobState::Queued)
                         && running(jobs) >= self.max_jobs
@@ -211,7 +221,6 @@ impl JobTable {
                 Err((kind, detail)) => JobState::Failed { kind, detail },
             };
             self.end(e, state);
-            self.slot_freed.notify_all();
         }
     }
 
@@ -253,7 +262,6 @@ impl JobTable {
         }
         if reaped > 0 {
             self.registry.counter("bulkd.jobs_reaped").add(reaped);
-            self.slot_freed.notify_all();
         }
     }
 
@@ -270,13 +278,22 @@ impl JobTable {
             let detail = "daemon shut down before the job finished".to_string();
             self.end(e, JobState::Failed { kind: "shutdown".to_string(), detail });
         }
-        self.slot_freed.notify_all();
     }
 
-    /// The job's current state, if the job exists.
-    pub fn state(&self, id: &str) -> Option<JobState> {
+    /// Waits until job `id` has ended or `timeout` has passed, and
+    /// returns its state then, with the instant it ended (`None` while it
+    /// has not); `None` if the job does not exist. A wake for another
+    /// job's end does not end the wait early.
+    pub fn wait_end(&self, id: &str, timeout: Duration) -> Option<(JobState, Option<Instant>)> {
         let jobs = self.jobs.lock().expect("job table poisoned");
-        jobs.get(id).map(|e| e.state.clone())
+        let pending = |jobs: &mut BTreeMap<String, JobEntry>| {
+            jobs.get(id).is_some_and(|e| e.ended.is_none())
+        };
+        let (jobs, _) = self
+            .job_ended
+            .wait_timeout_while(jobs, timeout, pending)
+            .expect("job table poisoned");
+        jobs.get(id).map(|e| (e.state.clone(), e.ended))
     }
 
     /// A snapshot of job `id` alone, if it exists: what the connection
@@ -387,14 +404,85 @@ mod tests {
         table.fail_queued(&id, "spawn-failed", "no thread".to_string());
         let failed =
             JobState::Failed { kind: "spawn-failed".to_string(), detail: "no thread".to_string() };
-        assert_eq!(table.state(&id), Some(failed.clone()));
+        let state = |table: &JobTable| table.wait_end(&id, Duration::ZERO).map(|(s, _)| s);
+        assert_eq!(state(&table), Some(failed.clone()));
         // A worker that shows up late leaves the typed state alone, and so
         // does a second failure.
         table.run(&id);
         table.fail_queued(&id, "other", String::new());
-        assert_eq!(table.state(&id), Some(failed));
+        assert_eq!(state(&table), Some(failed));
         // Its one end is counted once.
         assert_eq!(table.registry.counter_value("bulkd.jobs_failed"), 1);
         assert_eq!(table.registry.counter_value("bulkd.jobs_completed"), 0);
+    }
+
+    /// A one-transaction job `j` in a fresh one-slot table.
+    fn one_job(default_timeout_ms: u64) -> JobTable {
+        let table = JobTable::new(1, default_timeout_ms);
+        let spec = r#"{"id": "j", "machine": "tm", "app": "cb", "scheme": "bulk", "txs": 1}"#;
+        table.submit(JobSpec::parse(spec).unwrap()).unwrap();
+        table
+    }
+
+    /// A thread blocked in `wait_end(j, 10 s)` returns `j`'s terminal
+    /// state, of kind `kind`, within a second of the end `end` makes. The
+    /// waiter gets a 50 ms head start, so it is asleep in the wait when
+    /// the end comes: an end that did not wake it would hold it 10 s.
+    fn an_end_wakes_the_waiter(table: &JobTable, kind: &str, end: impl FnOnce()) {
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let got = table.wait_end("j", Duration::from_secs(10));
+                (got, Instant::now())
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            end();
+            let (got, woke) = waiter.join().unwrap();
+            let (state, ended) = got.expect("the job exists");
+            let ended = ended.expect("a returned end carries its instant");
+            assert_eq!(state.as_str(), kind, "{state:?}");
+            assert!(woke.duration_since(ended) < Duration::from_secs(1), "woke late: {state:?}");
+        });
+    }
+
+    #[test]
+    fn a_workers_result_wakes_the_waiter() {
+        let table = one_job(0);
+        an_end_wakes_the_waiter(&table, "done", || table.run("j"));
+    }
+
+    #[test]
+    fn a_reap_wakes_the_waiter() {
+        let table = one_job(1);
+        {
+            // Running past its deadline, as a wedged worker leaves it.
+            let mut jobs = table.jobs.lock().unwrap();
+            let e = jobs.get_mut("j").unwrap();
+            e.state = JobState::Running;
+            e.deadline = Some(Instant::now());
+        }
+        an_end_wakes_the_waiter(&table, "failed", || table.reap_stalled());
+    }
+
+    #[test]
+    fn cancel_all_wakes_the_waiter() {
+        let table = one_job(0);
+        an_end_wakes_the_waiter(&table, "failed", || table.cancel_all());
+    }
+
+    #[test]
+    fn fail_queued_wakes_the_waiter() {
+        let table = one_job(0);
+        an_end_wakes_the_waiter(&table, "failed", || {
+            table.fail_queued("j", "spawn-failed", "no thread".to_string());
+        });
+    }
+
+    #[test]
+    fn a_wait_with_no_end_times_out_and_an_unknown_job_is_none() {
+        let table = one_job(0);
+        let start = Instant::now();
+        assert_eq!(table.wait_end("j", Duration::from_millis(30)), Some((JobState::Queued, None)));
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        assert_eq!(table.wait_end("never-submitted", Duration::from_secs(10)), None);
     }
 }

@@ -135,6 +135,12 @@ fn concurrent_mixed_jobs_stream_jsonl_and_scrape_is_well_formed() {
             && s.value >= 3.0),
         "daemon job counter missing"
     );
+    // Every `done` line streamed observed its lag before it was written.
+    assert_eq!(
+        parsed.value("bulk_bulkd_done_lag_us_count", &[]),
+        Some(results.len() as f64),
+        "one done-lag observation per job streamed"
+    );
 
     handle.shutdown();
     handle.wait();

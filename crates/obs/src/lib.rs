@@ -50,7 +50,7 @@ pub mod trace;
 pub use attribution::{Verdict, VerdictCounters};
 pub use events::{Event, EventKind, EventLog, SquashCause, DEFAULT_EVENT_CAPACITY};
 pub use hooks::{ExpansionObs, OverflowObs, RuntimeObs};
-pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use prometheus::{encode as prometheus_encode, Scope as PromScope};
 pub use trace::{
     cycle_accounting, AccountingViolation, CycleBreakdown, Span, SpanId, SpanKind, SpanOutcome,

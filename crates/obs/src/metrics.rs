@@ -152,9 +152,14 @@ impl Histogram {
         }
     }
 
-    /// Every bucket, overflow bucket last, each read once.
-    fn snapshot(&self) -> Vec<u64> {
-        self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+    /// Every bucket, overflow bucket last, each read once: the counts,
+    /// total and quantiles of one snapshot agree with each other while
+    /// other threads observe.
+    pub fn snapshot(&self) -> HistogramSnapshot<'_> {
+        HistogramSnapshot {
+            edges: &self.0.edges,
+            buckets: self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+        }
     }
 
     /// Number of observations.
@@ -172,17 +177,59 @@ impl Histogram {
         &self.0.edges
     }
 
-    /// Counts per finite bucket, in edge order.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.0.buckets[..self.0.edges.len()]
+    /// Upper-edge quantile estimate of a fresh [`Histogram::snapshot`];
+    /// see [`HistogramSnapshot::quantile`].
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        self.snapshot().quantile(q)
+    }
+
+    fn to_json(&self) -> String {
+        let snapshot = self.snapshot();
+        let buckets: Vec<String> = snapshot
+            .edges()
             .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+            .zip(snapshot.bucket_counts())
+            .map(|(e, n)| format!("{{\"le\": {e}, \"n\": {n}}}"))
+            .collect();
+        format!(
+            "{{\"count\": {}, \"sum\": {}, \"buckets\": [{}], \"gt\": {}}}",
+            snapshot.count(),
+            self.sum(),
+            buckets.join(", "),
+            snapshot.overflow_count(),
+        )
+    }
+}
+
+/// One read of every bucket of a [`Histogram`]: what an exporter renders
+/// when other threads may be observing, so that its buckets, `+Inf`,
+/// count and quantiles all come from the same reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistogramSnapshot<'h> {
+    edges: &'h [u64],
+    /// `edges.len() + 1` counts, the overflow bucket last.
+    buckets: Vec<u64>,
+}
+
+impl HistogramSnapshot<'_> {
+    /// The inclusive upper bounds of the finite buckets.
+    pub fn edges(&self) -> &[u64] {
+        self.edges
+    }
+
+    /// Counts per finite bucket, in edge order.
+    pub fn bucket_counts(&self) -> &[u64] {
+        &self.buckets[..self.edges.len()]
     }
 
     /// Count of observations above the last edge.
     pub fn overflow_count(&self) -> u64 {
-        self.0.buckets[self.0.edges.len()].load(Ordering::Relaxed)
+        self.buckets[self.edges.len()]
+    }
+
+    /// Number of observations: the sum of the buckets read.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().sum()
     }
 
     /// Upper-edge quantile estimate: the inclusive upper edge of the
@@ -192,41 +239,22 @@ impl Histogram {
     /// for a latency percentile (never under-promises). Returns `None`
     /// when nothing has been observed, and `f64::INFINITY` when the rank
     /// falls in the overflow bucket (rendered `+Inf` by the Prometheus
-    /// encoder). `q` is clamped to `[0, 1]`.
+    /// encoder). `q` is clamped to `[0, 1]`. The rank is taken from the
+    /// same reads it is looked up in, so it cannot fall past the last
+    /// bucket.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        // The rank is taken from the same reads it is looked up in, so it
-        // cannot fall past the last bucket while other threads observe.
-        let buckets = self.snapshot();
-        let count: u64 = buckets.iter().sum();
+        let count = self.count();
         if count == 0 {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut cum = 0u64;
-        let i = buckets.iter().position(|n| {
+        let i = self.buckets.iter().position(|n| {
             cum += n;
             cum >= rank
         })?;
-        Some(self.0.edges.get(i).map_or(f64::INFINITY, |&edge| edge as f64))
-    }
-
-    fn to_json(&self) -> String {
-        let snapshot = self.snapshot();
-        let (gt, finite) = snapshot.split_last().expect("the overflow bucket exists");
-        let buckets: Vec<String> = self
-            .0
-            .edges
-            .iter()
-            .zip(finite)
-            .map(|(e, n)| format!("{{\"le\": {e}, \"n\": {n}}}"))
-            .collect();
-        format!(
-            "{{\"count\": {}, \"sum\": {}, \"buckets\": [{}], \"gt\": {gt}}}",
-            snapshot.iter().sum::<u64>(),
-            self.sum(),
-            buckets.join(", "),
-        )
+        Some(self.edges.get(i).map_or(f64::INFINITY, |&edge| edge as f64))
     }
 }
 
@@ -425,8 +453,8 @@ mod tests {
         h.observe(5);
         h.observe(16); // -> le=16
         h.observe(17); // -> gt
-        assert_eq!(h.bucket_counts(), vec![2, 2, 2]);
-        assert_eq!(h.overflow_count(), 1);
+        assert_eq!(h.snapshot().bucket_counts(), vec![2, 2, 2]);
+        assert_eq!(h.snapshot().overflow_count(), 1);
         assert_eq!(h.count(), 7);
         assert_eq!(h.sum(), 45);
     }
@@ -436,8 +464,8 @@ mod tests {
         let h = Histogram::with_edges(&[10]);
         h.observe(10);
         h.observe(11);
-        assert_eq!(h.bucket_counts(), vec![1]);
-        assert_eq!(h.overflow_count(), 1);
+        assert_eq!(h.snapshot().bucket_counts(), vec![1]);
+        assert_eq!(h.snapshot().overflow_count(), 1);
     }
 
     #[test]
@@ -459,22 +487,22 @@ mod tests {
         for v in [1u64, 2, 4, 8] {
             h.observe(v);
         }
-        assert_eq!(h.bucket_counts(), vec![1, 1, 1, 1]);
-        assert_eq!(h.overflow_count(), 0);
+        assert_eq!(h.snapshot().bucket_counts(), vec![1, 1, 1, 1]);
+        assert_eq!(h.snapshot().overflow_count(), 0);
         for v in [3u64, 5, 9] {
             h.observe(v);
         }
         // 3 -> le=4, 5 -> le=8, 9 -> gt.
-        assert_eq!(h.bucket_counts(), vec![1, 1, 2, 2]);
-        assert_eq!(h.overflow_count(), 1);
+        assert_eq!(h.snapshot().bucket_counts(), vec![1, 1, 2, 2]);
+        assert_eq!(h.snapshot().overflow_count(), 1);
     }
 
     #[test]
     fn pow2_zero_lands_in_first_bucket() {
         let h = Histogram::with_edges(&Histogram::pow2_edges(10));
         h.observe(0);
-        assert_eq!(h.bucket_counts()[0], 1, "0 <= first edge (1)");
-        assert_eq!(h.overflow_count(), 0);
+        assert_eq!(h.snapshot().bucket_counts()[0], 1, "0 <= first edge (1)");
+        assert_eq!(h.snapshot().overflow_count(), 0);
         assert_eq!(h.sum(), 0);
     }
 
@@ -484,8 +512,8 @@ mod tests {
         assert_eq!(*h.edges().last().unwrap(), 1u64 << 63);
         h.observe(1u64 << 63); // exactly the last edge: finite bucket
         h.observe(u64::MAX); // past it: overflow bucket
-        assert_eq!(*h.bucket_counts().last().unwrap(), 1);
-        assert_eq!(h.overflow_count(), 1);
+        assert_eq!(*h.snapshot().bucket_counts().last().unwrap(), 1);
+        assert_eq!(h.snapshot().overflow_count(), 1);
         assert_eq!(h.count(), 2);
     }
 

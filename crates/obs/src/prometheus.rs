@@ -16,7 +16,8 @@
 //!   (including the mandatory `le="+Inf"`), `_sum` and `_count`, and
 //!   additionally as a synthetic `_summary` family carrying the
 //!   upper-edge p50/p95/p99 estimates from
-//!   [`Histogram::quantile`](crate::Histogram::quantile).
+//!   [`HistogramSnapshot::quantile`](crate::HistogramSnapshot::quantile)
+//!   over the same read of the buckets.
 //!
 //! Scopes let one scrape surface carry many concurrent runs: the daemon
 //! hands the encoder its own registry (no labels) plus each job's
@@ -25,6 +26,7 @@
 //! sorted by name, samples in scope order, buckets in edge order).
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
 use crate::metrics::Registry;
 
@@ -135,127 +137,126 @@ pub fn unescape_label_value(v: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Renders a finite or non-finite value the way Prometheus expects.
-fn render_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
+/// A sample value rendered the way Prometheus expects: `NaN`, `+Inf`,
+/// `-Inf`, or the shortest decimal that reads back as the value.
+struct Value(f64);
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            v if v.is_nan() => f.write_str("NaN"),
+            f64::INFINITY => f.write_str("+Inf"),
+            f64::NEG_INFINITY => f.write_str("-Inf"),
+            v => write!(f, "{v}"),
+        }
     }
 }
 
-/// Renders a label block: base labels plus an optional extra pair
-/// (`le`/`quantile`). Empty → no braces.
-fn label_block(labels: &[(String, String)], extra: Option<(&str, String)>) -> String {
-    let mut pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{}=\"{}\"", sanitize_label_name(k), escape_label_value(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        pairs.push(format!("{k}=\"{}\"", escape_label_value(&v)));
-    }
-    if pairs.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", pairs.join(","))
+/// A scope's labels, sanitized and escaped once: `plain` is the block a
+/// sample without an extra label carries (`{job="a"}`, or nothing), and
+/// `open` starts the block of one that adds an `le` or `quantile` pair
+/// (`{job="a",`, or `{`).
+struct Labels {
+    plain: String,
+    open: String,
+}
+
+impl Labels {
+    fn of(labels: &[(String, String)]) -> Labels {
+        let mut open = String::from("{");
+        for (k, v) in labels {
+            let _ = write!(open, "{}=\"{}\",", sanitize_label_name(k), escape_label_value(v));
+        }
+        let plain = if labels.is_empty() {
+            String::new()
+        } else {
+            format!("{}}}", &open[..open.len() - 1])
+        };
+        Labels { plain, open }
     }
 }
 
-#[derive(Debug)]
-struct Family {
-    kind: &'static str,
-    lines: Vec<String>,
-}
-
-/// Adds `line` to family `name` of `kind`. First type wins: a later scope
-/// whose same-named metric has a different type is dropped rather than
-/// corrupting the family (registries cannot produce this internally; it
-/// would take two scopes disagreeing about a name).
-fn push_line(
-    families: &mut BTreeMap<String, Family>,
+/// The buffer of family `name`, created as `kind` by its first sample.
+/// First type wins: a later scope whose same-named metric has a different
+/// type gets `None` and is dropped rather than corrupting the family
+/// (registries cannot produce this internally; it would take two scopes
+/// disagreeing about a name). The name is copied into the map only when
+/// the family is new.
+fn family<'f>(
+    families: &'f mut BTreeMap<String, (&'static str, String)>,
     name: &str,
     kind: &'static str,
-    line: String,
-) {
-    let fam = families
-        .entry(name.to_string())
-        .or_insert_with(|| Family { kind, lines: Vec::new() });
-    if fam.kind == kind {
-        fam.lines.push(line);
+) -> Option<&'f mut String> {
+    if !families.contains_key(name) {
+        families.insert(name.to_string(), (kind, String::new()));
     }
+    let (have, body) = families.get_mut(name).expect("inserted above");
+    (*have == kind).then_some(body)
 }
 
 /// Encodes the scopes as one Prometheus text-exposition document.
 /// Families are sorted by name; within a family, samples appear in scope
 /// order (then bucket order). Identical registry state encodes
 /// byte-identically.
+///
+/// One pass: each scope's label block and each metric's family name are
+/// rendered once, and samples are written straight into their family's
+/// buffer.
 pub fn encode(scopes: &[Scope<'_>]) -> String {
-    let mut families: BTreeMap<String, Family> = BTreeMap::new();
+    let mut families: BTreeMap<String, (&'static str, String)> = BTreeMap::new();
+    let fam_name = |name: &str| format!("{NAMESPACE}{}", sanitize_metric_name(name));
+    // `write!` into a `String` cannot fail.
     for scope in scopes {
-        let base_labels = &scope.labels;
+        let Labels { plain, open } = Labels::of(&scope.labels);
         for (name, value) in scope.registry.counters() {
-            let fam = format!("{NAMESPACE}{}", sanitize_metric_name(&name));
-            let line = format!("{fam}{} {value}", label_block(base_labels, None));
-            push_line(&mut families, &fam, "counter", line);
+            let fam = fam_name(&name);
+            if let Some(out) = family(&mut families, &fam, "counter") {
+                let _ = writeln!(out, "{fam}{plain} {value}");
+            }
         }
         for (name, value) in scope.registry.gauges() {
-            let fam = format!("{NAMESPACE}{}", sanitize_metric_name(&name));
-            let line = format!("{fam}{} {value}", label_block(base_labels, None));
-            push_line(&mut families, &fam, "gauge", line);
+            let fam = fam_name(&name);
+            if let Some(out) = family(&mut families, &fam, "gauge") {
+                let _ = writeln!(out, "{fam}{plain} {value}");
+            }
         }
         for (name, h) in scope.registry.histograms() {
-            let fam = format!("{NAMESPACE}{}", sanitize_metric_name(&name));
-            // Other threads may be observing: each bucket is read once
-            // and `+Inf` and both `_count`s are derived from those reads,
-            // so a mid-run scrape is cumulative and self-consistent.
-            let mut cum = 0u64;
-            let mut lines = Vec::new();
-            for (edge, n) in h.edges().iter().zip(h.bucket_counts()) {
-                cum += n;
-                lines.push(format!(
-                    "{fam}_bucket{} {cum}",
-                    label_block(base_labels, Some(("le", edge.to_string())))
-                ));
-            }
-            let count = cum + h.overflow_count();
-            lines.push(format!(
-                "{fam}_bucket{} {count}",
-                label_block(base_labels, Some(("le", "+Inf".to_string())))
-            ));
-            lines.push(format!("{fam}_sum{} {}", label_block(base_labels, None), h.sum()));
-            lines.push(format!("{fam}_count{} {count}", label_block(base_labels, None)));
-            for line in lines {
-                push_line(&mut families, &fam, "histogram", line);
+            let fam = fam_name(&name);
+            // Other threads may be observing: the buckets are read once,
+            // and `+Inf`, both `_count`s and the summary's quantiles all
+            // come from that one read, so a mid-run scrape is cumulative
+            // and self-consistent.
+            let snap = h.snapshot();
+            let (count, sum) = (snap.count(), h.sum());
+            if let Some(out) = family(&mut families, &fam, "histogram") {
+                let mut cum = 0u64;
+                for (edge, n) in snap.edges().iter().zip(snap.bucket_counts()) {
+                    cum += n;
+                    let _ = writeln!(out, "{fam}_bucket{open}le=\"{edge}\"}} {cum}");
+                }
+                let _ = writeln!(out, "{fam}_bucket{open}le=\"+Inf\"}} {count}");
+                let _ = writeln!(out, "{fam}_sum{plain} {sum}");
+                let _ = writeln!(out, "{fam}_count{plain} {count}");
             }
             // Synthetic summary: upper-edge quantile estimates, so a
             // scraper sees p50/p95/p99 without running histogram_quantile.
             let sfam = format!("{fam}_summary");
-            for q in SUMMARY_QUANTILES {
-                let v = h.quantile(q).unwrap_or(f64::NAN);
-                let line = format!(
-                    "{sfam}{} {}",
-                    label_block(base_labels, Some(("quantile", render_value(q)))),
-                    render_value(v)
-                );
-                push_line(&mut families, &sfam, "summary", line);
+            if let Some(out) = family(&mut families, &sfam, "summary") {
+                for q in SUMMARY_QUANTILES {
+                    let v = Value(snap.quantile(q).unwrap_or(f64::NAN));
+                    let _ = writeln!(out, "{sfam}{open}quantile=\"{}\"}} {v}", Value(q));
+                }
+                let _ = writeln!(out, "{sfam}_sum{plain} {sum}");
+                let _ = writeln!(out, "{sfam}_count{plain} {count}");
             }
-            let sum_line = format!("{sfam}_sum{} {}", label_block(base_labels, None), h.sum());
-            push_line(&mut families, &sfam, "summary", sum_line);
-            let count_line = format!("{sfam}_count{} {count}", label_block(base_labels, None));
-            push_line(&mut families, &sfam, "summary", count_line);
         }
     }
-    let mut out = String::new();
-    for (name, fam) in &families {
-        out.push_str(&format!("# TYPE {name} {}\n", fam.kind));
-        for line in &fam.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
+    let type_line = |name: &str, kind: &str| "# TYPE  \n".len() + name.len() + kind.len();
+    let len = families.iter().map(|(name, (kind, body))| type_line(name, kind) + body.len());
+    let mut out = String::with_capacity(len.sum());
+    for (name, (kind, body)) in &families {
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        out.push_str(body);
     }
     out
 }
@@ -657,19 +658,44 @@ mod tests {
         assert_eq!(mk(), mk());
     }
 
+    /// The summary quantile a scrape's own `_bucket` lines of `fam`
+    /// imply: the upper edge of the first bucket whose cumulative count
+    /// reaches the rank, `NaN` for an empty histogram.
+    fn quantile_from_buckets(exp: &Exposition, fam: &str, q: f64) -> f64 {
+        let bucket = format!("{fam}_bucket");
+        let buckets: Vec<(f64, f64)> = exp
+            .samples
+            .iter()
+            .filter(|s| s.name == bucket)
+            .map(|s| (parse_value(&s.labels.last().expect("le").1).unwrap(), s.value))
+            .collect();
+        let count = buckets.last().expect("+Inf bucket").1;
+        if count == 0.0 {
+            return f64::NAN;
+        }
+        let rank = (q * count).ceil().clamp(1.0, count);
+        buckets.iter().find(|(_, cum)| *cum >= rank).expect("+Inf reaches every rank").0
+    }
+
     /// A scrape taken while another thread observes must still be a
-    /// valid exposition: cumulative buckets, `+Inf` equal to `_count`.
+    /// valid exposition: cumulative buckets, `+Inf` equal to `_count`,
+    /// and each summary quantile the one its own buckets imply. `flip`
+    /// holds half 1s, a quarter 2s and a quarter overflow, so its p50
+    /// moves between the first two edges as observations land: a
+    /// quantile read apart from the buckets would disagree with them.
     #[test]
     fn a_scrape_during_observation_is_self_consistent() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let reg = Registry::new();
         let h = reg.histogram("h", &Histogram::pow2_edges(6));
+        let flip = reg.histogram("flip", &Histogram::pow2_edges(6));
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut v = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     h.observe(v % 200);
+                    flip.observe([1, 2, 1, 200][v as usize % 4]);
                     v += 1;
                 }
             });
@@ -680,9 +706,23 @@ mod tests {
             let before = h.count();
             for _ in 0..1000 {
                 let text = encode(&[Scope::labelled(&[("job", "live")], &reg)]);
-                if let Err(e) = validate(&text) {
+                let checked = validate(&text).and_then(|_| {
+                    let exp = parse_exposition(&text)?;
+                    for fam in ["bulk_h", "bulk_flip"] {
+                        for q in SUMMARY_QUANTILES {
+                            let label = [("job", "live"), ("quantile", &*q.to_string())];
+                            let got = exp.value(&format!("{fam}_summary"), &label).unwrap();
+                            let want = quantile_from_buckets(&exp, fam, q);
+                            if got.to_bits() != want.to_bits() {
+                                return Err(format!("{fam} p{q}: summary {got}, buckets {want}"));
+                            }
+                        }
+                    }
+                    Ok(())
+                });
+                if let Err(e) = checked {
                     stop.store(true, Ordering::Relaxed);
-                    panic!("mid-run scrape is not a valid exposition: {e}");
+                    panic!("mid-run scrape is not self-consistent: {e}\n{text}");
                 }
             }
             assert!(h.count() > before, "nothing was observed while scraping");

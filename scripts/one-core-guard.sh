@@ -84,6 +84,14 @@
 #    publish, so no other non-test line of the bus, receiver or TLS code
 #    yields or makes a spin check; `Receiver::backoff`'s bounded yields
 #    after a squash are the one other yield.
+# 21. A served job's done line leaves when the job ends (DESIGN.md §14):
+#    `JobTable::end` is the one non-test line of crates/bulkd/src/job.rs
+#    that notifies the table's `Condvar`, and `stream_job` waits on it
+#    through `wait_end` instead of sleeping between polls; and a scrape
+#    renders in one pass, so crates/obs/src/prometheus.rs has no
+#    per-line `label_block`, `push_line` or `Family` (the per-line
+#    encoder lives on only as the reference copy in
+#    crates/obs/tests/prometheus_props.rs).
 #
 # Usage: scripts/one-core-guard.sh   (exit 1 and print the hits on a breach)
 set -euo pipefail
@@ -293,6 +301,15 @@ fi
 if outside_fn_hits 'yield_now[(]|check_spin[(]' 'wait backoff' \
   crates/par/src/bus.rs crates/par/src/receiver.rs crates/par/src/tls.rs; then
   echo "one-core guard: a par waiter gives its core away; only Receiver::wait waits on the log, and only it and Receiver::backoff yield"
+  fail=1
+fi
+
+served=0
+fn_hits 'sleep[(]' crates/bulkd/src/daemon.rs stream_job && served=1
+outside_fn_hits 'notify_all' 'end' crates/bulkd/src/job.rs && served=1
+grep -nE 'label_block[(]|push_line[(]|struct Family' crates/obs/src/prometheus.rs && served=1
+if [ "$served" -eq 1 ]; then
+  echo "one-core guard: a done line leaves at its job's end and a scrape renders in one pass; no stream sleep, no notify outside JobTable::end, no per-line label block"
   fail=1
 fi
 
